@@ -214,8 +214,8 @@ func BenchmarkEMEstimator(b *testing.B) {
 	}
 	pm := out.Meta.ProcByName[a.Handler]
 	samples := trace.DurationsCycles(trace.ExclusiveByProc(ivs)[pm.Index], cfg.TickDiv)
-	model, err := tomography.NewModel(out, a.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+	model, err := tomography.NewModelOpts(out, a.Handler, cfg.Predictor,
+		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000}, tomography.ModelOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	epoch := fs.Int("epoch", 64, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
 	tick := fs.Int("tick", 8, "the deployment's timer prescaler in cycles")
 	estName := fs.String("estimator", "em", "estimator: em, moments, or histogram")
-	static := fs.Bool("static", false, "pin statically resolved branches in the estimation models")
+	static := fs.Bool("static", false, "pin statically resolved branches and check fits against the static envelope")
 	minsamples := fs.Int("minsamples", 50, "fewest samples before a procedure's model is trusted")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage

@@ -16,9 +16,8 @@ import (
 
 	"codetomo/internal/compile"
 	"codetomo/internal/mote"
-	"codetomo/internal/stats"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/trace"
-	"codetomo/internal/workload"
 )
 
 func main() {
@@ -41,35 +40,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := compile.Options{FuseCompares: *fuse, RotateLoops: *rotate}
-	if *traceOut != "" {
-		opts.Instrument = compile.ModeTimestamps
-	}
-	out, err := compile.Build(string(src), opts)
-	if err != nil {
-		fatal(err)
-	}
-
-	cfg := mote.DefaultConfig()
-	cfg.TickDiv = *tick
+	mt := pipeline.Mote{TickDiv: *tick, MaxCycles: *maxCycles, FuseCompares: *fuse, RotateLoops: *rotate,
+		Inputs: pipeline.Workload(*regime, *seed)}
 	switch *predictor {
 	case "nt":
-		cfg.Predictor = mote.StaticNotTaken{}
+		mt.Predictor = mote.StaticNotTaken{}
 	case "btfn":
-		cfg.Predictor = mote.BTFN{}
+		mt.Predictor = mote.BTFN{}
 	default:
 		fatal(fmt.Errorf("unknown predictor %q", *predictor))
 	}
-	rng := stats.NewRNG(*seed)
-	sensor, ok := workload.Named(*regime, rng)
-	if !ok {
-		fatal(fmt.Errorf("unknown workload %q", *regime))
+	var opts compile.Options
+	if *traceOut != "" {
+		opts.Instrument = compile.ModeTimestamps
 	}
-	cfg.Sensor = sensor
-	cfg.Entropy = workload.NewEntropy(rng.Fork())
-
-	m := mote.New(out.Code, cfg)
-	if err := m.Run(*maxCycles); err != nil {
+	out, m, err := mt.Execute(string(src), opts)
+	if err != nil {
 		fatal(err)
 	}
 

@@ -20,16 +20,15 @@
 package codetomo
 
 import (
-	"errors"
 	"fmt"
 
 	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
 	"codetomo/internal/ir"
 	"codetomo/internal/isa"
-	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
@@ -86,8 +85,9 @@ type Config struct {
 	PGOPagePack   bool
 	// PageCrossPenalty, when positive, charges that many cycles on every
 	// executed control transfer landing on a different flash page — in the
-	// simulated mote and the timing metadata of every build of the
-	// pipeline (default 0: uniform flash).
+	// simulated mote and the timing metadata of every build Run makes
+	// (default 0: uniform flash). RunFleet's profiling motes run on uniform
+	// flash; only its two measurement builds charge the penalty.
 	PageCrossPenalty int
 }
 
@@ -96,17 +96,8 @@ type Config struct {
 // and out-of-range fractions are configuration bugs and fail loudly
 // instead of being silently clamped.
 func (c Config) Validate() error {
-	if c.TickDiv < 0 {
-		return fmt.Errorf("codetomo: TickDiv = %d; must be positive (zero selects the default of 8)", c.TickDiv)
-	}
-	if c.MinSamples < 0 {
-		return fmt.Errorf("codetomo: MinSamples = %d; must be positive (zero selects the default of 50)", c.MinSamples)
-	}
-	if c.MaxVisits < 0 {
-		return fmt.Errorf("codetomo: MaxVisits = %d; must be positive (zero selects the default of 12)", c.MaxVisits)
-	}
-	if c.MinCoverage < 0 || c.MinCoverage > 1 {
-		return fmt.Errorf("codetomo: MinCoverage = %v; must be a fraction in [0, 1] (zero selects the default of 0.85)", c.MinCoverage)
+	if err := c.settings().Validate(); err != nil {
+		return fmt.Errorf("codetomo: %w", err)
 	}
 	if c.PageCrossPenalty < 0 {
 		return fmt.Errorf("codetomo: PageCrossPenalty = %d; must be non-negative (zero models uniform flash)", c.PageCrossPenalty)
@@ -121,27 +112,12 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.TickDiv <= 0 {
-		c.TickDiv = 8
-	}
-	if c.Predictor == nil {
-		c.Predictor = mote.StaticNotTaken{}
-	}
-	if c.Estimator == nil {
-		c.Estimator = tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: float64(c.TickDiv)}}
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 50
-	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000
 	}
-	if c.MaxVisits <= 0 {
-		c.MaxVisits = 12
-	}
-	if c.MinCoverage <= 0 {
-		c.MinCoverage = 0.85
-	}
+	s := c.settings().WithDefaults()
+	c.TickDiv, c.MinSamples, c.MinCoverage = s.TickDiv, s.MinSamples, s.MinCoverage
+	c.Predictor, c.Estimator, c.MaxVisits = s.Predictor, s.Estimator, s.MaxVisits
 	return c
 }
 
@@ -259,7 +235,7 @@ func (r *Result) Speedup() float64 {
 
 // ErrOutputChanged reports that the optimized binary produced different
 // output — a pipeline bug, never expected.
-var ErrOutputChanged = errors.New("codetomo: optimized layout changed program output")
+var ErrOutputChanged = pipeline.ErrOutputChanged
 
 // ambiguityWindow is the collision distance used for the identifiability
 // diagnostic: paths closer than ~a quarter tick produce essentially
@@ -272,122 +248,80 @@ func ambiguityWindow(tickDiv int) float64 {
 	return w
 }
 
-// sensorPair builds the workload and entropy sources for one run. It is
-// called once per execution so every run of a pipeline sees the identical
-// input stream.
-func (c Config) sensorPair() (mote.SampleSource, mote.SampleSource, error) {
-	rng := stats.NewRNG(c.Seed)
-	entropy := workload.NewEntropy(stats.NewRNG(c.Seed + 7919))
-	if c.Sensor != nil {
-		return c.Sensor, entropy, nil
+// settings maps the config onto the shared estimation settings.
+func (c Config) settings() pipeline.Settings {
+	return pipeline.Settings{
+		TrustPolicy:   pipeline.TrustPolicy{MinSamples: c.MinSamples, MinCoverage: c.MinCoverage, TickDiv: c.TickDiv},
+		Predictor:     c.Predictor,
+		Estimator:     c.Estimator,
+		MaxVisits:     c.MaxVisits,
+		StaticResolve: c.StaticResolve,
 	}
-	s, ok := workload.Named(c.Workload, rng)
-	if !ok {
-		return nil, nil, fmt.Errorf("codetomo: unknown workload %q", c.Workload)
-	}
-	return s, entropy, nil
 }
 
-// execute builds source with opts (plus the config's optimization flags)
-// and runs it to completion on a fresh mote. Callers must pass a config
-// whose defaults are already filled in.
-func (c Config) execute(source string, opts compile.Options) (*compile.Output, *mote.Machine, error) {
-	opts.FuseCompares = c.FuseCompares
-	opts.RotateLoops = c.RotateLoops
-	if c.PageCrossPenalty > 0 && opts.Cost == nil {
-		cost := isa.DefaultCostModel()
+// mote is the config's mote factory: every build carries the backend
+// flags and the page-cross cost model, and every run replays the
+// config's seeded workload.
+func (c Config) mote() pipeline.Mote {
+	var cost *isa.CostModel
+	if c.PageCrossPenalty > 0 {
+		cost = isa.DefaultCostModel()
 		cost.PageCrossPenalty = uint32(c.PageCrossPenalty)
-		opts.Cost = cost
 	}
-	out, err := compile.Build(source, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	sensor, entropy, err := c.sensorPair()
-	if err != nil {
-		return nil, nil, err
-	}
-	mc := mote.DefaultConfig()
-	mc.TickDiv = c.TickDiv
-	mc.Predictor = c.Predictor
-	mc.Sensor = sensor
-	mc.Entropy = entropy
-	if opts.Cost != nil {
-		mc.Cost = opts.Cost
-	}
-	m := mote.New(out.Code, mc)
-	if err := m.Run(c.MaxCycles); err != nil {
-		return nil, nil, err
-	}
-	return out, m, nil
-}
-
-// pgoEnabled reports whether any profile-guided pass beyond placement is
-// selected.
-func (c Config) pgoEnabled() bool {
-	return c.PGOInline || c.PGOSuperblock || c.PGOHotCold || c.PGOPagePack
-}
-
-// pgoOptions converts the trusted per-procedure probability estimates into
-// compile.PGOOptions: each estimated procedure gets expected edge traversal
-// weights (the same conversion placement uses), and the selected passes are
-// enabled. Procedures without a trusted estimate get no weights and are
-// left untouched by every pass.
-func (c Config) pgoOptions(prog *cfg.Program, probs map[string]markov.EdgeProbs) *compile.PGOOptions {
-	weights := make(map[string]compile.ProcWeights, len(probs))
-	for _, p := range prog.Procs {
-		ep, ok := probs[p.Name]
-		if !ok {
-			continue
-		}
-		// Branchless procedures carry a markov.Uniform placeholder so
-		// placement has deterministic chain weights; that is not profile
-		// data, and letting it drive the PGO passes (page packing in
-		// particular reorders and pads whatever it has weights for) would
-		// transform code the estimator knows nothing about.
-		if len(p.BranchBlocks()) == 0 {
-			continue
-		}
-		weights[p.Name] = compile.ProcWeights(layout.FromProbs(p, ep))
-	}
-	return &compile.PGOOptions{
-		Weights:    weights,
-		Inline:     c.PGOInline,
-		Superblock: c.PGOSuperblock,
-		HotCold:    c.PGOHotCold,
-		PagePack:   c.PGOPagePack,
+	return pipeline.Mote{
+		TickDiv:      c.TickDiv,
+		Predictor:    c.Predictor,
+		MaxCycles:    c.MaxCycles,
+		Cost:         cost,
+		FuseCompares: c.FuseCompares,
+		RotateLoops:  c.RotateLoops,
+		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
+			entropy := workload.NewEntropy(stats.NewRNG(c.Seed + 7919))
+			if c.Sensor != nil {
+				return c.Sensor, entropy, nil
+			}
+			s, ok := workload.Named(c.Workload, stats.NewRNG(c.Seed))
+			if !ok {
+				return nil, nil, fmt.Errorf("codetomo: unknown workload %q", c.Workload)
+			}
+			return s, entropy, nil
+		},
 	}
 }
 
-// measureLayouts is the pipeline's tail: run the uninstrumented binary
-// under the original and the optimized layout on the identical workload,
-// and verify the optimization preserved the program's output. When pgo is
-// non-nil the optimized build additionally runs the selected
-// profile-guided passes; layouts and hints are then recomputed inside the
-// build from the (pass-transformed) weights, so the plan is ignored.
-func (c Config) measureLayouts(source string, plan layout.Plan, pgo *compile.PGOOptions) (before, after RunStats, output []uint16, err error) {
-	_, beforeM, err := c.execute(source, compile.Options{})
+// measure is the tail every pipeline shares: place (plus the selected PGO
+// passes) on probs, then run the original and the optimized build on the
+// config's mote and workload.
+func (c Config) measure(source string, prog *cfg.Program, probs map[string]markov.EdgeProbs) (before, after RunStats, output []uint16, err error) {
+	plan, pgo := pipeline.Plan(prog, probs, compile.PGOOptions{
+		Inline: c.PGOInline, Superblock: c.PGOSuperblock, HotCold: c.PGOHotCold, PagePack: c.PGOPagePack,
+	})
+	b, a, err := c.mote().Measure(source, plan, pgo)
 	if err != nil {
 		return RunStats{}, RunStats{}, nil, err
 	}
-	afterOpts := compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints}
-	if pgo != nil {
-		afterOpts.PGO = pgo
+	return runStats(b), runStats(a), a.DebugOutput(), nil
+}
+
+// procEstimate reports one procedure's outcome, scored against the
+// simulator's oracle; every flag derives from the trust decision.
+func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs, tickDiv int) ProcEstimate {
+	pe := ProcEstimate{
+		Proc:              o.Proc.Name,
+		SampleCount:       o.Samples,
+		LostPartials:      lost,
+		Fallback:          o.Decision != pipeline.Trusted && o.Decision != pipeline.LowConfidence,
+		LowConfidence:     o.Decision == pipeline.LowConfidence,
+		EnvelopeViolation: o.Decision == pipeline.EnvelopeViolation,
 	}
-	_, afterM, err := c.execute(source, afterOpts)
-	if err != nil {
-		return RunStats{}, RunStats{}, nil, err
+	if o.Model != nil {
+		pe.ResolvedBranches = resolvedBranchCount(o.Model)
 	}
-	b, a := beforeM.DebugOutput(), afterM.DebugOutput()
-	if len(b) != len(a) {
-		return RunStats{}, RunStats{}, nil, ErrOutputChanged
+	if !pe.Fallback {
+		// Low-confidence estimates are reported, but do not drive placement.
+		pe.Branches, pe.MAE = branchEstimates(o.Model, o.Probs, oracle, tickDiv)
 	}
-	for i := range b {
-		if b[i] != a[i] {
-			return RunStats{}, RunStats{}, nil, ErrOutputChanged
-		}
-	}
-	return runStats(beforeM), runStats(afterM), a, nil
+	return pe
 }
 
 // resolvedBranchCount counts the branch blocks the model pinned from
@@ -432,10 +366,9 @@ func Run(source string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
 
 	// 1–2. Profile run with timestamp instrumentation.
-	prof, profM, err := cfg.execute(source, compile.Options{Instrument: compile.ModeTimestamps})
+	prof, profM, err := cfg.mote().Execute(source, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
 		return nil, err
 	}
@@ -443,65 +376,23 @@ func Run(source string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	byProc := trace.ExclusiveByProc(ivs)
 
-	// 3. Estimate each procedure.
+	// 3. Gate and estimate every procedure; a model is built only for
+	// procedures that pass the sample gate, and any model or estimator
+	// failure fails the run.
+	procs, probs := cfg.settings().Batch(prof, trace.ExclusiveByProc(ivs))
 	res := &Result{}
-	probs := make(map[string]markov.EdgeProbs)
-	for _, p := range prof.CFG.Procs {
-		pm := prof.Meta.ProcByName[p.Name]
-		if len(p.BranchBlocks()) == 0 {
-			probs[p.Name] = markov.Uniform(p)
-			continue
+	branchStats := profM.BranchStats()
+	for _, o := range procs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("codetomo: %w", o.Err)
 		}
-		pe := ProcEstimate{Proc: p.Name, SampleCount: len(byProc[pm.Index])}
-		oracle := profile.OracleProbs(pm, p, profM.BranchStats())
-		var est markov.EdgeProbs
-		var model *tomography.Model
-		if pe.SampleCount >= cfg.MinSamples {
-			m, err := tomography.NewModelOpts(prof, p.Name, cfg.Predictor, enum,
-				tomography.ModelOptions{StaticResolve: cfg.StaticResolve})
-			if err != nil {
-				return nil, fmt.Errorf("codetomo: model %s: %w", p.Name, err)
-			}
-			pe.ResolvedBranches = resolvedBranchCount(m)
-			samples := trace.DurationsCycles(byProc[pm.Index], cfg.TickDiv)
-			// Trust the path model only when it explains the data —
-			// loops that exceed the unrolling bound show up here.
-			if m.Coverage(samples, float64(cfg.TickDiv)) >= cfg.MinCoverage {
-				est, err = cfg.Estimator.Estimate(m, samples)
-				if err != nil {
-					return nil, fmt.Errorf("codetomo: estimate %s: %w", p.Name, err)
-				}
-				// A fit whose expected duration is statically infeasible is
-				// noise; do not let it drive placement.
-				if !m.EnvelopeCheck(est, float64(cfg.TickDiv)) {
-					pe.EnvelopeViolation = true
-					est = nil
-				} else {
-					model = m
-				}
-			}
-		}
-		if model == nil {
-			// Untrusted estimate: report the fallback and leave this
-			// procedure's layout alone (excluded from probs below).
-			pe.Fallback = true
-			res.Estimates = append(res.Estimates, pe)
-			continue
-		}
-		pe.Branches, pe.MAE = branchEstimates(model, est, oracle, cfg.TickDiv)
-		probs[p.Name] = est
-		res.Estimates = append(res.Estimates, pe)
+		oracle := profile.OracleProbs(prof.Meta.ProcByName[o.Proc.Name], o.Proc, branchStats)
+		res.Estimates = append(res.Estimates, procEstimate(o, 0, oracle, cfg.TickDiv))
 	}
 
 	// 4–5. Optimize placement, rebuild uninstrumented, verify, report.
-	plan := layout.PlanAll(prof.CFG, probs)
-	var pgo *compile.PGOOptions
-	if cfg.pgoEnabled() {
-		pgo = cfg.pgoOptions(prof.CFG, probs)
-	}
-	res.Before, res.After, res.Output, err = cfg.measureLayouts(source, plan, pgo)
+	res.Before, res.After, res.Output, err = cfg.measure(source, prof.CFG, probs)
 	if err != nil {
 		return nil, err
 	}

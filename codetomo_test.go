@@ -263,11 +263,9 @@ func TestPipelineReportsAmbiguity(t *testing.T) {
 	}
 }
 
-// TestPipelineStaticResolve checks the opt-in static-analysis path: a
-// branch the ADC rail proves one-way is pinned instead of estimated, and
-// the accepted fit sits inside the static envelope.
-func TestPipelineStaticResolve(t *testing.T) {
-	src := `
+// staticResolveSource has one branch the value-range analysis proves
+// one-way (sense() never reaches 2000) and one genuine branch.
+const staticResolveSource = `
 func handler() int {
 	var v int;
 	var r int;
@@ -293,6 +291,12 @@ func main() {
 	}
 	debug(acc);
 }`
+
+// TestPipelineStaticResolve checks the opt-in static-analysis path: a
+// branch the ADC rail proves one-way is pinned instead of estimated, and
+// the accepted fit sits inside the static envelope.
+func TestPipelineStaticResolve(t *testing.T) {
+	src := staticResolveSource
 	res, err := Run(src, Config{Seed: 9, StaticResolve: true})
 	if err != nil {
 		t.Fatal(err)

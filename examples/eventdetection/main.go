@@ -15,6 +15,7 @@ import (
 	"codetomo/internal/compile"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
@@ -33,15 +34,12 @@ func main() {
 
 	// Build with timestamp instrumentation and run under Poisson event
 	// bursts (5% event starts, mean burst of 8 readings).
-	out, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
+	field := pipeline.Mote{TickDiv: tickDiv, Predictor: mote.StaticNotTaken{}, MaxCycles: 2_000_000_000,
+		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
+			return workload.NewPoissonEvents(stats.NewRNG(99), 0.05, 8), nil, nil
+		}}
+	out, m, err := field.Execute(src, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := mote.DefaultConfig()
-	cfg.TickDiv = tickDiv
-	cfg.Sensor = workload.NewPoissonEvents(stats.NewRNG(99), 0.05, 8)
-	m := mote.New(out.Code, cfg)
-	if err := m.Run(2_000_000_000); err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,8 +55,7 @@ func main() {
 	fmt.Printf("collected %d duration samples of %s (quantized to %d-cycle ticks)\n\n",
 		len(samples), app.Handler, tickDiv)
 
-	model, err := tomography.NewModel(out, app.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+	model, err := pipeline.Settings{Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 
 	"codetomo/internal/apps"
 	"codetomo/internal/compile"
-	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
@@ -29,18 +29,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// --- In the field: run and upload the trace log. ---
-	cfg := mote.DefaultConfig()
-	rng := stats.NewRNG(2024)
-	sensor, _ := workload.Named(app.Workload, rng)
-	cfg.Sensor = sensor
-	m := mote.New(out.Code, cfg)
-	if err := m.Run(2_000_000_000); err != nil {
+	field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: 2_000_000_000,
+		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
+			sensor, _ := workload.Named(app.Workload, stats.NewRNG(2024))
+			return sensor, nil, nil
+		}}
+	out, m, err := field.Execute(src, compile.Options{Instrument: compile.ModeTimestamps})
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -75,16 +72,15 @@ func main() {
 	}
 	pm := out.Meta.ProcByName[app.Handler]
 	ticks := trace.ExclusiveByProc(ivs)[pm.Index]
-	samples := trace.DurationsCycles(ticks, cfg.TickDiv)
+	samples := trace.DurationsCycles(ticks, field.TickDiv)
 	fmt.Printf("host:  decoded %d invocations of %s\n", len(samples), app.Handler)
 
-	model, err := tomography.NewModel(out, app.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+	model, err := pipeline.Settings{Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
 	if err != nil {
 		log.Fatal(err)
 	}
 	probs, st, err := tomography.EstimateEM(model, samples,
-		tomography.EMConfig{KernelHalfWidth: float64(cfg.TickDiv)})
+		tomography.EMConfig{KernelHalfWidth: float64(field.TickDiv)})
 	if err != nil {
 		log.Fatal(err)
 	}

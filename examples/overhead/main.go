@@ -14,9 +14,8 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/compile"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
-	"codetomo/internal/stats"
-	"codetomo/internal/workload"
 )
 
 func main() {
@@ -29,18 +28,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: 2_000_000_000,
+			Inputs: pipeline.Workload(a.Workload, 7)}
 		run := func(mode compile.Mode) (*compile.Output, mote.Stats) {
-			out, err := compile.Build(src, compile.Options{Instrument: mode})
+			out, m, err := field.Execute(src, compile.Options{Instrument: mode})
 			if err != nil {
-				log.Fatal(err)
-			}
-			cfg := mote.DefaultConfig()
-			rng := stats.NewRNG(7)
-			sensor, _ := workload.Named(a.Workload, rng)
-			cfg.Sensor = sensor
-			cfg.Entropy = workload.NewEntropy(rng.Fork())
-			m := mote.New(out.Code, cfg)
-			if err := m.Run(2_000_000_000); err != nil {
 				log.Fatal(err)
 			}
 			return out, m.Stats()

@@ -12,11 +12,10 @@ import (
 	"codetomo/internal/compile"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
-	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
-	"codetomo/internal/workload"
 )
 
 // Config holds the experiment-wide knobs.
@@ -29,8 +28,8 @@ type Config struct {
 	TickDiv int
 	// Predictor is the static branch prediction policy under study.
 	Predictor mote.Predictor
-	// Enum bounds path enumeration.
-	Enum markov.EnumerateOptions
+	// MaxVisits bounds loop unrolling during path enumeration.
+	MaxVisits int
 	// MaxCycles bounds each simulated run.
 	MaxCycles uint64
 	// MaxFleet caps the largest deployment the fl3 scaling sweep runs;
@@ -47,7 +46,7 @@ func DefaultConfig() Config {
 		Samples:   3000,
 		TickDiv:   8,
 		Predictor: mote.StaticNotTaken{},
-		Enum:      markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000},
+		MaxVisits: pipeline.DefaultMaxVisits,
 		MaxCycles: 2_000_000_000,
 		MaxFleet:  1_000_000,
 	}
@@ -60,40 +59,41 @@ type Run struct {
 	Machine *mote.Machine
 }
 
+// Settings is the estimation configuration every runner shares: the
+// pipeline's defaults at the config's timer resolution, predictor, and
+// unroll bound.
+func (c Config) Settings() pipeline.Settings {
+	return pipeline.Settings{
+		TrustPolicy: pipeline.TrustPolicy{TickDiv: c.TickDiv},
+		Predictor:   c.Predictor,
+		MaxVisits:   c.MaxVisits,
+	}.WithDefaults()
+}
+
+// mote is the mote factory for one app run: every execution is fed a
+// fresh copy of the regime's input streams seeded from c.Seed+seedOffset.
+func (c Config) mote(regime string, seedOffset int64) pipeline.Mote {
+	return pipeline.Mote{TickDiv: c.TickDiv, Predictor: c.Predictor, MaxCycles: c.MaxCycles,
+		Inputs: pipeline.Workload(regime, c.Seed+seedOffset)}
+}
+
 // execute builds an app with the given options and runs it under its
 // default workload for cfg.Samples handler invocations.
 func (c Config) execute(app apps.App, opts compile.Options, seedOffset int64) (*Run, error) {
 	return c.executeWorkload(app, opts, app.Workload, seedOffset, c.Samples)
 }
 
+// executeWorkload builds an app with opts (a build under a custom cost
+// model, e.g. the PGO sweep's page-cross penalty, runs under the same
+// model) and runs it under regime for samples handler invocations.
 func (c Config) executeWorkload(app apps.App, opts compile.Options, regime string, seedOffset int64, samples int) (*Run, error) {
 	src, err := app.Source(samples)
 	if err != nil {
 		return nil, err
 	}
-	out, err := compile.Build(src, opts)
+	out, m, err := c.mote(regime, seedOffset).Execute(src, opts)
 	if err != nil {
-		return nil, fmt.Errorf("bench: build %s: %w", app.Name, err)
-	}
-	rng := stats.NewRNG(c.Seed + seedOffset)
-	sensor, ok := workload.Named(regime, rng)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown workload %q", regime)
-	}
-	mc := mote.DefaultConfig()
-	mc.TickDiv = c.TickDiv
-	mc.Predictor = c.Predictor
-	mc.Sensor = sensor
-	mc.Entropy = workload.NewEntropy(rng.Fork())
-	// A build under a custom cost model (e.g. the PGO sweep's page-cross
-	// penalty) must execute under the same model, or the measured cycles
-	// would disagree with what the compiler optimized for.
-	if opts.Cost != nil {
-		mc.Cost = opts.Cost
-	}
-	m := mote.New(out.Code, mc)
-	if err := m.Run(c.MaxCycles); err != nil {
-		return nil, fmt.Errorf("bench: run %s: %w", app.Name, err)
+		return nil, fmt.Errorf("bench: %s: %w", app.Name, err)
 	}
 	return &Run{App: app, Out: out, Machine: m}, nil
 }
@@ -114,11 +114,6 @@ func (c Config) handlerSamples(r *Run) ([]float64, error) {
 		return nil, fmt.Errorf("bench: %s: no handler samples", r.App.Name)
 	}
 	return trace.DurationsCycles(ticks, c.TickDiv), nil
-}
-
-// model builds the tomography model for a run's handler.
-func (c Config) model(r *Run) (*tomography.Model, error) {
-	return tomography.NewModel(r.Out, r.App.Handler, c.Predictor, c.Enum)
 }
 
 // estimateResult holds one estimation outcome scored against ground truth.
@@ -146,7 +141,7 @@ func (c Config) estimateRun(r *Run, est tomography.Estimator) (*estimateResult, 
 	if err != nil {
 		return nil, err
 	}
-	model, err := c.model(r)
+	model, err := c.Settings().Model(r.Out, r.App.Handler)
 	if err != nil {
 		return nil, err
 	}
@@ -177,10 +172,4 @@ func score(model *tomography.Model, est, truth markov.EdgeProbs) (*estimateResul
 		res.MAE /= float64(len(ev))
 	}
 	return res, nil
-}
-
-// defaultEstimator returns the primary estimator tuned to the config's
-// timer resolution.
-func (c Config) defaultEstimator() tomography.Estimator {
-	return tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: float64(c.TickDiv)}}
 }

@@ -12,12 +12,11 @@ import (
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
 	"codetomo/internal/report"
-	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
-	"codetomo/internal/workload"
 )
 
 // Experiment is a runnable table/figure generator.
@@ -96,7 +95,7 @@ func TableT1(c Config) (*report.Table, error) {
 			blocks += len(p.Blocks)
 			branches += len(p.BranchBlocks())
 		}
-		paths, _ := markov.Enumerate(out.CFG.Proc(a.Handler), c.Enum)
+		paths, _ := markov.Enumerate(out.CFG.Proc(a.Handler), markov.EnumerateOptions{MaxVisits: c.MaxVisits, MaxPaths: pipeline.MaxPaths})
 		t.AddRow(a.Name, report.I(loc), report.I(len(out.CFG.Procs)), report.I(blocks),
 			report.I(branches), report.I(out.Meta.CodeBytes), report.I(out.Meta.GlobalWords),
 			a.Handler, report.I(len(paths)))
@@ -109,7 +108,7 @@ func TableT1(c Config) (*report.Table, error) {
 func FigF2(c Config) (*report.Table, error) {
 	grid := []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.50}
 	ests := []tomography.Estimator{
-		c.defaultEstimator(),
+		c.Settings().Estimator,
 		tomography.Moments{},
 		tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: float64(c.TickDiv)}},
 	}
@@ -162,7 +161,7 @@ func FigF3(c Config) (*report.Table, error) {
 		Header: append([]string{"samples"}, names...),
 		Note:   "expected shape: error falls roughly as 1/sqrt(samples)",
 	}
-	est := c.defaultEstimator()
+	est := c.Settings().Estimator
 	for _, n := range counts {
 		row := []string{report.I(n)}
 		for j, name := range names {
@@ -190,14 +189,9 @@ type placementResult struct {
 // default layout, derive layouts per strategy, rebuild uninstrumented
 // binaries, and re-run each under the identical workload.
 func (c Config) runPlacement(a apps.App, seedOffset int64) (map[string]placementResult, error) {
-	// 1. Profiling run (timestamps, natural layout).
-	prof, err := c.execute(a, compile.Options{Instrument: compile.ModeTimestamps}, seedOffset)
-	if err != nil {
-		return nil, err
-	}
-
-	// 2. Per-procedure probabilities under each information source.
-	ctProbs, err := c.estimateAllProcs(prof)
+	// 1–2. Profiling run (timestamps, natural layout), and per-procedure
+	// probabilities under each information source.
+	prof, ctProbs, err := c.profile(a, seedOffset)
 	if err != nil {
 		return nil, err
 	}
@@ -233,41 +227,23 @@ func (c Config) runPlacement(a apps.App, seedOffset int64) (map[string]placement
 	return out, nil
 }
 
-// estimateAllProcs runs Code Tomography on every procedure whose duration
-// samples its path model can explain, and omits the rest — procedures with
-// too few observations (e.g. main) or with loops beyond the unrolling
-// bound keep their original layout, exactly what a deployment would do.
-func (c Config) estimateAllProcs(prof *Run) (map[string]markov.EdgeProbs, error) {
+// profile makes an app's timestamp profiling run and pushes it through the
+// pipeline's batch stages, returning the run and the placement input: the
+// trusted estimates plus uniform placeholders for branchless procedures.
+// Procedures the trust policy rejects — too few observations (e.g. main),
+// loops beyond the unrolling bound, a model or estimator that fails — keep
+// their original layout, exactly what a deployment would do.
+func (c Config) profile(a apps.App, seedOffset int64) (*Run, map[string]markov.EdgeProbs, error) {
+	prof, err := c.execute(a, compile.Options{Instrument: compile.ModeTimestamps}, seedOffset)
+	if err != nil {
+		return nil, nil, err
+	}
 	ivs, err := trace.Extract(prof.Machine.Trace())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	byProc := trace.ExclusiveByProc(ivs)
-	est := c.defaultEstimator()
-	out := make(map[string]markov.EdgeProbs)
-	for _, p := range prof.Out.CFG.Procs {
-		pm := prof.Out.Meta.ProcByName[p.Name]
-		ticks := byProc[pm.Index]
-		if len(p.BranchBlocks()) == 0 || len(ticks) < 50 {
-			continue
-		}
-		model, err := tomography.NewModel(prof.Out, p.Name, c.Predictor, c.Enum)
-		if err != nil {
-			continue
-		}
-		samples := trace.DurationsCycles(ticks, c.TickDiv)
-		// Untrustworthy path models (coverage below 85%) are omitted
-		// rather than feeding garbage to the optimizer.
-		if model.Coverage(samples, float64(c.TickDiv)) < 0.85 {
-			continue
-		}
-		probs, err := est.Estimate(model, samples)
-		if err != nil {
-			continue
-		}
-		out[p.Name] = probs
-	}
-	return out, nil
+	_, probs := c.Settings().Batch(prof.Out, trace.ExclusiveByProc(ivs))
+	return prof, probs, nil
 }
 
 // FigF4 reports the misprediction rate per app and layout strategy.
@@ -361,7 +337,7 @@ func FigF6(c Config) (*report.Table, error) {
 		row := []string{report.I(tick)}
 		for j, name := range names {
 			a, _ := apps.ByName(name)
-			res, err := cc.estimate(a, cc.defaultEstimator(), int64(500+j), c.Samples)
+			res, err := cc.estimate(a, cc.Settings().Estimator, int64(500+j), c.Samples)
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +362,7 @@ func FigF7(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.estimateRun(r, c.defaultEstimator())
+		res, err := c.estimateRun(r, c.Settings().Estimator)
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +384,7 @@ func FigF8(c Config) (*report.Table, error) {
 	}
 	for i, a := range apps.All() {
 		// Tomography accuracy from a timestamps run.
-		ct, err := c.estimate(a, c.defaultEstimator(), int64(1200+i), c.Samples)
+		ct, err := c.estimate(a, c.Settings().Estimator, int64(1200+i), c.Samples)
 		ctCell := "n/a"
 		if err == nil {
 			ctCell = report.F(ct.MAE, 4)
@@ -423,14 +399,10 @@ func FigF8(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := stats.NewRNG(c.Seed + int64(1200+i))
-		sensor, _ := workload.Named(a.Workload, rng)
-		mc := mote.DefaultConfig()
-		mc.TickDiv = c.TickDiv
-		mc.Predictor = c.Predictor
-		mc.Sensor = sensor
-		mc.Entropy = workload.NewEntropy(rng.Fork())
-		m := mote.New(out.Code, mc)
+		m, err := c.mote(a.Workload, int64(1200+i)).New(out.Code)
+		if err != nil {
+			return nil, err
+		}
 		samples, err := profile.SampleRun(m, out.Meta, 199, c.MaxCycles)
 		if err != nil {
 			return nil, err
@@ -473,7 +445,7 @@ func TableT3(c Config) (*report.Table, error) {
 		Note:   "same samples per app; MAE vs. oracle; host estimation time",
 	}
 	ests := []tomography.Estimator{
-		c.defaultEstimator(),
+		c.Settings().Estimator,
 		tomography.Moments{},
 		tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: float64(c.TickDiv)}},
 	}
@@ -511,11 +483,11 @@ func AblationUnroll(c Config) (*report.Table, error) {
 	}
 	for _, b := range bounds {
 		cc := c
-		cc.Enum.MaxVisits = b
+		cc.MaxVisits = b
 		row := []string{report.I(b)}
 		for j, name := range names {
 			a, _ := apps.ByName(name)
-			res, err := cc.estimate(a, cc.defaultEstimator(), int64(800+j), c.Samples)
+			res, err := cc.estimate(a, cc.Settings().Estimator, int64(800+j), c.Samples)
 			if err != nil {
 				row = append(row, "n/a")
 				continue
@@ -629,11 +601,7 @@ func AblationDynamicPredictor(c Config) (*report.Table, error) {
 	}
 	for i, a := range apps.All() {
 		// Profile and plan under the static policy, as a mote would.
-		prof, err := c.execute(a, compile.Options{Instrument: compile.ModeTimestamps}, int64(1100+i))
-		if err != nil {
-			return nil, err
-		}
-		ctProbs, err := c.estimateAllProcs(prof)
+		prof, ctProbs, err := c.profile(a, int64(1100+i))
 		if err != nil {
 			return nil, err
 		}

@@ -17,36 +17,6 @@ import (
 // budget runs out.
 const faultMaxCycles = 64_000_000
 
-// runFaultFleet drives the fleet pipeline with a caller-mutated config and
-// returns the handler's estimate alongside the whole result.
-func (c Config) runFaultFleet(app apps.App, motes, perMote int, mut func(*codetomo.FleetConfig)) (*codetomo.FleetResult, *codetomo.ProcEstimate, error) {
-	src, err := app.Source(perMote)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := codetomo.FleetConfig{
-		Config: codetomo.Config{
-			Workload:  app.Workload,
-			Seed:      c.Seed,
-			TickDiv:   c.TickDiv,
-			Predictor: c.Predictor,
-			MaxCycles: faultMaxCycles,
-		},
-		Motes: motes,
-	}
-	mut(&cfg)
-	res, err := codetomo.RunFleet(src, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range res.Estimates {
-		if res.Estimates[i].Proc == app.Handler {
-			return res, &res.Estimates[i], nil
-		}
-	}
-	return nil, nil, fmt.Errorf("bench: %s: handler %q not estimated", app.Name, app.Handler)
-}
-
 // faultLevel is one row of the FT1 fault-environment ladder.
 type faultLevel struct {
 	name      string
@@ -87,14 +57,16 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 		}
 	}
 	for _, lv := range levels {
-		_, naivePE, err := c.runFaultFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+		_, naivePE, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
 			cfg.PacketVersion = trace.PacketVersionLegacy
 		})
 		if err != nil {
 			return nil, err
 		}
-		hardRes, hardPE, err := c.runFaultFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+		hardRes, hardPE, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
 			cfg.PacketVersion = trace.PacketVersionCRC
 			cfg.ARQRetries = 3
@@ -141,7 +113,8 @@ func ARQOverheadSweep(c Config) (*report.Table, error) {
 			app.Name, motes, perMote),
 	}
 	for _, rate := range rates {
-		res, pe, err := c.runFaultFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+		res, pe, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+			cfg.MaxCycles = faultMaxCycles
 			cfg.CorruptProb = rate
 			cfg.ARQRetries = 3
 			cfg.Robust = true

@@ -12,25 +12,32 @@ import (
 // sample-and-filter handler and the one every fleet test exercises.
 const fleetApp = "sense"
 
-// runFleet drives the full fleet pipeline — N motes, lossy uplink,
-// streaming estimation, placement — and returns the handler's estimate
-// alongside the whole result.
-func (c Config) runFleet(app apps.App, motes int, drop float64, perMote int) (*codetomo.FleetResult, *codetomo.ProcEstimate, error) {
-	src, err := app.Source(perMote)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := codetomo.FleetConfig{
+// fleetConfig is the fleet pipeline configuration for a deployment of
+// app under the bench's knobs.
+func (c Config) fleetConfig(app apps.App, motes int) codetomo.FleetConfig {
+	return codetomo.FleetConfig{
 		Config: codetomo.Config{
 			Workload:  app.Workload,
 			Seed:      c.Seed,
 			TickDiv:   c.TickDiv,
 			Predictor: c.Predictor,
 			MaxCycles: c.MaxCycles,
+			MaxVisits: c.MaxVisits,
 		},
-		Motes:    motes,
-		DropProb: drop,
+		Motes: motes,
 	}
+}
+
+// runFleet drives the full fleet pipeline — N motes, lossy uplink,
+// streaming estimation, placement — under a caller-mutated config and
+// returns the handler's estimate alongside the whole result.
+func (c Config) runFleet(app apps.App, motes, perMote int, mut func(*codetomo.FleetConfig)) (*codetomo.FleetResult, *codetomo.ProcEstimate, error) {
+	src, err := app.Source(perMote)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := c.fleetConfig(app, motes)
+	mut(&cfg)
 	res, err := codetomo.RunFleet(src, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -62,7 +69,7 @@ func FleetLossSweep(c Config) (*report.Table, error) {
 			app.Name, motes, perMote, c.TickDiv),
 	}
 	for _, drop := range drops {
-		res, pe, err := c.runFleet(app, motes, drop, perMote)
+		res, pe, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) { cfg.DropProb = drop })
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +103,7 @@ func FleetSizeSweep(c Config) (*report.Table, error) {
 			app.Name, perMote, report.Pct(drop), c.TickDiv),
 	}
 	for _, motes := range sizes {
-		res, pe, err := c.runFleet(app, motes, drop, perMote)
+		res, pe, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) { cfg.DropProb = drop })
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,8 @@ func IntermittentSweep(c Config) (*report.Table, error) {
 	}
 	for _, rate := range rates {
 		for _, p := range policies {
-			res, pe, err := c.runFaultFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+			res, pe, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
+				cfg.MaxCycles = faultMaxCycles
 				cfg.Energy = fault.EnergyConfig{
 					HarvestUJPerKCycle: rate,
 					HarvestNoiseSigma:  0.4,

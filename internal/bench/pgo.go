@@ -7,6 +7,7 @@ import (
 	"codetomo/internal/compile"
 	"codetomo/internal/isa"
 	"codetomo/internal/layout"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/report"
 )
 
@@ -52,21 +53,12 @@ func PGOSweep(c Config) (*report.Table, error) {
 		seedOffset := int64(1000 + i)
 
 		// One profiling run; its estimates drive every optimized build.
-		prof, err := c.execute(a, compile.Options{Instrument: compile.ModeTimestamps}, seedOffset)
-		if err != nil {
-			return nil, err
-		}
-		ctProbs, err := c.estimateAllProcs(prof)
+		prof, ctProbs, err := c.profile(a, seedOffset)
 		if err != nil {
 			return nil, err
 		}
 		plan := layout.PlanAll(prof.Out.CFG, ctProbs)
-		weights := make(map[string]compile.ProcWeights, len(ctProbs))
-		for _, p := range prof.Out.CFG.Procs {
-			if probs, ok := ctProbs[p.Name]; ok {
-				weights[p.Name] = compile.ProcWeights(layout.FromProbs(p, probs))
-			}
-		}
+		weights := pipeline.Weights(prof.Out.CFG, ctProbs)
 
 		measure := func(pgo *compile.PGOOptions) (uint64, error) {
 			r, err := c.execute(a, compile.Options{

@@ -9,7 +9,6 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/compile"
 	"codetomo/internal/fleet"
-	"codetomo/internal/mote"
 	"codetomo/internal/report"
 )
 
@@ -148,12 +147,9 @@ func FleetScaleSweep(c Config) (*report.Table, error) {
 		}
 		for _, w := range rowWorkers {
 			procs := min(w, ncpu)
-			mc := mote.DefaultConfig()
-			mc.TickDiv = c.TickDiv
-			mc.Predictor = c.Predictor
 			cfg := fleet.SimConfig{
 				Prog:      out.Code,
-				Mote:      mc,
+				Mote:      c.mote("", 0).Config(),
 				MaxCycles: c.MaxCycles,
 				Workers:   w,
 				Link:      fleet.LinkConfig{Seed: c.Seed + 104659},

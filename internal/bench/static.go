@@ -69,19 +69,14 @@ func main() {
 
 // railRun builds a rail program and executes it under a Gaussian sensor.
 func (c Config) railRun(rc railCase, opts compile.Options, seedOffset int64) (*compile.Output, *mote.Machine, error) {
-	out, err := compile.Build(rc.source(c.Samples), opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench: build %s: %w", rc.name, err)
+	mt := c.mote("", seedOffset)
+	mt.Inputs = func() (mote.SampleSource, mote.SampleSource, error) {
+		rng := stats.NewRNG(c.Seed + seedOffset)
+		return workload.NewGaussian(rng, 400, 180), workload.NewEntropy(rng.Fork()), nil
 	}
-	rng := stats.NewRNG(c.Seed + seedOffset)
-	mc := mote.DefaultConfig()
-	mc.TickDiv = c.TickDiv
-	mc.Predictor = c.Predictor
-	mc.Sensor = workload.NewGaussian(rng, 400, 180)
-	mc.Entropy = workload.NewEntropy(rng.Fork())
-	m := mote.New(out.Code, mc)
-	if err := m.Run(c.MaxCycles); err != nil {
-		return nil, nil, fmt.Errorf("bench: run %s: %w", rc.name, err)
+	out, m, err := mt.Execute(rc.source(c.Samples), opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: %s: %w", rc.name, err)
 	}
 	return out, m, nil
 }
@@ -138,12 +133,13 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 			return nil, fmt.Errorf("bench: %s: no handler samples", rc.name)
 		}
 
-		off, err := tomography.NewModel(out, "handler", c.Predictor, c.Enum)
+		settings := c.Settings()
+		off, err := settings.Model(out, "handler")
 		if err != nil {
 			return nil, err
 		}
-		on, err := tomography.NewModelOpts(out, "handler", c.Predictor, c.Enum,
-			tomography.ModelOptions{StaticResolve: true})
+		settings.StaticResolve = true
+		on, err := settings.Model(out, "handler")
 		if err != nil {
 			return nil, err
 		}

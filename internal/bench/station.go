@@ -36,17 +36,7 @@ func StationIngestSweep(c Config) (*report.Table, error) {
 			app.Name, perMote, epochEvery, c.TickDiv),
 	}
 	for _, motes := range []int{2, 4, 8} {
-		cfg := codetomo.FleetConfig{
-			Config: codetomo.Config{
-				Workload:  app.Workload,
-				Seed:      c.Seed,
-				TickDiv:   c.TickDiv,
-				Predictor: c.Predictor,
-				MaxCycles: c.MaxCycles,
-			},
-			Motes: motes,
-		}
-		uploads, err := codetomo.FleetUploads(src, cfg)
+		uploads, err := codetomo.FleetUploads(src, c.fleetConfig(app, motes))
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +46,7 @@ func StationIngestSweep(c Config) (*report.Table, error) {
 				Shards:    shards,
 				TickDiv:   c.TickDiv,
 				Predictor: c.Predictor,
-				MaxVisits: c.Enum.MaxVisits,
+				MaxVisits: c.MaxVisits,
 			})
 			if err != nil {
 				return nil, err

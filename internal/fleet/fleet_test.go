@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"codetomo/internal/compile"
-	"codetomo/internal/markov"
 	"codetomo/internal/mote"
 	"codetomo/internal/stats"
-	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -417,67 +415,6 @@ func TestBatchStreams(t *testing.T) {
 	}
 	if total != 9 {
 		t.Fatalf("batching lost samples: %d of 9", total)
-	}
-}
-
-// TestEstimateStreams drives the full fleet path — simulate, uplink,
-// reassemble, batch, estimate in parallel — and checks the outcome is
-// well-formed and reproducible.
-func TestEstimateStreams(t *testing.T) {
-	out, err := compile.Build(testProgram, compile.Options{Instrument: compile.ModeTimestamps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := buildFleet(t)
-	cfg.Prog = out.Code
-	uploads, err := Simulate(cfg, fleetSpecs(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := out.Meta.ProcByName["work"]
-	perMote := make([]map[int][]float64, len(uploads))
-	for i, up := range uploads {
-		ivs, _, err := Reassemble(up)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byProc := trace.ExclusiveByProc(ivs)
-		perMote[i] = map[int][]float64{
-			pm.Index: trace.DurationsCycles(byProc[pm.Index], 8),
-		}
-	}
-	rounds := BatchStreams(perMote, 4)
-	model, err := tomography.NewModel(out, "work", mote.StaticNotTaken{}, markov.DefaultEnumerateOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := []ProcStream{{Name: "work", Model: model, Batches: rounds[pm.Index]}}
-	est := tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: 8}}
-
-	o1, err := EstimateStreams(streams, est, 1e-3, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o1) != 1 || o1[0].Probs == nil {
-		t.Fatalf("no outcome: %+v", o1)
-	}
-	total := 0
-	for _, b := range rounds[pm.Index] {
-		total += len(b)
-	}
-	if o1[0].SampleCount != total {
-		t.Fatalf("SampleCount = %d, want %d", o1[0].SampleCount, total)
-	}
-	if o1[0].Rounds < 1 || o1[0].Iterations < 1 {
-		t.Fatalf("no estimation effort recorded: %+v", o1[0])
-	}
-	// A different worker bound must not change the outcome.
-	o2, err := EstimateStreams(streams, est, 1e-3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(o1, o2) {
-		t.Fatal("streaming estimation is not reproducible")
 	}
 }
 

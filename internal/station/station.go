@@ -35,6 +35,7 @@ import (
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
@@ -61,8 +62,10 @@ type Config struct {
 	// Estimator selects the estimation strategy (default EM tuned to the
 	// timer resolution).
 	Estimator tomography.Estimator
-	// StaticResolve pins statically-proven branches and enables the
-	// envelope diagnostics, as in codetomo.Config.
+	// StaticResolve pins statically proven branches in the estimation
+	// models and checks every fit against the procedure's static feasible
+	// envelope, as codetomo.Config.StaticResolve does: a fit outside it is
+	// served untrusted.
 	StaticResolve bool
 	// MinSamples and MinCoverage gate snapshot trust exactly as the batch
 	// pipeline gates estimation (defaults 50 and 0.85): an untrusted
@@ -95,23 +98,8 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("station: QueueDepth = %d; must be positive (zero selects the default of 256)", c.QueueDepth)
 	}
-	if c.TickDiv < 0 {
-		return fmt.Errorf("station: TickDiv = %d; must be positive (zero selects the default of 8)", c.TickDiv)
-	}
-	if c.MinSamples < 0 {
-		return fmt.Errorf("station: MinSamples = %d; must be positive (zero selects the default of 50)", c.MinSamples)
-	}
-	if c.MinCoverage < 0 || c.MinCoverage > 1 {
-		return fmt.Errorf("station: MinCoverage = %v; must be a fraction in [0, 1] (zero selects the default of 0.85)", c.MinCoverage)
-	}
-	if c.MaxVisits < 0 {
-		return fmt.Errorf("station: MaxVisits = %d; must be positive (zero selects the default of 12)", c.MaxVisits)
-	}
-	if c.ConvergeTol < 0 {
-		return fmt.Errorf("station: ConvergeTol = %v; must be positive (zero selects the default of 1e-3)", c.ConvergeTol)
-	}
-	if c.ConvergePatience < 0 {
-		return fmt.Errorf("station: ConvergePatience = %d; must be positive (zero selects the default of 2)", c.ConvergePatience)
+	if err := c.settings().Validate(); err != nil {
+		return fmt.Errorf("station: %w", err)
 	}
 	if c.EpochFrames < 0 {
 		return fmt.Errorf("station: EpochFrames = %d; must be >= 0 (zero disables automatic cuts)", c.EpochFrames)
@@ -126,31 +114,20 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.TickDiv <= 0 {
-		c.TickDiv = 8
-	}
-	if c.Predictor == nil {
-		c.Predictor = mote.StaticNotTaken{}
-	}
-	if c.Estimator == nil {
-		c.Estimator = tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: float64(c.TickDiv)}}
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 50
-	}
-	if c.MinCoverage <= 0 {
-		c.MinCoverage = 0.85
-	}
-	if c.MaxVisits <= 0 {
-		c.MaxVisits = 12
-	}
-	if c.ConvergeTol == 0 {
-		c.ConvergeTol = 1e-3
-	}
-	if c.ConvergePatience == 0 {
-		c.ConvergePatience = 2
-	}
 	return c
+}
+
+// settings maps the config onto the shared estimation settings.
+func (c Config) settings() pipeline.Settings {
+	return pipeline.Settings{
+		TrustPolicy:      pipeline.TrustPolicy{MinSamples: c.MinSamples, MinCoverage: c.MinCoverage, TickDiv: c.TickDiv},
+		Predictor:        c.Predictor,
+		Estimator:        c.Estimator,
+		MaxVisits:        c.MaxVisits,
+		StaticResolve:    c.StaticResolve,
+		ConvergeTol:      c.ConvergeTol,
+		ConvergePatience: c.ConvergePatience,
+	}
 }
 
 // ErrClosed is returned by ingest entry points after Close has begun.
@@ -163,10 +140,9 @@ var ErrRejected = errors.New("station: frame rejected")
 
 // procState is one procedure's standing estimation state.
 type procState struct {
-	name  string
-	index int // trace/meta procedure index
-	model *tomography.Model
-	inc   *tomography.Incremental
+	name   string
+	index  int              // trace/meta procedure index
+	stream *pipeline.Stream // nil when the path model could not be built
 }
 
 // moteWindow is what one epoch's seal recovered from one mote.
@@ -195,11 +171,11 @@ type shard struct {
 
 // Server is a running base station.
 type Server struct {
-	cfg    Config
-	prof   *compile.Output
-	procs  []*procState // branchy procedures, CFG order
-	byMeta map[int]*procState
-	pool   *fleet.Pool
+	cfg      Config
+	settings pipeline.Settings
+	prof     *compile.Output
+	procs    []*procState // branchy procedures, CFG order
+	pool     *fleet.Pool
 
 	// ingestMu is the epoch barrier: ingest holds it shared across
 	// WAL-append plus shard enqueue, the cut path holds it exclusively
@@ -247,13 +223,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("station: %w", err)
 	}
 	s := &Server{
-		cfg:    cfg,
-		prof:   prof,
-		byMeta: make(map[int]*procState),
-		pool:   fleet.NewPool(cfg.Shards + 2),
-		cutCh:  make(chan struct{}, 1),
+		cfg:      cfg,
+		settings: cfg.settings().WithDefaults(),
+		prof:     prof,
+		pool:     fleet.NewPool(cfg.Shards + 2),
+		cutCh:    make(chan struct{}, 1),
 	}
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
 	for _, p := range prof.CFG.Procs {
 		if len(p.BranchBlocks()) == 0 {
 			continue
@@ -263,14 +238,11 @@ func New(cfg Config) (*Server, error) {
 		// untrusted rather than failing the whole station: the batch
 		// pipeline defers the same error until the sample gate, which such
 		// procedures rarely pass anyway.
-		m, err := tomography.NewModelOpts(prof, p.Name, cfg.Predictor, enum,
-			tomography.ModelOptions{StaticResolve: cfg.StaticResolve})
-		if err != nil {
-			m = nil
+		ps := &procState{name: p.Name, index: prof.Meta.ProcByName[p.Name].Index}
+		if m, err := s.settings.Model(prof, p.Name); err == nil {
+			ps.stream = s.settings.Stream(p.Name, m)
 		}
-		ps := &procState{name: p.Name, index: prof.Meta.ProcByName[p.Name].Index, model: m}
 		s.procs = append(s.procs, ps)
-		s.byMeta[ps.index] = ps
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -359,7 +331,7 @@ func (s *Server) harvest(sh *shard, out map[uint16]moteWindow) {
 		ivs, st := r.Recover()
 		durs := make(map[int][]float64, 4)
 		for p, ticks := range trace.ExclusiveByProc(ivs) {
-			durs[p] = trace.DurationsCycles(ticks, s.cfg.TickDiv)
+			durs[p] = trace.DurationsCycles(ticks, s.settings.TickDiv)
 		}
 		out[id] = moteWindow{durs: durs, stats: st}
 		sh.motes[id] = trace.NewReassemblerAt(id, r.NextSeq())
@@ -470,6 +442,7 @@ func (s *Server) finishCut(results []map[uint16]moteWindow) (*Snapshot, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	merged := make(map[int][]float64)
+	lost := make(map[int]int)
 	for _, id := range ids {
 		w := windows[id]
 		s.m.dups.Add(uint64(w.stats.PacketsDuplicate))
@@ -480,31 +453,26 @@ func (s *Server) finishCut(results []map[uint16]moteWindow) (*Snapshot, error) {
 		for p, d := range w.durs {
 			merged[p] = append(merged[p], d...)
 		}
+		for p, n := range w.stats.LostPartialsByProc {
+			lost[p] += n
+		}
 	}
 
-	errs := make([]error, len(s.procs))
-	var wg sync.WaitGroup
-	for i, ps := range s.procs {
-		batch := merged[ps.index]
-		if len(batch) == 0 || ps.model == nil {
-			continue // nothing new for this procedure, or no model to feed
+	var streams []*pipeline.Stream
+	var batches [][][]float64
+	for _, ps := range s.procs {
+		if ps.stream == nil {
+			continue // no model to feed
 		}
-		s.m.samples.Add(uint64(len(batch)))
-		i, ps := i, ps
-		s.pool.Go(&wg, func() {
-			if ps.inc == nil {
-				ps.inc = tomography.NewIncremental(ps.model, s.cfg.Estimator, s.cfg.ConvergeTol, s.cfg.ConvergePatience)
-			}
-			if _, err := ps.inc.Observe(batch); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
-				errs[i] = fmt.Errorf("station: estimate %s: %w", ps.name, err)
-			}
-		})
+		ps.stream.Lost += lost[ps.index]
+		if batch := merged[ps.index]; len(batch) > 0 {
+			s.m.samples.Add(uint64(len(batch)))
+			streams = append(streams, ps.stream)
+			batches = append(batches, [][]float64{batch})
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := pipeline.ObserveOn(s.pool, streams, batches); err != nil {
+		return nil, fmt.Errorf("station: %w", err)
 	}
 
 	s.snapMu.Lock()
@@ -621,14 +589,16 @@ type ProcModel struct {
 	Proc string `json:"proc"`
 	// Samples is the total durations absorbed across all epochs so far.
 	Samples int `json:"samples"`
-	// Trusted reports the estimate passed the sample-count, coverage, and
-	// confidence gates; untrusted procedures carry no layout suggestion.
+	// Trusted reports the estimate passed the shared trust policy (sample
+	// count, coverage, static envelope, and confidence); untrusted
+	// procedures carry no layout suggestion.
 	Trusted bool `json:"trusted"`
 	// Converged reports the streaming estimator's early stop has engaged.
 	Converged bool `json:"converged,omitempty"`
 	// Rounds is how many epochs re-estimated this procedure.
 	Rounds int `json:"rounds,omitempty"`
-	// Branches lists the estimated branch-edge probabilities.
+	// Branches lists the estimated branch-edge probabilities, corrected
+	// for power-truncated invocations.
 	Branches []Branch `json:"branches,omitempty"`
 	// Layout is the suggested block placement (block IDs in emission
 	// order), present only for trusted procedures and branchless ones.
@@ -646,57 +616,62 @@ type Branch struct {
 // snapMu (or be the only goroutine, as during New and replay).
 func (s *Server) buildSnapshot() *Snapshot {
 	probs := make(map[string]markov.EdgeProbs)
-	type entry struct {
-		pm      ProcModel
-		ps      *procState
-		trusted bool
-	}
-	entries := make(map[string]*entry)
+	snap := &Snapshot{Epoch: s.epoch}
+	branchy := s.procs // CFG order, like the loop below
 	for _, p := range s.prof.CFG.Procs {
 		if len(p.BranchBlocks()) == 0 {
 			probs[p.Name] = markov.Uniform(p)
-			entries[p.Name] = &entry{pm: ProcModel{Proc: p.Name, Trusted: true}, trusted: true}
-		}
-	}
-	for _, ps := range s.procs {
-		e := &entry{pm: ProcModel{Proc: ps.name}, ps: ps}
-		entries[ps.name] = e
-		if ps.inc == nil {
+			snap.Procs = append(snap.Procs, ProcModel{Proc: p.Name, Trusted: true})
 			continue
 		}
-		e.pm.Samples = ps.inc.SampleCount()
-		e.pm.Converged = ps.inc.Converged()
-		e.pm.Rounds = ps.inc.Rounds()
-		est := ps.inc.Probs()
-		if est == nil {
-			continue
+		pm, est, _ := s.procModel(branchy[0])
+		branchy = branchy[1:]
+		if pm.Trusted {
+			probs[p.Name] = est
 		}
-		for _, edge := range ps.model.BranchEdgeList() {
-			e.pm.Branches = append(e.pm.Branches, Branch{From: int(edge[0]), To: int(edge[1]), Prob: est[edge]})
-		}
-		if e.pm.Samples >= s.cfg.MinSamples && ps.inc.Confident() &&
-			ps.model.Coverage(ps.inc.Samples(), float64(s.cfg.TickDiv)) >= s.cfg.MinCoverage {
-			e.trusted = true
-			e.pm.Trusted = true
-			probs[ps.name] = est
-		}
+		snap.Procs = append(snap.Procs, pm)
 	}
-
 	plan := layout.PlanAll(s.prof.CFG, probs)
-	snap := &Snapshot{Epoch: s.epoch}
-	for _, p := range s.prof.CFG.Procs {
-		e := entries[p.Name]
-		if e.trusted {
-			if order, ok := plan.Layouts[p.Name]; ok {
-				e.pm.Layout = make([]int, len(order))
-				for i, b := range order {
-					e.pm.Layout[i] = int(b)
-				}
+	for i := range snap.Procs {
+		pm := &snap.Procs[i]
+		if order, ok := plan.Layouts[pm.Proc]; ok && pm.Trusted {
+			pm.Layout = make([]int, len(order))
+			for j, b := range order {
+				pm.Layout[j] = int(b)
 			}
 		}
-		snap.Procs = append(snap.Procs, e.pm)
 	}
 	return snap
+}
+
+// procModel runs one procedure's standing estimate through the shared
+// stages — the truncation correction, the gate over every sample absorbed
+// so far, and the fit checks — and returns its publication with the
+// corrected estimate and the trust decision behind its Trusted flag.
+func (s *Server) procModel(ps *procState) (ProcModel, markov.EdgeProbs, pipeline.Decision) {
+	pm := ProcModel{Proc: ps.name}
+	st := ps.stream
+	if st == nil {
+		return pm, nil, pipeline.NoModel
+	}
+	pm.Samples, pm.Converged, pm.Rounds = st.SampleCount(), st.Converged(), st.Rounds()
+	samples := st.Samples()
+	est := pipeline.Correct(st.Model, st.Probs(), st.Lost, len(samples))
+	_, d, _ := s.settings.Admit(samples, func() (*tomography.Model, error) { return st.Model, nil })
+	if est == nil {
+		if d == pipeline.Trusted {
+			d = pipeline.NoModel
+		}
+		return pm, nil, d
+	}
+	if d == pipeline.Trusted {
+		d = s.settings.Accept(st.Model, est, st.Confident())
+	}
+	pm.Trusted = d == pipeline.Trusted
+	for _, e := range st.Model.BranchEdgeList() {
+		pm.Branches = append(pm.Branches, Branch{From: int(e[0]), To: int(e[1]), Prob: est[e]})
+	}
+	return pm, est, d
 }
 
 // Latest returns the most recent snapshot (epoch 0: the empty model).

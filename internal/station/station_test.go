@@ -283,7 +283,7 @@ func TestServeTCPAckNak(t *testing.T) {
 	bad[len(bad)-1] ^= 0xff
 	frames = append(frames, bad)
 
-	st, err := station.Push(l.Addr().String(), frames, 2)
+	st, err := station.PushFrames(l.Addr().String(), frames, station.PushConfig{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,10 @@ type Model struct {
 	comp        *compiledModel
 }
 
-// NewModel builds the estimation model for one procedure of a compiled
-// program. pred must be the branch predictor of the mote the measurements
-// came from (it determines per-edge penalty cycles).
-func NewModel(out *compile.Output, procName string, pred compile.Predictor, enum markov.EnumerateOptions) (*Model, error) {
-	return NewModelOpts(out, procName, pred, enum, ModelOptions{})
-}
-
-// NewModelOpts is NewModel with optional features enabled.
+// NewModelOpts builds the estimation model for one procedure of a
+// compiled program, with the optional features mo enables. pred must be
+// the branch predictor of the mote the measurements came from (it
+// determines per-edge penalty cycles).
 func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, enum markov.EnumerateOptions, mo ModelOptions) (*Model, error) {
 	pm, ok := out.Meta.ProcByName[procName]
 	if !ok {

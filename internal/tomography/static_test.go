@@ -51,7 +51,7 @@ func TestStaticResolvePinsBranch(t *testing.T) {
 	}
 	enum := markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000}
 
-	base, err := NewModel(out, "handler", mote.StaticNotTaken{}, enum)
+	base, err := NewModelOpts(out, "handler", mote.StaticNotTaken{}, enum, ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

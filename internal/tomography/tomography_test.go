@@ -320,7 +320,7 @@ func estimateHandler(t *testing.T, out *compile.Output, m *mote.Machine, tickDiv
 	}
 	samples := trace.DurationsCycles(ticks, tickDiv)
 
-	model, err := NewModel(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000})
+	model, err := NewModelOpts(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000}, ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestMeasuredDurationsMatchPathTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := out.Meta.ProcByName["handler"]
-	model, err := NewModel(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000})
+	model, err := NewModelOpts(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000}, ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func main() {
 	pm := out.Meta.ProcByName["handler"]
 	samples := trace.DurationsCycles(trace.ExclusiveByProc(ivs)[pm.Index], tickDiv)
 
-	model, err := NewModel(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000})
+	model, err := NewModelOpts(out, "handler", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 8, MaxPaths: 20000}, ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

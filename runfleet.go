@@ -3,6 +3,7 @@ package codetomo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 	"codetomo/internal/fault"
 	"codetomo/internal/fleet"
 	"codetomo/internal/isa"
-	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
@@ -158,23 +159,23 @@ func (c FleetConfig) Validate() error {
 	if c.Batches < 0 {
 		return fmt.Errorf("codetomo: Batches = %d; must be positive (zero selects the default of 8)", c.Batches)
 	}
-	if c.ConvergeTol < 0 {
-		return fmt.Errorf("codetomo: ConvergeTol = %v; must be positive (zero selects the default of 1e-3)", c.ConvergeTol)
-	}
-	if c.ConvergePatience < 0 {
-		return fmt.Errorf("codetomo: ConvergePatience = %d; must be positive (zero selects the default of 2)", c.ConvergePatience)
+	if err := c.settings().Validate(); err != nil {
+		return fmt.Errorf("codetomo: %w", err)
 	}
 	return nil
 }
 
+// settings adds the streaming early stop to the shared settings.
+func (c FleetConfig) settings() pipeline.Settings {
+	s := c.Config.settings()
+	s.ConvergeTol, s.ConvergePatience = c.ConvergeTol, c.ConvergePatience
+	return s
+}
+
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Robust && c.Estimator == nil {
-		td := c.TickDiv
-		if td <= 0 {
-			td = 8
-		}
 		c.Estimator = tomography.Robust{Config: tomography.RobustConfig{
-			EM:              tomography.EMConfig{KernelHalfWidth: float64(td)},
+			EM:              tomography.EMConfig{KernelHalfWidth: float64(c.settings().WithDefaults().TickDiv)},
 			OutlierWidth:    c.TrimWidth,
 			MaxTrimFraction: c.MaxTrimFraction,
 		}}
@@ -200,12 +201,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.Batches == 0 {
 		c.Batches = 8
-	}
-	if c.ConvergeTol == 0 {
-		c.ConvergeTol = 1e-3
-	}
-	if c.ConvergePatience == 0 {
-		c.ConvergePatience = 2
 	}
 	return c
 }
@@ -258,19 +253,12 @@ type IntermittenceStats struct {
 
 // MispredictReduction mirrors Result.MispredictReduction.
 func (r *FleetResult) MispredictReduction() float64 {
-	b := r.Before.MispredictRate()
-	if b == 0 {
-		return 0
-	}
-	return (b - r.After.MispredictRate()) / b
+	return (&Result{Before: r.Before, After: r.After}).MispredictReduction()
 }
 
 // Speedup mirrors Result.Speedup.
 func (r *FleetResult) Speedup() float64 {
-	if r.After.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Before.Cycles) / float64(r.After.Cycles)
+	return (&Result{Before: r.Before, After: r.After}).Speedup()
 }
 
 // Per-mote and per-subsystem seed derivations. Distinct odd constants keep
@@ -309,16 +297,14 @@ func fleetSpecs(cfg FleetConfig) []fleet.MoteSpec {
 	return specs
 }
 
-// simConfig assembles the deployment simulation config shared by RunFleet
-// and FleetUploads: the instrumented binary, the mote machine shape, and
-// the radio channel, all derived from one FleetConfig (defaults filled).
+// simConfig assembles the deployment simulation config shared by RunFleet,
+// FleetUploads, and FleetFrames: the instrumented binary, the mote machine
+// shape, and the radio channel, all derived from one FleetConfig (defaults
+// filled). The profiling motes run on uniform flash.
 func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
-	mc := mote.DefaultConfig()
-	mc.TickDiv = cfg.TickDiv
-	mc.Predictor = cfg.Predictor
 	return fleet.SimConfig{
 		Prog:      prog,
-		Mote:      mc,
+		Mote:      pipeline.Mote{TickDiv: cfg.TickDiv, Predictor: cfg.Predictor}.Config(),
 		MaxCycles: cfg.MaxCycles,
 		Workers:   cfg.Workers,
 		Cohort:    cfg.Cohort,
@@ -338,6 +324,31 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 	}
 }
 
+// profileBuild is the deployment's one instrumented build: every mote runs
+// this binary, and the estimation models are enumerated from it.
+func (c FleetConfig) profileBuild(source string) (*compile.Output, error) {
+	return compile.Build(source, compile.Options{
+		Instrument:   compile.ModeTimestamps,
+		FuseCompares: c.FuseCompares,
+		RotateLoops:  c.RotateLoops,
+	})
+}
+
+// wireDeployment validates and defaults a deployment whose mote IDs go on
+// the wire — 16-bit, so it caps at 65535 motes — and makes its
+// instrumented build.
+func wireDeployment(source string, cfg FleetConfig) (FleetConfig, *compile.Output, error) {
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, err
+	}
+	if cfg.Motes > 65535 {
+		return cfg, nil, fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
+	}
+	cfg = cfg.withDefaults()
+	prof, err := cfg.profileBuild(source)
+	return cfg, prof, err
+}
+
 // FleetUploads runs only the deployment half of RunFleet — the
 // instrumented build, N motes under heterogeneous workloads and faults,
 // and the lossy uplink — and returns the raw per-mote uploads: the frames
@@ -347,18 +358,7 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 // contract: a fixed config yields bit-identical frames regardless of
 // Workers and GOMAXPROCS.
 func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Motes > 65535 {
-		return nil, fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
-	}
-	cfg = cfg.withDefaults()
-	prof, err := compile.Build(source, compile.Options{
-		Instrument:   compile.ModeTimestamps,
-		FuseCompares: cfg.FuseCompares,
-		RotateLoops:  cfg.RotateLoops,
-	})
+	cfg, prof, err := wireDeployment(source, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -377,18 +377,7 @@ func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
 // snapshots are a pure function of the accepted-frame multiset. The frame
 // slices become the callee's; they are not recycled.
 func FleetFrames(source string, cfg FleetConfig, emit func(frames [][]byte) error) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Motes > 65535 {
-		return fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
-	}
-	cfg = cfg.withDefaults()
-	prof, err := compile.Build(source, compile.Options{
-		Instrument:   compile.ModeTimestamps,
-		FuseCompares: cfg.FuseCompares,
-		RotateLoops:  cfg.RotateLoops,
-	})
+	cfg, prof, err := wireDeployment(source, cfg)
 	if err != nil {
 		return err
 	}
@@ -422,14 +411,9 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
 
 	// 1. One instrumented build; every mote runs the same binary.
-	prof, err := compile.Build(source, compile.Options{
-		Instrument:   compile.ModeTimestamps,
-		FuseCompares: cfg.FuseCompares,
-		RotateLoops:  cfg.RotateLoops,
-	})
+	prof, err := cfg.profileBuild(source)
 	if err != nil {
 		return nil, err
 	}
@@ -527,25 +511,8 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 
 	// Models for every branchy procedure, built concurrently with the
 	// simulation. Construction errors are deferred: they only matter for
-	// procedures that pass the sample-count gate below (matching the
-	// previous behaviour, which never built models for starved procs).
-	type builtModel struct {
-		model *tomography.Model
-		err   error
-	}
-	models := make([]builtModel, len(prof.CFG.Procs))
-	var mwg sync.WaitGroup
-	for i, p := range prof.CFG.Procs {
-		if len(p.BranchBlocks()) == 0 {
-			continue
-		}
-		i, name := i, p.Name
-		pool.Go(&mwg, func() {
-			m, err := tomography.NewModel(prof, name, cfg.Predictor, enum)
-			models[i] = builtModel{model: m, err: err}
-		})
-	}
-	mwg.Wait()
+	// procedures that pass the sample-count gate.
+	models := buildModels(pool, prof, cfg.settings())
 	<-simDone
 	if simErr != nil {
 		return nil, simErr
@@ -567,105 +534,39 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	rounds := fleet.BatchStreams(perMote, cfg.Batches)
 	fst.UplinkWall = time.Since(t1)
 
-	// 4. Gate the prebuilt models on sample count and coverage, then
-	// estimate all streams on the same pool (deterministic merge order).
-	oracleStats := fleet.DenseBranchStats(oracleDense)
-	type pending struct {
-		pe        ProcEstimate
-		streamIdx int // -1: fallback, no stream
-		procIndex int
-		model     *tomography.Model
-		oracle    markov.EdgeProbs
-	}
-	var pendings []pending
-	var streams []fleet.ProcStream
-	probs := make(map[string]markov.EdgeProbs)
-	for i, p := range prof.CFG.Procs {
-		pm := prof.Meta.ProcByName[p.Name]
-		if len(p.BranchBlocks()) == 0 {
-			probs[p.Name] = markov.Uniform(p)
-			continue
-		}
-		batches := rounds[pm.Index]
-		total := 0
-		var all []float64
-		for _, b := range batches {
-			total += len(b)
-			all = append(all, b...)
-		}
-		fst.SamplesPerProc[p.Name] = total
-		pd := pending{
-			pe:        ProcEstimate{Proc: p.Name, SampleCount: total, LostPartials: lostByProc[pm.Index]},
-			streamIdx: -1,
-			procIndex: pm.Index,
-		}
-		if total >= cfg.MinSamples {
-			bm := models[i]
-			if bm.err != nil {
-				return nil, fmt.Errorf("codetomo: model %s: %w", p.Name, bm.err)
-			}
-			if bm.model.Coverage(all, float64(cfg.TickDiv)) >= cfg.MinCoverage {
-				pd.model = bm.model
-				pd.oracle = profile.OracleProbs(pm, p, oracleStats)
-				pd.streamIdx = len(streams)
-				streams = append(streams, fleet.ProcStream{Name: p.Name, Model: bm.model, Batches: batches})
-			}
-		}
-		if pd.streamIdx < 0 {
-			pd.pe.Fallback = true
-		}
-		pendings = append(pendings, pd)
-	}
-
+	// 4. Gate, stream-estimate, correct, and check every procedure on the
+	// same pool (deterministic merge order).
 	t2 := time.Now()
-	outcomes, err := fleet.EstimateStreamsOn(pool, streams, cfg.Estimator, cfg.ConvergeTol, cfg.ConvergePatience)
+	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, rounds, lostByProc)
 	if err != nil {
 		return nil, err
 	}
 	fst.EstimateWall = time.Since(t2)
 
 	res := &FleetResult{}
-	for _, pd := range pendings {
-		if pd.streamIdx < 0 {
-			res.Estimates = append(res.Estimates, pd.pe)
-			continue
+	oracleStats := fleet.DenseBranchStats(oracleDense)
+	for i, o := range procs {
+		pm := prof.Meta.ProcByName[o.Proc.Name]
+		fst.SamplesPerProc[o.Proc.Name] = o.Samples
+		pe := procEstimate(o, lostByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats), cfg.TickDiv)
+		if st := streams[i]; st != nil {
+			fst.EstimatedProcs++
+			fst.Rounds += st.Rounds()
+			fst.Iterations += st.Iterations()
+			fst.TrimmedSamples += st.Trimmed()
+			if st.Converged() {
+				fst.ConvergedProcs++
+			}
+			pe.TrimmedSamples = st.Trimmed()
 		}
-		o := outcomes[pd.streamIdx]
-		fst.EstimatedProcs++
-		fst.Rounds += o.Rounds
-		fst.Iterations += o.Iterations
-		fst.TrimmedSamples += o.Trimmed
-		if o.Converged {
-			fst.ConvergedProcs++
-		}
-		if cfg.Energy.Enabled() && pd.pe.LostPartials > 0 && pd.pe.SampleCount > 0 {
-			// Completed invocations under harvested power are a biased
-			// sample — long paths died more often. The lost-partial counts
-			// pin the hazard; tilt the estimate back before it is scored
-			// or drives placement.
-			o.Probs = pd.model.DebiasTruncation(o.Probs, pd.pe.LostPartials, pd.pe.SampleCount)
-		}
-		pd.pe.Branches, pd.pe.MAE = branchEstimates(pd.model, o.Probs, pd.oracle, cfg.TickDiv)
-		pd.pe.TrimmedSamples = o.Trimmed
-		if cfg.Robust && !o.Confident {
-			// Graceful degradation: report the untrusted estimate, but
-			// leave the procedure's layout at the baseline rather than
-			// optimizing on contaminated probabilities.
-			pd.pe.LowConfidence = true
+		if pe.LowConfidence {
 			fst.LowConfidenceProcs++
-		} else {
-			probs[pd.pe.Proc] = o.Probs
 		}
-		res.Estimates = append(res.Estimates, pd.pe)
+		res.Estimates = append(res.Estimates, pe)
 	}
 
 	// 5. Place and measure with Run's tail.
-	plan := layout.PlanAll(prof.CFG, probs)
-	var pgo *compile.PGOOptions
-	if cfg.pgoEnabled() {
-		pgo = cfg.pgoOptions(prof.CFG, probs)
-	}
-	res.Before, res.After, res.Output, err = cfg.Config.measureLayouts(source, plan, pgo)
+	res.Before, res.After, res.Output, err = cfg.measure(source, prof.CFG, probs)
 	if err != nil {
 		return nil, err
 	}
@@ -674,6 +575,77 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 		res.Intermittence = intermittence(fst, sumGrossTicks, cfg.TickDiv, res.Speedup())
 	}
 	return res, nil
+}
+
+// builtModel is one prebuilt path model, or the error building it.
+type builtModel struct {
+	model *tomography.Model
+	err   error
+}
+
+// buildModels enumerates every branchy procedure's path model on the
+// pool, indexed like prof.CFG.Procs. Path enumeration is a pure function
+// of the binary, so it overlaps the fleet simulation instead of following
+// it.
+func buildModels(pool *fleet.Pool, prof *compile.Output, s pipeline.Settings) []builtModel {
+	models := make([]builtModel, len(prof.CFG.Procs))
+	var wg sync.WaitGroup
+	for i, p := range prof.CFG.Procs {
+		if len(p.BranchBlocks()) > 0 {
+			i, name := i, p.Name
+			pool.Go(&wg, func() { models[i].model, models[i].err = s.Model(prof, name) })
+		}
+	}
+	wg.Wait()
+	return models
+}
+
+// estimateStreams is RunFleet's gate-and-estimate path: admit each branchy
+// procedure on all its samples, stream the admitted ones round by round
+// through warm-started incremental estimation on the pool, then correct
+// for truncation and check each fit. It returns the procedures in CFG
+// order, each one's stream (nil unless admitted), and the placement input.
+func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, models []builtModel, rounds map[int][][]float64, lost map[int]int) ([]pipeline.Outcome, []*pipeline.Stream, map[string]markov.EdgeProbs, error) {
+	s := c.settings()
+	probs := make(map[string]markov.EdgeProbs)
+	var procs []pipeline.Outcome
+	var streams, admitted []*pipeline.Stream
+	var batches [][][]float64
+	for i, p := range prof.CFG.Procs {
+		pm := prof.Meta.ProcByName[p.Name]
+		if len(p.BranchBlocks()) == 0 {
+			probs[p.Name] = markov.Uniform(p)
+			continue
+		}
+		all := slices.Concat(rounds[pm.Index]...)
+		o := pipeline.Outcome{Proc: p, Samples: len(all)}
+		var err error
+		if o.Model, o.Decision, err = s.Admit(all, func() (*tomography.Model, error) { return models[i].model, models[i].err }); err != nil {
+			return nil, nil, nil, fmt.Errorf("codetomo: model %s: %w", p.Name, err)
+		}
+		var st *pipeline.Stream
+		if o.Decision == pipeline.Trusted {
+			st = s.Stream(p.Name, o.Model)
+			st.Lost = lost[pm.Index]
+			admitted = append(admitted, st)
+			batches = append(batches, rounds[pm.Index])
+		}
+		procs, streams = append(procs, o), append(streams, st)
+	}
+	if err := pipeline.ObserveOn(pool, admitted, batches); err != nil {
+		return nil, nil, nil, fmt.Errorf("codetomo: %w", err)
+	}
+	for i, st := range streams {
+		if st == nil {
+			continue
+		}
+		o := &procs[i]
+		o.Probs = pipeline.Correct(o.Model, st.Probs(), st.Lost, o.Samples)
+		if o.Decision = s.Accept(o.Model, o.Probs, st.Confident()); o.Decision == pipeline.Trusted {
+			probs[o.Proc.Name] = o.Probs
+		}
+	}
+	return procs, streams, probs, nil
 }
 
 // intermittence derives the fleet-level intermittent-execution summary

@@ -1,6 +1,7 @@
 package codetomo
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"codetomo/internal/fault"
 	"codetomo/internal/fleet"
+	"codetomo/internal/markov"
 	"codetomo/internal/mote"
 	"codetomo/internal/tomography"
 )
@@ -450,5 +452,72 @@ func TestRunFleetDeterministicUnderPower(t *testing.T) {
 			t.Fatalf("workers=%d GOMAXPROCS=%d diverged from reference:\n%+v\nvs\n%+v",
 				tc.workers, tc.maxprocs, got, ref)
 		}
+	}
+}
+
+// infeasibleEstimator is an estimator that diverged: NaN on every free
+// edge, so the fit's expected duration lies inside no static envelope.
+type infeasibleEstimator struct{}
+
+func (infeasibleEstimator) Name() string { return "infeasible" }
+
+func (infeasibleEstimator) Estimate(m *tomography.Model, _ []float64) (markov.EdgeProbs, error) {
+	probs := m.InitialProbs()
+	for _, e := range m.BranchEdgeList() {
+		probs[e] = math.NaN()
+	}
+	return probs, nil
+}
+
+// RunFleet honours StaticResolve exactly as Run does: the same branches
+// are pinned in the models, and a fit outside the static envelope is
+// rejected and leaves the layout alone.
+func TestRunFleetStaticResolveMatchesRun(t *testing.T) {
+	base := Config{Seed: 9, StaticResolve: true}
+	fleetCfg := func(c Config) FleetConfig { return FleetConfig{Config: c, Motes: 2, Batches: 2} }
+
+	run, err := Run(staticResolveSource, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := RunFleet(staticResolveSource, fleetCfg(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := make(map[string]int)
+	for _, pe := range run.Estimates {
+		resolved[pe.Proc] = pe.ResolvedBranches
+	}
+	if resolved["handler"] != 1 {
+		t.Fatalf("Run resolved %d handler branches, want 1", resolved["handler"])
+	}
+	for _, pe := range fl.Estimates {
+		if pe.ResolvedBranches != resolved[pe.Proc] {
+			t.Errorf("%s: RunFleet resolved %d branches, Run %d", pe.Proc, pe.ResolvedBranches, resolved[pe.Proc])
+		}
+		if pe.Proc == "handler" && (pe.Fallback || pe.EnvelopeViolation) {
+			t.Errorf("healthy fleet fit rejected: %+v", pe)
+		}
+	}
+
+	bad := base
+	bad.Estimator = infeasibleEstimator{}
+	runBad, err := Run(staticResolveSource, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flBad, err := RunFleet(staticResolveSource, fleetCfg(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ests := range map[string][]ProcEstimate{"Run": runBad.Estimates, "RunFleet": flBad.Estimates} {
+		for _, pe := range ests {
+			if pe.Proc == "handler" && (!pe.EnvelopeViolation || !pe.Fallback || len(pe.Branches) != 0) {
+				t.Errorf("%s: infeasible handler fit not rejected: %+v", name, pe)
+			}
+		}
+	}
+	if flBad.After != flBad.Before {
+		t.Errorf("rejected fit moved the fleet layout: before %+v after %+v", flBad.Before, flBad.After)
 	}
 }

@@ -25,6 +25,14 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== perfbench self-test"
+# perfbench is its own module, so the root build, vet and tests above never
+# see it. Its self-test requires codetomo.Run to match perfbench's
+# stage-by-stage replica bit for bit and compiles against the library API
+# the benchmark uses, so a change to Run's behaviour or to that API fails
+# here rather than in the benchmark run. It takes about a second.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
