@@ -20,6 +20,7 @@ import (
 	"codetomo/internal/compile"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/report"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
@@ -215,7 +216,7 @@ func BenchmarkEMEstimator(b *testing.B) {
 	pm := out.Meta.ProcByName[a.Handler]
 	samples := trace.DurationsCycles(trace.ExclusiveByProc(ivs)[pm.Index], cfg.TickDiv)
 	model, err := tomography.NewModelOpts(out, a.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000}, tomography.ModelOptions{})
+		markov.EnumerateOptions{MaxVisits: pipeline.DefaultMaxVisits, MaxPaths: pipeline.MaxPaths}, tomography.ModelOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -101,10 +101,7 @@ func kernelModel(diamonds, n int, seed int64) (*tomography.Model, []float64) {
 
 	m := &tomography.Model{Proc: p, Costs: costs}
 	m.Paths, m.Truncated = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 4, MaxPaths: 1 << 13})
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := tomography.Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {
@@ -130,7 +127,7 @@ func kernelModel(diamonds, n int, seed int64) (*tomography.Model, []float64) {
 		if path == nil {
 			continue
 		}
-		d := markov.PathTime(path, costs)
+		d := markov.PathTimes(p, []*markov.Path{path}, costs)[0]
 		// Tick quantization with a uniform start phase, as on the mote.
 		phase := float64(rng.Intn(tickDiv))
 		d = (float64(int((d+phase)/tickDiv)) - float64(int(phase/tickDiv))) * tickDiv

@@ -1,7 +1,10 @@
 package markov
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"codetomo/internal/cfg"
@@ -12,24 +15,25 @@ import (
 // estimation hot loops can replace map lookups with slice indexing. Indices
 // are assigned in (block ID, successor order) — a deterministic layout that
 // matches the iteration order of the reference (map-based) estimators at
-// the API boundary.
+// the API boundary. Each block's out-edges are contiguous, so a lookup is a
+// scan of the source block's few successors, not a map probe.
 type EdgeIndex struct {
 	edges [][2]ir.BlockID
-	index map[[2]ir.BlockID]int32
+	// start[b] .. start[b+1] bounds block b's out-edges in edges.
+	start []int32
 }
 
 // NewEdgeIndex builds the dense edge numbering of a procedure.
 func NewEdgeIndex(p *cfg.Proc) *EdgeIndex {
-	ix := &EdgeIndex{index: make(map[[2]ir.BlockID]int32)}
+	ix := &EdgeIndex{start: make([]int32, len(p.Blocks)+1)}
 	for _, b := range p.Blocks {
+		own := len(ix.edges)
 		for _, s := range b.Succs() {
-			e := [2]ir.BlockID{b.ID, s}
-			if _, ok := ix.index[e]; ok {
-				continue
+			if e := [2]ir.BlockID{b.ID, s}; !slices.Contains(ix.edges[own:], e) {
+				ix.edges = append(ix.edges, e)
 			}
-			ix.index[e] = int32(len(ix.edges))
-			ix.edges = append(ix.edges, e)
 		}
+		ix.start[b.ID+1] = int32(len(ix.edges))
 	}
 	return ix
 }
@@ -42,8 +46,27 @@ func (ix *EdgeIndex) Edge(i int) [2]ir.BlockID { return ix.edges[i] }
 
 // Index returns the dense index of an edge.
 func (ix *EdgeIndex) Index(e [2]ir.BlockID) (int32, bool) {
-	i, ok := ix.index[e]
-	return i, ok
+	if uint(e[0]) >= uint(len(ix.start)-1) {
+		return 0, false
+	}
+	lo, hi := ix.start[e[0]], ix.start[e[0]+1]
+	for i, f := range ix.edges[lo:hi] {
+		if f[1] == e[1] {
+			return lo + int32(i), true
+		}
+	}
+	return 0, false
+}
+
+// arcIndex returns the dense index of a path arc's edge. Every path
+// Enumerate or SamplePath builds traverses CFG edges only, so a miss is a
+// bug in whoever built the path or a path passed with the wrong procedure.
+func (ix *EdgeIndex) arcIndex(e [2]ir.BlockID) int32 {
+	i, ok := ix.Index(e)
+	if !ok {
+		panic(fmt.Sprintf("markov: path arc %v is not a CFG edge", e))
+	}
+	return i
 }
 
 // Dense projects an EdgeProbs map onto the dense layout. Edges missing from
@@ -92,18 +115,8 @@ func Compile(p *cfg.Proc, paths []*Path) *CompiledPaths {
 	cp.arcEdge = make([]int32, 0, n)
 	cp.arcCount = make([]float64, 0, n)
 	for j, path := range paths {
-		cp.arcStart[j] = int32(len(cp.arcEdge))
+		cp.arcEdge = append(cp.arcEdge, path.denseEdges(ix)...)
 		for _, a := range path.Arcs {
-			ei, ok := ix.index[a.Edge]
-			if !ok {
-				// An arc over an edge absent from the CFG would be a path
-				// enumeration bug; index it defensively so lookups stay
-				// in-bounds.
-				ei = int32(len(ix.edges))
-				ix.index[a.Edge] = ei
-				ix.edges = append(ix.edges, a.Edge)
-			}
-			cp.arcEdge = append(cp.arcEdge, ei)
 			cp.arcCount = append(cp.arcCount, float64(a.Count))
 		}
 		cp.arcStart[j+1] = int32(len(cp.arcEdge))
@@ -143,6 +156,13 @@ func (cp *CompiledPaths) PathProbs(logq, out []float64) {
 	}
 }
 
+// Arcs returns path j's arcs as parallel slices of dense edge indices and
+// traversal counts, in arc order.
+func (cp *CompiledPaths) Arcs(j int) (edges []int32, counts []float64) {
+	lo, hi := cp.arcStart[j], cp.arcStart[j+1]
+	return cp.arcEdge[lo:hi], cp.arcCount[lo:hi]
+}
+
 // AccumulateArcs adds gamma·count to w[edge] for each arc of path j, in
 // arc order — the estimators' M-step accumulation. The fixed order keeps
 // floating-point sums reproducible run to run.
@@ -167,12 +187,8 @@ func NewSortedTimes(times []float64) *SortedTimes {
 	for i := range st.Idx {
 		st.Idx[i] = int32(i)
 	}
-	sort.Slice(st.Idx, func(a, b int) bool {
-		i, j := st.Idx[a], st.Idx[b]
-		if times[i] != times[j] {
-			return times[i] < times[j]
-		}
-		return i < j
+	slices.SortFunc(st.Idx, func(i, j int32) int {
+		return cmp.Or(cmp.Compare(times[i], times[j]), cmp.Compare(i, j))
 	})
 	for i, j := range st.Idx {
 		st.Times[i] = times[j]

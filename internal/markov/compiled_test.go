@@ -118,10 +118,7 @@ func TestEdgeIndexRoundTrip(t *testing.T) {
 func TestSortedTimesWindowMatchesScan(t *testing.T) {
 	p, costs := diamondChain(6)
 	paths, _ := Enumerate(p, DefaultEnumerateOptions())
-	times := make([]float64, len(paths))
-	for i, path := range paths {
-		times[i] = PathTime(path, costs)
-	}
+	times := PathTimes(p, paths, costs)
 	st := NewSortedTimes(times)
 	if !sort.Float64sAreSorted(st.Times) {
 		t.Fatal("times not sorted")

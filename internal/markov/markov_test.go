@@ -40,6 +40,31 @@ func loopProc() *cfg.Proc {
 
 func edge(a, b int) [2]ir.BlockID { return [2]ir.BlockID{ir.BlockID(a), ir.BlockID(b)} }
 
+// arcCount returns how many times path traverses edge e.
+func arcCount(path *Path, e [2]ir.BlockID) int {
+	for _, a := range path.Arcs {
+		if a.Edge == e {
+			return a.Count
+		}
+	}
+	return 0
+}
+
+// blockVisits returns how many times path visits block b: once if b is the
+// entry, plus once per traversal of an edge into b.
+func blockVisits(path *Path, b ir.BlockID) int {
+	n := 0
+	if path.Entry == b {
+		n = 1
+	}
+	for _, a := range path.Arcs {
+		if a.Edge[1] == b {
+			n += a.Count
+		}
+	}
+	return n
+}
+
 func TestUniform(t *testing.T) {
 	ep := Uniform(diamond())
 	if ep[edge(0, 1)] != 0.5 || ep[edge(0, 2)] != 0.5 {
@@ -223,13 +248,15 @@ func TestMeanVarMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(99)
-	var m stats.Moments
-	for i := 0; i < 200000; i++ {
-		path := c.SamplePath(rng.Float64, 100000)
-		if path == nil {
+	paths := make([]*Path, 200000)
+	for i := range paths {
+		if paths[i] = c.SamplePath(rng.Float64, 100000); paths[i] == nil {
 			t.Fatal("sample failed to absorb")
 		}
-		m.Push(PathTime(path, costs))
+	}
+	var m stats.Moments
+	for _, pt := range PathTimes(p, paths, costs) {
+		m.Push(pt)
 	}
 	if math.Abs(m.Mean()-mean) > 0.01*mean {
 		t.Fatalf("simulated mean %v vs analytic %v", m.Mean(), mean)
@@ -266,15 +293,12 @@ func TestEnumerateLoopTruncation(t *testing.T) {
 	if len(paths) != 4 {
 		t.Fatalf("paths = %d, want 4", len(paths))
 	}
-	// Edge counts on the longest path.
-	last := paths[len(paths)-1]
 	maxBody := 0
 	for _, p := range paths {
-		if n := p.EdgeCounts[edge(2, 1)]; n > maxBody {
+		if n := arcCount(p, edge(2, 1)); n > maxBody {
 			maxBody = n
 		}
 	}
-	_ = last
 	if maxBody != 3 {
 		t.Fatalf("max back-edge traversals = %d, want 3", maxBody)
 	}
@@ -310,8 +334,8 @@ func TestVisitsMatchPathsProperty(t *testing.T) {
 		est := make([]float64, len(p.Blocks))
 		for _, path := range paths {
 			pr := path.Prob(ep)
-			for _, b := range path.Blocks {
-				est[int(b)] += pr
+			for b := range est {
+				est[b] += pr * float64(blockVisits(path, ir.BlockID(b)))
 			}
 		}
 		for i := range visits {

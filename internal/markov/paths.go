@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"slices"
 
 	"codetomo/internal/cfg"
 	"codetomo/internal/ir"
@@ -13,18 +14,36 @@ type Arc struct {
 	Count int
 }
 
-// Path is one complete execution path: a block sequence from the entry to
-// a return block.
+// Path is one complete execution path from the entry to a return block,
+// stored as the edges it traverses: its entry block plus, per traversed
+// edge, how many times the path takes it. That is all the estimators need
+// (path probability and duration); the block order along the path is not
+// kept. A block's visit count is its entry flag plus the counts of the arcs
+// into it.
 type Path struct {
-	Blocks []ir.BlockID
-	// Arcs lists the traversed edges in order of first traversal. All
-	// arithmetic over paths iterates Arcs (never EdgeCounts) so results
-	// are bit-for-bit reproducible across runs.
+	Entry ir.BlockID
+	// Arcs lists the traversed edges in order of first traversal, each
+	// edge once. All arithmetic over paths iterates Arcs in this order so
+	// results are bit-for-bit reproducible across runs.
 	Arcs []Arc
-	// EdgeCounts gives how many times each edge is traversed on the path
-	// (loops can traverse an edge repeatedly). It mirrors Arcs for O(1)
-	// lookup.
-	EdgeCounts map[[2]ir.BlockID]int
+	// edges[k] is the dense index (NewEdgeIndex of the enumerated
+	// procedure) of Arcs[k].Edge, recorded by Enumerate so Compile and
+	// PathTimes need no lookup; nil on paths built elsewhere.
+	edges []int32
+}
+
+// denseEdges returns the dense index of each arc's edge under ix, the
+// index of the procedure the path runs through: the indices Enumerate
+// recorded, or else looked up.
+func (p *Path) denseEdges(ix *EdgeIndex) []int32 {
+	if len(p.edges) == len(p.Arcs) {
+		return p.edges
+	}
+	edges := make([]int32, len(p.Arcs))
+	for k, a := range p.Arcs {
+		edges[k] = ix.arcIndex(a.Edge)
+	}
+	return edges
 }
 
 // Prob returns the path's probability under the given edge probabilities:
@@ -61,6 +80,13 @@ func DefaultEnumerateOptions() EnumerateOptions {
 // with a per-block visit cap. truncated reports whether any path was cut
 // off by the caps (its probability mass is missing from the returned set;
 // estimators renormalize over the enumerated paths).
+//
+// The search keeps, per dense edge, how often the current prefix traverses
+// it, and a stack of the prefix's edges in first-traversal order: an edge
+// is pushed when its count goes 0→1 and popped when it returns 1→0, which
+// is last-in first-out because the search unwinds in reverse. A leaf copies
+// that stack and its counts out as the path's arcs, into chunks shared by
+// the whole path set, so no path costs a map or an allocation of its own.
 func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated bool) {
 	if opts.MaxVisits < 1 {
 		opts.MaxVisits = 1
@@ -68,62 +94,119 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 	if opts.MaxPaths <= 0 {
 		opts.MaxPaths = 4096
 	}
+	ix := NewEdgeIndex(p)
+	// succ[succStart[b]:succStart[b+1]] holds block b's out-edges as dense
+	// indices in successor order; a repeated successor repeats its edge and
+	// is followed twice.
+	succStart := make([]int32, len(p.Blocks)+1)
+	succ := make([]int32, 0, ix.Len())
+	for _, b := range p.Blocks {
+		for _, s := range b.Succs() {
+			succ = append(succ, ix.arcIndex([2]ir.BlockID{b.ID, s}))
+		}
+		succStart[b.ID+1] = int32(len(succ))
+	}
 	visits := make([]int, len(p.Blocks))
-	var seq []ir.BlockID
+	count := make([]int, ix.Len())
+	stack := make([]int32, 0, ix.Len())
+	arena := pathArena{left: opts.MaxPaths}
 
 	var walk func(id ir.BlockID)
 	walk = func(id ir.BlockID) {
-		if len(paths) >= opts.MaxPaths {
+		if arena.left == 0 || visits[id] >= opts.MaxVisits {
 			truncated = true
 			return
 		}
-		if visits[int(id)] >= opts.MaxVisits {
-			truncated = true
-			return
+		visits[id]++
+		out := succ[succStart[id]:succStart[id+1]]
+		if len(out) == 0 {
+			arena.path(p.Entry, ix, stack, count)
 		}
-		visits[int(id)]++
-		seq = append(seq, id)
-
-		succs := p.Block(id).Succs()
-		if len(succs) == 0 {
-			path := &Path{
-				Blocks:     append([]ir.BlockID(nil), seq...),
-				EdgeCounts: make(map[[2]ir.BlockID]int),
+		for _, e := range out {
+			count[e]++
+			if count[e] == 1 {
+				stack = append(stack, e)
 			}
-			for i := 0; i+1 < len(path.Blocks); i++ {
-				e := [2]ir.BlockID{path.Blocks[i], path.Blocks[i+1]}
-				if path.EdgeCounts[e] == 0 {
-					path.Arcs = append(path.Arcs, Arc{Edge: e})
-				}
-				path.EdgeCounts[e]++
+			walk(ix.edges[e][1])
+			if count[e] == 1 {
+				stack = stack[:len(stack)-1]
 			}
-			for i := range path.Arcs {
-				path.Arcs[i].Count = path.EdgeCounts[path.Arcs[i].Edge]
-			}
-			paths = append(paths, path)
-		} else {
-			for _, s := range succs {
-				walk(s)
-			}
+			count[e]--
 		}
-
-		seq = seq[:len(seq)-1]
-		visits[int(id)]--
+		visits[id]--
 	}
 	walk(p.Entry)
-	return paths, truncated
+	return arena.out, truncated
 }
 
-// PathTime computes a path's deterministic duration from the chain costs.
-func PathTime(path *Path, costs *Costs) float64 {
-	t := costs.EntryOverhead
-	for _, b := range path.Blocks {
-		t += costs.Block[int(b)]
+// pathArena collects the enumerated paths, handing out the Paths and their
+// arcs from shared chunks. A new chunk doubles the last one but holds no
+// more than the paths the cap still allows need (at the mean path length
+// so far), so the number of allocations grows with the logarithm of the
+// path set, and a set that reaches the cap wastes little of its last
+// chunk. The result slice grows by the same rule.
+type pathArena struct {
+	out   []*Path
+	paths []Path
+	arcs  []Arc
+	edges []int32
+	// left is how many more paths the cap allows; nArcs counts the arcs
+	// handed out so far.
+	left, nArcs int
+}
+
+// path appends a path whose arcs are the search's first-traversal stack
+// and its edge counts.
+func (a *pathArena) path(entry ir.BlockID, ix *EdgeIndex, stack []int32, count []int) {
+	if len(a.out) == cap(a.out) {
+		a.out = slices.Grow(a.out, min(max(1, len(a.out)), a.left))
 	}
-	for _, a := range path.Arcs {
-		t += float64(a.Count) * costs.Edge[a.Edge]
+	if len(a.paths) == cap(a.paths) {
+		a.paths = make([]Path, 0, min(max(1, 2*cap(a.paths)), a.left))
 	}
-	return t
+	if k := len(stack); cap(a.arcs)-len(a.arcs) < k {
+		size := 4 * k
+		if n := len(a.out); n > 0 {
+			mean := (a.nArcs + n - 1) / n
+			size = min(2*cap(a.arcs), a.left*mean)
+		}
+		a.arcs = make([]Arc, 0, max(k, size))
+		a.edges = make([]int32, 0, cap(a.arcs))
+	}
+	lo := len(a.arcs)
+	for _, e := range stack {
+		a.arcs = append(a.arcs, Arc{Edge: ix.edges[e], Count: count[e]})
+	}
+	a.edges = append(a.edges, stack...)
+	hi := len(a.arcs)
+	a.paths = append(a.paths, Path{Entry: entry, Arcs: a.arcs[lo:hi:hi], edges: a.edges[lo:hi:hi]})
+	a.out = append(a.out, &a.paths[len(a.paths)-1])
+	a.left--
+	a.nArcs += len(stack)
+}
+
+// PathTimes computes each path's deterministic duration from the chain
+// costs: EntryOverhead + Block[entry] + Σ count·(Block[to] + Edge[e]) over
+// the path's arcs in order. Every block visit after the entry is reached
+// over exactly one edge traversal, so this charges each visit once, the
+// same total as summing the block sequence. With compile-derived costs
+// (whole cycles) every partial sum is an exact integer, so the result is
+// the same in any summation order.
+func PathTimes(p *cfg.Proc, paths []*Path, costs *Costs) []float64 {
+	ix := NewEdgeIndex(p)
+	step := make([]float64, ix.Len())
+	for i, e := range ix.edges {
+		step[i] = costs.Block[int(e[1])] + costs.Edge[e]
+	}
+	times := make([]float64, len(paths))
+	for j, path := range paths {
+		t := costs.EntryOverhead + costs.Block[int(path.Entry)]
+		for k, e := range path.denseEdges(ix) {
+			t += float64(path.Arcs[k].Count) * step[e]
+		}
+		times[j] = t
+	}
+	return times
 }
 
 // SamplePath draws a random path through the chain (used by tests and the
@@ -134,9 +217,8 @@ func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
 	if maxSteps <= 0 {
 		maxSteps = 100000
 	}
-	path := &Path{EdgeCounts: make(map[[2]ir.BlockID]int)}
 	cur := c.proc.Entry
-	path.Blocks = append(path.Blocks, cur)
+	path := &Path{Entry: cur}
 	for step := 0; step < maxSteps; step++ {
 		succs := c.proc.Block(cur).Succs()
 		if len(succs) == 0 {
@@ -153,17 +235,12 @@ func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
 			}
 		}
 		e := [2]ir.BlockID{cur, next}
-		if path.EdgeCounts[e] == 0 {
+		k := slices.IndexFunc(path.Arcs, func(a Arc) bool { return a.Edge == e })
+		if k < 0 {
+			k = len(path.Arcs)
 			path.Arcs = append(path.Arcs, Arc{Edge: e})
 		}
-		path.EdgeCounts[e]++
-		for i := range path.Arcs {
-			if path.Arcs[i].Edge == e {
-				path.Arcs[i].Count = path.EdgeCounts[e]
-				break
-			}
-		}
-		path.Blocks = append(path.Blocks, next)
+		path.Arcs[k].Count++
 		cur = next
 	}
 	return nil

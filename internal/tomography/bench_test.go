@@ -86,7 +86,7 @@ func BenchmarkBuildSupports(b *testing.B) {
 		b.Run(fmt.Sprintf("paths=%d", 1<<diamonds), func(b *testing.B) {
 			m, samples, cfg := pathScaledSetup(b, diamonds, 2000)
 			obs, counts := dedup(samples)
-			times := m.compiled().times
+			times := m.sortedTimes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buildSupports(times, obs, counts, cfg.KernelHalfWidth)

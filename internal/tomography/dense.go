@@ -5,29 +5,35 @@ import (
 	"math"
 	"sort"
 
+	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 )
 
-// compiledModel caches the dense kernel inputs derived from a Model: the
-// CSR-compiled path set (edge-indexed arcs) and the binary-search index
-// over path durations. Built lazily, once, and shared by every estimation
-// round over the model — including concurrent fleet streams.
+// compiledModel caches the dense kernel inputs derived from a Model's path
+// set: the CSR-compiled paths (edge-indexed arcs) and the dense edge groups
+// of its unknowns. Built lazily, once, on first estimation and shared by
+// every estimation round over the model — including concurrent fleet
+// streams. The coverage gate needs only the sorted path times
+// (Model.sortedTimes), so a procedure it rejects never compiles its paths.
 type compiledModel struct {
 	paths *markov.CompiledPaths
-	times *markov.SortedTimes
 	// unknown holds, per Unknown, the dense edge indices of its outgoing
 	// edges in successor order (the M-step normalization groups).
 	unknown [][]int32
+}
+
+// sortedTimes returns the binary-search index over the model's path
+// durations, building it on first use.
+func (m *Model) sortedTimes() *markov.SortedTimes {
+	m.timesOnce.Do(func() { m.times = markov.NewSortedTimes(m.PathTimes) })
+	return m.times
 }
 
 // compiled returns the model's dense representation, building it on first
 // use.
 func (m *Model) compiled() *compiledModel {
 	m.compileOnce.Do(func() {
-		c := &compiledModel{
-			paths: markov.Compile(m.Proc, m.Paths),
-			times: markov.NewSortedTimes(m.PathTimes),
-		}
+		c := &compiledModel{paths: markov.Compile(m.Proc, m.Paths)}
 		c.unknown = make([][]int32, len(m.Unknowns))
 		for ui, u := range m.Unknowns {
 			idx := make([]int32, len(u.Edges))
@@ -43,6 +49,32 @@ func (m *Model) compiled() *compiledModel {
 		m.comp = c
 	})
 	return m.comp
+}
+
+// pathProbs returns every path's probability under probs, bit-identical to
+// markov.Path.Prob (see markov.CompiledPaths.PathProbs).
+func (c *compiledModel) pathProbs(probs markov.EdgeProbs) []float64 {
+	q := c.paths.Index.Dense(probs)
+	logq := make([]float64, len(q))
+	c.paths.LogProbs(q, logq)
+	out := make([]float64, c.paths.NumPaths())
+	c.paths.PathProbs(logq, out)
+	return out
+}
+
+// edgeWeights sums weight[j]·count over the arcs of every path j whose
+// weight is not <= 0, per edge, in path then arc order (the order the
+// map-based accumulation used, so each edge's sum is bit-identical), and
+// returns the sums keyed by edge.
+func (c *compiledModel) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 {
+	w := make([]float64, c.paths.Index.Len())
+	for j, g := range weight {
+		if g <= 0 {
+			continue
+		}
+		c.paths.AccumulateArcs(j, g, w)
+	}
+	return c.paths.Index.Probs(w)
 }
 
 // estimateEMDense is the EM hot path over pre-deduplicated observations:
@@ -75,7 +107,7 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 		}
 	}
 
-	supStart, supPath, unmatched := buildSupports(c.times, obs, counts, cfg.KernelHalfWidth)
+	supStart, supPath, unmatched := buildSupports(m.sortedTimes(), obs, counts, cfg.KernelHalfWidth)
 	st.Unmatched = unmatched
 
 	// Per-iteration scratch, allocated once and reused: the shared

@@ -31,10 +31,7 @@ func twoArmModel(t testing.TB, armDelta float64) *Model {
 	}
 	m := &Model{Proc: p, Costs: costs}
 	m.Paths, _ = markov.Enumerate(p, markov.DefaultEnumerateOptions())
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"codetomo/internal/ir"
 	"codetomo/internal/linalg"
 	"codetomo/internal/markov"
 )
@@ -133,14 +132,5 @@ func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov
 	}
 
 	// Convert path weights to expected edge traversals.
-	edgeW := make(map[[2]ir.BlockID]float64)
-	for j, p := range m.Paths {
-		if w[j] <= 0 {
-			continue
-		}
-		for _, arc := range p.Arcs {
-			edgeW[arc.Edge] += w[j] * float64(arc.Count)
-		}
-	}
-	return m.probsFromEdgeWeights(edgeW, cfg.Alpha), nil
+	return m.probsFromEdgeWeights(m.compiled().edgeWeights(w), cfg.Alpha), nil
 }

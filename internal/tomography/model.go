@@ -73,8 +73,11 @@ type Model struct {
 	// tests a fitted estimate against it.
 	Envelope *compile.StaticEnvelope
 
-	// Dense kernel inputs (markov.CompiledPaths + sorted path times),
-	// built lazily on first estimation and shared by concurrent streams.
+	// Dense kernel inputs, built lazily and shared by concurrent streams:
+	// the sorted path times on first use (the coverage gate needs only
+	// these), the compiled paths on first estimation.
+	timesOnce   sync.Once
+	times       *markov.SortedTimes
 	compileOnce sync.Once
 	comp        *compiledModel
 }
@@ -101,10 +104,7 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 	if len(m.Paths) == 0 {
 		return nil, fmt.Errorf("tomography: %q has no terminating path within bounds", procName)
 	}
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, p := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(p, costs)
-	}
+	m.PathTimes = markov.PathTimes(proc, m.Paths, costs)
 
 	var resolved map[ir.BlockID]ir.BlockID
 	if mo.StaticResolve {
@@ -179,8 +179,7 @@ func (m *Model) EnvelopeCheck(probs markov.EdgeProbs, slack float64) bool {
 		return true
 	}
 	num, den := 0.0, 0.0
-	for j, p := range m.Paths {
-		pr := p.Prob(probs)
+	for j, pr := range m.compiled().pathProbs(probs) {
 		num += pr * m.PathTimes[j]
 		den += pr
 	}
@@ -223,7 +222,7 @@ func (m *Model) Coverage(samples []float64, halfWidth float64) float64 {
 	}
 	// Binary search over the sorted path times; the predicate is exactly
 	// the linear scan's |s − τ| <= halfWidth.
-	times := m.compiled().times
+	times := m.sortedTimes()
 	hit := 0
 	for _, s := range samples {
 		if times.Within(s, halfWidth) {
@@ -250,12 +249,11 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	if n == 0 {
 		return out
 	}
-	uniform := m.InitialProbs()
-	prior := make([]float64, n)
+	c := m.compiled()
+	prior := c.pathProbs(m.InitialProbs())
 	total := 0.0
-	for j, p := range m.Paths {
-		prior[j] = p.Prob(uniform)
-		total += prior[j]
+	for _, pr := range prior {
+		total += pr
 	}
 	if total == 0 {
 		return out
@@ -265,16 +263,31 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	}
 	bucketOf := func(t float64) int64 { return int64(t / window) }
 
-	for _, u := range m.Unknowns {
-		// Per-path signature: this block's out-edge traversal counts.
-		sig := make([]uint64, n)
-		for j, p := range m.Paths {
-			s := uint64(0)
-			for _, e := range u.Edges {
-				s = s*1000003 + uint64(p.EdgeCounts[e])
-			}
-			sig[j] = s
+	// Per-path signature of each unknown: its out-edge traversal counts.
+	// cnt holds one path's dense edge counts at a time.
+	sigs := make([][]uint64, len(m.Unknowns))
+	for ui := range sigs {
+		sigs[ui] = make([]uint64, n)
+	}
+	cnt := make([]float64, c.paths.Index.Len())
+	for j := 0; j < n; j++ {
+		edges, counts := c.paths.Arcs(j)
+		for k, e := range edges {
+			cnt[e] = counts[k]
 		}
+		for ui, idx := range c.unknown {
+			s := uint64(0)
+			for _, e := range idx {
+				s = s*1000003 + uint64(cnt[e])
+			}
+			sigs[ui][j] = s
+		}
+		for _, e := range edges {
+			cnt[e] = 0
+		}
+	}
+	for ui, u := range m.Unknowns {
+		sig := sigs[ui]
 		type bs struct {
 			sig      uint64
 			multiple bool

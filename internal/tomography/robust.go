@@ -112,7 +112,7 @@ func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeP
 // distort the EM responsibilities. The plausibility check binary-searches
 // the sorted path times (the predicate is exactly |s − τ| <= width).
 func trimOutliers(m *Model, samples []float64, width float64) []float64 {
-	times := m.compiled().times
+	times := m.sortedTimes()
 	kept := make([]float64, 0, len(samples))
 	for _, s := range samples {
 		if times.Within(s, width) {

@@ -45,10 +45,7 @@ func syntheticModel(t *testing.T) *Model {
 
 	m := &Model{Proc: p, Costs: costs}
 	m.Paths, m.Truncated = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 25, MaxPaths: 100000})
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {
@@ -83,7 +80,7 @@ func sampleDurations(t testing.TB, m *Model, truth markov.EdgeProbs, n int, tick
 		if path == nil {
 			t.Fatal("non-absorbing sample")
 		}
-		d := markov.PathTime(path, m.Costs)
+		d := markov.PathTimes(m.Proc, []*markov.Path{path}, m.Costs)[0]
 		if tickDiv > 1 {
 			// Start phase is uniform over the tick; measured duration is
 			// the tick difference scaled back to cycles.
@@ -462,5 +459,24 @@ func main() {
 	// Coverage must also hold with the widened kernel.
 	if cov := model.Coverage(samples, 3*tickDiv); cov < 0.95 {
 		t.Fatalf("coverage = %v with calls, want >= 0.95", cov)
+	}
+}
+
+// The coverage gate reads only the sorted path times, so a procedure it
+// rejects never compiles its paths; the first estimation does.
+func TestCoverageLeavesPathsUncompiled(t *testing.T) {
+	m := twoArmModel(t, 40)
+	samples := []float64{m.PathTimes[0], m.PathTimes[1]}
+	if cov := m.Coverage(samples, 1); cov != 1 {
+		t.Fatalf("coverage = %v, want 1", cov)
+	}
+	if m.comp != nil {
+		t.Fatal("Coverage compiled the path set")
+	}
+	if _, _, err := EstimateEM(m, samples, EMConfig{KernelHalfWidth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.comp == nil {
+		t.Fatal("EstimateEM did not compile the path set")
 	}
 }

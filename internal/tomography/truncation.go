@@ -3,7 +3,6 @@ package tomography
 import (
 	"math"
 
-	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 )
 
@@ -92,7 +91,7 @@ func (m *Model) DebiasTruncation(probs markov.EdgeProbs, lost, completed int) ma
 			maxT = m.PathTimes[i]
 		}
 	}
-	w := make(map[[2]ir.BlockID]float64)
+	p := make([]float64, len(q))
 	for i, qi := range q {
 		if qi == 0 {
 			continue
@@ -101,23 +100,19 @@ func (m *Model) DebiasTruncation(probs markov.EdgeProbs, lost, completed int) ma
 		if e < -truncationMaxExp {
 			continue
 		}
-		pi := qi * math.Exp(e)
-		for _, a := range m.Paths[i].Arcs {
-			w[a.Edge] += pi * float64(a.Count)
-		}
+		p[i] = qi * math.Exp(e)
 	}
-	return m.probsFromEdgeWeights(w, 1e-9)
+	return m.probsFromEdgeWeights(m.compiled().edgeWeights(p), 1e-9)
 }
 
 // pathDist returns the normalized path distribution under probs and the
 // minimum positive path time, or (nil, 0) when probs puts no mass on any
 // enumerated path.
 func (m *Model) pathDist(probs markov.EdgeProbs) ([]float64, float64) {
-	q := make([]float64, len(m.Paths))
+	q := m.compiled().pathProbs(probs)
 	den := 0.0
 	tmin := math.Inf(1)
-	for i, p := range m.Paths {
-		q[i] = p.Prob(probs)
+	for i := range q {
 		den += q[i]
 		if q[i] > 0 && m.PathTimes[i] < tmin {
 			tmin = m.PathTimes[i]
