@@ -243,3 +243,24 @@ func BenchmarkFullPipeline(b *testing.B) {
 	}
 	b.ReportMetric(100*red, "mispred_reduction_pct")
 }
+
+// BenchmarkRunCRC measures Run end to end on crc, the slowest app of the
+// benchmark's pipeline_apps workload, at that workload's configuration.
+func BenchmarkRunCRC(b *testing.B) {
+	a, _ := apps.ByName("crc")
+	src, err := a.Source(codetomo.PipelineAppsInvocations)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := codetomo.PipelineAppsConfig(a.Workload, 1)
+	b.ResetTimer()
+	var speedup float64
+	for i := 0; i < b.N; i++ {
+		res, err := codetomo.Run(src, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		speedup = res.Speedup()
+	}
+	b.ReportMetric(speedup, "speedup")
+}

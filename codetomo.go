@@ -41,9 +41,13 @@ import (
 // pipeline.
 type Config struct {
 	// Workload names the input regime: gaussian, uniform, bursty, regime,
-	// or diurnal (default gaussian). Sensor, if non-nil, overrides it.
+	// or diurnal (default gaussian). Sensor, if non-nil, overrides it: it
+	// is called once per mote for a fresh stream, so the profile, original
+	// and optimized runs all see the same input. The runs are concurrent,
+	// so it must be safe to call concurrently and must not return one
+	// stream twice.
 	Workload string
-	Sensor   mote.SampleSource
+	Sensor   func() mote.SampleSource
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// TickDiv is the hardware timer prescaler in cycles (default 8).
@@ -278,7 +282,7 @@ func (c Config) mote() pipeline.Mote {
 		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
 			entropy := workload.NewEntropy(stats.NewRNG(c.Seed + 7919))
 			if c.Sensor != nil {
-				return c.Sensor, entropy, nil
+				return c.Sensor(), entropy, nil
 			}
 			s, ok := workload.Named(c.Workload, stats.NewRNG(c.Seed))
 			if !ok {
@@ -290,13 +294,13 @@ func (c Config) mote() pipeline.Mote {
 }
 
 // measure is the tail every pipeline shares: place (plus the selected PGO
-// passes) on probs, then run the original and the optimized build on the
-// config's mote and workload.
-func (c Config) measure(source string, prog *cfg.Program, probs map[string]markov.EdgeProbs) (before, after RunStats, output []uint16, err error) {
+// passes) on probs, then run the optimized build on the config's mote and
+// workload against the baseline, the original build started at the outset.
+func (c Config) measure(source string, baseline func() (*mote.Machine, error), prog *cfg.Program, probs map[string]markov.EdgeProbs) (before, after RunStats, output []uint16, err error) {
 	plan, pgo := pipeline.Plan(prog, probs, compile.PGOOptions{
 		Inline: c.PGOInline, Superblock: c.PGOSuperblock, HotCold: c.PGOHotCold, PagePack: c.PGOPagePack,
 	})
-	b, a, err := c.mote().Measure(source, plan, pgo)
+	b, a, err := c.mote().Measure(source, baseline, plan, pgo)
 	if err != nil {
 		return RunStats{}, RunStats{}, nil, err
 	}
@@ -361,11 +365,21 @@ func branchEstimates(model *tomography.Model, est, oracle markov.EdgeProbs, tick
 }
 
 // Run executes the full Code Tomography pipeline on MiniC source text.
+//
+// It uses up to GOMAXPROCS cores: the original build's measurement run
+// overlaps profiling and estimation, and procedures are estimated in
+// parallel. Every stage reads only its own inputs and writes only its own
+// slot, so the result is the same under any GOMAXPROCS.
 func Run(source string, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+
+	// The original build's run depends on nothing estimated: start it now,
+	// and join it on every path.
+	baseline := cfg.mote().Baseline(source)
+	defer baseline()
 
 	// 1–2. Profile run with timestamp instrumentation.
 	prof, profM, err := cfg.mote().Execute(source, compile.Options{Instrument: compile.ModeTimestamps})
@@ -392,7 +406,7 @@ func Run(source string, cfg Config) (*Result, error) {
 	}
 
 	// 4–5. Optimize placement, rebuild uninstrumented, verify, report.
-	res.Before, res.After, res.Output, err = cfg.measure(source, prof.CFG, probs)
+	res.Before, res.After, res.Output, err = cfg.measure(source, baseline, prof.CFG, probs)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,12 @@ package codetomo
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"codetomo/internal/apps"
 	"codetomo/internal/mote"
@@ -132,7 +136,7 @@ func TestConfigValidate(t *testing.T) {
 func TestPipelineCustomSensorAndEstimator(t *testing.T) {
 	src := sourceFor(t, "quantize", 600)
 	res, err := Run(src, Config{
-		Sensor:    constSensor(700),
+		Sensor:    func() mote.SampleSource { return constSensor(700) },
 		Estimator: tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: 8}},
 	})
 	if err != nil {
@@ -160,6 +164,49 @@ func TestPipelineCustomSensorAndEstimator(t *testing.T) {
 type constSensor uint16
 
 func (c constSensor) Next() uint16 { return uint16(c) }
+
+// rampSensor is a stateful stream: each read returns the next step of a
+// sawtooth over the sensor range, and the stream counts its reads.
+type rampSensor struct{ reads int }
+
+func (r *rampSensor) Next() uint16 {
+	r.reads++
+	return uint16(r.reads * 37 % 1024)
+}
+
+// TestRunStatefulSensorReplays checks that a stateful caller-supplied
+// sensor is replayed from its start on every mote: the original and the
+// optimized run see the profile run's inputs, so the output check passes
+// and all three streams are read equally far.
+func TestRunStatefulSensorReplays(t *testing.T) {
+	for _, name := range []string{"sense", "eventdetect", "aggregate", "fir", "duty", "quantize"} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var streams []*rampSensor
+			res, err := Run(sourceFor(t, name, 400), Config{Sensor: func() mote.SampleSource {
+				mu.Lock()
+				defer mu.Unlock()
+				s := &rampSensor{}
+				streams = append(streams, s)
+				return s
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Output) == 0 {
+				t.Fatal("no output")
+			}
+			if len(streams) != 3 {
+				t.Fatalf("sensor factory called %d times, want 3 (profile, original, optimized)", len(streams))
+			}
+			for _, s := range streams[1:] {
+				if s.reads != streams[0].reads {
+					t.Fatalf("runs read different inputs: %d, %d and %d sensor reads", streams[0].reads, streams[1].reads, streams[2].reads)
+				}
+			}
+		})
+	}
+}
 
 func TestPipelineBTFN(t *testing.T) {
 	src := sourceFor(t, "eventdetect", 800)
@@ -339,5 +386,62 @@ func TestPipelineStaticResolve(t *testing.T) {
 		if pe.ResolvedBranches != 0 || pe.EnvelopeViolation {
 			t.Fatalf("static fields set without StaticResolve: %+v", pe)
 		}
+	}
+}
+
+// TestRunScheduleIndependent checks that Run's result does not depend on
+// how its stages are scheduled: one core runs the procedures in order and
+// the baseline interleaved with profiling, four run them side by side.
+func TestRunScheduleIndependent(t *testing.T) {
+	crc, _ := apps.ByName("crc")
+	aggregate, _ := apps.ByName("aggregate")
+	for i, a := range []apps.App{crc, apps.CallChain, aggregate} {
+		t.Run(a.Name, func(t *testing.T) {
+			src, err := a.Source(PipelineAppsInvocations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := PipelineAppsConfig(a.Workload, int64(i+1))
+			run := func(procs int) *Result {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				res, err := Run(src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+				t.Fatalf("Run differs between GOMAXPROCS 1 and 4:\n1: %+v\n4: %+v", one, four)
+			}
+		})
+	}
+}
+
+// TestRunFailureLeavesNoGoroutine fails Run in its profile run, while the
+// baseline runs in the background, and checks that every goroutine Run
+// started has exited.
+func TestRunFailureLeavesNoGoroutine(t *testing.T) {
+	const src = `
+func handler() int {
+	return 1000 / sense();
+}
+
+func main() {
+	var i int;
+	for (i = 0; i < 50; i = i + 1) {
+		debug(handler());
+	}
+}`
+	start := runtime.NumGoroutine()
+	_, err := Run(src, Config{Sensor: func() mote.SampleSource { return constSensor(0) }})
+	if !errors.Is(err, mote.ErrDivByZero) {
+		t.Fatalf("Run error = %v, want division by zero", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Run failed, %d before it", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -8,7 +8,8 @@
 //  4. estimate: Settings.Batch, or a Stream fed batch by batch;
 //  5. correct: Correct, whenever a procedure lost partials to power cuts;
 //  6. check: TrustPolicy.Accept (static envelope, estimator confidence);
-//  7. place and measure: Plan, then Mote.Measure.
+//  7. place and measure: Plan, then Mote.Measure against a Mote.Baseline
+//     started at the outset.
 //
 // Callers keep only their schedule: when models are built, how samples
 // are batched, and what a failure costs.
@@ -17,6 +18,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -88,6 +90,9 @@ func (s Settings) Validate() error {
 		return fmt.Errorf("ConvergeTol = %v; must be positive (zero selects the default of 1e-3)", s.ConvergeTol)
 	case s.ConvergePatience < 0:
 		return fmt.Errorf("ConvergePatience = %d; must be positive (zero selects the default of 2)", s.ConvergePatience)
+	}
+	if _, ok := s.Predictor.(mote.TrainablePredictor); ok {
+		return fmt.Errorf("predictor %q is stateful (TrainablePredictor); pipeline motes run concurrently and cannot share trained state", s.Predictor.Name())
 	}
 	return nil
 }
@@ -228,35 +233,57 @@ type Outcome struct {
 }
 
 // Batch runs every procedure of one profile through the stages, from the
-// exclusive tick counts by procedure index. It returns each branchy
-// procedure's outcome in CFG order, and the placement input: the trusted
-// estimates plus a uniform placeholder per branchless procedure. A
-// single mains-powered run loses no partials, so nothing is corrected, and
-// a batch fit carries no confidence verdict.
+// exclusive tick counts by procedure index. Each branchy procedure is its
+// own task on a pool of GOMAXPROCS workers: it depends on its own samples
+// only and writes only its own outcome, so the result does not depend on
+// the schedule. It returns each branchy procedure's outcome in CFG order,
+// and the placement input: the trusted estimates plus a uniform
+// placeholder per branchless procedure. A single mains-powered run loses
+// no partials, so nothing is corrected, and a batch fit carries no
+// confidence verdict.
 func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
 	probs := make(map[string]markov.EdgeProbs)
 	var procs []Outcome
 	for _, p := range prof.CFG.Procs {
 		if len(p.BranchBlocks()) == 0 {
 			probs[p.Name] = markov.Uniform(p)
-			continue
+		} else {
+			procs = append(procs, Outcome{Proc: p})
 		}
-		samples := trace.DurationsCycles(ticks[prof.Meta.ProcByName[p.Name].Index], s.TickDiv)
-		o := Outcome{Proc: p, Samples: len(samples)}
-		var err error
-		if o.Model, o.Decision, err = s.Admit(samples, func() (*tomography.Model, error) { return s.Model(prof, p.Name) }); err != nil {
-			o.Err = fmt.Errorf("model %s: %w", p.Name, err)
-		}
+	}
+	pool := fleet.NewPool(runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range procs {
+		o := &procs[i]
+		pool.Go(&wg, func() { s.batchProc(o, prof, ticks) })
+	}
+	wg.Wait()
+	for _, o := range procs {
 		if o.Decision == Trusted {
-			if o.Probs, err = s.Estimator.Estimate(o.Model, samples); err != nil {
-				o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", p.Name, err)
-			} else if o.Decision = s.Accept(o.Model, o.Probs, true); o.Decision == Trusted {
-				probs[p.Name] = o.Probs
-			}
+			probs[o.Proc.Name] = o.Probs
 		}
-		procs = append(procs, o)
 	}
 	return procs, probs
+}
+
+// batchProc is one procedure's Batch task: gate, model, estimate, check.
+// The model is built only once the sample gate passes.
+func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks map[int][]uint64) {
+	p := o.Proc
+	samples := trace.DurationsCycles(ticks[prof.Meta.ProcByName[p.Name].Index], s.TickDiv)
+	o.Samples = len(samples)
+	var err error
+	if o.Model, o.Decision, err = s.Admit(samples, func() (*tomography.Model, error) { return s.Model(prof, p.Name) }); err != nil {
+		o.Err = fmt.Errorf("model %s: %w", p.Name, err)
+	}
+	if o.Decision != Trusted {
+		return
+	}
+	if o.Probs, err = s.Estimator.Estimate(o.Model, samples); err != nil {
+		o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", p.Name, err)
+		return
+	}
+	o.Decision = s.Accept(o.Model, o.Probs, true)
 }
 
 // Plan is the placement stage: Pettis–Hansen layouts for every procedure
@@ -297,7 +324,8 @@ type Mote struct {
 	// FuseCompares and RotateLoops are added to every build's options.
 	FuseCompares, RotateLoops bool
 	// Inputs returns fresh sensor and entropy streams, once per mote, so
-	// every run of a pipeline sees the identical input.
+	// every run of a pipeline sees the identical input. Motes of one
+	// pipeline run concurrently, so it may be called concurrently.
 	Inputs func() (sensor, entropy mote.SampleSource, err error)
 }
 
@@ -363,15 +391,38 @@ func (m Mote) Execute(source string, opts compile.Options) (*compile.Output, *mo
 // output — a pipeline bug, never expected.
 var ErrOutputChanged = errors.New("codetomo: optimized layout changed program output")
 
+// Baseline starts the original-layout build and run of source in the
+// background and returns the wait for its mote. The run depends on nothing
+// estimated, so it overlaps profiling and estimation. The wait may be
+// called any number of times; a caller that starts a baseline waits for it
+// on every path, so the goroutine never outlives the caller.
+func (m Mote) Baseline(source string) func() (*mote.Machine, error) {
+	var (
+		mach *mote.Machine
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		_, mach, err = m.Execute(source, compile.Options{})
+	}()
+	return func() (*mote.Machine, error) {
+		<-done
+		return mach, err
+	}
+}
+
 // Measure is the tail of the chain: run the uninstrumented binary under
-// the original and the planned layout on the identical input, and verify
-// the optimization preserved the program's output.
-func (m Mote) Measure(source string, plan layout.Plan, pgo *compile.PGOOptions) (before, after *mote.Machine, err error) {
-	if _, before, err = m.Execute(source, compile.Options{}); err != nil {
+// the planned layout on the same input as the baseline, and verify the
+// optimization preserved the program's output. It always waits for the
+// baseline; the baseline's error wins, as it would have run first.
+func (m Mote) Measure(source string, baseline func() (*mote.Machine, error), plan layout.Plan, pgo *compile.PGOOptions) (before, after *mote.Machine, err error) {
+	_, after, afterErr := m.Execute(source, compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints, PGO: pgo})
+	if before, err = baseline(); err != nil {
 		return nil, nil, err
 	}
-	if _, after, err = m.Execute(source, compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints, PGO: pgo}); err != nil {
-		return nil, nil, err
+	if afterErr != nil {
+		return nil, nil, afterErr
 	}
 	if !slices.Equal(before.DebugOutput(), after.DebugOutput()) {
 		return nil, nil, ErrOutputChanged

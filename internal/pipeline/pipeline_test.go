@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"codetomo/internal/apps"
 	"codetomo/internal/compile"
 	"codetomo/internal/fleet"
 	"codetomo/internal/markov"
@@ -106,5 +108,76 @@ func TestEstimateStreams(t *testing.T) {
 	}
 	if got, want := snap(run(1)), snap(st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming estimation is not reproducible across pool sizes:\n1 worker:  %+v\n4 workers: %+v", got, want)
+	}
+}
+
+// TestBatchOutcomesInCFGOrder runs Batch with its procedures on parallel
+// workers and checks that the outcomes come back in CFG order, identical
+// to a one-worker run. crc's first branchy procedure has by far the
+// largest path model, so it finishes last when run side by side; chain's
+// procedures are trusted, so their estimates reach the placement input.
+func TestBatchOutcomesInCFGOrder(t *testing.T) {
+	crc, _ := apps.ByName("crc")
+	for _, a := range []apps.App{crc, apps.CallChain} {
+		t.Run(a.Name, func(t *testing.T) {
+			src, err := a.Source(300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := Mote{TickDiv: DefaultTickDiv, MaxCycles: 2_000_000_000, Inputs: Workload(a.Workload, 1)}
+			prof, mach, err := m.Execute(src, compile.Options{Instrument: compile.ModeTimestamps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivs, err := trace.Extract(mach.Trace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticks := trace.ExclusiveByProc(ivs)
+			s := Settings{}.WithDefaults()
+			batch := func(procs int) ([]Outcome, map[string]markov.EdgeProbs) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				return s.Batch(prof, ticks)
+			}
+
+			procs, probs := batch(4)
+			var want, got []string
+			for _, p := range prof.CFG.Procs {
+				if len(p.BranchBlocks()) > 0 {
+					want = append(want, p.Name)
+				} else if probs[p.Name] == nil {
+					t.Errorf("branchless %s has no placeholder", p.Name)
+				}
+			}
+			for _, o := range procs {
+				got = append(got, o.Proc.Name)
+				if o.Err != nil {
+					t.Fatalf("%s: %v", o.Proc.Name, o.Err)
+				}
+				if _, placed := probs[o.Proc.Name]; placed != (o.Decision == Trusted) {
+					t.Errorf("%s: %v, but placed = %v", o.Proc.Name, o.Decision, placed)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("outcomes in order %v, want CFG order %v", got, want)
+			}
+
+			type verdict struct {
+				Samples  int
+				Decision Decision
+				Probs    markov.EdgeProbs
+			}
+			verdicts := func(procs []Outcome) []verdict {
+				var v []verdict
+				for _, o := range procs {
+					v = append(v, verdict{o.Samples, o.Decision, o.Probs})
+				}
+				return v
+			}
+			procs1, probs1 := batch(1)
+			if !reflect.DeepEqual(verdicts(procs1), verdicts(procs)) || !reflect.DeepEqual(probs1, probs) {
+				t.Fatal("Batch differs between GOMAXPROCS 1 and 4")
+			}
+		})
 	}
 }

@@ -412,6 +412,11 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	}
 	cfg = cfg.withDefaults()
 
+	// The measurement baseline, as in Run: started now, joined on every
+	// path.
+	baseline := cfg.mote().Baseline(source)
+	defer baseline()
+
 	// 1. One instrumented build; every mote runs the same binary.
 	prof, err := cfg.profileBuild(source)
 	if err != nil {
@@ -566,7 +571,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	// 5. Place and measure with Run's tail.
-	res.Before, res.After, res.Output, err = cfg.measure(source, prof.CFG, probs)
+	res.Before, res.After, res.Output, err = cfg.measure(source, baseline, prof.CFG, probs)
 	if err != nil {
 		return nil, err
 	}

@@ -282,6 +282,14 @@ func TestRunFleetGracefulDegradation(t *testing.T) {
 	}
 }
 
+func TestRunRejectsStatefulPredictor(t *testing.T) {
+	src := sourceFor(t, "sense", 100)
+	_, err := Run(src, Config{Predictor: mote.NewBimodal(6)})
+	if err == nil || !strings.Contains(err.Error(), "stateful") {
+		t.Fatalf("stateful predictor: Run error = %v, want a stateful-predictor rejection", err)
+	}
+}
+
 func TestRunFleetRejectsStatefulPredictor(t *testing.T) {
 	src := sourceFor(t, "sense", 100)
 	cfg := fleetConfig()

@@ -66,11 +66,13 @@ else
 	echo "staticcheck not installed; skipping"
 fi
 
-echo "== bench smoke (estimation kernel, interpreter cores, station, fleet, energy, compile, layout)"
+echo "== bench smoke (estimation kernel, interpreter cores, station, fleet, energy, compile, layout, Run on crc)"
 # One iteration of every benchmark: keeps the bench code compiling and
 # running without paying for stable timings. -benchmem so the fleet
 # pipeline's bytes-per-mote stays visible in the smoke output.
 go test ./internal/tomography ./internal/markov ./internal/mote ./internal/station ./internal/fleet ./internal/fault ./internal/compile ./internal/layout -run='^$' -bench=. -benchtime=1x -benchmem
+# Run end to end on crc at the benchmark's pipeline_apps configuration.
+go test . -run '^$' -bench '^BenchmarkRunCRC$' -benchtime=1x -benchmem
 
 echo "== fleet scale smoke (fl3 at 10^5 motes)"
 # The streaming cohort pipeline at CI scale: a hundred thousand motes must
