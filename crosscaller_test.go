@@ -75,9 +75,11 @@ func TestCallersAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			for i := range uploads {
-				if _, _, err := srv.IngestUploads(uploads[i : i+1]); err != nil {
-					t.Fatal(err)
+			for _, up := range uploads {
+				for _, f := range up.Frames {
+					if err := srv.IngestFrame(f); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if _, err := srv.CutEpoch(); err != nil {
 					t.Fatal(err)

@@ -47,23 +47,3 @@ func BenchmarkSimulateStream(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "motes/s")
 }
-
-// BenchmarkSimulateMaterialized is the pre-PR-9 path on the same fleet —
-// the baseline the streaming numbers are read against.
-func BenchmarkSimulateMaterialized(b *testing.B) {
-	specs := fleetSpecs(512)
-	cfg := benchSim(4, 0)
-	pool := NewPool(cfg.Workers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ups, err := SimulateReassembledOn(pool, cfg, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ups) != len(specs) {
-			b.Fatalf("materialized %d motes", len(ups))
-		}
-	}
-	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "motes/s")
-}

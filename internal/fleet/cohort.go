@@ -23,7 +23,7 @@ const DefaultCohortSize = 64
 // MoteResult is the streaming pipeline's per-mote output: everything the
 // base station keeps after a mote's upload has been reassembled and
 // duration-extracted, with the raw frames and trace events already
-// dropped (unless SimConfig.KeepFrames asks for them).
+// dropped (unless SimConfig.KeepUpload asks for them).
 type MoteResult struct {
 	Spec MoteSpec
 	// Link and ARQ count what happened on the channel and what recovery
@@ -42,9 +42,12 @@ type MoteResult struct {
 	// Durations maps procedure index to measured exclusive durations in
 	// cycles (tick-quantized with the mote's TickDiv).
 	Durations map[int][]float64
-	// Frames are the link's deliveries in arrival order; nil unless
-	// SimConfig.KeepFrames retained them for wire forwarding.
-	Frames [][]byte
+	// Frames are the link's deliveries in arrival order, raw bytes as the
+	// channel left them; BranchStats is the simulator's ground truth for
+	// this mote (a real deployment would not have it). Both are nil unless
+	// SimConfig.KeepUpload retained them.
+	Frames      [][]byte
+	BranchStats map[int32]*mote.BranchStat
 }
 
 // streamWorker is the per-task scratch the engine recycles across cohorts:
@@ -107,8 +110,15 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		GrossTicks:   gross,
 		Durations:    durs,
 	}
-	if cfg.KeepFrames {
+	if cfg.KeepUpload {
 		res.Frames = frames
+		// BranchStats aliases the machine's dense table, which the next
+		// mote's Reset clears: keep copies.
+		res.BranchStats = w.m.BranchStats()
+		for pc, st := range res.BranchStats {
+			c := *st
+			res.BranchStats[pc] = &c
+		}
 	}
 	return res, nil
 }
@@ -228,9 +238,7 @@ func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(fir
 }
 
 // SimulateStream materializes the streaming pipeline's per-mote results in
-// spec order alongside the merged oracle — the differential-test
-// comparator for SimulateStreamOn, and a convenience for fleets small
-// enough to hold.
+// spec order alongside the merged oracle, for fleets small enough to hold.
 func SimulateStream(cfg SimConfig, specs []MoteSpec) ([]MoteResult, []mote.BranchStat, error) {
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -10,24 +10,78 @@ import (
 
 	"codetomo/internal/isa"
 	"codetomo/internal/mote"
+	"codetomo/internal/trace"
 )
+
+// simulateReference is the fresh-machine-per-mote engine the streaming
+// pipeline replaced, kept as its differential oracle: each mote runs on
+// its own mote.New, one after another, and its delivered frames are
+// reassembled and reduced after the fact. Results carry Frames and
+// BranchStats whatever KeepUpload says.
+func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
+	out := make([]MoteResult, len(specs))
+	for i, spec := range specs {
+		mc, err := moteConfig(cfg, spec)
+		if err != nil {
+			return nil, err
+		}
+		m := mote.New(cfg.Prog, mc)
+		if err := runMachine(m, cfg); err != nil {
+			return nil, err
+		}
+		frames, ls, ast, events, err := uplinkMote(m, cfg, spec)
+		if err != nil {
+			return nil, err
+		}
+		r := trace.NewReassembler(spec.ID)
+		for _, f := range frames {
+			if err := r.AddFrame(f); err != nil {
+				return nil, err
+			}
+		}
+		ivs, ust := r.Recover()
+		durs := make(map[int][]float64)
+		for p, ticks := range trace.ExclusiveByProc(ivs) {
+			durs[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
+		}
+		var gross uint64
+		for _, iv := range ivs {
+			gross += iv.GrossTicks()
+		}
+		out[i] = MoteResult{
+			Spec:         spec,
+			Link:         ls,
+			ARQ:          ast,
+			Uplink:       ust,
+			EventsLogged: events,
+			Stats:        m.Stats(),
+			GrossTicks:   gross,
+			Durations:    durs,
+			Frames:       frames,
+			BranchStats:  m.BranchStats(),
+		}
+	}
+	return out, nil
+}
 
 // TestStreamMatchesMaterialized is the streaming pipeline's differential
 // acceptance: on a hostile channel (loss, duplication, reordering,
 // corruption, ARQ), every per-mote figure the streaming path produces —
-// frames, link/ARQ/uplink accounting, durations, machine stats — must be
-// bit-identical to the retained materializing path, and the dense fleet
-// oracle must match the map-merged one.
+// frames, link/ARQ/uplink accounting, durations, machine stats, ground
+// truth — must be bit-identical to the fresh-machine reference, and the
+// dense fleet oracle must match the map-merged one. Cohorts of two put
+// consecutive motes on one reused machine, so a mote's kept ground truth
+// must survive the next mote's Reset.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	cfg := buildFleet(t)
 	cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
 	cfg.Link.CorruptProb = 0.05
 	cfg.Link.ARQ.MaxRetries = 2
-	cfg.KeepFrames = true
+	cfg.KeepUpload = true
 	cfg.Cohort = 2 // force multiple cohorts and machine reuse
 	specs := fleetSpecs(7)
 
-	want, err := SimulateReassembledOn(NewPool(3), cfg, specs)
+	want, err := simulateReference(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +101,10 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			t.Fatalf("mote %d: delivered frames diverged", i)
 		}
 		if g.Link != w.Link || g.ARQ != w.ARQ {
-			t.Fatalf("mote %d: link stats diverged:\nstream %+v %+v\nmater  %+v %+v", i, g.Link, g.ARQ, w.Link, w.ARQ)
+			t.Fatalf("mote %d: link stats diverged:\nstream %+v %+v\nref    %+v %+v", i, g.Link, g.ARQ, w.Link, w.ARQ)
 		}
 		if !reflect.DeepEqual(g.Uplink, w.Uplink) {
-			t.Fatalf("mote %d: uplink stats diverged:\nstream %+v\nmater  %+v", i, g.Uplink, w.Uplink)
+			t.Fatalf("mote %d: uplink stats diverged:\nstream %+v\nref    %+v", i, g.Uplink, w.Uplink)
 		}
 		if g.EventsLogged != w.EventsLogged || g.Stats != w.Stats {
 			t.Fatalf("mote %d: mote stats diverged", i)
@@ -58,15 +112,14 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		if !reflect.DeepEqual(g.Durations, w.Durations) {
 			t.Fatalf("mote %d: durations diverged", i)
 		}
-		var wantGross uint64
-		for _, iv := range w.Intervals {
-			wantGross += iv.GrossTicks()
+		if g.GrossTicks != w.GrossTicks {
+			t.Fatalf("mote %d: gross ticks %d, want %d", i, g.GrossTicks, w.GrossTicks)
 		}
-		if g.GrossTicks != wantGross {
-			t.Fatalf("mote %d: gross ticks %d, want %d", i, g.GrossTicks, wantGross)
+		if !reflect.DeepEqual(g.BranchStats, w.BranchStats) {
+			t.Fatalf("mote %d: ground-truth branch stats diverged", i)
 		}
 	}
-	wantOracle := MergeBranchStatsProcessed(want)
+	wantOracle := MergeBranchStats(want)
 	gotOracle := DenseBranchStats(dense)
 	if len(gotOracle) != len(wantOracle) {
 		t.Fatalf("oracle has %d branches, want %d", len(gotOracle), len(wantOracle))

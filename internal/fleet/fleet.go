@@ -14,7 +14,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"codetomo/internal/fault"
 	"codetomo/internal/isa"
@@ -69,112 +68,11 @@ type SimConfig struct {
 	// task in SimulateStreamOn (0 = DefaultCohortSize). Like Workers it
 	// moves wall time and peak memory only, never results.
 	Cohort int
-	// KeepFrames retains each mote's delivered frames on its MoteResult in
-	// the streaming pipeline (for forwarding to a real base station over
-	// the wire); by default frames are dropped the moment they are
-	// reassembled — the point of streaming.
-	KeepFrames bool
-}
-
-// MoteUpload is what the base station holds for one mote after its upload:
-// the packets that survived the link, plus ground truth kept on the side
-// for evaluation (a real deployment would not have it).
-type MoteUpload struct {
-	Spec MoteSpec
-	// Frames are the link's deliveries in arrival order: raw bytes,
-	// because corruption happens to bytes — the base station finds out
-	// what survived only by decoding.
-	Frames [][]byte
-	// Link counts what happened on the channel; ARQ counts what recovery
-	// cost.
-	Link LinkStats
-	ARQ  ARQStats
-	// EventsLogged is the mote-side trace length before packetization.
-	EventsLogged int
-	// BranchStats is the simulator's ground truth for this mote.
-	BranchStats map[int32]*mote.BranchStat
-	// Stats are the mote's architectural counters.
-	Stats mote.Stats
-}
-
-// Simulate runs every mote of the deployment on a bounded worker pool and
-// returns their uploads in spec order. The result is independent of
-// Workers and GOMAXPROCS: each mote's simulation and link are pure
-// functions of its spec and the configs.
-func Simulate(cfg SimConfig, specs []MoteSpec) ([]MoteUpload, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	pus, err := SimulateReassembledOn(NewPool(workers), cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	uploads := make([]MoteUpload, len(pus))
-	for i := range pus {
-		uploads[i] = pus[i].MoteUpload
-	}
-	return uploads, nil
-}
-
-// ProcessedUpload is one mote's upload after the base station has done the
-// per-mote half of its work: frames reassembled into invocation intervals
-// and converted to per-procedure durations. Producing it inside the mote's
-// own pool task lets uplink processing overlap other motes' simulations.
-type ProcessedUpload struct {
-	MoteUpload
-	// Intervals are the invocation intervals recovered from the frames;
-	// Uplink is the reassembly accounting.
-	Intervals []trace.Interval
-	Uplink    trace.UplinkStats
-	// Durations maps procedure index to measured durations in cycles
-	// (exclusive time, tick-quantized with cfg.Mote.TickDiv).
-	Durations map[int][]float64
-}
-
-// SimulateReassembledOn runs every mote of the deployment on the shared
-// pool — simulation, link transit, frame reassembly, and duration
-// extraction fused into one task per mote — and returns the processed
-// uploads in spec order. cfg.Workers is ignored; the pool bounds
-// concurrency. Results are independent of pool size and GOMAXPROCS: each
-// task is a pure function of (cfg, spec) writing only its own slot.
-func SimulateReassembledOn(pool *Pool, cfg SimConfig, specs []MoteSpec) ([]ProcessedUpload, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("fleet: no motes")
-	}
-	if _, ok := cfg.Mote.Predictor.(mote.TrainablePredictor); ok {
-		return nil, fmt.Errorf("fleet: predictor %q is stateful (TrainablePredictor); fleet motes run concurrently and cannot share trained state", cfg.Mote.Predictor.Name())
-	}
-	out := make([]ProcessedUpload, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		i, spec := i, spec
-		pool.Go(&wg, func() {
-			up, err := runMote(cfg, spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
-				return
-			}
-			ivs, ust, err := Reassemble(up) // wraps with the mote identity itself
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			durs := make(map[int][]float64)
-			for p, ticks := range trace.ExclusiveByProc(ivs) {
-				durs[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
-			}
-			out[i] = ProcessedUpload{MoteUpload: up, Intervals: ivs, Uplink: ust, Durations: durs}
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	// KeepUpload retains each mote's delivered frames and its ground-truth
+	// branch stats on its MoteResult (for forwarding to a real base station
+	// over the wire, and scoring what it estimates); by default both are
+	// dropped the moment the mote is reduced — the point of streaming.
+	KeepUpload bool
 }
 
 // moteConfig derives one mote's machine configuration from its spec: the
@@ -244,33 +142,6 @@ func uplinkMote(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]by
 	return delivered, ls, ast, len(events), nil
 }
 
-// runMote simulates one mote and pushes its trace through the link. It is
-// a pure function of (cfg, spec) — the determinism of the whole fleet
-// rests on that.
-func runMote(cfg SimConfig, spec MoteSpec) (MoteUpload, error) {
-	mc, err := moteConfig(cfg, spec)
-	if err != nil {
-		return MoteUpload{}, err
-	}
-	m := mote.New(cfg.Prog, mc)
-	if err := runMachine(m, cfg); err != nil {
-		return MoteUpload{}, err
-	}
-	delivered, ls, ast, events, err := uplinkMote(m, cfg, spec)
-	if err != nil {
-		return MoteUpload{}, err
-	}
-	return MoteUpload{
-		Spec:         spec,
-		Frames:       delivered,
-		Link:         ls,
-		ARQ:          ast,
-		EventsLogged: events,
-		BranchStats:  m.BranchStats(),
-		Stats:        m.Stats(),
-	}, nil
-}
-
 // MoteEnergyUJ prices one mote's run in microjoules: the capacitor drain
 // when the mote ran from harvested power (which already excludes dead
 // time), the default energy model's price of the run otherwise.
@@ -281,35 +152,11 @@ func MoteEnergyUJ(s mote.Stats) float64 {
 	return mote.DefaultEnergyModel().Energy(s)
 }
 
-// Reassemble runs one mote's delivered frames through the loss-tolerant
-// reassembler and returns the surviving invocation intervals with the
-// uplink accounting. Frames the channel corrupted are rejected (and
-// counted) at this boundary — the CRC check happens where a real base
-// station would run it, on the received bytes.
-func Reassemble(up MoteUpload) ([]trace.Interval, trace.UplinkStats, error) {
-	r := trace.NewReassembler(up.Spec.ID)
-	for _, f := range up.Frames {
-		if err := r.AddFrame(f); err != nil {
-			return nil, trace.UplinkStats{}, fmt.Errorf("fleet: mote %d: %w", up.Spec.ID, err)
-		}
-	}
-	ivs, st := r.Recover()
-	return ivs, st, nil
-}
-
-// MergeBranchStatsProcessed is MergeBranchStats over processed uploads.
-func MergeBranchStatsProcessed(uploads []ProcessedUpload) map[int32]*mote.BranchStat {
-	raw := make([]MoteUpload, len(uploads))
-	for i := range uploads {
-		raw[i] = uploads[i].MoteUpload
-	}
-	return MergeBranchStats(raw)
-}
-
 // MergeBranchStats sums per-branch ground-truth outcome counts across the
-// fleet (keyed by branch address; every mote runs the same binary, so
-// addresses line up). The result is the fleet oracle.
-func MergeBranchStats(uploads []MoteUpload) map[int32]*mote.BranchStat {
+// fleet's retained uploads (SimConfig.KeepUpload), keyed by branch
+// address; every mote runs the same binary, so addresses line up. The
+// result is the fleet oracle.
+func MergeBranchStats(uploads []MoteResult) map[int32]*mote.BranchStat {
 	merged := make(map[int32]*mote.BranchStat)
 	for _, up := range uploads {
 		for pc, st := range up.BranchStats {

@@ -65,7 +65,8 @@ func fleetSpecs(n int) []MoteSpec {
 
 func TestSimulateLossless(t *testing.T) {
 	cfg := buildFleet(t)
-	uploads, err := Simulate(cfg, fleetSpecs(3))
+	cfg.KeepUpload = true
+	uploads, _, err := SimulateStream(cfg, fleetSpecs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +83,18 @@ func TestSimulateLossless(t *testing.T) {
 		if up.Link.Dropped != 0 || up.Link.Duplicated != 0 {
 			t.Fatalf("lossless link mangled mote %d: %+v", i, up.Link)
 		}
-		ivs, st, err := Reassemble(up)
-		if err != nil {
-			t.Fatal(err)
+		r := trace.NewReassembler(up.Spec.ID)
+		for _, f := range up.Frames {
+			if err := r.AddFrame(f); err != nil {
+				t.Fatal(err)
+			}
 		}
+		ivs, st := r.Recover()
 		if st.InvocationsDiscarded != 0 || len(ivs) == 0 {
 			t.Fatalf("mote %d: %d intervals, %d discarded", i, len(ivs), st.InvocationsDiscarded)
+		}
+		if !reflect.DeepEqual(st, up.Uplink) {
+			t.Fatalf("mote %d: uplink accounting %+v, reassembling the kept frames gives %+v", i, up.Uplink, st)
 		}
 		// Clock skew shifts timestamps, not durations: the first interval
 		// must start at or after the mote's offset.
@@ -107,13 +114,14 @@ func TestSimulateLossless(t *testing.T) {
 func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 	cfg := buildFleet(t)
 	cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
+	cfg.KeepUpload = true
 	specs := fleetSpecs(4)
 
-	var runs [][]MoteUpload
+	var runs [][]MoteResult
 	for _, workers := range []int{1, 4} {
 		c := cfg
 		c.Workers = workers
-		ups, err := Simulate(c, specs)
+		ups, _, err := SimulateStream(c, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,23 +141,6 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(a.BranchStats, b.BranchStats) {
 			t.Fatalf("mote %d branch stats differ", i)
 		}
-	}
-}
-
-func TestSimulateRejectsStatefulPredictor(t *testing.T) {
-	cfg := buildFleet(t)
-	cfg.Mote.Predictor = mote.NewBimodal(6)
-	if _, err := Simulate(cfg, fleetSpecs(2)); err == nil {
-		t.Fatal("stateful predictor accepted")
-	}
-}
-
-func TestSimulateRejectsUnknownWorkload(t *testing.T) {
-	cfg := buildFleet(t)
-	specs := fleetSpecs(2)
-	specs[1].Workload = "nonesuch"
-	if _, err := Simulate(cfg, specs); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }
 
@@ -369,7 +360,8 @@ func TestLinkConfigValidate(t *testing.T) {
 
 func TestMergeBranchStats(t *testing.T) {
 	cfg := buildFleet(t)
-	uploads, err := Simulate(cfg, fleetSpecs(2))
+	cfg.KeepUpload = true
+	uploads, _, err := SimulateStream(cfg, fleetSpecs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,48 +407,6 @@ func TestBatchStreams(t *testing.T) {
 	}
 	if total != 9 {
 		t.Fatalf("batching lost samples: %d of 9", total)
-	}
-}
-
-// TestSimulateReassembledMatchesTwoStep pins the fused per-mote pool task
-// (simulate + reassemble + duration extraction in one slot) to the
-// two-step Simulate-then-Reassemble path, across different pool sizes.
-func TestSimulateReassembledMatchesTwoStep(t *testing.T) {
-	cfg := buildFleet(t)
-	cfg.Link.DropProb = 0.1
-	specs := fleetSpecs(3)
-
-	uploads, err := Simulate(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		fused, err := SimulateReassembledOn(NewPool(workers), cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fused) != len(uploads) {
-			t.Fatalf("workers=%d: %d uploads, want %d", workers, len(fused), len(uploads))
-		}
-		for i, pu := range fused {
-			ivs, ust, err := Reassemble(uploads[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(pu.MoteUpload, uploads[i]) {
-				t.Fatalf("workers=%d mote %d: upload differs from two-step path", workers, i)
-			}
-			if !reflect.DeepEqual(pu.Intervals, ivs) || !reflect.DeepEqual(pu.Uplink, ust) {
-				t.Fatalf("workers=%d mote %d: reassembly differs from two-step path", workers, i)
-			}
-			want := make(map[int][]float64)
-			for p, ticks := range trace.ExclusiveByProc(ivs) {
-				want[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
-			}
-			if !reflect.DeepEqual(pu.Durations, want) {
-				t.Fatalf("workers=%d mote %d: durations differ from two-step path", workers, i)
-			}
-		}
 	}
 }
 

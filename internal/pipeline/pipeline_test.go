@@ -51,23 +51,16 @@ func TestEstimateStreams(t *testing.T) {
 	for i := range specs {
 		specs[i] = fleet.MoteSpec{ID: uint16(i), Workload: names[i], Seed: 100 + int64(i)*7, ClockOffsetTicks: uint64(i) * 100_000}
 	}
-	uploads, err := fleet.Simulate(fleet.SimConfig{
+	motes, _, err := fleet.SimulateStream(fleet.SimConfig{
 		Prog: out.Code, Mote: mote.DefaultConfig(), MaxCycles: 100_000_000, Workers: 3, Link: fleet.LinkConfig{Seed: 99},
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pm := out.Meta.ProcByName["work"]
-	perMote := make([]map[int][]float64, len(uploads))
-	for i, up := range uploads {
-		r := trace.NewReassembler(up.Spec.ID)
-		for _, f := range up.Frames {
-			if err := r.AddFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ivs, _ := r.Recover()
-		perMote[i] = map[int][]float64{pm.Index: trace.DurationsCycles(trace.ExclusiveByProc(ivs)[pm.Index], 8)}
+	perMote := make([]map[int][]float64, len(motes))
+	for i, m := range motes {
+		perMote[i] = map[int][]float64{pm.Index: m.Durations[pm.Index]}
 	}
 	rounds := fleet.BatchStreams(perMote, 4)[pm.Index]
 	s := Settings{}.WithDefaults()

@@ -8,9 +8,9 @@ import (
 )
 
 // benchFleet caches one simulated deployment across benchmark runs.
-var benchFleet []fleet.MoteUpload
+var benchFleet []fleet.MoteResult
 
-func benchUploads(b *testing.B) []fleet.MoteUpload {
+func benchUploads(b *testing.B) []fleet.MoteResult {
 	b.Helper()
 	if benchFleet == nil {
 		benchFleet = simulateFleet(b, 4)
@@ -55,9 +55,7 @@ func BenchmarkEpochCut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := newStation(b, station.Config{Shards: 2})
-		if _, _, err := s.IngestUploads(uploads); err != nil {
-			b.Fatal(err)
-		}
+		ingestUploads(b, s, uploads)
 		b.StartTimer()
 		if _, err := s.CutEpoch(); err != nil {
 			b.Fatal(err)

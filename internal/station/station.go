@@ -375,25 +375,6 @@ func (s *Server) IngestFrame(frame []byte) error {
 	return nil
 }
 
-// IngestUploads is the in-process fleet→station bridge: it pushes every
-// frame of every upload (mote order, arrival order within a mote) through
-// the normal ingest path and reports how many were accepted and rejected.
-func (s *Server) IngestUploads(uploads []fleet.MoteUpload) (accepted, rejected int, err error) {
-	for _, up := range uploads {
-		for _, f := range up.Frames {
-			switch err := s.IngestFrame(f); {
-			case err == nil:
-				accepted++
-			case errors.Is(err, ErrRejected):
-				rejected++
-			default:
-				return accepted, rejected, err
-			}
-		}
-	}
-	return accepted, rejected, nil
-}
-
 // CutEpoch seals the current receive window across every shard, folds the
 // harvested durations into the streaming estimators, and publishes (and,
 // when durable, persists) a new model snapshot.

@@ -40,10 +40,10 @@ func main() {
 	debug(acc);
 }`
 
-// simulateFleet runs a small deployment and returns the per-mote uploads
-// (frames as the channel delivered them). Pure function of motes, so every
-// test sees the identical traffic.
-func simulateFleet(t testing.TB, motes int) []fleet.MoteUpload {
+// simulateFleet runs a small deployment and returns the per-mote results
+// with their uploads kept (frames as the channel delivered them). Pure
+// function of motes, so every test sees the identical traffic.
+func simulateFleet(t testing.TB, motes int) []fleet.MoteResult {
 	t.Helper()
 	prof, err := compile.Build(testProgram, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
@@ -60,12 +60,13 @@ func simulateFleet(t testing.TB, motes int) []fleet.MoteUpload {
 	}
 	mc := mote.DefaultConfig()
 	mc.TickDiv = 8
-	uploads, err := fleet.Simulate(fleet.SimConfig{
-		Prog:      prof.Code,
-		Mote:      mc,
-		MaxCycles: 2_000_000_000,
-		Workers:   2,
-		Link:      fleet.LinkConfig{EventsPerPacket: 16, Seed: 99},
+	uploads, _, err := fleet.SimulateStream(fleet.SimConfig{
+		Prog:       prof.Code,
+		Mote:       mc,
+		MaxCycles:  2_000_000_000,
+		Workers:    2,
+		Link:       fleet.LinkConfig{EventsPerPacket: 16, Seed: 99},
+		KeepUpload: true,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func newStation(t testing.TB, cfg station.Config) *station.Server {
 
 // splitFrames cuts each mote's delivery in half: the two epoch windows
 // every determinism test feeds.
-func splitFrames(uploads []fleet.MoteUpload) (first, second [][][]byte) {
+func splitFrames(uploads []fleet.MoteResult) (first, second [][][]byte) {
 	first = make([][][]byte, len(uploads))
 	second = make([][][]byte, len(uploads))
 	for i, up := range uploads {
@@ -94,6 +95,19 @@ func splitFrames(uploads []fleet.MoteUpload) (first, second [][][]byte) {
 		second[i] = up.Frames[mid:]
 	}
 	return first, second
+}
+
+// ingestUploads feeds every mote's delivery through IngestFrame, in mote
+// order.
+func ingestUploads(t testing.TB, s *station.Server, uploads []fleet.MoteResult) {
+	t.Helper()
+	for _, up := range uploads {
+		for _, f := range up.Frames {
+			if err := s.IngestFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 func ingestAll(t *testing.T, s *station.Server, perMote [][][]byte, interleave bool) {
@@ -347,9 +361,7 @@ func TestHTTPAPI(t *testing.T) {
 	uploads := simulateFleet(t, 4)
 	s := newStation(t, station.Config{Shards: 2})
 	defer s.Close()
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestUploads(t, s, uploads)
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -427,9 +439,7 @@ func TestAutoEpochCut(t *testing.T) {
 	uploads := simulateFleet(t, 2)
 	s := newStation(t, station.Config{Shards: 2, EpochFrames: 8})
 	defer s.Close()
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestUploads(t, s, uploads)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Epoch() == 0 {
 		if time.Now().After(deadline) {
@@ -445,9 +455,7 @@ func TestCloseFlushesFinalEpoch(t *testing.T) {
 	dir := t.TempDir()
 	uploads := simulateFleet(t, 2)
 	s := newStation(t, station.Config{Shards: 2, DataDir: dir})
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestUploads(t, s, uploads)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,7 @@ func TestSnapshotCorrectsTruncation(t *testing.T) {
 	}
 	s := newStation(t, station.Config{})
 	defer s.Close()
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestUploads(t, s, uploads)
 	snap, err := s.CutEpoch()
 	if err != nil {
 		t.Fatal(err)

@@ -351,18 +351,22 @@ func wireDeployment(source string, cfg FleetConfig) (FleetConfig, *compile.Outpu
 
 // FleetUploads runs only the deployment half of RunFleet — the
 // instrumented build, N motes under heterogeneous workloads and faults,
-// and the lossy uplink — and returns the raw per-mote uploads: the frames
-// exactly as the channel delivered them, undecoded. It is the feed for a
-// long-running base station (cmd/ctstationd) ingesting over the wire
-// instead of estimating in-process, and follows RunFleet's determinism
-// contract: a fixed config yields bit-identical frames regardless of
-// Workers and GOMAXPROCS.
-func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
+// and the lossy uplink — and returns the per-mote results in spec order
+// with their uploads kept: the frames exactly as the channel delivered
+// them, undecoded, and each mote's ground-truth branch stats. It is the
+// feed for a long-running base station (cmd/ctstationd) ingesting over the
+// wire instead of estimating in-process, and follows RunFleet's
+// determinism contract: a fixed config yields bit-identical results
+// regardless of Workers, Cohort and GOMAXPROCS.
+func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteResult, error) {
 	cfg, prof, err := wireDeployment(source, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return fleet.Simulate(simConfig(cfg, prof.Code), fleetSpecs(cfg))
+	sim := simConfig(cfg, prof.Code)
+	sim.KeepUpload = true
+	uploads, _, err := fleet.SimulateStream(sim, fleetSpecs(cfg))
+	return uploads, err
 }
 
 // FleetFrames streams the deployment's delivered uplink frames to emit,
@@ -382,7 +386,7 @@ func FleetFrames(source string, cfg FleetConfig, emit func(frames [][]byte) erro
 		return err
 	}
 	sim := simConfig(cfg, prof.Code)
-	sim.KeepFrames = true
+	sim.KeepUpload = true
 	pool := fleet.NewPool(cfg.Workers)
 	_, err = fleet.SimulateStreamOn(pool, sim, fleetSpecs(cfg), func(first int, cohort []fleet.MoteResult) error {
 		for i := range cohort {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +121,88 @@ func TestRunFleetDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d cohort=%d GOMAXPROCS=%d diverged from reference:\n%+v\nvs\n%+v",
 				tc.workers, tc.cohort, tc.maxprocs, got, ref)
 		}
+	}
+}
+
+// TestFleetUploadsContract pins FleetUploads, the in-process feed for a
+// base station: its results do not depend on Workers or Cohort, its kept
+// frames are the multiset FleetFrames streams, merging its ground truth
+// sums every mote's counts field by field, and it refuses fleets whose
+// mote IDs would wrap on the wire.
+func TestFleetUploadsContract(t *testing.T) {
+	src := sourceFor(t, "sense", 200)
+	cfg := fleetConfig()
+	cfg.Motes = 6
+	cfg.CorruptProb = 0.05
+	cfg.ARQRetries = 2
+
+	uploads := func(workers, cohort int) []fleet.MoteResult {
+		c := cfg
+		c.Workers, c.Cohort = workers, cohort
+		ups, err := FleetUploads(src, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ups
+	}
+	ref := uploads(1, 1)
+	if len(ref) != cfg.Motes {
+		t.Fatalf("%d uploads for %d motes", len(ref), cfg.Motes)
+	}
+	for _, tc := range []struct{ workers, cohort int }{{4, 1}, {1, 0}, {4, 0}} {
+		if got := uploads(tc.workers, tc.cohort); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d cohort=%d: uploads diverged from workers=1 cohort=1", tc.workers, tc.cohort)
+		}
+	}
+
+	var kept, streamed []string
+	for _, up := range ref {
+		if len(up.Frames) == 0 || len(up.BranchStats) == 0 {
+			t.Fatalf("mote %d kept %d frames and %d branch stats", up.Spec.ID, len(up.Frames), len(up.BranchStats))
+		}
+		for _, f := range up.Frames {
+			kept = append(kept, string(f))
+		}
+	}
+	err := FleetFrames(src, cfg, func(frames [][]byte) error {
+		for _, f := range frames {
+			streamed = append(streamed, string(f))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(kept)
+	slices.Sort(streamed)
+	if !slices.Equal(kept, streamed) {
+		t.Fatalf("FleetUploads kept %d frames, FleetFrames streamed a different %d", len(kept), len(streamed))
+	}
+
+	sum := make(map[int32]mote.BranchStat)
+	for _, up := range ref {
+		for pc, st := range up.BranchStats {
+			s := sum[pc]
+			s.Taken += st.Taken
+			s.NotTaken += st.NotTaken
+			s.Mispred += st.Mispred
+			sum[pc] = s
+		}
+	}
+	merged := fleet.MergeBranchStats(ref)
+	if len(merged) != len(sum) {
+		t.Fatalf("merged %d branches, motes hold %d", len(merged), len(sum))
+	}
+	for pc, st := range merged {
+		if *st != sum[pc] {
+			t.Fatalf("pc %d: merged %+v, per-mote sum %+v", pc, *st, sum[pc])
+		}
+	}
+
+	wide := cfg
+	wide.Motes = 65536
+	if _, err := FleetUploads(src, wide); err == nil || !strings.Contains(err.Error(), "16-bit") {
+		t.Fatalf("65536 motes: err = %v, want the 16-bit wire-ID error", err)
 	}
 }
 
