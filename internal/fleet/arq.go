@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+
 	"codetomo/internal/stats"
 	"codetomo/internal/trace"
 )
@@ -53,62 +55,64 @@ func (a *ARQStats) Add(o ARQStats) {
 // TransmitARQ pushes one mote's packetized upload through the channel
 // with selective-repeat recovery. frames must be the mote's packet frames
 // in sequence order (frame i carries sequence number i, as Packetize
-// produces); delivered frames — including corrupt ones the base station
-// will reject, and late duplicates — are returned in arrival order. With
-// ARQ disabled this is exactly TransmitFrames.
-func (lc LinkConfig) TransmitARQ(frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats, ARQStats) {
-	delivered, st := lc.TransmitFrames(frames, rng)
+// produces), and rx the base station's fresh receive window for that
+// mote: every delivery is decoded once, into rx, and each round NACKs the
+// sequences rx still lacks. The delivered frames — including corrupt ones
+// the base station rejected, and late duplicates — are returned in
+// arrival order. A CRC-valid frame rx refuses (another mote's) is an
+// error. With ARQ disabled this is TransmitFrames feeding rx.
+func (lc LinkConfig) TransmitARQ(frames [][]byte, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
 	var ast ARQStats
+	delivered, st := lc.TransmitFrames(frames, rng)
+	if err := receive(rx, delivered); err != nil {
+		return nil, st, ast, err
+	}
 	if !lc.ARQ.Enabled() || len(frames) == 0 {
-		return delivered, st, ast
+		return delivered, st, ast, nil
 	}
 
-	// The base station's receive window: which sequences have arrived
-	// intact (decodable, CRC passing) so far.
-	intact := make([]bool, len(frames))
-	mark := func(batch [][]byte) {
-		for _, f := range batch {
-			var p trace.Packet
-			if p.UnmarshalBinary(f) == nil && int(p.Seq) < len(intact) {
-				intact[p.Seq] = true
+	var resend [][]byte
+	nack := func() [][]byte {
+		resend = resend[:0]
+		for s, f := range frames {
+			if !rx.Has(uint32(s)) {
+				resend = append(resend, f)
 			}
 		}
+		return resend
 	}
-	missing := func() []int {
-		var m []int
-		for s, ok := range intact {
-			if !ok {
-				m = append(m, s)
-			}
-		}
-		return m
-	}
-	mark(delivered)
-	m := missing()
-	initialMissing := len(m)
+	initialMissing := len(nack())
 
 	base := lc.ARQ.BackoffBaseTicks
 	if base == 0 {
 		base = 64
 	}
-	for round := 1; round <= lc.ARQ.MaxRetries && len(m) > 0; round++ {
+	for round := 1; round <= lc.ARQ.MaxRetries && len(resend) > 0; round++ {
 		ast.Rounds++
-		ast.Nacked += len(m)
+		ast.Nacked += len(resend)
 		ast.BackoffTicks += base << uint(round-1)
-		resend := make([][]byte, len(m))
-		for i, s := range m {
-			resend[i] = frames[s]
-		}
 		ast.Retransmissions += len(resend)
 		// LinkStats.Sent ends up counting every transmission, resends
 		// included — goodput is measured against radio airtime.
 		d, rst := lc.TransmitFrames(resend, rng)
 		st.Add(rst)
 		delivered = append(delivered, d...)
-		mark(d)
-		m = missing()
+		if err := receive(rx, d); err != nil {
+			return nil, st, ast, err
+		}
+		nack()
 	}
-	ast.Recovered = initialMissing - len(m)
-	ast.Unrecovered = len(m)
-	return delivered, st, ast
+	ast.Recovered = initialMissing - len(resend)
+	ast.Unrecovered = len(resend)
+	return delivered, st, ast, nil
+}
+
+// receive feeds a batch of deliveries to the receive window.
+func receive(rx *trace.Reassembler, batch [][]byte) error {
+	for _, f := range batch {
+		if err := rx.AddFrame(f); err != nil {
+			return fmt.Errorf("fleet: receive window: %w", err)
+		}
+	}
+	return nil
 }

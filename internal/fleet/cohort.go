@@ -11,7 +11,9 @@ import (
 	"sync"
 
 	"codetomo/internal/mote"
+	"codetomo/internal/stats"
 	"codetomo/internal/trace"
+	"codetomo/internal/workload"
 )
 
 // DefaultCohortSize is the streaming scheduler's batch size when
@@ -51,20 +53,41 @@ type MoteResult struct {
 }
 
 // streamWorker is the per-task scratch the engine recycles across cohorts:
-// the reused machine (reset per mote), a cohort-local dense oracle folded
-// into the shared one once per cohort, and the result slots handed to the
-// sink. At most pool.Workers() of these are ever live.
+// the reused machine (reset per mote), the mote's sensor, entropy and link
+// RNGs (reseeded per mote, which is cheaper than building them), the
+// uplink's encode buffer and frame list, the base station's receive window
+// for the current mote and its recovered intervals, a cohort-local dense
+// oracle folded into the shared one once per cohort, and the result slots
+// handed to the sink. At most pool.Workers() of these are ever live.
 type streamWorker struct {
-	m      *mote.Machine
-	oracle []mote.BranchStat
-	out    []MoteResult
+	m            *mote.Machine
+	sensor, link *stats.RNG
+	entropy      lazyEntropy
+	enc          []byte
+	frames       [][]byte
+	rx           *trace.Reassembler
+	ivs          []trace.Interval
+	oracle       []mote.BranchStat
+	out          []MoteResult
+}
+
+func newStreamWorker(cfg SimConfig) *streamWorker {
+	entropy := stats.NewRNG(0)
+	return &streamWorker{
+		sensor:  stats.NewRNG(0),
+		link:    stats.NewRNG(0),
+		entropy: lazyEntropy{src: workload.NewEntropy(entropy), rng: entropy},
+		rx:      trace.NewReassembler(0),
+		oracle:  make([]mote.BranchStat, len(cfg.Prog)),
+	}
 }
 
 // runMote simulates one mote on the worker's reused machine and reduces
 // it to a MoteResult. Reset leaves the machine bit-identical to a fresh
-// New, so reuse cannot leak state between motes.
+// New, and every stream and buffer is reseeded or restarted per mote, so
+// reuse cannot leak state between motes.
 func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error) {
-	mc, err := moteConfig(cfg, spec)
+	mc, err := w.moteConfig(cfg, spec)
 	if err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
@@ -76,24 +99,16 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	if err := runMachine(w.m, cfg); err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
-	frames, ls, ast, events, err := uplinkMote(w.m, cfg, spec)
+	frames, ls, ast, events, err := w.uplink(w.m, cfg, spec)
 	if err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
 
-	// The base station's per-mote half, fused in: reassemble, extract
-	// durations, and let the frames go.
-	r := trace.NewReassembler(spec.ID)
-	for _, f := range frames {
-		if err := r.AddFrame(f); err != nil {
-			return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
-		}
-	}
-	ivs, ust := r.Recover()
-	durs := make(map[int][]float64)
-	for p, ticks := range trace.ExclusiveByProc(ivs) {
-		durs[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
-	}
+	// The base station's per-mote half, fused in: the receive window
+	// already holds the decoded upload; extract durations and let the
+	// frames go.
+	ivs, ust := w.rx.AppendRecovered(w.ivs[:0])
+	w.ivs = ivs
 	var gross uint64
 	for _, iv := range ivs {
 		gross += iv.GrossTicks()
@@ -108,10 +123,12 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		EventsLogged: events,
 		Stats:        w.m.Stats(),
 		GrossTicks:   gross,
-		Durations:    durs,
+		Durations:    trace.CyclesByProc(ivs, cfg.Mote.TickDiv),
 	}
 	if cfg.KeepUpload {
+		// The frames alias the encode buffer: hand it over with them.
 		res.Frames = frames
+		w.enc = nil
 		// BranchStats aliases the machine's dense table, which the next
 		// mote's Reset clears: keep copies.
 		res.BranchStats = w.m.BranchStats()
@@ -183,7 +200,7 @@ func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(fir
 			select {
 			case w = <-free:
 			default:
-				w = &streamWorker{oracle: make([]mote.BranchStat, len(cfg.Prog))}
+				w = newStreamWorker(cfg)
 			}
 			if cap(w.out) < len(batch) {
 				w.out = make([]MoteResult, len(batch))

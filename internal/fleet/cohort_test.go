@@ -15,13 +15,15 @@ import (
 
 // simulateReference is the fresh-machine-per-mote engine the streaming
 // pipeline replaced, kept as its differential oracle: each mote runs on
-// its own mote.New, one after another, and its delivered frames are
-// reassembled and reduced after the fact. Results carry Frames and
-// BranchStats whatever KeepUpload says.
+// its own mote.New with fresh streams and buffers, one after another, and
+// its delivered frames are decoded after the fact by a fresh Reassembler,
+// so the engine's fused receive window is checked, not assumed. Results
+// carry Frames and BranchStats whatever KeepUpload says.
 func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
 	out := make([]MoteResult, len(specs))
 	for i, spec := range specs {
-		mc, err := moteConfig(cfg, spec)
+		w := newStreamWorker(cfg)
+		mc, err := w.moteConfig(cfg, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -29,7 +31,7 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
 		if err := runMachine(m, cfg); err != nil {
 			return nil, err
 		}
-		frames, ls, ast, events, err := uplinkMote(m, cfg, spec)
+		frames, ls, ast, events, err := w.uplink(m, cfg, spec)
 		if err != nil {
 			return nil, err
 		}

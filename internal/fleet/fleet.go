@@ -76,16 +76,19 @@ type SimConfig struct {
 }
 
 // moteConfig derives one mote's machine configuration from its spec: the
-// base machine shape plus the spec's sensor/entropy streams, clock skew,
-// and the fault/energy environment keyed by the mote identity.
-func moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, error) {
-	sensor, ok := workload.Named(spec.Workload, stats.NewRNG(spec.Seed))
+// base machine shape plus the spec's sensor/entropy streams (the worker's,
+// reseeded for this mote), clock skew, and the fault/energy environment
+// keyed by the mote identity.
+func (w *streamWorker) moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, error) {
+	w.sensor.Reseed(spec.Seed)
+	sensor, ok := workload.Named(spec.Workload, w.sensor)
 	if !ok {
 		return mote.Config{}, fmt.Errorf("unknown workload %q", spec.Workload)
 	}
 	mc := cfg.Mote
 	mc.Sensor = sensor
-	mc.Entropy = workload.NewEntropy(stats.NewRNG(spec.Seed + 7919))
+	w.entropy.seed, w.entropy.seeded = spec.Seed+7919, false
+	mc.Entropy = &w.entropy
 	mc.ClockOffsetTicks = spec.ClockOffsetTicks
 	if cfg.Faults.Enabled() {
 		mc.Resets = cfg.Faults.Resets(cfg.MaxCycles, int64(spec.ID))
@@ -95,6 +98,26 @@ func moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, error) {
 		mc.Power = cfg.Energy.Power(int64(spec.ID), cfg.Checkpoint)
 	}
 	return mc, nil
+}
+
+// lazyEntropy is a mote's entropy port: workload.Entropy on an RNG that is
+// seeded on the first draw, not when the mote is configured. Most programs
+// never read the RNG port, and on those seeding the stream would be all it
+// costs. The check sits here, on the port, not on every RNG draw.
+type lazyEntropy struct {
+	src    *workload.Entropy
+	rng    *stats.RNG
+	seed   int64
+	seeded bool
+}
+
+// Next implements mote.SampleSource.
+func (e *lazyEntropy) Next() uint16 {
+	if !e.seeded {
+		e.rng.Reseed(e.seed)
+		e.seeded = true
+	}
+	return e.src.Next()
 }
 
 // runMachine executes one mote's measurement campaign on an already
@@ -118,28 +141,33 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 	return nil
 }
 
-// uplinkMote packetizes a finished machine's trace and pushes the frames
-// through the radio channel, returning the link's deliveries.
-func uplinkMote(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
+// uplink packetizes a finished machine's trace into the worker's encode
+// buffer and frame list and pushes the frames through the radio channel
+// into the worker's receive window, which it leaves holding the mote's
+// reassembly. It returns the link's deliveries, which alias the encode
+// buffer.
+func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
 	pkts := trace.Packetize(spec.ID, events, cfg.Link.EventsPerPacket)
-	if cfg.Link.PacketVersion == trace.PacketVersionLegacy {
-		for i := range pkts {
+	w.enc, w.frames = w.enc[:0], w.frames[:0]
+	for i := range pkts {
+		if cfg.Link.PacketVersion == trace.PacketVersionLegacy {
 			pkts[i].Version = trace.PacketVersionLegacy
 		}
-	}
-	frames := make([][]byte, len(pkts))
-	for i := range pkts {
-		b, err := pkts[i].MarshalBinary()
-		if err != nil {
+		// A frame keeps its bytes if a later append regrows the buffer;
+		// once the buffer fits the largest upload it stops regrowing.
+		start := len(w.enc)
+		if w.enc, err = pkts[i].AppendBinary(w.enc); err != nil {
 			return nil, LinkStats{}, ARQStats{}, 0, err
 		}
-		frames[i] = b
+		w.frames = append(w.frames, w.enc[start:len(w.enc):len(w.enc)])
 	}
 	// The channel RNG derives from the link seed and the mote identity so
 	// each mote sees an independent but reproducible channel.
-	delivered, ls, ast = cfg.Link.TransmitARQ(frames, stats.NewRNG(cfg.Link.Seed+int64(spec.ID)*6151+1))
-	return delivered, ls, ast, len(events), nil
+	w.link.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
+	w.rx.Reset(spec.ID)
+	delivered, ls, ast, err = cfg.Link.TransmitARQ(w.frames, w.link, w.rx)
+	return delivered, ls, ast, len(events), err
 }
 
 // MoteEnergyUJ prices one mote's run in microjoules: the capacitor drain

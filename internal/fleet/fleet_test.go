@@ -8,6 +8,7 @@ import (
 	"codetomo/internal/mote"
 	"codetomo/internal/stats"
 	"codetomo/internal/trace"
+	"codetomo/internal/workload"
 )
 
 const testProgram = `
@@ -282,7 +283,11 @@ func TestTransmitARQRecovers(t *testing.T) {
 		CorruptProb: 0.1,
 		ARQ:         ARQConfig{MaxRetries: 8, BackoffBaseTicks: 64},
 	}
-	delivered, st, ast := lc.TransmitARQ(frames, stats.NewRNG(11))
+	rx := trace.NewReassembler(1)
+	delivered, st, ast, err := lc.TransmitARQ(frames, stats.NewRNG(11), rx)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if ast.Rounds == 0 || ast.Retransmissions == 0 {
 		t.Fatalf("lossy channel needed no ARQ rounds: %+v", ast)
@@ -290,16 +295,27 @@ func TestTransmitARQRecovers(t *testing.T) {
 	if ast.Unrecovered != 0 {
 		t.Fatalf("8 retries failed to recover %d sequences (link %+v)", ast.Unrecovered, st)
 	}
-	// Every sequence number must have arrived intact at least once.
+	// Every sequence number must have arrived intact at least once, and
+	// the receive window must hold exactly what a fresh decode of the
+	// deliveries does.
 	got := map[uint32]bool{}
+	fresh := trace.NewReassembler(1)
 	for _, f := range delivered {
 		var p trace.Packet
 		if p.UnmarshalBinary(f) == nil {
 			got[p.Seq] = true
 		}
+		if err := fresh.AddFrame(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(got) != len(frames) {
 		t.Fatalf("ARQ delivered %d/%d distinct sequences", len(got), len(frames))
+	}
+	ivs, ust := rx.Recover()
+	wantIvs, wantUst := fresh.Recover()
+	if !reflect.DeepEqual(ivs, wantIvs) || !reflect.DeepEqual(ust, wantUst) {
+		t.Fatalf("receive window diverges from a fresh decode:\n%+v\n%+v", ust, wantUst)
 	}
 	// Sent counts every transmission including resends: goodput is against
 	// radio airtime.
@@ -315,17 +331,44 @@ func TestTransmitARQRecovers(t *testing.T) {
 	}
 
 	// Determinism: same seed, same everything.
-	d2, st2, ast2 := lc.TransmitARQ(frames, stats.NewRNG(11))
-	if st != st2 || ast != ast2 || !reflect.DeepEqual(delivered, d2) {
+	d2, st2, ast2, err := lc.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(1))
+	if err != nil || st != st2 || ast != ast2 || !reflect.DeepEqual(delivered, d2) {
 		t.Fatal("ARQ is not deterministic under a fixed seed")
 	}
 
 	// ARQ disabled: identical to TransmitFrames.
 	plain := LinkConfig{DropProb: 0.3, CorruptProb: 0.1}
 	dP, stP := plain.TransmitFrames(frames, stats.NewRNG(11))
-	dA, stA, astA := plain.TransmitARQ(frames, stats.NewRNG(11))
-	if stP != stA || astA != (ARQStats{}) || !reflect.DeepEqual(dP, dA) {
+	dA, stA, astA, err := plain.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(1))
+	if err != nil || stP != stA || astA != (ARQStats{}) || !reflect.DeepEqual(dP, dA) {
 		t.Fatal("disabled ARQ does not reduce to TransmitFrames")
+	}
+
+	// A receive window for another mote refuses the first intact frame:
+	// the upload must fail, not vanish into the wrong stream.
+	for _, c := range []LinkConfig{lc, plain} {
+		if _, _, _, err := c.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
+			t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
+		}
+	}
+}
+
+// TestLazyEntropyMatchesEager pins the entropy port's deferred seeding to
+// an eagerly seeded workload.Entropy, across re-arming for a new mote both
+// before and after the first draw.
+func TestLazyEntropyMatchesEager(t *testing.T) {
+	w := newStreamWorker(SimConfig{})
+	for _, seed := range []int64{5, -3, 5, 1 << 40} {
+		w.entropy.seed, w.entropy.seeded = seed, false
+		if seed == -3 {
+			continue // re-armed and never drawn
+		}
+		want := workload.NewEntropy(stats.NewRNG(seed))
+		for i := 0; i < 100; i++ {
+			if got, exp := w.entropy.Next(), want.Next(); got != exp {
+				t.Fatalf("seed %d draw %d: lazy %d, eager %d", seed, i, got, exp)
+			}
+		}
 	}
 }
 

@@ -17,23 +17,28 @@ func BatchStreams(perMote []map[int][]float64, batches int) map[int][][]float64 
 		}
 	}
 	for p := range procs {
+		// Size every round before filling it, so each is allocated once:
+		// a stream of n samples puts min(chunk, n-b·chunk) in round b.
+		sizes := make([]int, batches)
+		for _, m := range perMote {
+			n := len(m[p])
+			chunk := (n + batches - 1) / batches
+			for b := 0; b*chunk < n; b++ {
+				sizes[b] += min(chunk, n-b*chunk)
+			}
+		}
 		rounds := make([][]float64, batches)
+		for b, n := range sizes {
+			if n > 0 {
+				rounds[b] = make([]float64, 0, n)
+			}
+		}
 		for _, m := range perMote {
 			s := m[p]
-			if len(s) == 0 {
-				continue
-			}
 			chunk := (len(s) + batches - 1) / batches
-			for b := 0; b < batches; b++ {
+			for b := 0; b*chunk < len(s); b++ {
 				lo := b * chunk
-				if lo >= len(s) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(s) {
-					hi = len(s)
-				}
-				rounds[b] = append(rounds[b], s[lo:hi]...)
+				rounds[b] = append(rounds[b], s[lo:min(lo+chunk, len(s))]...)
 			}
 		}
 		out[p] = rounds

@@ -102,7 +102,7 @@ func (ck *Checkpoint) encode() []byte {
 		binary.LittleEndian.PutUint16(out[off:], w)
 		off += 2
 	}
-	binary.LittleEndian.PutUint16(out[off:], crc16ck(out[:off]))
+	binary.LittleEndian.PutUint16(out[off:], CRC16(out[:off]))
 	return out
 }
 
@@ -129,7 +129,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d bytes (want %d)", ErrBadCheckpoint, len(data), want)
 	}
 	body := data[:len(data)-checkpointCRCSize]
-	if got := binary.LittleEndian.Uint16(data[len(data)-checkpointCRCSize:]); crc16ck(body) != got {
+	if got := binary.LittleEndian.Uint16(data[len(data)-checkpointCRCSize:]); CRC16(body) != got {
 		return nil, ErrCorruptCheckpoint
 	}
 	ck := &Checkpoint{
@@ -163,21 +163,3 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoin
 
 // EncodeCheckpoint serializes a checkpoint in the CTCK format.
 func EncodeCheckpoint(ck *Checkpoint) []byte { return ck.encode() }
-
-// crc16ck is CRC-16/CCITT-FALSE, the same polynomial the CTP2 radio frame
-// trailer uses (package trace has its own copy; the packages must not
-// import each other).
-func crc16ck(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}

@@ -329,11 +329,7 @@ func (s *Server) applyPacket(sh *shard, p *trace.Packet) {
 func (s *Server) harvest(sh *shard, out map[uint16]moteWindow) {
 	for id, r := range sh.motes {
 		ivs, st := r.Recover()
-		durs := make(map[int][]float64, 4)
-		for p, ticks := range trace.ExclusiveByProc(ivs) {
-			durs[p] = trace.DurationsCycles(ticks, s.settings.TickDiv)
-		}
-		out[id] = moteWindow{durs: durs, stats: st}
+		out[id] = moteWindow{durs: trace.CyclesByProc(ivs, s.settings.TickDiv), stats: st}
 		sh.motes[id] = trace.NewReassemblerAt(id, r.NextSeq())
 	}
 }

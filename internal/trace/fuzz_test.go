@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"codetomo/internal/mote"
@@ -71,7 +72,9 @@ func FuzzPacketDecode(f *testing.F) {
 // FuzzReassembler feeds arbitrary packet subsets (drops, duplicates,
 // reorderings encoded in the perm bytes) of a synthetic log through the
 // reassembler: it must never panic, never invent invocations, and keep
-// every recovered interval well-formed.
+// every recovered interval well-formed. The same subset, fed as frames to
+// a reassembler reused from another mote's stream, must recover exactly
+// the same.
 func FuzzReassembler(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(3))
 	f.Add([]byte{3, 1, 1, 0}, uint8(2))
@@ -84,15 +87,35 @@ func FuzzReassembler(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := NewReassembler(5)
+		reused := NewReassembler(6)
+		for _, p := range Packetize(6, events, 4) {
+			frame, _ := p.MarshalBinary()
+			if err := reused.AddFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused.Recover()
+		reused.Reset(5)
 		for _, b := range perm {
 			if len(pkts) == 0 {
 				break
 			}
-			if err := r.Add(pkts[int(b)%len(pkts)]); err != nil {
+			p := pkts[int(b)%len(pkts)]
+			if err := r.Add(p); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := p.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reused.AddFrame(frame); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ivs, st := r.Recover()
+		if fivs, fst := reused.Recover(); !reflect.DeepEqual(fivs, ivs) || !reflect.DeepEqual(fst, st) {
+			t.Fatalf("frames through a reused reassembler diverge:\n%+v %+v\n%+v %+v", fivs, fst, ivs, st)
+		}
 		if len(ivs) > len(lossless) {
 			t.Fatalf("recovered %d intervals from %d lossless", len(ivs), len(lossless))
 		}

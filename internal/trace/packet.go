@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"codetomo/internal/mote"
 )
@@ -70,23 +70,33 @@ type Packet struct {
 	Events  []mote.TraceEvent
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler. The frame's capacity
+// is its length, so appending to it never writes into shared memory.
 func (p *Packet) MarshalBinary() ([]byte, error) {
+	b, err := p.AppendBinary(nil)
+	return b[:len(b):len(b)], err
+}
+
+// AppendBinary appends the packet's wire encoding to dst, so a sender can
+// encode a whole upload into one reused buffer.
+func (p *Packet) AppendBinary(dst []byte) ([]byte, error) {
 	v := p.Version
 	if v == 0 {
 		v = PacketVersionCRC
 	}
 	if v != PacketVersionLegacy && v != PacketVersionCRC {
-		return nil, fmt.Errorf("trace: unknown packet version %d", v)
+		return dst, fmt.Errorf("trace: unknown packet version %d", v)
 	}
 	if len(p.Events) > MaxPacketEvents {
-		return nil, fmt.Errorf("trace: packet payload %d exceeds %d events", len(p.Events), MaxPacketEvents)
+		return dst, fmt.Errorf("trace: packet payload %d exceeds %d events", len(p.Events), MaxPacketEvents)
 	}
 	size := packetHeaderSize + len(p.Events)*packetRecordSize
 	if v == PacketVersionCRC {
 		size += packetCRCSize
 	}
-	out := make([]byte, size)
+	start := len(dst)
+	dst = slices.Grow(dst, size)[:start+size]
+	out := dst[start:]
 	magic := packetMagicV1
 	if v == PacketVersionCRC {
 		magic = packetMagicV2
@@ -102,19 +112,24 @@ func (p *Packet) MarshalBinary() ([]byte, error) {
 		off += packetRecordSize
 	}
 	if v == PacketVersionCRC {
-		binary.LittleEndian.PutUint16(out[off:], crc16(out[:off]))
+		binary.LittleEndian.PutUint16(out[off:], mote.CRC16(out[:off]))
 	}
-	return out, nil
+	return dst, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. It is strict: the
-// buffer must hold exactly one packet, and trailing bytes are an error —
-// frames are length-delimited by the radio, so excess data means
-// corruption. A v2 frame whose CRC does not match returns
-// ErrCorruptPacket.
-func (p *Packet) UnmarshalBinary(data []byte) error {
+// frameHeader is a validated frame's header.
+type frameHeader struct {
+	moteID  uint16
+	seq     uint32
+	version int
+	count   int
+}
+
+// parseFrame validates one raw frame's framing and, on v2, its CRC, and
+// returns its header; the records are left in place for appendEvents.
+func parseFrame(data []byte) (frameHeader, error) {
 	if len(data) < packetHeaderSize {
-		return fmt.Errorf("%w: %d bytes", ErrBadPacket, len(data))
+		return frameHeader{}, fmt.Errorf("%w: %d bytes", ErrBadPacket, len(data))
 	}
 	var version int
 	switch [4]byte(data[:4]) {
@@ -123,35 +138,56 @@ func (p *Packet) UnmarshalBinary(data []byte) error {
 	case packetMagicV2:
 		version = PacketVersionCRC
 	default:
-		return fmt.Errorf("%w: magic %q", ErrBadPacket, data[:4])
+		return frameHeader{}, fmt.Errorf("%w: magic %q", ErrBadPacket, data[:4])
 	}
 	count := int(binary.LittleEndian.Uint16(data[10:]))
 	if count > MaxPacketEvents {
-		return fmt.Errorf("%w: implausible event count %d", ErrBadPacket, count)
+		return frameHeader{}, fmt.Errorf("%w: implausible event count %d", ErrBadPacket, count)
 	}
 	want := packetHeaderSize + count*packetRecordSize
 	if version == PacketVersionCRC {
 		want += packetCRCSize
 	}
 	if len(data) != want {
-		return fmt.Errorf("%w: %d bytes for %d records (want %d)", ErrBadPacket, len(data), count, want)
+		return frameHeader{}, fmt.Errorf("%w: %d bytes for %d records (want %d)", ErrBadPacket, len(data), count, want)
 	}
+	seq := binary.LittleEndian.Uint32(data[6:])
 	if version == PacketVersionCRC {
 		body := data[:len(data)-packetCRCSize]
-		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); crc16(body) != got {
-			return fmt.Errorf("%w: seq %d", ErrCorruptPacket, binary.LittleEndian.Uint32(data[6:]))
+		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); mote.CRC16(body) != got {
+			return frameHeader{}, fmt.Errorf("%w: seq %d", ErrCorruptPacket, seq)
 		}
 	}
-	p.MoteID = binary.LittleEndian.Uint16(data[4:])
-	p.Seq = binary.LittleEndian.Uint32(data[6:])
-	p.Version = version
-	p.Events = make([]mote.TraceEvent, count)
+	return frameHeader{moteID: binary.LittleEndian.Uint16(data[4:]), seq: seq, version: version, count: count}, nil
+}
+
+// appendEvents decodes a parsed frame's records onto dst.
+func appendEvents(dst []mote.TraceEvent, data []byte, h frameHeader) []mote.TraceEvent {
 	off := packetHeaderSize
-	for i := range p.Events {
-		p.Events[i].ID = int32(binary.LittleEndian.Uint32(data[off:]))
-		p.Events[i].Tick = binary.LittleEndian.Uint64(data[off+4:])
+	for i := 0; i < h.count; i++ {
+		dst = append(dst, mote.TraceEvent{
+			ID:   int32(binary.LittleEndian.Uint32(data[off:])),
+			Tick: binary.LittleEndian.Uint64(data[off+4:]),
+		})
 		off += packetRecordSize
 	}
+	return dst
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It is strict: the
+// buffer must hold exactly one packet, and trailing bytes are an error —
+// frames are length-delimited by the radio, so excess data means
+// corruption. A v2 frame whose CRC does not match returns
+// ErrCorruptPacket.
+func (p *Packet) UnmarshalBinary(data []byte) error {
+	h, err := parseFrame(data)
+	if err != nil {
+		return err
+	}
+	p.MoteID = h.moteID
+	p.Seq = h.seq
+	p.Version = h.version
+	p.Events = appendEvents(make([]mote.TraceEvent, 0, h.count), data, h)
 	return nil
 }
 
@@ -224,6 +260,13 @@ type Reassembler struct {
 	payloads map[uint32][]mote.TraceEvent
 	dups     int
 	corrupt  int
+
+	// events is the arena AddFrame decodes payloads into; seqs and stack
+	// are Recover's scratch. All three survive Reset, so a reassembler
+	// reused across motes stops allocating once it has seen the largest.
+	events []mote.TraceEvent
+	seqs   []uint32
+	stack  []openFrame
 }
 
 // NewReassembler returns a reassembler for the given mote's stream.
@@ -241,23 +284,43 @@ func NewReassemblerAt(moteID uint16, firstSeq uint32) *Reassembler {
 	return &Reassembler{moteID: moteID, base: firstSeq, payloads: make(map[uint32][]mote.TraceEvent)}
 }
 
+// Reset empties the reassembler and restarts it on moteID's stream at
+// sequence 0, as NewReassembler(moteID) would, keeping its buffers.
+func (r *Reassembler) Reset(moteID uint16) {
+	clear(r.payloads)
+	r.moteID, r.base, r.dups, r.corrupt = moteID, 0, 0, 0
+	r.events = r.events[:0]
+}
+
 // Add accepts one received packet. Duplicates (same sequence number) and
 // stale packets (below the stream's first sequence) are counted and
 // discarded; a packet from a different mote is an error.
 func (r *Reassembler) Add(p Packet) error {
 	if p.MoteID != r.moteID {
-		return fmt.Errorf("trace: packet from mote %d on mote %d's stream", p.MoteID, r.moteID)
+		return r.foreign(p.MoteID)
 	}
-	if p.Seq < r.base {
-		r.dups++
-		return nil
-	}
-	if _, ok := r.payloads[p.Seq]; ok {
+	if r.Has(p.Seq) {
 		r.dups++
 		return nil
 	}
 	r.payloads[p.Seq] = p.Events
 	return nil
+}
+
+func (r *Reassembler) foreign(moteID uint16) error {
+	return fmt.Errorf("trace: packet from mote %d on mote %d's stream", moteID, r.moteID)
+}
+
+// Has reports whether sequence seq is already accounted for: received
+// intact, or below the stream's first sequence (sealed by an earlier
+// epoch). It is the base station's receive window, what an ARQ round
+// NACKs against.
+func (r *Reassembler) Has(seq uint32) bool {
+	if seq < r.base {
+		return true
+	}
+	_, ok := r.payloads[seq]
+	return ok
 }
 
 // NextSeq returns the sequence number a successor stream should start at:
@@ -282,17 +345,29 @@ func (r *Reassembler) NextSeq() uint32 {
 // noise — but on a legacy checksum-less frame a mismatched mote ID is the
 // only integrity signal there is: flipped ID bytes survive decoding, so
 // the frame is rejected as channel damage like any other corruption.
+// Only a new sequence's records are decoded, into the reassembler's own
+// arena.
 func (r *Reassembler) AddFrame(frame []byte) error {
-	var p Packet
-	if err := p.UnmarshalBinary(frame); err != nil {
+	h, err := parseFrame(frame)
+	if err != nil {
 		r.corrupt++
 		return nil
 	}
-	if p.MoteID != r.moteID && p.Version == PacketVersionLegacy {
-		r.corrupt++
+	if h.moteID != r.moteID {
+		if h.version == PacketVersionLegacy {
+			r.corrupt++
+			return nil
+		}
+		return r.foreign(h.moteID)
+	}
+	if r.Has(h.seq) {
+		r.dups++
 		return nil
 	}
-	return r.Add(p)
+	n := len(r.events)
+	r.events = appendEvents(r.events, frame, h)
+	r.payloads[h.seq] = r.events[n:len(r.events):len(r.events)]
+	return nil
 }
 
 // Recover reconstructs invocation intervals from everything received so
@@ -302,101 +377,116 @@ func (r *Reassembler) AddFrame(frame []byte) error {
 // estimation degrades with the loss rate instead of collapsing. Intervals
 // are returned in completion order; under loss their Depth is relative to
 // the enclosing segment (a lower bound on the true nesting depth).
-func (r *Reassembler) Recover() ([]Interval, UplinkStats) {
-	st := UplinkStats{PacketsDelivered: len(r.payloads), PacketsDuplicate: r.dups, PacketsCorrupted: r.corrupt}
+func (r *Reassembler) Recover() ([]Interval, UplinkStats) { return r.AppendRecovered(nil) }
+
+// AppendRecovered is Recover appending the intervals to dst, so a caller
+// that reduces them on the spot can reuse one buffer across streams.
+func (r *Reassembler) AppendRecovered(dst []Interval) ([]Interval, UplinkStats) {
+	sv := salvager{st: UplinkStats{PacketsDelivered: len(r.payloads), PacketsDuplicate: r.dups, PacketsCorrupted: r.corrupt}}
+	st := &sv.st
 	if len(r.payloads) == 0 {
-		return nil, st
+		return dst, *st
 	}
-	seqs := make([]uint32, 0, len(r.payloads))
-	for s := range r.payloads {
+	seqs := r.seqs[:0]
+	for s, evs := range r.payloads {
 		seqs = append(seqs, s)
+		st.EventsDelivered += len(evs)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	st.PacketsLost = int(seqs[len(seqs)-1]-r.base) + 1 - len(seqs)
 
-	var out []Interval
-	var segment []mote.TraceEvent
-	flush := func() {
-		ivs, discarded := salvage(segment, &st)
-		out = append(out, ivs...)
-		st.InvocationsDiscarded += discarded
-		segment = segment[:0]
-	}
+	// Every interval consumes an enter and an exit event.
+	sv.stack, sv.out = r.stack[:0], slices.Grow(dst, st.EventsDelivered/2)
 	for i, s := range seqs {
 		if i > 0 && s != seqs[i-1]+1 {
-			flush()
+			sv.cut()
 		}
-		st.EventsDelivered += len(r.payloads[s])
-		segment = append(segment, r.payloads[s]...)
+		sv.feed(r.payloads[s])
 	}
-	flush()
-	st.InvocationsRecovered = len(out)
-	return out, st
+	sv.cut()
+	r.seqs, r.stack = seqs, sv.stack
+	st.InvocationsRecovered = len(sv.out) - len(dst)
+	return sv.out, *st
 }
 
-// salvage is the loss-tolerant version of Extract for one contiguous run of
-// events: a substring of a well-nested log. Unmatched exits at the front
-// (their enters were lost) and frames still open at the end (their exits
-// were lost) are discarded and counted; everything properly paired inside
-// the run is complete — contiguity guarantees no callee is missing — and is
-// emitted. An epoch marker (mote.EpochMarkID, logged at a cold reboot)
-// flushes the open frames: their exits were lost to the crash, and
-// post-reboot events must never pair with pre-crash enters; each flushed
-// frame is also a power-truncated lost partial. A power marker
-// (mote.PowerMarkID, logged at a checkpoint restore) dooms the frames
-// that straddle it: their enters are real and their exits will arrive —
-// the restored mote resumes inside them — but the span covers a dark
-// window and re-executed work, so the interval's timing is garbage. Doomed
-// frames are counted as lost partials at the marker and silently discarded
-// when their exits pair; frames opened after the marker are clean. Other
-// corrupt events (negative ids, time running backwards) discard the
-// enclosing frame rather than aborting the whole stream.
-func salvage(events []mote.TraceEvent, st *UplinkStats) ([]Interval, int) {
-	type frame struct {
-		proc       int
-		enter      uint64
-		childTicks uint64
-		doomed     bool
-	}
-	var stack []frame
-	var out []Interval
-	discarded := 0
+// openFrame is an invocation whose enter salvage has seen and whose exit
+// it has not.
+type openFrame struct {
+	proc       int
+	enter      uint64
+	childTicks uint64
+	doomed     bool
+}
+
+// salvager is the loss-tolerant version of Extract. It is fed contiguous
+// runs of events, each a substring of a well-nested log, piece by piece,
+// with cut marking the gap after each run. Unmatched exits at the front (their enters were lost) and frames still open at the end
+// (their exits were lost) are discarded and counted; everything properly
+// paired inside the run is complete — contiguity guarantees no callee is
+// missing — and is emitted. An epoch marker (mote.EpochMarkID, logged at a
+// cold reboot) flushes the open frames: their exits were lost to the
+// crash, and post-reboot events must never pair with pre-crash enters;
+// each flushed frame is also a power-truncated lost partial. A power
+// marker (mote.PowerMarkID, logged at a checkpoint restore) dooms the
+// frames that straddle it: their enters are real and their exits will
+// arrive — the restored mote resumes inside them — but the span covers a
+// dark window and re-executed work, so the interval's timing is garbage.
+// Doomed frames are counted as lost partials at the marker and silently
+// discarded when their exits pair; frames opened after the marker are
+// clean. Other corrupt events (negative ids, time running backwards)
+// discard the enclosing frame rather than aborting the whole stream.
+type salvager struct {
+	st    UplinkStats
+	stack []openFrame
+	out   []Interval
+}
+
+// cut ends the current contiguous run: the frames still open are
+// truncated by the gap that follows.
+func (sv *salvager) cut() {
+	sv.st.InvocationsDiscarded += len(sv.stack)
+	sv.stack = sv.stack[:0]
+}
+
+// feed continues the current contiguous run with events.
+func (sv *salvager) feed(events []mote.TraceEvent) {
+	st := &sv.st
 	for _, ev := range events {
 		if ev.ID == mote.EpochMarkID {
 			// Cold boot: every frame open at the outage is truncated. Frames
 			// already doomed by a power marker were counted there.
-			for _, fr := range stack {
+			for _, fr := range sv.stack {
 				if !fr.doomed {
 					st.addLostPartial(fr.proc)
 				}
 			}
-			discarded += len(stack)
-			stack = stack[:0]
+			sv.cut()
 			continue
 		}
 		if ev.ID == mote.PowerMarkID {
 			// Checkpoint restore: straddling frames survive structurally but
 			// their timing spans the outage — doom them.
-			for i := range stack {
-				if !stack[i].doomed {
-					stack[i].doomed = true
-					st.addLostPartial(stack[i].proc)
+			for i := range sv.stack {
+				if !sv.stack[i].doomed {
+					sv.stack[i].doomed = true
+					st.addLostPartial(sv.stack[i].proc)
 				}
 			}
 			continue
 		}
 		if ev.ID < 0 {
-			discarded++
+			st.InvocationsDiscarded++
 			continue
 		}
 		proc := int(ev.ID / 2)
 		if ev.ID%2 == 0 {
-			stack = append(stack, frame{proc: proc, enter: ev.Tick})
+			sv.stack = append(sv.stack, openFrame{proc: proc, enter: ev.Tick})
 			continue
 		}
+		stack := sv.stack
 		if len(stack) == 0 {
 			// Exit whose enter is on the other side of a gap.
-			discarded++
+			st.InvocationsDiscarded++
 			continue
 		}
 		// In a substring of a well-nested log the exit always matches the
@@ -410,18 +500,19 @@ func salvage(events []mote.TraceEvent, st *UplinkStats) ([]Interval, int) {
 			}
 		}
 		if match < 0 {
-			discarded++
+			st.InvocationsDiscarded++
 			continue
 		}
-		discarded += len(stack) - 1 - match
+		st.InvocationsDiscarded += len(stack) - 1 - match
 		top := stack[match]
 		stack = stack[:match]
+		sv.stack = stack
 		if top.doomed {
-			discarded++ // straddled a power marker: timing spans the outage
+			st.InvocationsDiscarded++ // straddled a power marker: timing spans the outage
 			continue
 		}
 		if ev.Tick < top.enter {
-			discarded++ // clock ran backwards: corrupt pair
+			st.InvocationsDiscarded++ // clock ran backwards: corrupt pair
 			continue
 		}
 		iv := Interval{
@@ -431,10 +522,9 @@ func salvage(events []mote.TraceEvent, st *UplinkStats) ([]Interval, int) {
 			ChildTicks: top.childTicks,
 			Depth:      len(stack),
 		}
-		out = append(out, iv)
+		sv.out = append(sv.out, iv)
 		if len(stack) > 0 {
 			stack[len(stack)-1].childTicks += iv.GrossTicks()
 		}
 	}
-	return out, discarded + len(stack)
 }

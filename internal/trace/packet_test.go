@@ -301,8 +301,8 @@ func TestPacketWireFormatIsStable(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatalf("v2 wire bytes:\n got %x\nwant %x", data, want)
 	}
-	if got := crc16(want[:len(want)-2]); got != 0xEB11 {
-		t.Fatalf("crc16 = %#04x, want 0xEB11", got)
+	if got := mote.CRC16(want[:len(want)-2]); got != 0xEB11 {
+		t.Fatalf("CRC16 = %#04x, want 0xEB11", got)
 	}
 }
 

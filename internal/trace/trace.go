@@ -127,6 +127,30 @@ func ExclusiveByProc(ivs []Interval) map[int][]uint64 {
 	return out
 }
 
+// CyclesByProc groups exclusive durations by procedure index, in cycle
+// units as DurationsCycles gives them: ExclusiveByProc and DurationsCycles
+// in one pass, the per-stream reduction a base station keeps. Each
+// procedure's slice is allocated at its final size (for the small
+// procedure indices real programs have; others grow by appending).
+func CyclesByProc(ivs []Interval, tickDiv int) map[int][]float64 {
+	var counts [64]int
+	for _, iv := range ivs {
+		if uint(iv.ProcIndex) < uint(len(counts)) {
+			counts[iv.ProcIndex]++
+		}
+	}
+	out := make(map[int][]float64)
+	for _, iv := range ivs {
+		p := iv.ProcIndex
+		s, ok := out[p]
+		if !ok && uint(p) < uint(len(counts)) {
+			s = make([]float64, 0, counts[p])
+		}
+		out[p] = append(s, float64(iv.ExclusiveTicks())*float64(tickDiv))
+	}
+	return out
+}
+
 // DurationsCycles converts tick durations to cycle units (the center of the
 // quantization cell), for feeding estimators that work in cycles.
 func DurationsCycles(ticks []uint64, tickDiv int) []float64 {

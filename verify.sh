@@ -36,6 +36,11 @@ echo "== perfbench self-test"
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
+echo "== fuzz smoke (CRC-16)"
+# The table-driven CRC-16 that guards radio frames and checkpoint images
+# must agree with the bitwise reference on any input.
+go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
+
 echo "== fuzz smoke (interpreter cores)"
 # Differential fuzzing of the fused dispatch core against the reference
 # Step core: any state divergence on a random program is a crash.
