@@ -9,9 +9,6 @@
 //	ctbench -csv          # emit CSV instead of aligned tables
 //	ctbench -json         # emit a JSON array of result tables
 //	ctbench -samples 3000 -seed 1234 -tick 8
-//
-// `ctbench -exp k1 -json` regenerates the committed BENCH_PR4.json
-// estimation-kernel numbers.
 package main
 
 import (
@@ -21,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"codetomo/internal/bench"
@@ -29,11 +27,19 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (t1,f2,f3,f4,f5,t2,f6,f7,f8,t3,a1,a2,a3,a4,fl1,fl2,fl3,ft1,ft2,k1,s1,sa1,st1,in1,pg1) or 'all'")
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "ctbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run does the work of main and returns its error rather than exiting, so
+// the deferred profile writers always flush and close their files.
+func run() (err error) {
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(bench.SortedIDs(), ",")+") or 'all'")
 	samples := flag.Int("samples", 0, "handler invocations per profiling run (default from bench.DefaultConfig)")
 	seed := flag.Int64("seed", 0, "workload seed (default from bench.DefaultConfig)")
 	tick := flag.Int("tick", 0, "timer prescaler (default from bench.DefaultConfig)")
-	fleetmax := flag.Int("fleetmax", 0, "largest deployment the fl3 scaling sweep runs (default 1000000; CI smokes lower it)")
 	predictor := flag.String("predictor", "", "nt or btfn (default nt)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of result tables (machine-readable)")
@@ -42,26 +48,25 @@ func main() {
 	flag.Parse()
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
+		f, ferr := os.Create(*cpuprofile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return perr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // report live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			if werr := writeHeapProfile(*memprofile); err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -76,9 +81,6 @@ func main() {
 	if *tick > 0 {
 		cfg.TickDiv = *tick
 	}
-	if *fleetmax > 0 {
-		cfg.MaxFleet = *fleetmax
-	}
 	switch *predictor {
 	case "":
 	case "nt":
@@ -86,18 +88,18 @@ func main() {
 	case "btfn":
 		cfg.Predictor = mote.BTFN{}
 	default:
-		fatal(fmt.Errorf("unknown predictor %q", *predictor))
+		return fmt.Errorf("unknown predictor %q", *predictor)
 	}
 
-	var run []bench.Experiment
+	var exps []bench.Experiment
 	if *exp == "all" {
-		run = bench.Experiments()
+		exps = bench.Experiments()
 	} else {
 		e, ok := bench.ByID(*exp)
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (valid: %v)", *exp, bench.SortedIDs()))
+			return fmt.Errorf("unknown experiment %q (valid: %v)", *exp, bench.SortedIDs())
 		}
-		run = []bench.Experiment{e}
+		exps = []bench.Experiment{e}
 	}
 
 	type jsonTable struct {
@@ -106,11 +108,11 @@ func main() {
 		*report.Table
 	}
 	var collected []jsonTable
-	for _, e := range run {
+	for _, e := range exps {
 		start := time.Now()
 		table, err := e.Run(cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		switch {
 		case *jsonOut:
@@ -126,13 +128,21 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(collected); err != nil {
-			fatal(err)
-		}
+		return enc.Encode(collected)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ctbench:", err)
-	os.Exit(1)
+// writeHeapProfile writes a pprof heap profile of the live heap to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // report live heap, not transient garbage
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -32,10 +32,6 @@ type Config struct {
 	MaxVisits int
 	// MaxCycles bounds each simulated run.
 	MaxCycles uint64
-	// MaxFleet caps the largest deployment the fl3 scaling sweep runs;
-	// CI smokes lower it so the sweep stays seconds, the committed numbers
-	// use the default million.
-	MaxFleet int
 }
 
 // DefaultConfig returns the configuration the committed EXPERIMENTS.md
@@ -48,7 +44,6 @@ func DefaultConfig() Config {
 		Predictor: mote.StaticNotTaken{},
 		MaxVisits: pipeline.DefaultMaxVisits,
 		MaxCycles: 2_000_000_000,
-		MaxFleet:  1_000_000,
 	}
 }
 

@@ -112,6 +112,7 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 		Note: "off/on = EM without/with static resolution; MAE over the full " +
 			"edge set vs the run's oracle; dbe columns compare plain vs " +
 			"DeadBranchElim uninstrumented builds on the identical workload",
+		HostTime: []int{7, 8},
 	}
 	emCfg := tomography.EMConfig{KernelHalfWidth: float64(c.TickDiv)}
 	for i, rc := range railCases {

@@ -9,12 +9,16 @@ import (
 )
 
 // Table is a titled grid of results. The JSON tags define the
-// machine-readable form `ctbench -json` emits (and BENCH_PR4.json holds).
+// machine-readable form `ctbench -json` emits.
 type Table struct {
 	Title  string     `json:"title"`
 	Note   string     `json:"note,omitempty"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
+	// HostTime lists the indices of the columns that hold host wall-clock
+	// measurements. They are the only cells that vary between runs at a
+	// fixed configuration, so golden comparisons mask them.
+	HostTime []int `json:"host_time,omitempty"`
 }
 
 // AddRow appends a row of stringable cells.

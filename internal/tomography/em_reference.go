@@ -10,9 +10,9 @@ import (
 // EstimateEMReference is the original map-based EM kernel, retained
 // verbatim as the numerical oracle: the dense kernel behind EstimateEM is
 // pinned bit-for-bit against it by the equivalence and property tests, and
-// the committed BENCH_PR4.json speedups are measured against it. It scans
-// every path per observation and allocates fresh maps per iteration — do
-// not use it outside tests and benchmarks.
+// BenchmarkEstimateEMReferencePaths measures the dense kernel's speedup
+// over it. It scans every path per observation and allocates fresh maps
+// per iteration — do not use it outside tests and benchmarks.
 //
 // Unlike EstimateEM it does not validate samples; callers own finiteness.
 func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
