@@ -27,7 +27,6 @@ import (
 	codetomo "codetomo"
 	"codetomo/internal/cli"
 	"codetomo/internal/station"
-	"codetomo/internal/trace"
 )
 
 func main() {
@@ -49,8 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dup := fs.Float64("dup", 0, "per-packet duplication probability in [0,1]")
 	reorder := fs.Float64("reorder", 0, "per-packet reorder probability in [0,1]")
 	corrupt := fs.Float64("corrupt", 0, "per-transmission bit-flip probability in [0,1]")
-	packetver := fs.Int("packetver", trace.PacketVersionCRC, "uplink wire format: 2 (CRC-16) or 1 (legacy, no checksum)")
-	arq := fs.Int("arq", 0, "max selective-repeat retransmission rounds per uplink (0 = off; requires -packetver 2)")
+	arq := fs.Int("arq", 0, "max selective-repeat retransmission rounds per uplink (0 = off)")
 	arqBackoff := fs.Uint64("arqbackoff", 0, "base backoff ticks between ARQ rounds (0 = default 64)")
 	crash := fs.Uint64("crash", 0, "mean cycles between watchdog resets (0 = no crash injection)")
 	brownout := fs.Float64("brownout", 0, "probability in [0,1] that a reset is a long brownout")
@@ -120,14 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	); bad {
 		return usage("invalid %s: %v is not a probability in [0, 1]", p.Name, p.Val)
 	}
-	if *packetver != trace.PacketVersionLegacy && *packetver != trace.PacketVersionCRC {
-		return usage("invalid -packetver: %d (want %d or %d)", *packetver, trace.PacketVersionLegacy, trace.PacketVersionCRC)
-	}
 	if *arq < 0 {
 		return usage("invalid -arq: %d retransmission rounds", *arq)
-	}
-	if *arq > 0 && *packetver == trace.PacketVersionLegacy {
-		return usage("invalid -arq: ARQ needs CRC frames to know what to NACK; use it with -packetver %d", trace.PacketVersionCRC)
 	}
 	if *trim < 0 {
 		return usage("invalid -trim: %v cycles", *trim)
@@ -183,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DupProb:         *dup,
 		ReorderProb:     *reorder,
 		CorruptProb:     *corrupt,
-		PacketVersion:   *packetver,
 		ARQRetries:      *arq,
 		ARQBackoffTicks: *arqBackoff,
 		Robust:          *robust,

@@ -57,9 +57,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"brownout out of range", []string{"-brownout", "2", prog}, "-brownout"},
 		{"stuck out of range", []string{"-stuck", "-1", prog}, "-stuck"},
 		{"maxtrim out of range", []string{"-maxtrim", "1.5", prog}, "-maxtrim"},
-		{"bad packet version", []string{"-packetver", "3", prog}, "-packetver"},
 		{"negative arq", []string{"-arq", "-2", prog}, "-arq"},
-		{"arq on legacy frames", []string{"-arq", "3", "-packetver", "1", prog}, "-arq"},
 		{"negative trim", []string{"-trim", "-5", prog}, "-trim"},
 		{"zero motes", []string{"-motes", "0", prog}, "-motes"},
 		{"unknown estimator", []string{"-estimator", "psychic", prog}, "-estimator"},

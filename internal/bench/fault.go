@@ -7,7 +7,6 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/fault"
 	"codetomo/internal/report"
-	"codetomo/internal/trace"
 )
 
 // faultMaxCycles bounds each mote's run in the fault experiments: a mote
@@ -24,9 +23,9 @@ type faultLevel struct {
 	corrupt   float64 // per-transmission bit-flip probability
 }
 
-// FaultRecoverySweep (FT1) contrasts the naive uplink path — legacy
-// CRC-less frames, no retransmission, plain EM — against the hardened one
-// — CRC-16 frames, selective-repeat ARQ, outlier-robust estimation with
+// FaultRecoverySweep (FT1) contrasts the naive uplink path — CRC left
+// unchecked, no retransmission, plain EM — against the hardened one —
+// CRC-16 frames, selective-repeat ARQ, outlier-robust estimation with
 // confidence-gated placement — as the fault environment worsens. The
 // hardened path should hold estimation error near the fault-free baseline
 // and never ship a placement slower than the unoptimized binary; the naive
@@ -47,7 +46,7 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "FT1: fault tolerance — naive uplink vs CRC+ARQ+robust estimation",
 		Header: []string{"faults", "resets", "naive MAE", "hard MAE", "hard speedup", "lowconf", "trimmed"},
-		Note: fmt.Sprintf("%s, %d motes, %d invocations each; naive = v1 frames, no ARQ, plain EM; "+
+		Note: fmt.Sprintf("%s, %d motes, %d invocations each; naive = CRC unchecked, no ARQ, plain EM; "+
 			"hard = CRC-16, ARQ(3), robust EM with fallback placement", app.Name, motes, perMote),
 	}
 	common := func(cfg *codetomo.FleetConfig, lv faultLevel) {
@@ -60,7 +59,7 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 		_, naivePE, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
 			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
-			cfg.PacketVersion = trace.PacketVersionLegacy
+			cfg.SkipCRC = true
 		})
 		if err != nil {
 			return nil, err
@@ -68,7 +67,6 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 		hardRes, hardPE, err := c.runFleet(app, motes, perMote, func(cfg *codetomo.FleetConfig) {
 			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
-			cfg.PacketVersion = trace.PacketVersionCRC
 			cfg.ARQRetries = 3
 			cfg.Robust = true
 		})

@@ -73,11 +73,13 @@ type streamWorker struct {
 
 func newStreamWorker(cfg SimConfig) *streamWorker {
 	entropy := stats.NewRNG(0)
+	rx := trace.NewReassembler(0)
+	rx.SkipCRC = cfg.Link.SkipCRC
 	return &streamWorker{
 		sensor:  stats.NewRNG(0),
 		link:    stats.NewRNG(0),
 		entropy: lazyEntropy{src: workload.NewEntropy(entropy), rng: entropy},
-		rx:      trace.NewReassembler(0),
+		rx:      rx,
 		oracle:  make([]mote.BranchStat, len(cfg.Prog)),
 	}
 }

@@ -36,6 +36,7 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
 			return nil, err
 		}
 		r := trace.NewReassembler(spec.ID)
+		r.SkipCRC = cfg.Link.SkipCRC
 		for _, f := range frames {
 			if err := r.AddFrame(f); err != nil {
 				return nil, err
@@ -68,21 +69,34 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
 
 // TestStreamMatchesMaterialized is the streaming pipeline's differential
 // acceptance: on a hostile channel (loss, duplication, reordering,
-// corruption, ARQ), every per-mote figure the streaming path produces —
-// frames, link/ARQ/uplink accounting, durations, machine stats, ground
-// truth — must be bit-identical to the fresh-machine reference, and the
-// dense fleet oracle must match the map-merged one. Cohorts of two put
-// consecutive motes on one reused machine, so a mote's kept ground truth
-// must survive the next mote's Reset.
+// corruption, and either ARQ or an unchecked receiver), every per-mote
+// figure the streaming path produces — frames, link/ARQ/uplink accounting,
+// durations, machine stats, ground truth — must be bit-identical to the
+// fresh-machine reference, and the dense fleet oracle must match the
+// map-merged one. Cohorts of two put consecutive motes on one reused
+// machine and receive window, so a mote's kept ground truth must survive
+// the next mote's Reset, and so must the window's SkipCRC.
 func TestStreamMatchesMaterialized(t *testing.T) {
-	cfg := buildFleet(t)
-	cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
-	cfg.Link.CorruptProb = 0.05
-	cfg.Link.ARQ.MaxRetries = 2
-	cfg.KeepUpload = true
-	cfg.Cohort = 2 // force multiple cohorts and machine reuse
-	specs := fleetSpecs(7)
+	for _, tc := range []struct {
+		name string
+		link func(*LinkConfig)
+	}{
+		{"arq", func(lc *LinkConfig) { lc.CorruptProb, lc.ARQ.MaxRetries = 0.05, 2 }},
+		{"skipcrc", func(lc *LinkConfig) { lc.CorruptProb, lc.SkipCRC = 0.2, true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := buildFleet(t)
+			cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
+			tc.link(&cfg.Link)
+			cfg.KeepUpload = true
+			cfg.Cohort = 2 // force multiple cohorts and machine reuse
+			checkStreamMatchesReference(t, cfg, fleetSpecs(7))
+		})
+	}
+}
 
+func checkStreamMatchesReference(t *testing.T, cfg SimConfig, specs []MoteSpec) {
+	t.Helper()
 	want, err := simulateReference(cfg, specs)
 	if err != nil {
 		t.Fatal(err)

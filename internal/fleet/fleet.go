@@ -151,9 +151,6 @@ func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (de
 	pkts := trace.Packetize(spec.ID, events, cfg.Link.EventsPerPacket)
 	w.enc, w.frames = w.enc[:0], w.frames[:0]
 	for i := range pkts {
-		if cfg.Link.PacketVersion == trace.PacketVersionLegacy {
-			pkts[i].Version = trace.PacketVersionLegacy
-		}
 		// A frame keeps its bytes if a later append regrows the buffer;
 		// once the buffer fits the largest upload it stops regrowing.
 		start := len(w.enc)

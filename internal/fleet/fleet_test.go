@@ -146,28 +146,27 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestTransmitLossyDeterministic(t *testing.T) {
-	events, _ := syntheticEvents(50)
-	pkts := trace.Packetize(1, events, 4)
+	frames := syntheticFrames(t, 50)
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
 
-	out1, st1 := lc.Transmit(pkts, stats.NewRNG(5))
-	out2, st2 := lc.Transmit(pkts, stats.NewRNG(5))
+	out1, st1 := lc.TransmitFrames(frames, stats.NewRNG(5))
+	out2, st2 := lc.TransmitFrames(frames, stats.NewRNG(5))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
 	if st1.Dropped == 0 || st1.Duplicated == 0 {
 		t.Fatalf("channel did nothing: %+v", st1)
 	}
-	if st1.Sent != len(pkts) {
-		t.Fatalf("Sent = %d, want %d", st1.Sent, len(pkts))
+	if st1.Sent != len(frames) {
+		t.Fatalf("Sent = %d, want %d", st1.Sent, len(frames))
 	}
 	if len(out1) != st1.Sent-st1.Dropped+st1.Duplicated {
 		t.Fatalf("accounting broken: %d delivered, %+v", len(out1), st1)
 	}
 
 	// A perfect channel is the identity.
-	out3, st3 := LinkConfig{}.Transmit(pkts, stats.NewRNG(5))
-	if !reflect.DeepEqual(out3, pkts) || st3.Dropped+st3.Duplicated+st3.Reordered != 0 {
+	out3, st3 := LinkConfig{}.TransmitFrames(frames, stats.NewRNG(5))
+	if !reflect.DeepEqual(out3, frames) || st3.Dropped+st3.Duplicated+st3.Reordered+st3.Corrupted != 0 {
 		t.Fatal("perfect channel altered the stream")
 	}
 }
@@ -238,40 +237,6 @@ func TestTransmitFramesCorruption(t *testing.T) {
 	for i := range frames {
 		if !reflect.DeepEqual(frames[i], clean[i]) {
 			t.Fatalf("TransmitFrames mutated source frame %d", i)
-		}
-	}
-}
-
-// With CorruptProb = 0 the frame-level channel must make exactly the same
-// RNG draws as the packet-level one, so both views of one (seed, stream)
-// pair agree.
-func TestTransmitFramesMatchesTransmit(t *testing.T) {
-	events, _ := syntheticEvents(50)
-	pkts := trace.Packetize(1, events, 4)
-	frames := make([][]byte, len(pkts))
-	for i, p := range pkts {
-		f, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i] = f
-	}
-	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
-	outP, stP := lc.Transmit(pkts, stats.NewRNG(5))
-	outF, stF := lc.TransmitFrames(frames, stats.NewRNG(5))
-	if stP != stF {
-		t.Fatalf("stats diverge: packets %+v, frames %+v", stP, stF)
-	}
-	if len(outP) != len(outF) {
-		t.Fatalf("stream lengths diverge: %d vs %d", len(outP), len(outF))
-	}
-	for i := range outF {
-		var p trace.Packet
-		if err := p.UnmarshalBinary(outF[i]); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p, outP[i]) {
-			t.Fatalf("frame %d decodes to %+v, packet channel gave %+v", i, p, outP[i])
 		}
 	}
 }
@@ -379,10 +344,9 @@ func TestLinkConfigValidate(t *testing.T) {
 		{ReorderProb: 2},
 		{CorruptProb: -0.2},
 		{EventsPerPacket: -1},
-		{PacketVersion: 3},
 		{ARQ: ARQConfig{MaxRetries: -1}},
-		// ARQ needs checksums to know what to NACK.
-		{PacketVersion: trace.PacketVersionLegacy, ARQ: ARQConfig{MaxRetries: 3}},
+		// ARQ needs checked CRCs to know what to NACK.
+		{SkipCRC: true, ARQ: ARQConfig{MaxRetries: 3}},
 	}
 	for i, lc := range bad {
 		if lc.Validate() == nil {
@@ -391,8 +355,8 @@ func TestLinkConfigValidate(t *testing.T) {
 	}
 	good := []LinkConfig{
 		{DropProb: 0.5, EventsPerPacket: 16},
-		{CorruptProb: 0.2, PacketVersion: trace.PacketVersionCRC, ARQ: ARQConfig{MaxRetries: 4}},
-		{PacketVersion: trace.PacketVersionLegacy},
+		{CorruptProb: 0.2, ARQ: ARQConfig{MaxRetries: 4}},
+		{CorruptProb: 0.2, SkipCRC: true},
 	}
 	for i, lc := range good {
 		if err := lc.Validate(); err != nil {

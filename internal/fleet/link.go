@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codetomo/internal/stats"
-	"codetomo/internal/trace"
 )
 
 // LinkConfig models the radio channel between a mote and the base
@@ -21,16 +20,14 @@ type LinkConfig struct {
 	// next surviving packet, in [0, 1].
 	ReorderProb float64
 	// CorruptProb is the per-transmission probability, in [0, 1], of a
-	// single-bit flip somewhere in the frame. CRC-carrying v2 frames let
-	// the base station reject the damage; v1 frames decode silently wrong
-	// (or fail framing checks if the flip lands in the header).
+	// single-bit flip somewhere in the frame. The frame's CRC lets the base
+	// station reject the damage.
 	CorruptProb float64
 	// EventsPerPacket is the packetization batch size (0 = default).
 	EventsPerPacket int
-	// PacketVersion selects the uplink wire format:
-	// trace.PacketVersionCRC (the default when 0) or
-	// trace.PacketVersionLegacy for pre-CRC captures.
-	PacketVersion int
+	// SkipCRC makes the base station's receive window accept frames
+	// without checking their CRC (trace.Reassembler.SkipCRC).
+	SkipCRC bool
 	// ARQ configures selective-repeat recovery; the zero value disables
 	// it.
 	ARQ ARQConfig
@@ -62,17 +59,11 @@ func (lc LinkConfig) Validate() error {
 	if lc.EventsPerPacket < 0 {
 		return fmt.Errorf("fleet: link EventsPerPacket = %d, must be >= 0", lc.EventsPerPacket)
 	}
-	switch lc.PacketVersion {
-	case 0, trace.PacketVersionLegacy, trace.PacketVersionCRC:
-	default:
-		return fmt.Errorf("fleet: link PacketVersion = %d, must be %d or %d",
-			lc.PacketVersion, trace.PacketVersionLegacy, trace.PacketVersionCRC)
-	}
 	if lc.ARQ.MaxRetries < 0 {
 		return fmt.Errorf("fleet: link ARQ.MaxRetries = %d, must be >= 0", lc.ARQ.MaxRetries)
 	}
-	if lc.ARQ.Enabled() && lc.PacketVersion == trace.PacketVersionLegacy {
-		return fmt.Errorf("fleet: ARQ requires the CRC packet format (PacketVersion %d): without checksums the base station cannot tell an intact packet from a corrupt one to NACK", trace.PacketVersionCRC)
+	if lc.ARQ.Enabled() && lc.SkipCRC {
+		return fmt.Errorf("fleet: ARQ requires CRC checking (SkipCRC off): without it the base station cannot tell an intact packet from a corrupt one to NACK")
 	}
 	return nil
 }
@@ -95,40 +86,13 @@ func (st *LinkStats) Add(o LinkStats) {
 	st.Reordered += o.Reordered
 }
 
-// Transmit pushes a decoded packet stream through the channel: drops
-// first, then duplication, then adjacent swaps among the survivors. The
-// draws happen in a fixed order per packet so the outcome is a
-// deterministic function of the RNG seed and the stream. Bit corruption is
-// a property of the byte stream and is not modeled here — use
-// TransmitFrames for the physical channel.
-func (lc LinkConfig) Transmit(pkts []trace.Packet, rng *stats.RNG) ([]trace.Packet, LinkStats) {
-	st := LinkStats{Sent: len(pkts)}
-	out := make([]trace.Packet, 0, len(pkts))
-	for _, p := range pkts {
-		if rng.Bernoulli(lc.DropProb) {
-			st.Dropped++
-			continue
-		}
-		out = append(out, p)
-		if rng.Bernoulli(lc.DupProb) {
-			st.Duplicated++
-			out = append(out, p)
-		}
-	}
-	st.Reordered = reorderPass(out, lc.ReorderProb, rng)
-	if len(out) == 0 {
-		return nil, st
-	}
-	return out, st
-}
-
 // TransmitFrames pushes raw frames through the channel. Per frame: a drop
 // draw, then (only when CorruptProb > 0) a corruption draw flipping one
 // random bit, then a duplication draw — the duplicate gets its own
 // corruption draw, since it is a separate radio transmission — and
-// finally adjacent swaps among the survivors. With CorruptProb = 0 the
-// draw sequence is identical to Transmit's, so the packet-level and
-// byte-level views of the channel agree.
+// finally adjacent swaps among the survivors. The draws happen in a fixed
+// order per frame, so the outcome is a deterministic function of the RNG
+// seed and the stream.
 func (lc LinkConfig) TransmitFrames(frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
 	st := LinkStats{Sent: len(frames)}
 	out := make([][]byte, 0, len(frames))

@@ -134,8 +134,8 @@ func (c Config) settings() pipeline.Settings {
 var ErrClosed = errors.New("station: server closed")
 
 // ErrRejected wraps frames the station refused at the ingest boundary: a
-// failed CRC, mangled framing, or the checksum-less legacy format (a
-// long-running station never trusts unchecksummed bytes off a radio).
+// failed CRC or mangled framing (a long-running station never trusts
+// unchecked bytes off a radio).
 var ErrRejected = errors.New("station: frame rejected")
 
 // procState is one procedure's standing estimation state.
@@ -335,9 +335,9 @@ func (s *Server) harvest(sh *shard, out map[uint16]moteWindow) {
 }
 
 // IngestFrame accepts one raw CTP2 frame off the wire. Frames that fail
-// to decode, fail CRC, or use the checksum-less legacy format are counted
-// and rejected with ErrRejected. The call blocks when the target shard's
-// queue is full (backpressure), and fails with ErrClosed during shutdown.
+// to decode or fail CRC are counted and rejected with ErrRejected. The
+// call blocks when the target shard's queue is full (backpressure), and
+// fails with ErrClosed during shutdown.
 func (s *Server) IngestFrame(frame []byte) error {
 	s.ingestMu.RLock()
 	defer s.ingestMu.RUnlock()
@@ -348,10 +348,6 @@ func (s *Server) IngestFrame(frame []byte) error {
 	if err := p.UnmarshalBinary(frame); err != nil {
 		s.m.corrupt.Add(1)
 		return fmt.Errorf("%w: %v", ErrRejected, err)
-	}
-	if p.Version != trace.PacketVersionCRC {
-		s.m.corrupt.Add(1)
-		return fmt.Errorf("%w: legacy (checksum-less) frame", ErrRejected)
 	}
 	if s.store != nil {
 		if err := s.store.appendFrame(frame); err != nil {
@@ -480,9 +476,6 @@ func (s *Server) replay(recs []walRecord) error {
 				// longer decodes means the log was tampered with or the
 				// format drifted. Either way the remainder is untrustworthy.
 				return fmt.Errorf("station: wal replay: %w", err)
-			}
-			if p.Version != trace.PacketVersionCRC {
-				return fmt.Errorf("station: wal replay: legacy frame in log")
 			}
 			s.applyPacket(s.shards[int(p.MoteID)%len(s.shards)], &p)
 			s.m.frames.Add(1)

@@ -17,7 +17,6 @@ import (
 	"codetomo/internal/fleet"
 	"codetomo/internal/mote"
 	"codetomo/internal/station"
-	"codetomo/internal/trace"
 )
 
 const testProgram = `
@@ -478,18 +477,15 @@ func TestCloseFlushesFinalEpoch(t *testing.T) {
 	}
 }
 
-// Rejected inputs at the ingest boundary: garbage, truncation, legacy
-// frames.
+// Rejected inputs at the ingest boundary: garbage, truncation, and a
+// frame in the retired checksum-less CTP1 format.
 func TestIngestRejects(t *testing.T) {
 	uploads := simulateFleet(t, 1)
 	s := newStation(t, station.Config{Shards: 1})
 	defer s.Close()
 
-	legacy := trace.Packet{MoteID: 0, Seq: 0, Version: trace.PacketVersionLegacy}
-	lf, err := legacy.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// CTP1: magic | mote 0 | seq 0 | 0 records, no CRC trailer.
+	lf := append([]byte("CTP1"), make([]byte, 8)...)
 	for _, bad := range [][]byte{nil, []byte("CTTX"), uploads[0].Frames[0][:5], lf} {
 		if err := s.IngestFrame(bad); err == nil {
 			t.Fatalf("frame %q accepted, want rejection", bad)

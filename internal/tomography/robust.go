@@ -9,11 +9,11 @@ import (
 // RobustConfig tunes the outlier-robust wrapper around EstimateEM. Plain
 // EM soft-assigns every observation to its nearest enumerated path, so a
 // handful of wildly implausible durations — reboot-truncated invocations
-// that slipped past the epoch markers, or corrupted-but-decodable ticks on
-// a CRC-less uplink — can drag whole branch probabilities with them. The
-// robust variant trims what the path model cannot explain, winsorizes the
-// tails of what remains, and reports how much it had to discard so callers
-// can refuse to act on a gutted sample set.
+// that slipped past the epoch markers, or corrupted ticks that a receiver
+// skipping the CRC let through — can drag whole branch probabilities with
+// them. The robust variant trims what the path model cannot explain,
+// winsorizes the tails of what remains, and reports how much it had to
+// discard so callers can refuse to act on a gutted sample set.
 type RobustConfig struct {
 	// EM configures the inner estimator.
 	EM EMConfig

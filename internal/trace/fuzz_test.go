@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -39,32 +40,57 @@ func FuzzReadEvents(f *testing.F) {
 
 // FuzzPacketDecode checks the packet decoder never panics on arbitrary
 // bytes, and that anything it accepts re-marshals to the identical frame
-// (the decoder is strict, so accepted input is exactly one packet).
+// (the decoder is strict, so accepted input is exactly one packet). Every
+// input also goes to an unchecked (SkipCRC) receiver, on the frame's own
+// mote and on a foreign one: that is the only path on which garbage
+// records — negative IDs, huge or backwards ticks — reach the salvager,
+// so AddFrame must never fail and Recover must yield only well-formed
+// intervals.
 func FuzzPacketDecode(f *testing.F) {
 	good, _ := (&Packet{MoteID: 2, Seq: 9, Events: []mote.TraceEvent{{ID: 4, Tick: 77}}}).MarshalBinary()
-	legacy, _ := (&Packet{MoteID: 2, Seq: 9, Version: PacketVersionLegacy,
-		Events: []mote.TraceEvent{{ID: 4, Tick: 77}}}).MarshalBinary()
+	// Stale CRCs: only the unchecked receiver decodes these.
+	garbage, _ := (&Packet{MoteID: 2, Seq: 9, Events: []mote.TraceEvent{
+		{ID: 0, Tick: 1 << 62}, {ID: 2, Tick: 5}, {ID: 3, Tick: 9}, {ID: 1, Tick: 3}, {ID: -7, Tick: 4}}}).MarshalBinary()
+	garbage[len(garbage)-1] ^= 0xFF
+	foreign := append([]byte(nil), good...)
+	foreign[4] ^= 0x01
 	badCRC := append([]byte(nil), good...)
 	badCRC[len(badCRC)-1] ^= 0xFF
 	f.Add(good)
-	f.Add(legacy)
+	f.Add(garbage)
 	f.Add(badCRC)
 	f.Add(good[:len(good)-1])
 	f.Add(append(append([]byte{}, good...), 0))
-	f.Add([]byte("CTP1"))
+	f.Add(foreign)
 	f.Add([]byte("CTP2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Packet
-		if err := p.UnmarshalBinary(data); err != nil {
-			return
+		if err := p.UnmarshalBinary(data); err == nil {
+			out, err := p.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-marshal failed: %v", err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("round trip changed bytes:\n got %x\nwant %x", out, data)
+			}
 		}
-		out, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
+		var own uint16
+		if len(data) >= 6 {
+			own = binary.LittleEndian.Uint16(data[4:])
 		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("round trip changed bytes:\n got %x\nwant %x", out, data)
+		for _, id := range []uint16{own, own + 1} {
+			r := NewReassembler(id)
+			r.SkipCRC = true
+			if err := r.AddFrame(data); err != nil {
+				t.Fatalf("unchecked AddFrame on mote %d: %v", id, err)
+			}
+			ivs, _ := r.Recover()
+			for _, iv := range ivs {
+				if iv.ExitTick < iv.EnterTick || iv.ExclusiveTicks() > iv.GrossTicks() {
+					t.Fatalf("malformed interval %+v", iv)
+				}
+			}
 		}
 	})
 }

@@ -13,41 +13,29 @@ import (
 // ("CTT1"): a mote batches its TRACE events into sequence-numbered packets
 // small enough for a low-power radio MTU and transmits them to the base
 // station over a lossy link. Packets are self-delimiting so the base
-// station can reassemble per-mote streams from whatever subset arrives.
-// Two wire versions exist:
+// station can reassemble per-mote streams from whatever subset arrives:
 //
-//	v1: magic "CTP1" (4) | mote id uint16 | seq uint32 | count uint16
-//	    count × record, record = (id int32, tick uint64)
-//	v2: magic "CTP2" (4) | same header and records | crc uint16
+//	magic "CTP2" (4) | mote id uint16 | seq uint32 | count uint16
+//	count × record, record = (id int32, tick uint64) | crc uint16
 //
-// All fields little-endian. The v2 trailer is CRC-16/CCITT-FALSE over
+// All fields little-endian. The trailer is CRC-16/CCITT-FALSE over
 // everything before it, letting the base station reject bit-flipped
-// frames instead of decoding garbage; v1 frames (old captures) still
-// decode, they just carry no integrity check. Sequence numbers start at 0
-// and increase by 1 per packet, which is what makes gaps (lost packets)
+// frames instead of decoding garbage. Sequence numbers start at 0 and
+// increase by 1 per packet, which is what makes gaps (lost packets)
 // detectable.
-var (
-	packetMagicV1 = [4]byte{'C', 'T', 'P', '1'}
-	packetMagicV2 = [4]byte{'C', 'T', 'P', '2'}
-)
+var packetMagic = [4]byte{'C', 'T', 'P', '2'}
 
 // ErrBadPacket is returned when decoding input that is not a trace packet.
 var ErrBadPacket = errors.New("trace: not a trace packet")
 
-// ErrCorruptPacket is returned when a v2 frame's CRC check fails: the
+// ErrCorruptPacket is returned when a frame's CRC check fails: the
 // frame was a trace packet once, but the channel damaged it.
 var ErrCorruptPacket = errors.New("trace: packet failed CRC")
 
 const (
-	// PacketVersionLegacy is the original CRC-less wire format;
-	// PacketVersionCRC appends the CRC-16 trailer and is the default for
-	// new captures.
-	PacketVersionLegacy = 1
-	PacketVersionCRC    = 2
-
 	packetHeaderSize = 12 // magic + mote id + seq + count
 	packetRecordSize = 12 // id int32 + tick uint64
-	packetCRCSize    = 2  // v2 trailer
+	packetCRCSize    = 2  // crc trailer
 
 	// MaxPacketEvents bounds a packet's payload; 85 records keep the wire
 	// size near a 1 KB radio frame.
@@ -62,12 +50,7 @@ const (
 type Packet struct {
 	MoteID uint16
 	Seq    uint32
-	// Version selects the wire format: PacketVersionLegacy or
-	// PacketVersionCRC (0 marshals as PacketVersionCRC). UnmarshalBinary
-	// records the version it decoded, so decode→re-marshal round-trips
-	// byte for byte on either format.
-	Version int
-	Events  []mote.TraceEvent
+	Events []mote.TraceEvent
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. The frame's capacity
@@ -80,28 +63,14 @@ func (p *Packet) MarshalBinary() ([]byte, error) {
 // AppendBinary appends the packet's wire encoding to dst, so a sender can
 // encode a whole upload into one reused buffer.
 func (p *Packet) AppendBinary(dst []byte) ([]byte, error) {
-	v := p.Version
-	if v == 0 {
-		v = PacketVersionCRC
-	}
-	if v != PacketVersionLegacy && v != PacketVersionCRC {
-		return dst, fmt.Errorf("trace: unknown packet version %d", v)
-	}
 	if len(p.Events) > MaxPacketEvents {
 		return dst, fmt.Errorf("trace: packet payload %d exceeds %d events", len(p.Events), MaxPacketEvents)
 	}
-	size := packetHeaderSize + len(p.Events)*packetRecordSize
-	if v == PacketVersionCRC {
-		size += packetCRCSize
-	}
+	size := packetHeaderSize + len(p.Events)*packetRecordSize + packetCRCSize
 	start := len(dst)
 	dst = slices.Grow(dst, size)[:start+size]
 	out := dst[start:]
-	magic := packetMagicV1
-	if v == PacketVersionCRC {
-		magic = packetMagicV2
-	}
-	copy(out, magic[:])
+	copy(out, packetMagic[:])
 	binary.LittleEndian.PutUint16(out[4:], p.MoteID)
 	binary.LittleEndian.PutUint32(out[6:], p.Seq)
 	binary.LittleEndian.PutUint16(out[10:], uint16(len(p.Events)))
@@ -111,54 +80,43 @@ func (p *Packet) AppendBinary(dst []byte) ([]byte, error) {
 		binary.LittleEndian.PutUint64(out[off+4:], ev.Tick)
 		off += packetRecordSize
 	}
-	if v == PacketVersionCRC {
-		binary.LittleEndian.PutUint16(out[off:], mote.CRC16(out[:off]))
-	}
+	binary.LittleEndian.PutUint16(out[off:], mote.CRC16(out[:off]))
 	return dst, nil
 }
 
 // frameHeader is a validated frame's header.
 type frameHeader struct {
-	moteID  uint16
-	seq     uint32
-	version int
-	count   int
+	moteID uint16
+	seq    uint32
+	count  int
 }
 
-// parseFrame validates one raw frame's framing and, on v2, its CRC, and
-// returns its header; the records are left in place for appendEvents.
-func parseFrame(data []byte) (frameHeader, error) {
+// parseFrame validates one raw frame's framing and, unless skipCRC, its
+// CRC, and returns its header; the records are left in place for
+// appendEvents.
+func parseFrame(data []byte, skipCRC bool) (frameHeader, error) {
 	if len(data) < packetHeaderSize {
 		return frameHeader{}, fmt.Errorf("%w: %d bytes", ErrBadPacket, len(data))
 	}
-	var version int
-	switch [4]byte(data[:4]) {
-	case packetMagicV1:
-		version = PacketVersionLegacy
-	case packetMagicV2:
-		version = PacketVersionCRC
-	default:
+	if [4]byte(data[:4]) != packetMagic {
 		return frameHeader{}, fmt.Errorf("%w: magic %q", ErrBadPacket, data[:4])
 	}
 	count := int(binary.LittleEndian.Uint16(data[10:]))
 	if count > MaxPacketEvents {
 		return frameHeader{}, fmt.Errorf("%w: implausible event count %d", ErrBadPacket, count)
 	}
-	want := packetHeaderSize + count*packetRecordSize
-	if version == PacketVersionCRC {
-		want += packetCRCSize
-	}
+	want := packetHeaderSize + count*packetRecordSize + packetCRCSize
 	if len(data) != want {
 		return frameHeader{}, fmt.Errorf("%w: %d bytes for %d records (want %d)", ErrBadPacket, len(data), count, want)
 	}
 	seq := binary.LittleEndian.Uint32(data[6:])
-	if version == PacketVersionCRC {
+	if !skipCRC {
 		body := data[:len(data)-packetCRCSize]
 		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); mote.CRC16(body) != got {
 			return frameHeader{}, fmt.Errorf("%w: seq %d", ErrCorruptPacket, seq)
 		}
 	}
-	return frameHeader{moteID: binary.LittleEndian.Uint16(data[4:]), seq: seq, version: version, count: count}, nil
+	return frameHeader{moteID: binary.LittleEndian.Uint16(data[4:]), seq: seq, count: count}, nil
 }
 
 // appendEvents decodes a parsed frame's records onto dst.
@@ -177,16 +135,14 @@ func appendEvents(dst []mote.TraceEvent, data []byte, h frameHeader) []mote.Trac
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. It is strict: the
 // buffer must hold exactly one packet, and trailing bytes are an error —
 // frames are length-delimited by the radio, so excess data means
-// corruption. A v2 frame whose CRC does not match returns
-// ErrCorruptPacket.
+// corruption. A frame whose CRC does not match returns ErrCorruptPacket.
 func (p *Packet) UnmarshalBinary(data []byte) error {
-	h, err := parseFrame(data)
+	h, err := parseFrame(data, false)
 	if err != nil {
 		return err
 	}
 	p.MoteID = h.moteID
 	p.Seq = h.seq
-	p.Version = h.version
 	p.Events = appendEvents(make([]mote.TraceEvent, 0, h.count), data, h)
 	return nil
 }
@@ -207,7 +163,7 @@ func Packetize(moteID uint16, events []mote.TraceEvent, perPacket int) []Packet 
 		if n > len(events) {
 			n = len(events)
 		}
-		out = append(out, Packet{MoteID: moteID, Seq: seq, Version: PacketVersionCRC, Events: events[:n:n]})
+		out = append(out, Packet{MoteID: moteID, Seq: seq, Events: events[:n:n]})
 		events = events[n:]
 	}
 	return out
@@ -243,18 +199,39 @@ type UplinkStats struct {
 	LostPartialsByProc map[int]int
 }
 
-// addLostPartial records one power-truncated invocation of proc.
-func (st *UplinkStats) addLostPartial(proc int) {
-	st.LostPartials++
+// addLostPartials records n power-truncated invocations of proc.
+func (st *UplinkStats) addLostPartials(proc, n int) {
+	st.LostPartials += n
 	if st.LostPartialsByProc == nil {
 		st.LostPartialsByProc = make(map[int]int)
 	}
-	st.LostPartialsByProc[proc]++
+	st.LostPartialsByProc[proc] += n
+}
+
+// Add accumulates another mote's uplink accounting. The per-procedure
+// lost partials are copied, never aliased, and LostPartials is their sum.
+func (st *UplinkStats) Add(o UplinkStats) {
+	st.PacketsDelivered += o.PacketsDelivered
+	st.PacketsDuplicate += o.PacketsDuplicate
+	st.PacketsLost += o.PacketsLost
+	st.PacketsCorrupted += o.PacketsCorrupted
+	st.EventsDelivered += o.EventsDelivered
+	st.InvocationsRecovered += o.InvocationsRecovered
+	st.InvocationsDiscarded += o.InvocationsDiscarded
+	for proc, n := range o.LostPartialsByProc {
+		st.addLostPartials(proc, n)
+	}
 }
 
 // Reassembler rebuilds one mote's event stream from sequence-numbered
 // packets that may arrive duplicated, reordered, or not at all.
 type Reassembler struct {
+	// SkipCRC makes AddFrame accept frames without checking their CRC, the
+	// naive receiver a corruption experiment compares against: a bit flip
+	// in the records decodes silently wrong, and one in the mote ID is
+	// then indistinguishable from another mote's frame. Reset keeps it.
+	SkipCRC bool
+
 	moteID   uint16
 	base     uint32
 	payloads map[uint32][]mote.TraceEvent
@@ -342,19 +319,18 @@ func (r *Reassembler) NextSeq() uint32 {
 // UplinkStats.PacketsCorrupted; rejection is the expected behaviour on a
 // corrupting channel, not an error. A CRC-validated packet from the wrong
 // mote is still an error — that is a base-station routing bug, not channel
-// noise — but on a legacy checksum-less frame a mismatched mote ID is the
-// only integrity signal there is: flipped ID bytes survive decoding, so
-// the frame is rejected as channel damage like any other corruption.
-// Only a new sequence's records are decoded, into the reassembler's own
-// arena.
+// noise — but under SkipCRC a mismatched mote ID is the only integrity
+// signal there is: flipped ID bytes survive decoding, so the frame is
+// rejected as channel damage like any other corruption. Only a new
+// sequence's records are decoded, into the reassembler's own arena.
 func (r *Reassembler) AddFrame(frame []byte) error {
-	h, err := parseFrame(frame)
+	h, err := parseFrame(frame, r.SkipCRC)
 	if err != nil {
 		r.corrupt++
 		return nil
 	}
 	if h.moteID != r.moteID {
-		if h.version == PacketVersionLegacy {
+		if r.SkipCRC {
 			r.corrupt++
 			return nil
 		}
@@ -457,7 +433,7 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 			// already doomed by a power marker were counted there.
 			for _, fr := range sv.stack {
 				if !fr.doomed {
-					st.addLostPartial(fr.proc)
+					st.addLostPartials(fr.proc, 1)
 				}
 			}
 			sv.cut()
@@ -469,7 +445,7 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 			for i := range sv.stack {
 				if !sv.stack[i].doomed {
 					sv.stack[i].doomed = true
-					st.addLostPartial(sv.stack[i].proc)
+					st.addLostPartials(sv.stack[i].proc, 1)
 				}
 			}
 			continue

@@ -36,7 +36,7 @@ func TestPacketRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("CTP"),
 		[]byte("NOPE........"),
-		append([]byte("CTP1"), 0, 0, 0, 0, 0, 0, 0xFF, 0xFF), // absurd count
+		append([]byte("CTP1"), 0, 0, 0, 0, 0, 0, 0xFF, 0xFF), // retired magic, absurd count
 		good[:len(good)-1],                   // truncated record
 		append(append([]byte{}, good...), 0), // trailing byte
 	}
@@ -270,7 +270,9 @@ func TestSalvageMatchesExtract(t *testing.T) {
 }
 
 func TestPacketWireFormatIsStable(t *testing.T) {
-	// The wire format is a contract with deployed motes: pin both versions.
+	// The wire format is a contract with deployed motes: pin it. CTP2
+	// magic, the body, then the CRC-16 (CCITT-FALSE over magic+body)
+	// little-endian.
 	body := []byte{
 		0x02, 0x01, // mote id LE
 		0x06, 0x05, 0x04, 0x03, // seq LE
@@ -278,62 +280,21 @@ func TestPacketWireFormatIsStable(t *testing.T) {
 		0x02, 0x00, 0x00, 0x00, // id LE
 		0x0A, 0, 0, 0, 0, 0, 0, 0, // tick LE
 	}
-	events := []mote.TraceEvent{{ID: 2, Tick: 0x0A}}
-
-	v1 := Packet{MoteID: 0x0102, Seq: 0x03040506, Events: events, Version: PacketVersionLegacy}
-	data, err := v1.MarshalBinary()
+	p := Packet{MoteID: 0x0102, Seq: 0x03040506, Events: []mote.TraceEvent{{ID: 2, Tick: 0x0A}}}
+	data, err := p.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte("CTP1"), body...)
+	want := append(append([]byte("CTP2"), body...), 0x11, 0xEB)
 	if !bytes.Equal(data, want) {
-		t.Fatalf("v1 wire bytes:\n got %x\nwant %x", data, want)
-	}
-
-	// Version 0 defaults to the CRC format: CTP2 magic, same body, CRC-16
-	// (CCITT-FALSE over magic+body) appended little-endian.
-	v2 := Packet{MoteID: 0x0102, Seq: 0x03040506, Events: events}
-	data, err = v2.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(append([]byte("CTP2"), body...), 0x11, 0xEB)
-	if !bytes.Equal(data, want) {
-		t.Fatalf("v2 wire bytes:\n got %x\nwant %x", data, want)
+		t.Fatalf("wire bytes:\n got %x\nwant %x", data, want)
 	}
 	if got := mote.CRC16(want[:len(want)-2]); got != 0xEB11 {
 		t.Fatalf("CRC16 = %#04x, want 0xEB11", got)
 	}
 }
 
-// Legacy CTP1 captures must keep decoding, and decode must preserve the
-// version so re-marshal round-trips byte-for-byte.
-func TestPacketLegacyFixtureDecodes(t *testing.T) {
-	fixture := []byte{
-		'C', 'T', 'P', '1',
-		0x07, 0x00, // mote 7
-		0x2A, 0x00, 0x00, 0x00, // seq 42
-		0x02, 0x00, // 2 events
-		0x00, 0x00, 0x00, 0x00, 0x0A, 0, 0, 0, 0, 0, 0, 0,
-		0x01, 0x00, 0x00, 0x00, 0x19, 0, 0, 0, 0, 0, 0, 0,
-	}
-	var p Packet
-	if err := p.UnmarshalBinary(fixture); err != nil {
-		t.Fatalf("v1 fixture rejected: %v", err)
-	}
-	if p.Version != PacketVersionLegacy || p.MoteID != 7 || p.Seq != 42 || len(p.Events) != 2 {
-		t.Fatalf("decoded %+v", p)
-	}
-	re, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re, fixture) {
-		t.Fatalf("v1 re-marshal changed bytes:\n got %x\nwant %x", re, fixture)
-	}
-}
-
-// Every single-byte corruption of a v2 frame must be rejected — either by
+// Every single-byte corruption of a frame must be rejected — either by
 // the CRC (ErrCorruptPacket) or, when the damage hits the magic or length
 // fields, by framing (ErrBadPacket). Nothing decodes silently wrong.
 func TestPacketCRCRejectsCorruption(t *testing.T) {
@@ -356,23 +317,23 @@ func TestPacketCRCRejectsCorruption(t *testing.T) {
 			}
 		}
 	}
-	// An uncorrupted frame still decodes, with the version preserved.
+	// An uncorrupted frame still decodes.
 	var q Packet
 	if err := q.UnmarshalBinary(good); err != nil {
 		t.Fatal(err)
 	}
-	if q.Version != PacketVersionCRC {
-		t.Fatalf("Version = %d, want %d", q.Version, PacketVersionCRC)
-	}
 }
 
 // AddFrame is the base station's ingest path: corrupt frames are counted,
-// not fatal, and never contribute events (the corrupted-packet accounting
-// satellite).
+// not fatal, and never contribute events. Under SkipCRC the same frames
+// are delivered as they are, and a foreign mote ID is counted as channel
+// damage instead of reported as a routing error.
 func TestReassemblerAddFrameCountsCorrupt(t *testing.T) {
 	events, _ := syntheticLog(4)
 	pkts := Packetize(5, events, 4)
 	r := NewReassembler(5)
+	unchecked := NewReassembler(5)
+	unchecked.SkipCRC = true
 	corrupt := 0
 	for i, p := range pkts {
 		f, err := p.MarshalBinary()
@@ -386,6 +347,9 @@ func TestReassemblerAddFrameCountsCorrupt(t *testing.T) {
 		if err := r.AddFrame(f); err != nil {
 			t.Fatal(err)
 		}
+		if err := unchecked.AddFrame(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, st := r.Recover()
 	if st.PacketsCorrupted != corrupt {
@@ -394,21 +358,27 @@ func TestReassemblerAddFrameCountsCorrupt(t *testing.T) {
 	if st.PacketsDelivered != len(pkts)-corrupt {
 		t.Fatalf("PacketsDelivered = %d, want %d", st.PacketsDelivered, len(pkts)-corrupt)
 	}
+	if _, ust := unchecked.Recover(); ust.PacketsCorrupted != 0 || ust.PacketsDelivered != len(pkts) {
+		t.Fatalf("unchecked receiver: %+v, want all %d packets delivered", ust, len(pkts))
+	}
 	// A CRC-validated packet from a foreign mote is a routing bug, not
 	// noise — the checksum vouches for the mote ID.
 	foreign, _ := (&Packet{MoteID: 6, Seq: 0, Events: []mote.TraceEvent{{ID: 0, Tick: 1}}}).MarshalBinary()
 	if err := r.AddFrame(foreign); err == nil {
 		t.Fatal("foreign mote frame accepted")
 	}
-	// On a checksum-less legacy frame the same mismatch is indistinguishable
-	// from a bit flip in the ID field: rejected and counted, never an error.
-	legacyForeign, _ := (&Packet{Version: PacketVersionLegacy, MoteID: 6, Seq: 1,
-		Events: []mote.TraceEvent{{ID: 0, Tick: 1}}}).MarshalBinary()
-	if err := r.AddFrame(legacyForeign); err != nil {
-		t.Fatalf("legacy foreign frame errored: %v", err)
+	// Without the check the same mismatch is indistinguishable from a bit
+	// flip in the ID field: rejected and counted, never an error.
+	if err := unchecked.AddFrame(foreign); err != nil {
+		t.Fatalf("unchecked foreign frame errored: %v", err)
 	}
-	if _, st2 := r.Recover(); st2.PacketsCorrupted != corrupt+1 {
-		t.Fatalf("legacy foreign frame not counted corrupt: %d, want %d", st2.PacketsCorrupted, corrupt+1)
+	if _, ust := unchecked.Recover(); ust.PacketsCorrupted != 1 {
+		t.Fatalf("unchecked foreign frame not counted corrupt: %d, want 1", ust.PacketsCorrupted)
+	}
+	// Reset keeps the receiver unchecked.
+	unchecked.Reset(5)
+	if err := unchecked.AddFrame(foreign); err != nil {
+		t.Fatalf("Reset dropped SkipCRC: %v", err)
 	}
 }
 

@@ -53,14 +53,11 @@ type FleetConfig struct {
 	// default to 0 (perfect channel). CorruptProb adds per-transmission
 	// single-bit flips on top.
 	DropProb, DupProb, ReorderProb, CorruptProb float64
-	// PacketVersion selects the uplink wire format: 0 or
-	// trace.PacketVersionCRC for the CRC-16'd v2 frames (default), or
-	// trace.PacketVersionLegacy for the original CRC-less format, under
-	// which corrupted frames decode silently wrong instead of being
-	// rejected.
-	PacketVersion int
+	// SkipCRC makes the base station accept uplink frames without checking
+	// their CRC-16, so corrupted frames decode silently wrong.
+	SkipCRC bool
 	// ARQRetries bounds selective-repeat retransmission rounds per uplink
-	// (0 = ARQ off). Requires the CRC packet format. ARQBackoffTicks is
+	// (0 = ARQ off). Requires CRC checking. ARQBackoffTicks is
 	// the base of the deterministic exponential backoff charged between
 	// rounds (0 = default 64).
 	ARQRetries      int
@@ -124,9 +121,9 @@ func (c FleetConfig) Validate() error {
 	}
 	link := fleet.LinkConfig{
 		DropProb: c.DropProb, DupProb: c.DupProb, ReorderProb: c.ReorderProb,
-		CorruptProb:   c.CorruptProb,
-		PacketVersion: c.PacketVersion,
-		ARQ:           fleet.ARQConfig{MaxRetries: c.ARQRetries, BackoffBaseTicks: c.ARQBackoffTicks},
+		CorruptProb: c.CorruptProb,
+		SkipCRC:     c.SkipCRC,
+		ARQ:         fleet.ARQConfig{MaxRetries: c.ARQRetries, BackoffBaseTicks: c.ARQBackoffTicks},
 	}
 	if err := link.Validate(); err != nil {
 		return err
@@ -314,7 +311,7 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 			ReorderProb:     cfg.ReorderProb,
 			CorruptProb:     cfg.CorruptProb,
 			EventsPerPacket: cfg.EventsPerPacket,
-			PacketVersion:   cfg.PacketVersion,
+			SkipCRC:         cfg.SkipCRC,
 			ARQ:             fleet.ARQConfig{MaxRetries: cfg.ARQRetries, BackoffBaseTicks: cfg.ARQBackoffTicks},
 			Seed:            cfg.Seed + fleetLinkSeed,
 		},
@@ -446,7 +443,6 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	perMote := make([]map[int][]float64, len(specs))
 	energyUJ := make([]float64, len(specs))
 	harvestUJ := make([]float64, len(specs))
-	lostByProc := make(map[int]int)
 	var sumGross uint64
 	keepRows := len(specs) <= maxPerMoteRows
 	var rows []fleet.MoteUplink
@@ -475,21 +471,10 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 			for j := range cohort {
 				up := &cohort[j]
 				i := first + j
-				ust := up.Uplink
 				fst.Link.Add(up.Link)
 				fst.ARQ.Add(up.ARQ)
+				fst.Uplink.Add(up.Uplink)
 				fst.Resets += up.Stats.Resets
-				fst.Uplink.PacketsDelivered += ust.PacketsDelivered
-				fst.Uplink.PacketsDuplicate += ust.PacketsDuplicate
-				fst.Uplink.PacketsLost += ust.PacketsLost
-				fst.Uplink.PacketsCorrupted += ust.PacketsCorrupted
-				fst.Uplink.EventsDelivered += ust.EventsDelivered
-				fst.Uplink.InvocationsRecovered += ust.InvocationsRecovered
-				fst.Uplink.InvocationsDiscarded += ust.InvocationsDiscarded
-				fst.Uplink.LostPartials += ust.LostPartials
-				for p, n := range ust.LostPartialsByProc {
-					lostByProc[p] += n
-				}
 				fst.EventsLogged += up.EventsLogged
 				fst.PowerFailures += up.Stats.PowerFailures
 				fst.Checkpoints += up.Stats.Checkpoints
@@ -504,8 +489,8 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 						ID:              up.Spec.ID,
 						Resets:          up.Stats.Resets,
 						Sent:            up.Link.Sent,
-						Delivered:       ust.PacketsDelivered,
-						Corrupted:       ust.PacketsCorrupted,
+						Delivered:       up.Uplink.PacketsDelivered,
+						Corrupted:       up.Uplink.PacketsCorrupted,
 						Retransmissions: up.ARQ.Retransmissions,
 						Recovered:       up.ARQ.Recovered,
 						EnergyUJ:        energyUJ[i],
@@ -546,7 +531,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	// 4. Gate, stream-estimate, correct, and check every procedure on the
 	// same pool (deterministic merge order).
 	t2 := time.Now()
-	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, rounds, lostByProc)
+	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, rounds, fst.Uplink.LostPartialsByProc)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +542,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	for i, o := range procs {
 		pm := prof.Meta.ProcByName[o.Proc.Name]
 		fst.SamplesPerProc[o.Proc.Name] = o.Samples
-		pe := procEstimate(o, lostByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats), cfg.TickDiv)
+		pe := procEstimate(o, fst.Uplink.LostPartialsByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats), cfg.TickDiv)
 		if st := streams[i]; st != nil {
 			fst.EstimatedProcs++
 			fst.Rounds += st.Rounds()

@@ -399,10 +399,9 @@ func TestFleetConfigValidate(t *testing.T) {
 		{Config: Config{TickDiv: -8}},
 		{Config: Config{MinCoverage: 1.5}},
 		{CorruptProb: 2},
-		{PacketVersion: 5},
 		{ARQRetries: -1},
-		// ARQ has nothing to NACK without checksums.
-		{ARQRetries: 2, PacketVersion: 1},
+		// ARQ has nothing to NACK when the receiver skips the CRC check.
+		{ARQRetries: 2, SkipCRC: true},
 		{TrimWidth: -1},
 		{MaxTrimFraction: 1.5},
 		// The robust wrapper replaces EM; other estimators can't be wrapped.
@@ -464,6 +463,14 @@ func TestRunFleetIntermittent(t *testing.T) {
 	}
 	if st.Uplink.LostPartials == 0 {
 		t.Fatal("outages mid-procedure must surface as lost partials")
+	}
+	// The fleet sum carries the per-procedure breakdown too.
+	byProc := 0
+	for _, n := range st.Uplink.LostPartialsByProc {
+		byProc += n
+	}
+	if byProc != st.Uplink.LostPartials {
+		t.Fatalf("LostPartialsByProc sums to %d, LostPartials = %d", byProc, st.Uplink.LostPartials)
 	}
 	for _, m := range st.PerMote {
 		if m.EnergyUJ <= 0 {

@@ -36,6 +36,11 @@ echo "== perfbench self-test"
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
+echo "== fuzz smoke (station WAL recovery)"
+# Random bytes as the station's write-ahead log: recovery must keep
+# exactly the intact, re-framable prefix and be idempotent on it.
+go test ./internal/station -run=NONE -fuzz=FuzzWALRecover -fuzztime=5s
+
 echo "== fuzz smoke (CRC-16)"
 # The table-driven CRC-16 that guards radio frames and checkpoint images
 # must agree with the bitwise reference on any input.
