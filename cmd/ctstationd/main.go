@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"codetomo/internal/cli"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/station"
 )
 
@@ -84,14 +85,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return cli.ExitFailure
 	}
 	srv, err := station.New(station.Config{
-		Program:       string(src),
-		Shards:        *shards,
-		TickDiv:       *tick,
-		Estimator:     est,
-		StaticResolve: *static,
-		MinSamples:    *minsamples,
-		EpochFrames:   *epoch,
-		DataDir:       *data,
+		Program: string(src),
+		Shards:  *shards,
+		Settings: pipeline.Settings{
+			TrustPolicy:   pipeline.TrustPolicy{TickDiv: *tick, MinSamples: *minsamples},
+			Estimator:     est,
+			StaticResolve: *static,
+		},
+		EpochFrames: *epoch,
+		DataDir:     *data,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "ctstationd:", err)

@@ -313,6 +313,7 @@ func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs, tickDiv
 	pe := ProcEstimate{
 		Proc:              o.Proc.Name,
 		SampleCount:       o.Samples,
+		TrimmedSamples:    o.Trimmed,
 		LostPartials:      lost,
 		Fallback:          o.Decision != pipeline.Trusted && o.Decision != pipeline.LowConfidence,
 		LowConfidence:     o.Decision == pipeline.LowConfidence,

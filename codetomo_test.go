@@ -161,6 +161,39 @@ func TestPipelineCustomSensorAndEstimator(t *testing.T) {
 	}
 }
 
+// TestRunHonorsRobustVerdict pins Run to the robust estimator's verdict,
+// as RunFleet already is: with a trim width no measured duration can meet,
+// the fit is reported trimmed and low-confidence instead of being placed
+// on.
+func TestRunHonorsRobustVerdict(t *testing.T) {
+	src := sourceFor(t, "sense", 600)
+	cfg := Config{Estimator: tomography.Robust{Config: tomography.RobustConfig{OutlierWidth: 1e-9}}}
+	res, err := Run(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := RunFleet(src, FleetConfig{Config: cfg, Motes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ests := range map[string][]ProcEstimate{"Run": res.Estimates, "RunFleet": fleet.Estimates} {
+		found := false
+		for _, pe := range ests {
+			if pe.Proc != "sample" {
+				continue
+			}
+			found = true
+			if pe.TrimmedSamples == 0 || !pe.LowConfidence || pe.Fallback {
+				t.Errorf("%s: sample trimmed=%d lowConfidence=%v fallback=%v, want trimmed > 0, low confidence, no fallback",
+					name, pe.TrimmedSamples, pe.LowConfidence, pe.Fallback)
+			}
+		}
+		if !found {
+			t.Errorf("%s: no estimate for sample", name)
+		}
+	}
+}
+
 type constSensor uint16
 
 func (c constSensor) Next() uint16 { return uint16(c) }

@@ -70,7 +70,7 @@ func TestCallersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := station.New(station.Config{Program: src, MaxVisits: maxVisits})
+			srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,5 @@
 package analysis
 
-import "math/bits"
-
 // Bits is a fixed-width bit vector — the dataflow fact representation the
 // solver iterates over. All binary operations assume equal widths.
 type Bits []uint64
@@ -27,13 +25,6 @@ func (b Bits) Fill(n int) {
 	}
 	if rem := n % 64; rem != 0 && len(b) > 0 {
 		b[len(b)-1] = (1 << rem) - 1
-	}
-}
-
-// Zero clears all bits.
-func (b Bits) Zero() {
-	for i := range b {
-		b[i] = 0
 	}
 }
 
@@ -88,24 +79,4 @@ func (b Bits) Equal(o Bits) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ForEach calls f with the index of every set bit, in ascending order.
-func (b Bits) ForEach(f func(int)) {
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			f(wi*64 + i)
-			w &= w - 1
-		}
-	}
 }

@@ -11,43 +11,6 @@ type Liveness struct {
 	LiveIn, LiveOut []Bits
 }
 
-// TempLiveness computes live virtual registers (temps) per block: a temp
-// is live at a point when some path from it reaches a read before any
-// write. Nothing is live across procedure exits.
-func TempLiveness(p *cfg.Proc) *Liveness {
-	n := p.NumTemp
-	prob := &Problem{
-		Dir:  Backward,
-		May:  true,
-		Bits: n,
-		Gen:  make([]Bits, len(p.Blocks)),
-		Kill: make([]Bits, len(p.Blocks)),
-	}
-	for i, b := range p.Blocks {
-		gen, kill := NewBits(n), NewBits(n)
-		// Forward scan: a use is upward-exposed unless a def precedes it
-		// in the same block.
-		for _, in := range b.Instrs {
-			ir.InstrUses(in, func(t ir.Temp) {
-				if inRange(t, n) && !kill.Get(int(t)) {
-					gen.Set(int(t))
-				}
-			})
-			if d, ok := ir.InstrDef(in); ok && inRange(d, n) {
-				kill.Set(int(d))
-			}
-		}
-		ir.TermUses(b.Term, func(t ir.Temp) {
-			if inRange(t, n) && !kill.Get(int(t)) {
-				gen.Set(int(t))
-			}
-		})
-		prob.Gen[i], prob.Kill[i] = gen, kill
-	}
-	res := Solve(p, prob)
-	return &Liveness{LiveIn: res.In, LiveOut: res.Out}
-}
-
 func inRange(t ir.Temp, n int) bool { return t >= 0 && int(t) < n }
 
 // VarSpace indexes the named scalar variables of one procedure for

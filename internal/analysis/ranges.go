@@ -753,19 +753,6 @@ func (r *Ranges) EdgeVarInterval(from, to ir.BlockID, name string) (Interval, bo
 	return st.vars[i], true
 }
 
-// TempAtTerm returns the interval of a temp at a block's terminator (after
-// the whole block body has executed). Unreached blocks return Top.
-func (r *Ranges) TempAtTerm(b ir.BlockID, t ir.Temp) Interval {
-	if int(b) >= len(r.in) || r.in[b] == nil || t < 0 || int(t) >= r.proc.NumTemp {
-		return Top()
-	}
-	st := r.in[b].clone()
-	for _, instr := range r.proc.Block(b).Instrs {
-		r.step(st, instr)
-	}
-	return st.temps[t]
-}
-
 // tempAt returns the interval of a temp just before instruction idx of
 // block b, replaying the block prefix from the fixpoint in-state.
 func (r *Ranges) tempAt(b ir.BlockID, idx int, t ir.Temp) Interval {
@@ -782,7 +769,3 @@ func (r *Ranges) tempAt(b ir.BlockID, idx int, t ir.Temp) Interval {
 	}
 	return st.temps[t]
 }
-
-// VarSpace exposes the variable index the analysis tracks (parameters and
-// locals).
-func (r *Ranges) VarSpace() *VarSpace { return r.vs }

@@ -1,7 +1,6 @@
 // Package analysis provides static analyses over the compiler's CFG form
 // (package cfg): a generic iterative dataflow solver with concrete
-// instances — temp/variable liveness, reaching definitions, definite
-// assignment — plus an inter-pass IR verifier (Verify) and static
+// instances — variable liveness and definite assignment — plus an inter-pass IR verifier (Verify) and static
 // worst-case cost bounds (cycles, stack, code size) checked against the
 // M16 part limits.
 //
@@ -28,9 +27,8 @@ const (
 // for backward ones); IN[b] is the meet over predecessor OUTs.
 type Problem struct {
 	Dir Direction
-	// May selects the meet operator: union for may-analyses (liveness,
-	// reaching definitions), intersection for must-analyses (definite
-	// assignment).
+	// May selects the meet operator: union for may-analyses (liveness),
+	// intersection for must-analyses (definite assignment).
 	May bool
 	// Bits is the width of the fact vectors.
 	Bits int

@@ -146,20 +146,6 @@ func (p *Proc) ReversePostorder() []ir.BlockID {
 	return post
 }
 
-// Exits returns the blocks that leave the procedure (Ret or Halt
-// terminators), in ascending order.
-func (p *Proc) Exits() []ir.BlockID {
-	var out []ir.BlockID
-	for _, b := range p.Blocks {
-		switch b.Term.(type) {
-		case ir.Ret, ir.Halt:
-			out = append(out, b.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Validate checks the structural invariants the rest of the pipeline relies
 // on: every block has a terminator, successor IDs are in range, block IDs
 // match their index, the entry is in range, SrcPos (when present) parallels

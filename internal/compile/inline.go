@@ -9,8 +9,8 @@ import (
 
 // inlineHotCalls replaces calls to small leaf procedures at hot call sites
 // with a copy of the callee body. A site qualifies when the call-site
-// block's expected traversal count is at least InlineMinWeight and the
-// callee fits InlineMaxInstrs; each caller stops after InlineBudget inlined
+// block's expected traversal count is at least inlineMinWeight and the
+// callee fits inlineMaxInstrs; each caller stops after inlineBudget inlined
 // IR instructions. Inlining removes the CALL/RET boundary overhead and the
 // argument pushes, and — because the callee body now has its own block IDs
 // inside the caller — exposes the callee's branches to the caller's layout,
@@ -22,10 +22,10 @@ import (
 // redistributed onto the new blocks: the callee's internal edges carry its
 // own per-invocation weights scaled by the site weight, and the return
 // edges into the continuation block carry each return block's weight.
-func inlineHotCalls(prog *cfg.Program, weights map[string]ProcWeights, pgo PGOOptions) {
+func inlineHotCalls(prog *cfg.Program, weights map[string]ProcWeights) {
 	inlinable := make(map[string]*cfg.Proc)
 	for _, p := range prog.Procs {
-		if inlinableCallee(p, pgo.InlineMaxInstrs) {
+		if inlinableCallee(p, inlineMaxInstrs) {
 			inlinable[p.Name] = p
 		}
 	}
@@ -37,11 +37,11 @@ func inlineHotCalls(prog *cfg.Program, weights map[string]ProcWeights, pgo PGOOp
 		if !ok {
 			continue
 		}
-		budget := pgo.InlineBudget
+		budget := inlineBudget
 		site := 0
 		for {
 			bw := blockWeights(p, w)
-			bid, k, callee := findInlineSite(p, bw, inlinable, weights, pgo, budget)
+			bid, k, callee := findInlineSite(p, bw, inlinable, weights, budget)
 			if callee == nil {
 				break
 			}
@@ -93,9 +93,9 @@ func procInstrCount(p *cfg.Proc) int {
 // additionally need their own weight entry: without one the redistributed
 // weights would report zero flow reaching the continuation, and the
 // hot/cold pass would wrongly freeze the rest of the caller.
-func findInlineSite(p *cfg.Proc, bw map[ir.BlockID]float64, inlinable map[string]*cfg.Proc, weights map[string]ProcWeights, pgo PGOOptions, budget int) (ir.BlockID, int, *cfg.Proc) {
+func findInlineSite(p *cfg.Proc, bw map[ir.BlockID]float64, inlinable map[string]*cfg.Proc, weights map[string]ProcWeights, budget int) (ir.BlockID, int, *cfg.Proc) {
 	for _, b := range p.Blocks {
-		if bw[b.ID] < pgo.InlineMinWeight {
+		if bw[b.ID] < inlineMinWeight {
 			continue
 		}
 		for k, in := range b.Instrs {

@@ -40,51 +40,29 @@ type PGOOptions struct {
 	// straight-line fall-through code under the computed layout.
 	Superblock bool
 	// HotCold moves blocks whose expected traversal count is at most
-	// ColdMaxWeight into a cold region emitted after all hot regions.
+	// coldMaxWeight into a cold region emitted after all hot regions.
 	HotCold bool
 	// PagePack aligns a procedure's hot region to the next flash page
 	// boundary when doing so reduces the number of pages it spans
 	// (requires a cost model with PageSizeBytes > 0).
 	PagePack bool
-
-	// InlineMaxInstrs caps the callee body size in IR instructions
-	// (default 24); InlineMinWeight is the minimum expected executions
-	// per invocation of the call-site block (default 0.5); InlineBudget
-	// caps total inlined IR instructions per caller (default 96).
-	InlineMaxInstrs int
-	InlineMinWeight float64
-	InlineBudget    int
-	// TailDupMaxInstrs caps the IR instructions duplicated per procedure
-	// by superblock formation (default 16).
-	TailDupMaxInstrs int
-	// ColdMaxWeight is the hot/cold threshold in expected traversals per
-	// invocation (default 0.01). Zero means the default; use a negative
-	// value to split only blocks the estimate proves never execute.
-	ColdMaxWeight float64
 }
 
-func (o *PGOOptions) withDefaults() PGOOptions {
-	p := *o
-	if p.InlineMaxInstrs <= 0 {
-		p.InlineMaxInstrs = 24
-	}
-	if p.InlineMinWeight <= 0 {
-		p.InlineMinWeight = 0.5
-	}
-	if p.InlineBudget <= 0 {
-		p.InlineBudget = 96
-	}
-	if p.TailDupMaxInstrs <= 0 {
-		p.TailDupMaxInstrs = 16
-	}
-	switch {
-	case p.ColdMaxWeight < 0:
-		p.ColdMaxWeight = 0
-	case p.ColdMaxWeight == 0:
-		p.ColdMaxWeight = 0.01
-	}
-	return p
-}
+const (
+	// inlineMaxInstrs caps the callee body size in IR instructions;
+	// inlineMinWeight is the minimum expected executions per invocation of
+	// the call-site block; inlineBudget caps total inlined IR instructions
+	// per caller.
+	inlineMaxInstrs = 24
+	inlineMinWeight = 0.5
+	inlineBudget    = 96
+	// tailDupMaxInstrs caps the IR instructions duplicated per procedure
+	// by superblock formation.
+	tailDupMaxInstrs = 16
+	// coldMaxWeight is the hot/cold threshold in expected traversals per
+	// invocation.
+	coldMaxWeight = 0.01
+)
 
 // runPGO executes the profile-guided pipeline on the lowered program,
 // rewriting opts in place: the CFG is transformed, Layouts/BranchHints are
@@ -92,8 +70,7 @@ func (o *PGOOptions) withDefaults() PGOOptions {
 // hot/cold splitting is on. Each CFG-mutating pass is followed by the same
 // stage checking the middle-end pipeline uses.
 func runPGO(prog *cfg.Program, opts *Options) error {
-	pgo := opts.PGO.withDefaults()
-	opts.PGO = &pgo
+	pgo := opts.PGO
 
 	// The passes redistribute weight across transformed edges; work on a
 	// copy so the caller's maps survive intact.
@@ -107,13 +84,13 @@ func runPGO(prog *cfg.Program, opts *Options) error {
 	}
 
 	if pgo.Inline {
-		inlineHotCalls(prog, weights, pgo)
+		inlineHotCalls(prog, weights)
 		if err := checkStage(prog, "pgo-inline", *opts); err != nil {
 			return err
 		}
 	}
 	if pgo.Superblock {
-		formSuperblocks(prog, weights, pgo)
+		formSuperblocks(prog, weights)
 		if err := checkStage(prog, "pgo-superblock", *opts); err != nil {
 			return err
 		}
@@ -136,7 +113,7 @@ func runPGO(prog *cfg.Program, opts *Options) error {
 	}
 
 	if pgo.HotCold {
-		opts.ColdBlocks = coldSplit(prog, weights, pgo.ColdMaxWeight)
+		opts.ColdBlocks = coldSplit(prog, weights)
 	}
 	opts.pgoWeights = weights
 	return nil
@@ -155,11 +132,11 @@ func blockWeights(p *cfg.Proc, w ProcWeights) map[ir.BlockID]float64 {
 }
 
 // coldSplit classifies blocks whose expected traversal count is at most
-// maxW as cold. The entry block is never cold (the prologue lives there),
+// coldMaxWeight as cold. The entry block is never cold (the prologue lives there),
 // and a procedure where every non-entry block would be cold is left alone:
 // such a profile carries no contrast, and acting on it would only move the
 // whole body out of line.
-func coldSplit(prog *cfg.Program, weights map[string]ProcWeights, maxW float64) map[string]map[ir.BlockID]bool {
+func coldSplit(prog *cfg.Program, weights map[string]ProcWeights) map[string]map[ir.BlockID]bool {
 	out := make(map[string]map[ir.BlockID]bool)
 	for _, p := range prog.Procs {
 		w, ok := weights[p.Name]
@@ -172,7 +149,7 @@ func coldSplit(prog *cfg.Program, weights map[string]ProcWeights, maxW float64) 
 			if b.ID == p.Entry {
 				continue
 			}
-			if bw[b.ID] <= maxW {
+			if bw[b.ID] <= coldMaxWeight {
 				cold[b.ID] = true
 			}
 		}

@@ -22,15 +22,15 @@ const (
 // are grown from the hottest blocks along dominant out-edges, and side
 // entrances into a trace's interior are removed by duplicating the trace
 // tail, so that after placement the hot path is fall-through code with a
-// single entry at the top. Tail duplication is bounded by TailDupMaxInstrs
+// single entry at the top. Tail duplication is bounded by tailDupMaxInstrs
 // duplicated IR instructions per procedure.
-func formSuperblocks(prog *cfg.Program, weights map[string]ProcWeights, pgo PGOOptions) {
+func formSuperblocks(prog *cfg.Program, weights map[string]ProcWeights) {
 	for _, p := range prog.Procs {
 		w, ok := weights[p.Name]
 		if !ok {
 			continue
 		}
-		superblockProc(p, w, pgo.TailDupMaxInstrs)
+		superblockProc(p, w, tailDupMaxInstrs)
 	}
 }
 

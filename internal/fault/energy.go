@@ -54,9 +54,6 @@ type EnergyConfig struct {
 	// RestartChargeUJ is the charge required to boot after an outage
 	// (0 = floor + 60% of capacity).
 	RestartChargeUJ float64
-	// RestoreCycles is the post-recharge boot/restore overhead
-	// (0 = 256 cycles).
-	RestoreCycles uint64
 	// Seed drives the harvest noise; per-mote streams derive from it.
 	Seed int64
 }
@@ -109,7 +106,6 @@ func (c EnergyConfig) Power(moteSeed int64, policy mote.CheckpointPolicy) *mote.
 		CapacityUJ:      c.CapacityUJ,
 		BrownoutFloorUJ: c.BrownoutFloorUJ,
 		RestartChargeUJ: c.RestartChargeUJ,
-		RestoreCycles:   c.RestoreCycles,
 		Harvest:         c.Harvest(moteSeed),
 		Checkpoint:      policy,
 	}

@@ -25,6 +25,9 @@ const (
 	// realistic campaign sees a handful of resets, so hitting it means a
 	// misconfigured MTBF, not a longer outage series worth modeling.
 	maxResetsPerMote = 10000
+
+	// rebootCycles is the dead time an ordinary watchdog reset costs.
+	rebootCycles = 512
 )
 
 // Config describes the fault environment a deployment runs in. The zero
@@ -34,9 +37,6 @@ type Config struct {
 	// resets (exponential inter-arrival times); 0 disables crash
 	// injection.
 	CrashMTBFCycles uint64
-	// RebootCycles is the dead time an ordinary watchdog reset costs
-	// (default 512).
-	RebootCycles uint64
 	// BrownoutProb is the probability, in [0, 1], that a given reset is an
 	// energy brownout with a much longer outage instead of a quick
 	// watchdog reboot.
@@ -92,9 +92,6 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RebootCycles == 0 {
-		c.RebootCycles = 512
-	}
 	if c.BrownoutCycles == 0 {
 		c.BrownoutCycles = 65536
 	}
@@ -129,7 +126,7 @@ func (c Config) Resets(maxCycles uint64, moteSeed int64) []mote.ResetEvent {
 		if at >= maxCycles {
 			break
 		}
-		down := c.RebootCycles
+		down := uint64(rebootCycles)
 		if rng.Bernoulli(c.BrownoutProb) {
 			down = c.BrownoutCycles
 		}

@@ -122,16 +122,6 @@ func (i Instr) IsCondBranch() bool {
 	return false
 }
 
-// IsTerminator reports whether control never falls through this
-// instruction (unconditional transfer or stop).
-func (i Instr) IsTerminator() bool {
-	switch i.Op {
-	case JMP, RET, HALT:
-		return true
-	}
-	return false
-}
-
 func (i Instr) String() string {
 	switch i.Op {
 	case NOP, HALT, RET:

@@ -224,21 +224,6 @@ func PlanAll(prog *cfg.Program, probs map[string]markov.EdgeProbs) Plan {
 	return plan
 }
 
-// OptimizeAll computes layouts (without polarity hints) for the procedures
-// present in probs; PlanAll is preferred.
-func OptimizeAll(prog *cfg.Program, probs map[string]markov.EdgeProbs) map[string][]ir.BlockID {
-	return PlanAll(prog, probs).Layouts
-}
-
-// Original returns the natural (lowering) order.
-func Original(proc *cfg.Proc) []ir.BlockID {
-	order := make([]ir.BlockID, len(proc.Blocks))
-	for i := range order {
-		order[i] = ir.BlockID(i)
-	}
-	return order
-}
-
 // Random returns a seeded random permutation with the entry block first —
 // the pessimal-ish baseline layout.
 func Random(proc *cfg.Proc, seed int64) []ir.BlockID {

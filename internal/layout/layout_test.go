@@ -179,7 +179,7 @@ func TestOracleLayoutReducesMispredicts(t *testing.T) {
 	for _, p := range outBase.CFG.Procs {
 		probs[p.Name] = profile.OracleProbs(outBase.Meta.ProcByName[p.Name], p, mBase.BranchStats())
 	}
-	layouts := layout.OptimizeAll(outBase.CFG, probs)
+	layouts := layout.PlanAll(outBase.CFG, probs).Layouts
 	outOpt, mOpt := runWith(t, layouts, 77)
 
 	if mBase.DebugOutput()[0] != mOpt.DebugOutput()[0] {
@@ -201,7 +201,7 @@ func TestRandomLayoutWorseThanOracle(t *testing.T) {
 	for _, p := range outBase.CFG.Procs {
 		probs[p.Name] = profile.OracleProbs(outBase.Meta.ProcByName[p.Name], p, mBase.BranchStats())
 	}
-	_, mOpt := runWith(t, layout.OptimizeAll(outBase.CFG, probs), 99)
+	_, mOpt := runWith(t, layout.PlanAll(outBase.CFG, probs).Layouts, 99)
 	_, mRand := runWith(t, layout.RandomAll(outBase.CFG, 5), 99)
 	if mOpt.Stats().Mispredicts >= mRand.Stats().Mispredicts {
 		t.Fatalf("oracle (%d mispredicts) not better than random (%d)",

@@ -119,30 +119,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a, _ := FromRows([][]float64{{3, 0}, {0, 2}})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), 6, 1e-12) {
-		t.Fatalf("det = %v, want 6", f.Det())
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := a.Mul(inv)
-	diff, _ := p.Sub(Identity(2))
-	if diff.MaxAbs() > 1e-12 {
-		t.Fatalf("A·A⁻¹ deviates from I by %v", diff.MaxAbs())
-	}
-}
-
 // Property: LU solves random well-conditioned systems to high accuracy.
 func TestLUSolveRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -175,49 +151,6 @@ func TestLUSolveRandomProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Square consistent system: LSQ must reproduce the exact solution.
-	a, _ := FromRows([][]float64{{1, 1}, {1, 2}, {1, 3}})
-	// b generated from x = (0.5, 2).
-	b := []float64{2.5, 4.5, 6.5}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 0.5, 1e-10) || !almostEqual(x[1], 2, 1e-10) {
-		t.Fatalf("x = %v, want [0.5 2]", x)
-	}
-}
-
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	// For inconsistent systems the residual must be orthogonal to the
-	// column space: Aᵀ(Ax−b) = 0.
-	a, _ := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
-	b := []float64{1, 0, 2, 1}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax, _ := a.MulVec(x)
-	resid := make([]float64, len(b))
-	for i := range b {
-		resid[i] = ax[i] - b[i]
-	}
-	g, _ := a.Transpose().MulVec(resid)
-	for i, v := range g {
-		if math.Abs(v) > 1e-10 {
-			t.Fatalf("gradient component %d = %v, want ~0", i, v)
-		}
-	}
-}
-
-func TestLeastSquaresRankDeficient(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
-		t.Fatal("rank-deficient LSQ accepted")
 	}
 }
 
@@ -254,15 +187,6 @@ func TestNNLSClampsNegatives(t *testing.T) {
 	}
 	if x[0] != 0 {
 		t.Fatalf("x = %v, want [0]", x)
-	}
-}
-
-func TestDotNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("Dot incorrect")
-	}
-	if !almostEqual(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Fatal("Norm2 incorrect")
 	}
 }
 

@@ -5,84 +5,6 @@ import (
 	"math"
 )
 
-// LeastSquares solves min ‖A·x − b‖₂ for a matrix with Rows ≥ Cols using
-// Householder QR. It returns ErrSingular when A is rank-deficient.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	m, n := a.Rows(), a.Cols()
-	if len(b) != m {
-		return nil, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), m)
-	}
-	if m < n {
-		return nil, fmt.Errorf("%w: underdetermined system %dx%d", ErrShape, m, n)
-	}
-	r := a.Clone()
-	y := make([]float64, m)
-	copy(y, b)
-	// Rank tolerance relative to the matrix magnitude.
-	tol := 1e-12 * (a.MaxAbs() + 1)
-
-	// Householder QR, applying reflections to the RHS as we go.
-	for k := 0; k < n; k++ {
-		// Norm of column k below the diagonal.
-		norm := 0.0
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, r.At(i, k))
-		}
-		if norm <= tol {
-			return nil, fmt.Errorf("%w: rank-deficient at column %d", ErrSingular, k)
-		}
-		if r.At(k, k) > 0 {
-			norm = -norm
-		}
-		v := make([]float64, m-k)
-		for i := k; i < m; i++ {
-			v[i-k] = r.At(i, k)
-		}
-		v[0] -= norm
-		vnorm2 := 0.0
-		for _, vi := range v {
-			vnorm2 += vi * vi
-		}
-		if vnorm2 == 0 {
-			return nil, fmt.Errorf("%w: degenerate reflector at column %d", ErrSingular, k)
-		}
-		// Apply H = I − 2vvᵀ/‖v‖² to the remaining columns and the RHS.
-		for j := k; j < n; j++ {
-			dot := 0.0
-			for i := k; i < m; i++ {
-				dot += v[i-k] * r.At(i, j)
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r.Add(i, j, -f*v[i-k])
-			}
-		}
-		dot := 0.0
-		for i := k; i < m; i++ {
-			dot += v[i-k] * y[i]
-		}
-		f := 2 * dot / vnorm2
-		for i := k; i < m; i++ {
-			y[i] -= f * v[i-k]
-		}
-	}
-
-	// Back substitution on the upper-triangular R.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		d := r.At(i, i)
-		if d == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal in R at %d", ErrSingular, i)
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}
-
 // NNLS solves min ‖A·x − b‖₂ subject to x ≥ 0 using projected gradient
 // descent with an adaptive step. It is used for histogram tomography where
 // path weights must be nonnegative. maxIter bounds the iteration count.
@@ -141,22 +63,4 @@ func NNLS(a *Matrix, b []float64, maxIter int) ([]float64, error) {
 		}
 	}
 	return x, nil
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -8,9 +8,8 @@ import (
 // LU holds an LU factorization with partial pivoting of a square matrix:
 // P·A = L·U, stored packed in lu with the unit diagonal of L implicit.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // Factor computes the LU factorization of a square matrix a.
@@ -25,7 +24,6 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: choose the largest magnitude in column k.
 		p, max := k, math.Abs(lu.At(k, k))
@@ -44,7 +42,6 @@ func Factor(a *Matrix) (*LU, error) {
 				lu.Set(p, j, v)
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -58,7 +55,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A·x = b for a single right-hand side.
@@ -91,43 +88,6 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Solve solves A·X = B for a matrix right-hand side.
-func (f *LU) Solve(b *Matrix) (*Matrix, error) {
-	n := f.lu.Rows()
-	if b.Rows() != n {
-		return nil, fmt.Errorf("%w: rhs has %d rows, want %d", ErrShape, b.Rows(), n)
-	}
-	out := NewMatrix(n, b.Cols())
-	col := make([]float64, n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := f.SolveVec(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
-// Inverse returns A⁻¹ computed from the factorization.
-func (f *LU) Inverse() (*Matrix, error) {
-	return f.Solve(Identity(f.lu.Rows()))
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves the square system A·x = b directly.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
@@ -135,13 +95,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.SolveVec(b)
-}
-
-// Inverse returns the inverse of a square matrix.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse()
 }

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // Markov model and the tomography estimators: dense matrices, LU
-// factorization with partial pivoting, and least-squares solves.
+// factorization with partial pivoting, and nonnegative least squares.
 //
 // The matrices involved are tiny (one state per basic block of a procedure,
 // rarely more than a few dozen), so the implementation favours clarity and
@@ -10,7 +10,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -128,38 +127,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -52,14 +52,9 @@ func (d Diag) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s [%s]", d.File, d.Line, d.Col, d.Severity, d.Msg, d.Code)
 }
 
-// Options configures the cost-bound lints. The zero value uses the M16
-// part limits from internal/isa.
+// Options configures the cost-bound lints. Stack and code size are always
+// checked against the M16 part limits from internal/isa.
 type Options struct {
-	// MaxStackWords caps the worst-case stack depth; 0 derives the budget
-	// from the part's RAM minus the program's global segment.
-	MaxStackWords int
-	// MaxFlashBytes caps the encoded code size; 0 means isa.DefaultFlashBytes.
-	MaxFlashBytes int
 	// MaxCycles, when nonzero, warns on procedures whose provable
 	// worst-case execution exceeds it. Applies to loop-free procedures and
 	// to procedures whose every loop carries a provable trip bound; loops
@@ -387,20 +382,13 @@ func (l *linter) lintCosts(f *minic.File, src string, opts Options) {
 		return
 	}
 
-	flashLimit := opts.MaxFlashBytes
-	if flashLimit == 0 {
-		flashLimit = isa.DefaultFlashBytes
-	}
-	if int(out.Meta.CodeBytes) > flashLimit {
+	if int(out.Meta.CodeBytes) > isa.DefaultFlashBytes {
 		l.add(funcPos(f, "main"), SevWarning, "cost-flash",
-			fmt.Sprintf("code size %d bytes exceeds the %d-byte flash", out.Meta.CodeBytes, flashLimit))
+			fmt.Sprintf("code size %d bytes exceeds the %d-byte flash", out.Meta.CodeBytes, isa.DefaultFlashBytes))
 	}
 
 	// The stack budget is whatever RAM the global segment leaves free.
-	budget := opts.MaxStackWords
-	if budget == 0 {
-		budget = isa.DefaultRAMWords - (compile.GlobalBase + out.Meta.GlobalWords)
-	}
+	budget := isa.DefaultRAMWords - (compile.GlobalBase + out.Meta.GlobalWords)
 
 	bounds := analysis.StackBounds(out.CFG)
 	for _, p := range out.CFG.Procs {

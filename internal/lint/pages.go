@@ -14,7 +14,7 @@ import (
 // staticColdMaxWeight is the candidate threshold for the static cold-split
 // report, in expected traversals per invocation under Ball–Larus branch
 // priors. It is deliberately looser than the optimizer's measured-profile
-// threshold (compile.PGOOptions.ColdMaxWeight, 0.01): priors are diffuse,
+// threshold (0.01 in the compiler's hot/cold pass): priors are diffuse,
 // so a block they already push well below one traversal per ten calls is
 // worth surfacing as a candidate even without profile data.
 const staticColdMaxWeight = 0.1

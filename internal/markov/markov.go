@@ -83,12 +83,6 @@ func New(p *cfg.Proc, probs EdgeProbs) (*Chain, error) {
 	return &Chain{proc: p, probs: probs}, nil
 }
 
-// Proc returns the underlying procedure.
-func (c *Chain) Proc() *cfg.Proc { return c.proc }
-
-// Probs returns the chain's edge probabilities.
-func (c *Chain) Probs() EdgeProbs { return c.probs }
-
 // transition returns P as a dense matrix over block indices (transient
 // states only; the absorbing exit is implicit).
 func (c *Chain) transition() *linalg.Matrix {

@@ -56,9 +56,10 @@ func FuzzParse(f *testing.F) {
 		// immediate overflow on absurd inputs) are acceptable; a verifier
 		// or validator failure is a compiler bug by definition.
 		_, err = compile.Build(src, compile.Options{
-			VerifyIR:     true,
-			FuseCompares: true,
-			RotateLoops:  true,
+			VerifyIR:       true,
+			FuseCompares:   true,
+			RotateLoops:    true,
+			DeadBranchElim: true,
 		})
 		if err != nil && (strings.Contains(err.Error(), "IR verification failed") ||
 			strings.Contains(err.Error(), "invalid CFG")) {

@@ -289,15 +289,6 @@ func (m *Machine) Mem(addr int) (uint16, error) {
 	return m.mem[addr], nil
 }
 
-// SetMem writes a data word (for tests and tools that pre-load state).
-func (m *Machine) SetMem(addr int, v uint16) error {
-	if addr < 0 || addr >= len(m.mem) {
-		return fmt.Errorf("%w: addr %d", ErrMemFault, addr)
-	}
-	m.mem[addr] = v
-	return nil
-}
-
 // RunReference executes until HALT, an execution fault, or the cycle
 // budget is exhausted, one Step call per instruction. It is the reference
 // core: Run (the fused core, see run.go) must stop with the same error at

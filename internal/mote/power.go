@@ -53,34 +53,27 @@ type CheckpointPolicy struct {
 	// capacitor charge falls below this fraction of capacity and there
 	// are uncommitted trace events. 0 disables the low-charge trigger.
 	OnLowChargeFrac float64
-	// CostCycles and CostUJ are the price of writing one checkpoint image
-	// to non-volatile storage. Zero selects the defaults (512 cycles,
-	// 4 µJ — flash-page-write territory).
-	CostCycles uint64
-	CostUJ     float64
 }
+
+// checkpointCostCycles and checkpointCostUJ are the price of writing one
+// checkpoint image to non-volatile storage (flash-page-write territory).
+const (
+	checkpointCostCycles = 512
+	checkpointCostUJ     = 4
+)
 
 // Enabled reports whether any checkpoint trigger is configured.
 func (p CheckpointPolicy) Enabled() bool {
 	return p.EveryKInvocations > 0 || p.OnLowChargeFrac > 0
 }
 
-func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
-	if p.CostCycles == 0 {
-		p.CostCycles = 512
-	}
-	if p.CostUJ == 0 {
-		p.CostUJ = 4
-	}
-	return p
-}
+// restoreCycles is the boot/restore overhead after recharge.
+const restoreCycles = 256
 
 // PowerConfig attaches a harvested-energy supply to the machine. All
-// energy quantities are in microjoules.
+// energy quantities are in microjoules; DefaultEnergyModel prices the
+// architectural events.
 type PowerConfig struct {
-	// Model prices architectural events; the zero value selects
-	// DefaultEnergyModel.
-	Model EnergyModel
 	// CapacityUJ is the storage capacitor size (0 = 1000 µJ).
 	CapacityUJ float64
 	// StartChargeUJ is the initial charge (0 = full capacity).
@@ -92,9 +85,6 @@ type PowerConfig struct {
 	// mote boots again after a power failure (0 = 60% of capacity).
 	// Must exceed the brownout floor or the mote oscillates.
 	RestartChargeUJ float64
-	// RestoreCycles is the boot/restore overhead after recharge
-	// (0 = 256 cycles).
-	RestoreCycles uint64
 	// Harvest is the ambient energy input; nil means no harvesting (the
 	// mote runs the capacitor down once and never recovers).
 	Harvest HarvestSource
@@ -103,9 +93,6 @@ type PowerConfig struct {
 }
 
 func (p PowerConfig) withDefaults() PowerConfig {
-	if p.Model == (EnergyModel{}) {
-		p.Model = DefaultEnergyModel()
-	}
 	if p.CapacityUJ <= 0 {
 		p.CapacityUJ = 1000
 	}
@@ -121,10 +108,6 @@ func (p PowerConfig) withDefaults() PowerConfig {
 	if p.RestartChargeUJ > p.CapacityUJ {
 		p.RestartChargeUJ = p.CapacityUJ
 	}
-	if p.RestoreCycles == 0 {
-		p.RestoreCycles = 256
-	}
-	p.Checkpoint = p.Checkpoint.withDefaults()
 	return p
 }
 
@@ -222,13 +205,13 @@ func (m *Machine) ChargeUJ() float64 {
 // the instant charge reaches the brownout floor.
 func (m *Machine) stepPowered() error {
 	p := m.power
-	e0 := p.cfg.Model.Energy(m.stats)
+	e0 := DefaultEnergyModel().Energy(m.stats)
 	c0 := m.stats.Cycles
 	t0 := len(m.trace)
 	if err := m.stepInstr(); err != nil {
 		return err
 	}
-	drained := p.cfg.Model.Energy(m.stats) - e0
+	drained := DefaultEnergyModel().Energy(m.stats) - e0
 	m.stats.DrainedUJ += drained
 	if p.cfg.Harvest != nil {
 		p.credit(m, p.cfg.Harvest.RateUJPerCycle(c0)*float64(m.stats.Cycles-c0))
@@ -282,13 +265,12 @@ func (m *Machine) notePoweredTrace() {
 // the volatile trace window, and pays the checkpoint's energy/time price.
 func (m *Machine) takeCheckpoint() {
 	p := m.power
-	pol := p.cfg.Checkpoint
 	c0 := m.stats.Cycles
-	m.stats.Cycles += pol.CostCycles
-	cost := pol.CostUJ + float64(pol.CostCycles)*p.cfg.Model.UJPerCycle
+	m.stats.Cycles += checkpointCostCycles
+	cost := checkpointCostUJ + float64(checkpointCostCycles)*DefaultEnergyModel().UJPerCycle
 	m.stats.DrainedUJ += cost
 	if p.cfg.Harvest != nil {
-		p.credit(m, p.cfg.Harvest.RateUJPerCycle(c0)*float64(pol.CostCycles))
+		p.credit(m, p.cfg.Harvest.RateUJPerCycle(c0)*float64(checkpointCostCycles))
 	}
 	p.charge -= cost
 	m.durableLen = len(m.trace)
@@ -311,9 +293,9 @@ func (m *Machine) powerFail() {
 	}
 	dead := p.recharge(m)
 	start := m.stats.Cycles
-	m.stats.Cycles += dead + p.cfg.RestoreCycles
-	m.stats.DownCycles += dead + p.cfg.RestoreCycles
-	p.harvestSpan(m, start+dead, p.cfg.RestoreCycles)
+	m.stats.Cycles += dead + restoreCycles
+	m.stats.DownCycles += dead + restoreCycles
+	p.harvestSpan(m, start+dead, restoreCycles)
 	// Watchdog resets scheduled inside the dark window are moot: the CPU
 	// they would have reset was already off.
 	for m.resetIdx < len(m.cfg.Resets) && m.cfg.Resets[m.resetIdx].AtCycle < m.stats.Cycles {

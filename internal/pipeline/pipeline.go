@@ -226,7 +226,10 @@ type Outcome struct {
 	// Model is nil when the sample gate failed or the build did.
 	Model *tomography.Model
 	// Probs is the corrected estimate; nil unless one was made.
-	Probs    markov.EdgeProbs
+	Probs markov.EdgeProbs
+	// Trimmed counts the samples the robust estimator discarded as
+	// outliers (0 under the other estimators).
+	Trimmed  int
 	Decision Decision
 	// Err is a model-build or estimator failure (Decision is NoModel).
 	Err error
@@ -238,9 +241,10 @@ type Outcome struct {
 // only and writes only its own outcome, so the result does not depend on
 // the schedule. It returns each branchy procedure's outcome in CFG order,
 // and the placement input: the trusted estimates plus a uniform
-// placeholder per branchless procedure. A single mains-powered run loses
-// no partials, so nothing is corrected, and a batch fit carries no
-// confidence verdict.
+// placeholder per branchless procedure. Each admitted procedure's samples
+// go to a Stream as one batch, so the estimator's confidence verdict is
+// checked exactly as on the streaming paths. A single mains-powered run
+// loses no partials, so nothing is corrected.
 func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
 	probs := make(map[string]markov.EdgeProbs)
 	var procs []Outcome
@@ -279,11 +283,13 @@ func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks map[int][]ui
 	if o.Decision != Trusted {
 		return
 	}
-	if o.Probs, err = s.Estimator.Estimate(o.Model, samples); err != nil {
+	st := s.Stream(p.Name, o.Model)
+	if o.Probs, err = st.Observe(samples); err != nil {
 		o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", p.Name, err)
 		return
 	}
-	o.Decision = s.Accept(o.Model, o.Probs, true)
+	o.Trimmed = st.Trimmed()
+	o.Decision = s.Accept(o.Model, o.Probs, st.Confident())
 }
 
 // Plan is the placement stage: Pettis–Hansen layouts for every procedure

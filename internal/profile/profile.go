@@ -4,17 +4,15 @@
 //
 //   - Oracle: exact edge probabilities from the simulator's ground-truth
 //     branch statistics (what an ideal profiler would report).
-//   - EdgeCounter: exact edge probabilities reconstructed from PROFCNT arc
-//     counters in a ModeEdgeCounters build — the classical full
-//     instrumentation approach, with its RAM/flash/runtime cost.
+//   - EdgeCounter: PROFCNT arc counters in a ModeEdgeCounters build — the
+//     classical full instrumentation approach, with its RAM/flash/runtime
+//     cost (MeasureOverhead).
 //   - Sampling: PC-sampling profiler that estimates block weights only.
 //   - BallLarus: static branch-prediction heuristics needing no profiling
 //     at all (the zero-cost baseline).
 package profile
 
 import (
-	"fmt"
-
 	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
 	"codetomo/internal/ir"
@@ -50,55 +48,4 @@ func OracleProbs(pm *compile.ProcMeta, proc *cfg.Proc, branchStats map[int32]*mo
 		}
 	}
 	return probs
-}
-
-// OracleEdgeCounts converts branch statistics into absolute edge traversal
-// counts (the layout pass prefers counts over probabilities so hot code
-// dominates).
-func OracleEdgeCounts(pm *compile.ProcMeta, proc *cfg.Proc, branchStats map[int32]*mote.BranchStat) map[[2]ir.BlockID]float64 {
-	out := make(map[[2]ir.BlockID]float64)
-	for _, bb := range proc.BranchBlocks() {
-		for _, s := range proc.Block(bb).Succs() {
-			info, ok := pm.Edges[compile.EdgeKey{From: bb, To: s}]
-			if !ok || info.BranchPC < 0 {
-				continue
-			}
-			st := branchStats[info.BranchPC]
-			if st == nil {
-				continue
-			}
-			if info.Taken {
-				out[[2]ir.BlockID{bb, s}] = float64(st.Taken)
-			} else {
-				out[[2]ir.BlockID{bb, s}] = float64(st.NotTaken)
-			}
-		}
-	}
-	return out
-}
-
-// EdgeCounterProbs reconstructs edge probabilities from the PROFCNT arc
-// counters of a ModeEdgeCounters run.
-func EdgeCounterProbs(pm *compile.ProcMeta, proc *cfg.Proc, counters map[int32]uint64) (markov.EdgeProbs, error) {
-	probs := markov.Uniform(proc)
-	for _, bb := range proc.BranchBlocks() {
-		succs := proc.Block(bb).Succs()
-		var total uint64
-		counts := make([]uint64, len(succs))
-		for i, s := range succs {
-			id, ok := pm.ArcCounters[compile.EdgeKey{From: bb, To: s}]
-			if !ok {
-				return nil, fmt.Errorf("profile: %s: no arc counter for edge %v->%v", pm.Name, bb, s)
-			}
-			counts[i] = counters[id]
-			total += counts[i]
-		}
-		if total == 0 {
-			continue
-		}
-		for i, s := range succs {
-			probs[[2]ir.BlockID{bb, s}] = float64(counts[i]) / float64(total)
-		}
-	}
-	return probs, nil
 }

@@ -79,47 +79,6 @@ func TestOracleProbsSumToOne(t *testing.T) {
 	}
 }
 
-func TestOracleEdgeCountsMatchProbs(t *testing.T) {
-	out, m := build(t, compile.ModeNone)
-	p := out.CFG.Proc("work")
-	pm := out.Meta.ProcByName["work"]
-	probs := OracleProbs(pm, p, m.BranchStats())
-	counts := OracleEdgeCounts(pm, p, m.BranchStats())
-	for _, bb := range p.BranchBlocks() {
-		succs := p.Block(bb).Succs()
-		total := 0.0
-		for _, s := range succs {
-			total += counts[[2]ir.BlockID{bb, s}]
-		}
-		if total == 0 {
-			continue
-		}
-		for _, s := range succs {
-			key := [2]ir.BlockID{bb, s}
-			got := counts[key] / total
-			if d := got - probs[key]; d > 1e-12 || d < -1e-12 {
-				t.Fatalf("edge %v: count ratio %v != prob %v", key, got, probs[key])
-			}
-		}
-	}
-}
-
-func TestEdgeCounterProbsMatchOracle(t *testing.T) {
-	out, m := build(t, compile.ModeEdgeCounters)
-	p := out.CFG.Proc("work")
-	pm := out.Meta.ProcByName["work"]
-	fromCounters, err := EdgeCounterProbs(pm, p, m.ProfileCounters())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := OracleProbs(pm, p, m.BranchStats())
-	for k, v := range oracle {
-		if d := v - fromCounters[k]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("edge %v: counters %v, oracle %v", k, fromCounters[k], v)
-		}
-	}
-}
-
 func TestBallLarusLoopHeuristic(t *testing.T) {
 	out, _ := build(t, compile.ModeNone)
 	p := out.CFG.Proc("work")

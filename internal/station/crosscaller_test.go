@@ -7,6 +7,7 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/bench"
 	"codetomo/internal/compile"
+	"codetomo/internal/pipeline"
 	"codetomo/internal/station"
 	"codetomo/internal/trace"
 )
@@ -53,7 +54,7 @@ func TestStationDecisionMatchesBench(t *testing.T) {
 			bc.MaxVisits = maxVisits
 			harness, _ := bc.Settings().Batch(prof, ticks)
 
-			srv, err := station.New(station.Config{Program: src, MaxVisits: maxVisits})
+			srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits}})
 			if err != nil {
 				t.Fatal(err)
 			}

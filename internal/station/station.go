@@ -34,7 +34,6 @@ import (
 	"codetomo/internal/fleet"
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
-	"codetomo/internal/mote"
 	"codetomo/internal/pipeline"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
@@ -51,33 +50,12 @@ type Config struct {
 	// Shards is the number of per-mote reassembly shards; motes hash to a
 	// shard by ID, and each shard is drained by one worker (default 2).
 	Shards int
-	// QueueDepth bounds each shard's ingest queue; a full queue applies
-	// backpressure to the ingest path (default 256).
-	QueueDepth int
-	// TickDiv is the motes' timer prescaler in cycles (default 8).
-	TickDiv int
-	// Predictor is the motes' branch predictor (default predict-not-taken);
-	// it determines the per-edge penalty cycles in the path models.
-	Predictor mote.Predictor
-	// Estimator selects the estimation strategy (default EM tuned to the
-	// timer resolution).
-	Estimator tomography.Estimator
-	// StaticResolve pins statically proven branches in the estimation
-	// models and checks every fit against the procedure's static feasible
-	// envelope, as codetomo.Config.StaticResolve does: a fit outside it is
-	// served untrusted.
-	StaticResolve bool
-	// MinSamples and MinCoverage gate snapshot trust exactly as the batch
-	// pipeline gates estimation (defaults 50 and 0.85): an untrusted
-	// procedure is still served, but carries no layout suggestion.
-	MinSamples  int
-	MinCoverage float64
-	// MaxVisits bounds loop unrolling during path enumeration (default 12).
-	MaxVisits int
-	// ConvergeTol and ConvergePatience control the per-procedure streaming
-	// early stop (defaults 1e-3 and 2).
-	ConvergeTol      float64
-	ConvergePatience int
+	// Settings is the estimation configuration, shared with Run and
+	// RunFleet: the motes' timer prescaler and branch predictor, the
+	// estimator, the path-enumeration bound, StaticResolve, the snapshot
+	// trust gate (an untrusted procedure is still served, but carries no
+	// layout suggestion) and the per-procedure streaming early stop.
+	pipeline.Settings
 	// EpochFrames, when positive, cuts an epoch automatically every N
 	// accepted frames. Zero means epochs are cut only explicitly
 	// (CutEpoch, or POST /v1/epoch).
@@ -87,6 +65,10 @@ type Config struct {
 	DataDir string
 }
 
+// shardQueueDepth bounds each shard's ingest queue; a full queue applies
+// backpressure to the ingest path.
+const shardQueueDepth = 256
+
 // Validate rejects configurations New cannot honor.
 func (c Config) Validate() error {
 	if c.Program == "" {
@@ -95,10 +77,7 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || c.Shards > 256 {
 		return fmt.Errorf("station: Shards = %d; must be in [1, 256] (zero selects the default of 2)", c.Shards)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("station: QueueDepth = %d; must be positive (zero selects the default of 256)", c.QueueDepth)
-	}
-	if err := c.settings().Validate(); err != nil {
+	if err := c.Settings.Validate(); err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
 	if c.EpochFrames < 0 {
@@ -111,23 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 2
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
+	c.Settings = c.Settings.WithDefaults()
 	return c
-}
-
-// settings maps the config onto the shared estimation settings.
-func (c Config) settings() pipeline.Settings {
-	return pipeline.Settings{
-		TrustPolicy:      pipeline.TrustPolicy{MinSamples: c.MinSamples, MinCoverage: c.MinCoverage, TickDiv: c.TickDiv},
-		Predictor:        c.Predictor,
-		Estimator:        c.Estimator,
-		MaxVisits:        c.MaxVisits,
-		StaticResolve:    c.StaticResolve,
-		ConvergeTol:      c.ConvergeTol,
-		ConvergePatience: c.ConvergePatience,
-	}
 }
 
 // ErrClosed is returned by ingest entry points after Close has begun.
@@ -171,11 +135,10 @@ type shard struct {
 
 // Server is a running base station.
 type Server struct {
-	cfg      Config
-	settings pipeline.Settings
-	prof     *compile.Output
-	procs    []*procState // branchy procedures, CFG order
-	pool     *fleet.Pool
+	cfg   Config
+	prof  *compile.Output
+	procs []*procState // branchy procedures, CFG order
+	pool  *fleet.Pool
 
 	// ingestMu is the epoch barrier: ingest holds it shared across
 	// WAL-append plus shard enqueue, the cut path holds it exclusively
@@ -223,11 +186,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("station: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		settings: cfg.settings().WithDefaults(),
-		prof:     prof,
-		pool:     fleet.NewPool(cfg.Shards + 2),
-		cutCh:    make(chan struct{}, 1),
+		cfg:   cfg,
+		prof:  prof,
+		pool:  fleet.NewPool(cfg.Shards + 2),
+		cutCh: make(chan struct{}, 1),
 	}
 	for _, p := range prof.CFG.Procs {
 		if len(p.BranchBlocks()) == 0 {
@@ -239,15 +201,15 @@ func New(cfg Config) (*Server, error) {
 		// pipeline defers the same error until the sample gate, which such
 		// procedures rarely pass anyway.
 		ps := &procState{name: p.Name, index: prof.Meta.ProcByName[p.Name].Index}
-		if m, err := s.settings.Model(prof, p.Name); err == nil {
-			ps.stream = s.settings.Stream(p.Name, m)
+		if m, err := s.cfg.Settings.Model(prof, p.Name); err == nil {
+			ps.stream = s.cfg.Settings.Stream(p.Name, m)
 		}
 		s.procs = append(s.procs, ps)
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			ch:    make(chan shardMsg, cfg.QueueDepth),
+			ch:    make(chan shardMsg, shardQueueDepth),
 			motes: make(map[uint16]*trace.Reassembler),
 		}
 	}
@@ -284,12 +246,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}()
 	return s, nil
-}
-
-// Proc reports whether the deployed program has a procedure by this name.
-func (s *Server) Proc(name string) bool {
-	_, ok := s.prof.Meta.ProcByName[name]
-	return ok
 }
 
 // Epoch returns the number of sealed epochs.
@@ -329,7 +285,7 @@ func (s *Server) applyPacket(sh *shard, p *trace.Packet) {
 func (s *Server) harvest(sh *shard, out map[uint16]moteWindow) {
 	for id, r := range sh.motes {
 		ivs, st := r.Recover()
-		out[id] = moteWindow{durs: trace.CyclesByProc(ivs, s.settings.TickDiv), stats: st}
+		out[id] = moteWindow{durs: trace.CyclesByProc(ivs, s.cfg.Settings.TickDiv), stats: st}
 		sh.motes[id] = trace.NewReassemblerAt(id, r.NextSeq())
 	}
 }
@@ -627,7 +583,7 @@ func (s *Server) procModel(ps *procState) (ProcModel, markov.EdgeProbs, pipeline
 	pm.Samples, pm.Converged, pm.Rounds = st.SampleCount(), st.Converged(), st.Rounds()
 	samples := st.Samples()
 	est := pipeline.Correct(st.Model, st.Probs(), st.Lost, len(samples))
-	_, d, _ := s.settings.Admit(samples, func() (*tomography.Model, error) { return st.Model, nil })
+	_, d, _ := s.cfg.Settings.Admit(samples, func() (*tomography.Model, error) { return st.Model, nil })
 	if est == nil {
 		if d == pipeline.Trusted {
 			d = pipeline.NoModel
@@ -635,7 +591,7 @@ func (s *Server) procModel(ps *procState) (ProcModel, markov.EdgeProbs, pipeline
 		return pm, nil, d
 	}
 	if d == pipeline.Trusted {
-		d = s.settings.Accept(st.Model, est, st.Confident())
+		d = s.cfg.Settings.Accept(st.Model, est, st.Confident())
 	}
 	pm.Trusted = d == pipeline.Trusted
 	for _, e := range st.Model.BranchEdgeList() {

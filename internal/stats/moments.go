@@ -1,38 +1,19 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Moments accumulates streaming mean and variance (Welford's algorithm),
-// plus min/max, without storing the samples.
+// Moments accumulates streaming mean and variance (Welford's algorithm)
+// without storing the samples.
 type Moments struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Push adds a sample.
 func (m *Moments) Push(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
-
-// N returns the number of samples pushed.
-func (m *Moments) N() int { return m.n }
 
 // Mean returns the sample mean (0 for an empty accumulator).
 func (m *Moments) Mean() float64 { return m.mean }
@@ -43,58 +24,4 @@ func (m *Moments) Variance() float64 {
 		return 0
 	}
 	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest sample (0 if empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest sample (0 if empty).
-func (m *Moments) Max() float64 { return m.max }
-
-// Mean returns the mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) float64 {
-	var m Moments
-	for _, x := range xs {
-		m.Push(x)
-	}
-	return m.Variance()
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation on a sorted copy. It returns 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate for the tomography
 // estimators and the workload generators: a seedable RNG with the
-// distributions the system needs, streaming moments, histograms, and the
-// error metrics used by the evaluation harness.
+// distributions the system needs, streaming moments, and the error metric
+// used by the evaluation harness.
 package stats
 
 import (
@@ -51,31 +51,6 @@ func (g *RNG) Exponential(rate float64) float64 {
 	return g.r.ExpFloat64() / rate
 }
 
-// Poisson returns a sample from Poisson(lambda) via inversion for small
-// lambda and normal approximation for large lambda.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		// Normal approximation with continuity correction.
-		n := int(math.Round(g.Normal(lambda, math.Sqrt(lambda))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Geometric returns the number of failures before the first success for
 // success probability p (support {0,1,2,...}).
 func (g *RNG) Geometric(p float64) int {
@@ -87,31 +62,6 @@ func (g *RNG) Geometric(p float64) int {
 	}
 	u := g.r.Float64()
 	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
-}
-
-// Categorical returns an index sampled with the given (nonnegative,
-// not necessarily normalized) weights. It panics on an all-zero weight
-// vector.
-func (g *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative categorical weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("stats: all-zero categorical weights")
-	}
-	u := g.r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Perm returns a random permutation of [0,n).

@@ -161,13 +161,13 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 		for _, edges := range c.unknown {
 			total := 0.0
 			for _, ei := range edges {
-				total += edgeW[ei] + cfg.Alpha
+				total += edgeW[ei] + smoothingAlpha
 			}
 			if total <= 0 {
 				continue
 			}
 			for _, ei := range edges {
-				p := (edgeW[ei] + cfg.Alpha) / total
+				p := (edgeW[ei] + smoothingAlpha) / total
 				if d := math.Abs(p - probs[ei]); d > maxDelta {
 					maxDelta = d
 				}

@@ -14,6 +14,11 @@ import (
 // empty accumulated stream).
 var ErrNoSamples = errors.New("tomography: no samples")
 
+// smoothingAlpha is the additive smoothing applied in the M-step of the EM
+// and histogram estimators so no branch probability collapses to exactly
+// zero (0.5 pseudo-counts).
+const smoothingAlpha = 0.5
+
 // EMConfig tunes the expectation-maximization estimator.
 type EMConfig struct {
 	// MaxIter bounds EM iterations (default 200).
@@ -25,9 +30,6 @@ type EMConfig struct {
 	// covering timer quantization and callee-subtraction noise. Values
 	// <= 0 default to the mote's TickDiv (pass it explicitly when known).
 	KernelHalfWidth float64
-	// Alpha is the additive smoothing applied in the M-step so no branch
-	// probability collapses to exactly zero (default 0.5 pseudo-counts).
-	Alpha float64
 	// Init optionally warm-starts EM from a previous estimate instead of
 	// the uniform prior; edges missing from Init keep their uniform value.
 	// Warm starting changes the trajectory (typically slashing the
@@ -46,9 +48,6 @@ func (c EMConfig) withDefaults() EMConfig {
 	}
 	if c.KernelHalfWidth <= 0 {
 		c.KernelHalfWidth = 8
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
 	}
 	return c
 }

@@ -108,13 +108,13 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 		for _, u := range m.Unknowns {
 			total := 0.0
 			for _, e := range u.Edges {
-				total += edgeW[e] + cfg.Alpha
+				total += edgeW[e] + smoothingAlpha
 			}
 			if total <= 0 {
 				continue
 			}
 			for _, e := range u.Edges {
-				p := (edgeW[e] + cfg.Alpha) / total
+				p := (edgeW[e] + smoothingAlpha) / total
 				if d := math.Abs(p - next[e]); d > maxDelta {
 					maxDelta = d
 				}

@@ -27,16 +27,14 @@ func (e EM) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
 }
 
 // Moments is the analytic mean/variance matching estimator.
-type Moments struct {
-	Config MomentsConfig
-}
+type Moments struct{}
 
 // Name implements Estimator.
 func (Moments) Name() string { return "moments" }
 
 // Estimate implements Estimator.
-func (e Moments) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
-	return EstimateMoments(m, samples, e.Config)
+func (Moments) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
+	return EstimateMoments(m, samples)
 }
 
 // Histogram is the binned nonnegative least-squares estimator.

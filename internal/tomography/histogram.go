@@ -10,44 +10,22 @@ import (
 
 // HistogramConfig tunes the histogram least-squares estimator.
 type HistogramConfig struct {
-	// BinWidth in cycles; <= 0 derives it from the kernel half width.
-	BinWidth float64
 	// KernelHalfWidth is the quantization half width in cycles (default 8).
+	// It also sets the bin width (at least one cycle).
 	KernelHalfWidth float64
-	// Alpha is the M-step smoothing (default 0.5).
-	Alpha float64
-	// MaxIter bounds the NNLS projected-gradient iterations (default 3000).
-	MaxIter int
-	// MaxPaths bounds the design matrix's column count; models whose path
-	// set is larger are rejected (default 4096). The EM estimator handles
-	// such procedures; the histogram method's dense system does not scale
-	// to them.
-	MaxPaths int
-	// MaxBins bounds the design matrix's row count (default 2048).
-	MaxBins int
 }
 
-func (c HistogramConfig) withDefaults() HistogramConfig {
-	if c.KernelHalfWidth <= 0 {
-		c.KernelHalfWidth = 8
-	}
-	if c.BinWidth <= 0 {
-		c.BinWidth = math.Max(c.KernelHalfWidth, 1)
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 3000
-	}
-	if c.MaxPaths <= 0 {
-		c.MaxPaths = 4096
-	}
-	if c.MaxBins <= 0 {
-		c.MaxBins = 2048
-	}
-	return c
-}
+const (
+	// histMaxIter bounds the NNLS projected-gradient iterations.
+	histMaxIter = 3000
+	// histMaxPaths bounds the design matrix's column count; models whose
+	// path set is larger are rejected. The EM estimator handles such
+	// procedures; the histogram method's dense system does not scale to
+	// them.
+	histMaxPaths = 4096
+	// histMaxBins bounds the design matrix's row count.
+	histMaxBins = 2048
+)
 
 // EstimateHistogram recovers branch probabilities by binning the duration
 // samples and solving a nonnegative least-squares system for the path
@@ -56,15 +34,18 @@ func (c HistogramConfig) withDefaults() HistogramConfig {
 // frequency vector. Edge probabilities follow from the weighted edge
 // traversal counts.
 func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov.EdgeProbs, error) {
-	cfg = cfg.withDefaults()
+	kw := cfg.KernelHalfWidth
+	if kw <= 0 {
+		kw = 8
+	}
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("tomography: no samples")
 	}
-	if len(m.Paths) > cfg.MaxPaths {
-		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", cfg.MaxPaths, len(m.Paths))
+	if len(m.Paths) > histMaxPaths {
+		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", histMaxPaths, len(m.Paths))
 	}
 
 	lo, hi := samples[0], samples[0]
@@ -74,16 +55,16 @@ func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov
 	for _, tau := range m.PathTimes {
 		lo, hi = math.Min(lo, tau), math.Max(hi, tau)
 	}
-	lo -= cfg.KernelHalfWidth
-	hi += cfg.KernelHalfWidth + 1e-9
-	nBins := int(math.Ceil((hi - lo) / cfg.BinWidth))
+	lo -= kw
+	hi += kw + 1e-9
+	nBins := int(math.Ceil((hi - lo) / math.Max(kw, 1)))
 	if nBins < 1 {
 		nBins = 1
 	}
 	// The projected-gradient NNLS solver tolerates underdetermined
 	// systems, so the bin count only needs to bound memory, not rank.
-	if nBins > cfg.MaxBins {
-		nBins = cfg.MaxBins
+	if nBins > histMaxBins {
+		nBins = histMaxBins
 	}
 	binW := (hi - lo) / float64(nBins)
 
@@ -110,7 +91,7 @@ func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov
 	// width KernelHalfWidth centered at the path duration).
 	a := linalg.NewMatrix(nBins, len(m.Paths))
 	for j, tau := range m.PathTimes {
-		klo, khi := tau-cfg.KernelHalfWidth, tau+cfg.KernelHalfWidth
+		klo, khi := tau-kw, tau+kw
 		width := khi - klo
 		if width <= 0 {
 			a.Add(binOf(tau), j, 1)
@@ -126,11 +107,11 @@ func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov
 		}
 	}
 
-	w, err := linalg.NNLS(a, h, cfg.MaxIter)
+	w, err := linalg.NNLS(a, h, histMaxIter)
 	if err != nil {
 		return nil, err
 	}
 
 	// Convert path weights to expected edge traversals.
-	return m.probsFromEdgeWeights(m.compiled().edgeWeights(w), cfg.Alpha), nil
+	return m.probsFromEdgeWeights(m.compiled().edgeWeights(w), smoothingAlpha), nil
 }

@@ -16,7 +16,6 @@
 package tomography
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -27,9 +26,6 @@ import (
 	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 )
-
-// ErrNoBranches means the procedure has nothing to estimate.
-var ErrNoBranches = errors.New("tomography: procedure has no branches")
 
 // Unknown is one branch block whose outgoing distribution is estimated.
 type Unknown struct {

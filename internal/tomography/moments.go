@@ -8,29 +8,15 @@ import (
 	"codetomo/internal/stats"
 )
 
-// MomentsConfig tunes the moment-matching estimator.
-type MomentsConfig struct {
-	// Sweeps is the number of coordinate-descent passes (default 30).
-	Sweeps int
-	// VarWeight weights the variance residual relative to the mean
-	// residual in the objective (default 1).
-	VarWeight float64
-	// Eps bounds probabilities away from {0,1} (default 1e-3).
-	Eps float64
-}
-
-func (c MomentsConfig) withDefaults() MomentsConfig {
-	if c.Sweeps <= 0 {
-		c.Sweeps = 30
-	}
-	if c.VarWeight <= 0 {
-		c.VarWeight = 1
-	}
-	if c.Eps <= 0 {
-		c.Eps = 1e-3
-	}
-	return c
-}
+const (
+	// momentSweeps is the number of coordinate-descent passes.
+	momentSweeps = 30
+	// momentVarWeight weights the variance residual relative to the mean
+	// residual in the objective.
+	momentVarWeight = 1
+	// momentEps bounds probabilities away from {0,1}.
+	momentEps = 1e-3
+)
 
 // EstimateMoments fits branch probabilities by matching the chain's
 // analytic duration mean and variance (from the absorbing-chain fundamental
@@ -41,8 +27,7 @@ func (c MomentsConfig) withDefaults() MomentsConfig {
 // has more than two effective unknowns — that is the method's documented
 // limitation and exactly why the EM estimator is the primary one; the
 // ablation experiment (T3) quantifies the gap.
-func EstimateMoments(m *Model, samples []float64, cfg MomentsConfig) (markov.EdgeProbs, error) {
-	cfg = cfg.withDefaults()
+func EstimateMoments(m *Model, samples []float64) (markov.EdgeProbs, error) {
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
@@ -73,10 +58,10 @@ func EstimateMoments(m *Model, samples []float64, cfg MomentsConfig) (markov.Edg
 		}
 		dm := (mean - wantMean) / math.Max(wantMean, 1)
 		dv := (variance - wantVar) / math.Max(wantVar, 1)
-		return dm*dm + cfg.VarWeight*dv*dv
+		return dm*dm + momentVarWeight*dv*dv
 	}
 
-	for sweep := 0; sweep < cfg.Sweeps; sweep++ {
+	for sweep := 0; sweep < momentSweeps; sweep++ {
 		moved := 0.0
 		for _, u := range m.Unknowns {
 			e0, e1 := u.Edges[0], u.Edges[1]
@@ -85,7 +70,7 @@ func EstimateMoments(m *Model, samples []float64, cfg MomentsConfig) (markov.Edg
 				probs[e0] = p
 				probs[e1] = 1 - p
 				return objective()
-			}, cfg.Eps, 1-cfg.Eps, 40)
+			}, momentEps, 1-momentEps, 40)
 			probs[e0] = best
 			probs[e1] = 1 - best
 			moved += math.Abs(best - old)

@@ -21,26 +21,23 @@ type RobustConfig struct {
 	// this from every enumerated path duration are discarded before EM
 	// runs (default 4× the EM kernel half-width).
 	OutlierWidth float64
-	// WinsorFraction clamps this fraction of the kept samples at each
-	// tail to the corresponding quantile, in [0, 0.5) (default 0.005).
-	// Trimming is the main defence; the winsor pass only bounds the
-	// leverage of the extreme in-model tail, and must stay below the
-	// probability of the rarest path worth estimating or it clamps real
-	// samples into the wrong mode.
-	WinsorFraction float64
 	// MaxTrimFraction is the confidence gate: when more than this
 	// fraction of the samples was trimmed, the estimate is flagged
 	// unconfident (default 0.25).
 	MaxTrimFraction float64
 }
 
+// winsorFraction is the fraction of the kept samples clamped at each tail
+// to the corresponding quantile. Trimming is the main defence; the winsor
+// pass only bounds the leverage of the extreme in-model tail, and must stay
+// below the probability of the rarest path worth estimating or it clamps
+// real samples into the wrong mode.
+const winsorFraction = 0.005
+
 func (c RobustConfig) withDefaults() RobustConfig {
 	c.EM = c.EM.withDefaults()
 	if c.OutlierWidth <= 0 {
 		c.OutlierWidth = 4 * c.EM.KernelHalfWidth
-	}
-	if c.WinsorFraction <= 0 || c.WinsorFraction >= 0.5 {
-		c.WinsorFraction = 0.005
 	}
 	if c.MaxTrimFraction <= 0 {
 		c.MaxTrimFraction = 0.25
@@ -95,7 +92,7 @@ func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeP
 		// nothing, return the prior, and say so.
 		return m.InitialProbs(), st, nil
 	}
-	kept, st.Winsorized = winsorize(kept, cfg.WinsorFraction)
+	kept, st.Winsorized = winsorize(kept, winsorFraction)
 	st.Kept = len(kept)
 	probs, emSt, err := EstimateEM(m, kept, cfg.EM)
 	if err != nil {

@@ -168,7 +168,7 @@ func TestMomentsSynthetic(t *testing.T) {
 	m := syntheticModel(t)
 	truth := trueProbs(m, 0.3, 0.7)
 	samples := sampleDurations(t, m, truth, 8000, 1, 13)
-	est, err := EstimateMoments(m, samples, MomentsConfig{})
+	est, err := EstimateMoments(m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -551,7 +551,6 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 			if st.Converged() {
 				fst.ConvergedProcs++
 			}
-			pe.TrimmedSamples = st.Trimmed()
 		}
 		if pe.LowConfidence {
 			fst.LowConfidenceProcs++
@@ -635,6 +634,7 @@ func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, mod
 		}
 		o := &procs[i]
 		o.Probs = pipeline.Correct(o.Model, st.Probs(), st.Lost, o.Samples)
+		o.Trimmed = st.Trimmed()
 		if o.Decision = s.Accept(o.Model, o.Probs, st.Confident()); o.Decision == pipeline.Trusted {
 			probs[o.Proc.Name] = o.Probs
 		}

@@ -33,6 +33,12 @@ echo "== perfbench self-test"
 # here rather than in the benchmark run. It takes about a second.
 (cd perfbench && go vet ./... && go test -count=1 ./...)
 
+echo "== fuzz smoke (MiniC front end)"
+# Random MiniC source: the parser and checker must reject cleanly, never
+# panic, and every program the checker accepts must survive the IR
+# verifier after each pass of the most aggressive build.
+go test ./internal/minic -run=NONE -fuzz=FuzzParse -fuzztime=5s
+
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
