@@ -16,13 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"codetomo/internal/bench"
-	"codetomo/internal/mote"
+	"codetomo/internal/cli"
 	"codetomo/internal/report"
 )
 
@@ -47,29 +45,15 @@ func run() (err error) {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, ferr := os.Create(*cpuprofile)
-		if ferr != nil {
-			return ferr
-		}
-		if perr := pprof.StartCPUProfile(f); perr != nil {
-			f.Close()
-			return perr
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
+	stop, err := cli.Profile(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			if werr := writeHeapProfile(*memprofile); err == nil {
-				err = werr
-			}
-		}()
-	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	cfg := bench.DefaultConfig()
 	if *samples > 0 {
@@ -81,14 +65,10 @@ func run() (err error) {
 	if *tick > 0 {
 		cfg.TickDiv = *tick
 	}
-	switch *predictor {
-	case "":
-	case "nt":
-		cfg.Predictor = mote.StaticNotTaken{}
-	case "btfn":
-		cfg.Predictor = mote.BTFN{}
-	default:
-		return fmt.Errorf("unknown predictor %q", *predictor)
+	if *predictor != "" {
+		if cfg.Predictor, err = cli.Predictor(*predictor); err != nil {
+			return err
+		}
 	}
 
 	var exps []bench.Experiment
@@ -131,18 +111,4 @@ func run() (err error) {
 		return enc.Encode(collected)
 	}
 	return nil
-}
-
-// writeHeapProfile writes a pprof heap profile of the live heap to path.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // report live heap, not transient garbage
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

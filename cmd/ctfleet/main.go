@@ -9,19 +9,17 @@
 //
 // Usage:
 //
-//	ctfleet [-motes 4] [-drop 0.2] [-corrupt 0.05] [-arq 3] [-crash 2000000] [-robust] file.mc
+//	ctfleet [-motes 4] [-drop 0.2] [-corrupt 0.05] [-arq 3] [-crash 2000000] [-estimator robust] file.mc
 //	ctfleet -harvest 0.8 -capacitor 60 -ckpt 4 file.mc    # intermittent, energy-harvesting fleet
 //	ctfleet -motes 4 -push 127.0.0.1:7100 file.mc    # upload to a running ctstationd instead
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	codetomo "codetomo"
@@ -36,134 +34,80 @@ func main() {
 // run is main's testable body: parse, validate, execute, report. Exit
 // codes: 0 success, 1 pipeline failure, 2 usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("ctfleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	motes := fs.Int("motes", 4, "deployment size")
+	const unbounded = math.MaxInt
+	inf := math.Inf(1)
+	fs := cli.FlagSet("ctfleet", "[flags] file.mc", stderr)
+	motes := cli.Int(fs, "motes", 4, 1, unbounded, "deployment size")
 	workloads := fs.String("workloads", "", "comma-separated input regimes assigned round-robin (default: -workload for every mote)")
 	regime := fs.String("workload", "gaussian", "base input regime: gaussian, uniform, bursty, regime, diurnal")
 	seed := fs.Int64("seed", 1, "master random seed (motes, clocks, channel, and faults derive from it)")
 	tick := fs.Int("tick", 8, "timer prescaler in cycles")
-	estName := fs.String("estimator", "em", "estimator: em, moments, or histogram")
-	drop := fs.Float64("drop", 0, "per-packet loss probability in [0,1]")
-	dup := fs.Float64("dup", 0, "per-packet duplication probability in [0,1]")
-	reorder := fs.Float64("reorder", 0, "per-packet reorder probability in [0,1]")
-	corrupt := fs.Float64("corrupt", 0, "per-transmission bit-flip probability in [0,1]")
-	arq := fs.Int("arq", 0, "max selective-repeat retransmission rounds per uplink (0 = off)")
+	estName := fs.String("estimator", "em", "estimator: em, robust (outlier-trimmed EM with per-procedure confidence gating), moments, or histogram")
+	drop := cli.Prob(fs, "drop", "per-packet loss probability in [0,1]")
+	dup := cli.Prob(fs, "dup", "per-packet duplication probability in [0,1]")
+	reorder := cli.Prob(fs, "reorder", "per-packet reorder probability in [0,1]")
+	corrupt := cli.Prob(fs, "corrupt", "per-transmission bit-flip probability in [0,1]")
+	arq := cli.Int(fs, "arq", 0, 0, unbounded, "max selective-repeat retransmission rounds per uplink (0 = off)")
 	arqBackoff := fs.Uint64("arqbackoff", 0, "base backoff ticks between ARQ rounds (0 = default 64)")
 	crash := fs.Uint64("crash", 0, "mean cycles between watchdog resets (0 = no crash injection)")
-	brownout := fs.Float64("brownout", 0, "probability in [0,1] that a reset is a long brownout")
-	stuck := fs.Float64("stuck", 0, "per-read probability in [0,1] of an ADC stuck-at episode")
-	adcnoise := fs.Float64("adcnoise", 0, "per-read probability in [0,1] of an ADC glitch")
+	brownout := cli.Prob(fs, "brownout", "probability in [0,1] that a reset is a long brownout")
+	stuck := cli.Prob(fs, "stuck", "per-read probability in [0,1] of an ADC stuck-at episode")
+	adcnoise := cli.Prob(fs, "adcnoise", "per-read probability in [0,1] of an ADC glitch")
 	faultseed := fs.Int64("faultseed", 0, "fault-injection seed (0 = derive from -seed)")
-	harvest := fs.Float64("harvest", 0, "mean harvested power in uJ per 1000 cycles (0 = mains power; CPU draw is ~1.35)")
-	harvestNoise := fs.Float64("harvestnoise", 0, "sigma of the per-window lognormal harvest noise (0 = noiseless)")
+	harvest := cli.Float(fs, "harvest", 0, 0, inf, "mean harvested power in uJ per 1000 cycles (0 = mains power; CPU draw is ~1.35)")
+	harvestNoise := cli.Float(fs, "harvestnoise", 0, 0, inf, "sigma of the per-window lognormal harvest noise (0 = noiseless)")
 	diurnal := fs.Uint64("diurnal", 0, "solar day length in cycles for the harvest envelope (0 = flat source)")
-	capacitor := fs.Float64("capacitor", 0, "storage capacitor size in uJ (0 = default 1000)")
-	ckpt := fs.Int("ckpt", 0, "checkpoint every K completed invocations (0 = off)")
-	ckptLow := fs.Float64("ckptlow", 0, "checkpoint when charge falls below this fraction of capacity (0 = off)")
+	capacitor := cli.Float(fs, "capacitor", 0, 0, inf, "storage capacitor size in uJ (0 = default 1000)")
+	ckpt := cli.Int(fs, "ckpt", 0, 0, unbounded, "checkpoint every K completed invocations (0 = off)")
+	ckptLow := cli.Prob(fs, "ckptlow", "checkpoint when charge falls below this fraction in [0,1) of capacity (0 = off)")
 	maxcycles := fs.Uint64("maxcycles", 0, "per-mote cycle budget (0 = default)")
-	robust := fs.Bool("robust", false, "outlier-robust estimation with per-procedure confidence gating")
-	trim := fs.Float64("trim", 0, "robust outlier cut in cycles (0 = default 4x the EM kernel)")
-	maxtrim := fs.Float64("maxtrim", 0, "trim fraction in [0,1] beyond which a procedure is low-confidence (0 = default 0.25)")
 	perPacket := fs.Int("packet", 0, "trace events per radio packet (0 = default 32)")
 	batches := fs.Int("batches", 0, "uplink rounds for incremental estimation (0 = default 8)")
 	workers := fs.Int("workers", 0, "concurrent mote simulations (0 = default 4; affects wall time only)")
-	cohort := fs.Int("cohort", 0, "motes per worker task in the streaming scheduler (0 = default 64; affects wall time and memory only)")
+	cohort := cli.Int(fs, "cohort", 0, 0, unbounded, "motes per worker task in the streaming scheduler (0 = default 64; affects wall time and memory only)")
 	pushAddr := fs.String("push", "", "push the fleet's frames to a ctstationd TCP ingest at this address instead of estimating locally")
-	pushRetries := fs.Int("pushretries", 3, "stop-and-wait retransmissions per NAKed frame in -push mode")
+	pushRetries := cli.Int(fs, "pushretries", 3, 0, unbounded, "stop-and-wait retransmissions per NAKed frame in -push mode")
 	pushTimeout := fs.Duration("pushtimeout", station.DefaultAckTimeout, "per-frame ACK deadline in -push mode (a station that accepts but never answers aborts the session)")
 	pgo := fs.String("pgo", "", "profile-guided passes beyond placement: comma-separated subset of inline,superblock,hotcold,pagepack, or all/none")
-	pageCost := fs.Int("pagecost", 0, "flash page-crossing penalty in cycles charged by the mote (0 = uniform flash)")
+	pageCost := cli.Int(fs, "pagecost", 0, 0, unbounded, "flash page-crossing penalty in cycles charged by the mote (0 = uniform flash)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return cli.ExitUsage
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
+	stopProfile, err := cli.Profile(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, "ctfleet:", err)
+		return cli.ExitFailure
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
 			fmt.Fprintln(stderr, "ctfleet:", err)
-			return 1
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "ctfleet:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(stderr, "ctfleet:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // report live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "ctfleet:", err)
-			}
-		}()
-	}
-	usage := cli.Usage(fs, stderr, "ctfleet", "[flags] file.mc")
+	}()
 	if fs.NArg() != 1 {
-		return usage("expected exactly one source file, got %d args", fs.NArg())
-	}
-	if p, bad := cli.BadProbability(
-		cli.ProbFlag{Name: "-drop", Val: *drop}, cli.ProbFlag{Name: "-dup", Val: *dup},
-		cli.ProbFlag{Name: "-reorder", Val: *reorder}, cli.ProbFlag{Name: "-corrupt", Val: *corrupt},
-		cli.ProbFlag{Name: "-brownout", Val: *brownout}, cli.ProbFlag{Name: "-stuck", Val: *stuck},
-		cli.ProbFlag{Name: "-adcnoise", Val: *adcnoise}, cli.ProbFlag{Name: "-maxtrim", Val: *maxtrim},
-	); bad {
-		return usage("invalid %s: %v is not a probability in [0, 1]", p.Name, p.Val)
-	}
-	if *arq < 0 {
-		return usage("invalid -arq: %d retransmission rounds", *arq)
-	}
-	if *trim < 0 {
-		return usage("invalid -trim: %v cycles", *trim)
-	}
-	if *motes < 1 {
-		return usage("invalid -motes: %d", *motes)
-	}
-	if *cohort < 0 {
-		return usage("invalid -cohort: %d", *cohort)
-	}
-	if *pushRetries < 0 {
-		return usage("invalid -pushretries: %d", *pushRetries)
+		return cli.Usage(fs, "expected exactly one source file, got %d args", fs.NArg())
 	}
 	if *pushTimeout < 0 {
-		return usage("invalid -pushtimeout: %v", *pushTimeout)
+		return cli.Usage(fs, "invalid -pushtimeout: %v", *pushTimeout)
 	}
-	if *harvest < 0 {
-		return usage("invalid -harvest: %v uJ/kcycle", *harvest)
-	}
-	if *harvestNoise < 0 {
-		return usage("invalid -harvestnoise: %v", *harvestNoise)
-	}
-	if *capacitor < 0 {
-		return usage("invalid -capacitor: %v uJ", *capacitor)
-	}
-	if *ckpt < 0 {
-		return usage("invalid -ckpt: %d invocations", *ckpt)
-	}
-	if *ckptLow < 0 || *ckptLow >= 1 {
-		return usage("invalid -ckptlow: %v is not a fraction in [0, 1)", *ckptLow)
+	if *ckptLow == 1 {
+		return cli.Usage(fs, "invalid -ckptlow: %v is not a fraction in [0, 1)", *ckptLow)
 	}
 	if (*ckpt > 0 || *ckptLow > 0) && *harvest == 0 {
-		return usage("invalid -ckpt/-ckptlow: checkpointing needs an energy schedule; set -harvest")
+		return cli.Usage(fs, "invalid -ckpt/-ckptlow: checkpointing needs an energy schedule; set -harvest")
 	}
 	passes, err := cli.ParsePGOPasses(*pgo)
 	if err != nil {
-		return usage("invalid -pgo: %v", err)
+		return cli.Usage(fs, "invalid -pgo: %v", err)
 	}
-	if *pageCost < 0 {
-		return usage("invalid -pagecost: %d cycles", *pageCost)
+	est, err := cli.Estimator(*estName, *tick)
+	if err != nil {
+		return cli.Usage(fs, "invalid -estimator: %v", err)
 	}
 
 	cfg := codetomo.FleetConfig{
-		Config: codetomo.Config{Workload: *regime, Seed: *seed, TickDiv: *tick, MaxCycles: *maxcycles,
+		Config: codetomo.Config{Workload: *regime, Seed: *seed, TickDiv: *tick, MaxCycles: *maxcycles, Estimator: est,
 			PGOInline: passes.Inline, PGOSuperblock: passes.Superblock,
 			PGOHotCold: passes.HotCold, PGOPagePack: passes.PagePack,
 			PageCrossPenalty: *pageCost},
@@ -177,9 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CorruptProb:     *corrupt,
 		ARQRetries:      *arq,
 		ARQBackoffTicks: *arqBackoff,
-		Robust:          *robust,
-		TrimWidth:       *trim,
-		MaxTrimFraction: *maxtrim,
 		Batches:         *batches,
 	}
 	cfg.Faults.CrashMTBFCycles = *crash
@@ -195,14 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Checkpoint.OnLowChargeFrac = *ckptLow
 	if *workloads != "" {
 		cfg.Workloads = strings.Split(*workloads, ",")
-	}
-	est, err := cli.Estimator(*estName, *tick)
-	if err != nil {
-		return usage("invalid -estimator: %v", err)
-	}
-	cfg.Estimator = est
-	if *robust && *estName != "em" {
-		return usage("invalid -robust: the robust estimator wraps EM; drop -estimator %s", *estName)
 	}
 
 	src, err := os.ReadFile(fs.Arg(0))
@@ -253,39 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, tab.Render())
 	}
 
-	fmt.Fprintln(stdout, "estimates (per procedure, merged fleet samples):")
-	for _, pe := range res.Estimates {
-		if pe.Fallback {
-			fmt.Fprintf(stdout, "  %-14s %6d samples  (untrusted model; layout left unchanged)\n", pe.Proc, pe.SampleCount)
-			continue
-		}
-		note := ""
-		if pe.TrimmedSamples > 0 {
-			note = fmt.Sprintf("  [%d outliers trimmed]", pe.TrimmedSamples)
-		}
-		if pe.LowConfidence {
-			note += "  [low confidence; layout left unchanged]"
-		}
-		fmt.Fprintf(stdout, "  %-14s %6d samples  MAE vs fleet oracle %.4f%s\n", pe.Proc, pe.SampleCount, pe.MAE, note)
-		for _, b := range pe.Branches {
-			warn := ""
-			if b.Ambiguity > 0.9 {
-				warn = "  [structurally ambiguous at this timer resolution]"
-			}
-			fmt.Fprintf(stdout, "      b%-3d -> b%-3d  est %.3f  oracle %.3f%s\n", b.FromBlock, b.ToBlock, b.Prob, b.Oracle, warn)
-		}
-	}
-
-	fmt.Fprintln(stdout, "\nplacement result (uninstrumented, base workload):")
-	fmt.Fprintf(stdout, "  %-22s %14s %14s\n", "", "original", "optimized")
-	fmt.Fprintf(stdout, "  %-22s %14d %14d\n", "cycles", res.Before.Cycles, res.After.Cycles)
-	fmt.Fprintf(stdout, "  %-22s %14d %14d\n", "cond branches", res.Before.CondBranches, res.After.CondBranches)
-	fmt.Fprintf(stdout, "  %-22s %14d %14d\n", "mispredicts", res.Before.Mispredicts, res.After.Mispredicts)
-	fmt.Fprintf(stdout, "  %-22s %13.2f%% %13.2f%%\n", "mispredict rate",
-		100*res.Before.MispredictRate(), 100*res.After.MispredictRate())
-	fmt.Fprintf(stdout, "  %-22s %14.1f %14.1f\n", "energy (uJ)", res.Before.EnergyUJ, res.After.EnergyUJ)
-	fmt.Fprintf(stdout, "\n  misprediction reduction: %.1f%%   speedup: %.3fx\n",
-		100*res.MispredictReduction(), res.Speedup())
+	cli.Report(stdout, &res.Result, "per procedure, merged fleet samples", "uninstrumented, base workload")
 
 	if it := res.Intermittence; it != nil {
 		fmt.Fprintln(stdout, "\nintermittent execution (harvested power):")

@@ -56,12 +56,9 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"negative corrupt", []string{"-corrupt", "-0.1", prog}, "-corrupt"},
 		{"brownout out of range", []string{"-brownout", "2", prog}, "-brownout"},
 		{"stuck out of range", []string{"-stuck", "-1", prog}, "-stuck"},
-		{"maxtrim out of range", []string{"-maxtrim", "1.5", prog}, "-maxtrim"},
 		{"negative arq", []string{"-arq", "-2", prog}, "-arq"},
-		{"negative trim", []string{"-trim", "-5", prog}, "-trim"},
 		{"zero motes", []string{"-motes", "0", prog}, "-motes"},
 		{"unknown estimator", []string{"-estimator", "psychic", prog}, "-estimator"},
-		{"robust over histogram", []string{"-robust", "-estimator", "histogram", prog}, "-robust"},
 		{"negative push retries", []string{"-push", "127.0.0.1:1", "-pushretries", "-1", prog}, "-pushretries"},
 		{"unknown pgo pass", []string{"-pgo", "vectorize", prog}, "-pgo"},
 		{"negative pagecost", []string{"-pagecost", "-1", prog}, "-pagecost"},
@@ -162,7 +159,7 @@ func TestRunFaultyDeployment(t *testing.T) {
 		"-motes", "2", "-workers", "2",
 		"-corrupt", "0.05", "-arq", "3",
 		"-crash", "1000000", "-maxcycles", "4000000",
-		"-robust",
+		"-estimator", "robust",
 		prog,
 	}, &stdout, &stderr)
 	if code != 0 {

@@ -106,3 +106,19 @@ func TestRunWithPGOPasses(t *testing.T) {
 		t.Fatalf("stdout missing placement result:\n%s", stdout.String())
 	}
 }
+
+// -estimator robust runs Run with the outlier-trimming robust estimator,
+// the same configuration ctfleet and ctstationd get from the flag.
+func TestRunRobustEstimator(t *testing.T) {
+	prog := writeProgram(t)
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-estimator", "robust", prog}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit = %d\nstderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{"MAE vs oracle", "placement result"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("stdout missing %q:\n%s", want, stdout.String())
+		}
+	}
+}

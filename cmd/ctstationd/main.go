@@ -18,9 +18,9 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -43,40 +43,26 @@ func main() {
 // cancelled, drain. Exit codes: 0 clean shutdown, 1 runtime failure, 2
 // usage error.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("ctstationd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.FlagSet("ctstationd", "[flags] file.mc", stderr)
 	listen := fs.String("listen", "127.0.0.1:7100", "TCP ingest address")
 	udp := fs.String("udp", "", "UDP ingest address (empty = TCP only)")
 	httpAddr := fs.String("http", "127.0.0.1:7180", "HTTP API address")
 	data := fs.String("data", "", "data directory for the frame log and model snapshots (empty = in-memory only)")
-	shards := fs.Int("shards", 2, "reassembly shards (one worker each)")
-	epoch := fs.Int("epoch", 64, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
-	tick := fs.Int("tick", 8, "the deployment's timer prescaler in cycles")
-	estName := fs.String("estimator", "em", "estimator: em, moments, or histogram")
+	shards := cli.Int(fs, "shards", 2, 1, math.MaxInt, "reassembly shards (one worker each)")
+	epoch := cli.Int(fs, "epoch", 64, 0, math.MaxInt, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
+	tick := cli.Int(fs, "tick", 8, 1, math.MaxInt, "the deployment's timer prescaler in cycles")
+	estName := fs.String("estimator", "em", "estimator: em, robust, moments, or histogram")
 	static := fs.Bool("static", false, "pin statically resolved branches and check fits against the static envelope")
-	minsamples := fs.Int("minsamples", 50, "fewest samples before a procedure's model is trusted")
+	minsamples := cli.Int(fs, "minsamples", 50, 1, math.MaxInt, "fewest samples before a procedure's model is trusted")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
-	usage := cli.Usage(fs, stderr, "ctstationd", "[flags] file.mc")
 	if fs.NArg() != 1 {
-		return usage("expected exactly one source file, got %d args", fs.NArg())
-	}
-	if *shards < 1 {
-		return usage("invalid -shards: %d", *shards)
-	}
-	if *epoch < 0 {
-		return usage("invalid -epoch: %d frames", *epoch)
-	}
-	if *tick < 1 {
-		return usage("invalid -tick: %d cycles", *tick)
-	}
-	if *minsamples < 1 {
-		return usage("invalid -minsamples: %d", *minsamples)
+		return cli.Usage(fs, "expected exactly one source file, got %d args", fs.NArg())
 	}
 	est, err := cli.Estimator(*estName, *tick)
 	if err != nil {
-		return usage("invalid -estimator: %v", err)
+		return cli.Usage(fs, "invalid -estimator: %v", err)
 	}
 
 	src, err := os.ReadFile(fs.Arg(0))

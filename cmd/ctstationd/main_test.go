@@ -121,24 +121,13 @@ func waitForAddr(t *testing.T, out *syncBuffer, prefix string) string {
 	}
 }
 
-// The full loopback round trip: boot the daemon on ephemeral ports, push
-// one simulated fleet round over TCP, cut an epoch over HTTP, read the
-// models back, and shut down cleanly with exit 0.
-func TestStationSmoke(t *testing.T) {
-	prog := writeProgram(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout, stderr syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run(ctx, []string{
-			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-udp", "127.0.0.1:0",
-			"-epoch", "0", "-data", t.TempDir(), prog,
-		}, &stdout, &stderr)
-	}()
-
-	tcpAddr := waitForAddr(t, &stdout, "ctstationd: ingest tcp ")
-	httpAddr := waitForAddr(t, &stdout, "ctstationd: http ")
+// pushAndCut waits for a booting daemon's addresses, pushes one simulated
+// fleet round over TCP, and cuts the first epoch over HTTP, which must
+// serve a snapshot with estimated procedures. It returns the HTTP address.
+func pushAndCut(t *testing.T, stdout *syncBuffer) string {
+	t.Helper()
+	tcpAddr := waitForAddr(t, stdout, "ctstationd: ingest tcp ")
+	httpAddr := waitForAddr(t, stdout, "ctstationd: http ")
 
 	uploads, err := codetomo.FleetUploads(tinyProgram, codetomo.FleetConfig{Motes: 2, Workers: 2})
 	if err != nil {
@@ -168,8 +157,28 @@ func TestStationSmoke(t *testing.T) {
 	if snap.Epoch != 1 || len(snap.Procs) == 0 {
 		t.Fatalf("POST /v1/epoch = %+v", snap)
 	}
+	return httpAddr
+}
 
-	resp, err = http.Get("http://" + httpAddr + "/healthz")
+// The full loopback round trip: boot the daemon on ephemeral ports, push
+// one simulated fleet round over TCP, cut an epoch over HTTP, read the
+// models back, and shut down cleanly with exit 0.
+func TestStationSmoke(t *testing.T) {
+	prog := writeProgram(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-udp", "127.0.0.1:0",
+			"-epoch", "0", "-data", t.TempDir(), prog,
+		}, &stdout, &stderr)
+	}()
+
+	httpAddr := pushAndCut(t, &stdout)
+
+	resp, err := http.Get("http://" + httpAddr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,5 +218,31 @@ func TestStationSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "drained") {
 		t.Fatalf("no drain message:\n%s", stdout.String())
+	}
+}
+
+// -estimator robust boots a station that estimates with the
+// outlier-trimming robust estimator and serves its snapshot.
+func TestStationRobustEstimator(t *testing.T) {
+	prog := writeProgram(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-epoch", "0",
+			"-estimator", "robust", prog,
+		}, &stdout, &stderr)
+	}()
+	pushAndCut(t, &stdout)
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit = %d\nstderr: %s", code, stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("daemon did not drain after cancel\nstdout: %s", stdout.String())
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"os"
 	"sort"
 
+	"codetomo/internal/cli"
 	"codetomo/internal/compile"
 	"codetomo/internal/mote"
 	"codetomo/internal/pipeline"
@@ -40,16 +41,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mt := pipeline.Mote{TickDiv: *tick, MaxCycles: *maxCycles, FuseCompares: *fuse, RotateLoops: *rotate,
-		Inputs: pipeline.Workload(*regime, *seed)}
-	switch *predictor {
-	case "nt":
-		mt.Predictor = mote.StaticNotTaken{}
-	case "btfn":
-		mt.Predictor = mote.BTFN{}
-	default:
-		fatal(fmt.Errorf("unknown predictor %q", *predictor))
+	pred, err := cli.Predictor(*predictor)
+	if err != nil {
+		fatal(err)
 	}
+	mt := pipeline.Mote{TickDiv: *tick, MaxCycles: *maxCycles, FuseCompares: *fuse, RotateLoops: *rotate,
+		Predictor: pred, Inputs: pipeline.Workload(*regime, *seed)}
 	var opts compile.Options
 	if *traceOut != "" {
 		opts.Instrument = compile.ModeTimestamps
@@ -101,13 +98,6 @@ func main() {
 				float64(st.Taken)/float64(total), out.Code[pc])
 		}
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

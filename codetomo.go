@@ -55,7 +55,9 @@ type Config struct {
 	// Predictor is the static branch predictor (default predict-not-taken).
 	Predictor mote.Predictor
 	// Estimator selects the estimation strategy (default EM tuned to the
-	// timer resolution).
+	// timer resolution). tomography.Robust trims model-implausible
+	// outliers and keeps the baseline layout for procedures whose
+	// estimate it does not trust.
 	Estimator tomography.Estimator
 	// MinSamples is the fewest observations required to estimate a
 	// procedure; below it the static Ball–Larus heuristic is used

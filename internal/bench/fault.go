@@ -68,23 +68,13 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
 			cfg.ARQRetries = 3
-			cfg.Robust = true
+			useRobust(cfg)
 		})
 		if err != nil {
 			return nil, err
 		}
-		mae := func(pe *codetomo.ProcEstimate) string {
-			if pe.Fallback {
-				return "fallback"
-			}
-			s := fmt.Sprintf("%.4f", pe.MAE)
-			if pe.LowConfidence {
-				s += "*"
-			}
-			return s
-		}
 		t.AddRow(lv.name, report.I(int(hardRes.Fleet.Resets)),
-			mae(naivePE), mae(hardPE),
+			formatMAE(naivePE), formatMAE(hardPE),
 			fmt.Sprintf("%.3fx", hardRes.Speedup()),
 			report.I(hardRes.Fleet.LowConfidenceProcs),
 			report.I(hardRes.Fleet.TrimmedSamples))
@@ -115,7 +105,7 @@ func ARQOverheadSweep(c Config) (*report.Table, error) {
 			cfg.MaxCycles = faultMaxCycles
 			cfg.CorruptProb = rate
 			cfg.ARQRetries = 3
-			cfg.Robust = true
+			useRobust(cfg)
 		})
 		if err != nil {
 			return nil, err
@@ -125,15 +115,9 @@ func ARQOverheadSweep(c Config) (*report.Table, error) {
 		if st.Link.Sent > 0 {
 			goodput = float64(st.Uplink.PacketsDelivered) / float64(st.Link.Sent)
 		}
-		maeCell := fmt.Sprintf("%.4f", pe.MAE)
-		if pe.Fallback {
-			maeCell = "fallback"
-		} else if pe.LowConfidence {
-			maeCell += "*"
-		}
 		t.AddRow(report.Pct(rate), report.I(st.Uplink.PacketsCorrupted),
 			report.I(st.ARQ.Retransmissions), report.I(st.ARQ.Recovered),
-			report.I(st.ARQ.Unrecovered), report.Pct(goodput), maeCell)
+			report.I(st.ARQ.Unrecovered), report.Pct(goodput), formatMAE(pe))
 	}
 	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	codetomo "codetomo"
 	"codetomo/internal/apps"
 	"codetomo/internal/report"
+	"codetomo/internal/tomography"
 )
 
 // fleetApp is the deployment benchmark: sense is the canonical
@@ -26,6 +27,29 @@ func (c Config) fleetConfig(app apps.App, motes int) codetomo.FleetConfig {
 		},
 		Motes: motes,
 	}
+}
+
+// useRobust switches cfg to the outlier-trimmed robust estimator with
+// confidence-gated placement: EM with its kernel at the timer tick, every
+// other knob at its default.
+func useRobust(cfg *codetomo.FleetConfig) {
+	cfg.Estimator = tomography.Robust{Config: tomography.RobustConfig{
+		EM: tomography.EMConfig{KernelHalfWidth: float64(cfg.TickDiv)},
+	}}
+}
+
+// formatMAE renders an estimate's error for a table: "fallback" when the
+// model was untrusted, starred when the robust estimator flagged it low
+// confidence.
+func formatMAE(pe *codetomo.ProcEstimate) string {
+	if pe.Fallback {
+		return "fallback"
+	}
+	s := fmt.Sprintf("%.4f", pe.MAE)
+	if pe.LowConfidence {
+		s += "*"
+	}
+	return s
 }
 
 // runFleet drives the full fleet pipeline — N motes, lossy uplink,

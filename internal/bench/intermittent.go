@@ -62,18 +62,12 @@ func IntermittentSweep(c Config) (*report.Table, error) {
 					Seed:               c.Seed + 1,
 				}
 				cfg.Checkpoint = p.pol
-				cfg.Robust = true
+				useRobust(cfg)
 			})
 			if err != nil {
 				return nil, err
 			}
 			st := res.Fleet
-			maeCell := fmt.Sprintf("%.4f", pe.MAE)
-			if pe.Fallback {
-				maeCell = "fallback"
-			} else if pe.LowConfidence {
-				maeCell += "*"
-			}
 			complCell, perJ, predJ := "n/a", "n/a", "n/a"
 			if in := res.Intermittence; in != nil {
 				complCell = report.Pct(in.CompletionRate)
@@ -82,7 +76,7 @@ func IntermittentSweep(c Config) (*report.Table, error) {
 			}
 			t.AddRow(fmt.Sprintf("%.1f", rate), p.name,
 				report.I(st.PowerFailures), report.I(st.Checkpoints),
-				report.I(st.Uplink.LostPartials), complCell, maeCell,
+				report.I(st.Uplink.LostPartials), complCell, formatMAE(pe),
 				fmt.Sprintf("%.3fx", res.Speedup()), perJ, predJ)
 		}
 	}

@@ -18,39 +18,9 @@ func tempReadCounts(p *cfg.Proc) []int {
 	}
 	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
-			switch i := in.(type) {
-			case ir.Const:
-			case ir.Mov:
-				read(i.Src)
-			case ir.Bin:
-				read(i.A)
-				read(i.B)
-			case ir.Un:
-				read(i.A)
-			case ir.LoadVar:
-			case ir.StoreVar:
-				read(i.Src)
-			case ir.LoadIndex:
-				read(i.Idx)
-			case ir.StoreIndex:
-				read(i.Idx)
-				read(i.Src)
-			case ir.Call:
-				for _, a := range i.Args {
-					read(a)
-				}
-			case ir.Builtin:
-				for _, a := range i.Args {
-					read(a)
-				}
-			}
+			ir.InstrUses(in, read)
 		}
-		switch t := b.Term.(type) {
-		case ir.Br:
-			read(t.Cond)
-		case ir.Ret:
-			read(t.Val)
-		}
+		ir.TermUses(b.Term, read)
 	}
 	return counts
 }

@@ -533,11 +533,11 @@ func (e *emitter) emitBlocks(p *cfg.Proc, fr *frame, pm *ProcMeta, run []ir.Bloc
 				e.emit(isa.Instr{Op: isa.LD, Rd: isa.RegScratch1, Ra: isa.RegFP, Imm: -fr.tempOff(fuse.A)})
 				e.emit(isa.Instr{Op: isa.LD, Rd: isa.RegScratch2, Ra: isa.RegFP, Imm: -fr.tempOff(fuse.B)})
 				cycles += 2 * e.cyc(isa.LD)
-				cycles += e.genFusedBranch(pm, bid, t, fuse.Op, next, hotTrue, branchFixups)
+				cycles += e.genBranch(pm, bid, t, next, hotTrue, fusedCond(fuse.Op), branchFixups)
 			default:
 				e.emit(isa.Instr{Op: isa.LD, Rd: isa.RegScratch1, Ra: isa.RegFP, Imm: -fr.tempOff(t.Cond)})
 				cycles += e.cyc(isa.LD)
-				cycles += e.genBranch(pm, bid, t, next, hotTrue, branchFixups)
+				cycles += e.genBranch(pm, bid, t, next, hotTrue, plainCond, branchFixups)
 			}
 
 		default:
@@ -548,45 +548,38 @@ func (e *emitter) emitBlocks(p *cfg.Proc, fr *frame, pm *ProcMeta, run []ir.Bloc
 	return nil
 }
 
-// genBranch emits the conditional control transfer for a Br whose condition
-// is already in scratch register r1, records edge metadata, and returns the
-// cycles charged to the block (the branch's base cost; direction-dependent
-// costs go to the edges). When neither successor is the next block, the
-// polarity hint decides which arm gets the conditional branch: aiming it at
-// the colder arm makes the hot arm an always-JMP (never mispredicted).
-func (e *emitter) genBranch(pm *ProcMeta, bid ir.BlockID, t ir.Br, next ir.BlockID, hotTrue bool, fixups *[]branchFixup) uint64 {
-	switch {
-	case t.False == next:
-		pc := e.emit(isa.Instr{Op: isa.BNZ, Ra: isa.RegScratch1})
-		*fixups = append(*fixups, branchFixup{idx: int(pc), block: t.True})
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: false, JmpPC: -1}
-		return e.cyc(isa.BNZ)
-	case t.True == next:
-		pc := e.emit(isa.Instr{Op: isa.BZ, Ra: isa.RegScratch1})
-		*fixups = append(*fixups, branchFixup{idx: int(pc), block: t.False})
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: false, JmpPC: -1}
-		return e.cyc(isa.BZ)
-	case hotTrue:
-		// Conditional branch targets the cold False arm; hot True arm
-		// leaves via the unconditional JMP.
-		pc := e.emit(isa.Instr{Op: isa.BZ, Ra: isa.RegScratch1})
-		*fixups = append(*fixups, branchFixup{idx: int(pc), block: t.False})
-		jmp := e.emit(isa.Instr{Op: isa.JMP})
-		*fixups = append(*fixups, branchFixup{idx: int(jmp), block: t.True})
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: false, ViaJmp: true, JmpPC: jmp}
-		return e.cyc(isa.BZ)
-	default:
-		pc := e.emit(isa.Instr{Op: isa.BNZ, Ra: isa.RegScratch1})
-		*fixups = append(*fixups, branchFixup{idx: int(pc), block: t.True})
-		jmp := e.emit(isa.Instr{Op: isa.JMP})
-		*fixups = append(*fixups, branchFixup{idx: int(jmp), block: t.False})
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: false, ViaJmp: true, JmpPC: jmp}
-		return e.cyc(isa.BNZ)
+// genBranch emits the conditional control transfer for a Br, records edge
+// metadata, and returns the cycles charged to the block (the branch's base
+// cost; direction-dependent costs go to the edges). cond builds the branch
+// that transfers when the condition holds, or fails if negate is set. The
+// branch targets the arm that is not the next block; when neither is, the
+// polarity hint aims it at the colder arm, making the hot arm an always-JMP
+// (never mispredicted).
+func (e *emitter) genBranch(pm *ProcMeta, bid ir.BlockID, t ir.Br, next ir.BlockID, hotTrue bool, cond func(negate bool) isa.Instr, fixups *[]branchFixup) uint64 {
+	negate := t.False != next && (t.True == next || hotTrue)
+	taken, other := t.True, t.False
+	if negate {
+		taken, other = t.False, t.True
 	}
+	pc := e.emit(cond(negate))
+	*fixups = append(*fixups, branchFixup{idx: int(pc), block: taken})
+	pm.Edges[EdgeKey{From: bid, To: taken}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
+	fall := EdgeInfo{BranchPC: pc, Taken: false, JmpPC: -1}
+	if other != next {
+		jmp := e.emit(isa.Instr{Op: isa.JMP})
+		*fixups = append(*fixups, branchFixup{idx: int(jmp), block: other})
+		fall.ViaJmp, fall.JmpPC = true, jmp
+	}
+	pm.Edges[EdgeKey{From: bid, To: other}] = fall
+	return e.cyc(e.code[pc].Op)
+}
+
+// plainCond is genBranch's cond for a boolean condition in r1.
+func plainCond(negate bool) isa.Instr {
+	if negate {
+		return isa.Instr{Op: isa.BZ, Ra: isa.RegScratch1}
+	}
+	return isa.Instr{Op: isa.BNZ, Ra: isa.RegScratch1}
 }
 
 // genCountedBranch is the ModeEdgeCounters variant: each arc increments a

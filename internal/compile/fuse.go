@@ -44,51 +44,15 @@ func fusedOp(op ir.Op, negate bool) (mop isa.Op, swap bool) {
 	panic("compile: fusedOp on non-comparison " + op.String())
 }
 
-// genFusedBranch emits a single compare-and-branch for a Br whose condition
-// was a one-use trailing comparison. The comparison operands are already in
-// scratch registers r1 (A) and r2 (B). Returns the cycles charged to the
-// block.
-func (e *emitter) genFusedBranch(pm *ProcMeta, bid ir.BlockID, t ir.Br, op ir.Op, next ir.BlockID, hotTrue bool, fixups *[]branchFixup) uint64 {
-	const (
-		r1 = isa.RegScratch1
-		r2 = isa.RegScratch2
-	)
-	emitCmp := func(negate bool, target ir.BlockID) int32 {
+// fusedCond is genBranch's cond for a Br whose condition was a one-use
+// trailing comparison op, with the comparison operands already in scratch
+// registers r1 (A) and r2 (B).
+func fusedCond(op ir.Op) func(negate bool) isa.Instr {
+	return func(negate bool) isa.Instr {
 		mop, swap := fusedOp(op, negate)
-		ra, rb := r1, r2
 		if swap {
-			ra, rb = r2, r1
+			return isa.Instr{Op: mop, Ra: isa.RegScratch2, Rb: isa.RegScratch1}
 		}
-		pc := e.emit(isa.Instr{Op: mop, Ra: ra, Rb: rb})
-		*fixups = append(*fixups, branchFixup{idx: int(pc), block: target})
-		return pc
-	}
-
-	switch {
-	case t.False == next:
-		// Branch to True when the comparison holds; fall through to False.
-		pc := emitCmp(false, t.True)
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: false, JmpPC: -1}
-		return uint64(e.cost.Cycles[e.code[pc].Op])
-	case t.True == next:
-		pc := emitCmp(true, t.False)
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: false, JmpPC: -1}
-		return uint64(e.cost.Cycles[e.code[pc].Op])
-	case hotTrue:
-		pc := emitCmp(true, t.False)
-		jmp := e.emit(isa.Instr{Op: isa.JMP})
-		*fixups = append(*fixups, branchFixup{idx: int(jmp), block: t.True})
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: false, ViaJmp: true, JmpPC: jmp}
-		return uint64(e.cost.Cycles[e.code[pc].Op])
-	default:
-		pc := emitCmp(false, t.True)
-		jmp := e.emit(isa.Instr{Op: isa.JMP})
-		*fixups = append(*fixups, branchFixup{idx: int(jmp), block: t.False})
-		pm.Edges[EdgeKey{From: bid, To: t.True}] = EdgeInfo{BranchPC: pc, Taken: true, JmpPC: -1}
-		pm.Edges[EdgeKey{From: bid, To: t.False}] = EdgeInfo{BranchPC: pc, Taken: false, ViaJmp: true, JmpPC: jmp}
-		return uint64(e.cost.Cycles[e.code[pc].Op])
+		return isa.Instr{Op: mop, Ra: isa.RegScratch1, Rb: isa.RegScratch2}
 	}
 }

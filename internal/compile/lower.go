@@ -135,37 +135,9 @@ func (l *lowerer) block(b *minic.BlockStmt) error {
 	return nil
 }
 
-// stmtPos returns the source position of a statement.
-func stmtPos(s minic.Stmt) ir.Pos {
-	var p minic.Pos
-	switch st := s.(type) {
-	case *minic.BlockStmt:
-		p = st.Pos
-	case *minic.DeclStmt:
-		p = st.Decl.Pos
-	case *minic.AssignStmt:
-		p = st.Pos
-	case *minic.IfStmt:
-		p = st.Pos
-	case *minic.WhileStmt:
-		p = st.Pos
-	case *minic.ForStmt:
-		p = st.Pos
-	case *minic.ReturnStmt:
-		p = st.Pos
-	case *minic.BreakStmt:
-		p = st.Pos
-	case *minic.ContinueStmt:
-		p = st.Pos
-	case *minic.ExprStmt:
-		p = st.Pos
-	}
-	return ir.Pos{Line: p.Line, Col: p.Col}
-}
-
 func (l *lowerer) stmt(s minic.Stmt) error {
-	if p := stmtPos(s); p.Known() {
-		l.pos = p
+	if p := s.StmtPos(); p.Line > 0 {
+		l.pos = ir.Pos{Line: p.Line, Col: p.Col}
 	}
 	switch st := s.(type) {
 	case *minic.BlockStmt:

@@ -131,11 +131,8 @@ func blockWeights(p *cfg.Proc, w ProcWeights) map[ir.BlockID]float64 {
 	return bw
 }
 
-// coldSplit classifies blocks whose expected traversal count is at most
-// coldMaxWeight as cold. The entry block is never cold (the prologue lives there),
-// and a procedure where every non-entry block would be cold is left alone:
-// such a profile carries no contrast, and acting on it would only move the
-// whole body out of line.
+// coldSplit classifies each weighted procedure's cold blocks (see
+// ColdBlocks) at coldMaxWeight.
 func coldSplit(prog *cfg.Program, weights map[string]ProcWeights) map[string]map[ir.BlockID]bool {
 	out := make(map[string]map[ir.BlockID]bool)
 	for _, p := range prog.Procs {
@@ -143,23 +140,38 @@ func coldSplit(prog *cfg.Program, weights map[string]ProcWeights) map[string]map
 		if !ok {
 			continue
 		}
-		bw := blockWeights(p, w)
-		cold := make(map[ir.BlockID]bool)
-		for _, b := range p.Blocks {
-			if b.ID == p.Entry {
-				continue
-			}
-			if bw[b.ID] <= coldMaxWeight {
-				cold[b.ID] = true
-			}
-		}
-		if len(cold) == 0 || len(cold) == len(p.Blocks)-1 {
+		cold := ColdBlocks(p, w, coldMaxWeight)
+		if len(cold) == 0 {
 			continue
 		}
-		out[p.Name] = cold
+		set := make(map[ir.BlockID]bool, len(cold))
+		for _, b := range cold {
+			set[b] = true
+		}
+		out[p.Name] = set
 	}
 	if len(out) == 0 {
 		return nil
 	}
 	return out
+}
+
+// ColdBlocks returns, in block order, the blocks of p whose expected
+// traversal count per invocation under edge weights w is at most
+// maxWeight. The entry block is never cold (the prologue lives there), and
+// a procedure where every non-entry block would be cold gets none: such a
+// profile carries no contrast, and acting on it would only move the whole
+// body out of line.
+func ColdBlocks(p *cfg.Proc, w ProcWeights, maxWeight float64) []ir.BlockID {
+	bw := blockWeights(p, w)
+	var cold []ir.BlockID
+	for _, b := range p.Blocks {
+		if b.ID != p.Entry && bw[b.ID] <= maxWeight {
+			cold = append(cold, b.ID)
+		}
+	}
+	if len(cold) == len(p.Blocks)-1 {
+		return nil
+	}
+	return cold
 }

@@ -144,7 +144,7 @@ func (l *linter) lintBlock(b *minic.BlockStmt) {
 	reached := true
 	for _, s := range b.Stmts {
 		if !reached {
-			l.add(stmtPos(s), SevWarning, "unreachable", "statement is unreachable")
+			l.add(s.StmtPos(), SevWarning, "unreachable", "statement is unreachable")
 			reached = true // report once per dead region, keep linting it
 		}
 		l.lintStmt(s)
@@ -194,7 +194,7 @@ func (l *linter) lintStmt(s minic.Stmt) {
 // markDead flags a block whose enclosing condition makes it unreachable.
 func (l *linter) markDead(b *minic.BlockStmt) {
 	if len(b.Stmts) > 0 {
-		l.add(stmtPos(b.Stmts[0]), SevWarning, "unreachable", "statement is unreachable")
+		l.add(b.Stmts[0].StmtPos(), SevWarning, "unreachable", "statement is unreachable")
 	}
 }
 
@@ -241,32 +241,6 @@ func blockTransfers(b *minic.BlockStmt) bool {
 		}
 	}
 	return false
-}
-
-func stmtPos(s minic.Stmt) minic.Pos {
-	switch st := s.(type) {
-	case *minic.BlockStmt:
-		return st.Pos
-	case *minic.DeclStmt:
-		return st.Decl.Pos
-	case *minic.AssignStmt:
-		return st.Pos
-	case *minic.IfStmt:
-		return st.Pos
-	case *minic.WhileStmt:
-		return st.Pos
-	case *minic.ForStmt:
-		return st.Pos
-	case *minic.ReturnStmt:
-		return st.Pos
-	case *minic.BreakStmt:
-		return st.Pos
-	case *minic.ContinueStmt:
-		return st.Pos
-	case *minic.ExprStmt:
-		return st.Pos
-	}
-	return minic.Pos{}
 }
 
 // ---- CFG dataflow lints --------------------------------------------------

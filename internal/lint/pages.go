@@ -56,37 +56,15 @@ func (l *linter) lintPages(f *minic.File, out *compile.Output) {
 		}
 		l.add(pos, SevInfo, "page-info", msg)
 
-		if cold := staticColdBlocks(p); len(cold) > 0 {
+		// Cold-split candidates seeded from Ball–Larus static priors
+		// instead of estimated probabilities.
+		w := layout.FromProbs(p, profile.BallLarusProbs(p))
+		if cold := compile.ColdBlocks(p, w, staticColdMaxWeight); len(cold) > 0 {
 			l.add(pos, SevInfo, "cold-split",
 				fmt.Sprintf("%q: %s cold under static branch priors (<= %g expected traversals per call); hot/cold splitting would keep %s off the hot path's pages",
 					p.Name, blockList(p, cold), staticColdMaxWeight, itThem(len(cold))))
 		}
 	}
-}
-
-// staticColdBlocks mirrors the optimizer's cold-split classification, but
-// seeded from Ball–Larus static priors instead of estimated probabilities:
-// non-entry blocks whose expected traversal count per invocation falls at
-// or below staticColdMaxWeight. Procedures where every non-entry block
-// would qualify are skipped — a contrast-free prior says nothing about
-// which half to move.
-func staticColdBlocks(p *cfg.Proc) []ir.BlockID {
-	w := layout.FromProbs(p, profile.BallLarusProbs(p))
-	bw := make(map[ir.BlockID]float64, len(p.Blocks))
-	bw[p.Entry] = 1
-	for _, e := range p.Edges() {
-		bw[e.To] += w[[2]ir.BlockID{e.From, e.To}]
-	}
-	var cold []ir.BlockID
-	for _, b := range p.Blocks {
-		if b.ID != p.Entry && bw[b.ID] <= staticColdMaxWeight {
-			cold = append(cold, b.ID)
-		}
-	}
-	if len(cold) == len(p.Blocks)-1 {
-		return nil
-	}
-	return cold
 }
 
 // blockList names blocks for a diagnostic, preferring labels over bare IDs.

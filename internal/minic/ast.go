@@ -36,7 +36,7 @@ type FuncDecl struct {
 }
 
 // Stmt is a statement node.
-type Stmt interface{ stmtNode() }
+type Stmt interface{ StmtPos() Pos }
 
 // BlockStmt is a { ... } sequence.
 type BlockStmt struct {
@@ -99,16 +99,17 @@ type ExprStmt struct {
 	X   Expr
 }
 
-func (*BlockStmt) stmtNode()    {}
-func (*DeclStmt) stmtNode()     {}
-func (*AssignStmt) stmtNode()   {}
-func (*IfStmt) stmtNode()       {}
-func (*WhileStmt) stmtNode()    {}
-func (*ForStmt) stmtNode()      {}
-func (*ReturnStmt) stmtNode()   {}
-func (*BreakStmt) stmtNode()    {}
-func (*ContinueStmt) stmtNode() {}
-func (*ExprStmt) stmtNode()     {}
+// StmtPos implements Stmt: the statement's source position.
+func (s *BlockStmt) StmtPos() Pos    { return s.Pos }
+func (s *DeclStmt) StmtPos() Pos     { return s.Decl.Pos }
+func (s *AssignStmt) StmtPos() Pos   { return s.Pos }
+func (s *IfStmt) StmtPos() Pos       { return s.Pos }
+func (s *WhileStmt) StmtPos() Pos    { return s.Pos }
+func (s *ForStmt) StmtPos() Pos      { return s.Pos }
+func (s *ReturnStmt) StmtPos() Pos   { return s.Pos }
+func (s *BreakStmt) StmtPos() Pos    { return s.Pos }
+func (s *ContinueStmt) StmtPos() Pos { return s.Pos }
+func (s *ExprStmt) StmtPos() Pos     { return s.Pos }
 
 // Expr is an expression node.
 type Expr interface {

@@ -56,7 +56,9 @@ func ReadEvents(r io.Reader) ([]mote.TraceEvent, error) {
 	if n > maxEvents {
 		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadTraceFile, n)
 	}
-	events := make([]mote.TraceEvent, 0, n)
+	// The count is untrusted until the records arrive: preallocate at most
+	// a few thousand and let append grow the rest.
+	events := make([]mote.TraceEvent, 0, min(n, 1<<12))
 	for i := uint32(0); i < n; i++ {
 		var ev mote.TraceEvent
 		if err := binary.Read(br, binary.LittleEndian, &ev.ID); err != nil {

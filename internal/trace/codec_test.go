@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +62,22 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if _, err := ReadEvents(bytes.NewReader(data)); !errors.Is(err, ErrBadTraceFile) {
 			t.Errorf("case %d: err = %v, want ErrBadTraceFile", i, err)
 		}
+	}
+}
+
+// A header promising the maximum event count with no records behind it
+// must fail without first allocating for every promised record.
+func TestCodecTruncatedHeaderAllocatesLittle(t *testing.T) {
+	data := append([]byte("CTT1"), 0, 0, 0, 4) // 1<<26 events, none present
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEvents(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTraceFile) {
+		t.Fatalf("err = %v, want ErrBadTraceFile", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes for an 8-byte file", got)
 	}
 }
 

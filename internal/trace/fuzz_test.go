@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -157,21 +159,47 @@ func FuzzReassembler(f *testing.F) {
 }
 
 // FuzzExtract checks interval reconstruction never panics and never
-// produces inverted intervals, for arbitrary monotone event sequences.
+// produces inverted intervals, and that it agrees with extractReference on
+// every event sequence: the same intervals, or the same rejection. The one
+// intended difference is a pair whose clock ran backwards, which the
+// reference returns as an inverted interval and Extract rejects. Each byte
+// is one event: ids from -3 (negative garbage, the power and epoch
+// markers) to 15, and tick steps from -3 to +10, so clocks can run
+// backwards.
 func FuzzExtract(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{0, 0, 1, 1})
-	f.Add([]byte{2, 3})
-	f.Fuzz(func(t *testing.T, ids []byte) {
-		events := make([]mote.TraceEvent, 0, len(ids))
-		tick := uint64(0)
-		for _, id := range ids {
-			tick += uint64(id % 7)
-			events = append(events, mote.TraceEvent{ID: int32(id % 16), Tick: tick})
+	f.Add([]byte{79, 80, 81, 82})     // enter 0, exit 0, enter 1, exit 1, one tick apart
+	f.Add([]byte{79, 81, 82, 80})     // proc 1 nested in proc 0
+	f.Add([]byte{79, 81, 58, 82, 80}) // power marker inside both frames
+	f.Add([]byte{79, 59, 81, 82})     // epoch marker flushes an open frame
+	f.Add([]byte{79, 4})              // exit three ticks before its enter
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := make([]mote.TraceEvent, 0, len(data))
+		tick := uint64(100)
+		for _, b := range data {
+			tick += uint64(int64(b/19) - 3)
+			events = append(events, mote.TraceEvent{ID: int32(b%19) - 3, Tick: tick})
 		}
 		ivs, err := Extract(events)
+		ref, refErr := extractReference(events)
+		inverted := false
+		for _, iv := range ref {
+			inverted = inverted || iv.ExitTick < iv.EnterTick
+		}
+		switch {
+		case inverted:
+			if err == nil {
+				t.Fatalf("accepted a backwards-clock log: %+v", ivs)
+			}
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("Extract err = %v, reference err = %v", err, refErr)
+		case !reflect.DeepEqual(ivs, ref):
+			t.Fatalf("intervals diverge:\n got %+v\nwant %+v", ivs, ref)
+		}
 		if err != nil {
-			return // malformed logs are rejected, not crashed on
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("err = %v, want ErrMalformed", err)
+			}
+			return
 		}
 		for _, iv := range ivs {
 			if iv.ExitTick < iv.EnterTick {
@@ -182,4 +210,64 @@ func FuzzExtract(f *testing.F) {
 			}
 		}
 	})
+}
+
+// extractReference is Extract as written before it ran on the salvager: a
+// standalone strict pairer that aborts at the first unbalanced event but
+// does not check that time runs forwards.
+func extractReference(events []mote.TraceEvent) ([]Interval, error) {
+	type frame struct {
+		proc       int
+		enter      uint64
+		childTicks uint64
+		doomed     bool
+	}
+	var stack []frame
+	var out []Interval
+	for i, ev := range events {
+		if ev.ID == mote.EpochMarkID {
+			stack = stack[:0]
+			continue
+		}
+		if ev.ID == mote.PowerMarkID {
+			for j := range stack {
+				stack[j].doomed = true
+			}
+			continue
+		}
+		if ev.ID < 0 {
+			return nil, fmt.Errorf("%w: negative id %d at event %d", ErrMalformed, ev.ID, i)
+		}
+		proc := int(ev.ID / 2)
+		if ev.ID%2 == 0 {
+			stack = append(stack, frame{proc: proc, enter: ev.Tick})
+			continue
+		}
+		if len(stack) == 0 {
+			return nil, fmt.Errorf("%w: exit for proc %d with empty stack at event %d", ErrMalformed, proc, i)
+		}
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if top.proc != proc {
+			return nil, fmt.Errorf("%w: exit for proc %d while proc %d is open at event %d", ErrMalformed, proc, top.proc, i)
+		}
+		if top.doomed {
+			continue
+		}
+		iv := Interval{
+			ProcIndex:  proc,
+			EnterTick:  top.enter,
+			ExitTick:   ev.Tick,
+			ChildTicks: top.childTicks,
+			Depth:      len(stack),
+		}
+		out = append(out, iv)
+		if len(stack) > 0 {
+			stack[len(stack)-1].childTicks += iv.GrossTicks()
+		}
+	}
+	if len(stack) != 0 {
+		return nil, fmt.Errorf("%w: %d frame(s) still open at end of log", ErrMalformed, len(stack))
+	}
+	return out, nil
 }

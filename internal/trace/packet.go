@@ -394,27 +394,32 @@ type openFrame struct {
 	doomed     bool
 }
 
-// salvager is the loss-tolerant version of Extract. It is fed contiguous
-// runs of events, each a substring of a well-nested log, piece by piece,
-// with cut marking the gap after each run. Unmatched exits at the front (their enters were lost) and frames still open at the end
-// (their exits were lost) are discarded and counted; everything properly
-// paired inside the run is complete — contiguity guarantees no callee is
-// missing — and is emitted. An epoch marker (mote.EpochMarkID, logged at a
-// cold reboot) flushes the open frames: their exits were lost to the
-// crash, and post-reboot events must never pair with pre-crash enters;
-// each flushed frame is also a power-truncated lost partial. A power
-// marker (mote.PowerMarkID, logged at a checkpoint restore) dooms the
-// frames that straddle it: their enters are real and their exits will
-// arrive — the restored mote resumes inside them — but the span covers a
-// dark window and re-executed work, so the interval's timing is garbage.
-// Doomed frames are counted as lost partials at the marker and silently
-// discarded when their exits pair; frames opened after the marker are
-// clean. Other corrupt events (negative ids, time running backwards)
-// discard the enclosing frame rather than aborting the whole stream.
+// salvager is the one routine that pairs enter and exit events into
+// intervals. It is fed contiguous runs of events, each a substring of a
+// well-nested log, piece by piece, with cut marking the gap after each run.
+// Unmatched exits at the front (their enters were lost) and frames still
+// open at the end (their exits were lost) are discarded and counted;
+// everything properly paired inside the run is complete — contiguity
+// guarantees no callee is missing — and is emitted. An epoch marker
+// (mote.EpochMarkID, logged at a cold reboot) flushes the open frames:
+// their exits were lost to the crash, and post-reboot events must never
+// pair with pre-crash enters; each flushed frame is also a power-truncated
+// lost partial. A power marker (mote.PowerMarkID, logged at a checkpoint
+// restore) dooms the frames that straddle it: their enters are real and
+// their exits will arrive — the restored mote resumes inside them — but
+// the span covers a dark window and re-executed work, so the interval's
+// timing is garbage. Doomed frames are counted as lost partials at the
+// marker and silently discarded when their exits pair; frames opened after
+// the marker are clean. Other corrupt events (negative ids, an exit that
+// does not close the innermost open frame, time running backwards) discard
+// the enclosing frame rather than aborting the whole stream. Every event a
+// whole, well-nested log cannot contain — these, and an exit with no open
+// frame — is counted in malformed, which Extract requires to be zero.
 type salvager struct {
-	st    UplinkStats
-	stack []openFrame
-	out   []Interval
+	st        UplinkStats
+	stack     []openFrame
+	out       []Interval
+	malformed int
 }
 
 // cut ends the current contiguous run: the frames still open are
@@ -452,6 +457,7 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 		}
 		if ev.ID < 0 {
 			st.InvocationsDiscarded++
+			sv.malformed++
 			continue
 		}
 		proc := int(ev.ID / 2)
@@ -463,6 +469,7 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 		if len(stack) == 0 {
 			// Exit whose enter is on the other side of a gap.
 			st.InvocationsDiscarded++
+			sv.malformed++
 			continue
 		}
 		// In a substring of a well-nested log the exit always matches the
@@ -474,6 +481,9 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 				match = i
 				break
 			}
+		}
+		if match != len(stack)-1 {
+			sv.malformed++
 		}
 		if match < 0 {
 			st.InvocationsDiscarded++
@@ -489,6 +499,7 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 		}
 		if ev.Tick < top.enter {
 			st.InvocationsDiscarded++ // clock ran backwards: corrupt pair
+			sv.malformed++
 			continue
 		}
 		iv := Interval{

@@ -14,7 +14,7 @@ import (
 )
 
 // ErrMalformed is returned when the event log cannot be a well-nested
-// execution (mismatched enter/exit ids).
+// execution (mismatched enter/exit ids, or an exit before its enter).
 var ErrMalformed = errors.New("trace: malformed event log")
 
 // EnterID and ExitID are the TRACE operand encodings used by the compiler:
@@ -51,71 +51,19 @@ func (iv Interval) ExclusiveTicks() uint64 {
 	return g - iv.ChildTicks
 }
 
-// Extract reconstructs invocation intervals from a TRACE log. Events must
-// be properly nested (the instrumentation guarantees this); unbalanced logs
-// return ErrMalformed. An epoch marker (mote.EpochMarkID, logged at a
-// fault-injected reboot) flushes the frames open at the crash — their
-// exits never happened — and well-nested execution resumes after it. A
-// power marker (mote.PowerMarkID, logged at a checkpoint restore) dooms
-// the frames open across it: the restored mote resumes inside them and
-// their exits do arrive, but the span covers the outage, so their
-// intervals are suppressed while everything nested after the marker is
-// kept. Intervals are returned in completion order.
+// Extract reconstructs invocation intervals, in completion order, from a
+// whole TRACE log: the salvager's pairing, epoch and power markers
+// included, run as one strict run. The instrumentation nests events
+// properly with time running forwards, so any event the salvager counts
+// as malformed, or a frame still open at the end, returns ErrMalformed.
 func Extract(events []mote.TraceEvent) ([]Interval, error) {
-	type frame struct {
-		proc       int
-		enter      uint64
-		childTicks uint64
-		doomed     bool
+	var sv salvager
+	sv.feed(events)
+	if sv.malformed > 0 || len(sv.stack) > 0 {
+		return nil, fmt.Errorf("%w: %d unbalanced, negative-id or backwards-clock event(s), %d frame(s) still open at end of log",
+			ErrMalformed, sv.malformed, len(sv.stack))
 	}
-	var stack []frame
-	var out []Interval
-	for i, ev := range events {
-		if ev.ID == mote.EpochMarkID {
-			stack = stack[:0]
-			continue
-		}
-		if ev.ID == mote.PowerMarkID {
-			for j := range stack {
-				stack[j].doomed = true
-			}
-			continue
-		}
-		if ev.ID < 0 {
-			return nil, fmt.Errorf("%w: negative id %d at event %d", ErrMalformed, ev.ID, i)
-		}
-		proc := int(ev.ID / 2)
-		if ev.ID%2 == 0 {
-			stack = append(stack, frame{proc: proc, enter: ev.Tick})
-			continue
-		}
-		if len(stack) == 0 {
-			return nil, fmt.Errorf("%w: exit for proc %d with empty stack at event %d", ErrMalformed, proc, i)
-		}
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if top.proc != proc {
-			return nil, fmt.Errorf("%w: exit for proc %d while proc %d is open at event %d", ErrMalformed, proc, top.proc, i)
-		}
-		if top.doomed {
-			continue // timing spans a power outage: not a duration sample
-		}
-		iv := Interval{
-			ProcIndex:  proc,
-			EnterTick:  top.enter,
-			ExitTick:   ev.Tick,
-			ChildTicks: top.childTicks,
-			Depth:      len(stack),
-		}
-		out = append(out, iv)
-		if len(stack) > 0 {
-			stack[len(stack)-1].childTicks += iv.GrossTicks()
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("%w: %d frame(s) still open at end of log", ErrMalformed, len(stack))
-	}
-	return out, nil
+	return sv.out, nil
 }
 
 // ExclusiveByProc groups exclusive durations (in ticks) by procedure index.

@@ -83,6 +83,7 @@ func TestExtractMalformed(t *testing.T) {
 		{ev(EnterID(0), 0), ev(ExitID(1), 5)}, // mismatched proc
 		{ev(-3, 0)},                           // negative id
 		{ev(EnterID(0), 0), ev(EnterID(1), 1), ev(ExitID(0), 2)}, // cross-nesting
+		{ev(EnterID(0), 10), ev(ExitID(0), 5)},                   // clock ran backwards
 	}
 	for i, events := range cases {
 		if _, err := Extract(events); !errors.Is(err, ErrMalformed) {

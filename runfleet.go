@@ -77,18 +77,6 @@ type FleetConfig struct {
 	// Checkpoint is the checkpoint/restore policy motes run under Energy
 	// (zero = cold boot on every outage; ignored on mains power).
 	Checkpoint mote.CheckpointPolicy
-	// Robust replaces plain EM with the outlier-trimmed robust estimator
-	// and gates placement on per-procedure confidence: low-confidence
-	// procedures keep the baseline layout instead of being optimized on
-	// contaminated estimates.
-	Robust bool
-	// TrimWidth is the robust outlier cut in cycles — samples farther
-	// than this from every enumerated path duration are discarded
-	// (0 = default 4× the EM kernel half-width). MaxTrimFraction flags a
-	// procedure low-confidence when a larger fraction of its samples was
-	// trimmed (0 = default 0.25).
-	TrimWidth       float64
-	MaxTrimFraction float64
 	// Batches is the number of uplink rounds each mote's stream is split
 	// into for incremental re-estimation (default 8).
 	Batches int
@@ -119,13 +107,7 @@ func (c FleetConfig) Validate() error {
 		return fmt.Errorf("codetomo: EventsPerPacket = %d; must be in [1, %d] (zero selects the default of %d)",
 			c.EventsPerPacket, trace.MaxPacketEvents, trace.DefaultEventsPerPacket)
 	}
-	link := fleet.LinkConfig{
-		DropProb: c.DropProb, DupProb: c.DupProb, ReorderProb: c.ReorderProb,
-		CorruptProb: c.CorruptProb,
-		SkipCRC:     c.SkipCRC,
-		ARQ:         fleet.ARQConfig{MaxRetries: c.ARQRetries, BackoffBaseTicks: c.ARQBackoffTicks},
-	}
-	if err := link.Validate(); err != nil {
+	if err := c.link().Validate(); err != nil {
 		return err
 	}
 	if err := c.Faults.Validate(); err != nil {
@@ -139,19 +121,6 @@ func (c FleetConfig) Validate() error {
 	}
 	if c.Checkpoint.OnLowChargeFrac < 0 || c.Checkpoint.OnLowChargeFrac >= 1 {
 		return fmt.Errorf("codetomo: Checkpoint.OnLowChargeFrac = %v; must be a fraction in [0, 1)", c.Checkpoint.OnLowChargeFrac)
-	}
-	if c.TrimWidth < 0 {
-		return fmt.Errorf("codetomo: TrimWidth = %v; must be >= 0 (zero selects the default of 4x the EM kernel)", c.TrimWidth)
-	}
-	if c.MaxTrimFraction < 0 || c.MaxTrimFraction > 1 {
-		return fmt.Errorf("codetomo: MaxTrimFraction = %v; must be a fraction in [0, 1] (zero selects the default of 0.25)", c.MaxTrimFraction)
-	}
-	if c.Robust {
-		switch c.Estimator.(type) {
-		case nil, tomography.Robust:
-		default:
-			return fmt.Errorf("codetomo: Robust wraps the EM estimator; leave Estimator nil (or pass tomography.Robust), not %q", c.Estimator.Name())
-		}
 	}
 	if c.Batches < 0 {
 		return fmt.Errorf("codetomo: Batches = %d; must be positive (zero selects the default of 8)", c.Batches)
@@ -170,13 +139,6 @@ func (c FleetConfig) settings() pipeline.Settings {
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Robust && c.Estimator == nil {
-		c.Estimator = tomography.Robust{Config: tomography.RobustConfig{
-			EM:              tomography.EMConfig{KernelHalfWidth: float64(c.settings().WithDefaults().TickDiv)},
-			OutlierWidth:    c.TrimWidth,
-			MaxTrimFraction: c.MaxTrimFraction,
-		}}
-	}
 	c.Config = c.Config.withDefaults()
 	if c.Faults.Enabled() && c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed + fleetFaultSeed
@@ -204,15 +166,11 @@ func (c FleetConfig) withDefaults() FleetConfig {
 
 // FleetResult is the outcome of one fleet pipeline run.
 type FleetResult struct {
-	// Estimates holds per-procedure estimation results over the merged
-	// fleet samples.
-	Estimates []ProcEstimate
-	// Before and After are the uninstrumented runs under the original and
-	// the fleet-estimated layout (single-mote, base workload — the same
+	// Result holds the per-procedure estimates over the merged fleet
+	// samples, and the uninstrumented runs under the original and the
+	// fleet-estimated layout (single-mote, base workload — the same
 	// measurement Run performs, so results are comparable).
-	Before, After RunStats
-	// Output is the optimized binary's verified debug output.
-	Output []uint16
+	Result
 	// Fleet is the deployment's observability record.
 	Fleet fleet.Stats
 	// Intermittence summarizes execution under harvested power; nil on a
@@ -246,16 +204,6 @@ type IntermittenceStats struct {
 	// each costs s× less energy and survives e^{λT(1−1/s)}× more often.
 	CompletedPerJoule          float64
 	PredictedCompletedPerJoule float64
-}
-
-// MispredictReduction mirrors Result.MispredictReduction.
-func (r *FleetResult) MispredictReduction() float64 {
-	return (&Result{Before: r.Before, After: r.After}).MispredictReduction()
-}
-
-// Speedup mirrors Result.Speedup.
-func (r *FleetResult) Speedup() float64 {
-	return (&Result{Before: r.Before, After: r.After}).Speedup()
 }
 
 // Per-mote and per-subsystem seed derivations. Distinct odd constants keep
@@ -300,24 +248,29 @@ func fleetSpecs(cfg FleetConfig) []fleet.MoteSpec {
 // filled). The profiling motes run on uniform flash.
 func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 	return fleet.SimConfig{
-		Prog:      prog,
-		Mote:      pipeline.Mote{TickDiv: cfg.TickDiv, Predictor: cfg.Predictor}.Config(),
-		MaxCycles: cfg.MaxCycles,
-		Workers:   cfg.Workers,
-		Cohort:    cfg.Cohort,
-		Link: fleet.LinkConfig{
-			DropProb:        cfg.DropProb,
-			DupProb:         cfg.DupProb,
-			ReorderProb:     cfg.ReorderProb,
-			CorruptProb:     cfg.CorruptProb,
-			EventsPerPacket: cfg.EventsPerPacket,
-			SkipCRC:         cfg.SkipCRC,
-			ARQ:             fleet.ARQConfig{MaxRetries: cfg.ARQRetries, BackoffBaseTicks: cfg.ARQBackoffTicks},
-			Seed:            cfg.Seed + fleetLinkSeed,
-		},
+		Prog:       prog,
+		Mote:       pipeline.Mote{TickDiv: cfg.TickDiv, Predictor: cfg.Predictor}.Config(),
+		MaxCycles:  cfg.MaxCycles,
+		Workers:    cfg.Workers,
+		Cohort:     cfg.Cohort,
+		Link:       cfg.link(),
 		Faults:     cfg.Faults,
 		Energy:     cfg.Energy,
 		Checkpoint: cfg.Checkpoint,
+	}
+}
+
+// link is the deployment's radio channel.
+func (c FleetConfig) link() fleet.LinkConfig {
+	return fleet.LinkConfig{
+		DropProb:        c.DropProb,
+		DupProb:         c.DupProb,
+		ReorderProb:     c.ReorderProb,
+		CorruptProb:     c.CorruptProb,
+		EventsPerPacket: c.EventsPerPacket,
+		SkipCRC:         c.SkipCRC,
+		ARQ:             fleet.ARQConfig{MaxRetries: c.ARQRetries, BackoffBaseTicks: c.ARQBackoffTicks},
+		Seed:            c.Seed + fleetLinkSeed,
 	}
 }
 

@@ -27,6 +27,13 @@ func fleetConfig() FleetConfig {
 	}
 }
 
+// robustEM is the outlier-trimmed robust estimator with its EM kernel at
+// cfg's timer tick and every other knob at its default.
+func robustEM(cfg FleetConfig) tomography.Estimator {
+	tick := cfg.settings().WithDefaults().TickDiv
+	return tomography.Robust{Config: tomography.RobustConfig{EM: tomography.EMConfig{KernelHalfWidth: float64(tick)}}}
+}
+
 func TestRunFleetEndToEnd(t *testing.T) {
 	src := sourceFor(t, "sense", 800)
 	res, err := RunFleet(src, fleetConfig())
@@ -254,7 +261,7 @@ func TestRunFleetDeterministicUnderFaults(t *testing.T) {
 		cfg := fleetConfig()
 		cfg.CorruptProb = 0.05
 		cfg.ARQRetries = 3
-		cfg.Robust = true
+		cfg.Estimator = robustEM(cfg)
 		cfg.Faults = fault.Config{
 			CrashMTBFCycles: 400_000,
 			BrownoutProb:    0.3,
@@ -329,7 +336,7 @@ func TestRunFleetGracefulDegradation(t *testing.T) {
 	faulty := fleetConfig()
 	faulty.CorruptProb = 0.1
 	faulty.ARQRetries = 3
-	faulty.Robust = true
+	faulty.Estimator = robustEM(faulty)
 	faulty.Faults = fault.Config{CrashMTBFCycles: 600_000, BrownoutProb: 0.2}
 
 	run := func(cfg FleetConfig) (float64, *FleetResult) {
@@ -402,10 +409,6 @@ func TestFleetConfigValidate(t *testing.T) {
 		{ARQRetries: -1},
 		// ARQ has nothing to NACK when the receiver skips the CRC check.
 		{ARQRetries: 2, SkipCRC: true},
-		{TrimWidth: -1},
-		{MaxTrimFraction: 1.5},
-		// The robust wrapper replaces EM; other estimators can't be wrapped.
-		{Robust: true, Config: Config{Estimator: tomography.Histogram{}}},
 		{Faults: fault.Config{BrownoutProb: 2}},
 	}
 	for i, cfg := range bad {
@@ -529,7 +532,7 @@ func TestRunFleetDeterministicUnderPower(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 		cfg := intermittentConfig()
 		cfg.Workers = workers
-		cfg.Robust = true
+		cfg.Estimator = robustEM(cfg)
 		res, err := RunFleet(src, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -42,6 +42,15 @@ go test ./internal/minic -run=NONE -fuzz=FuzzParse -fuzztime=5s
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
+echo "== fuzz smoke (trace readers)"
+# Random bytes at the trace-file decoder: it must reject cleanly without
+# allocating for records the input does not hold, and round-trip whatever
+# it accepts. Random event logs at Extract: it must agree with the
+# standalone pairer it replaced (same intervals or same rejection) on
+# every log except one whose clock runs backwards, which it rejects.
+go test ./internal/trace -run=NONE -fuzz=FuzzReadEvents -fuzztime=5s
+go test ./internal/trace -run=NONE -fuzz=FuzzExtract -fuzztime=5s
+
 echo "== fuzz smoke (station WAL recovery)"
 # Random bytes as the station's write-ahead log: recovery must keep
 # exactly the intact, re-framable prefix and be idempotent on it.
