@@ -13,10 +13,10 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"strings"
 	"time"
 
 	"codetomo/internal/bench"
@@ -25,61 +25,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ctbench:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run does the work of main and returns its error rather than exiting, so
-// the deferred profile writers always flush and close their files.
-func run() (err error) {
-	exp := flag.String("exp", "all", "experiment id ("+strings.Join(bench.SortedIDs(), ",")+") or 'all'")
-	samples := flag.Int("samples", 0, "handler invocations per profiling run (default from bench.DefaultConfig)")
-	seed := flag.Int64("seed", 0, "workload seed (default from bench.DefaultConfig)")
-	tick := flag.Int("tick", 0, "timer prescaler (default from bench.DefaultConfig)")
-	predictor := flag.String("predictor", "", "nt or btfn (default nt)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "emit a JSON array of result tables (machine-readable)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	flag.Parse()
-
-	stop, err := cli.Profile(*cpuprofile, *memprofile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stop(); err == nil {
-			err = perr
-		}
-	}()
-
+// run is main's testable body; it returns the cli exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("ctbench", "[flags]", stderr)
 	cfg := bench.DefaultConfig()
-	if *samples > 0 {
-		cfg.Samples = *samples
+	ids, sets := []string{"all"}, [][]bench.Experiment{bench.Experiments()}
+	for _, e := range bench.Experiments() {
+		ids, sets = append(ids, e.ID), append(sets, []bench.Experiment{e})
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *tick > 0 {
-		cfg.TickDiv = *tick
-	}
-	if *predictor != "" {
-		if cfg.Predictor, err = cli.Predictor(*predictor); err != nil {
-			return err
-		}
-	}
-
 	var exps []bench.Experiment
-	if *exp == "all" {
-		exps = bench.Experiments()
-	} else {
-		e, ok := bench.ByID(*exp)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (valid: %v)", *exp, bench.SortedIDs())
-		}
-		exps = []bench.Experiment{e}
+	cli.Choice(fs, &exps, "exp", ids, sets, "experiment")
+	cli.Int(fs, &cfg.Samples, "samples", cfg.Samples, 1, math.MaxInt, "handler invocations per profiling run")
+	cli.Seed(fs, &cfg.Seed)
+	cli.Tick(fs, &cfg.TickDiv)
+	cli.Predictor(fs, &cfg.Predictor)
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jsonOut := fs.Bool("json", false, "emit a JSON array of result tables (machine-readable)")
+	prof := cli.Profile(fs)
+	if code, ok := fs.Parse(args, 0); !ok {
+		return code
 	}
 
 	type jsonTable struct {
@@ -87,28 +54,32 @@ func run() (err error) {
 		Title string `json:"title"`
 		*report.Table
 	}
-	var collected []jsonTable
-	for _, e := range exps {
-		start := time.Now()
-		table, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
+	return prof.Run(fs, func() int {
+		var collected []jsonTable
+		for _, e := range exps {
+			start := time.Now()
+			table, err := e.Run(cfg)
+			if err != nil {
+				return fs.Fail(fmt.Errorf("%s: %w", e.ID, err))
+			}
+			switch {
+			case *jsonOut:
+				collected = append(collected, jsonTable{ID: e.ID, Title: e.Title, Table: table})
+			case *csv:
+				fmt.Fprintf(stdout, "# %s: %s\n", e.ID, e.Title)
+				fmt.Fprint(stdout, table.CSV())
+			default:
+				fmt.Fprint(stdout, table.Render())
+				fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+			}
 		}
-		switch {
-		case *jsonOut:
-			collected = append(collected, jsonTable{ID: e.ID, Title: e.Title, Table: table})
-		case *csv:
-			fmt.Printf("# %s: %s\n", e.ID, e.Title)
-			fmt.Print(table.CSV())
-		default:
-			fmt.Print(table.Render())
-			fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		if *jsonOut {
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(collected); err != nil {
+				return fs.Fail(err)
+			}
 		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(collected)
-	}
-	return nil
+		return cli.ExitOK
+	})
 }

@@ -62,6 +62,12 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"negative push retries", []string{"-push", "127.0.0.1:1", "-pushretries", "-1", prog}, "-pushretries"},
 		{"unknown pgo pass", []string{"-pgo", "vectorize", prog}, "-pgo"},
 		{"negative pagecost", []string{"-pagecost", "-1", prog}, "-pagecost"},
+		{"negative tick", []string{"-tick", "-1", prog}, "-tick"},
+		{"oversized packet", []string{"-packet", "100000", prog}, "-packet"},
+		{"negative batches", []string{"-batches", "-1", prog}, "-batches"},
+		{"negative workers", []string{"-workers", "-1", prog}, "-workers"},
+		{"unknown workload", []string{"-workload", "tidal", prog}, "-workload"},
+		{"unknown workloads entry", []string{"-workloads", "gaussian,tidal", prog}, "-workloads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,6 +83,13 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 				t.Fatalf("stderr has no usage message:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+func TestRunHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "usage: ctfleet") {
+		t.Fatalf("exit = %d, want 0 with the usage\nstderr: %s", code, stderr.String())
 	}
 }
 
@@ -102,12 +115,13 @@ func TestRunHappyPath(t *testing.T) {
 	}
 }
 
-// A fleet campaign with the full PGO stack and a page penalty: the
-// pipeline's output-equality gate makes exit 0 a semantics assertion.
+// A fleet campaign with static resolution, the PGO stack and a page
+// penalty: the pipeline's output-equality gate makes exit 0 a semantics
+// assertion.
 func TestRunWithPGOPasses(t *testing.T) {
 	prog := writeProgram(t)
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-motes", "2", "-workers", "2", "-pgo", "inline,hotcold", "-pagecost", "5", prog}, &stdout, &stderr)
+	code := run([]string{"-motes", "2", "-workers", "2", "-static", "-pgo", "inline,hotcold", "-pagecost", "5", prog}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstderr: %s", code, stderr.String())
 	}
@@ -158,7 +172,7 @@ func TestRunFaultyDeployment(t *testing.T) {
 	code := run([]string{
 		"-motes", "2", "-workers", "2",
 		"-corrupt", "0.05", "-arq", "3",
-		"-crash", "1000000", "-maxcycles", "4000000",
+		"-crash", "1000000", "-max-cycles", "4000000",
 		"-estimator", "robust",
 		prog,
 	}, &stdout, &stderr)

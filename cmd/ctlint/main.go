@@ -13,60 +13,65 @@
 //	ctlint [-json] [-costs] [-pages] [-max-cycles n] file.mc...
 //
 // Exit status is 0 when no error-severity diagnostics were found, 1 when
-// at least one file has errors, and 2 on usage mistakes.
+// at least one file has errors, and 2 on usage mistakes and unreadable
+// files.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"codetomo/internal/cli"
 	"codetomo/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	costs := flag.Bool("costs", false, "include an informational cost summary per procedure")
-	pages := flag.Bool("pages", false, "include a flash-page occupancy report and cold-split candidates per procedure")
-	maxCycles := flag.Uint64("max-cycles", 0, "warn when a procedure's provable worst-case cycle bound exceeds this (0 = off)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ctlint [flags] file.mc...")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	opts := lint.Options{CostReport: *costs, PageReport: *pages, MaxCycles: *maxCycles}
+// run is main's testable body; it returns the linter's exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("ctlint", "[flags] file.mc...", stderr)
+	var opts lint.Options
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
+	fs.BoolVar(&opts.CostReport, "costs", false, "include an informational cost summary per procedure")
+	fs.BoolVar(&opts.PageReport, "pages", false, "include a flash-page occupancy report and cold-split candidates per procedure")
+	cli.MaxCycles(fs, &opts.MaxCycles)
+	if code, ok := fs.Parse(args, cli.Files); !ok {
+		return code
+	}
 	var all []lint.Diag
-	for _, name := range flag.Args() {
+	for _, name := range fs.Args() {
 		src, err := os.ReadFile(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ctlint:", err)
-			os.Exit(2)
+			fs.Fail(err)
+			return cli.ExitUsage
 		}
 		all = append(all, lint.Run(name, string(src), opts)...)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if all == nil {
 			all = []lint.Diag{} // a run with no findings is [], not null
 		}
 		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, "ctlint:", err)
-			os.Exit(2)
+			fs.Fail(err)
+			return cli.ExitUsage
 		}
 	} else {
 		for _, d := range all {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 
 	for _, d := range all {
 		if d.Severity == lint.SevError {
-			os.Exit(1)
+			return cli.ExitFailure
 		}
 	}
+	return cli.ExitOK
 }

@@ -52,6 +52,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"unknown estimator", []string{"-estimator", "psychic", prog}, "-estimator"},
 		{"unknown pgo pass", []string{"-pgo", "inline,unroll", prog}, "-pgo"},
 		{"negative pagecost", []string{"-pagecost", "-3", prog}, "-pagecost"},
+		{"unknown workload", []string{"-workload", "tidal", prog}, "-workload"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +68,13 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 				t.Fatalf("stderr has no usage message:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+func TestRunHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "usage: ctomo") {
+		t.Fatalf("exit = %d, want 0 with the usage\nstderr: %s", code, stderr.String())
 	}
 }
 

@@ -39,80 +39,53 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main's testable body: parse, validate, serve until ctx is
-// cancelled, drain. Exit codes: 0 clean shutdown, 1 runtime failure, 2
-// usage error.
+// run is main's testable body: parse, serve until ctx is cancelled,
+// drain. It returns the cli exit code; a clean shutdown exits 0.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := cli.FlagSet("ctstationd", "[flags] file.mc", stderr)
+	fs := cli.NewFlagSet("ctstationd", "[flags] file.mc", stderr)
+	var cfg station.Config
 	listen := fs.String("listen", "127.0.0.1:7100", "TCP ingest address")
 	udp := fs.String("udp", "", "UDP ingest address (empty = TCP only)")
 	httpAddr := fs.String("http", "127.0.0.1:7180", "HTTP API address")
-	data := fs.String("data", "", "data directory for the frame log and model snapshots (empty = in-memory only)")
-	shards := cli.Int(fs, "shards", 2, 1, math.MaxInt, "reassembly shards (one worker each)")
-	epoch := cli.Int(fs, "epoch", 64, 0, math.MaxInt, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
-	tick := cli.Int(fs, "tick", 8, 1, math.MaxInt, "the deployment's timer prescaler in cycles")
-	estName := fs.String("estimator", "em", "estimator: em, robust, moments, or histogram")
-	static := fs.Bool("static", false, "pin statically resolved branches and check fits against the static envelope")
-	minsamples := cli.Int(fs, "minsamples", 50, 1, math.MaxInt, "fewest samples before a procedure's model is trusted")
-	if err := fs.Parse(args); err != nil {
-		return cli.ExitUsage
+	fs.StringVar(&cfg.DataDir, "data", "", "data directory for the frame log and model snapshots (empty = in-memory only)")
+	cli.Int(fs, &cfg.Shards, "shards", 2, 1, math.MaxInt, "reassembly shards (one worker each)")
+	cli.Int(fs, &cfg.EpochFrames, "epoch", 64, 0, math.MaxInt, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
+	cli.Tick(fs, &cfg.TickDiv)
+	cli.Estimator(fs, &cfg.Estimator, &cfg.TickDiv)
+	cli.Static(fs, &cfg.StaticResolve)
+	cli.Int(fs, &cfg.MinSamples, "minsamples", pipeline.DefaultMinSamples, 1, math.MaxInt, "fewest samples before a procedure's model is trusted")
+	if code, ok := fs.Parse(args, 1); !ok {
+		return code
 	}
-	if fs.NArg() != 1 {
-		return cli.Usage(fs, "expected exactly one source file, got %d args", fs.NArg())
-	}
-	est, err := cli.Estimator(*estName, *tick)
-	if err != nil {
-		return cli.Usage(fs, "invalid -estimator: %v", err)
-	}
-
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(stderr, "ctstationd:", err)
-		return cli.ExitFailure
+		return fs.Fail(err)
 	}
-	srv, err := station.New(station.Config{
-		Program: string(src),
-		Shards:  *shards,
-		Settings: pipeline.Settings{
-			TrustPolicy:   pipeline.TrustPolicy{TickDiv: *tick, MinSamples: *minsamples},
-			Estimator:     est,
-			StaticResolve: *static,
-		},
-		EpochFrames: *epoch,
-		DataDir:     *data,
-	})
+	cfg.Program = string(src)
+	srv, err := station.New(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "ctstationd:", err)
-		return cli.ExitFailure
+		return fs.Fail(err)
 	}
 
 	// Bind everything before announcing anything, so a supervisor parsing
 	// the addresses never sees a partially-bound station.
 	tcpL, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(stderr, "ctstationd:", err)
-		srv.Close()
-		return cli.ExitFailure
-	}
 	var udpC net.PacketConn
-	if *udp != "" {
+	if err == nil && *udp != "" {
 		udpC, err = net.ListenPacket("udp", *udp)
-		if err != nil {
-			fmt.Fprintln(stderr, "ctstationd:", err)
-			tcpL.Close()
-			srv.Close()
-			return cli.ExitFailure
-		}
 	}
-	httpL, err := net.Listen("tcp", *httpAddr)
+	var httpL net.Listener
+	if err == nil {
+		httpL, err = net.Listen("tcp", *httpAddr)
+	}
 	if err != nil {
-		fmt.Fprintln(stderr, "ctstationd:", err)
-		tcpL.Close()
-		if udpC != nil {
-			udpC.Close()
+		for _, c := range []io.Closer{tcpL, udpC, httpL} {
+			if c != nil {
+				c.Close()
+			}
 		}
 		srv.Close()
-		return cli.ExitFailure
+		return fs.Fail(err)
 	}
 
 	fmt.Fprintf(stdout, "ctstationd: ingest tcp %s\n", tcpL.Addr())
@@ -140,8 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case <-ctx.Done():
 	case err := <-errCh:
 		if err != nil {
-			fmt.Fprintln(stderr, "ctstationd:", err)
-			code = cli.ExitFailure
+			code = fs.Fail(err)
 		}
 	}
 
@@ -155,8 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 	hs.Shutdown(shutdownCtx) //nolint:errcheck // lingering API readers lose the race, by design
 	if err := srv.Close(); err != nil {
-		fmt.Fprintln(stderr, "ctstationd:", err)
-		code = cli.ExitFailure
+		code = fs.Fail(err)
 	}
 	fmt.Fprintf(stdout, "ctstationd: drained; %d epochs sealed, %d frames ingested\n",
 		srv.Epoch(), srv.Metrics().FramesAccepted)

@@ -78,6 +78,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"zero tick", []string{"-tick", "0", prog}, "-tick"},
 		{"zero minsamples", []string{"-minsamples", "0", prog}, "-minsamples"},
 		{"unknown estimator", []string{"-estimator", "psychic", prog}, "-estimator"},
+		{"two files", []string{prog, prog}, "one source file"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +94,13 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 				t.Fatalf("stderr has no usage message:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+func TestRunHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "usage: ctstationd") {
+		t.Fatalf("exit = %d, want 0 with the usage\nstderr: %s", code, stderr.String())
 	}
 }
 

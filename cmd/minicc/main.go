@@ -8,68 +8,54 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"codetomo/internal/cli"
 	"codetomo/internal/compile"
 )
 
 func main() {
-	instrument := flag.String("instrument", "none", "instrumentation: none, timestamps, or counters")
-	dot := flag.String("dot", "", "print the named procedure's CFG in Graphviz DOT and exit")
-	stats := flag.Bool("stats", false, "print code size and global usage summary")
-	fuse := flag.Bool("fuse", false, "enable compare-branch fusion")
-	rotate := flag.Bool("rotate", false, "enable loop rotation")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: minicc [flags] file.mc")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-
-	var mode compile.Mode
-	switch *instrument {
-	case "none":
-		mode = compile.ModeNone
-	case "timestamps":
-		mode = compile.ModeTimestamps
-	case "counters":
-		mode = compile.ModeEdgeCounters
-	default:
-		fatal(fmt.Errorf("unknown instrumentation %q", *instrument))
-	}
-
-	out, err := compile.Build(string(src), compile.Options{Instrument: mode, FuseCompares: *fuse, RotateLoops: *rotate})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *dot != "" {
-		p := out.CFG.Proc(*dot)
-		if p == nil {
-			fatal(fmt.Errorf("no procedure %q", *dot))
-		}
-		fmt.Print(p.DOT(nil))
-		return
-	}
-	if *stats {
-		fmt.Printf("procedures: %d\n", len(out.CFG.Procs))
-		fmt.Printf("instructions: %d\n", len(out.Code))
-		fmt.Printf("code bytes: %d\n", out.Meta.CodeBytes)
-		fmt.Printf("global words: %d\n", out.Meta.GlobalWords)
-		fmt.Printf("arc counters: %d\n", out.Meta.NumArcCounters)
-		return
-	}
-	fmt.Print(out.Listing())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "minicc:", err)
-	os.Exit(1)
+// run is main's testable body; it returns the cli exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("minicc", "[flags] file.mc", stderr)
+	var opts compile.Options
+	cli.Choice(fs, &opts.Instrument, "instrument", []string{"none", "timestamps", "counters"},
+		[]compile.Mode{compile.ModeNone, compile.ModeTimestamps, compile.ModeEdgeCounters}, "instrumentation")
+	cli.Passes(fs, &opts.FuseCompares, &opts.RotateLoops)
+	dot := fs.String("dot", "", "print the named procedure's CFG in Graphviz DOT and exit")
+	stats := fs.Bool("stats", false, "print code size and global usage summary")
+	if code, ok := fs.Parse(args, 1); !ok {
+		return code
+	}
+	src, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return fs.Fail(err)
+	}
+	out, err := compile.Build(string(src), opts)
+	if err != nil {
+		return fs.Fail(err)
+	}
+
+	switch {
+	case *dot != "":
+		p := out.CFG.Proc(*dot)
+		if p == nil {
+			return fs.Fail(fmt.Errorf("no procedure %q", *dot))
+		}
+		fmt.Fprint(stdout, p.DOT(nil))
+	case *stats:
+		fmt.Fprintf(stdout, "procedures: %d\n", len(out.CFG.Procs))
+		fmt.Fprintf(stdout, "instructions: %d\n", len(out.Code))
+		fmt.Fprintf(stdout, "code bytes: %d\n", out.Meta.CodeBytes)
+		fmt.Fprintf(stdout, "global words: %d\n", out.Meta.GlobalWords)
+		fmt.Fprintf(stdout, "arc counters: %d\n", out.Meta.NumArcCounters)
+	default:
+		fmt.Fprint(stdout, out.Listing())
+	}
+	return cli.ExitOK
 }

@@ -9,8 +9,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -22,69 +22,69 @@ import (
 )
 
 func main() {
-	regime := flag.String("workload", "gaussian", "input regime: gaussian, uniform, bursty, regime, diurnal")
-	seed := flag.Int64("seed", 1, "workload random seed")
-	tick := flag.Int("tick", 8, "timer prescaler in cycles")
-	predictor := flag.String("predictor", "nt", "static branch predictor: nt (not-taken) or btfn")
-	maxCycles := flag.Uint64("max-cycles", 2_000_000_000, "cycle budget")
-	branches := flag.Bool("branches", false, "print per-branch taken/not-taken ground truth")
-	fuse := flag.Bool("fuse", false, "enable compare-branch fusion")
-	rotate := flag.Bool("rotate", false, "enable loop rotation")
-	traceOut := flag.String("trace-out", "", "write the TRACE event log to this file (implies timestamp instrumentation)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: motesim [flags] file.mc")
-		flag.PrintDefaults()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's testable body; it returns the cli exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("motesim", "[flags] file.mc", stderr)
+	var mt pipeline.Mote
+	var regime string
+	var seed int64
+	cli.Workload(fs, &regime)
+	cli.Seed(fs, &seed)
+	cli.Tick(fs, &mt.TickDiv)
+	cli.Predictor(fs, &mt.Predictor)
+	cli.MaxCycles(fs, &mt.MaxCycles)
+	cli.Passes(fs, &mt.FuseCompares, &mt.RotateLoops)
+	branches := fs.Bool("branches", false, "print per-branch taken/not-taken ground truth")
+	traceOut := fs.String("trace-out", "", "write the TRACE event log to this file (implies timestamp instrumentation)")
+	if code, ok := fs.Parse(args, 1); !ok {
+		return code
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fs.Fail(err)
 	}
-	pred, err := cli.Predictor(*predictor)
-	if err != nil {
-		fatal(err)
-	}
-	mt := pipeline.Mote{TickDiv: *tick, MaxCycles: *maxCycles, FuseCompares: *fuse, RotateLoops: *rotate,
-		Predictor: pred, Inputs: pipeline.Workload(*regime, *seed)}
+	mt.Inputs = pipeline.Workload(regime, seed)
 	var opts compile.Options
 	if *traceOut != "" {
 		opts.Instrument = compile.ModeTimestamps
 	}
 	out, m, err := mt.Execute(string(src), opts)
 	if err != nil {
-		fatal(err)
+		return fs.Fail(err)
 	}
 
 	s := m.Stats()
-	fmt.Printf("cycles:        %d\n", s.Cycles)
-	fmt.Printf("instructions:  %d\n", s.Instructions)
-	fmt.Printf("cond branches: %d\n", s.CondBranches)
-	fmt.Printf("taken:         %d\n", s.TakenBranches)
-	fmt.Printf("mispredicts:   %d (%.2f%%)\n", s.Mispredicts, 100*float64(s.Mispredicts)/float64(max(s.CondBranches, 1)))
-	fmt.Printf("radio packets: %d (%d words)\n", s.RadioPackets, s.RadioWords)
-	fmt.Printf("sensor reads:  %d\n", s.SensorReads)
-	fmt.Printf("energy:        %.1f uJ\n", mote.DefaultEnergyModel().Energy(s))
+	fmt.Fprintf(stdout, "cycles:        %d\n", s.Cycles)
+	fmt.Fprintf(stdout, "instructions:  %d\n", s.Instructions)
+	fmt.Fprintf(stdout, "cond branches: %d\n", s.CondBranches)
+	fmt.Fprintf(stdout, "taken:         %d\n", s.TakenBranches)
+	fmt.Fprintf(stdout, "mispredicts:   %d (%.2f%%)\n", s.Mispredicts, 100*float64(s.Mispredicts)/float64(max(s.CondBranches, 1)))
+	fmt.Fprintf(stdout, "radio packets: %d (%d words)\n", s.RadioPackets, s.RadioWords)
+	fmt.Fprintf(stdout, "sensor reads:  %d\n", s.SensorReads)
+	fmt.Fprintf(stdout, "energy:        %.1f uJ\n", mote.DefaultEnergyModel().Energy(s))
 	if len(m.DebugOutput()) > 0 {
-		fmt.Printf("debug output:  %v\n", m.DebugOutput())
+		fmt.Fprintf(stdout, "debug output:  %v\n", m.DebugOutput())
 	}
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
+		if err == nil {
+			err = trace.WriteEvents(f, m.Trace())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fatal(err)
+			return fs.Fail(err)
 		}
-		if err := trace.WriteEvents(f, m.Trace()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace:         %d events -> %s\n", len(m.Trace()), *traceOut)
+		fmt.Fprintf(stdout, "trace:         %d events -> %s\n", len(m.Trace()), *traceOut)
 	}
 
 	if *branches {
-		fmt.Println("\nbranch ground truth (pc: taken/total):")
+		fmt.Fprintln(stdout, "\nbranch ground truth (pc: taken/total):")
 		bs := m.BranchStats()
 		pcs := make([]int32, 0, len(bs))
 		for pc := range bs {
@@ -94,13 +94,9 @@ func main() {
 		for _, pc := range pcs {
 			st := bs[pc]
 			total := st.Taken + st.NotTaken
-			fmt.Printf("  %5d: %8d/%-8d p=%.3f  %s\n", pc, st.Taken, total,
+			fmt.Fprintf(stdout, "  %5d: %8d/%-8d p=%.3f  %s\n", pc, st.Taken, total,
 				float64(st.Taken)/float64(total), out.Code[pc])
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "motesim:", err)
-	os.Exit(1)
+	return cli.ExitOK
 }

@@ -60,16 +60,16 @@ type Config struct {
 	// estimate it does not trust.
 	Estimator tomography.Estimator
 	// MinSamples is the fewest observations required to estimate a
-	// procedure; below it the static Ball–Larus heuristic is used
-	// (default 50).
+	// procedure; below it the procedure is untrusted and keeps its
+	// original layout (default 50).
 	MinSamples int
 	// MaxCycles bounds each simulated run (default 2e9).
 	MaxCycles uint64
 	// MaxVisits bounds loop unrolling during path enumeration (default 12).
 	MaxVisits int
 	// MinCoverage is the fraction of duration samples the path model must
-	// explain for an estimate to be trusted; below it the procedure falls
-	// back to static heuristics (default 0.85).
+	// explain for an estimate to be trusted; below it the procedure keeps
+	// its original layout (default 0.85).
 	MinCoverage float64
 	// FuseCompares and RotateLoops enable the backend's optional
 	// optimization passes in every build of the pipeline.
@@ -119,7 +119,7 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	if c.MaxCycles == 0 {
-		c.MaxCycles = 2_000_000_000
+		c.MaxCycles = pipeline.DefaultMaxCycles
 	}
 	s := c.settings().WithDefaults()
 	c.TickDiv, c.MinSamples, c.MinCoverage = s.TickDiv, s.MinSamples, s.MinCoverage
@@ -178,12 +178,13 @@ type ProcEstimate struct {
 	// SampleCount is the number of duration observations used.
 	SampleCount int
 	// Branches lists the branch edges with estimated and true
-	// probabilities; empty when the procedure was below MinSamples and
-	// fell back to static heuristics.
+	// probabilities; empty under Fallback.
 	Branches []BranchEstimate
 	// MAE is the mean absolute error against the oracle.
 	MAE float64
-	// Fallback reports the static heuristic was used instead.
+	// Fallback reports the procedure had no estimate to trust (too few
+	// samples, no model, low coverage, or a fit outside the static
+	// envelope), so it kept its original layout.
 	Fallback bool
 	// TrimmedSamples counts observations the robust estimator discarded
 	// as model-implausible outliers (0 under plain estimation).

@@ -11,6 +11,7 @@ import (
 	"codetomo/internal/ir"
 	"codetomo/internal/pipeline"
 	"codetomo/internal/station"
+	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -23,102 +24,119 @@ import (
 // TestStationDecisionMatchesBench in the station package). The batch
 // callers must produce bit-identical probabilities, and so must the
 // streaming callers. Every caller runs with the same non-default unroll
-// bound, which keeps crc's path enumeration cheap and its coverage low.
+// bound, which keeps crc's path enumeration cheap and its coverage low,
+// once as configured by default and once with static branch resolution,
+// the setting ctomo, ctfleet and ctstationd all take as -static.
 func TestCallersAgree(t *testing.T) {
 	const maxVisits = 4
 	crc, _ := apps.ByName("crc")
-	for _, a := range []apps.App{apps.CallChain, crc} {
-		t.Run(a.Name, func(t *testing.T) {
-			src, err := a.Source(150)
-			if err != nil {
-				t.Fatal(err)
+	for _, static := range []bool{false, true} {
+		for _, a := range []apps.App{apps.CallChain, crc} {
+			name := a.Name
+			if static {
+				name += "_static"
 			}
-			uploads, err := codetomo.FleetUploads(src, codetomo.FleetConfig{
-				Config: codetomo.Config{Workload: a.Workload, Seed: 3, MaxVisits: maxVisits},
-				Motes:  3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prof, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
-			if err != nil {
-				t.Fatal(err)
-			}
+			t.Run(name, func(t *testing.T) { callersAgree(t, a, maxVisits, static) })
+		}
+	}
+}
 
-			// Decode every mote's delivery as the station's shards do.
-			ticks := make(map[int][]uint64)
-			rounds := make(map[int][][]float64)
-			for _, up := range uploads {
-				r := trace.NewReassembler(up.Spec.ID)
-				for _, f := range up.Frames {
-					if err := r.AddFrame(f); err != nil {
-						t.Fatal(err)
-					}
-				}
-				ivs, _ := r.Recover()
-				for p, tk := range trace.ExclusiveByProc(ivs) {
-					ticks[p] = append(ticks[p], tk...)
-					rounds[p] = append(rounds[p], trace.DurationsCycles(tk, pipeline.DefaultTickDiv))
-				}
-			}
+func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool) {
+	src, err := a.Source(150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploads, err := codetomo.FleetUploads(src, codetomo.FleetConfig{
+		Config: codetomo.Config{Workload: a.Workload, Seed: 3, MaxVisits: maxVisits, StaticResolve: static},
+		Motes:  3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			run := codetomo.EstimateBatch(codetomo.Config{MaxVisits: maxVisits}, prof, ticks)
-			bc := bench.DefaultConfig()
-			bc.MaxVisits = maxVisits
-			harness, _ := bc.Settings().Batch(prof, ticks)
-			fleet, err := codetomo.EstimateStreams(codetomo.FleetConfig{Config: codetomo.Config{MaxVisits: maxVisits}}, prof, rounds)
-			if err != nil {
+	// Decode every mote's delivery as the station's shards do.
+	ticks := make(map[int][]uint64)
+	rounds := make(map[int][][]float64)
+	for _, up := range uploads {
+		r := trace.NewReassembler(up.Spec.ID)
+		for _, f := range up.Frames {
+			if err := r.AddFrame(f); err != nil {
 				t.Fatal(err)
 			}
-			srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits}})
-			if err != nil {
+		}
+		ivs, _ := r.Recover()
+		for p, tk := range trace.ExclusiveByProc(ivs) {
+			ticks[p] = append(ticks[p], tk...)
+			rounds[p] = append(rounds[p], trace.DurationsCycles(tk, pipeline.DefaultTickDiv))
+		}
+	}
+
+	run := codetomo.EstimateBatch(codetomo.Config{MaxVisits: maxVisits, StaticResolve: static}, prof, ticks)
+	bc := bench.DefaultConfig()
+	bc.MaxVisits = maxVisits
+	bs := bc.Settings()
+	bs.StaticResolve = static
+	harness, _ := bs.Batch(prof, ticks)
+	fleet, err := codetomo.EstimateStreams(codetomo.FleetConfig{Config: codetomo.Config{MaxVisits: maxVisits, StaticResolve: static}}, prof, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits, StaticResolve: static}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, up := range uploads {
+		for _, f := range up.Frames {
+			if err := srv.IngestFrame(f); err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			for _, up := range uploads {
-				for _, f := range up.Frames {
-					if err := srv.IngestFrame(f); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := srv.CutEpoch(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			served := make(map[string]station.ProcModel)
-			for _, pm := range srv.Latest().Procs {
-				served[pm.Proc] = pm
-			}
+		}
+		if _, err := srv.CutEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := make(map[string]station.ProcModel)
+	for _, pm := range srv.Latest().Procs {
+		served[pm.Proc] = pm
+	}
 
-			if len(run) == 0 || len(harness) != len(run) || len(fleet) != len(run) {
-				t.Fatalf("procedure counts differ: run %d, bench %d, fleet %d", len(run), len(harness), len(fleet))
+	if len(run) == 0 || len(harness) != len(run) || len(fleet) != len(run) {
+		t.Fatalf("procedure counts differ: run %d, bench %d, fleet %d", len(run), len(harness), len(fleet))
+	}
+	for i, r := range run {
+		name := r.Proc.Name
+		st := served[name]
+		t.Logf("%s: %v (%d samples)", name, r.Decision, r.Samples)
+		if harness[i].Decision != r.Decision || fleet[i].Decision != r.Decision {
+			t.Errorf("%s: decisions differ: Run %v, bench %v, RunFleet %v",
+				name, r.Decision, harness[i].Decision, fleet[i].Decision)
+		}
+		if st.Trusted != (r.Decision == pipeline.Trusted) {
+			t.Errorf("%s: station Trusted = %v, Run decided %v", name, st.Trusted, r.Decision)
+		}
+		if !reflect.DeepEqual(harness[i].Probs, r.Probs) {
+			t.Errorf("%s: bench probabilities differ from Run's", name)
+		}
+		for caller, m := range map[string]*tomography.Model{"Run": r.Model, "bench": harness[i].Model, "RunFleet": fleet[i].Model} {
+			if m != nil && (m.Envelope != nil) != static {
+				t.Errorf("%s: %s built its model with static envelope %v, want %v", name, caller, m.Envelope != nil, static)
 			}
-			for i, r := range run {
-				name := r.Proc.Name
-				st := served[name]
-				t.Logf("%s: %v (%d samples)", name, r.Decision, r.Samples)
-				if harness[i].Decision != r.Decision || fleet[i].Decision != r.Decision {
-					t.Errorf("%s: decisions differ: Run %v, bench %v, RunFleet %v",
-						name, r.Decision, harness[i].Decision, fleet[i].Decision)
-				}
-				if st.Trusted != (r.Decision == pipeline.Trusted) {
-					t.Errorf("%s: station Trusted = %v, Run decided %v", name, st.Trusted, r.Decision)
-				}
-				if !reflect.DeepEqual(harness[i].Probs, r.Probs) {
-					t.Errorf("%s: bench probabilities differ from Run's", name)
-				}
-				if fleet[i].Probs == nil {
-					continue
-				}
-				if len(st.Branches) == 0 {
-					t.Errorf("%s: station published no estimate", name)
-				}
-				for _, b := range st.Branches {
-					if p := fleet[i].Probs[[2]ir.BlockID{ir.BlockID(b.From), ir.BlockID(b.To)}]; p != b.Prob {
-						t.Errorf("%s edge %d->%d: station %v, RunFleet %v", name, b.From, b.To, b.Prob, p)
-					}
-				}
+		}
+		if fleet[i].Probs == nil {
+			continue
+		}
+		if len(st.Branches) == 0 {
+			t.Errorf("%s: station published no estimate", name)
+		}
+		for _, b := range st.Branches {
+			if p := fleet[i].Probs[[2]ir.BlockID{ir.BlockID(b.From), ir.BlockID(b.To)}]; p != b.Prob {
+				t.Errorf("%s edge %d->%d: station %v, RunFleet %v", name, b.From, b.To, b.Prob, p)
 			}
-		})
+		}
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 
 	// Build with timestamp instrumentation and run under Poisson event
 	// bursts (5% event starts, mean burst of 8 readings).
-	field := pipeline.Mote{TickDiv: tickDiv, Predictor: mote.StaticNotTaken{}, MaxCycles: 2_000_000_000,
+	field := pipeline.Mote{TickDiv: tickDiv, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
 		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
 			return workload.NewPoissonEvents(stats.NewRNG(99), 0.05, 8), nil, nil
 		}}

@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: 2_000_000_000,
+		field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
 			Inputs: pipeline.Workload(a.Workload, 7)}
 		run := func(mode compile.Mode) (*compile.Output, mote.Stats) {
 			out, m, err := field.Execute(src, compile.Options{Instrument: mode})

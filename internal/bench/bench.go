@@ -43,7 +43,7 @@ func DefaultConfig() Config {
 		TickDiv:   8,
 		Predictor: mote.StaticNotTaken{},
 		MaxVisits: pipeline.DefaultMaxVisits,
-		MaxCycles: 2_000_000_000,
+		MaxCycles: pipeline.DefaultMaxCycles,
 	}
 }
 

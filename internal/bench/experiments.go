@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -52,16 +51,6 @@ func Experiments() []Experiment {
 		{"in1", "Intermittent 1: completion and estimation under harvested power", IntermittentSweep},
 		{"pg1", "PGO 1: cycles by profile-guided pass vs placement-only", PGOSweep},
 	}
-}
-
-// ByID returns the experiment with the given id.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }
 
 // TableT1 reports the static characteristics of every benchmark.
@@ -637,14 +626,4 @@ func AblationDynamicPredictor(c Config) (*report.Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// SortedIDs lists experiment ids in run order.
-func SortedIDs() []string {
-	var ids []string
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

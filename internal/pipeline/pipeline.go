@@ -35,10 +35,11 @@ import (
 	"codetomo/internal/workload"
 )
 
-// The estimation defaults every caller shares; a zero config field selects
-// them. MaxPaths caps path enumeration per procedure.
+// The defaults every caller shares; a zero config field selects them.
+// MaxPaths caps path enumeration per procedure.
 const (
 	DefaultTickDiv     = 8
+	DefaultMaxCycles   = 2_000_000_000
 	DefaultMinSamples  = 50
 	DefaultMinCoverage = 0.85
 	DefaultMaxVisits   = 12

@@ -22,6 +22,23 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== CLI contract (built binaries)"
+# main's os.Exit(run(...)) wiring, which the in-process tests never reach:
+# every command exits 0 on -h and 2 on a bad value of a shared flag.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+go build -o "$bindir" ./cmd/...
+for check in "ctomo -tick 0" "ctfleet -tick 0" "ctstationd -tick 0" "motesim -tick 0" \
+	"ctbench -tick 0" "minicc -instrument x" "ctlint -max-cycles -1"; do
+	set -- $check
+	cmd=$1
+	shift
+	"$bindir/$cmd" -h 2>/dev/null || { echo "$cmd -h: exit $?, want 0" >&2; exit 1; }
+	code=0
+	"$bindir/$cmd" "$@" f.mc 2>/dev/null || code=$?
+	[ "$code" = 2 ] || { echo "$cmd $*: exit $code, want 2" >&2; exit 1; }
+done
+
 echo "== go test -race"
 go test -race ./...
 
