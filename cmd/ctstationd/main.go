@@ -51,7 +51,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cli.Int(fs, &cfg.Shards, "shards", 2, 1, math.MaxInt, "reassembly shards (one worker each)")
 	cli.Int(fs, &cfg.EpochFrames, "epoch", 64, 0, math.MaxInt, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
 	cli.Tick(fs, &cfg.TickDiv)
-	cli.Estimator(fs, &cfg.Estimator, &cfg.TickDiv)
+	cli.Estimator(fs, &cfg.Estimator)
 	cli.Static(fs, &cfg.StaticResolve)
 	cli.Int(fs, &cfg.MinSamples, "minsamples", pipeline.DefaultMinSamples, 1, math.MaxInt, "fewest samples before a procedure's model is trusted")
 	if code, ok := fs.Parse(args, 1); !ok {

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "instructions:  %d\n", s.Instructions)
 	fmt.Fprintf(stdout, "cond branches: %d\n", s.CondBranches)
 	fmt.Fprintf(stdout, "taken:         %d\n", s.TakenBranches)
-	fmt.Fprintf(stdout, "mispredicts:   %d (%.2f%%)\n", s.Mispredicts, 100*float64(s.Mispredicts)/float64(max(s.CondBranches, 1)))
+	fmt.Fprintf(stdout, "mispredicts:   %d (%.2f%%)\n", s.Mispredicts, 100*s.MispredictRate())
 	fmt.Fprintf(stdout, "radio packets: %d (%d words)\n", s.RadioPackets, s.RadioWords)
 	fmt.Fprintf(stdout, "sensor reads:  %d\n", s.SensorReads)
 	fmt.Fprintf(stdout, "energy:        %.1f uJ\n", mote.DefaultEnergyModel().Energy(s))

@@ -139,10 +139,7 @@ type RunStats struct {
 
 // MispredictRate is Mispredicts / CondBranches (0 when no branches ran).
 func (s RunStats) MispredictRate() float64 {
-	if s.CondBranches == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.CondBranches)
+	return mote.Stats{Mispredicts: s.Mispredicts, CondBranches: s.CondBranches}.MispredictRate()
 }
 
 func runStats(m *mote.Machine) RunStats {
@@ -244,21 +241,11 @@ func (r *Result) Speedup() float64 {
 // output — a pipeline bug, never expected.
 var ErrOutputChanged = pipeline.ErrOutputChanged
 
-// ambiguityWindow is the collision distance used for the identifiability
-// diagnostic: paths closer than ~a quarter tick produce essentially
-// identical tick distributions and carry no separating signal.
-func ambiguityWindow(tickDiv int) float64 {
-	w := float64(tickDiv) / 4
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // settings maps the config onto the shared estimation settings.
 func (c Config) settings() pipeline.Settings {
 	return pipeline.Settings{
-		TrustPolicy:   pipeline.TrustPolicy{MinSamples: c.MinSamples, MinCoverage: c.MinCoverage, TickDiv: c.TickDiv},
+		TrustPolicy:   pipeline.TrustPolicy{MinSamples: c.MinSamples, MinCoverage: c.MinCoverage},
+		TickDiv:       c.TickDiv,
 		Predictor:     c.Predictor,
 		Estimator:     c.Estimator,
 		MaxVisits:     c.MaxVisits,
@@ -312,7 +299,7 @@ func (c Config) measure(source string, baseline func() (*mote.Machine, error), p
 
 // procEstimate reports one procedure's outcome, scored against the
 // simulator's oracle; every flag derives from the trust decision.
-func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs, tickDiv int) ProcEstimate {
+func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs) ProcEstimate {
 	pe := ProcEstimate{
 		Proc:              o.Proc.Name,
 		SampleCount:       o.Samples,
@@ -327,7 +314,7 @@ func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs, tickDiv
 	}
 	if !pe.Fallback {
 		// Low-confidence estimates are reported, but do not drive placement.
-		pe.Branches, pe.MAE = branchEstimates(o.Model, o.Probs, oracle, tickDiv)
+		pe.Branches, pe.MAE = branchEstimates(o.Model, o.Probs, oracle)
 	}
 	return pe
 }
@@ -344,9 +331,12 @@ func resolvedBranchCount(m *tomography.Model) int {
 
 // branchEstimates assembles the per-edge report for one estimated
 // procedure: estimate vs oracle per branch edge, the identifiability
-// diagnostic, and the mean absolute error.
-func branchEstimates(model *tomography.Model, est, oracle markov.EdgeProbs, tickDiv int) ([]BranchEstimate, float64) {
-	ambiguity := model.BranchAmbiguity(ambiguityWindow(tickDiv))
+// diagnostic, and the mean absolute error. The diagnostic's collision
+// distance is a quarter tick (at least one cycle): paths closer than that
+// produce essentially identical tick distributions and carry no separating
+// signal.
+func branchEstimates(model *tomography.Model, est, oracle markov.EdgeProbs) ([]BranchEstimate, float64) {
+	ambiguity := model.BranchAmbiguity(max(model.Tick()/4, 1))
 	var branches []BranchEstimate
 	mae := 0.0
 	for _, e := range model.BranchEdgeList() {
@@ -406,7 +396,7 @@ func Run(source string, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("codetomo: %w", o.Err)
 		}
 		oracle := profile.OracleProbs(prof.Meta.ProcByName[o.Proc.Name], o.Proc, branchStats)
-		res.Estimates = append(res.Estimates, procEstimate(o, 0, oracle, cfg.TickDiv))
+		res.Estimates = append(res.Estimates, procEstimate(o, 0, oracle))
 	}
 
 	// 4–5. Optimize placement, rebuild uninstrumented, verify, report.

@@ -137,7 +137,7 @@ func TestPipelineCustomSensorAndEstimator(t *testing.T) {
 	src := sourceFor(t, "quantize", 600)
 	res, err := Run(src, Config{
 		Sensor:    func() mote.SampleSource { return constSensor(700) },
-		Estimator: tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: 8}},
+		Estimator: tomography.Histogram{},
 	})
 	if err != nil {
 		t.Fatal(err)

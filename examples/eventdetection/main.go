@@ -55,16 +55,16 @@ func main() {
 	fmt.Printf("collected %d duration samples of %s (quantized to %d-cycle ticks)\n\n",
 		len(samples), app.Handler, tickDiv)
 
-	model, err := pipeline.Settings{Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
+	model, err := pipeline.Settings{TickDiv: tickDiv, Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
 	if err != nil {
 		log.Fatal(err)
 	}
 	truth := profile.OracleProbs(pm, model.Proc, m.BranchStats())
 
 	estimators := []tomography.Estimator{
-		tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: tickDiv}},
+		tomography.EM{},
 		tomography.Moments{},
-		tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: tickDiv}},
+		tomography.Histogram{},
 	}
 	fmt.Printf("%-24s", "branch edge")
 	for _, e := range estimators {

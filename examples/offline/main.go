@@ -75,12 +75,11 @@ func main() {
 	samples := trace.DurationsCycles(ticks, field.TickDiv)
 	fmt.Printf("host:  decoded %d invocations of %s\n", len(samples), app.Handler)
 
-	model, err := pipeline.Settings{Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
+	model, err := pipeline.Settings{TickDiv: field.TickDiv, Predictor: field.Predictor}.WithDefaults().Model(out, app.Handler)
 	if err != nil {
 		log.Fatal(err)
 	}
-	probs, st, err := tomography.EstimateEM(model, samples,
-		tomography.EMConfig{KernelHalfWidth: float64(field.TickDiv)})
+	probs, st, err := tomography.EstimateEM(model, samples, tomography.EMConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,9 +59,9 @@ type Run struct {
 // unroll bound.
 func (c Config) Settings() pipeline.Settings {
 	return pipeline.Settings{
-		TrustPolicy: pipeline.TrustPolicy{TickDiv: c.TickDiv},
-		Predictor:   c.Predictor,
-		MaxVisits:   c.MaxVisits,
+		TickDiv:   c.TickDiv,
+		Predictor: c.Predictor,
+		MaxVisits: c.MaxVisits,
 	}.WithDefaults()
 }
 

@@ -95,7 +95,7 @@ func FigF2(c Config) (*report.Table, error) {
 	ests := []tomography.Estimator{
 		c.Settings().Estimator,
 		tomography.Moments{},
-		tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: float64(c.TickDiv)}},
+		tomography.Histogram{},
 	}
 	t := &report.Table{
 		Title:  "F2: per-edge |error| CDF by estimator (all apps)",
@@ -165,15 +165,10 @@ func FigF3(c Config) (*report.Table, error) {
 // Strategy names for the placement experiments, in reporting order.
 var strategies = []string{"original", "random", "static", "ctomo", "oracle"}
 
-// placementResult carries one (app, strategy) measured run.
-type placementResult struct {
-	mispredicts, condBranches, cycles uint64
-}
-
 // runPlacement executes the full pipeline for one app: profile under the
 // default layout, derive layouts per strategy, rebuild uninstrumented
 // binaries, and re-run each under the identical workload.
-func (c Config) runPlacement(a apps.App, seedOffset int64) (map[string]placementResult, error) {
+func (c Config) runPlacement(a apps.App, seedOffset int64) (map[string]mote.Stats, error) {
 	// 1–2. Profiling run (timestamps, natural layout), and per-procedure
 	// probabilities under each information source.
 	prof, ctProbs, err := c.profile(a, seedOffset)
@@ -196,18 +191,13 @@ func (c Config) runPlacement(a apps.App, seedOffset int64) (map[string]placement
 	}
 
 	// 3. Measurement runs: plain binaries, identical workload.
-	out := make(map[string]placementResult, len(plansBy))
+	out := make(map[string]mote.Stats, len(plansBy))
 	for name, plan := range plansBy {
 		r, err := c.execute(a, compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints}, seedOffset)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", a.Name, name, err)
 		}
-		s := r.Machine.Stats()
-		out[name] = placementResult{
-			mispredicts:  s.Mispredicts,
-			condBranches: s.CondBranches,
-			cycles:       s.Cycles,
-		}
+		out[name] = r.Machine.Stats()
 	}
 	return out, nil
 }
@@ -245,12 +235,7 @@ func FigF4(c Config) (*report.Table, error) {
 		}
 		row := []string{a.Name}
 		for _, s := range strategies {
-			r := res[s]
-			rate := 0.0
-			if r.condBranches > 0 {
-				rate = float64(r.mispredicts) / float64(r.condBranches)
-			}
-			row = append(row, report.Pct(rate))
+			row = append(row, report.Pct(res[s].MispredictRate()))
 		}
 		t.AddRow(row...)
 	}
@@ -269,10 +254,10 @@ func FigF5(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := float64(res["original"].cycles)
+		base := float64(res["original"].Cycles)
 		row := []string{a.Name}
 		for _, s := range strategies {
-			row = append(row, report.F(float64(res[s].cycles)/base, 4))
+			row = append(row, report.F(float64(res[s].Cycles)/base, 4))
 		}
 		t.AddRow(row...)
 	}
@@ -433,7 +418,7 @@ func TableT3(c Config) (*report.Table, error) {
 	ests := []tomography.Estimator{
 		c.Settings().Estimator,
 		tomography.Moments{},
-		tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: float64(c.TickDiv)}},
+		tomography.Histogram{},
 	}
 	for i, a := range apps.All() {
 		r, err := c.execute(a, compile.Options{Instrument: compile.ModeTimestamps}, int64(700+i))
@@ -504,11 +489,10 @@ func AblationPredictor(c Config) (*report.Table, error) {
 				return nil, err
 			}
 			rate := func(s string) string {
-				r := res[s]
-				if r.condBranches == 0 {
+				if res[s].CondBranches == 0 {
 					return "n/a"
 				}
-				return report.Pct(float64(r.mispredicts) / float64(r.condBranches))
+				return report.Pct(res[s].MispredictRate())
 			}
 			t.AddRow(a.Name, p.Name(), rate("original"), rate("ctomo"), rate("oracle"))
 		}
@@ -542,11 +526,7 @@ func AblationOptimizations(c Config) (*report.Table, error) {
 			}
 			s := r.Machine.Stats()
 			cycles = append(cycles, s.Cycles)
-			rate := 0.0
-			if s.CondBranches > 0 {
-				rate = float64(s.Mispredicts) / float64(s.CondBranches)
-			}
-			rates = append(rates, rate)
+			rates = append(rates, s.MispredictRate())
 		}
 		// The fully optimized build once more, under BTFN.
 		cb := c
@@ -554,11 +534,6 @@ func AblationOptimizations(c Config) (*report.Table, error) {
 		rb, err := cb.execute(a, compile.Options{FuseCompares: true, RotateLoops: true}, int64(1000+i))
 		if err != nil {
 			return nil, err
-		}
-		sb := rb.Machine.Stats()
-		btfnRate := 0.0
-		if sb.CondBranches > 0 {
-			btfnRate = float64(sb.Mispredicts) / float64(sb.CondBranches)
 		}
 		base := float64(cycles[0])
 		t.AddRow(a.Name,
@@ -568,7 +543,7 @@ func AblationOptimizations(c Config) (*report.Table, error) {
 			report.F(float64(cycles[3])/base, 4),
 			report.Pct(rates[0]),
 			report.Pct(rates[3]),
-			report.Pct(btfnRate),
+			report.Pct(rb.Machine.Stats().MispredictRate()),
 		)
 	}
 	return t, nil
@@ -604,7 +579,7 @@ func AblationDynamicPredictor(c Config) (*report.Table, error) {
 			if s.CondBranches == 0 {
 				return "n/a", nil
 			}
-			return report.Pct(float64(s.Mispredicts) / float64(s.CondBranches)), nil
+			return report.Pct(s.MispredictRate()), nil
 		}
 		ctOpts := compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints}
 		row := []string{a.Name}

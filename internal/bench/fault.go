@@ -7,6 +7,7 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/fault"
 	"codetomo/internal/report"
+	"codetomo/internal/tomography"
 )
 
 // faultMaxCycles bounds each mote's run in the fault experiments: a mote
@@ -68,7 +69,7 @@ func FaultRecoverySweep(c Config) (*report.Table, error) {
 			cfg.MaxCycles = faultMaxCycles
 			common(cfg, lv)
 			cfg.ARQRetries = 3
-			useRobust(cfg)
+			cfg.Estimator = tomography.Robust{}
 		})
 		if err != nil {
 			return nil, err
@@ -105,7 +106,7 @@ func ARQOverheadSweep(c Config) (*report.Table, error) {
 			cfg.MaxCycles = faultMaxCycles
 			cfg.CorruptProb = rate
 			cfg.ARQRetries = 3
-			useRobust(cfg)
+			cfg.Estimator = tomography.Robust{}
 		})
 		if err != nil {
 			return nil, err

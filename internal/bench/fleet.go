@@ -6,7 +6,6 @@ import (
 	codetomo "codetomo"
 	"codetomo/internal/apps"
 	"codetomo/internal/report"
-	"codetomo/internal/tomography"
 )
 
 // fleetApp is the deployment benchmark: sense is the canonical
@@ -27,15 +26,6 @@ func (c Config) fleetConfig(app apps.App, motes int) codetomo.FleetConfig {
 		},
 		Motes: motes,
 	}
-}
-
-// useRobust switches cfg to the outlier-trimmed robust estimator with
-// confidence-gated placement: EM with its kernel at the timer tick, every
-// other knob at its default.
-func useRobust(cfg *codetomo.FleetConfig) {
-	cfg.Estimator = tomography.Robust{Config: tomography.RobustConfig{
-		EM: tomography.EMConfig{KernelHalfWidth: float64(cfg.TickDiv)},
-	}}
 }
 
 // formatMAE renders an estimate's error for a table: "fallback" when the

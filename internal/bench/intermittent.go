@@ -8,6 +8,7 @@ import (
 	"codetomo/internal/fault"
 	"codetomo/internal/mote"
 	"codetomo/internal/report"
+	"codetomo/internal/tomography"
 )
 
 // ckptPolicy is one column family of the IN1 sweep.
@@ -62,7 +63,7 @@ func IntermittentSweep(c Config) (*report.Table, error) {
 					Seed:               c.Seed + 1,
 				}
 				cfg.Checkpoint = p.pol
-				useRobust(cfg)
+				cfg.Estimator = tomography.Robust{}
 			})
 			if err != nil {
 				return nil, err

@@ -114,7 +114,6 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 			"DeadBranchElim uninstrumented builds on the identical workload",
 		HostTime: []int{7, 8},
 	}
-	emCfg := tomography.EMConfig{KernelHalfWidth: float64(c.TickDiv)}
 	for i, rc := range railCases {
 		seed := int64(1300 + i)
 
@@ -147,7 +146,7 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 
 		run := func(m *tomography.Model) (markov.EdgeProbs, int, float64, error) {
 			start := time.Now()
-			est, st, err := tomography.EstimateEM(m, samples, emCfg)
+			est, st, err := tomography.EstimateEM(m, samples, tomography.EMConfig{})
 			if err != nil {
 				return nil, 0, 0, err
 			}

@@ -44,9 +44,6 @@ const Files = -1
 // command's stderr prefixed with the command's name.
 type FlagSet struct {
 	*flag.FlagSet
-	// resolve runs after a successful parse, for flags whose value depends
-	// on another flag (an estimator tuned to the parsed -tick).
-	resolve []func()
 }
 
 // NewFlagSet returns cmd's flag set, reporting to stderr.
@@ -75,9 +72,6 @@ func (fs *FlagSet) Parse(args []string, want int) (code int, ok bool) {
 		return fs.Usagef("expected at least one source file"), false
 	case want != Files && n != want:
 		return fs.Usagef("expected %s, got %d args", [...]string{"no arguments", "exactly one source file"}[want], n), false
-	}
-	for _, f := range fs.resolve {
-		f()
 	}
 	return ExitOK, true
 }
@@ -229,24 +223,13 @@ func MaxCycles(fs *FlagSet, p *uint64) {
 		"cycle budget: a simulated run stops past it, and ctlint warns on a procedure that provably exceeds it")
 }
 
-// Estimator defines -estimator. Once the flags are parsed it stores in
-// *p the named estimator with its kernel at *tick, or nil for em, since
-// the pipeline tunes its default EM to the tick itself. "robust" is EM
-// inside the outlier-trimming, confidence-gating robust estimator, every
-// other knob at its default.
-func Estimator(fs *FlagSet, p *tomography.Estimator, tick *int) {
-	var build func(tick float64) tomography.Estimator
-	Choice(fs, &build, "estimator", []string{"em", "robust", "moments", "histogram"}, []func(float64) tomography.Estimator{
-		func(float64) tomography.Estimator { return nil },
-		func(t float64) tomography.Estimator {
-			return tomography.Robust{Config: tomography.RobustConfig{EM: tomography.EMConfig{KernelHalfWidth: t}}}
-		},
-		func(float64) tomography.Estimator { return tomography.Moments{} },
-		func(t float64) tomography.Estimator {
-			return tomography.Histogram{Config: tomography.HistogramConfig{KernelHalfWidth: t}}
-		},
-	}, "estimation strategy")
-	fs.resolve = append(fs.resolve, func() { *p = build(float64(*tick)) })
+// Estimator defines -estimator, stored in *p: nil for em (the pipeline's
+// default), or the named estimator with every knob at its default.
+// "robust" is EM inside the outlier-trimming, confidence-gating robust
+// estimator. Every estimator reads the timer tick from the model it fits.
+func Estimator(fs *FlagSet, p *tomography.Estimator) {
+	Choice(fs, p, "estimator", []string{"em", "robust", "moments", "histogram"},
+		[]tomography.Estimator{nil, tomography.Robust{}, tomography.Moments{}, tomography.Histogram{}}, "estimation strategy")
 }
 
 // Static defines -static, stored in *p.
@@ -309,7 +292,7 @@ func Config(fs *FlagSet, cfg *codetomo.Config) {
 	Workload(fs, &cfg.Workload)
 	Seed(fs, &cfg.Seed)
 	Tick(fs, &cfg.TickDiv)
-	Estimator(fs, &cfg.Estimator, &cfg.TickDiv)
+	Estimator(fs, &cfg.Estimator)
 	Static(fs, &cfg.StaticResolve)
 	PGO(fs, cfg)
 	PageCost(fs, &cfg.PageCrossPenalty)

@@ -140,15 +140,15 @@ func TestParsePGOPasses(t *testing.T) {
 	}
 }
 
-// -estimator resolves after the whole command line is parsed, so the
-// kernel sits at the parsed -tick wherever -tick appears.
+// -estimator names a tick-free estimator value: each fits at the timer
+// tick of the model it is given, so -tick needs no say in it.
 func TestEstimatorResolution(t *testing.T) {
 	parse := func(args ...string) (tomography.Estimator, int) {
 		t.Helper()
 		var cfg codetomo.Config
 		fs := NewFlagSet("demo", "", new(bytes.Buffer))
 		Tick(fs, &cfg.TickDiv)
-		Estimator(fs, &cfg.Estimator, &cfg.TickDiv)
+		Estimator(fs, &cfg.Estimator)
 		code, _ := fs.Parse(args, 0)
 		return cfg.Estimator, code
 	}
@@ -161,8 +161,8 @@ func TestEstimatorResolution(t *testing.T) {
 		}
 	}
 	robust, _ := parse("-estimator", "robust", "-tick", "4")
-	if want := (tomography.Robust{Config: tomography.RobustConfig{EM: tomography.EMConfig{KernelHalfWidth: 4}}}); !reflect.DeepEqual(robust, want) {
-		t.Fatalf("robust: got %+v, want EM at the tick with default trimming %+v", robust, want)
+	if want := (tomography.Robust{}); !reflect.DeepEqual(robust, want) {
+		t.Fatalf("robust: got %+v, want the Robust{} value %+v", robust, want)
 	}
 	if _, code := parse("-estimator", "psychic"); code != ExitUsage {
 		t.Fatalf("unknown estimator: exit %d, want %d", code, ExitUsage)

@@ -51,13 +51,14 @@ type Options struct {
 	// PGO, when non-nil, runs the profile-guided pipeline (inlining,
 	// superblocks, hot/cold splitting, page packing — see PGOOptions)
 	// between the middle-end passes and code generation. Build fills
-	// Layouts, BranchHints, and ColdBlocks from it.
+	// Layouts and BranchHints from it.
 	PGO *PGOOptions
-	// ColdBlocks names blocks to emit into the program's cold flash
-	// region, placed after every procedure's hot region. Entries for a
-	// procedure's entry block are ignored (the prologue stays hot).
-	// Normally filled by the PGO pipeline rather than by hand.
-	ColdBlocks map[string]map[ir.BlockID]bool
+
+	// coldBlocks names the blocks runPGO's hot/cold split moves into the
+	// program's cold flash region, placed after every procedure's hot
+	// region. Entries for a procedure's entry block are ignored (the
+	// prologue stays hot).
+	coldBlocks map[string]map[ir.BlockID]bool
 
 	// pgoWeights holds the pass-transformed edge weights runPGO computed —
 	// the ones matching the CFG the backend actually emits (superblock and
@@ -132,10 +133,6 @@ func Generate(prog *cfg.Program, opts Options) (*Output, error) {
 	}
 	e.layoutGlobals()
 
-	// Startup stub: initialize globals, call main, halt. Global scalar
-	// initializers are applied by the loader in package mote builds? No —
-	// MiniC globals start zeroed; initializers are applied by the caller
-	// of Compile via Meta.GlobalInits encoded here as stub code.
 	e.emitStub()
 
 	// When page packing is on, emit unweighted procedures first: a pad
@@ -258,10 +255,6 @@ func (e *emitter) emit(in isa.Instr) int32 {
 func (e *emitter) cyc(op isa.Op) uint64 { return uint64(e.cost.Cycles[op]) }
 
 // emitStub emits the reset vector: global initialization, CALL main, HALT.
-// Global initializer values must have been folded by the front end; Lower
-// keeps them out of the CFG, so the values are re-derived by the driver and
-// passed via SetGlobalInit before Generate — instead we simply zero-default
-// here and let the driver's stub data (GlobalInits) be emitted directly.
 func (e *emitter) emitStub() {
 	for _, init := range e.prog.GlobalInits {
 		e.emit(isa.Instr{Op: isa.LDI, Rd: isa.RegScratch1, Imm: int32(init.Val)})
@@ -289,7 +282,7 @@ func (e *emitter) genProc(p *cfg.Proc, procIdx int) error {
 	// Partition the layout into the hot region (emitted here) and the
 	// cold run (deferred until every hot region exists). Relative order
 	// within each region follows the layout; the entry stays hot.
-	coldSet := e.opts.ColdBlocks[p.Name]
+	coldSet := e.opts.coldBlocks[p.Name]
 	var hot, cold []ir.BlockID
 	for _, bid := range layout {
 		if coldSet[bid] && bid != p.Entry {

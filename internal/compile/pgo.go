@@ -66,7 +66,7 @@ const (
 
 // runPGO executes the profile-guided pipeline on the lowered program,
 // rewriting opts in place: the CFG is transformed, Layouts/BranchHints are
-// recomputed from the transformed weights, and ColdBlocks is filled when
+// recomputed from the transformed weights, and coldBlocks is filled when
 // hot/cold splitting is on. Each CFG-mutating pass is followed by the same
 // stage checking the middle-end pipeline uses.
 func runPGO(prog *cfg.Program, opts *Options) error {
@@ -113,7 +113,7 @@ func runPGO(prog *cfg.Program, opts *Options) error {
 	}
 
 	if pgo.HotCold {
-		opts.ColdBlocks = coldSplit(prog, weights)
+		opts.coldBlocks = coldSplit(prog, weights)
 	}
 	opts.pgoWeights = weights
 	return nil

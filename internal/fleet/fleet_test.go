@@ -3,6 +3,7 @@ package fleet
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"codetomo/internal/compile"
 	"codetomo/internal/mote"
@@ -428,4 +429,32 @@ func syntheticEvents(n int) ([]mote.TraceEvent, int) {
 		events = append(events, mote.TraceEvent{ID: trace.ExitID(0), Tick: tick})
 	}
 	return events, n
+}
+
+// Two runs of one seeded fleet differ only in their wall times, so they
+// must render the same tables but the last, which holds the walls alone.
+func TestStatsTablesWallsLast(t *testing.T) {
+	base := Stats{
+		Motes: 2, EventsLogged: 1234, EnergyUJ: 56.7, HarvestedUJ: 8.9,
+		ARQ:            ARQStats{Rounds: 3, Retransmissions: 7},
+		PerMote:        []MoteUplink{{ID: 1, Sent: 40, Delivered: 38}},
+		SamplesPerProc: map[string]int{"handler": 400},
+		Rounds:         6, Iterations: 41, EstimatedProcs: 2,
+	}
+	fast, slow := base, base
+	fast.SimWall, fast.UplinkWall, fast.EstimateWall = time.Millisecond, 2*time.Microsecond, 3*time.Microsecond
+	slow.SimWall, slow.UplinkWall, slow.EstimateWall = 12345678901*time.Nanosecond, 987654321*time.Nanosecond, 55555555*time.Nanosecond
+	a, b := fast.Tables(), slow.Tables()
+	if len(a) != len(b) {
+		t.Fatalf("%d tables vs %d", len(a), len(b))
+	}
+	last := len(a) - 1
+	for i := range last {
+		if ra, rb := a[i].Render(), b[i].Render(); ra != rb {
+			t.Errorf("table %q depends on the walls:\n%s\nvs\n%s", a[i].Title, ra, rb)
+		}
+	}
+	if a[last].Render() == b[last].Render() {
+		t.Errorf("last table %q does not show the walls", a[last].Title)
+	}
 }

@@ -87,9 +87,10 @@ type Stats struct {
 	EstimateWall time.Duration
 }
 
-// Tables renders the observability record for terminal reports.
+// Tables renders the observability record for terminal reports, the wall
+// times alone in the last table so that the others repeat run to run.
 func (s Stats) Tables() []*report.Table {
-	uplink := report.KV("Fleet uplink",
+	out := []*report.Table{report.KV("Fleet uplink",
 		[2]string{"motes", report.I(s.Motes)},
 		[2]string{"mote resets (watchdog/brownout)", report.I(int(s.Resets))},
 		[2]string{"events logged", report.I(s.EventsLogged)},
@@ -105,25 +106,13 @@ func (s Stats) Tables() []*report.Table {
 		[2]string{"invocations recovered", report.I(s.Uplink.InvocationsRecovered)},
 		[2]string{"invocations discarded", report.I(s.Uplink.InvocationsDiscarded)},
 		[2]string{"invocations lost to power (partials)", report.I(s.Uplink.LostPartials)},
-	)
-	est := report.KV("Fleet estimation",
-		[2]string{"procedures estimated", report.I(s.EstimatedProcs)},
-		[2]string{"procedures converged early", report.I(s.ConvergedProcs)},
-		[2]string{"procedures low-confidence", report.I(s.LowConfidenceProcs)},
-		[2]string{"samples trimmed (robust)", report.I(s.TrimmedSamples)},
-		[2]string{"estimation rounds", report.I(s.Rounds)},
-		[2]string{"EM iterations", report.I(s.Iterations)},
-		[2]string{"simulate wall", s.SimWall.String()},
-		[2]string{"uplink wall", s.UplinkWall.String()},
-		[2]string{"estimate wall", s.EstimateWall.String()},
-	)
-	out := []*report.Table{uplink}
+	)}
 	if s.EnergyUJ > 0 {
 		perInv := "n/a"
 		if s.Uplink.InvocationsRecovered > 0 {
 			perInv = fmt.Sprintf("%.3f", s.EnergyUJ/float64(s.Uplink.InvocationsRecovered))
 		}
-		energy := report.KV("Fleet energy",
+		out = append(out, report.KV("Fleet energy",
 			[2]string{"energy consumed (µJ)", fmt.Sprintf("%.1f", s.EnergyUJ)},
 			[2]string{"energy harvested (µJ)", fmt.Sprintf("%.1f", s.HarvestedUJ)},
 			[2]string{"energy per completed invocation (µJ)", perInv},
@@ -131,8 +120,7 @@ func (s Stats) Tables() []*report.Table {
 			[2]string{"checkpoints taken", report.I(int(s.Checkpoints))},
 			[2]string{"checkpoint restores", report.I(int(s.Restores))},
 			[2]string{"volatile events lost", report.I(int(s.LostVolatileEvents))},
-		)
-		out = append(out, energy)
+		))
 	}
 	if s.ARQ != (ARQStats{}) {
 		out = append(out, report.KV("Fleet ARQ",
@@ -144,7 +132,14 @@ func (s Stats) Tables() []*report.Table {
 			[2]string{"backoff ticks charged", report.I(int(s.ARQ.BackoffTicks))},
 		))
 	}
-	out = append(out, est)
+	out = append(out, report.KV("Fleet estimation",
+		[2]string{"procedures estimated", report.I(s.EstimatedProcs)},
+		[2]string{"procedures converged early", report.I(s.ConvergedProcs)},
+		[2]string{"procedures low-confidence", report.I(s.LowConfidenceProcs)},
+		[2]string{"samples trimmed (robust)", report.I(s.TrimmedSamples)},
+		[2]string{"estimation rounds", report.I(s.Rounds)},
+		[2]string{"EM iterations", report.I(s.Iterations)},
+	))
 	if len(s.PerMote) > 0 {
 		pm := &report.Table{
 			Title:  "Per-mote uplink",
@@ -169,5 +164,9 @@ func (s Stats) Tables() []*report.Table {
 	for _, name := range names {
 		samples.AddRow(name, report.I(s.SamplesPerProc[name]))
 	}
-	return append(out, samples)
+	return append(out, samples, report.KV("Fleet wall time",
+		[2]string{"simulate wall", s.SimWall.String()},
+		[2]string{"uplink wall", s.UplinkWall.String()},
+		[2]string{"estimate wall", s.EstimateWall.String()},
+	))
 }

@@ -117,6 +117,11 @@ type Stats struct {
 	DrainedUJ          float64
 }
 
+// MispredictRate is Mispredicts / CondBranches (0 when no branches ran).
+func (s Stats) MispredictRate() float64 {
+	return float64(s.Mispredicts) / float64(max(s.CondBranches, 1))
+}
+
 // Config sets the machine's architectural parameters.
 type Config struct {
 	// RAMWords is the size of data memory in 16-bit words.

@@ -42,9 +42,7 @@ func (m *Machine) Reset(cfg Config) {
 	m.sp = int32(cfg.RAMWords)
 	m.regs = [16]uint16{}
 	if len(m.mem) == cfg.RAMWords {
-		for i := range m.mem {
-			m.mem[i] = 0
-		}
+		clear(m.mem)
 	} else {
 		m.mem = make([]uint16, cfg.RAMWords)
 	}
@@ -56,16 +54,12 @@ func (m *Machine) Reset(cfg Config) {
 	m.debugOut = m.debugOut[:0]
 	m.trace = m.trace[:0]
 	if len(m.profCnt) == len(m.prog) {
-		for i := range m.profCnt {
-			m.profCnt[i] = 0
-		}
+		clear(m.profCnt)
 	} else {
 		m.profCnt = make([]uint64, len(m.prog))
 	}
 	if len(m.branchStat) == len(m.prog) {
-		for i := range m.branchStat {
-			m.branchStat[i] = BranchStat{}
-		}
+		clear(m.branchStat)
 	} else {
 		m.branchStat = make([]BranchStat, len(m.prog))
 	}

@@ -3,7 +3,8 @@
 // method is one chain, and each stage lives here once:
 //
 //  1. profile: Mote builds under a cost model and runs under the same one;
-//  2. model: Settings.Model, with the shared bounds and StaticResolve;
+//  2. model: Settings.Model, with the shared bounds, the timer tick and
+//     StaticResolve;
 //  3. gate: TrustPolicy.Admit (sample count, a model, coverage);
 //  4. estimate: Settings.Batch, or a Stream fed batch by batch;
 //  5. correct: Correct, whenever a procedure lost partials to power cuts;
@@ -38,7 +39,7 @@ import (
 // The defaults every caller shares; a zero config field selects them.
 // MaxPaths caps path enumeration per procedure.
 const (
-	DefaultTickDiv     = 8
+	DefaultTickDiv     = tomography.DefaultTickDiv
 	DefaultMaxCycles   = 2_000_000_000
 	DefaultMinSamples  = 50
 	DefaultMinCoverage = 0.85
@@ -47,18 +48,21 @@ const (
 )
 
 // TrustPolicy decides whether a procedure's estimate may drive placement.
+// The coverage half-width and the envelope check's slack are the model's
+// timer tick.
 type TrustPolicy struct {
 	MinSamples  int
 	MinCoverage float64
-	// TickDiv is the timer prescaler in cycles: the coverage half-width
-	// and the envelope check's slack.
-	TickDiv int
 }
 
 // Settings is the estimation configuration. Every caller maps its config
 // onto it, so a field means the same thing on every path.
 type Settings struct {
 	TrustPolicy
+	// TickDiv is the timer prescaler in cycles. Settings.Model gives it to
+	// every model, and every width that absorbs timer quantization reads
+	// it from there.
+	TickDiv int
 	// Predictor is the profiled motes' branch predictor; it fixes the
 	// per-edge penalty cycles of the path models.
 	Predictor mote.Predictor
@@ -68,11 +72,6 @@ type Settings struct {
 	// StaticResolve pins statically proven branches in every model and
 	// gives it the static envelope Accept checks fits against.
 	StaticResolve bool
-	// A Stream stops re-estimating once no branch probability has moved
-	// more than ConvergeTol for ConvergePatience consecutive batches (zero
-	// selects tomography.NewIncremental's defaults).
-	ConvergeTol      float64
-	ConvergePatience int
 }
 
 // Validate rejects negative knobs and out-of-range fractions; zero values
@@ -87,10 +86,6 @@ func (s Settings) Validate() error {
 		return fmt.Errorf("MaxVisits = %d; must be positive (zero selects the default of %d)", s.MaxVisits, DefaultMaxVisits)
 	case s.MinCoverage < 0 || s.MinCoverage > 1:
 		return fmt.Errorf("MinCoverage = %v; must be a fraction in [0, 1] (zero selects the default of %v)", s.MinCoverage, DefaultMinCoverage)
-	case s.ConvergeTol < 0:
-		return fmt.Errorf("ConvergeTol = %v; must be positive (zero selects the default of 1e-3)", s.ConvergeTol)
-	case s.ConvergePatience < 0:
-		return fmt.Errorf("ConvergePatience = %d; must be positive (zero selects the default of 2)", s.ConvergePatience)
 	}
 	if _, ok := s.Predictor.(mote.TrainablePredictor); ok {
 		return fmt.Errorf("predictor %q is stateful (TrainablePredictor); pipeline motes run concurrently and cannot share trained state", s.Predictor.Name())
@@ -98,8 +93,7 @@ func (s Settings) Validate() error {
 	return nil
 }
 
-// WithDefaults fills every zero field but the streaming early stop with
-// the shared default.
+// WithDefaults fills every zero field with the shared default.
 func (s Settings) WithDefaults() Settings {
 	if s.TickDiv <= 0 {
 		s.TickDiv = DefaultTickDiv
@@ -117,7 +111,7 @@ func (s Settings) WithDefaults() Settings {
 		s.Predictor = mote.StaticNotTaken{}
 	}
 	if s.Estimator == nil {
-		s.Estimator = tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: float64(s.TickDiv)}}
+		s.Estimator = tomography.EM{}
 	}
 	return s
 }
@@ -125,7 +119,7 @@ func (s Settings) WithDefaults() Settings {
 // Model builds one procedure's path model from an instrumented build.
 func (s Settings) Model(prof *compile.Output, proc string) (*tomography.Model, error) {
 	enum := markov.EnumerateOptions{MaxVisits: s.MaxVisits, MaxPaths: MaxPaths}
-	return tomography.NewModelOpts(prof, proc, s.Predictor, enum, tomography.ModelOptions{StaticResolve: s.StaticResolve})
+	return tomography.NewModelOpts(prof, proc, s.Predictor, enum, tomography.ModelOptions{TickDiv: s.TickDiv, StaticResolve: s.StaticResolve})
 }
 
 // Decision is a TrustPolicy verdict: Trusted, or why the estimate may not
@@ -157,7 +151,7 @@ func (p TrustPolicy) Admit(samples []float64, build func() (*tomography.Model, e
 	if err != nil || m == nil {
 		return nil, NoModel, err
 	}
-	if m.Coverage(samples, float64(p.TickDiv)) < p.MinCoverage {
+	if m.Coverage(samples, m.Tick()) < p.MinCoverage {
 		return m, LowCoverage, nil
 	}
 	return m, Trusted, nil
@@ -165,7 +159,7 @@ func (p TrustPolicy) Admit(samples []float64, build func() (*tomography.Model, e
 
 // Accept is the post-estimation check on a corrected fit.
 func (p TrustPolicy) Accept(m *tomography.Model, probs markov.EdgeProbs, confident bool) Decision {
-	if !m.EnvelopeCheck(probs, float64(p.TickDiv)) {
+	if !m.EnvelopeCheck(probs, m.Tick()) {
 		return EnvelopeViolation
 	}
 	if !confident {
@@ -193,9 +187,10 @@ type Stream struct {
 	Lost int
 }
 
-// Stream starts a procedure's stream under the settings' estimator.
+// Stream starts a procedure's stream under the settings' estimator, with
+// tomography.NewIncremental's default early stop.
 func (s Settings) Stream(name string, m *tomography.Model) *Stream {
-	return &Stream{Name: name, Incremental: tomography.NewIncremental(m, s.Estimator, s.ConvergeTol, s.ConvergePatience)}
+	return &Stream{Name: name, Incremental: tomography.NewIncremental(m, s.Estimator, 0, 0)}
 }
 
 // ObserveOn feeds streams[i] its batches[i] in order, the streams in

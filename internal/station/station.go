@@ -54,7 +54,7 @@ type Config struct {
 	// RunFleet: the motes' timer prescaler and branch predictor, the
 	// estimator, the path-enumeration bound, StaticResolve, the snapshot
 	// trust gate (an untrusted procedure is still served, but carries no
-	// layout suggestion) and the per-procedure streaming early stop.
+	// layout suggestion).
 	pipeline.Settings
 	// EpochFrames, when positive, cuts an epoch automatically every N
 	// accepted frames. Zero means epochs are cut only explicitly

@@ -85,7 +85,7 @@ func (c *compiledModel) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 
 // (dense indexed arrays and reusable scratch buffers instead of maps and
 // per-iteration clones).
 func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(m)
 	var st EMStats
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), st, nil

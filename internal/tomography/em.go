@@ -28,7 +28,7 @@ type EMConfig struct {
 	Tol float64
 	// KernelHalfWidth is the observation kernel's half width in cycles,
 	// covering timer quantization and callee-subtraction noise. Values
-	// <= 0 default to the mote's TickDiv (pass it explicitly when known).
+	// <= 0 select the model's timer tick.
 	KernelHalfWidth float64
 	// Init optionally warm-starts EM from a previous estimate instead of
 	// the uniform prior; edges missing from Init keep their uniform value.
@@ -38,8 +38,8 @@ type EMConfig struct {
 	Init markov.EdgeProbs
 }
 
-// withDefaults fills unset fields.
-func (c EMConfig) withDefaults() EMConfig {
+// withDefaults fills unset fields for estimation on m.
+func (c EMConfig) withDefaults(m *Model) EMConfig {
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200
 	}
@@ -47,7 +47,7 @@ func (c EMConfig) withDefaults() EMConfig {
 		c.Tol = 1e-6
 	}
 	if c.KernelHalfWidth <= 0 {
-		c.KernelHalfWidth = 8
+		c.KernelHalfWidth = m.Tick()
 	}
 	return c
 }

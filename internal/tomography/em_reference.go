@@ -16,7 +16,7 @@ import (
 //
 // Unlike EstimateEM it does not validate samples; callers own finiteness.
 func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(m)
 	var st EMStats
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), st, nil

@@ -38,14 +38,12 @@ func (Moments) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
 }
 
 // Histogram is the binned nonnegative least-squares estimator.
-type Histogram struct {
-	Config HistogramConfig
-}
+type Histogram struct{}
 
 // Name implements Estimator.
 func (Histogram) Name() string { return "histogram" }
 
 // Estimate implements Estimator.
-func (e Histogram) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
-	return EstimateHistogram(m, samples, e.Config)
+func (Histogram) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
+	return EstimateHistogram(m, samples)
 }

@@ -8,13 +8,6 @@ import (
 	"codetomo/internal/markov"
 )
 
-// HistogramConfig tunes the histogram least-squares estimator.
-type HistogramConfig struct {
-	// KernelHalfWidth is the quantization half width in cycles (default 8).
-	// It also sets the bin width (at least one cycle).
-	KernelHalfWidth float64
-}
-
 const (
 	// histMaxIter bounds the NNLS projected-gradient iterations.
 	histMaxIter = 3000
@@ -32,12 +25,10 @@ const (
 // weights: each path contributes its kernel mass to the bins its duration
 // overlaps, so  A·w ≈ ĥ  with w ≥ 0, where ĥ is the empirical bin
 // frequency vector. Edge probabilities follow from the weighted edge
-// traversal counts.
-func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov.EdgeProbs, error) {
-	kw := cfg.KernelHalfWidth
-	if kw <= 0 {
-		kw = 8
-	}
+// traversal counts. The kernel half width and the bin width are the
+// model's timer tick.
+func EstimateHistogram(m *Model, samples []float64) (markov.EdgeProbs, error) {
+	kw := m.Tick()
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
@@ -88,7 +79,7 @@ func EstimateHistogram(m *Model, samples []float64, cfg HistogramConfig) (markov
 	}
 
 	// Design matrix: kernel mass of each path per bin (box kernel of half
-	// width KernelHalfWidth centered at the path duration).
+	// width kw centered at the path duration).
 	a := linalg.NewMatrix(nBins, len(m.Paths))
 	for j, tau := range m.PathTimes {
 		klo, khi := tau-kw, tau+kw

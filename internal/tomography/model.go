@@ -16,6 +16,7 @@
 package tomography
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -34,8 +35,15 @@ type Unknown struct {
 	Edges [][2]ir.BlockID
 }
 
+// DefaultTickDiv is the timer tick, in cycles, of a model built without one.
+const DefaultTickDiv = 8
+
 // ModelOptions configures optional model features.
 type ModelOptions struct {
+	// TickDiv is the motes' timer prescaler in cycles (zero: DefaultTickDiv),
+	// the width of every quantization tolerance: the EM kernel, the histogram
+	// bin, the robust trim (4×), and the pipeline's coverage and envelope slack.
+	TickDiv int
 	// StaticResolve runs the compiler's value-range analysis over the
 	// procedure and pins every branch it proves one-way: the resolved
 	// blocks are removed from the unknowns (the estimator has fewer free
@@ -69,6 +77,8 @@ type Model struct {
 	// tests a fitted estimate against it.
 	Envelope *compile.StaticEnvelope
 
+	tickDiv int // ModelOptions.TickDiv; Tick resolves zero
+
 	// Dense kernel inputs, built lazily and shared by concurrent streams:
 	// the sorted path times on first use (the coverage gate needs only
 	// these), the compiled paths on first estimation.
@@ -95,7 +105,7 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Proc: proc, Meta: out.Meta, PM: pm, Costs: costs}
+	m := &Model{Proc: proc, Meta: out.Meta, PM: pm, Costs: costs, tickDiv: mo.TickDiv}
 	m.Paths, m.Truncated = markov.Enumerate(proc, enum)
 	if len(m.Paths) == 0 {
 		return nil, fmt.Errorf("tomography: %q has no terminating path within bounds", procName)
@@ -153,6 +163,9 @@ func BuildCosts(meta *compile.Meta, pm *compile.ProcMeta, proc *cfg.Proc, pred c
 	}
 	return costs, nil
 }
+
+// Tick returns the model's timer tick in cycles.
+func (m *Model) Tick() float64 { return float64(cmp.Or(m.tickDiv, DefaultTickDiv)) }
 
 // InitialProbs returns the estimators' starting point: uniform branches,
 // overlaid with the statically pinned edges (which every estimator leaves

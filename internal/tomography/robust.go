@@ -21,11 +21,11 @@ type RobustConfig struct {
 	// this from every enumerated path duration are discarded before EM
 	// runs (default 4× the EM kernel half-width).
 	OutlierWidth float64
-	// MaxTrimFraction is the confidence gate: when more than this
-	// fraction of the samples was trimmed, the estimate is flagged
-	// unconfident (default 0.25).
-	MaxTrimFraction float64
 }
+
+// maxTrimFraction is the confidence gate: when more than this fraction of
+// the samples was trimmed, the estimate is flagged unconfident.
+const maxTrimFraction = 0.25
 
 // winsorFraction is the fraction of the kept samples clamped at each tail
 // to the corresponding quantile. Trimming is the main defence; the winsor
@@ -34,13 +34,10 @@ type RobustConfig struct {
 // real samples into the wrong mode.
 const winsorFraction = 0.005
 
-func (c RobustConfig) withDefaults() RobustConfig {
-	c.EM = c.EM.withDefaults()
+func (c RobustConfig) withDefaults(m *Model) RobustConfig {
+	c.EM = c.EM.withDefaults(m)
 	if c.OutlierWidth <= 0 {
 		c.OutlierWidth = 4 * c.EM.KernelHalfWidth
-	}
-	if c.MaxTrimFraction <= 0 {
-		c.MaxTrimFraction = 0.25
 	}
 	return c
 }
@@ -56,7 +53,7 @@ type RobustStats struct {
 	// trimmed and EM never ran).
 	EM EMStats
 	// Confident is the estimate's trust flag: the trim fraction stayed
-	// under MaxTrimFraction, so the path model explains the bulk of what
+	// under maxTrimFraction, so the path model explains the bulk of what
 	// the uplink delivered. Callers should fall back to baseline behaviour
 	// when it is false. (The inner EM's own convergence bit is reported in
 	// EM but deliberately not folded in here: stopping at the iteration
@@ -72,7 +69,7 @@ type RobustStats struct {
 // never an error, because a fault-ridden uplink is an operating condition,
 // not a caller bug.
 func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(m)
 	var st RobustStats
 	if err := validateSamples(samples); err != nil {
 		return nil, st, err
@@ -99,7 +96,7 @@ func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeP
 		return nil, st, err
 	}
 	st.EM = emSt
-	st.Confident = trimFrac <= cfg.MaxTrimFraction
+	st.Confident = trimFrac <= maxTrimFraction
 	return probs, st, nil
 }
 

@@ -183,7 +183,7 @@ func TestHistogramSynthetic(t *testing.T) {
 	m := syntheticModel(t)
 	truth := trueProbs(m, 0.4, 0.55)
 	samples := sampleDurations(t, m, truth, 8000, 8, 17)
-	est, err := EstimateHistogram(m, samples, HistogramConfig{KernelHalfWidth: 8})
+	est, err := EstimateHistogram(m, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

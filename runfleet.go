@@ -80,12 +80,6 @@ type FleetConfig struct {
 	// Batches is the number of uplink rounds each mote's stream is split
 	// into for incremental re-estimation (default 8).
 	Batches int
-	// ConvergeTol and ConvergePatience control the streaming early stop:
-	// estimation halts once no branch probability moves more than
-	// ConvergeTol for ConvergePatience consecutive rounds (defaults 1e-3
-	// and 2).
-	ConvergeTol      float64
-	ConvergePatience int
 }
 
 // Validate rejects configurations RunFleet cannot honor, with the same
@@ -125,17 +119,7 @@ func (c FleetConfig) Validate() error {
 	if c.Batches < 0 {
 		return fmt.Errorf("codetomo: Batches = %d; must be positive (zero selects the default of 8)", c.Batches)
 	}
-	if err := c.settings().Validate(); err != nil {
-		return fmt.Errorf("codetomo: %w", err)
-	}
 	return nil
-}
-
-// settings adds the streaming early stop to the shared settings.
-func (c FleetConfig) settings() pipeline.Settings {
-	s := c.Config.settings()
-	s.ConvergeTol, s.ConvergePatience = c.ConvergeTol, c.ConvergePatience
-	return s
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -495,7 +479,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	for i, o := range procs {
 		pm := prof.Meta.ProcByName[o.Proc.Name]
 		fst.SamplesPerProc[o.Proc.Name] = o.Samples
-		pe := procEstimate(o, fst.Uplink.LostPartialsByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats), cfg.TickDiv)
+		pe := procEstimate(o, fst.Uplink.LostPartialsByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats))
 		if st := streams[i]; st != nil {
 			fst.EstimatedProcs++
 			fst.Rounds += st.Rounds()

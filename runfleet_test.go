@@ -401,8 +401,6 @@ func TestFleetConfigValidate(t *testing.T) {
 		{DupProb: -0.1},
 		{ReorderProb: 7},
 		{Batches: -3},
-		{ConvergeTol: -1},
-		{ConvergePatience: -1},
 		{Config: Config{TickDiv: -8}},
 		{Config: Config{MinCoverage: 1.5}},
 		{CorruptProb: 2},
