@@ -1,6 +1,8 @@
 package codetomo_test
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -32,9 +34,10 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/output_digests.
 const digestInvocations = 120
 
 // TestOutputDigests pins the program's outputs bit for bit: one SHA-256
-// per case over compile.Build's code and listing, over Run's result, over
-// RunFleet's result (wall times zeroed) and FleetUploads' frames, and
-// over the station's snapshot after those frames. A refactor that claims
+// per case over compile.Build's code, listing and metadata, over Run's
+// result, over RunFleet's result (wall times zeroed), FleetUploads'
+// frames and FleetFrames' frame multiset, and over the station's snapshot
+// after those frames. A refactor that claims
 // to change no output must leave testdata/output_digests.golden
 // untouched; run with -update only after an intended output change.
 func TestOutputDigests(t *testing.T) {
@@ -104,6 +107,9 @@ func TestOutputDigests(t *testing.T) {
 			frames = append(frames, up.Frames...)
 		}
 		put("uploads/"+fc.name, frames)
+		if fc.name == "lossy-arq" {
+			put("frames/"+fc.name, streamedFrames(t, src, fc.cfg))
+		}
 
 		sc := station.Config{Program: src}
 		sc.TickDiv, sc.Estimator = fc.cfg.TickDiv, fc.cfg.Estimator
@@ -160,7 +166,67 @@ func digestBuilds(t *testing.T, name, src string, put func(string, any)) {
 			t.Fatalf("%s/%s: %v", name, o.name, err)
 		}
 		put("build/"+name+"/"+o.name, []any{out.Code, out.Listing()})
+		put("meta/"+name+"/"+o.name, metaDigestable(out.Meta))
 	}
+}
+
+// metaDigestable is m in a JSON-encodable shape: the edge-keyed maps
+// become slices in edge order (JSON has no struct map keys), and
+// ProcByName, whose values alias Procs, becomes name → index.
+func metaDigestable(m *compile.Meta) any {
+	type edge struct {
+		Key  compile.EdgeKey
+		Info compile.EdgeInfo
+	}
+	type counter struct {
+		Key compile.EdgeKey
+		ID  int32
+	}
+	type proc struct {
+		compile.ProcMeta
+		Edges       []edge    // shadows ProcMeta.Edges
+		ArcCounters []counter // shadows ProcMeta.ArcCounters
+	}
+	type meta struct {
+		compile.Meta
+		Procs      []proc         // shadows Meta.Procs
+		ProcByName map[string]int // shadows Meta.ProcByName
+	}
+	byEdge := func(a, b compile.EdgeKey) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	}
+	out := meta{Meta: *m, ProcByName: make(map[string]int)}
+	for name, pm := range m.ProcByName {
+		out.ProcByName[name] = pm.Index
+	}
+	for _, pm := range m.Procs {
+		p := proc{ProcMeta: *pm}
+		for k, e := range pm.Edges {
+			p.Edges = append(p.Edges, edge{k, e})
+		}
+		slices.SortFunc(p.Edges, func(a, b edge) int { return byEdge(a.Key, b.Key) })
+		for k, id := range pm.ArcCounters {
+			p.ArcCounters = append(p.ArcCounters, counter{k, id})
+		}
+		slices.SortFunc(p.ArcCounters, func(a, b counter) int { return byEdge(a.Key, b.Key) })
+		out.Procs = append(out.Procs, p)
+	}
+	return out
+}
+
+// streamedFrames is every frame FleetFrames emits, sorted: motes arrive in
+// scheduling order, so only the multiset is deterministic.
+func streamedFrames(t *testing.T, src string, cfg codetomo.FleetConfig) [][]byte {
+	var frames [][]byte
+	err := codetomo.FleetFrames(src, cfg, func(fs [][]byte) error {
+		frames = append(frames, fs...)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("FleetFrames: %v", err)
+	}
+	slices.SortFunc(frames, bytes.Compare)
+	return frames
 }
 
 type digestFleet struct {
@@ -169,7 +235,8 @@ type digestFleet struct {
 }
 
 // digestFleets is the fleet matrix: a lossy channel under ARQ, faulty
-// motes under the robust estimator, and motes on harvested power.
+// motes under the robust estimator, motes on harvested power, and a
+// corrupting channel into a receiver that skips the CRC check.
 func digestFleets(t *testing.T) []digestFleet {
 	base := func(args ...string) codetomo.FleetConfig {
 		return codetomo.FleetConfig{Config: parseConfig(t, append([]string{"-seed", "5", "-workload", "gaussian"}, args...)...), Motes: 3, Batches: 4}
@@ -182,7 +249,9 @@ func digestFleets(t *testing.T) []digestFleet {
 	harvest := base("-static")
 	harvest.Energy = fault.EnergyConfig{HarvestUJPerKCycle: 0.8, HarvestNoiseSigma: 0.4, CapacityUJ: 60, BrownoutFloorUJ: 2, RestartChargeUJ: 40}
 	harvest.Checkpoint = mote.CheckpointPolicy{EveryKInvocations: 4, OnLowChargeFrac: 0.25}
-	return []digestFleet{{"lossy-arq", lossy}, {"faulty-robust", faulty}, {"harvest", harvest}}
+	skipCRC := base()
+	skipCRC.DropProb, skipCRC.CorruptProb, skipCRC.SkipCRC = 0.05, 0.05, true
+	return []digestFleet{{"lossy-arq", lossy}, {"faulty-robust", faulty}, {"harvest", harvest}, {"skip-crc", skipCRC}}
 }
 
 // parseConfig builds a pipeline config from command-line flags, exactly
