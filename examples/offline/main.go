@@ -31,7 +31,7 @@ func main() {
 	}
 
 	// --- In the field: run and upload the trace log. ---
-	field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
+	field := pipeline.Mote{TickDiv: pipeline.DefaultTickDiv, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
 		Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
 			sensor, _ := workload.Named(app.Workload, stats.NewRNG(2024))
 			return sensor, nil, nil

@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		field := pipeline.Mote{TickDiv: 8, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
+		field := pipeline.Mote{TickDiv: pipeline.DefaultTickDiv, Predictor: mote.StaticNotTaken{}, MaxCycles: pipeline.DefaultMaxCycles,
 			Inputs: pipeline.Workload(a.Workload, 7)}
 		run := func(mode compile.Mode) (*compile.Output, mote.Stats) {
 			out, m, err := field.Execute(src, compile.Options{Instrument: mode})

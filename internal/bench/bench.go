@@ -40,7 +40,7 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:      1234,
 		Samples:   3000,
-		TickDiv:   8,
+		TickDiv:   pipeline.DefaultTickDiv,
 		Predictor: mote.StaticNotTaken{},
 		MaxVisits: pipeline.DefaultMaxVisits,
 		MaxCycles: pipeline.DefaultMaxCycles,

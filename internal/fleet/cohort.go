@@ -60,15 +60,15 @@ type MoteResult struct {
 // oracle folded into the shared one once per cohort, and the result slots
 // handed to the sink. At most pool.Workers() of these are ever live.
 type streamWorker struct {
-	m            *mote.Machine
-	sensor, link *stats.RNG
-	entropy      lazyEntropy
-	enc          []byte
-	frames       [][]byte
-	rx           *trace.Reassembler
-	ivs          []trace.Interval
-	oracle       []mote.BranchStat
-	out          []MoteResult
+	m                     *mote.Machine
+	sensor, link, entropy *stats.RNG
+	entropyPort           *workload.Entropy // the RNG port, on entropy
+	enc                   []byte
+	frames                [][]byte
+	rx                    *trace.Reassembler
+	ivs                   []trace.Interval
+	oracle                []mote.BranchStat
+	out                   []MoteResult
 }
 
 func newStreamWorker(cfg SimConfig) *streamWorker {
@@ -76,11 +76,12 @@ func newStreamWorker(cfg SimConfig) *streamWorker {
 	rx := trace.NewReassembler(0)
 	rx.SkipCRC = cfg.Link.SkipCRC
 	return &streamWorker{
-		sensor:  stats.NewRNG(0),
-		link:    stats.NewRNG(0),
-		entropy: lazyEntropy{src: workload.NewEntropy(entropy), rng: entropy},
-		rx:      rx,
-		oracle:  make([]mote.BranchStat, len(cfg.Prog)),
+		sensor:      stats.NewRNG(0),
+		link:        stats.NewRNG(0),
+		entropy:     entropy,
+		entropyPort: workload.NewEntropy(entropy),
+		rx:          rx,
+		oracle:      make([]mote.BranchStat, len(cfg.Prog)),
 	}
 }
 

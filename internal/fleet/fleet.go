@@ -18,7 +18,6 @@ import (
 	"codetomo/internal/fault"
 	"codetomo/internal/isa"
 	"codetomo/internal/mote"
-	"codetomo/internal/stats"
 	"codetomo/internal/trace"
 	"codetomo/internal/workload"
 )
@@ -87,8 +86,8 @@ func (w *streamWorker) moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, er
 	}
 	mc := cfg.Mote
 	mc.Sensor = sensor
-	w.entropy.seed, w.entropy.seeded = spec.Seed+7919, false
-	mc.Entropy = &w.entropy
+	w.entropy.Reseed(spec.Seed + 7919)
+	mc.Entropy = w.entropyPort
 	mc.ClockOffsetTicks = spec.ClockOffsetTicks
 	if cfg.Faults.Enabled() {
 		mc.Resets = cfg.Faults.Resets(cfg.MaxCycles, int64(spec.ID))
@@ -98,26 +97,6 @@ func (w *streamWorker) moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, er
 		mc.Power = cfg.Energy.Power(int64(spec.ID), cfg.Checkpoint)
 	}
 	return mc, nil
-}
-
-// lazyEntropy is a mote's entropy port: workload.Entropy on an RNG that is
-// seeded on the first draw, not when the mote is configured. Most programs
-// never read the RNG port, and on those seeding the stream would be all it
-// costs. The check sits here, on the port, not on every RNG draw.
-type lazyEntropy struct {
-	src    *workload.Entropy
-	rng    *stats.RNG
-	seed   int64
-	seeded bool
-}
-
-// Next implements mote.SampleSource.
-func (e *lazyEntropy) Next() uint16 {
-	if !e.seeded {
-		e.rng.Reseed(e.seed)
-		e.seeded = true
-	}
-	return e.src.Next()
 }
 
 // runMachine executes one mote's measurement campaign on an already

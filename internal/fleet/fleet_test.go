@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"codetomo/internal/mote"
 	"codetomo/internal/stats"
 	"codetomo/internal/trace"
-	"codetomo/internal/workload"
 )
 
 const testProgram = `
@@ -319,20 +319,24 @@ func TestTransmitARQRecovers(t *testing.T) {
 	}
 }
 
-// TestLazyEntropyMatchesEager pins the entropy port's deferred seeding to
-// an eagerly seeded workload.Entropy, across re-arming for a new mote both
-// before and after the first draw.
+// TestLazyEntropyMatchesEager pins the entropy port a worker arms per
+// mote, whose source seeds its register lazily, to an eagerly seeded
+// math/rand stream, across re-arming for a new mote both mid-stream and
+// before the first draw.
 func TestLazyEntropyMatchesEager(t *testing.T) {
 	w := newStreamWorker(SimConfig{})
 	for _, seed := range []int64{5, -3, 5, 1 << 40} {
-		w.entropy.seed, w.entropy.seeded = seed, false
+		mc, err := w.moteConfig(SimConfig{}, MoteSpec{Seed: seed, Workload: "gaussian"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seed == -3 {
 			continue // re-armed and never drawn
 		}
-		want := workload.NewEntropy(stats.NewRNG(seed))
-		for i := 0; i < 100; i++ {
-			if got, exp := w.entropy.Next(), want.Next(); got != exp {
-				t.Fatalf("seed %d draw %d: lazy %d, eager %d", seed, i, got, exp)
+		want := rand.New(rand.NewSource(seed + 7919))
+		for i := 0; i < 400; i++ {
+			if got, exp := mc.Entropy.Next(), uint16(want.Intn(1<<16)); got != exp {
+				t.Fatalf("seed %d draw %d: port %d, math/rand %d", seed, i, got, exp)
 			}
 		}
 	}

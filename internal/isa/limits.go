@@ -13,6 +13,11 @@ const (
 	DefaultFlashBytes = 32 * 1024
 )
 
+// DefaultTickDiv is the M16 timer prescaler, in cycles per timer tick: the
+// tick of a mote configured without one, and so of a tomography model
+// built without one.
+const DefaultTickDiv = 8
+
 // ADC characteristics of the M16 part. The converter saturates at its
 // rails, so a SENSE destination register is architecturally guaranteed to
 // hold a value in [0, ADCMaxReading] — the simulator cores, the workload

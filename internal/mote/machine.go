@@ -155,11 +155,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used across the evaluation:
-// 4K words of RAM, an 8-cycle timer prescaler, and predict-not-taken.
+// 4K words of RAM, the part's timer prescaler (isa.DefaultTickDiv), and
+// predict-not-taken.
 func DefaultConfig() Config {
 	return Config{
 		RAMWords:  isa.DefaultRAMWords,
-		TickDiv:   8,
+		TickDiv:   isa.DefaultTickDiv,
 		Predictor: StaticNotTaken{},
 		Cost:      isa.DefaultCostModel(),
 	}

@@ -19,7 +19,7 @@ func (m *Machine) Reset(cfg Config) {
 		cfg.RAMWords = isa.DefaultRAMWords
 	}
 	if cfg.TickDiv <= 0 {
-		cfg.TickDiv = 8
+		cfg.TickDiv = isa.DefaultTickDiv
 	}
 	if cfg.Predictor == nil {
 		cfg.Predictor = StaticNotTaken{}

@@ -25,7 +25,8 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(src)}
 }
 
-// Reseed restarts the RNG as NewRNG(seed) would, without allocating: a
+// Reseed restarts the RNG as NewRNG(seed) would, without allocating and
+// in O(1) (the draws seed the register's slots as they first read them): a
 // long-lived RNG reseeded per task replaces one fresh RNG per task.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 

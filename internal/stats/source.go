@@ -4,16 +4,24 @@ import "math/rand"
 
 // source is math/rand's additive lagged-Fibonacci generator (the
 // rand.NewSource algorithm), bit-identical to it for every seed and every
-// draw. It exists for its Seed: the stdlib seeds the 607-word register by
-// walking a Lehmer chain with Schrage's method, one dependent division per
-// step, which makes seeding cost as much as thousands of draws. Here the
-// chain is reduced by shift-and-add modulo 2³¹−1, and each slot's three
-// words come from the slot's starting value through A, A² and A³, so the
-// three multiplications are independent.
+// draw. It exists for its Seed, which is O(1). The stdlib seeds all 607
+// register words up front by walking a Lehmer chain, one dependent
+// division per step, which costs as much as thousands of draws; a fleet
+// mote reseeds several streams and may draw only a few values from each.
+//
+// Here the register is seeded lazily, one slot at a time, on the draw that
+// first reads the slot. Slot i's word is a closed form of the seed alone
+// (lehmerWord), so slots can be seeded in any order. Seed stores the
+// normalised seed and zeroes a draw counter. The cursors walk down from
+// tap 0 and feed 334: on draws 1–334 the feed slot (333 down to 0) and on
+// draws 1–273 the tap slot (606 down to 334) have not been read since the
+// Seed, so Uint64 writes their seeded words before reading them. Every
+// later draw reads only slots already seeded or fed and is the plain draw.
 type source struct {
-	tap  int // index into vec
-	feed int // index into vec
-	vec  [rngLen]int64
+	tap, feed int32  // indices into vec
+	seed      uint32 // the normalised seed, in [1, 2³¹−1)
+	drawn     int32  // draws since Seed, counted until every slot is seeded
+	vec       [rngLen]int64
 }
 
 const (
@@ -31,6 +39,27 @@ const (
 	lehmerA16 = lehmerA4 * lehmerA4 % int32max * lehmerA4 % int32max * lehmerA4 % int32max
 	lehmerA20 = lehmerA16 * lehmerA4 % int32max
 )
+
+// lehmerPow[i] is A^(20+3i) mod 2³¹−1: math/rand discards the chain's
+// first 20 values, then takes three consecutive values per slot, so slot
+// i starts from seed·lehmerPow[i].
+var lehmerPow = func() (pow [rngLen]uint32) {
+	x := uint64(lehmerA20)
+	for i := range pow {
+		pow[i] = uint32(x)
+		x = mulMod(x, lehmerA3)
+	}
+	return pow
+}()
+
+// lehmerWord is slot i's Lehmer word for a normalised seed: the slot's
+// three chain values, through A, A² and A³ of its starting value, packed
+// as math/rand packs them. A seeded register holds lehmerWord XOR
+// rngCooked.
+func lehmerWord(seed uint32, i int32) int64 {
+	x := mulMod(uint64(seed), uint64(lehmerPow[i]))
+	return int64(mulMod(x, lehmerA))<<40 ^ int64(mulMod(x, lehmerA2))<<20 ^ int64(mulMod(x, lehmerA3))
+}
 
 // rngCooked is math/rand's seeding table: a seeded register is the Lehmer
 // words XOR this table. Rather than carry a copy of its 607 constants, it
@@ -52,10 +81,8 @@ var rngCooked = func() (cooked [rngLen]int64) {
 		s.tap = (s.tap + 1) % rngLen
 		s.feed = (s.feed + 1) % rngLen
 	}
-	var words source
-	words.seed(seed, &cooked) // cooked is still all zero: pure Lehmer words
 	for i := range cooked {
-		cooked[i] = s.vec[i] ^ words.vec[i]
+		cooked[i] = s.vec[i] ^ lehmerWord(seed, int32(i))
 	}
 	return cooked
 }()
@@ -72,12 +99,9 @@ func mulMod(x, a uint64) uint64 {
 	return t
 }
 
-// Seed resets the register to math/rand's seeded state for seed.
-func (s *source) Seed(seed int64) { s.seed(seed, &rngCooked) }
-
-func (s *source) seed(seed int64, cooked *[rngLen]int64) {
-	s.tap = 0
-	s.feed = rngLen - rngTap
+// Seed resets the source to math/rand's seeded state for seed. The
+// register's words are written by the draws that first read them.
+func (s *source) Seed(seed int64) {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -85,15 +109,7 @@ func (s *source) seed(seed int64, cooked *[rngLen]int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	// math/rand discards the chain's first 20 values, then takes three
-	// consecutive values per slot.
-	x := mulMod(uint64(seed), lehmerA20)
-	for i := range s.vec {
-		x1 := mulMod(x, lehmerA)
-		x2 := mulMod(x, lehmerA2)
-		x = mulMod(x, lehmerA3)
-		s.vec[i] = int64(x1)<<40 ^ int64(x2)<<20 ^ int64(x) ^ cooked[i]
-	}
+	s.tap, s.feed, s.seed, s.drawn = 0, rngLen-rngTap, uint32(seed), 0
 }
 
 // step advances the tap and feed cursors one draw.
@@ -111,10 +127,34 @@ func (s *source) step() {
 // Uint64 returns a pseudo-random 64-bit value.
 func (s *source) Uint64() uint64 {
 	s.step()
+	if s.drawn < rngLen-rngTap {
+		s.seedSlots()
+	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *source) Int63() int64 { return int64(s.Uint64() & rngMask) }
+// seedSlots counts a draw inside the seeding window and writes the seeded
+// word into each slot the draw is the first to read: the feed slot on
+// draws 1–334, the tap slot on draws 1–273.
+func (s *source) seedSlots() {
+	s.drawn++
+	s.vec[s.feed] = lehmerWord(s.seed, s.feed) ^ rngCooked[s.feed]
+	if s.drawn <= rngTap {
+		s.vec[s.tap] = lehmerWord(s.seed, s.tap) ^ rngCooked[s.tap]
+	}
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer. It repeats
+// Uint64's body instead of calling it: the seeding call keeps Uint64 from
+// inlining, and Int63 is the draw behind every Float64 and Intn.
+func (s *source) Int63() int64 {
+	s.step()
+	if s.drawn < rngLen-rngTap {
+		s.seedSlots()
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x & rngMask
+}

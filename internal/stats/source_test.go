@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -39,6 +40,37 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			t.Fatalf("seed %d: Int63 = %d, math/rand %d", seed, got, want)
 		}
 	}
+}
+
+// FuzzSource compares the source with math/rand draw by draw: n draws on
+// one seed, a Reseed mid-stream, then m draws on another, through both
+// Uint64 and Int63. The counts reach past the 334-draw seeding window, so
+// a Reseed can land before, inside or after it.
+func FuzzSource(f *testing.F) {
+	f.Add(int64(1), uint16(0), int64(2), uint16(700))
+	f.Add(int64(0), uint16(1), int64(-1), uint16(334))
+	f.Add(int64(int32max), uint16(273), int64(math.MinInt64), uint16(335))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, reseed int64, m uint16) {
+		var s source
+		for _, run := range []struct {
+			seed  int64
+			draws int
+		}{{seed, int(n % 1024)}, {reseed, int(m % 1024)}} {
+			s.Seed(run.seed)
+			std := rand.NewSource(run.seed).(rand.Source64)
+			for i := 0; i < run.draws; i++ {
+				var got, want uint64
+				if i%3 == 0 {
+					got, want = uint64(s.Int63()), uint64(std.Int63())
+				} else {
+					got, want = s.Uint64(), std.Uint64()
+				}
+				if got != want {
+					t.Fatalf("seed %d draw %d: %#x, math/rand %#x", run.seed, i, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestRNGMatchesMathRand checks the derived distributions the system
@@ -140,18 +172,30 @@ func BenchmarkDraw(b *testing.B) {
 	})
 }
 
-// BenchmarkSeed compares reseeding a long-lived RNG with math/rand's.
+// BenchmarkSeed measures what a task that reseeds a long-lived RNG pays:
+// one Reseed, then k draws (Float64, one source draw each), on the stats
+// source and on math/rand's. Reseed alone is nearly free on the stats
+// source, whose first 334 draws seed the slots they read, so k = 0 would
+// flatter it; k = 700 is past the seeding window.
 func BenchmarkSeed(b *testing.B) {
-	b.Run("stats", func(b *testing.B) {
-		g := NewRNG(1)
-		for i := 0; i < b.N; i++ {
-			g.Reseed(int64(i))
-		}
-	})
-	b.Run("mathrand", func(b *testing.B) {
-		r := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			r.Seed(int64(i))
-		}
-	})
+	for _, k := range []int{0, 16, 64, 700} {
+		b.Run(fmt.Sprintf("stats/k=%d", k), func(b *testing.B) {
+			g := NewRNG(1)
+			for i := 0; i < b.N; i++ {
+				g.Reseed(int64(i))
+				for j := 0; j < k; j++ {
+					sinkF += g.Float64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("mathrand/k=%d", k), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			for i := 0; i < b.N; i++ {
+				r.Seed(int64(i))
+				for j := 0; j < k; j++ {
+					sinkF += r.Float64()
+				}
+			}
+		})
+	}
 }

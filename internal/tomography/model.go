@@ -25,6 +25,7 @@ import (
 	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
 	"codetomo/internal/ir"
+	"codetomo/internal/isa"
 	"codetomo/internal/markov"
 )
 
@@ -35,8 +36,9 @@ type Unknown struct {
 	Edges [][2]ir.BlockID
 }
 
-// DefaultTickDiv is the timer tick, in cycles, of a model built without one.
-const DefaultTickDiv = 8
+// DefaultTickDiv is the timer tick, in cycles, of a model built without
+// one: the mote's default prescaler.
+const DefaultTickDiv = isa.DefaultTickDiv
 
 // ModelOptions configures optional model features.
 type ModelOptions struct {

@@ -74,9 +74,14 @@ echo "== fuzz smoke (station WAL recovery)"
 go test ./internal/station -run=NONE -fuzz=FuzzWALRecover -fuzztime=5s
 
 echo "== fuzz smoke (CRC-16)"
-# The table-driven CRC-16 that guards radio frames and checkpoint images
-# must agree with the bitwise reference on any input.
+# The sliced CRC-16 that guards radio frames and checkpoint images must
+# agree with the bitwise reference on any input.
 go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
+
+echo "== fuzz smoke (RNG source)"
+# The lazily seeded RNG source must draw exactly math/rand's stream for any
+# seed, draw count and mid-stream reseed.
+go test ./internal/stats -run=NONE -fuzz=FuzzSource -fuzztime=5s
 
 echo "== fuzz smoke (interpreter cores)"
 # Differential fuzzing of the fused dispatch core against the reference
@@ -108,11 +113,11 @@ else
 	echo "staticcheck not installed; skipping"
 fi
 
-echo "== bench smoke (estimation kernel, interpreter cores, station, fleet, energy, compile, layout, Run on crc)"
+echo "== bench smoke (estimation kernel, interpreter cores, CRC, RNG, packet codec, station, fleet, energy, compile, layout, Run on crc)"
 # One iteration of every benchmark: keeps the bench code compiling and
 # running without paying for stable timings. -benchmem so the fleet
 # pipeline's bytes-per-mote stays visible in the smoke output.
-go test ./internal/tomography ./internal/markov ./internal/mote ./internal/station ./internal/fleet ./internal/fault ./internal/compile ./internal/layout -run='^$' -bench=. -benchtime=1x -benchmem
+go test ./internal/tomography ./internal/markov ./internal/mote ./internal/stats ./internal/trace ./internal/station ./internal/fleet ./internal/fault ./internal/compile ./internal/layout -run='^$' -bench=. -benchtime=1x -benchmem
 # Run end to end on crc at the benchmark's pipeline_apps configuration.
 go test . -run '^$' -bench '^BenchmarkRunCRC$' -benchtime=1x -benchmem
 
