@@ -55,14 +55,15 @@ type MoteResult struct {
 // streamWorker is the per-task scratch the engine recycles across cohorts:
 // the reused machine (reset per mote), the mote's sensor, entropy and link
 // RNGs (reseeded per mote, which is cheaper than building them), the
-// uplink's encode buffer and frame list, the base station's receive window
-// for the current mote and its recovered intervals, a cohort-local dense
-// oracle folded into the shared one once per cohort, and the result slots
-// handed to the sink. At most pool.Workers() of these are ever live.
+// uplink's packet list, encode buffer and frame list, the base station's
+// receive window for the current mote and its recovered intervals, a
+// cohort-local dense oracle folded into the shared one once per cohort,
+// and the result slots handed to the sink. At most pool.Workers() of these are ever live.
 type streamWorker struct {
 	m                     *mote.Machine
 	sensor, link, entropy *stats.RNG
 	entropyPort           *workload.Entropy // the RNG port, on entropy
+	pkts                  []trace.Packet
 	enc                   []byte
 	frames                [][]byte
 	rx                    *trace.Reassembler

@@ -120,20 +120,20 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 	return nil
 }
 
-// uplink packetizes a finished machine's trace into the worker's encode
-// buffer and frame list and pushes the frames through the radio channel
-// into the worker's receive window, which it leaves holding the mote's
-// reassembly. It returns the link's deliveries, which alias the encode
+// uplink packetizes a finished machine's trace into the worker's packet
+// list, encode buffer and frame list and pushes the frames through the
+// radio channel into the worker's receive window, which it leaves holding
+// the mote's reassembly. It returns the link's deliveries, which alias the encode
 // buffer.
 func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
-	pkts := trace.Packetize(spec.ID, events, cfg.Link.EventsPerPacket)
+	w.pkts = trace.AppendPackets(w.pkts[:0], spec.ID, events, cfg.Link.EventsPerPacket)
 	w.enc, w.frames = w.enc[:0], w.frames[:0]
-	for i := range pkts {
+	for i := range w.pkts {
 		// A frame keeps its bytes if a later append regrows the buffer;
 		// once the buffer fits the largest upload it stops regrowing.
 		start := len(w.enc)
-		if w.enc, err = pkts[i].AppendBinary(w.enc); err != nil {
+		if w.enc, err = w.pkts[i].AppendBinary(w.enc); err != nil {
 			return nil, LinkStats{}, ARQStats{}, 0, err
 		}
 		w.frames = append(w.frames, w.enc[start:len(w.enc):len(w.enc)])

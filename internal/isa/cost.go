@@ -72,10 +72,6 @@ func DefaultCostModel() *CostModel {
 	return m
 }
 
-// InstrCycles returns the base cycle cost of one instruction (excluding
-// any branch-redirect penalty).
-func (m *CostModel) InstrCycles(i Instr) uint32 { return m.Cycles[i.Op] }
-
 // InstrBytes returns the encoded size of one instruction in bytes.
 func (m *CostModel) InstrBytes(i Instr) uint32 { return m.Bytes[i.Op] }
 

@@ -1,8 +1,11 @@
 package mote
 
 import (
+	"sync"
 	"testing"
 
+	"codetomo/internal/apps"
+	"codetomo/internal/compile"
 	"codetomo/internal/isa"
 )
 
@@ -74,14 +77,60 @@ func callProg(outer, inner int32) []isa.Instr {
 	}
 }
 
-// kernels sizes each kernel to execute at least a million instructions.
-var kernels = []struct {
+// A kernel is one benchmark program and the configuration it runs under
+// (a fresh one per call, since the peripheral feeds carry state).
+type kernel struct {
 	name string
 	prog []isa.Instr
-}{
-	{"branch", branchyProg(250, 1000)},
-	{"alu", aluProg(120, 1000)},
-	{"call", callProg(150, 1000)},
+	cfg  func() Config
+}
+
+// kernels sizes each kernel to execute at least a million instructions:
+// the three hand-assembled loops, then two apps as the MiniC backend
+// compiles them for profiling (timestamp-instrumented), whose frame-
+// pointer traffic is what the block core's fused idioms target. crc is
+// almost all frame loads and stores in long blocks; sense has the short
+// blocks of a fleet mote.
+var kernels = sync.OnceValue(func() []kernel {
+	return []kernel{
+		{"branch", branchyProg(250, 1000), benchCfg},
+		{"alu", aluProg(120, 1000), benchCfg},
+		{"call", callProg(150, 1000), benchCfg},
+		{"crc", compiledKernel("crc", 700), compiledCfg},
+		{"sense", compiledKernel("sense", 20000), compiledCfg},
+	}
+})
+
+// compiledKernel builds the named app for iters handler invocations with
+// timestamp instrumentation.
+func compiledKernel(name string, iters int) []isa.Instr {
+	app, ok := apps.ByName(name)
+	if !ok {
+		panic("no app " + name)
+	}
+	src, err := app.Source(iters)
+	if err != nil {
+		panic(err)
+	}
+	out, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
+	if err != nil {
+		panic(err)
+	}
+	return out.Code
+}
+
+// adcTestSource feeds the ADC readings inside the converter's range, so a
+// compiled app's thresholds see both outcomes.
+type adcTestSource struct{ lcgTestSource }
+
+func (a *adcTestSource) Next() uint16 { return a.lcgTestSource.Next() & isa.ADCMaxReading }
+
+// compiledCfg is the default mote with seeded sensor and entropy feeds.
+func compiledCfg() Config {
+	cfg := DefaultConfig()
+	cfg.Sensor = &adcTestSource{lcgTestSource{s: 1}}
+	cfg.Entropy = &lcgTestSource{s: 2}
+	return cfg
 }
 
 // predictors are the static and dynamic policies the kernels run under;
@@ -105,14 +154,14 @@ func benchCfg() Config {
 
 // runCore benchmarks one interpreter core on each kernel. Machines are
 // pre-built outside the timed region, so allocs/op reports the dispatch
-// loop alone, which must be zero.
+// loop alone, which must be zero on the hand-assembled kernels (the
+// compiled ones grow their trace buffers).
 func runCore(b *testing.B, run func(*Machine) error) {
-	cfg := benchCfg()
-	for _, k := range kernels {
+	for _, k := range kernels() {
 		b.Run(k.name, func(b *testing.B) {
 			machines := make([]*Machine, b.N)
 			for i := range machines {
-				machines[i] = New(k.prog, cfg)
+				machines[i] = New(k.prog, k.cfg())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -142,11 +191,11 @@ func BenchmarkStep(b *testing.B) {
 // cores and requires identical final state, so the benchmarks above time
 // two cores that compute the same thing.
 func TestKernelCoresAgree(t *testing.T) {
-	for _, k := range kernels {
+	for _, k := range kernels() {
 		for _, p := range predictors {
 			tag := k.name + "/" + p.name
 			mk := func() *Machine {
-				cfg := benchCfg()
+				cfg := k.cfg()
 				cfg.Predictor = p.fresh()
 				return New(k.prog, cfg)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzFastCore decodes arbitrary bytes into a short program plus a
-// machine configuration and requires the fused core and the reference
+// machine configuration and requires the block core and the reference
 // core to stay bit-identical: same error, Stats, registers, memory,
 // trace, peripherals, and per-branch ground truth — across a tight
 // budget installment (cutting runs mid-flight) and a final large one.
@@ -175,6 +175,64 @@ func FuzzFastCore(f *testing.F) {
 		{Op: isa.OUT, Ra: 1, Imm: isa.PortDebug},
 		{Op: isa.DIV, Rd: 2, Ra: 1, Rb: 3},
 		{Op: isa.HALT},
+	}))
+	// The block core's fused frame idioms, mid-block, each faulting on
+	// every sub-instruction in turn: 16 words of RAM (hdr[2]=0) put
+	// [r15+90] out of range, and the untouched word at [r15+5] makes the
+	// loaded divisor 0. The prologue makes the loaded x and the old y
+	// nonzero, so a register write the fused form skips before a fault
+	// shows. Random programs almost never form these register patterns.
+	frame := []isa.Instr{
+		{Op: isa.LD, Rd: 1, Ra: 15, Imm: 3},
+		{Op: isa.LD, Rd: 2, Ra: 15, Imm: 5},
+		{Op: isa.ADD, Rd: 1, Ra: 1, Rb: 2},
+		{Op: isa.ST, Ra: 15, Rb: 1, Imm: 7},
+	}
+	idioms := [][]isa.Instr{
+		frame, // binop, no fault
+		{{Op: isa.LDI, Rd: 1, Imm: 9}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 4}},         // const
+		{{Op: isa.LDI, Rd: 1, Imm: 9}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 90}},        // const, st faults
+		{{Op: isa.LD, Rd: 1, Ra: 15, Imm: 90}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 4}}, // copy, ld faults
+		{{Op: isa.LD, Rd: 1, Ra: 15, Imm: 3}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 90}}, // copy, st faults
+	}
+	for sub := range frame {
+		faulting := append([]isa.Instr(nil), frame...)
+		if frame[sub].Op == isa.ADD {
+			faulting[sub].Op = isa.DIV
+		} else {
+			faulting[sub].Imm = 90
+		}
+		idioms = append(idioms, faulting)
+	}
+	for _, idiom := range idioms {
+		prog := append([]isa.Instr{
+			{Op: isa.LDI, Rd: 3, Imm: 5},
+			{Op: isa.ST, Ra: 15, Rb: 3, Imm: 3},
+			{Op: isa.LDI, Rd: 2, Imm: 6},
+		}, idiom...)
+		prog = append(prog, isa.Instr{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: 1}, isa.Instr{Op: isa.HALT})
+		f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, prog))
+	}
+	// A timer read and a TRACE mid-block in a loop, under a first
+	// installment that stops inside it.
+	f.Add(encodeFuzzSeed([8]byte{3, 2, 8, 1, 0, 0, 7, 0}, []isa.Instr{
+		{Op: isa.LDI, Rd: 1, Imm: 7},
+		{Op: isa.ADDI, Rd: 2, Ra: 2, Imm: 1},
+		{Op: isa.IN, Rd: 3, Imm: isa.PortTimer},
+		{Op: isa.TRACE, Imm: 0},
+		{Op: isa.ST, Ra: 15, Rb: 3, Imm: 2},
+		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: -1},
+		{Op: isa.BNZ, Ra: 1, Imm: 1},
+		{Op: isa.HALT},
+	}))
+	// A trace overflow mid-block (hdr[3]=0: a one-event trace buffer).
+	f.Add(encodeFuzzSeed([8]byte{200, 1, 8, 0, 0, 0, 0, 0}, []isa.Instr{
+		{Op: isa.LDI, Rd: 1, Imm: 2},
+		{Op: isa.TRACE, Imm: 1},
+		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1},
+		{Op: isa.TRACE, Imm: 2},
+		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1},
+		{Op: isa.JMP, Imm: 0},
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -187,22 +187,18 @@ type Machine struct {
 	profCnt    []uint64     // dense PROFCNT hit counts, indexed by pc
 	branchStat []BranchStat // dense ground-truth table, indexed by pc
 
-	// Precomputed fast-path state shared by both cores (see run.go): the
-	// per-opcode cycle table padded to the full opcode byte range so a
-	// uint8 index needs no bounds check, the misprediction penalty widened
-	// once, and the devirtualized predictor.
+	// Precomputed state shared by both cores (see run.go): the program's
+	// block table, the per-opcode cycle table padded to the full opcode
+	// byte range so a uint8 index needs no bounds check, the
+	// misprediction and page-cross penalties widened once, and the
+	// devirtualized predictor.
+	code      *blockCode
 	costs     [256]uint32
 	penalty   uint64
+	pagePen   uint64
 	predKind  uint8
 	bimodal   *Bimodal
 	trainable TrainablePredictor
-
-	// pageOf[pc] is the flash page holding instruction pc, or nil when the
-	// cost model has no page-cross penalty (the common case) so the hot
-	// loops skip the check with one nil test per redirect. pagePen is the
-	// penalty widened once.
-	pageOf  []uint32
-	pagePen uint64
 
 	// Intermittent-execution state (nil power = mains, see power.go).
 	// durableLen is the committed-trace watermark: events at or beyond it
@@ -297,7 +293,7 @@ func (m *Machine) Mem(addr int) (uint16, error) {
 
 // RunReference executes until HALT, an execution fault, or the cycle
 // budget is exhausted, one Step call per instruction. It is the reference
-// core: Run (the fused core, see run.go) must stop with the same error at
+// core: Run (the block core, see run.go) must stop with the same error at
 // the same pc after the same cycle count, a contract pinned by the
 // differential property test and FuzzFastCore. A HALT stop returns nil;
 // budget exhaustion returns ErrCycleBudget wrapped with position info.
@@ -316,7 +312,7 @@ func (m *Machine) RunReference(maxCycles uint64) error {
 // Step executes a single instruction on the reference core, or takes a
 // pending fault-injected reset when its scheduled cycle has been reached.
 // It is the public single-step API (sampling profilers and debuggers hook
-// it); the batch path is Run's fused loop. Under power mode (Config.Power
+// it); the batch path is Run's block loop. Under power mode (Config.Power
 // non-nil) each step additionally runs the capacitor accounting in
 // power.go.
 func (m *Machine) Step() error {
@@ -346,7 +342,7 @@ func (m *Machine) stepInstr() error {
 		return fmt.Errorf("%w: pc=%d", ErrPCFault, m.pc)
 	}
 	in := m.prog[m.pc]
-	cost := uint64(m.cfg.Cost.InstrCycles(in))
+	cost := uint64(m.costs[in.Op])
 	nextPC := m.pc + 1
 	m.stats.Instructions++
 
@@ -366,12 +362,12 @@ func (m *Machine) stepInstr() error {
 		m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) * int16(m.regs[in.Rb]))
 	case isa.DIV:
 		if m.regs[in.Rb] == 0 {
-			return fmt.Errorf("%w at pc=%d", ErrDivByZero, m.pc)
+			return divFault(int(m.pc))
 		}
 		m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) / int16(m.regs[in.Rb]))
 	case isa.MOD:
 		if m.regs[in.Rb] == 0 {
-			return fmt.Errorf("%w at pc=%d", ErrDivByZero, m.pc)
+			return divFault(int(m.pc))
 		}
 		m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) % int16(m.regs[in.Rb]))
 	case isa.AND:
@@ -399,26 +395,26 @@ func (m *Machine) stepInstr() error {
 	case isa.LD:
 		addr := int32(int16(m.regs[in.Ra])) + in.Imm
 		if addr < 0 || int(addr) >= len(m.mem) {
-			return fmt.Errorf("%w: load addr %d at pc=%d", ErrMemFault, addr, m.pc)
+			return memFault("load", addr, int(m.pc))
 		}
 		m.regs[in.Rd] = m.mem[addr]
 		m.stats.LoadsStores++
 	case isa.ST:
 		addr := int32(int16(m.regs[in.Ra])) + in.Imm
 		if addr < 0 || int(addr) >= len(m.mem) {
-			return fmt.Errorf("%w: store addr %d at pc=%d", ErrMemFault, addr, m.pc)
+			return memFault("store", addr, int(m.pc))
 		}
 		m.mem[addr] = m.regs[in.Rb]
 		m.stats.LoadsStores++
 	case isa.PUSH:
 		if m.sp <= 0 {
-			return fmt.Errorf("%w: push with sp=%d at pc=%d", ErrStackFault, m.sp, m.pc)
+			return stackFault("push", m.sp, int(m.pc))
 		}
 		m.sp--
 		m.mem[m.sp] = m.regs[in.Ra]
 	case isa.POP:
 		if int(m.sp) >= len(m.mem) {
-			return fmt.Errorf("%w: pop with sp=%d at pc=%d", ErrStackFault, m.sp, m.pc)
+			return stackFault("pop", m.sp, int(m.pc))
 		}
 		m.regs[in.Rd] = m.mem[m.sp]
 		m.sp++
@@ -432,7 +428,7 @@ func (m *Machine) stepInstr() error {
 		m.regs[in.Rd] = uint16(m.sp)
 	case isa.JMP:
 		nextPC = in.Imm
-		if m.pageOf != nil && uint(nextPC) < uint(len(m.pageOf)) && m.pageOf[nextPC] != m.pageOf[m.pc] {
+		if pageOf := m.code.pageOf; pageOf != nil && uint(nextPC) < uint(len(pageOf)) && pageOf[nextPC] != pageOf[m.pc] {
 			cost += m.pagePen
 			m.stats.PageCrossings++
 		}
@@ -459,7 +455,7 @@ func (m *Machine) stepInstr() error {
 			m.stats.TakenBranches++
 			st.Taken++
 			nextPC = in.Imm
-			if m.pageOf != nil && uint(nextPC) < uint(len(m.pageOf)) && m.pageOf[nextPC] != m.pageOf[m.pc] {
+			if pageOf := m.code.pageOf; pageOf != nil && uint(nextPC) < uint(len(pageOf)) && pageOf[nextPC] != pageOf[m.pc] {
 				cost += m.pagePen
 				m.stats.PageCrossings++
 			}
@@ -476,7 +472,7 @@ func (m *Machine) stepInstr() error {
 		}
 	case isa.CALL:
 		if m.sp <= 0 {
-			return fmt.Errorf("%w: call with sp=%d at pc=%d", ErrStackFault, m.sp, m.pc)
+			return stackFault("call", m.sp, int(m.pc))
 		}
 		m.sp--
 		m.mem[m.sp] = uint16(m.pc + 1)
@@ -484,7 +480,7 @@ func (m *Machine) stepInstr() error {
 		m.stats.Calls++
 	case isa.RET:
 		if int(m.sp) >= len(m.mem) {
-			return fmt.Errorf("%w: ret with sp=%d at pc=%d", ErrStackFault, m.sp, m.pc)
+			return stackFault("ret", m.sp, int(m.pc))
 		}
 		nextPC = int32(m.mem[m.sp])
 		m.sp++

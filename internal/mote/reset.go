@@ -12,8 +12,9 @@ import "codetomo/internal/isa"
 // simulating a fleet can therefore run one mote after another with zero
 // steady-state allocations on the mains-powered path (pinned by
 // TestResetRunAllocatesNothing); only a shape change (different RAMWords,
-// harvested-power state) allocates. The compiled program and the cost
-// model are shared read-only and never touched.
+// harvested-power state) or a different cost model, which the program's
+// block table is decoded under (see blocks.go), allocates. The compiled
+// program and the cost model are shared read-only and never touched.
 func (m *Machine) Reset(cfg Config) {
 	if cfg.RAMWords <= 0 {
 		cfg.RAMWords = isa.DefaultRAMWords
@@ -69,8 +70,10 @@ func (m *Machine) Reset(cfg Config) {
 		m.costs[op] = cyc
 	}
 	m.penalty = uint64(cfg.Cost.TakenPenalty)
-	m.pageOf = cfg.Cost.PageTable(m.prog)
 	m.pagePen = uint64(cfg.Cost.PageCrossPenalty)
+	if m.code == nil || m.code.cost != *cfg.Cost {
+		m.code = decodeBlocks(m.prog, cfg.Cost)
+	}
 	m.bimodal = nil
 	m.trainable = nil
 	switch p := cfg.Predictor.(type) {

@@ -151,22 +151,25 @@ func (p *Packet) UnmarshalBinary(data []byte) error {
 // perPacket events each (DefaultEventsPerPacket when perPacket <= 0, capped
 // at MaxPacketEvents). An empty log produces no packets.
 func Packetize(moteID uint16, events []mote.TraceEvent, perPacket int) []Packet {
+	return AppendPackets(nil, moteID, events, perPacket)
+}
+
+// AppendPackets appends Packetize's packets to dst and returns the
+// extended slice, so a caller packetizing one log after another can reuse
+// one buffer. The packets' events alias the log.
+func AppendPackets(dst []Packet, moteID uint16, events []mote.TraceEvent, perPacket int) []Packet {
 	if perPacket <= 0 {
 		perPacket = DefaultEventsPerPacket
 	}
 	if perPacket > MaxPacketEvents {
 		perPacket = MaxPacketEvents
 	}
-	var out []Packet
 	for seq := uint32(0); len(events) > 0; seq++ {
-		n := perPacket
-		if n > len(events) {
-			n = len(events)
-		}
-		out = append(out, Packet{MoteID: moteID, Seq: seq, Events: events[:n:n]})
+		n := min(perPacket, len(events))
+		dst = append(dst, Packet{MoteID: moteID, Seq: seq, Events: events[:n:n]})
 		events = events[n:]
 	}
-	return out
+	return dst
 }
 
 // UplinkStats counts what one mote's uplink delivered and what the base

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"codetomo/internal/mote"
@@ -69,6 +70,27 @@ func TestPacketizeBoundaries(t *testing.T) {
 	}
 	if Packetize(0, nil, 4) != nil {
 		t.Fatal("empty log should produce no packets")
+	}
+}
+
+// TestAppendPackets: appending to a used buffer keeps what it holds and
+// adds exactly Packetize's packets.
+func TestAppendPackets(t *testing.T) {
+	events := make([]mote.TraceEvent, 10)
+	for i := range events {
+		events[i] = mote.TraceEvent{ID: int32(i % 4), Tick: uint64(i)}
+	}
+	buf := Packetize(1, events[:3], 2)
+	head := append([]Packet(nil), buf...)
+	buf = AppendPackets(buf, 3, events, 4)
+	if !reflect.DeepEqual(buf[:len(head)], head) {
+		t.Fatal("AppendPackets changed the packets already in dst")
+	}
+	if want := Packetize(3, events, 4); !reflect.DeepEqual(buf[len(head):], want) {
+		t.Fatalf("appended %v, want %v", buf[len(head):], want)
+	}
+	if got := AppendPackets(buf[:0], 3, nil, 4); len(got) != 0 {
+		t.Fatalf("empty log appended %d packets", len(got))
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"codetomo/internal/mote"
@@ -117,6 +118,33 @@ func TestExclusiveByProc(t *testing.T) {
 	}
 	if by[1][0] != 40 {
 		t.Fatalf("proc1 exclusive = %d", by[1][0])
+	}
+}
+
+// TestCyclesByProc pins CyclesByProc to ExclusiveByProc followed by
+// DurationsCycles, for dense procedure indices and for ones past its dense
+// range, and requires every slice to be full so an append never writes
+// into a neighbour's share of the backing array.
+func TestCyclesByProc(t *testing.T) {
+	var ivs []Interval
+	for i, p := range []int{3, 0, 3, 70, 63, 3, 70, 0, 64} {
+		ivs = append(ivs, Interval{ProcIndex: p, EnterTick: uint64(i), ExitTick: uint64(3 * i)})
+	}
+	got := CyclesByProc(ivs, 4)
+	want := make(map[int][]float64)
+	for p, ticks := range ExclusiveByProc(ivs) {
+		want[p] = DurationsCycles(ticks, 4)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CyclesByProc = %v, want %v", got, want)
+	}
+	for p, s := range got {
+		if p < 64 && cap(s) != len(s) {
+			t.Errorf("proc %d: cap %d, len %d", p, cap(s), len(s))
+		}
+	}
+	if got := CyclesByProc(nil, 4); len(got) != 0 {
+		t.Fatalf("no intervals: %v", got)
 	}
 }
 
