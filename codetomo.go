@@ -212,7 +212,9 @@ type Result struct {
 	// branches only).
 	Estimates []ProcEstimate
 	// Before and After are the uninstrumented runs under the original and
-	// the tomography-optimized layout, on the identical workload.
+	// the tomography-optimized layout, on the identical workload. When
+	// placement leaves the image word for word unchanged, After is the
+	// baseline run: the placed image is not run again.
 	Before, After RunStats
 	// Output is the optimized binary's debug-port output (must equal the
 	// original's; the pipeline verifies this).
@@ -286,7 +288,7 @@ func (c Config) mote() pipeline.Mote {
 // measure is the tail every pipeline shares: place (plus the selected PGO
 // passes) on probs, then run the optimized build on the config's mote and
 // workload against the baseline, the original build started at the outset.
-func (c Config) measure(source string, baseline func() (*mote.Machine, error), prog *cfg.Program, probs map[string]markov.EdgeProbs) (before, after RunStats, output []uint16, err error) {
+func (c Config) measure(source string, baseline pipeline.Baseline, prog *cfg.Program, probs map[string]markov.EdgeProbs) (before, after RunStats, output []uint16, err error) {
 	plan, pgo := pipeline.Plan(prog, probs, compile.PGOOptions{
 		Inline: c.PGOInline, Superblock: c.PGOSuperblock, HotCold: c.PGOHotCold, PagePack: c.PGOPagePack,
 	})

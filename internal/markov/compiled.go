@@ -1,7 +1,6 @@
 package markov
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -181,19 +180,64 @@ type SortedTimes struct {
 }
 
 // NewSortedTimes indexes a PathTimes slice for O(log n) window and
-// nearest-path queries.
+// nearest-path queries. The order is cmp.Compare's with ties by path
+// index: a stable LSD radix sort, one pass per byte of timeKey, from the
+// identity permutation. A byte every key shares is skipped, so integral
+// cycle counts take a few passes, not eight.
 func NewSortedTimes(times []float64) *SortedTimes {
-	st := &SortedTimes{Times: make([]float64, len(times)), Idx: make([]int32, len(times))}
-	for i := range st.Idx {
+	n := len(times)
+	st := &SortedTimes{Times: make([]float64, n), Idx: make([]int32, n)}
+	var counts [8][256]int
+	for i, t := range times {
 		st.Idx[i] = int32(i)
+		k := timeKey(t)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
 	}
-	slices.SortFunc(st.Idx, func(i, j int32) int {
-		return cmp.Or(cmp.Compare(times[i], times[j]), cmp.Compare(i, j))
-	})
+	src, dst := st.Idx, []int32(nil)
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if n == 0 || c[byte(timeKey(times[0])>>shift)] == n {
+			continue
+		}
+		if dst == nil {
+			dst = make([]int32, n)
+		}
+		sum := 0
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, j := range src {
+			b := byte(timeKey(times[j]) >> shift)
+			dst[c[b]] = j
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(st.Idx, src) // src is whichever of Idx and the scratch the last pass wrote
 	for i, j := range st.Idx {
 		st.Times[i] = times[j]
 	}
 	return st
+}
+
+// timeKey maps a time to a uint64 whose unsigned order is cmp.Compare's:
+// every NaN ties at the lowest key and −0 ties +0. Otherwise a positive
+// time sets the sign bit and a negative one flips every bit, so the more
+// negative of two negative times sorts lower.
+func timeKey(t float64) uint64 {
+	switch {
+	case t != t:
+		return 0
+	case t == 0:
+		t = 0
+	}
+	b := math.Float64bits(t)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Window returns the half-open sorted-position range [lo, hi) of paths with

@@ -176,6 +176,61 @@ func TestSortedTimesNearestMatchesScan(t *testing.T) {
 	}
 }
 
+// fuzzTime decodes one fuzzed time from a (kind, value) byte pair: a
+// special value (NaN of either sign, ±0, ±Inf, the extremes, subnormals),
+// a small integer with many ties, a dyadic or a full-mantissa fraction, a
+// time just above 1 that differs from its neighbours only in the low two
+// bytes, or an arbitrary bit pattern.
+func fuzzTime(kind, v byte) float64 {
+	specials := [...]float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	}
+	switch kind % 6 {
+	case 0:
+		return specials[int(v)%len(specials)]
+	case 1:
+		return float64(int8(v))
+	case 2:
+		return float64(int8(v)) / 8
+	case 3:
+		return float64(int8(v)) / 3
+	case 4:
+		return math.Float64frombits(math.Float64bits(1) | uint64(kind)<<8 | uint64(v))
+	}
+	return math.Float64frombits(uint64(v)*0x0101010101010101 ^ uint64(kind)<<56)
+}
+
+// FuzzSortedTimes pins NewSortedTimes to the comparator sort it replaced:
+// the same permutation, and sorted times equal bit for bit (so a −0 stays
+// −0 and a NaN keeps its payload), on any input.
+func FuzzSortedTimes(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 5, 1, 3, 1, 5, 1, 3})                    // ties
+	f.Add([]byte{0, 2, 0, 3, 0, 3, 0, 2, 1, 0})              // ±0
+	f.Add([]byte{0, 0, 1, 7, 0, 1, 0, 0, 1, 200})            // NaNs of both signs
+	f.Add([]byte{1, 255, 2, 130, 3, 7, 4, 9, 0, 5, 0, 4})    // negatives and ±Inf
+	f.Add([]byte{4, 1, 4, 0, 10, 2, 4, 2})                   // low bytes only
+	f.Add([]byte{5, 1, 11, 2, 17, 3, 23, 200, 29, 77, 3, 1}) // raw bit patterns
+	f.Fuzz(func(t *testing.T, data []byte) {
+		times := make([]float64, len(data)/2)
+		for i := range times {
+			times[i] = fuzzTime(data[2*i], data[2*i+1])
+		}
+		got, want := NewSortedTimes(times), sortedTimesReference(times)
+		for i := range want.Idx {
+			if got.Idx[i] != want.Idx[i] || math.Float64bits(got.Times[i]) != math.Float64bits(want.Times[i]) {
+				t.Fatalf("times %v: position %d holds path %d (%v), reference path %d (%v)",
+					times, i, got.Idx[i], got.Times[i], want.Idx[i], want.Times[i])
+			}
+		}
+		if len(got.Idx) != len(want.Idx) || len(got.Times) != len(want.Times) {
+			t.Fatalf("times %v: %d/%d entries, reference %d", times, len(got.Idx), len(got.Times), len(want.Idx))
+		}
+	})
+}
+
 func BenchmarkCompiledPathProbs(b *testing.B) {
 	for _, k := range []int{8, 10, 12} {
 		p, _ := diamondChain(k)

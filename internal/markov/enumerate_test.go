@@ -227,3 +227,16 @@ func BenchmarkEnumerate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewSortedTimes indexes crc8's path times at the pipeline bound:
+// MaxPaths paths, the largest time index any app builds.
+func BenchmarkNewSortedTimes(b *testing.B) {
+	crc := findProc(b, appProcs(b), "crc.crc8")
+	paths, _ := markov.Enumerate(crc.proc, pipelineEnum)
+	times := markov.PathTimes(crc.proc, paths, crc.costs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		markov.NewSortedTimes(times)
+	}
+}

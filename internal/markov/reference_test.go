@@ -1,6 +1,9 @@
 package markov
 
 import (
+	"cmp"
+	"slices"
+
 	"codetomo/internal/cfg"
 	"codetomo/internal/ir"
 )
@@ -83,4 +86,20 @@ func pathTimeReference(path *refPath, costs *Costs) float64 {
 		t += float64(a.Count) * costs.Edge[a.Edge]
 	}
 	return t
+}
+
+// sortedTimesReference is the original comparator sort, kept as the oracle
+// NewSortedTimes is pinned to: cmp.Compare on the times, ties by path index.
+func sortedTimesReference(times []float64) *SortedTimes {
+	st := &SortedTimes{Times: make([]float64, len(times)), Idx: make([]int32, len(times))}
+	for i := range st.Idx {
+		st.Idx[i] = int32(i)
+	}
+	slices.SortFunc(st.Idx, func(i, j int32) int {
+		return cmp.Or(cmp.Compare(times[i], times[j]), cmp.Compare(i, j))
+	})
+	for i, j := range st.Idx {
+		st.Times[i] = times[j]
+	}
+	return st
 }

@@ -144,14 +144,27 @@ func (d Decision) String() string { return decisionNames[d] }
 // and runs only once the sample gate passes. A build error comes back with
 // NoModel; the caller decides whether it is fatal.
 func (p TrustPolicy) Admit(samples []float64, build func() (*tomography.Model, error)) (*tomography.Model, Decision, error) {
-	if len(samples) < p.MinSamples {
+	return p.admit(len(samples), build, func(m *tomography.Model) float64 { return m.Coverage(samples, m.Tick()) })
+}
+
+// AdmitStream is Admit over every sample st has absorbed, with the
+// coverage taken from the stream's histogram.
+func (p TrustPolicy) AdmitStream(st *Stream) Decision {
+	_, d, _ := p.admit(st.SampleCount(), func() (*tomography.Model, error) { return st.Model, nil },
+		func(m *tomography.Model) float64 { return st.Coverage(m.Tick()) })
+	return d
+}
+
+// admit is the gate over n samples whose coverage of a model is coverage.
+func (p TrustPolicy) admit(n int, build func() (*tomography.Model, error), coverage func(*tomography.Model) float64) (*tomography.Model, Decision, error) {
+	if n < p.MinSamples {
 		return nil, TooFewSamples, nil
 	}
 	m, err := build()
 	if err != nil || m == nil {
 		return nil, NoModel, err
 	}
-	if m.Coverage(samples, m.Tick()) < p.MinCoverage {
+	if coverage(m) < p.MinCoverage {
 		return m, LowCoverage, nil
 	}
 	return m, Trusted, nil
@@ -369,62 +382,92 @@ func (m Mote) New(code []isa.Instr) (*mote.Machine, error) {
 // Execute builds source with opts and runs it to completion on a fresh
 // mote under the build's cost model.
 func (m Mote) Execute(source string, opts compile.Options) (*compile.Output, *mote.Machine, error) {
-	opts.FuseCompares = opts.FuseCompares || m.FuseCompares
-	opts.RotateLoops = opts.RotateLoops || m.RotateLoops
-	if opts.Cost == nil {
-		opts.Cost = m.Cost
+	if opts.Cost != nil {
+		m.Cost = opts.Cost
 	}
-	out, err := compile.Build(source, opts)
+	out, err := m.build(source, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	m.Cost = opts.Cost
-	mach, err := m.New(out.Code)
-	if err == nil {
-		err = mach.Run(m.MaxCycles)
-	}
+	mach, err := m.run(out.Code)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, mach, nil
 }
 
+// build compiles source with opts plus the mote's backend flags and, when
+// opts carries none, its cost model.
+func (m Mote) build(source string, opts compile.Options) (*compile.Output, error) {
+	opts.FuseCompares = opts.FuseCompares || m.FuseCompares
+	opts.RotateLoops = opts.RotateLoops || m.RotateLoops
+	if opts.Cost == nil {
+		opts.Cost = m.Cost
+	}
+	return compile.Build(source, opts)
+}
+
+// run executes code to completion on a fresh mote.
+func (m Mote) run(code []isa.Instr) (*mote.Machine, error) {
+	mach, err := m.New(code)
+	if err == nil {
+		err = mach.Run(m.MaxCycles)
+	}
+	return mach, err
+}
+
 // ErrOutputChanged reports that the optimized binary produced different
 // output — a pipeline bug, never expected.
 var ErrOutputChanged = errors.New("codetomo: optimized layout changed program output")
 
+// Baseline waits for the original-layout build and run of a source and
+// returns the build, whose code Measure compares, and the mote that ran it.
+type Baseline func() (*compile.Output, *mote.Machine, error)
+
 // Baseline starts the original-layout build and run of source in the
-// background and returns the wait for its mote. The run depends on nothing
+// background and returns the wait for it. The run depends on nothing
 // estimated, so it overlaps profiling and estimation. The wait may be
 // called any number of times; a caller that starts a baseline waits for it
 // on every path, so the goroutine never outlives the caller.
-func (m Mote) Baseline(source string) func() (*mote.Machine, error) {
+func (m Mote) Baseline(source string) Baseline {
 	var (
+		out  *compile.Output
 		mach *mote.Machine
 		err  error
 		done = make(chan struct{})
 	)
 	go func() {
 		defer close(done)
-		_, mach, err = m.Execute(source, compile.Options{})
+		out, mach, err = m.Execute(source, compile.Options{})
 	}()
-	return func() (*mote.Machine, error) {
+	return func() (*compile.Output, *mote.Machine, error) {
 		<-done
-		return mach, err
+		return out, mach, err
 	}
 }
 
 // Measure is the tail of the chain: run the uninstrumented binary under
 // the planned layout on the same input as the baseline, and verify the
-// optimization preserved the program's output. It always waits for the
-// baseline; the baseline's error wins, as it would have run first.
-func (m Mote) Measure(source string, baseline func() (*mote.Machine, error), plan layout.Plan, pgo *compile.PGOOptions) (before, after *mote.Machine, err error) {
-	_, after, afterErr := m.Execute(source, compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints, PGO: pgo})
-	if before, err = baseline(); err != nil {
+// optimization preserved the program's output. A mote's run depends only
+// on its code, the mote's cost model and budget, and inputs drawn fresh
+// from the same seed, so a placed image equal to the baseline's word for
+// word is not run again: the baseline's mote comes back as after too. It
+// always waits for the baseline; the baseline's error wins, as it would
+// have run first.
+func (m Mote) Measure(source string, baseline Baseline, plan layout.Plan, pgo *compile.PGOOptions) (before, after *mote.Machine, err error) {
+	out, afterErr := m.build(source, compile.Options{Layouts: plan.Layouts, BranchHints: plan.Hints, PGO: pgo})
+	orig, before, err := baseline()
+	if err != nil {
 		return nil, nil, err
 	}
 	if afterErr != nil {
 		return nil, nil, afterErr
+	}
+	if slices.Equal(out.Code, orig.Code) {
+		return before, before, nil
+	}
+	if after, err = m.run(out.Code); err != nil {
+		return nil, nil, err
 	}
 	if !slices.Equal(before.DebugOutput(), after.DebugOutput()) {
 		return nil, nil, ErrOutputChanged

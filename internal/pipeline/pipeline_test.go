@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"codetomo/internal/apps"
 	"codetomo/internal/compile"
 	"codetomo/internal/fleet"
+	"codetomo/internal/ir"
+	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
 	"codetomo/internal/trace"
@@ -173,4 +177,71 @@ func TestBatchOutcomesInCFGOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMeasureReusesUnchangedImage checks both arms of Measure. A plan that
+// leaves the placed image word for word equal to the original is not run
+// again: the baseline's mote comes back as after, and inputs are drawn
+// once. A plan whose layout moves a block runs on a mote of its own, and
+// the output check still compares that run with the baseline.
+func TestMeasureReusesUnchangedImage(t *testing.T) {
+	orig, err := compile.Build(testProgram, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reverse work's non-entry blocks.
+	moved := layout.Plan{Layouts: map[string][]ir.BlockID{}}
+	for _, p := range orig.CFG.Procs {
+		if p.Name != "work" {
+			continue
+		}
+		order := []ir.BlockID{p.Entry}
+		for i := len(p.Blocks) - 1; i >= 0; i-- {
+			if ir.BlockID(i) != p.Entry {
+				order = append(order, ir.BlockID(i))
+			}
+		}
+		moved.Layouts[p.Name] = order
+	}
+	// newMote counts its input draws. Under drift every draw has a seed of
+	// its own, so a second run of the program prints different output.
+	newMote := func(drift bool) (Mote, *atomic.Int64) {
+		draws := new(atomic.Int64)
+		return Mote{TickDiv: DefaultTickDiv, MaxCycles: DefaultMaxCycles, Inputs: func() (mote.SampleSource, mote.SampleSource, error) {
+			seed := int64(1)
+			if n := draws.Add(1); drift {
+				seed += n
+			}
+			return Workload("gaussian", seed)()
+		}}, draws
+	}
+
+	t.Run("unchanged", func(t *testing.T) {
+		m, draws := newMote(true)
+		before, after, err := m.Measure(testProgram, m.Baseline(testProgram), layout.Plan{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before || draws.Load() != 1 {
+			t.Fatalf("unchanged image: after is the baseline = %v, %d input draws; want the baseline and 1 draw", after == before, draws.Load())
+		}
+	})
+	t.Run("moved", func(t *testing.T) {
+		m, draws := newMote(false)
+		before, after, err := m.Measure(testProgram, m.Baseline(testProgram), moved, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after == before || draws.Load() != 2 || after.Stats().Instructions == 0 {
+			t.Fatalf("moved block: after is the baseline = %v, %d input draws, %d instructions run; want a run of its own",
+				after == before, draws.Load(), after.Stats().Instructions)
+		}
+		if after.Stats().TakenBranches == before.Stats().TakenBranches {
+			t.Fatal("moved block: after took as many branches as the baseline; the image did not change")
+		}
+		m, _ = newMote(true)
+		if _, _, err := m.Measure(testProgram, m.Baseline(testProgram), moved, nil); !errors.Is(err, ErrOutputChanged) {
+			t.Fatalf("moved block on drifting inputs: err = %v, want ErrOutputChanged", err)
+		}
+	})
 }

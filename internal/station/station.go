@@ -35,7 +35,6 @@ import (
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/pipeline"
-	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -581,9 +580,8 @@ func (s *Server) procModel(ps *procState) (ProcModel, markov.EdgeProbs, pipeline
 		return pm, nil, pipeline.NoModel
 	}
 	pm.Samples, pm.Converged, pm.Rounds = st.SampleCount(), st.Converged(), st.Rounds()
-	samples := st.Samples()
-	est := pipeline.Correct(st.Model, st.Probs(), st.Lost, len(samples))
-	_, d, _ := s.cfg.Settings.Admit(samples, func() (*tomography.Model, error) { return st.Model, nil })
+	est := pipeline.Correct(st.Model, st.Probs(), st.Lost, st.SampleCount())
+	d := s.cfg.Settings.AdmitStream(st)
 	if est == nil {
 		if d == pipeline.Trusted {
 			d = pipeline.NoModel

@@ -2,6 +2,7 @@ package tomography
 
 import (
 	"math"
+	"sort"
 
 	"codetomo/internal/markov"
 )
@@ -18,7 +19,8 @@ import (
 // histogram that each batch is merged into (never re-deduplicated from
 // scratch), and every EM round warm-starts from the previous round's
 // probabilities, so a round that merely confirms the estimate costs a
-// couple of iterations instead of a full cold solve.
+// couple of iterations instead of a full cold solve. EM reads only the
+// histogram, so under EM the raw stream is not kept at all.
 type Incremental struct {
 	// Model is the path-enumeration model for one procedure.
 	Model *Model
@@ -31,9 +33,15 @@ type Incremental struct {
 	// the stream is declared converged (default 2).
 	Patience int
 
-	samples []float64 // raw accumulated stream (Samples, robust re-trims)
-	obs     []float64 // running dedup histogram, ascending (EM fast path)
+	n       int       // samples absorbed
+	samples []float64 // raw stream up to convergence, for every estimator but EM
+	obs     []float64 // running dedup histogram, ascending (EM, Coverage)
 	counts  []int
+	// Buffers merge reuses: the sorted batch, and the histogram the last
+	// merge replaced.
+	sorted     []float64
+	spareObs   []float64
+	spareCount []int
 
 	probs      markov.EdgeProbs
 	rounds     int
@@ -73,12 +81,16 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 	if err := validateSamples(batch); err != nil {
 		return nil, err
 	}
-	inc.samples = append(inc.samples, batch...)
+	inc.n += len(batch)
+	inc.merge(batch)
 	if inc.converged {
 		return inc.probs, nil
 	}
-	if len(inc.samples) == 0 {
+	if inc.n == 0 {
 		return nil, ErrNoSamples
+	}
+	if _, em := inc.Est.(EM); !em {
+		inc.samples = append(inc.samples, batch...)
 	}
 	inc.rounds++
 
@@ -94,7 +106,6 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 	case EM:
 		cfg := est.Config
 		cfg.Init = inc.probs // nil on round one: uniform start
-		inc.merge(batch)
 		var st EMStats
 		probs, st, err = estimateEMDense(inc.Model, inc.obs, inc.counts, cfg)
 		inc.iterations += st.Iterations
@@ -131,37 +142,40 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 }
 
 // merge folds one batch into the running (value, count) histogram: the
-// batch is deduplicated on its own and merged into the sorted run, so the
+// batch is sorted and merged run by run into the sorted histogram, so the
 // per-round cost is O(batch·log batch + distinct values) instead of
-// re-deduplicating the whole accumulated stream.
+// re-deduplicating the whole accumulated stream. The sorted batch and the
+// new histogram go into buffers kept from earlier rounds, so a steady
+// stream allocates nothing here.
 func (inc *Incremental) merge(batch []float64) {
 	if len(batch) == 0 {
 		return
 	}
-	bv, bc := dedup(batch)
+	b := append(inc.sorted[:0], batch...)
+	sort.Float64s(b)
 	ov, oc := inc.obs, inc.counts
-	mv := make([]float64, 0, len(ov)+len(bv))
-	mc := make([]int, 0, len(oc)+len(bc))
-	i, j := 0, 0
-	for i < len(ov) && j < len(bv) {
-		switch {
-		case ov[i] < bv[j]:
+	mv, mc := inc.spareObs[:0], inc.spareCount[:0]
+	i := 0
+	for j := 0; j < len(b); {
+		v, k := b[j], j+1
+		for k < len(b) && b[k] == v {
+			k++
+		}
+		for i < len(ov) && ov[i] < v {
 			mv, mc = append(mv, ov[i]), append(mc, oc[i])
 			i++
-		case ov[i] > bv[j]:
-			mv, mc = append(mv, bv[j]), append(mc, bc[j])
-			j++
-		default:
-			mv, mc = append(mv, ov[i]), append(mc, oc[i]+bc[j])
-			i++
-			j++
 		}
+		c := k - j
+		if i < len(ov) && ov[i] == v {
+			v, c = ov[i], c+oc[i] // the histogram's value stays, as −0 == +0
+			i++
+		}
+		mv, mc = append(mv, v), append(mc, c)
+		j = k
 	}
-	mv = append(mv, ov[i:]...)
-	mc = append(mc, oc[i:]...)
-	mv = append(mv, bv[j:]...)
-	mc = append(mc, bc[j:]...)
-	inc.obs, inc.counts = mv, mc
+	mv, mc = append(mv, ov[i:]...), append(mc, oc[i:]...)
+	inc.sorted = b
+	inc.obs, inc.counts, inc.spareObs, inc.spareCount = mv, mc, ov, oc
 }
 
 // Probs returns the latest estimate (nil before the first Observe).
@@ -178,7 +192,24 @@ func (inc *Incremental) Rounds() int { return inc.rounds }
 func (inc *Incremental) Iterations() int { return inc.iterations }
 
 // SampleCount returns how many samples have been absorbed.
-func (inc *Incremental) SampleCount() int { return len(inc.samples) }
+func (inc *Incremental) SampleCount() int { return inc.n }
+
+// Coverage is Model.Coverage over every sample absorbed so far, taken
+// from the histogram: a distinct value within halfWidth of a path counts
+// once per sample of it.
+func (inc *Incremental) Coverage(halfWidth float64) float64 {
+	if inc.n == 0 {
+		return 0
+	}
+	times := inc.Model.sortedTimes()
+	hit := 0
+	for i, v := range inc.obs {
+		if times.Within(v, halfWidth) {
+			hit += inc.counts[i]
+		}
+	}
+	return float64(hit) / float64(inc.n)
+}
 
 // Trimmed returns how many absorbed samples the robust estimator
 // discarded as outliers in its latest estimation round (always 0 for
@@ -189,10 +220,6 @@ func (inc *Incremental) Trimmed() int { return inc.trimmed }
 // always true for estimators without a confidence notion, and the robust
 // estimator's verdict otherwise.
 func (inc *Incremental) Confident() bool { return inc.confident }
-
-// Samples exposes the accumulated sample stream (read-only; callers must
-// not mutate it).
-func (inc *Incremental) Samples() []float64 { return inc.samples }
 
 // MaxDelta returns the largest absolute per-edge difference between two
 // probability maps, treating missing edges as zero.

@@ -194,6 +194,47 @@ func TestIncrementalNonEMEstimator(t *testing.T) {
 	}
 }
 
+// TestIncrementalCoverageMatchesModel pins the stream's histogram
+// coverage to Model.Coverage over the whole raw stream, bit for bit, after
+// every batch and past convergence, under each kind of estimator. EM reads
+// only the histogram, so under EM the raw stream is not kept.
+func TestIncrementalCoverageMatchesModel(t *testing.T) {
+	m := twoArmModel(t, 40)
+	truth := markov.Uniform(m.Proc)
+	samples := sampleDurations(t, m, truth, 2000, 1, 29)
+	// Every seventh sample lands off the model, so coverage stays below 1.
+	for i := 0; i < len(samples); i += 7 {
+		samples[i] += 1000 + float64(i%5)
+	}
+	for _, est := range []Estimator{EM{}, Robust{}, Moments{}} {
+		inc := NewIncremental(m, est, 0.05, 1)
+		past := 0 // batches that arrived past convergence
+		for i := 0; i < len(samples); i += 250 {
+			if inc.Converged() {
+				past++
+			}
+			if _, err := inc.Observe(samples[i : i+250]); err != nil {
+				t.Fatal(err)
+			}
+			seen := samples[:i+250]
+			if inc.SampleCount() != len(seen) {
+				t.Fatalf("%s: SampleCount = %d, want %d", est.Name(), inc.SampleCount(), len(seen))
+			}
+			for _, hw := range []float64{0.5, 4} {
+				if got, want := inc.Coverage(hw), m.Coverage(seen, hw); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s after %d samples: Coverage(%v) = %v, Model.Coverage = %v", est.Name(), len(seen), hw, got, want)
+				}
+			}
+		}
+		if past == 0 {
+			t.Fatalf("%s: no batch arrived past convergence", est.Name())
+		}
+		if _, em := est.(EM); em && inc.samples != nil {
+			t.Fatalf("EM stream kept %d raw samples", len(inc.samples))
+		}
+	}
+}
+
 func TestMaxDelta(t *testing.T) {
 	e1 := [2]ir.BlockID{0, 1}
 	e2 := [2]ir.BlockID{0, 2}

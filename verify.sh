@@ -78,6 +78,12 @@ echo "== fuzz smoke (CRC-16)"
 # agree with the bitwise reference on any input.
 go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
 
+echo "== fuzz smoke (path-time index)"
+# The radix-sorted path-time index must order any times exactly as the
+# comparator sort it replaced: cmp.Compare, then path index, with NaN,
+# -0 and ties included.
+go test ./internal/markov -run=NONE -fuzz=FuzzSortedTimes -fuzztime=5s
+
 echo "== fuzz smoke (RNG source)"
 # The lazily seeded RNG source must draw exactly math/rand's stream for any
 # seed, draw count and mid-stream reseed.
