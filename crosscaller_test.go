@@ -8,6 +8,7 @@ import (
 	"codetomo/internal/apps"
 	"codetomo/internal/bench"
 	"codetomo/internal/compile"
+	"codetomo/internal/fleet"
 	"codetomo/internal/ir"
 	"codetomo/internal/pipeline"
 	"codetomo/internal/station"
@@ -18,38 +19,44 @@ import (
 // TestCallersAgree feeds one profiled deployment's per-procedure samples
 // to the gate-and-estimate path of every caller of the estimation core.
 // Run and the bench take the samples as one batch, RunFleet and the
-// station as one round (epoch) per mote. Run, the bench and RunFleet must
-// reach the same trust decision for the same reason, and the station must
-// publish the same verdict (its reason is pinned against the bench's by
-// TestStationDecisionMatchesBench in the station package). The batch
-// callers must produce bit-identical probabilities, and so must the
-// streaming callers. Every caller runs with the same non-default unroll
-// bound, which keeps crc's path enumeration cheap and its coverage low,
-// once as configured by default and once with static branch resolution,
-// the setting ctomo, ctfleet and ctstationd all take as -static.
+// station as two rounds (epochs) per mote: each mote's delivery is cut in
+// half, and each half is decoded as the station's epoch cut leaves it.
+// Run, the bench and RunFleet must reach the same trust decision for the
+// same reason, and the station must publish the same verdict (its reason
+// is pinned against the bench's by TestStationDecisionMatchesBench in the
+// station package). The batch callers must produce bit-identical
+// probabilities, and so must the streaming callers. Every caller runs with
+// the same non-default unroll bound, which keeps crc's path enumeration
+// cheap and its coverage low, once as configured by default and once with
+// static branch resolution, the setting ctomo, ctfleet and ctstationd all
+// take as -static, and each of those under EM and under the robust
+// estimator, whose trims run on the sample histograms.
 func TestCallersAgree(t *testing.T) {
 	const maxVisits = 4
 	crc, _ := apps.ByName("crc")
-	for _, static := range []bool{false, true} {
-		for _, a := range []apps.App{apps.CallChain, crc} {
-			name := a.Name
-			if static {
-				name += "_static"
+	for _, est := range []tomography.Estimator{tomography.EM{}, tomography.Robust{}} {
+		for _, static := range []bool{false, true} {
+			for _, a := range []apps.App{apps.CallChain, crc} {
+				name := a.Name
+				if static {
+					name += "_static"
+				}
+				if _, robust := est.(tomography.Robust); robust {
+					name += "_robust"
+				}
+				t.Run(name, func(t *testing.T) { callersAgree(t, a, maxVisits, static, est) })
 			}
-			t.Run(name, func(t *testing.T) { callersAgree(t, a, maxVisits, static) })
 		}
 	}
 }
 
-func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool) {
+func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool, est tomography.Estimator) {
 	src, err := a.Source(150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uploads, err := codetomo.FleetUploads(src, codetomo.FleetConfig{
-		Config: codetomo.Config{Workload: a.Workload, Seed: 3, MaxVisits: maxVisits, StaticResolve: static},
-		Motes:  3,
-	})
+	cfg := codetomo.Config{Workload: a.Workload, Seed: 3, MaxVisits: maxVisits, StaticResolve: static, Estimator: est}
+	uploads, err := codetomo.FleetUploads(src, codetomo.FleetConfig{Config: cfg, Motes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,46 +65,64 @@ func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool) {
 		t.Fatal(err)
 	}
 
-	// Decode every mote's delivery as the station's shards do.
+	// Decode every mote's delivery in two halves as the station's shards
+	// and epoch cuts do: the second half on a window rebased at the
+	// first's next sequence number.
+	halves := func(up fleet.MoteResult) [2][][]byte {
+		h := len(up.Frames) / 2
+		return [2][][]byte{up.Frames[:h], up.Frames[h:]}
+	}
 	ticks := make(map[int][]uint64)
-	rounds := make(map[int][][]float64)
+	var epochs []map[int][]uint64
 	for _, up := range uploads {
 		r := trace.NewReassembler(up.Spec.ID)
-		for _, f := range up.Frames {
-			if err := r.AddFrame(f); err != nil {
-				t.Fatal(err)
+		for _, half := range halves(up) {
+			for _, f := range half {
+				if err := r.AddFrame(f); err != nil {
+					t.Fatal(err)
+				}
 			}
+			ivs, _ := r.Recover()
+			r = trace.NewReassemblerAt(up.Spec.ID, r.NextSeq())
+			epoch := trace.ExclusiveByProc(ivs)
+			for p, tk := range epoch {
+				ticks[p] = append(ticks[p], tk...)
+			}
+			epochs = append(epochs, epoch)
 		}
-		ivs, _ := r.Recover()
-		for p, tk := range trace.ExclusiveByProc(ivs) {
-			ticks[p] = append(ticks[p], tk...)
-			rounds[p] = append(rounds[p], trace.DurationsCycles(tk, pipeline.DefaultTickDiv))
+	}
+	samples := make(fleet.Samples, len(prof.CFG.Procs))
+	for p := range samples {
+		for _, epoch := range epochs {
+			samples[p] = append(samples[p], tomography.CountSamples(trace.DurationsCycles(epoch[p], pipeline.DefaultTickDiv)))
 		}
 	}
 
-	run := codetomo.EstimateBatch(codetomo.Config{MaxVisits: maxVisits, StaticResolve: static}, prof, ticks)
+	run := codetomo.EstimateBatch(cfg, prof, ticks)
 	bc := bench.DefaultConfig()
 	bc.MaxVisits = maxVisits
 	bs := bc.Settings()
-	bs.StaticResolve = static
+	bs.StaticResolve, bs.Estimator = static, est
 	harness, _ := bs.Batch(prof, ticks)
-	fleet, err := codetomo.EstimateStreams(codetomo.FleetConfig{Config: codetomo.Config{MaxVisits: maxVisits, StaticResolve: static}}, prof, rounds)
+	fleet, err := codetomo.EstimateStreams(codetomo.FleetConfig{Config: cfg}, prof, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits, StaticResolve: static}})
+	srv, err := station.New(station.Config{Program: src, Settings: pipeline.Settings{MaxVisits: maxVisits, StaticResolve: static, Estimator: est}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	for _, up := range uploads {
-		for _, f := range up.Frames {
-			if err := srv.IngestFrame(f); err != nil {
+		for _, half := range halves(up) {
+			for _, f := range half {
+				if err := srv.IngestFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := srv.CutEpoch(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := srv.CutEpoch(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	served := make(map[string]station.ProcModel)

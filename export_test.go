@@ -42,11 +42,12 @@ func EstimateBatch(cfg Config, prof *compile.Output, ticks map[int][]uint64) []p
 	return procs
 }
 
-// EstimateStreams is RunFleet's gate-and-estimate path, fed uplink rounds
-// of duration samples by procedure index from a mains-powered fleet.
-func EstimateStreams(cfg FleetConfig, prof *compile.Output, rounds map[int][][]float64) ([]pipeline.Outcome, error) {
+// EstimateStreams is RunFleet's gate-and-estimate path, fed a
+// mains-powered fleet's samples: uplink rounds of duration histograms by
+// procedure index.
+func EstimateStreams(cfg FleetConfig, prof *compile.Output, samples fleet.Samples) ([]pipeline.Outcome, error) {
 	cfg = cfg.withDefaults()
 	pool := fleet.NewPool(cfg.Workers)
-	procs, _, _, err := cfg.estimateStreams(pool, prof, buildModels(pool, prof, cfg.settings()), rounds, nil)
+	procs, _, _, err := cfg.estimateStreams(pool, prof, buildModels(pool, prof, cfg.settings()), samples, nil)
 	return procs, err
 }

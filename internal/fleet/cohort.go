@@ -2,8 +2,9 @@
 // pipeline. Motes are partitioned into fixed-size cohorts, each cohort
 // runs as one pooled task on a reused mote.Machine, and each mote's frames
 // are reassembled, duration-extracted, and reduced to a compact MoteResult
-// inside the cohort — raw frames and trace events die before the next
-// cohort starts, so peak memory is O(workers × cohort), not O(fleet).
+// plus counts in the cohort's Samples inside the cohort — raw frames and
+// trace events die before the next cohort starts, so peak memory is
+// O(workers × cohort), not O(fleet).
 package fleet
 
 import (
@@ -39,11 +40,9 @@ type MoteResult struct {
 	Stats mote.Stats
 	// GrossTicks sums the gross (callee-inclusive) duration of every
 	// recovered invocation, in ticks — exact, so fleet-level folds can
-	// stay integer for as long as possible.
+	// stay integer for as long as possible. The exclusive durations go to
+	// the cohort's Samples (see SimulateSamplesOn).
 	GrossTicks uint64
-	// Durations maps procedure index to measured exclusive durations in
-	// cycles (tick-quantized with the mote's TickDiv).
-	Durations map[int][]float64
 	// Frames are the link's deliveries in arrival order, raw bytes as the
 	// channel left them; BranchStats is the simulator's ground truth for
 	// this mote (a real deployment would not have it). Both are nil unless
@@ -58,7 +57,8 @@ type MoteResult struct {
 // uplink's packet list, encode buffer and frame list, the base station's
 // receive window for the current mote and its recovered intervals, a
 // cohort-local dense oracle folded into the shared one once per cohort,
-// and the result slots handed to the sink. At most pool.Workers() of these are ever live.
+// the cohort's samples with their per-procedure round split, and the result
+// slots handed to the sink. At most pool.Workers() of these are ever live.
 type streamWorker struct {
 	m                     *mote.Machine
 	sensor, link, entropy *stats.RNG
@@ -69,13 +69,20 @@ type streamWorker struct {
 	rx                    *trace.Reassembler
 	ivs                   []trace.Interval
 	oracle                []mote.BranchStat
+	samples               Samples
+	split                 []roundSplit // per procedure, for the current mote
 	out                   []MoteResult
 }
+
+// roundSplit cuts one mote's samples of a procedure into rounds: chunk
+// samples per round, left of them still to place in the current round.
+type roundSplit struct{ chunk, left, round int }
 
 func newStreamWorker(cfg SimConfig) *streamWorker {
 	entropy := stats.NewRNG(0)
 	rx := trace.NewReassembler(0)
 	rx.SkipCRC = cfg.Link.SkipCRC
+	procs := tracedProcs(cfg.Prog)
 	return &streamWorker{
 		sensor:      stats.NewRNG(0),
 		link:        stats.NewRNG(0),
@@ -83,6 +90,38 @@ func newStreamWorker(cfg SimConfig) *streamWorker {
 		entropyPort: workload.NewEntropy(entropy),
 		rx:          rx,
 		oracle:      make([]mote.BranchStat, len(cfg.Prog)),
+		samples:     newSamples(procs, max(cfg.Rounds, 1)),
+		split:       make([]roundSplit, procs),
+	}
+}
+
+// fold adds one mote's recovered exclusive durations to the cohort's
+// samples: interval k of procedure p, in completion order, goes to round
+// k / ceil(n_p / rounds), as float64(ticks)·tickDiv cycles.
+func (w *streamWorker) fold(ivs []trace.Interval, rounds, tickDiv int) {
+	split := w.split
+	clear(split)
+	for _, iv := range ivs {
+		if p := iv.ProcIndex; uint(p) < uint(len(split)) {
+			split[p].chunk++
+		}
+	}
+	for p := range split {
+		sp := &split[p]
+		sp.chunk = (sp.chunk + rounds - 1) / rounds
+		sp.left = sp.chunk
+	}
+	for _, iv := range ivs {
+		p := iv.ProcIndex
+		if uint(p) >= uint(len(split)) {
+			continue
+		}
+		sp := &split[p]
+		if sp.left == 0 {
+			sp.round, sp.left = sp.round+1, sp.chunk
+		}
+		sp.left--
+		w.samples[p][sp.round].Add(float64(iv.ExclusiveTicks())*float64(tickDiv), 1)
 	}
 }
 
@@ -117,6 +156,7 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	for _, iv := range ivs {
 		gross += iv.GrossTicks()
 	}
+	w.fold(ivs, max(cfg.Rounds, 1), cfg.Mote.TickDiv)
 	w.m.AddBranchStatsTo(w.oracle)
 
 	res := MoteResult{
@@ -127,7 +167,6 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		EventsLogged: events,
 		Stats:        w.m.Stats(),
 		GrossTicks:   gross,
-		Durations:    trace.CyclesByProc(ivs, cfg.Mote.TickDiv),
 	}
 	if cfg.KeepUpload {
 		// The frames alias the encode buffer: hand it over with them.
@@ -165,6 +204,15 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 // equivalent to construction, and every cross-cohort fold is either
 // index-addressed or a commutative integer sum.
 func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(first int, cohort []MoteResult) error) ([]mote.BranchStat, error) {
+	return SimulateSamplesOn(pool, cfg, specs, func(first int, cohort []MoteResult, _ Samples) error { return sink(first, cohort) })
+}
+
+// SimulateSamplesOn is SimulateStreamOn whose sink also receives the
+// cohort's recovered exclusive durations, folded per procedure and uplink
+// round. The Samples are engine-owned and reset after sink returns, so a
+// sink keeps them by merging them (Samples.Merge), an integer sum that
+// keeps the result independent of cohort order.
+func SimulateSamplesOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(first int, cohort []MoteResult, samples Samples) error) ([]mote.BranchStat, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("fleet: no motes")
 	}
@@ -234,15 +282,17 @@ func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(fir
 					d.Mispred += st.Mispred
 					*st = mote.BranchStat{}
 				}
-				if err := sink(first, out); err != nil {
+				if err := sink(first, out, w.samples); err != nil {
 					errs[c] = fmt.Errorf("fleet: sink: %w", err)
 					stopped = true
 				}
 			}
 			sinkMu.Unlock()
-			// Recycle the worker: the machine is Reset per mote and the
-			// result slots are overwritten per cohort, so nothing can leak
-			// between cohorts. Dropped (collected) when the buffer is full.
+			w.samples.reset()
+			// Recycle the worker: the machine is Reset per mote, the result
+			// slots are overwritten and the samples reset per cohort, so
+			// nothing can leak between cohorts. Dropped (collected) when
+			// the buffer is full.
 			select {
 			case free <- w:
 			default:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,42 +11,65 @@ import (
 
 	"codetomo/internal/isa"
 	"codetomo/internal/mote"
+	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
+
+// sampleCount returns how many samples s holds.
+func sampleCount(s Samples) int {
+	n := 0
+	for _, rounds := range s {
+		for _, h := range rounds {
+			n += h.N()
+		}
+	}
+	return n
+}
 
 // simulateReference is the fresh-machine-per-mote engine the streaming
 // pipeline replaced, kept as its differential oracle: each mote runs on
 // its own mote.New with fresh streams and buffers, one after another, and
 // its delivered frames are decoded after the fact by a fresh Reassembler,
-// so the engine's fused receive window is checked, not assumed. Results
-// carry Frames and BranchStats whatever KeepUpload says.
-func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
+// so the engine's fused receive window is checked, not assumed. Each
+// mote's durations of a procedure are cut into cfg.Rounds runs of
+// ceil(n/Rounds) and run r merged into round r, as the base station's
+// uplink rounds were cut before the engine folded them. Results carry
+// Frames and BranchStats whatever KeepUpload says.
+func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, Samples, error) {
 	out := make([]MoteResult, len(specs))
+	rounds := max(cfg.Rounds, 1)
+	samples := newSamples(tracedProcs(cfg.Prog), rounds)
 	for i, spec := range specs {
 		w := newStreamWorker(cfg)
 		mc, err := w.moteConfig(cfg, spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		m := mote.New(cfg.Prog, mc)
 		if err := runMachine(m, cfg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		frames, ls, ast, events, err := w.uplink(m, cfg, spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r := trace.NewReassembler(spec.ID)
 		r.SkipCRC = cfg.Link.SkipCRC
 		for _, f := range frames {
 			if err := r.AddFrame(f); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		ivs, ust := r.Recover()
-		durs := make(map[int][]float64)
 		for p, ticks := range trace.ExclusiveByProc(ivs) {
-			durs[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
+			if p >= len(samples) {
+				continue
+			}
+			durs := trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
+			chunk := (len(durs) + rounds - 1) / rounds
+			for b := 0; b*chunk < len(durs); b++ {
+				samples[p][b].Merge(tomography.CountSamples(durs[b*chunk : min((b+1)*chunk, len(durs))]))
+			}
 		}
 		var gross uint64
 		for _, iv := range ivs {
@@ -59,21 +83,34 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, error) {
 			EventsLogged: events,
 			Stats:        m.Stats(),
 			GrossTicks:   gross,
-			Durations:    durs,
 			Frames:       frames,
 			BranchStats:  m.BranchStats(),
 		}
 	}
-	return out, nil
+	return out, samples, nil
+}
+
+// simulateSamples is SimulateStream that also merges every cohort's
+// Samples into the fleet's.
+func simulateSamples(cfg SimConfig, specs []MoteSpec) ([]MoteResult, Samples, []mote.BranchStat, error) {
+	out := make([]MoteResult, len(specs))
+	var samples Samples
+	oracle, err := SimulateSamplesOn(NewPool(cmp.Or(cfg.Workers, 4)), cfg, specs, func(first int, cohort []MoteResult, s Samples) error {
+		copy(out[first:], cohort)
+		samples.Merge(s)
+		return nil
+	})
+	return out, samples, oracle, err
 }
 
 // TestStreamMatchesMaterialized is the streaming pipeline's differential
 // acceptance: on a hostile channel (loss, duplication, reordering,
 // corruption, and either ARQ or an unchecked receiver), every per-mote
 // figure the streaming path produces — frames, link/ARQ/uplink accounting,
-// durations, machine stats, ground truth — must be bit-identical to the
-// fresh-machine reference, and the dense fleet oracle must match the
-// map-merged one. Cohorts of two put consecutive motes on one reused
+// machine stats, ground truth — must be bit-identical to the
+// fresh-machine reference, the fleet's samples must equal the reference's
+// round by round, and the dense fleet oracle must match the map-merged
+// one. Cohorts of two put consecutive motes on one reused
 // machine and receive window, so a mote's kept ground truth must survive
 // the next mote's Reset, and so must the window's SkipCRC.
 func TestStreamMatchesMaterialized(t *testing.T) {
@@ -90,6 +127,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			tc.link(&cfg.Link)
 			cfg.KeepUpload = true
 			cfg.Cohort = 2 // force multiple cohorts and machine reuse
+			cfg.Rounds = 3
 			checkStreamMatchesReference(t, cfg, fleetSpecs(7))
 		})
 	}
@@ -97,13 +135,19 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 
 func checkStreamMatchesReference(t *testing.T, cfg SimConfig, specs []MoteSpec) {
 	t.Helper()
-	want, err := simulateReference(cfg, specs)
+	want, wantSamples, err := simulateReference(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, dense, err := SimulateStream(cfg, specs)
+	got, gotSamples, dense, err := simulateSamples(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSamples, wantSamples) {
+		t.Fatalf("samples diverged:\nstream %v\nref    %v", gotSamples, wantSamples)
+	}
+	if n := sampleCount(gotSamples); n == 0 {
+		t.Fatal("no samples recovered")
 	}
 	if len(got) != len(want) {
 		t.Fatalf("streaming returned %d motes, want %d", len(got), len(want))
@@ -124,9 +168,6 @@ func checkStreamMatchesReference(t *testing.T, cfg SimConfig, specs []MoteSpec) 
 		}
 		if g.EventsLogged != w.EventsLogged || g.Stats != w.Stats {
 			t.Fatalf("mote %d: mote stats diverged", i)
-		}
-		if !reflect.DeepEqual(g.Durations, w.Durations) {
-			t.Fatalf("mote %d: durations diverged", i)
 		}
 		if g.GrossTicks != w.GrossTicks {
 			t.Fatalf("mote %d: gross ticks %d, want %d", i, g.GrossTicks, w.GrossTicks)
@@ -185,34 +226,35 @@ func TestStreamDeterminismAtScale(t *testing.T) {
 		Link:      LinkConfig{Seed: 42, DropProb: 0.1, DupProb: 0.05},
 	}
 	cfg.Mote.RAMWords = 64
+	cfg.Rounds = 4
 	specs := fleetSpecs(n)
 
 	type variant struct{ workers, cohort int }
 	variants := []variant{{1, 1}, {3, 64}, {8, 1000}, {5, 0}}
 	var base []MoteResult
+	var baseSamples Samples
 	var baseOracle []mote.BranchStat
 	for _, v := range variants {
 		c := cfg
 		c.Workers, c.Cohort = v.workers, v.cohort
-		out, oracle, err := SimulateStream(c, specs)
+		out, samples, oracle, err := simulateSamples(c, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base == nil {
-			base, baseOracle = out, oracle
+			base, baseSamples, baseOracle = out, samples, oracle
 			// The sweep must exercise real signal: recovered samples and a
 			// populated oracle.
-			var samples int
-			for i := range out {
-				samples += len(out[i].Durations[0])
-			}
-			if samples < n {
-				t.Fatalf("only %d recovered samples across %d motes", samples, n)
+			if got := sampleCount(samples); got < n {
+				t.Fatalf("only %d recovered samples across %d motes", got, n)
 			}
 			continue
 		}
 		if !reflect.DeepEqual(out, base) {
 			t.Fatalf("workers=%d cohort=%d: per-mote results diverged from workers=1 cohort=1", v.workers, v.cohort)
+		}
+		if !reflect.DeepEqual(samples, baseSamples) {
+			t.Fatalf("workers=%d cohort=%d: fleet samples diverged", v.workers, v.cohort)
 		}
 		if !reflect.DeepEqual(oracle, baseOracle) {
 			t.Fatalf("workers=%d cohort=%d: fleet oracle diverged", v.workers, v.cohort)

@@ -67,6 +67,9 @@ type SimConfig struct {
 	// task in SimulateStreamOn (0 = DefaultCohortSize). Like Workers it
 	// moves wall time and peak memory only, never results.
 	Cohort int
+	// Rounds is the number of uplink rounds each mote's samples are split
+	// into (0 = one round; see Samples).
+	Rounds int
 	// KeepUpload retains each mote's delivered frames and its ground-truth
 	// branch stats on its MoteResult (for forwarding to a real base station
 	// over the wire, and scoring what it estimates); by default both are

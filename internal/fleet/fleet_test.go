@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"codetomo/internal/compile"
+	"codetomo/internal/isa"
 	"codetomo/internal/mote"
 	"codetomo/internal/stats"
+	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -395,30 +397,30 @@ func TestMergeBranchStats(t *testing.T) {
 	}
 }
 
-func TestBatchStreams(t *testing.T) {
-	perMote := []map[int][]float64{
-		{0: {1, 2, 3, 4, 5}, 1: {10}},
-		{0: {6, 7, 8}},
-	}
-	rounds := BatchStreams(perMote, 2)
+// TestSamplesRounds pins the round split: each mote's durations of a
+// procedure are cut into runs of ceil(n/rounds), in completion order, and
+// run r of every mote lands in round r.
+func TestSamplesRounds(t *testing.T) {
+	cfg := SimConfig{Prog: []isa.Instr{{Op: isa.TRACE, Imm: 3}}, Rounds: 2}
+	w := newStreamWorker(cfg)
+	iv := func(p int, ticks uint64) trace.Interval { return trace.Interval{ProcIndex: p, ExitTick: ticks} }
 	// Proc 0: mote 0 contributes {1,2,3},{4,5}; mote 1 contributes {6,7},{8}.
-	want0 := [][]float64{{1, 2, 3, 6, 7}, {4, 5, 8}}
-	if !reflect.DeepEqual(rounds[0], want0) {
-		t.Fatalf("proc 0 rounds = %v, want %v", rounds[0], want0)
+	// Proc 1 has one sample: all of it lands in round 0. Proc 2 is not in
+	// the program, so its interval is dropped.
+	w.fold([]trace.Interval{iv(0, 1), iv(1, 10), iv(0, 2), iv(0, 3), iv(2, 9), iv(0, 4), iv(0, 5)}, 2, 1)
+	w.fold([]trace.Interval{iv(0, 6), iv(0, 7), iv(0, 8)}, 2, 1)
+	want := Samples{
+		{tomography.CountSamples([]float64{1, 2, 3, 6, 7}), tomography.CountSamples([]float64{4, 5, 8})},
+		{tomography.CountSamples([]float64{10}), {}},
 	}
-	// Proc 1 has one sample: all of it lands in round 0.
-	if !reflect.DeepEqual(rounds[1][0], []float64{10}) || len(rounds[1][1]) != 0 {
-		t.Fatalf("proc 1 rounds = %v", rounds[1])
+	if !reflect.DeepEqual(w.samples, want) {
+		t.Fatalf("samples = %v, want %v", w.samples, want)
 	}
-	// Total samples are conserved.
-	total := 0
-	for _, rs := range rounds {
-		for _, r := range rs {
-			total += len(r)
-		}
-	}
-	if total != 9 {
-		t.Fatalf("batching lost samples: %d of 9", total)
+	var merged Samples
+	merged.Merge(w.samples)
+	merged.Merge(w.samples)
+	if merged[0][1].N() != 6 || merged[1][0].N() != 2 {
+		t.Fatalf("merging twice = %v", merged)
 	}
 }
 

@@ -81,11 +81,13 @@ func TestSimulateStreamScale(t *testing.T) {
 
 	sunk := make([]int, motes)
 	recovered, handled := 0, 0
-	_, err = SimulateStreamOn(NewPool(cfg.Workers), cfg, specs, func(first int, cohort []MoteResult) error {
+	_, err = SimulateSamplesOn(NewPool(cfg.Workers), cfg, specs, func(first int, cohort []MoteResult, samples Samples) error {
 		for i := range cohort {
 			sunk[first+i]++
 			recovered += cohort[i].Uplink.InvocationsRecovered
-			handled += len(cohort[i].Durations[handler])
+		}
+		for _, h := range samples[handler] {
+			handled += h.N()
 		}
 		return nil
 	})

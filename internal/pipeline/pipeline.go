@@ -143,8 +143,8 @@ func (d Decision) String() string { return decisionNames[d] }
 // supplies the model, on demand or prebuilt as the caller schedules it,
 // and runs only once the sample gate passes. A build error comes back with
 // NoModel; the caller decides whether it is fatal.
-func (p TrustPolicy) Admit(samples []float64, build func() (*tomography.Model, error)) (*tomography.Model, Decision, error) {
-	return p.admit(len(samples), build, func(m *tomography.Model) float64 { return m.Coverage(samples, m.Tick()) })
+func (p TrustPolicy) Admit(samples tomography.SampleCounts, build func() (*tomography.Model, error)) (*tomography.Model, Decision, error) {
+	return p.admit(samples.N(), build, func(m *tomography.Model) float64 { return m.CoverageCounts(samples, m.Tick()) })
 }
 
 // AdmitStream is Admit over every sample st has absorbed, with the
@@ -210,14 +210,14 @@ func (s Settings) Stream(name string, m *tomography.Model) *Stream {
 // parallel on the pool. Each stream runs single-threaded, so the result is
 // independent of the schedule. A batch that leaves a stream still empty is
 // not an error: there is nothing to estimate yet.
-func ObserveOn(pool *fleet.Pool, streams []*Stream, batches [][][]float64) error {
+func ObserveOn(pool *fleet.Pool, streams []*Stream, batches [][]tomography.SampleCounts) error {
 	errs := make([]error, len(streams))
 	var wg sync.WaitGroup
 	for i, st := range streams {
 		i, st := i, st
 		pool.Go(&wg, func() {
 			for _, b := range batches[i] {
-				if _, err := st.Observe(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
+				if _, err := st.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
 					errs[i] = fmt.Errorf("estimate %s: %w", st.Name, err)
 					return
 				}
@@ -251,9 +251,10 @@ type Outcome struct {
 // the schedule. It returns each branchy procedure's outcome in CFG order,
 // and the placement input: the trusted estimates plus a uniform
 // placeholder per branchless procedure. Each admitted procedure's samples
-// go to a Stream as one batch, so the estimator's confidence verdict is
-// checked exactly as on the streaming paths. A single mains-powered run
-// loses no partials, so nothing is corrected.
+// go to a Stream as one batch, in the order they were measured, so the
+// estimator's confidence verdict is checked exactly as on the streaming
+// paths. A single mains-powered run loses no partials, so nothing is
+// corrected.
 func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
 	probs := make(map[string]markov.EdgeProbs)
 	var procs []Outcome
@@ -285,8 +286,14 @@ func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks map[int][]ui
 	p := o.Proc
 	samples := trace.DurationsCycles(ticks[prof.Meta.ProcByName[p.Name].Index], s.TickDiv)
 	o.Samples = len(samples)
+	// The gate's histogram, added up sample by sample: tick-quantized
+	// durations take few distinct values, so it stays small.
+	var h tomography.SampleCounts
+	for _, v := range samples {
+		h.Add(v, 1)
+	}
 	var err error
-	if o.Model, o.Decision, err = s.Admit(samples, func() (*tomography.Model, error) { return s.Model(prof, p.Name) }); err != nil {
+	if o.Model, o.Decision, err = s.Admit(h, func() (*tomography.Model, error) { return s.Model(prof, p.Name) }); err != nil {
 		o.Err = fmt.Errorf("model %s: %w", p.Name, err)
 	}
 	if o.Decision != Trusted {

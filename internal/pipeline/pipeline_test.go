@@ -14,6 +14,7 @@ import (
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
+	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -55,18 +56,17 @@ func TestEstimateStreams(t *testing.T) {
 	for i := range specs {
 		specs[i] = fleet.MoteSpec{ID: uint16(i), Workload: names[i], Seed: 100 + int64(i)*7, ClockOffsetTicks: uint64(i) * 100_000}
 	}
-	motes, _, err := fleet.SimulateStream(fleet.SimConfig{
-		Prog: out.Code, Mote: mote.DefaultConfig(), MaxCycles: 100_000_000, Workers: 3, Link: fleet.LinkConfig{Seed: 99},
-	}, specs)
+	var samples fleet.Samples
+	_, err = fleet.SimulateSamplesOn(fleet.NewPool(3), fleet.SimConfig{
+		Prog: out.Code, Mote: mote.DefaultConfig(), MaxCycles: 100_000_000, Link: fleet.LinkConfig{Seed: 99}, Rounds: 4,
+	}, specs, func(_ int, _ []fleet.MoteResult, s fleet.Samples) error {
+		samples.Merge(s)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := out.Meta.ProcByName["work"]
-	perMote := make([]map[int][]float64, len(motes))
-	for i, m := range motes {
-		perMote[i] = map[int][]float64{pm.Index: m.Durations[pm.Index]}
-	}
-	rounds := fleet.BatchStreams(perMote, 4)[pm.Index]
+	rounds := samples[out.Meta.ProcByName["work"].Index]
 	s := Settings{}.WithDefaults()
 	model, err := s.Model(out, "work")
 	if err != nil {
@@ -75,7 +75,7 @@ func TestEstimateStreams(t *testing.T) {
 
 	run := func(workers int) *Stream {
 		st := s.Stream("work", model)
-		if err := ObserveOn(fleet.NewPool(workers), []*Stream{st}, [][][]float64{rounds}); err != nil {
+		if err := ObserveOn(fleet.NewPool(workers), []*Stream{st}, [][]tomography.SampleCounts{rounds}); err != nil {
 			t.Fatal(err)
 		}
 		return st
@@ -86,7 +86,7 @@ func TestEstimateStreams(t *testing.T) {
 	}
 	total := 0
 	for _, b := range rounds {
-		total += len(b)
+		total += b.N()
 	}
 	if st.SampleCount() != total {
 		t.Fatalf("SampleCount = %d, want %d", st.SampleCount(), total)

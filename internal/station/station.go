@@ -12,7 +12,7 @@
 // Determinism contract: a snapshot is a pure function of the multiset of
 // frames each mote delivered between epoch cuts. Reassembly is
 // order-insensitive within a window (packets key by sequence number),
-// harvests merge in ascending mote-ID order, and each procedure's
+// harvests merge as sample counts, which commute, and each procedure's
 // estimator runs single-threaded — so the shard count, the frame
 // interleaving, and the worker schedule never change a snapshot.
 //
@@ -26,7 +26,6 @@ package station
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +34,7 @@ import (
 	"codetomo/internal/layout"
 	"codetomo/internal/markov"
 	"codetomo/internal/pipeline"
+	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
 
@@ -108,15 +108,17 @@ type procState struct {
 	stream *pipeline.Stream // nil when the path model could not be built
 }
 
-// moteWindow is what one epoch's seal recovered from one mote.
-type moteWindow struct {
-	durs  map[int][]float64
-	stats trace.UplinkStats
+// harvested is what one epoch's seal recovered from one shard's motes: the
+// exclusive durations of each streamed procedure, in cycles, indexed like
+// Server.procs, and the summed reassembly accounting.
+type harvested struct {
+	samples []tomography.SampleCounts
+	stats   trace.UplinkStats
 }
 
 type cutReq struct {
 	wg  *sync.WaitGroup
-	out map[uint16]moteWindow // written only by the owning shard worker
+	out *harvested // written only by the owning shard worker
 }
 
 type shardMsg struct {
@@ -137,6 +139,7 @@ type Server struct {
 	cfg   Config
 	prof  *compile.Output
 	procs []*procState // branchy procedures, CFG order
+	slot  []int        // procedure index → position in procs; -1 unless streamed
 	pool  *fleet.Pool
 
 	// ingestMu is the epoch barrier: ingest holds it shared across
@@ -190,7 +193,9 @@ func New(cfg Config) (*Server, error) {
 		pool:  fleet.NewPool(cfg.Shards + 2),
 		cutCh: make(chan struct{}, 1),
 	}
+	s.slot = make([]int, len(prof.CFG.Procs))
 	for _, p := range prof.CFG.Procs {
+		s.slot[prof.Meta.ProcByName[p.Name].Index] = -1
 		if len(p.BranchBlocks()) == 0 {
 			continue
 		}
@@ -202,6 +207,7 @@ func New(cfg Config) (*Server, error) {
 		ps := &procState{name: p.Name, index: prof.Meta.ProcByName[p.Name].Index}
 		if m, err := s.cfg.Settings.Model(prof, p.Name); err == nil {
 			ps.stream = s.cfg.Settings.Stream(p.Name, m)
+			s.slot[ps.index] = len(s.procs)
 		}
 		s.procs = append(s.procs, ps)
 	}
@@ -278,13 +284,19 @@ func (s *Server) applyPacket(sh *shard, p *trace.Packet) {
 }
 
 // harvest seals one shard's receive window: recover every mote's
-// intervals, convert to per-procedure durations, and rebase each stream at
-// its next expected sequence so the next epoch counts neither the consumed
-// packets nor their redeliveries.
-func (s *Server) harvest(sh *shard, out map[uint16]moteWindow) {
+// intervals, count the streamed procedures' exclusive durations, and
+// rebase each stream at its next expected sequence so the next epoch
+// counts neither the consumed packets nor their redeliveries.
+func (s *Server) harvest(sh *shard, out *harvested) {
+	out.samples = make([]tomography.SampleCounts, len(s.procs))
 	for id, r := range sh.motes {
 		ivs, st := r.Recover()
-		out[id] = moteWindow{durs: trace.CyclesByProc(ivs, s.cfg.Settings.TickDiv), stats: st}
+		out.stats.Add(st)
+		for _, iv := range ivs {
+			if p := iv.ProcIndex; uint(p) < uint(len(s.slot)) && s.slot[p] >= 0 {
+				out.samples[s.slot[p]].Add(float64(iv.ExclusiveTicks())*float64(s.cfg.Settings.TickDiv), 1)
+			}
+		}
 		sh.motes[id] = trace.NewReassemblerAt(id, r.NextSeq())
 	}
 }
@@ -344,11 +356,10 @@ func (s *Server) CutEpoch() (*Snapshot, error) {
 	}
 	s.framesSinceCut.Store(0)
 	var wg sync.WaitGroup
-	results := make([]map[uint16]moteWindow, len(s.shards))
+	results := make([]harvested, len(s.shards))
 	for i, sh := range s.shards {
-		results[i] = make(map[uint16]moteWindow)
 		wg.Add(1)
-		sh.ch <- shardMsg{cut: &cutReq{wg: &wg, out: results[i]}}
+		sh.ch <- shardMsg{cut: &cutReq{wg: &wg, out: &results[i]}}
 	}
 	s.ingestMu.Unlock()
 	wg.Wait()
@@ -356,47 +367,35 @@ func (s *Server) CutEpoch() (*Snapshot, error) {
 }
 
 // finishCut is the sharding-independent half of an epoch cut, shared by
-// the live path and WAL replay: merge the harvests in ascending mote-ID
-// order, observe one batch per procedure, and publish the snapshot.
-func (s *Server) finishCut(results []map[uint16]moteWindow) (*Snapshot, error) {
-	var ids []uint16
-	windows := make(map[uint16]moteWindow)
+// the live path and WAL replay: merge the shards' harvests (integer sums,
+// so shard order cannot show), observe one histogram per procedure, and
+// publish the snapshot.
+func (s *Server) finishCut(results []harvested) (*Snapshot, error) {
+	var st trace.UplinkStats
+	merged := make([]tomography.SampleCounts, len(s.procs))
 	for _, res := range results {
-		for id, w := range res {
-			windows[id] = w
-			ids = append(ids, id)
+		st.Add(res.stats)
+		for k := range merged {
+			merged[k].Merge(res.samples[k])
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	merged := make(map[int][]float64)
-	lost := make(map[int]int)
-	for _, id := range ids {
-		w := windows[id]
-		s.m.dups.Add(uint64(w.stats.PacketsDuplicate))
-		s.m.lost.Add(uint64(w.stats.PacketsLost))
-		s.m.recovered.Add(uint64(w.stats.InvocationsRecovered))
-		s.m.discarded.Add(uint64(w.stats.InvocationsDiscarded))
-		s.m.lostPartials.Add(uint64(w.stats.LostPartials))
-		for p, d := range w.durs {
-			merged[p] = append(merged[p], d...)
-		}
-		for p, n := range w.stats.LostPartialsByProc {
-			lost[p] += n
-		}
-	}
+	s.m.dups.Add(uint64(st.PacketsDuplicate))
+	s.m.lost.Add(uint64(st.PacketsLost))
+	s.m.recovered.Add(uint64(st.InvocationsRecovered))
+	s.m.discarded.Add(uint64(st.InvocationsDiscarded))
+	s.m.lostPartials.Add(uint64(st.LostPartials))
 
 	var streams []*pipeline.Stream
-	var batches [][][]float64
-	for _, ps := range s.procs {
+	var batches [][]tomography.SampleCounts
+	for k, ps := range s.procs {
 		if ps.stream == nil {
 			continue // no model to feed
 		}
-		ps.stream.Lost += lost[ps.index]
-		if batch := merged[ps.index]; len(batch) > 0 {
-			s.m.samples.Add(uint64(len(batch)))
+		ps.stream.Lost += st.LostPartialsByProc[ps.index]
+		if n := merged[k].N(); n > 0 {
+			s.m.samples.Add(uint64(n))
 			streams = append(streams, ps.stream)
-			batches = append(batches, [][]float64{batch})
+			batches = append(batches, merged[k:k+1])
 		}
 	}
 	if err := pipeline.ObserveOn(s.pool, streams, batches); err != nil {
@@ -439,10 +438,9 @@ func (s *Server) replay(recs []walRecord) error {
 			s.framesSinceCut.Add(1)
 		case walCut:
 			s.framesSinceCut.Store(0)
-			results := make([]map[uint16]moteWindow, len(s.shards))
+			results := make([]harvested, len(s.shards))
 			for i, sh := range s.shards {
-				results[i] = make(map[uint16]moteWindow)
-				s.harvest(sh, results[i])
+				s.harvest(sh, &results[i])
 			}
 			if _, err := s.finishCut(results); err != nil {
 				return err

@@ -85,11 +85,11 @@ func BenchmarkBuildSupports(b *testing.B) {
 	for _, diamonds := range []int{8, 10, 12} {
 		b.Run(fmt.Sprintf("paths=%d", 1<<diamonds), func(b *testing.B) {
 			m, samples, cfg := pathScaledSetup(b, diamonds, 2000)
-			obs, counts := dedup(samples)
+			h := CountSamples(samples)
 			times := m.sortedTimes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buildSupports(times, obs, counts, cfg.KernelHalfWidth)
+				buildSupports(times, h.Values, h.Counts, cfg.KernelHalfWidth)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"codetomo/internal/markov"
 )
@@ -74,10 +73,10 @@ type EMStats struct {
 // K a box kernel absorbing timer quantization.
 //
 // The hot loop runs on the dense indexed-path kernel (see
-// markov.CompiledPaths); its results are bit-identical to the retained
-// map-based reference implementation, EstimateEMReference. Samples must be
-// finite — NaN or ±Inf durations are rejected with an error rather than
-// silently skewing the dedup histogram.
+// markov.CompiledPaths); its results are bit-identical to the map-based
+// reference implementation the tests keep, EstimateEMReference. Samples
+// must be finite — NaN or ±Inf durations are rejected with an error
+// rather than silently skewing the dedup histogram.
 func EstimateEM(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
 	var st EMStats
 	if err := validateSamples(samples); err != nil {
@@ -92,8 +91,8 @@ func EstimateEM(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EM
 	// Deduplicate observations into (value, count) — durations are
 	// quantized so collapsing repeats makes EM cost independent of the
 	// sample count.
-	obs, counts := dedup(samples)
-	return estimateEMDense(m, obs, counts, cfg)
+	h := CountSamples(samples)
+	return estimateEMDense(m, h.Values, h.Counts, cfg)
 }
 
 // validateSamples rejects non-finite durations at the estimation API
@@ -106,25 +105,4 @@ func validateSamples(samples []float64) error {
 		}
 	}
 	return nil
-}
-
-// dedup collapses equal sample values into (value, count) pairs in
-// ascending order — durations are quantized, so this makes the EM cost
-// independent of the raw sample count. Callers must have validated the
-// samples: NaN breaks both the sort and the run-length grouping.
-func dedup(samples []float64) ([]float64, []int) {
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	vals := make([]float64, 0, len(sorted))
-	counts := make([]int, 0, len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		vals = append(vals, sorted[i])
-		counts = append(counts, j-i)
-		i = j
-	}
-	return vals, counts
 }

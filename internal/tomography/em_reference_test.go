@@ -7,12 +7,12 @@ import (
 	"codetomo/internal/markov"
 )
 
-// EstimateEMReference is the original map-based EM kernel, retained
-// verbatim as the numerical oracle: the dense kernel behind EstimateEM is
+// EstimateEMReference is the original map-based EM kernel, kept verbatim
+// in the tests as the numerical oracle: the dense kernel behind EstimateEM is
 // pinned bit-for-bit against it by the equivalence and property tests, and
 // BenchmarkEstimateEMReferencePaths measures the dense kernel's speedup
 // over it. It scans every path per observation and allocates fresh maps
-// per iteration — do not use it outside tests and benchmarks.
+// per iteration.
 //
 // Unlike EstimateEM it does not validate samples; callers own finiteness.
 func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
@@ -25,7 +25,8 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 		return nil, st, ErrNoSamples
 	}
 
-	obs, counts := dedup(samples)
+	h := CountSamples(samples)
+	obs, counts := h.Values, h.Counts
 
 	probs := m.InitialProbs()
 	if cfg.Init != nil {

@@ -26,23 +26,30 @@ const (
 // overlaps, so  A·w ≈ ĥ  with w ≥ 0, where ĥ is the empirical bin
 // frequency vector. Edge probabilities follow from the weighted edge
 // traversal counts. The kernel half width and the bin width are the
-// model's timer tick.
+// model's timer tick. The bins count the sample multiset, so it runs on
+// the samples' histogram.
 func EstimateHistogram(m *Model, samples []float64) (markov.EdgeProbs, error) {
+	if err := validateSamples(samples); err != nil {
+		return nil, err
+	}
+	return estimateHistogram(m, CountSamples(samples))
+}
+
+// estimateHistogram is EstimateHistogram over a histogram of finite
+// samples.
+func estimateHistogram(m *Model, samples SampleCounts) (markov.EdgeProbs, error) {
 	kw := m.Tick()
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
-	if len(samples) == 0 {
+	if len(samples.Values) == 0 {
 		return nil, fmt.Errorf("tomography: no samples")
 	}
 	if len(m.Paths) > histMaxPaths {
 		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", histMaxPaths, len(m.Paths))
 	}
 
-	lo, hi := samples[0], samples[0]
-	for _, s := range samples {
-		lo, hi = math.Min(lo, s), math.Max(hi, s)
-	}
+	lo, hi := samples.Values[0], samples.Values[len(samples.Values)-1]
 	for _, tau := range m.PathTimes {
 		lo, hi = math.Min(lo, tau), math.Max(hi, tau)
 	}
@@ -71,11 +78,12 @@ func EstimateHistogram(m *Model, samples []float64) (markov.EdgeProbs, error) {
 		}
 		return i
 	}
-	for _, s := range samples {
-		h[binOf(s)]++
+	for i, v := range samples.Values {
+		h[binOf(v)] += float64(samples.Counts[i])
 	}
+	n := float64(samples.N())
 	for i := range h {
-		h[i] /= float64(len(samples))
+		h[i] /= n
 	}
 
 	// Design matrix: kernel mass of each path per bin (box kernel of half

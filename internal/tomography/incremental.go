@@ -2,7 +2,6 @@ package tomography
 
 import (
 	"math"
-	"sort"
 
 	"codetomo/internal/markov"
 )
@@ -15,12 +14,14 @@ import (
 // stabilized.
 //
 // Two properties keep the per-round cost flat as the stream grows: the
-// accumulated observations are kept as a running sorted (value, count)
-// histogram that each batch is merged into (never re-deduplicated from
-// scratch), and every EM round warm-starts from the previous round's
-// probabilities, so a round that merely confirms the estimate costs a
-// couple of iterations instead of a full cold solve. EM reads only the
-// histogram, so under EM the raw stream is not kept at all.
+// accumulated observations are kept as one running SampleCounts that each
+// batch is merged into (never re-deduplicated from scratch), and every EM
+// round warm-starts from the previous round's probabilities, so a round
+// that merely confirms the estimate costs a couple of iterations instead
+// of a full cold solve. EM, Robust and Histogram read only the histogram.
+// Moments, whose sample moments depend on the order samples are pushed in,
+// reads a raw stream kept only for it: batches given to Observe in their
+// order, batches given to ObserveCounts in ascending order.
 type Incremental struct {
 	// Model is the path-enumeration model for one procedure.
 	Model *Model
@@ -33,15 +34,8 @@ type Incremental struct {
 	// the stream is declared converged (default 2).
 	Patience int
 
-	n       int       // samples absorbed
-	samples []float64 // raw stream up to convergence, for every estimator but EM
-	obs     []float64 // running dedup histogram, ascending (EM, Coverage)
-	counts  []int
-	// Buffers merge reuses: the sorted batch, and the histogram the last
-	// merge replaced.
-	sorted     []float64
-	spareObs   []float64
-	spareCount []int
+	hist    SampleCounts // every sample absorbed
+	samples []float64    // raw stream up to convergence, for Moments and unknown estimators
 
 	probs      markov.EdgeProbs
 	rounds     int
@@ -81,16 +75,27 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 	if err := validateSamples(batch); err != nil {
 		return nil, err
 	}
-	inc.n += len(batch)
-	inc.merge(batch)
+	return inc.observe(CountSamples(batch), batch)
+}
+
+// ObserveCounts is Observe for a batch held as a histogram, under the same
+// contract. The histogram is not retained.
+func (inc *Incremental) ObserveCounts(batch SampleCounts) (markov.EdgeProbs, error) {
+	if err := validateSamples(batch.Values); err != nil {
+		return nil, err
+	}
+	return inc.observe(batch, nil)
+}
+
+// observe absorbs a validated batch, given as its histogram and, when the
+// caller has it, in arrival order, and re-estimates.
+func (inc *Incremental) observe(batch SampleCounts, raw []float64) (markov.EdgeProbs, error) {
+	inc.hist.Merge(batch)
 	if inc.converged {
 		return inc.probs, nil
 	}
-	if inc.n == 0 {
+	if len(inc.hist.Values) == 0 {
 		return nil, ErrNoSamples
-	}
-	if _, em := inc.Est.(EM); !em {
-		inc.samples = append(inc.samples, batch...)
 	}
 	inc.rounds++
 
@@ -101,26 +106,30 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 	// Go through the stats-reporting entry points directly when the
 	// estimator supports them, so per-round iteration counts, trims, and
 	// confidence surface in fleet observability — and so EM rounds can
-	// warm-start from the previous estimate and reuse the histogram.
+	// warm-start from the previous estimate.
 	switch est := inc.Est.(type) {
 	case EM:
 		cfg := est.Config
 		cfg.Init = inc.probs // nil on round one: uniform start
 		var st EMStats
-		probs, st, err = estimateEMDense(inc.Model, inc.obs, inc.counts, cfg)
+		probs, st, err = estimateEMDense(inc.Model, inc.hist.Values, inc.hist.Counts, cfg)
 		inc.iterations += st.Iterations
 	case Robust:
-		// The robust trim depends on the full sample set (winsorization is
-		// quantile-based), so it runs over the raw stream; its inner EM
-		// still warm-starts.
 		cfg := est.Config
 		cfg.EM.Init = inc.probs
 		var st RobustStats
-		probs, st, err = EstimateRobust(inc.Model, inc.samples, cfg)
+		probs, st, err = estimateRobust(inc.Model, inc.hist, cfg)
 		inc.iterations += st.EM.Iterations
 		inc.trimmed = st.Trimmed
 		inc.confident = st.Confident
+	case Histogram:
+		probs, err = estimateHistogram(inc.Model, inc.hist)
 	default:
+		if raw != nil {
+			inc.samples = append(inc.samples, raw...)
+		} else {
+			inc.samples = batch.AppendSamples(inc.samples)
+		}
 		probs, err = inc.Est.Estimate(inc.Model, inc.samples)
 	}
 	if err != nil {
@@ -141,43 +150,6 @@ func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
 	return probs, nil
 }
 
-// merge folds one batch into the running (value, count) histogram: the
-// batch is sorted and merged run by run into the sorted histogram, so the
-// per-round cost is O(batch·log batch + distinct values) instead of
-// re-deduplicating the whole accumulated stream. The sorted batch and the
-// new histogram go into buffers kept from earlier rounds, so a steady
-// stream allocates nothing here.
-func (inc *Incremental) merge(batch []float64) {
-	if len(batch) == 0 {
-		return
-	}
-	b := append(inc.sorted[:0], batch...)
-	sort.Float64s(b)
-	ov, oc := inc.obs, inc.counts
-	mv, mc := inc.spareObs[:0], inc.spareCount[:0]
-	i := 0
-	for j := 0; j < len(b); {
-		v, k := b[j], j+1
-		for k < len(b) && b[k] == v {
-			k++
-		}
-		for i < len(ov) && ov[i] < v {
-			mv, mc = append(mv, ov[i]), append(mc, oc[i])
-			i++
-		}
-		c := k - j
-		if i < len(ov) && ov[i] == v {
-			v, c = ov[i], c+oc[i] // the histogram's value stays, as −0 == +0
-			i++
-		}
-		mv, mc = append(mv, v), append(mc, c)
-		j = k
-	}
-	mv, mc = append(mv, ov[i:]...), append(mc, oc[i:]...)
-	inc.sorted = b
-	inc.obs, inc.counts, inc.spareObs, inc.spareCount = mv, mc, ov, oc
-}
-
 // Probs returns the latest estimate (nil before the first Observe).
 func (inc *Incremental) Probs() markov.EdgeProbs { return inc.probs }
 
@@ -192,23 +164,12 @@ func (inc *Incremental) Rounds() int { return inc.rounds }
 func (inc *Incremental) Iterations() int { return inc.iterations }
 
 // SampleCount returns how many samples have been absorbed.
-func (inc *Incremental) SampleCount() int { return inc.n }
+func (inc *Incremental) SampleCount() int { return inc.hist.N() }
 
 // Coverage is Model.Coverage over every sample absorbed so far, taken
-// from the histogram: a distinct value within halfWidth of a path counts
-// once per sample of it.
+// from the histogram.
 func (inc *Incremental) Coverage(halfWidth float64) float64 {
-	if inc.n == 0 {
-		return 0
-	}
-	times := inc.Model.sortedTimes()
-	hit := 0
-	for i, v := range inc.obs {
-		if times.Within(v, halfWidth) {
-			hit += inc.counts[i]
-		}
-	}
-	return float64(hit) / float64(inc.n)
+	return inc.Model.CoverageCounts(inc.hist, halfWidth)
 }
 
 // Trimmed returns how many absorbed samples the robust estimator

@@ -137,8 +137,7 @@ func TestIncrementalWarmStartMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantObs, wantCounts := dedup(samples)
-	if !reflect.DeepEqual(inc.obs, wantObs) || !reflect.DeepEqual(inc.counts, wantCounts) {
+	if !reflect.DeepEqual(inc.hist, CountSamples(samples)) {
 		t.Fatal("running histogram diverged from from-scratch dedup")
 	}
 	batch, _, err := EstimateEM(m, samples, cfg)

@@ -243,6 +243,23 @@ func (m *Model) Coverage(samples []float64, halfWidth float64) float64 {
 	return float64(hit) / float64(len(samples))
 }
 
+// CoverageCounts is Coverage over a histogram of samples: a distinct value
+// within halfWidth of a path counts once per sample of it.
+func (m *Model) CoverageCounts(h SampleCounts, halfWidth float64) float64 {
+	n := h.N()
+	if n == 0 {
+		return 0
+	}
+	times := m.sortedTimes()
+	hit := 0
+	for i, v := range h.Values {
+		if times.Within(v, halfWidth) {
+			hit += h.Counts[i]
+		}
+	}
+	return float64(hit) / float64(n)
+}
+
 // BranchAmbiguity returns, for each branch block, the (uniform-prior)
 // probability mass of paths whose usage of that block's outgoing edges
 // cannot be determined from the observed duration: some path within

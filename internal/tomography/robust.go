@@ -1,10 +1,6 @@
 package tomography
 
-import (
-	"sort"
-
-	"codetomo/internal/markov"
-)
+import "codetomo/internal/markov"
 
 // RobustConfig tunes the outlier-robust wrapper around EstimateEM. Plain
 // EM soft-assigns every observation to its nearest enumerated path, so a
@@ -67,31 +63,38 @@ type RobustStats struct {
 // carries a confidence verdict instead of silently fitting garbage. When
 // every sample is implausible it returns the uniform prior, unconfident —
 // never an error, because a fault-ridden uplink is an operating condition,
-// not a caller bug.
+// not a caller bug. Each step is a function of the sample multiset, so it
+// runs on the samples' histogram.
 func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
+	if err := validateSamples(samples); err != nil {
+		return nil, RobustStats{}, err
+	}
+	return estimateRobust(m, CountSamples(samples), cfg)
+}
+
+// estimateRobust is EstimateRobust over a histogram of finite samples.
+func estimateRobust(m *Model, h SampleCounts, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
 	cfg = cfg.withDefaults(m)
 	var st RobustStats
-	if err := validateSamples(samples); err != nil {
-		return nil, st, err
-	}
 	if len(m.Unknowns) == 0 {
 		st.Confident = true
 		return m.InitialProbs(), st, nil
 	}
-	if len(samples) == 0 {
+	n := h.N()
+	if n == 0 {
 		return nil, st, ErrNoSamples
 	}
-	kept := trimOutliers(m, samples, cfg.OutlierWidth)
-	st.Trimmed = len(samples) - len(kept)
-	trimFrac := float64(st.Trimmed) / float64(len(samples))
-	if len(kept) == 0 {
+	kept := trimOutliers(m, h, cfg.OutlierWidth)
+	st.Kept = kept.N()
+	st.Trimmed = n - st.Kept
+	trimFrac := float64(st.Trimmed) / float64(n)
+	if st.Kept == 0 {
 		// Every observation is implausible under the path model: estimate
 		// nothing, return the prior, and say so.
 		return m.InitialProbs(), st, nil
 	}
 	kept, st.Winsorized = winsorize(kept, winsorFraction)
-	st.Kept = len(kept)
-	probs, emSt, err := EstimateEM(m, kept, cfg.EM)
+	probs, emSt, err := estimateEMDense(m, kept.Values, kept.Counts, cfg.EM)
 	if err != nil {
 		return nil, st, err
 	}
@@ -101,45 +104,49 @@ func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeP
 }
 
 // trimOutliers keeps the samples within width cycles of at least one
-// enumerated path duration, preserving input order. Everything else is
-// unexplainable by the model at any branch probability and would only
-// distort the EM responsibilities. The plausibility check binary-searches
-// the sorted path times (the predicate is exactly |s − τ| <= width).
-func trimOutliers(m *Model, samples []float64, width float64) []float64 {
+// enumerated path duration. Everything else is unexplainable by the model
+// at any branch probability and would only distort the EM
+// responsibilities. The plausibility check binary-searches the sorted path
+// times (the predicate is exactly |s − τ| <= width).
+func trimOutliers(m *Model, h SampleCounts, width float64) SampleCounts {
 	times := m.sortedTimes()
-	kept := make([]float64, 0, len(samples))
-	for _, s := range samples {
-		if times.Within(s, width) {
-			kept = append(kept, s)
+	var kept SampleCounts
+	for i, v := range h.Values {
+		if times.Within(v, width) {
+			kept.Values = append(kept.Values, v)
+			kept.Counts = append(kept.Counts, h.Counts[i])
 		}
 	}
 	return kept
 }
 
 // winsorize clamps the samples below the frac quantile up to it and above
-// the (1-frac) quantile down to it, preserving input order, and reports
-// how many values were clamped. This bounds the leverage of in-model but
-// extreme durations without discarding them.
-func winsorize(samples []float64, frac float64) ([]float64, int) {
-	if len(samples) < 3 || frac <= 0 {
-		return samples, 0
+// the (1-frac) quantile down to it, and reports how many samples were
+// clamped. This bounds the leverage of in-model but extreme durations
+// without discarding them. Both quantiles are samples, so the clamped
+// counts join existing values and the result stays ascending.
+func winsorize(h SampleCounts, frac float64) (SampleCounts, int) {
+	n := h.N()
+	if n < 3 || frac <= 0 {
+		return h, 0
 	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	lo := sorted[int(frac*float64(len(sorted)))]
-	hi := sorted[len(sorted)-1-int(frac*float64(len(sorted)))]
-	out := make([]float64, len(samples))
+	k := int(frac * float64(n))
+	lo, hi := h.valueAt(k), h.valueAt(n-1-k)
+	var out SampleCounts
 	clamped := 0
-	for i, s := range samples {
+	for i, v := range h.Values {
+		c := h.Counts[i]
 		switch {
-		case s < lo:
-			out[i] = lo
-			clamped++
-		case s > hi:
-			out[i] = hi
-			clamped++
-		default:
-			out[i] = s
+		case v < lo:
+			v, clamped = lo, clamped+c
+		case v > hi:
+			v, clamped = hi, clamped+c
+		}
+		if last := len(out.Values) - 1; last >= 0 && out.Values[last] == v {
+			out.Counts[last] += c
+		} else {
+			out.Values = append(out.Values, v)
+			out.Counts = append(out.Counts, c)
 		}
 	}
 	return out, clamped

@@ -139,21 +139,18 @@ func TestRobustDeterministic(t *testing.T) {
 
 func TestWinsorize(t *testing.T) {
 	in := []float64{100, 1, 2, 3, 4, 5, 6, 7, 8, -50}
-	out, clamped := winsorize(in, 0.1)
+	out, clamped := winsorize(CountSamples(in), 0.1)
 	if clamped != 2 {
 		t.Fatalf("clamped = %d, want 2", clamped)
 	}
-	// Order is preserved; the extremes are pulled to the 10%/90% quantiles.
-	if out[0] != 8 || out[9] != 1 {
-		t.Fatalf("winsorized = %v", out)
-	}
-	for i, v := range out[1:9] {
-		if v != in[i+1] {
-			t.Fatalf("interior value %d changed: %v", i+1, out)
-		}
+	// The extremes are pulled to the 10%/90% quantiles; the interior is
+	// untouched.
+	if want := CountSamples([]float64{8, 1, 2, 3, 4, 5, 6, 7, 8, 1}); !reflect.DeepEqual(out, want) {
+		t.Fatalf("winsorized = %v, want %v", out, want)
 	}
 	// Tiny or disabled inputs pass through untouched.
-	if got, n := winsorize([]float64{1, 2}, 0.1); n != 0 || !reflect.DeepEqual(got, []float64{1, 2}) {
+	short := CountSamples([]float64{1, 2})
+	if got, n := winsorize(short, 0.1); n != 0 || !reflect.DeepEqual(got, short) {
 		t.Fatalf("short input winsorized: %v, %d", got, n)
 	}
 }

@@ -75,48 +75,6 @@ func ExclusiveByProc(ivs []Interval) map[int][]uint64 {
 	return out
 }
 
-// CyclesByProc groups exclusive durations by procedure index, in cycle
-// units as DurationsCycles gives them: ExclusiveByProc and DurationsCycles
-// in one pass, the per-stream reduction a base station keeps. The small
-// procedure indices real programs have are counted first, filled into
-// slices carved at their final sizes from one array, and written into the
-// map once each; other indices append through the map.
-func CyclesByProc(ivs []Interval, tickDiv int) map[int][]float64 {
-	var counts [64]int
-	dense, procs := 0, 0
-	for _, iv := range ivs {
-		if p := iv.ProcIndex; uint(p) < uint(len(counts)) {
-			if counts[p] == 0 {
-				procs++
-			}
-			counts[p]++
-			dense++
-		}
-	}
-	var slots [len(counts)][]float64
-	buf := make([]float64, dense)
-	for p, n := range counts {
-		if n > 0 {
-			slots[p], buf = buf[:0:n], buf[n:]
-		}
-	}
-	out := make(map[int][]float64, procs)
-	for _, iv := range ivs {
-		d := float64(iv.ExclusiveTicks()) * float64(tickDiv)
-		if p := iv.ProcIndex; uint(p) < uint(len(slots)) {
-			slots[p] = append(slots[p], d)
-		} else {
-			out[p] = append(out[p], d)
-		}
-	}
-	for p, s := range slots {
-		if s != nil {
-			out[p] = s
-		}
-	}
-	return out
-}
-
 // DurationsCycles converts tick durations to cycle units (the center of the
 // quantization cell), for feeding estimators that work in cycles.
 func DurationsCycles(ticks []uint64, tickDiv int) []float64 {

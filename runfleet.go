@@ -3,7 +3,6 @@ package codetomo
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -78,7 +77,10 @@ type FleetConfig struct {
 	// (zero = cold boot on every outage; ignored on mains power).
 	Checkpoint mote.CheckpointPolicy
 	// Batches is the number of uplink rounds each mote's stream is split
-	// into for incremental re-estimation (default 8).
+	// into for incremental re-estimation (default 8). A mote's n recovered
+	// samples of a procedure, in completion order, are cut into runs of
+	// ceil(n/Batches), the last shorter or missing; run r of every mote
+	// goes to round r, and the base station re-estimates once per round.
 	Batches int
 }
 
@@ -237,6 +239,7 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 		MaxCycles:  cfg.MaxCycles,
 		Workers:    cfg.Workers,
 		Cohort:     cfg.Cohort,
+		Rounds:     cfg.Batches,
 		Link:       cfg.link(),
 		Faults:     cfg.Faults,
 		Energy:     cfg.Energy,
@@ -366,18 +369,19 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	// fleet accumulators the moment they exist, so raw frames, trace
 	// events, and intervals are gone before the next cohort runs: peak
 	// memory is O(Workers × Cohort) motes of transient state plus the
-	// per-procedure duration samples the estimator actually needs.
+	// per-procedure, per-round duration histograms the estimator reads.
 	sim := simConfig(cfg, prof.Code)
 	specs := fleetSpecs(cfg)
 	fst := fleet.Stats{Motes: cfg.Motes, SamplesPerProc: make(map[string]int)}
 
-	// Accumulator slots. Integer counters fold directly in the sink —
-	// sums commute, so cohort completion order cannot show in them. Float
-	// sums do not commute bit-for-bit, so per-mote energy lands in
-	// index-addressed slots and is folded in mote order after the run.
-	// The per-mote uplink table is an observability aid, not a result;
-	// past maxPerMoteRows it is suppressed rather than held.
-	perMote := make([]map[int][]float64, len(specs))
+	// Accumulator slots. Integer counters and the sample histograms fold
+	// directly in the sink — sums commute, so cohort completion order
+	// cannot show in them. Float sums do not commute bit-for-bit, so
+	// per-mote energy lands in index-addressed slots and is folded in mote
+	// order after the run. The per-mote uplink table is an observability
+	// aid, not a result; past maxPerMoteRows it is suppressed rather than
+	// held.
+	var samples fleet.Samples
 	energyUJ := make([]float64, len(specs))
 	harvestUJ := make([]float64, len(specs))
 	var sumGross uint64
@@ -404,7 +408,8 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	)
 	go func() {
 		defer close(simDone)
-		oracleDense, simErr = fleet.SimulateStreamOn(pool, sim, specs, func(first int, cohort []fleet.MoteResult) error {
+		oracleDense, simErr = fleet.SimulateSamplesOn(pool, sim, specs, func(first int, cohort []fleet.MoteResult, s fleet.Samples) error {
+			samples.Merge(s)
 			for j := range cohort {
 				up := &cohort[j]
 				i := first + j
@@ -420,7 +425,6 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 				sumGross += up.GrossTicks
 				energyUJ[i] = fleet.MoteEnergyUJ(up.Stats)
 				harvestUJ[i] = up.Stats.HarvestedUJ
-				perMote[i] = up.Durations
 				if keepRows {
 					rows[i] = fleet.MoteUplink{
 						ID:              up.Spec.ID,
@@ -450,9 +454,9 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	}
 	fst.SimWall = time.Since(t0)
 
-	// 3. Ordered float folds (mote order — deterministic) and batching of
-	// the per-procedure samples into uplink rounds. Everything else was
-	// already merged in the sink, cohort by cohort.
+	// 3. Ordered float folds (mote order — deterministic). Everything else,
+	// the samples' uplink rounds included, was already merged in the sink,
+	// cohort by cohort.
 	t1 := time.Now()
 	for i := range specs {
 		fst.EnergyUJ += energyUJ[i]
@@ -462,13 +466,12 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 		fst.PerMote = rows
 	}
 	sumGrossTicks := float64(sumGross)
-	rounds := fleet.BatchStreams(perMote, cfg.Batches)
 	fst.UplinkWall = time.Since(t1)
 
 	// 4. Gate, stream-estimate, correct, and check every procedure on the
 	// same pool (deterministic merge order).
 	t2 := time.Now()
-	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, rounds, fst.Uplink.LostPartialsByProc)
+	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, samples, fst.Uplink.LostPartialsByProc)
 	if err != nil {
 		return nil, err
 	}
@@ -535,20 +538,27 @@ func buildModels(pool *fleet.Pool, prof *compile.Output, s pipeline.Settings) []
 // through warm-started incremental estimation on the pool, then correct
 // for truncation and check each fit. It returns the procedures in CFG
 // order, each one's stream (nil unless admitted), and the placement input.
-func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, models []builtModel, rounds map[int][][]float64, lost map[int]int) ([]pipeline.Outcome, []*pipeline.Stream, map[string]markov.EdgeProbs, error) {
+func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, models []builtModel, samples fleet.Samples, lost map[int]int) ([]pipeline.Outcome, []*pipeline.Stream, map[string]markov.EdgeProbs, error) {
 	s := c.settings()
 	probs := make(map[string]markov.EdgeProbs)
 	var procs []pipeline.Outcome
 	var streams, admitted []*pipeline.Stream
-	var batches [][][]float64
+	var batches [][]tomography.SampleCounts
 	for i, p := range prof.CFG.Procs {
 		pm := prof.Meta.ProcByName[p.Name]
 		if len(p.BranchBlocks()) == 0 {
 			probs[p.Name] = markov.Uniform(p)
 			continue
 		}
-		all := slices.Concat(rounds[pm.Index]...)
-		o := pipeline.Outcome{Proc: p, Samples: len(all)}
+		var rounds []tomography.SampleCounts
+		if pm.Index < len(samples) {
+			rounds = samples[pm.Index]
+		}
+		var all tomography.SampleCounts
+		for _, r := range rounds {
+			all.Merge(r)
+		}
+		o := pipeline.Outcome{Proc: p, Samples: all.N()}
 		var err error
 		if o.Model, o.Decision, err = s.Admit(all, func() (*tomography.Model, error) { return models[i].model, models[i].err }); err != nil {
 			return nil, nil, nil, fmt.Errorf("codetomo: model %s: %w", p.Name, err)
@@ -558,7 +568,7 @@ func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, mod
 			st = s.Stream(p.Name, o.Model)
 			st.Lost = lost[pm.Index]
 			admitted = append(admitted, st)
-			batches = append(batches, rounds[pm.Index])
+			batches = append(batches, rounds)
 		}
 		procs, streams = append(procs, o), append(streams, st)
 	}

@@ -84,6 +84,12 @@ echo "== fuzz smoke (path-time index)"
 # -0 and ties included.
 go test ./internal/markov -run=NONE -fuzz=FuzzSortedTimes -fuzztime=5s
 
+echo "== fuzz smoke (sample histograms)"
+# Random tick batches: merging their histograms must equal counting the
+# concatenation, and EM, Robust and Histogram over the counts must equal
+# the raw-sample calls on a shuffled order, bit for bit.
+go test ./internal/tomography -run=NONE -fuzz=FuzzSampleCounts -fuzztime=5s
+
 echo "== fuzz smoke (RNG source)"
 # The lazily seeded RNG source must draw exactly math/rand's stream for any
 # seed, draw count and mid-stream reseed.
@@ -127,14 +133,17 @@ go test ./internal/tomography ./internal/markov ./internal/mote ./internal/stats
 # Run end to end on crc at the benchmark's pipeline_apps configuration.
 go test . -run '^$' -bench '^BenchmarkRunCRC$' -benchtime=1x -benchmem
 
-echo "== golden tables and fleet scale (non-race)"
-# Both gates skip under -race, so they run here. TestCtbenchGolden reruns
-# every ctbench experiment at 400 samples and requires the paper tables,
-# host-time columns masked, to match internal/bench/testdata/ctbench.golden
-# cell for cell. TestSimulateStreamScale streams a hundred thousand motes
-# through the cohort pipeline, requiring exact invocation recovery and a
-# bounded peak heap, so the fleet is never materialized.
-go test ./internal/bench ./internal/fleet -run '^(TestCtbenchGolden|TestSimulateStreamScale)$' -count=1
+echo "== golden tables, fleet scale and fleet allocations (non-race)"
+# These gates skip or are not built under -race, so they run here.
+# TestCtbenchGolden reruns every ctbench experiment at 400 samples and
+# requires the paper tables, host-time columns masked, to match
+# internal/bench/testdata/ctbench.golden cell for cell.
+# TestSimulateStreamScale streams a hundred thousand motes through the
+# cohort pipeline, requiring exact invocation recovery and a bounded peak
+# heap, so the fleet is never materialized. TestRunFleetAllocsPerMote
+# bounds RunFleet's allocated bytes per mote at the benchmark's fleet
+# configuration, so samples are never copied per mote again.
+go test . ./internal/bench ./internal/fleet -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote)$' -count=1
 
 echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown)"
 # Boots ctstationd in-process on ephemeral loopback ports, pushes one
