@@ -340,23 +340,14 @@ func resolvedBranchCount(m *tomography.Model) int {
 func branchEstimates(model *tomography.Model, est, oracle markov.EdgeProbs) ([]BranchEstimate, float64) {
 	ambiguity := model.BranchAmbiguity(max(model.Tick()/4, 1))
 	var branches []BranchEstimate
-	mae := 0.0
 	for _, e := range model.BranchEdgeList() {
-		be := BranchEstimate{
+		branches = append(branches, BranchEstimate{
 			FromBlock: int(e[0]), ToBlock: int(e[1]),
 			Prob: est[e], Oracle: oracle[e],
 			Ambiguity: ambiguity[ir.BlockID(e[0])],
-		}
-		branches = append(branches, be)
-		d := be.Prob - be.Oracle
-		if d < 0 {
-			d = -d
-		}
-		mae += d
+		})
 	}
-	if len(branches) > 0 {
-		mae /= float64(len(branches))
-	}
+	mae, _ := stats.MAE(model.ProbVector(est), model.ProbVector(oracle)) // equal lengths
 	return branches, mae
 }
 

@@ -12,11 +12,11 @@ import (
 
 // maxFleetKiBPerMote bounds the bytes RunFleet allocates per mote at the
 // benchmark's fleet_10k configuration on two workers. A run measures
-// 0.33 KiB per mote (2-vCPU x86-64, Go 1.24), most of it the radio
-// channel's per-mote delivery lists and the mote specs. When every sample
-// was copied into a per-mote map, into uplink rounds and into one slice
-// per procedure before estimation, the same run allocated 2.32 KiB per
-// mote.
+// 0.18 KiB per mote (2-vCPU x86-64, Go 1.24), most of it the mote specs,
+// the radio channel's copies of corrupted frames and each mote's sensor.
+// When every sample was copied into a per-mote map, into uplink rounds and
+// into one slice per procedure before estimation, the same run allocated
+// 2.32 KiB per mote.
 const maxFleetKiBPerMote = 0.6
 
 // TestRunFleetAllocsPerMote runs the fleet_10k deployment (10⁴ sense

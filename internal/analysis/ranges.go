@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"codetomo/internal/cfg"
 	"codetomo/internal/ir"
 	"codetomo/internal/isa"
@@ -37,9 +35,6 @@ func Top() Interval { return Interval{MinWord, MaxWord} }
 // Single returns the singleton interval {v}.
 func Single(v int) Interval { return Interval{v, v} }
 
-// IsTop reports whether the interval carries no information.
-func (iv Interval) IsTop() bool { return iv.Lo <= MinWord && iv.Hi >= MaxWord }
-
 // Empty reports whether the interval contains no values.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
@@ -52,16 +47,6 @@ func (iv Interval) Const() (int, bool) {
 		return iv.Lo, true
 	}
 	return 0, false
-}
-
-func (iv Interval) String() string {
-	if iv.Empty() {
-		return "⊥"
-	}
-	if iv.IsTop() {
-		return "⊤"
-	}
-	return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi)
 }
 
 // join returns the smallest interval containing both operands.
@@ -728,16 +713,6 @@ func sortBlockIDs(ids []ir.BlockID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// VarIntervalAt returns the interval of a scalar variable at block entry.
-// Untracked names (globals, arrays) and unreached blocks return Top.
-func (r *Ranges) VarIntervalAt(b ir.BlockID, name string) Interval {
-	i := r.vs.Index(name)
-	if i < 0 || int(b) >= len(r.in) || r.in[b] == nil {
-		return Top()
-	}
-	return r.in[b].vars[i]
 }
 
 // EdgeVarInterval returns the interval of a scalar variable as control

@@ -99,7 +99,7 @@ func TestInferRangesResolvesBranch(t *testing.T) {
 	if len(dead) != 1 || dead[0] != 3 {
 		t.Fatalf("dead blocks = %v, want [3]", dead)
 	}
-	if iv := r.VarIntervalAt(1, "x"); iv != Single(5) {
+	if iv := varIntervalAt(r, 1, "x"); iv != Single(5) {
 		t.Errorf("x at b1 = %v, want [5,5]", iv)
 	}
 }
@@ -130,15 +130,15 @@ func TestInferRangesJoin(t *testing.T) {
 	if dead := r.DeadBlocks(); len(dead) != 0 {
 		t.Fatalf("dead = %v, want none", dead)
 	}
-	if iv := r.VarIntervalAt(1, "x"); iv != (Interval{5, 50}) {
+	if iv := varIntervalAt(r, 1, "x"); iv != (Interval{5, 50}) {
 		t.Errorf("x at b1 = %v, want [5,50]", iv)
 	}
 	// Refinement: inside the then-arm x < 10, so x joins to [5,9].
-	if iv := r.VarIntervalAt(2, "x"); iv != (Interval{5, 9}) {
+	if iv := varIntervalAt(r, 2, "x"); iv != (Interval{5, 9}) {
 		t.Errorf("x at then = %v, want [5,9]", iv)
 	}
 	// Inside the else-arm x >= 10: only the 50 path remains.
-	if iv := r.VarIntervalAt(3, "x"); iv != (Interval{10, 50}) {
+	if iv := varIntervalAt(r, 3, "x"); iv != (Interval{10, 50}) {
 		t.Errorf("x at else = %v, want [10,50]", iv)
 	}
 }
@@ -247,4 +247,13 @@ func TestLoopNest(t *testing.T) {
 		t.Fatalf("ChildIn wrong: b3=%d b2=%d b4=%d",
 			nest.ChildIn(0, 3), nest.ChildIn(0, 2), nest.ChildIn(0, 4))
 	}
+}
+
+// varIntervalAt returns the interval of a scalar variable at block entry:
+// Top for an untracked name (a global, an array) or an unreached block.
+func varIntervalAt(r *Ranges, b ir.BlockID, name string) Interval {
+	if i := r.vs.Index(name); i >= 0 && int(b) < len(r.in) && r.in[b] != nil {
+		return r.in[b].vars[i]
+	}
+	return Top()
 }

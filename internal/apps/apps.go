@@ -51,15 +51,6 @@ func ByName(name string) (App, bool) {
 	return App{}, false
 }
 
-// Names lists the benchmark names in table order.
-func Names() []string {
-	var out []string
-	for _, a := range All() {
-		out = append(out, a.Name)
-	}
-	return out
-}
-
 var blink = App{
 	Name:        "blink",
 	Description: "timer-driven LED toggle (deterministic sanity kernel)",

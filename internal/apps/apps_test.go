@@ -35,8 +35,8 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByName("missing"); ok {
 		t.Fatal("ByName accepted unknown app")
 	}
-	if len(Names()) != 8 {
-		t.Fatal("Names() incomplete")
+	if len(All()) != 8 {
+		t.Fatal("All() incomplete")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"codetomo/internal/mote"
 	"codetomo/internal/pipeline"
 	"codetomo/internal/profile"
+	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
 )
@@ -158,13 +159,10 @@ func score(model *tomography.Model, est, truth markov.EdgeProbs) (*estimateResul
 			d = -d
 		}
 		res.Errors = append(res.Errors, d)
-		res.MAE += d
 		if d > res.MaxErr {
 			res.MaxErr = d
 		}
 	}
-	if len(ev) > 0 {
-		res.MAE /= float64(len(ev))
-	}
+	res.MAE, _ = stats.MAE(ev, tv) // equal lengths
 	return res, nil
 }

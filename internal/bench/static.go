@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"codetomo/internal/compile"
-	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 	"codetomo/internal/mote"
 	"codetomo/internal/profile"
@@ -81,24 +80,6 @@ func (c Config) railRun(rc railCase, opts compile.Options, seedOffset int64) (*c
 	return out, m, nil
 }
 
-// maeOver scores an estimate against truth over an explicit edge list —
-// used to compare the pinned and unpinned models on identical footing (the
-// pinned model's own edge list omits the resolved branches).
-func maeOver(edges [][2]ir.BlockID, est, truth markov.EdgeProbs) float64 {
-	if len(edges) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, e := range edges {
-		d := est[e] - truth[e]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(edges))
-}
-
 // StaticAnalysisBench measures (a) estimator work and accuracy with and
 // without static branch resolution and (b) the cycles and code bytes that
 // dead-branch elimination recovers, per rail case.
@@ -163,8 +144,9 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 
 		// Score both on the unpinned model's complete edge list; the pinned
 		// estimate carries its 1/0 edges so the comparison is fair.
-		edges := off.BranchEdgeList()
-		truth := profile.OracleProbs(pm, off.Proc, machine.BranchStats())
+		truth := off.ProbVector(profile.OracleProbs(pm, off.Proc, machine.BranchStats()))
+		maeOff, _ := stats.MAE(off.ProbVector(estOff), truth)
+		maeOn, _ := stats.MAE(off.ProbVector(estOn), truth)
 
 		// Dead-branch elimination: identical workload, plain binaries.
 		_, basePlain, err := c.railRun(rc, compile.Options{}, seed)
@@ -188,8 +170,7 @@ func StaticAnalysisBench(c Config) (*report.Table, error) {
 			report.I(len(off.BranchEdgeList())), report.I(len(on.BranchEdgeList())),
 			report.I(itersOff), report.I(itersOn),
 			report.F(msOff, 2), report.F(msOn, 2),
-			report.F(maeOver(edges, estOff, truth), 4),
-			report.F(maeOver(edges, estOn, truth), 4),
+			report.F(maeOff, 4), report.F(maeOn, 4),
 			fmt.Sprintf("%d", cycSaved), fmt.Sprintf("%d", codeSaved))
 	}
 	return t, nil

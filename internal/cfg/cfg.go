@@ -7,7 +7,6 @@ package cfg
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"codetomo/internal/ir"
 )
@@ -217,20 +216,6 @@ func (p *Proc) validateTemps(b *Block) error {
 		}
 	})
 	return err
-}
-
-// String renders the procedure as a readable listing.
-func (p *Proc) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "proc %s(%s) entry=%v\n", p.Name, strings.Join(p.Params, ", "), p.Entry)
-	for _, blk := range p.Blocks {
-		fmt.Fprintf(&b, "%v (%s):\n", blk.ID, blk.Label)
-		for _, in := range blk.Instrs {
-			fmt.Fprintf(&b, "    %s\n", in)
-		}
-		fmt.Fprintf(&b, "    %s\n", blk.Term)
-	}
-	return b.String()
 }
 
 // GlobalInit records a constant initial value for a scalar global.

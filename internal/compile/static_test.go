@@ -172,7 +172,7 @@ func checkStaticBounds(t *testing.T, tag, src string, senseVals, randVals []uint
 		if err != nil {
 			t.Fatalf("%s: build(dbe=%v): %v\n%s", tag, dbe, err, src)
 		}
-		bounds, err := out.StaticBounds()
+		bounds, err := staticBounds(out)
 		if err != nil {
 			t.Fatalf("%s: bounds: %v", tag, err)
 		}
@@ -275,7 +275,7 @@ func TestStaticBoundsExamples(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			bounds, err := out.StaticBounds()
+			bounds, err := staticBounds(out)
 			if err != nil {
 				t.Fatalf("bounds: %v", err)
 			}
@@ -364,4 +364,17 @@ func FuzzStaticBounds(f *testing.F) {
 		senseVals, randVals := peripheralScripts(seed)
 		checkStaticBounds(t, fmt.Sprintf("fuzz seed %d", seed), src, senseVals, randVals)
 	})
+}
+
+// staticBounds computes ProcStaticBound for every procedure.
+func staticBounds(out *Output) (map[string]StaticBound, error) {
+	bounds := make(map[string]StaticBound, len(out.CFG.Procs))
+	for _, p := range out.CFG.Procs {
+		b, err := out.ProcStaticBound(p.Name)
+		if err != nil {
+			return nil, err
+		}
+		bounds[p.Name] = b
+	}
+	return bounds, nil
 }

@@ -53,18 +53,18 @@ func (a *ARQStats) Add(o ARQStats) {
 }
 
 // TransmitARQ pushes one mote's packetized upload through the channel
-// with selective-repeat recovery. frames must be the mote's packet frames
-// in sequence order (frame i carries sequence number i, as Packetize
-// produces), and rx the base station's fresh receive window for that
-// mote: every delivery is decoded once, into rx, and each round NACKs the
-// sequences rx still lacks. The delivered frames — including corrupt ones
-// the base station rejected, and late duplicates — are returned in
+// with selective-repeat recovery and appends the deliveries to dst.
+// frames must be the mote's packet frames in sequence order (frame i
+// carries sequence number i, as Packetize produces), and rx the base
+// station's fresh receive window for that mote: every delivery is decoded
+// once, into rx, and each round NACKs the sequences rx still lacks. The delivered frames — including corrupt ones
+// the base station rejected, and late duplicates — are appended in
 // arrival order. A CRC-valid frame rx refuses (another mote's) is an
 // error. With ARQ disabled this is TransmitFrames feeding rx.
-func (lc LinkConfig) TransmitARQ(frames [][]byte, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
+func (lc LinkConfig) TransmitARQ(dst, frames [][]byte, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
 	var ast ARQStats
-	delivered, st := lc.TransmitFrames(frames, rng)
-	if err := receive(rx, delivered); err != nil {
+	delivered, st := lc.TransmitFrames(dst, frames, rng)
+	if err := receive(rx, delivered[len(dst):]); err != nil {
 		return nil, st, ast, err
 	}
 	if !lc.ARQ.Enabled() || len(frames) == 0 {
@@ -94,10 +94,11 @@ func (lc LinkConfig) TransmitARQ(frames [][]byte, rng *stats.RNG, rx *trace.Reas
 		ast.Retransmissions += len(resend)
 		// LinkStats.Sent ends up counting every transmission, resends
 		// included — goodput is measured against radio airtime.
-		d, rst := lc.TransmitFrames(resend, rng)
+		n := len(delivered)
+		var rst LinkStats
+		delivered, rst = lc.TransmitFrames(delivered, resend, rng)
 		st.Add(rst)
-		delivered = append(delivered, d...)
-		if err := receive(rx, d); err != nil {
+		if err := receive(rx, delivered[n:]); err != nil {
 			return nil, st, ast, err
 		}
 		nack()

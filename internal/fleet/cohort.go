@@ -65,7 +65,7 @@ type streamWorker struct {
 	entropyPort           *workload.Entropy // the RNG port, on entropy
 	pkts                  []trace.Packet
 	enc                   []byte
-	frames                [][]byte
+	frames, delivered     [][]byte
 	rx                    *trace.Reassembler
 	ivs                   []trace.Interval
 	oracle                []mote.BranchStat
@@ -169,9 +169,10 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		GrossTicks:   gross,
 	}
 	if cfg.KeepUpload {
-		// The frames alias the encode buffer: hand it over with them.
+		// The frames alias the encode buffer: hand it over with them,
+		// and the delivery list that holds them.
 		res.Frames = frames
-		w.enc = nil
+		w.enc, w.delivered = nil, nil
 		// BranchStats aliases the machine's dense table, which the next
 		// mote's Reset clears: keep copies.
 		res.BranchStats = w.m.BranchStats()

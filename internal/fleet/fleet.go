@@ -125,9 +125,9 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 
 // uplink packetizes a finished machine's trace into the worker's packet
 // list, encode buffer and frame list and pushes the frames through the
-// radio channel into the worker's receive window, which it leaves holding
-// the mote's reassembly. It returns the link's deliveries, which alias the encode
-// buffer.
+// radio channel into the worker's delivery list and receive window, which
+// it leaves holding the mote's reassembly. It returns the delivery list,
+// whose frames alias the encode buffer.
 func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
 	w.pkts = trace.AppendPackets(w.pkts[:0], spec.ID, events, cfg.Link.EventsPerPacket)
@@ -145,8 +145,8 @@ func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (de
 	// each mote sees an independent but reproducible channel.
 	w.link.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
 	w.rx.Reset(spec.ID)
-	delivered, ls, ast, err = cfg.Link.TransmitARQ(w.frames, w.link, w.rx)
-	return delivered, ls, ast, len(events), err
+	w.delivered, ls, ast, err = cfg.Link.TransmitARQ(w.delivered[:0], w.frames, w.link, w.rx)
+	return w.delivered, ls, ast, len(events), err
 }
 
 // MoteEnergyUJ prices one mote's run in microjoules: the capacitor drain

@@ -152,8 +152,8 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	frames := syntheticFrames(t, 50)
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
 
-	out1, st1 := lc.TransmitFrames(frames, stats.NewRNG(5))
-	out2, st2 := lc.TransmitFrames(frames, stats.NewRNG(5))
+	out1, st1 := lc.TransmitFrames(nil, frames, stats.NewRNG(5))
+	out2, st2 := lc.TransmitFrames(nil, frames, stats.NewRNG(5))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -166,9 +166,16 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	if len(out1) != st1.Sent-st1.Dropped+st1.Duplicated {
 		t.Fatalf("accounting broken: %d delivered, %+v", len(out1), st1)
 	}
+	// Deliveries append to dst, and the reorder pass leaves what dst
+	// already held in place.
+	prefix := frames[:2:2]
+	out4, st4 := lc.TransmitFrames(prefix, frames, stats.NewRNG(5))
+	if st4 != st1 || !reflect.DeepEqual(out4, append(frames[:2:2], out1...)) {
+		t.Fatal("appending to a non-empty list changed the deliveries")
+	}
 
 	// A perfect channel is the identity.
-	out3, st3 := LinkConfig{}.TransmitFrames(frames, stats.NewRNG(5))
+	out3, st3 := LinkConfig{}.TransmitFrames(nil, frames, stats.NewRNG(5))
 	if !reflect.DeepEqual(out3, frames) || st3.Dropped+st3.Duplicated+st3.Reordered+st3.Corrupted != 0 {
 		t.Fatal("perfect channel altered the stream")
 	}
@@ -207,8 +214,8 @@ func TestTransmitFramesCorruption(t *testing.T) {
 	frames := syntheticFrames(t, 60)
 	lc := LinkConfig{CorruptProb: 0.5}
 
-	out1, st1 := lc.TransmitFrames(frames, stats.NewRNG(7))
-	out2, st2 := lc.TransmitFrames(frames, stats.NewRNG(7))
+	out1, st1 := lc.TransmitFrames(nil, frames, stats.NewRNG(7))
+	out2, st2 := lc.TransmitFrames(nil, frames, stats.NewRNG(7))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -252,7 +259,7 @@ func TestTransmitARQRecovers(t *testing.T) {
 		ARQ:         ARQConfig{MaxRetries: 8, BackoffBaseTicks: 64},
 	}
 	rx := trace.NewReassembler(1)
-	delivered, st, ast, err := lc.TransmitARQ(frames, stats.NewRNG(11), rx)
+	delivered, st, ast, err := lc.TransmitARQ(nil, frames, stats.NewRNG(11), rx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +306,15 @@ func TestTransmitARQRecovers(t *testing.T) {
 	}
 
 	// Determinism: same seed, same everything.
-	d2, st2, ast2, err := lc.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(1))
+	d2, st2, ast2, err := lc.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || st != st2 || ast != ast2 || !reflect.DeepEqual(delivered, d2) {
 		t.Fatal("ARQ is not deterministic under a fixed seed")
 	}
 
 	// ARQ disabled: identical to TransmitFrames.
 	plain := LinkConfig{DropProb: 0.3, CorruptProb: 0.1}
-	dP, stP := plain.TransmitFrames(frames, stats.NewRNG(11))
-	dA, stA, astA, err := plain.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(1))
+	dP, stP := plain.TransmitFrames(nil, frames, stats.NewRNG(11))
+	dA, stA, astA, err := plain.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || stP != stA || astA != (ARQStats{}) || !reflect.DeepEqual(dP, dA) {
 		t.Fatal("disabled ARQ does not reduce to TransmitFrames")
 	}
@@ -315,7 +322,7 @@ func TestTransmitARQRecovers(t *testing.T) {
 	// A receive window for another mote refuses the first intact frame:
 	// the upload must fail, not vanish into the wrong stream.
 	for _, c := range []LinkConfig{lc, plain} {
-		if _, _, _, err := c.TransmitARQ(frames, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
+		if _, _, _, err := c.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
 			t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
 		}
 	}

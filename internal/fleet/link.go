@@ -86,22 +86,22 @@ func (st *LinkStats) Add(o LinkStats) {
 	st.Reordered += o.Reordered
 }
 
-// TransmitFrames pushes raw frames through the channel. Per frame: a drop
-// draw, then (only when CorruptProb > 0) a corruption draw flipping one
-// random bit, then a duplication draw — the duplicate gets its own
-// corruption draw, since it is a separate radio transmission — and
-// finally adjacent swaps among the survivors. The draws happen in a fixed
-// order per frame, so the outcome is a deterministic function of the RNG
-// seed and the stream.
-func (lc LinkConfig) TransmitFrames(frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
+// TransmitFrames pushes raw frames through the channel and appends the
+// deliveries to dst. Per frame: a drop draw, then (only when CorruptProb >
+// 0) a corruption draw flipping one random bit, then a duplication draw —
+// the duplicate gets its own corruption draw, since it is a separate radio
+// transmission — and finally adjacent swaps among the survivors. The draws
+// happen in a fixed order per frame, so the outcome is a deterministic
+// function of the RNG seed and the stream.
+func (lc LinkConfig) TransmitFrames(dst, frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
 	st := LinkStats{Sent: len(frames)}
-	out := make([][]byte, 0, len(frames))
+	n := len(dst)
 	deliver := func(f []byte) {
 		if lc.CorruptProb > 0 && rng.Bernoulli(lc.CorruptProb) {
 			f = flipBit(f, rng)
 			st.Corrupted++
 		}
-		out = append(out, f)
+		dst = append(dst, f)
 	}
 	for _, f := range frames {
 		if rng.Bernoulli(lc.DropProb) {
@@ -114,11 +114,8 @@ func (lc LinkConfig) TransmitFrames(frames [][]byte, rng *stats.RNG) ([][]byte, 
 			deliver(f)
 		}
 	}
-	st.Reordered = reorderPass(out, lc.ReorderProb, rng)
-	if len(out) == 0 {
-		return nil, st
-	}
-	return out, st
+	st.Reordered = reorderPass(dst[n:], lc.ReorderProb, rng)
+	return dst, st
 }
 
 // reorderPass swaps each surviving packet with its successor on a

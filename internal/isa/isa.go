@@ -30,7 +30,6 @@ const (
 	RegRet      Reg = 0  // return value
 	RegScratch1 Reg = 1  // codegen scratch
 	RegScratch2 Reg = 2  // codegen scratch
-	RegScratch3 Reg = 3  // codegen scratch
 	RegFP       Reg = 15 // frame pointer
 )
 

@@ -10,7 +10,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // ErrSingular is returned when a factorization or solve encounters a
@@ -33,21 +32,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrShape)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -92,26 +76,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return out, nil
-}
-
 // MulVec returns the matrix-vector product m·x.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if m.cols != len(x) {
@@ -127,19 +91,4 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%10.5f", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

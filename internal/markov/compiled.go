@@ -40,9 +40,6 @@ func NewEdgeIndex(p *cfg.Proc) *EdgeIndex {
 // Len returns the number of indexed edges.
 func (ix *EdgeIndex) Len() int { return len(ix.edges) }
 
-// Edge returns the edge at a dense index.
-func (ix *EdgeIndex) Edge(i int) [2]ir.BlockID { return ix.edges[i] }
-
 // Index returns the dense index of an edge.
 func (ix *EdgeIndex) Index(e [2]ir.BlockID) (int32, bool) {
 	if uint(e[0]) >= uint(len(ix.start)-1) {

@@ -109,8 +109,8 @@ func TestEdgeIndexRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < ix.Len(); i++ {
-		if j, ok := ix.Index(ix.Edge(i)); !ok || int(j) != i {
-			t.Fatalf("Index(Edge(%d)) = %d, %v", i, j, ok)
+		if j, ok := ix.Index(ix.edges[i]); !ok || int(j) != i {
+			t.Fatalf("Index(edges[%d]) = %d, %v", i, j, ok)
 		}
 	}
 }

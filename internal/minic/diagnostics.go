@@ -1,7 +1,5 @@
 package minic
 
-import "fmt"
-
 // Diagnostic is a non-fatal finding from semantic analysis. Errors stop
 // the compiler; diagnostics are advice the front end collects alongside a
 // successful (or failed) check, for tools like ctlint to surface.
@@ -9,8 +7,4 @@ type Diagnostic struct {
 	Pos  Pos
 	Code string // stable machine-readable kind, e.g. "unused-var"
 	Msg  string
-}
-
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%d:%d: %s [%s]", d.Pos.Line, d.Pos.Col, d.Msg, d.Code)
 }

@@ -167,7 +167,7 @@ func TestEvalConstWraps16(t *testing.T) {
 		"(0-300) * 300":      -24464, // wrap within signed range
 	}
 	for src, want := range cases {
-		f := MustParse("var g int = " + src + "; func main() { }")
+		f := mustParse("var g int = " + src + "; func main() { }")
 		v, err := EvalConst(f.Globals[0].Init)
 		if err != nil {
 			t.Errorf("EvalConst(%q): %v", src, err)

@@ -235,19 +235,3 @@ func (l *Lexer) Next() (Token, error) {
 func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
-
-// LexAll tokenizes the whole input (testing convenience).
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == EOF {
-			return out, nil
-		}
-	}
-}

@@ -1,7 +1,5 @@
 package minic
 
-import "fmt"
-
 // Parser is a recursive-descent parser for MiniC.
 type Parser struct {
 	lex *Lexer
@@ -520,13 +518,4 @@ func (p *Parser) callTail(name Token) (*CallExpr, error) {
 		return nil, err
 	}
 	return call, nil
-}
-
-// MustParse parses src and panics on error (testing convenience).
-func MustParse(src string) *File {
-	f, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("minic.MustParse: %v", err))
-	}
-	return f
 }

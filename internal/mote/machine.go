@@ -276,20 +276,9 @@ func (m *Machine) Tick() uint64 {
 	return m.stats.Cycles/uint64(m.cfg.TickDiv) + m.cfg.ClockOffsetTicks
 }
 
-// Reg returns the value of register r (for tests and tools).
-func (m *Machine) Reg(r isa.Reg) uint16 { return m.regs[r] }
-
 // PC returns the current program counter (for sampling profilers and
 // debuggers).
 func (m *Machine) PC() int32 { return m.pc }
-
-// Mem returns the value of data word addr (for tests and tools).
-func (m *Machine) Mem(addr int) (uint16, error) {
-	if addr < 0 || addr >= len(m.mem) {
-		return 0, fmt.Errorf("%w: addr %d", ErrMemFault, addr)
-	}
-	return m.mem[addr], nil
-}
 
 // RunReference executes until HALT, an execution fault, or the cycle
 // budget is exhausted, one Step call per instruction. It is the reference

@@ -36,8 +36,8 @@ func TestALUOps(t *testing.T) {
 	m := run(t, prog, DefaultConfig())
 	want := map[isa.Reg]uint16{3: 10, 4: 4, 5: 21, 6: 2, 7: 1, 8: 3, 9: 7, 10: 4, 11: 56, 12: 0}
 	for r, v := range want {
-		if m.Reg(r) != v {
-			t.Errorf("r%d = %d, want %d", r, m.Reg(r), v)
+		if m.regs[r] != v {
+			t.Errorf("r%d = %d, want %d", r, m.regs[r], v)
 		}
 	}
 }
@@ -58,17 +58,17 @@ func TestSignedOps(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	m := run(t, prog, DefaultConfig())
-	if int16(m.Reg(3)) != -1 || int16(m.Reg(4)) != -2 {
-		t.Errorf("div/mod = %d/%d", int16(m.Reg(3)), int16(m.Reg(4)))
+	if int16(m.regs[3]) != -1 || int16(m.regs[4]) != -2 {
+		t.Errorf("div/mod = %d/%d", int16(m.regs[3]), int16(m.regs[4]))
 	}
-	if m.Reg(5) != 1 || m.Reg(6) != 0 || m.Reg(7) != 1 {
-		t.Errorf("slt/sltu/seq = %d/%d/%d", m.Reg(5), m.Reg(6), m.Reg(7))
+	if m.regs[5] != 1 || m.regs[6] != 0 || m.regs[7] != 1 {
+		t.Errorf("slt/sltu/seq = %d/%d/%d", m.regs[5], m.regs[6], m.regs[7])
 	}
-	if int16(m.Reg(9)) != -3 {
-		t.Errorf("sar = %d, want -3", int16(m.Reg(9)))
+	if int16(m.regs[9]) != -3 {
+		t.Errorf("sar = %d, want -3", int16(m.regs[9]))
 	}
-	if m.Reg(10) != 0 || m.Reg(11) != 0 {
-		t.Errorf("addi/xori = %d/%d", m.Reg(10), m.Reg(11))
+	if m.regs[10] != 0 || m.regs[11] != 0 {
+		t.Errorf("addi/xori = %d/%d", m.regs[10], m.regs[11])
 	}
 }
 
@@ -85,14 +85,14 @@ func TestMemoryAndStack(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	m := run(t, prog, DefaultConfig())
-	if v, _ := m.Mem(105); v != 1234 {
+	if v := m.mem[105]; v != 1234 {
 		t.Errorf("mem[105] = %d", v)
 	}
-	if m.Reg(4) != 1234 {
-		t.Errorf("pop = %d", m.Reg(4))
+	if m.regs[4] != 1234 {
+		t.Errorf("pop = %d", m.regs[4])
 	}
-	if m.Reg(5) != 4096 {
-		t.Errorf("sp = %d, want 4096", m.Reg(5))
+	if m.regs[5] != 4096 {
+		t.Errorf("sp = %d, want 4096", m.regs[5])
 	}
 	if m.Stats().LoadsStores != 2 {
 		t.Errorf("loads+stores = %d", m.Stats().LoadsStores)
@@ -114,8 +114,8 @@ func TestCallRet(t *testing.T) {
 		{Op: isa.RET},
 	}
 	m := run(t, prog, DefaultConfig())
-	if m.Reg(1) != 6 {
-		t.Errorf("r1 = %d, want 6", m.Reg(1))
+	if m.regs[1] != 6 {
+		t.Errorf("r1 = %d, want 6", m.regs[1])
 	}
 	if m.Stats().Calls != 1 {
 		t.Errorf("calls = %d", m.Stats().Calls)
@@ -177,7 +177,7 @@ func TestCompareBranches(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	m := run(t, prog, DefaultConfig())
-	if m.Reg(3) == 99 || m.Reg(4) == 99 || m.Reg(5) == 99 {
+	if m.regs[3] == 99 || m.regs[4] == 99 || m.regs[5] == 99 {
 		t.Fatal("branch fell through when it should have been taken")
 	}
 	if m.Stats().TakenBranches != 3 || m.Stats().CondBranches != 4 {
@@ -213,8 +213,8 @@ func TestPeripherals(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	m := run(t, prog, cfg)
-	if m.Reg(1) != 11 || m.Reg(2) != 22 || m.Reg(3) != 7 {
-		t.Fatalf("peripheral reads = %d/%d/%d", m.Reg(1), m.Reg(2), m.Reg(3))
+	if m.regs[1] != 11 || m.regs[2] != 22 || m.regs[3] != 7 {
+		t.Fatalf("peripheral reads = %d/%d/%d", m.regs[1], m.regs[2], m.regs[3])
 	}
 	if m.LED() != 11 {
 		t.Errorf("led = %d", m.LED())

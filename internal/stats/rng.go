@@ -65,9 +65,6 @@ func (g *RNG) Geometric(p float64) int {
 	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
 }
 
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle shuffles n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

@@ -43,7 +43,7 @@ func estimateHistogram(m *Model, samples SampleCounts) (markov.EdgeProbs, error)
 		return m.InitialProbs(), nil
 	}
 	if len(samples.Values) == 0 {
-		return nil, fmt.Errorf("tomography: no samples")
+		return nil, ErrNoSamples
 	}
 	if len(m.Paths) > histMaxPaths {
 		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", histMaxPaths, len(m.Paths))

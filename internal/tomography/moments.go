@@ -31,6 +31,9 @@ func EstimateMoments(m *Model, samples []float64) (markov.EdgeProbs, error) {
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
+	if len(samples) == 0 {
+		return nil, ErrNoSamples
+	}
 	if len(samples) < 2 {
 		return nil, fmt.Errorf("tomography: moment matching needs at least 2 samples, got %d", len(samples))
 	}

@@ -37,12 +37,20 @@ func TestEstimatorsRejectNonFinite(t *testing.T) {
 	}
 }
 
+// TestNoSamplesTyped requires every estimator to report an empty sample
+// set as ErrNoSamples.
 func TestNoSamplesTyped(t *testing.T) {
 	m := syntheticModel(t)
 	if _, _, err := EstimateEM(m, nil, EMConfig{}); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("EstimateEM(nil) err = %v, want ErrNoSamples", err)
+		t.Errorf("EstimateEM(nil) err = %v, want ErrNoSamples", err)
 	}
 	if _, _, err := EstimateRobust(m, nil, RobustConfig{}); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("EstimateRobust(nil) err = %v, want ErrNoSamples", err)
+		t.Errorf("EstimateRobust(nil) err = %v, want ErrNoSamples", err)
+	}
+	if _, err := EstimateHistogram(m, nil); !errors.Is(err, ErrNoSamples) {
+		t.Errorf("EstimateHistogram(nil) err = %v, want ErrNoSamples", err)
+	}
+	if _, err := EstimateMoments(m, nil); !errors.Is(err, ErrNoSamples) {
+		t.Errorf("EstimateMoments(nil) err = %v, want ErrNoSamples", err)
 	}
 }

@@ -133,7 +133,7 @@ go test ./internal/tomography ./internal/markov ./internal/mote ./internal/stats
 # Run end to end on crc at the benchmark's pipeline_apps configuration.
 go test . -run '^$' -bench '^BenchmarkRunCRC$' -benchtime=1x -benchmem
 
-echo "== golden tables, fleet scale and fleet allocations (non-race)"
+echo "== golden tables, fleet scale, fleet allocations and export uses (non-race)"
 # These gates skip or are not built under -race, so they run here.
 # TestCtbenchGolden reruns every ctbench experiment at 400 samples and
 # requires the paper tables, host-time columns masked, to match
@@ -143,7 +143,10 @@ echo "== golden tables, fleet scale and fleet allocations (non-race)"
 # heap, so the fleet is never materialized. TestRunFleetAllocsPerMote
 # bounds RunFleet's allocated bytes per mote at the benchmark's fleet
 # configuration, so samples are never copied per mote again.
-go test . ./internal/bench ./internal/fleet -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote)$' -count=1
+# TestExportsHaveCallers type-checks the module and perfbench with their
+# tests and fails on an exported name that nothing but its own package's
+# tests uses, outside its allowlist.
+go test . ./internal/bench ./internal/fleet -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote|TestExportsHaveCallers)$' -count=1
 
 echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown)"
 # Boots ctstationd in-process on ephemeral loopback ports, pushes one
