@@ -179,7 +179,7 @@ func TestStationSmoke(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-udp", "127.0.0.1:0",
+			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0",
 			"-epoch", "0", "-data", t.TempDir(), prog,
 		}, &stdout, &stderr)
 	}()

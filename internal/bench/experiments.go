@@ -80,7 +80,8 @@ func TableT1(c Config) (*report.Table, error) {
 			blocks += len(p.Blocks)
 			branches += len(p.BranchBlocks())
 		}
-		paths, _ := markov.Enumerate(out.CFG.Proc(a.Handler), markov.EnumerateOptions{MaxVisits: c.MaxVisits, MaxPaths: pipeline.MaxPaths})
+		h := out.CFG.Proc(a.Handler)
+		paths, _ := markov.Enumerate(h, markov.NewEdgeIndex(h), markov.EnumerateOptions{MaxVisits: c.MaxVisits, MaxPaths: pipeline.MaxPaths})
 		t.AddRow(a.Name, report.I(loc), report.I(len(out.CFG.Procs)), report.I(blocks),
 			report.I(branches), report.I(out.Meta.CodeBytes), report.I(out.Meta.GlobalWords),
 			a.Handler, report.I(len(paths)))

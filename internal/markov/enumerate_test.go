@@ -69,26 +69,23 @@ func findProc(t testing.TB, procs []appProc, name string) appProc {
 
 // requireReferenceEnumeration pins Enumerate to the original map-based
 // enumerator: the same truncation flag, the same paths in the same order,
-// each with the same entry and the same (edge, count) arcs in the same
-// order, and PathTimes bit-identical to the original block-sequence sum.
+// each with the same (edge, count) arcs in the same order, and PathTimes
+// bit-identical to the original block-sequence sum.
 func requireReferenceEnumeration(t *testing.T, name string, p *cfg.Proc, opts markov.EnumerateOptions, costs *markov.Costs) {
 	t.Helper()
-	got, gotTrunc := markov.Enumerate(p, opts)
-	want, wantTrunc := markov.EnumerateReference(p, opts)
+	ix := markov.NewEdgeIndex(p)
+	got, gotTrunc := markov.Enumerate(p, ix, opts)
+	want, wantTrunc := markov.EnumerateReference(p, ix, opts)
 	if gotTrunc != wantTrunc {
 		t.Fatalf("%s %+v: truncated = %v, reference %v", name, opts, gotTrunc, wantTrunc)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s %+v: %d paths, reference %d", name, opts, len(got), len(want))
 	}
-	times := markov.PathTimes(p, got, costs)
+	times := markov.PathTimes(p, ix, got, costs)
 	for j, w := range want {
-		g := got[j]
-		if g.Entry != w.Blocks[0] {
-			t.Fatalf("%s %+v path %d: entry %v, reference %v", name, opts, j, g.Entry, w.Blocks[0])
-		}
-		if !slices.Equal(g.Arcs, w.Arcs) {
-			t.Fatalf("%s %+v path %d: arcs %v, reference %v", name, opts, j, g.Arcs, w.Arcs)
+		if !slices.Equal(got[j], w.Arcs) {
+			t.Fatalf("%s %+v path %d: arcs %v, reference %v", name, opts, j, got[j], w.Arcs)
 		}
 		if wt := markov.PathTimeReference(w, costs); math.Float64bits(times[j]) != math.Float64bits(wt) {
 			t.Fatalf("%s %+v path %d: time %v, reference %v", name, opts, j, times[j], wt)
@@ -161,7 +158,7 @@ func TestEnumerateMatchesReferenceSmallCaps(t *testing.T) {
 		{MaxVisits: 1, MaxPaths: 5},
 		{MaxVisits: 2, MaxPaths: 7},
 		{MaxVisits: 3, MaxPaths: 100},
-		{MaxVisits: 0, MaxPaths: 0}, // both default
+		{MaxVisits: 0, MaxPaths: 0}, // one visit, and not one path
 	}
 	for _, ap := range appProcs(t) {
 		for _, opts := range caps {
@@ -178,12 +175,13 @@ func TestEnumerateAllocsBounded(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	crc := findProc(t, appProcs(t), "crc.crc8")
-	paths, _ := markov.Enumerate(crc.proc, pipelineEnum)
+	ix := markov.NewEdgeIndex(crc.proc)
+	paths, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
 	if len(paths) != pipeline.MaxPaths {
 		t.Fatalf("crc8: %d paths, want the %d cap", len(paths), pipeline.MaxPaths)
 	}
 	const bound = 128
-	if avg := testing.AllocsPerRun(3, func() { markov.Enumerate(crc.proc, pipelineEnum) }); avg > bound {
+	if avg := testing.AllocsPerRun(3, func() { markov.Enumerate(crc.proc, ix, pipelineEnum) }); avg > bound {
 		t.Errorf("Enumerate(crc8): %v allocs per run, want <= %d", avg, bound)
 	}
 }
@@ -208,8 +206,9 @@ func TestEnumerateSmallProcBytes(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	sense := findProc(t, appProcs(t), "sense.sample")
-	got := bytesPerRun(1000, func() { markov.Enumerate(sense.proc, pipelineEnum) })
-	want := bytesPerRun(1000, func() { markov.EnumerateReference(sense.proc, pipelineEnum) })
+	ix := markov.NewEdgeIndex(sense.proc)
+	got := bytesPerRun(1000, func() { markov.Enumerate(sense.proc, ix, pipelineEnum) })
+	want := bytesPerRun(1000, func() { markov.EnumerateReference(sense.proc, ix, pipelineEnum) })
 	if got > want {
 		t.Errorf("Enumerate(sample): %d B per run, reference %d B", got, want)
 	}
@@ -219,10 +218,11 @@ func BenchmarkEnumerate(b *testing.B) {
 	procs := appProcs(b)
 	for _, name := range []string{"sense.sample", "crc.crc8"} {
 		ap := findProc(b, procs, name)
+		ix := markov.NewEdgeIndex(ap.proc)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				markov.Enumerate(ap.proc, pipelineEnum)
+				markov.Enumerate(ap.proc, ix, pipelineEnum)
 			}
 		})
 	}
@@ -232,8 +232,9 @@ func BenchmarkEnumerate(b *testing.B) {
 // MaxPaths paths, the largest time index any app builds.
 func BenchmarkNewSortedTimes(b *testing.B) {
 	crc := findProc(b, appProcs(b), "crc.crc8")
-	paths, _ := markov.Enumerate(crc.proc, pipelineEnum)
-	times := markov.PathTimes(crc.proc, paths, crc.costs)
+	ix := markov.NewEdgeIndex(crc.proc)
+	paths, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
+	times := markov.PathTimes(crc.proc, ix, paths, crc.costs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

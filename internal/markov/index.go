@@ -10,8 +10,9 @@ import (
 	"codetomo/internal/ir"
 )
 
-// EdgeIndex assigns every CFG edge of one procedure a dense index so the
-// estimation hot loops can replace map lookups with slice indexing. Indices
+// EdgeIndex assigns every CFG edge of one procedure a dense index: a
+// path's arcs name their edges by it, and the estimation hot loops index
+// slices by it instead of probing maps. Indices
 // are assigned in (block ID, successor order) — a deterministic layout that
 // matches the iteration order of the reference (map-based) estimators at
 // the API boundary. Each block's out-edges are contiguous, so a lookup is a
@@ -54,9 +55,9 @@ func (ix *EdgeIndex) Index(e [2]ir.BlockID) (int32, bool) {
 	return 0, false
 }
 
-// arcIndex returns the dense index of a path arc's edge. Every path
-// Enumerate or SamplePath builds traverses CFG edges only, so a miss is a
-// bug in whoever built the path or a path passed with the wrong procedure.
+// arcIndex returns the dense index of an edge Enumerate or SamplePath
+// follows. They follow CFG edges only, so a miss is a bug in the caller:
+// an index built for another procedure.
 func (ix *EdgeIndex) arcIndex(e [2]ir.BlockID) int32 {
 	i, ok := ix.Index(e)
 	if !ok {
@@ -83,89 +84,6 @@ func (ix *EdgeIndex) Probs(v []float64) EdgeProbs {
 		out[e] = v[i]
 	}
 	return out
-}
-
-// CompiledPaths is the dense, cache-friendly form of an enumerated path
-// set: every path's arcs stored back to back in CSR layout as
-// (edge index, traversal count) pairs. Path.Prob over the map form and
-// PathProbs over this form are bit-for-bit identical — same arc order, same
-// sequence of floating-point operations — so estimators can switch freely.
-type CompiledPaths struct {
-	Index *EdgeIndex
-	// arcStart[j] .. arcStart[j+1] bounds path j's arcs in arcEdge/arcCount.
-	arcStart []int32
-	arcEdge  []int32
-	// arcCount holds float64(Arc.Count) so the inner loop is a pure fused
-	// multiply-sum with no int→float conversions.
-	arcCount []float64
-}
-
-// Compile builds the dense form of a path set enumerated from p.
-func Compile(p *cfg.Proc, paths []*Path) *CompiledPaths {
-	ix := NewEdgeIndex(p)
-	cp := &CompiledPaths{Index: ix, arcStart: make([]int32, len(paths)+1)}
-	n := 0
-	for _, path := range paths {
-		n += len(path.Arcs)
-	}
-	cp.arcEdge = make([]int32, 0, n)
-	cp.arcCount = make([]float64, 0, n)
-	for j, path := range paths {
-		cp.arcEdge = append(cp.arcEdge, path.denseEdges(ix)...)
-		for _, a := range path.Arcs {
-			cp.arcCount = append(cp.arcCount, float64(a.Count))
-		}
-		cp.arcStart[j+1] = int32(len(cp.arcEdge))
-	}
-	return cp
-}
-
-// NumPaths returns the number of compiled paths.
-func (cp *CompiledPaths) NumPaths() int { return len(cp.arcStart) - 1 }
-
-// LogProbs fills logq[i] = log(q[i]) for every indexed edge, with
-// non-positive probabilities mapped to -Inf (so a path using such an edge
-// gets probability exp(-Inf) = 0, exactly like Path.Prob's early return).
-// This is the shared per-iteration table: one log per edge instead of one
-// per arc per path.
-func (cp *CompiledPaths) LogProbs(q, logq []float64) {
-	for i, p := range q {
-		if p <= 0 {
-			logq[i] = math.Inf(-1)
-		} else {
-			logq[i] = math.Log(p)
-		}
-	}
-}
-
-// PathProbs computes every path's probability from the shared log table:
-// out[j] = exp(Σ count·logq[edge]) over path j's arcs in order. The sum
-// runs in the same arc order with the same operations as Path.Prob, so the
-// results are bit-identical to the map-based form.
-func (cp *CompiledPaths) PathProbs(logq, out []float64) {
-	for j := 0; j+1 < len(cp.arcStart); j++ {
-		logp := 0.0
-		for a := cp.arcStart[j]; a < cp.arcStart[j+1]; a++ {
-			logp += cp.arcCount[a] * logq[cp.arcEdge[a]]
-		}
-		out[j] = math.Exp(logp)
-	}
-}
-
-// Arcs returns path j's arcs as parallel slices of dense edge indices and
-// traversal counts, in arc order.
-func (cp *CompiledPaths) Arcs(j int) (edges []int32, counts []float64) {
-	lo, hi := cp.arcStart[j], cp.arcStart[j+1]
-	return cp.arcEdge[lo:hi], cp.arcCount[lo:hi]
-}
-
-// AccumulateArcs adds gamma·count to w[edge] for each arc of path j, in
-// arc order — the estimators' M-step accumulation. The fixed order keeps
-// floating-point sums reproducible run to run.
-func (cp *CompiledPaths) AccumulateArcs(j int, gamma float64, w []float64) {
-	for a := cp.arcStart[j]; a < cp.arcStart[j+1]; a++ {
-		w[cp.arcEdge[a]] += gamma * cp.arcCount[a]
-	}
 }
 
 // SortedTimes is the binary-search index over a path set's deterministic

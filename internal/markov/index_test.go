@@ -40,53 +40,33 @@ func diamondChain(k int) (*cfg.Proc, *Costs) {
 	return p, costs
 }
 
-func TestCompiledPathProbsMatchReference(t *testing.T) {
-	for _, build := range []func() *cfg.Proc{diamond, loopProc} {
-		p := build()
-		paths, _ := Enumerate(p, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
-		cp := Compile(p, paths)
-		if cp.NumPaths() != len(paths) {
-			t.Fatalf("%s: NumPaths = %d, want %d", p.Name, cp.NumPaths(), len(paths))
-		}
-		ep := Uniform(p)
-		// Skew every branch so the probabilities are not symmetric.
+// PathProbs equals the map-based product bit for bit: under skewed
+// branches, and with one arm of every branch closed, where each path
+// through a closed arm must come out exactly 0.
+func TestPathProbsMatchReference(t *testing.T) {
+	for _, p := range []*cfg.Proc{diamond(), loopProc()} {
+		ix := NewEdgeIndex(p)
+		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
+		skewed, closed := Uniform(p), Uniform(p)
 		for _, b := range p.Blocks {
-			succs := b.Succs()
-			if len(succs) < 2 {
-				continue
-			}
-			ep[[2]ir.BlockID{b.ID, succs[0]}] = 0.3
-			ep[[2]ir.BlockID{b.ID, succs[1]}] = 0.7
-		}
-		q := cp.Index.Dense(ep)
-		logq := make([]float64, cp.Index.Len())
-		cp.LogProbs(q, logq)
-		got := make([]float64, len(paths))
-		cp.PathProbs(logq, got)
-		for j, path := range paths {
-			want := path.Prob(ep)
-			if got[j] != want {
-				t.Fatalf("%s path %d: dense prob %v != reference %v", p.Name, j, got[j], want)
+			if succs := b.Succs(); len(succs) == 2 {
+				skewed[[2]ir.BlockID{b.ID, succs[0]}] = 0.3
+				skewed[[2]ir.BlockID{b.ID, succs[1]}] = 0.7
+				closed[[2]ir.BlockID{b.ID, succs[0]}] = 0
+				closed[[2]ir.BlockID{b.ID, succs[1]}] = 1
 			}
 		}
-	}
-}
-
-func TestCompiledPathProbsZeroEdge(t *testing.T) {
-	p := diamond()
-	paths, _ := Enumerate(p, DefaultEnumerateOptions())
-	cp := Compile(p, paths)
-	ep := Uniform(p)
-	ep[edge(0, 1)] = 0
-	ep[edge(0, 2)] = 1
-	q := cp.Index.Dense(ep)
-	logq := make([]float64, cp.Index.Len())
-	cp.LogProbs(q, logq)
-	out := make([]float64, len(paths))
-	cp.PathProbs(logq, out)
-	for j, path := range paths {
-		if want := path.Prob(ep); out[j] != want {
-			t.Fatalf("path %d: dense %v != reference %v under a zero edge", j, out[j], want)
+		for _, ep := range []EdgeProbs{skewed, closed} {
+			logq := ix.Dense(ep)
+			LogProbs(logq, logq)
+			got := make([]float64, len(paths))
+			PathProbs(paths, logq, got)
+			q := denseProbs(ix, ep)
+			for j, path := range paths {
+				if want := pathProbReference(path, q); math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("%s path %d under %v: PathProbs %v, reference %v", p.Name, j, ep, got[j], want)
+				}
+			}
 		}
 	}
 }
@@ -117,8 +97,9 @@ func TestEdgeIndexRoundTrip(t *testing.T) {
 
 func TestSortedTimesWindowMatchesScan(t *testing.T) {
 	p, costs := diamondChain(6)
-	paths, _ := Enumerate(p, DefaultEnumerateOptions())
-	times := PathTimes(p, paths, costs)
+	ix := NewEdgeIndex(p)
+	paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
+	times := PathTimes(p, ix, paths, costs)
 	st := NewSortedTimes(times)
 	if !sort.Float64sAreSorted(st.Times) {
 		t.Fatal("times not sorted")
@@ -231,20 +212,19 @@ func FuzzSortedTimes(f *testing.F) {
 	})
 }
 
-func BenchmarkCompiledPathProbs(b *testing.B) {
+func BenchmarkPathProbs(b *testing.B) {
 	for _, k := range []int{8, 10, 12} {
 		p, _ := diamondChain(k)
-		paths, _ := Enumerate(p, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
-		cp := Compile(p, paths)
-		ep := Uniform(p)
-		q := cp.Index.Dense(ep)
-		logq := make([]float64, cp.Index.Len())
-		out := make([]float64, cp.NumPaths())
+		ix := NewEdgeIndex(p)
+		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
+		q := ix.Dense(Uniform(p))
+		logq := make([]float64, ix.Len())
+		out := make([]float64, len(paths))
 		b.Run(fmt.Sprintf("paths=%d", len(paths)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cp.LogProbs(q, logq)
-				cp.PathProbs(logq, out)
+				LogProbs(q, logq)
+				PathProbs(paths, logq, out)
 			}
 		})
 	}
@@ -253,14 +233,15 @@ func BenchmarkCompiledPathProbs(b *testing.B) {
 func BenchmarkPathProbsReference(b *testing.B) {
 	for _, k := range []int{8, 10, 12} {
 		p, _ := diamondChain(k)
-		paths, _ := Enumerate(p, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
-		ep := Uniform(p)
+		ix := NewEdgeIndex(p)
+		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
+		q := denseProbs(ix, Uniform(p))
 		out := make([]float64, len(paths))
 		b.Run(fmt.Sprintf("paths=%d", len(paths)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for j, path := range paths {
-					out[j] = path.Prob(ep)
+					out[j] = pathProbReference(path, q)
 				}
 			}
 		})

@@ -41,25 +41,25 @@ func loopProc() *cfg.Proc {
 func edge(a, b int) [2]ir.BlockID { return [2]ir.BlockID{ir.BlockID(a), ir.BlockID(b)} }
 
 // arcCount returns how many times path traverses edge e.
-func arcCount(path *Path, e [2]ir.BlockID) int {
-	for _, a := range path.Arcs {
-		if a.Edge == e {
-			return a.Count
+func arcCount(ix *EdgeIndex, path Path, e [2]ir.BlockID) int {
+	for _, a := range path {
+		if ix.edges[a.Edge] == e {
+			return int(a.Count)
 		}
 	}
 	return 0
 }
 
-// blockVisits returns how many times path visits block b: once if b is the
-// entry, plus once per traversal of an edge into b.
-func blockVisits(path *Path, b ir.BlockID) int {
+// blockVisits returns how many times a path of p visits block b: once if
+// b is the entry, plus once per traversal of an edge into b.
+func blockVisits(p *cfg.Proc, ix *EdgeIndex, path Path, b ir.BlockID) int {
 	n := 0
-	if path.Entry == b {
+	if p.Entry == b {
 		n = 1
 	}
-	for _, a := range path.Arcs {
-		if a.Edge[1] == b {
-			n += a.Count
+	for _, a := range path {
+		if ix.edges[a.Edge][1] == b {
+			n += int(a.Count)
 		}
 	}
 	return n
@@ -248,14 +248,16 @@ func TestMeanVarMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(99)
-	paths := make([]*Path, 200000)
+	ix := NewEdgeIndex(p)
+	paths := make([]Path, 200000)
 	for i := range paths {
-		if paths[i] = c.SamplePath(rng.Float64, 100000); paths[i] == nil {
+		var ok bool
+		if paths[i], ok = c.SamplePath(ix, rng.Float64, 100000); !ok {
 			t.Fatal("sample failed to absorb")
 		}
 	}
 	var m stats.Moments
-	for _, pt := range PathTimes(p, paths, costs) {
+	for _, pt := range PathTimes(p, ix, paths, costs) {
 		m.Push(pt)
 	}
 	if math.Abs(m.Mean()-mean) > 0.01*mean {
@@ -267,17 +269,19 @@ func TestMeanVarMatchesSimulation(t *testing.T) {
 }
 
 func TestEnumerateDiamond(t *testing.T) {
-	paths, truncated := Enumerate(diamond(), DefaultEnumerateOptions())
+	p := diamond()
+	ix := NewEdgeIndex(p)
+	paths, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
 	if truncated {
 		t.Fatal("diamond enumeration truncated")
 	}
 	if len(paths) != 2 {
 		t.Fatalf("paths = %d, want 2", len(paths))
 	}
-	ep := Uniform(diamond())
+	q := denseProbs(ix, Uniform(p))
 	total := 0.0
 	for _, path := range paths {
-		total += path.Prob(ep)
+		total += pathProbReference(path, q)
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatalf("path probabilities sum to %v", total)
@@ -285,7 +289,9 @@ func TestEnumerateDiamond(t *testing.T) {
 }
 
 func TestEnumerateLoopTruncation(t *testing.T) {
-	paths, truncated := Enumerate(loopProc(), EnumerateOptions{MaxVisits: 4, MaxPaths: 100})
+	p := loopProc()
+	ix := NewEdgeIndex(p)
+	paths, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 4, MaxPaths: 100})
 	if !truncated {
 		t.Fatal("loop enumeration must truncate")
 	}
@@ -294,8 +300,8 @@ func TestEnumerateLoopTruncation(t *testing.T) {
 		t.Fatalf("paths = %d, want 4", len(paths))
 	}
 	maxBody := 0
-	for _, p := range paths {
-		if n := arcCount(p, edge(2, 1)); n > maxBody {
+	for _, path := range paths {
+		if n := arcCount(ix, path, edge(2, 1)); n > maxBody {
 			maxBody = n
 		}
 	}
@@ -305,7 +311,8 @@ func TestEnumerateLoopTruncation(t *testing.T) {
 }
 
 func TestEnumerateMaxPaths(t *testing.T) {
-	paths, truncated := Enumerate(loopProc(), EnumerateOptions{MaxVisits: 50, MaxPaths: 5})
+	p := loopProc()
+	paths, truncated := Enumerate(p, NewEdgeIndex(p), EnumerateOptions{MaxVisits: 50, MaxPaths: 5})
 	if !truncated || len(paths) > 5 {
 		t.Fatalf("cap not honored: %d paths, truncated=%v", len(paths), truncated)
 	}
@@ -330,12 +337,14 @@ func TestVisitsMatchPathsProperty(t *testing.T) {
 			return false
 		}
 		// Enumerate deep enough that the truncated tail is negligible.
-		paths, _ := Enumerate(p, EnumerateOptions{MaxVisits: 60, MaxPaths: 100000})
+		ix := NewEdgeIndex(p)
+		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 60, MaxPaths: 100000})
+		dense := denseProbs(ix, ep)
 		est := make([]float64, len(p.Blocks))
 		for _, path := range paths {
-			pr := path.Prob(ep)
+			pr := pathProbReference(path, dense)
 			for b := range est {
-				est[b] += pr * float64(blockVisits(path, ir.BlockID(b)))
+				est[b] += pr * float64(blockVisits(p, ix, path, ir.BlockID(b)))
 			}
 		}
 		for i := range visits {

@@ -8,56 +8,53 @@ import (
 	"codetomo/internal/ir"
 )
 
-// Arc is one traversed edge of a path with its traversal count.
+// Arc is one traversed edge of a path: the edge's dense index under the
+// procedure's EdgeIndex and how many times the path takes it.
 type Arc struct {
-	Edge  [2]ir.BlockID
-	Count int
+	Edge, Count int32
 }
 
-// Path is one complete execution path from the entry to a return block,
-// stored as the edges it traverses: its entry block plus, per traversed
-// edge, how many times the path takes it. That is all the estimators need
-// (path probability and duration); the block order along the path is not
-// kept. A block's visit count is its entry flag plus the counts of the arcs
-// into it.
-type Path struct {
-	Entry ir.BlockID
-	// Arcs lists the traversed edges in order of first traversal, each
-	// edge once. All arithmetic over paths iterates Arcs in this order so
-	// results are bit-for-bit reproducible across runs.
-	Arcs []Arc
-	// edges[k] is the dense index (NewEdgeIndex of the enumerated
-	// procedure) of Arcs[k].Edge, recorded by Enumerate so Compile and
-	// PathTimes need no lookup; nil on paths built elsewhere.
-	edges []int32
-}
+// Path is one complete execution path from the procedure's entry to a
+// return block, stored as the edges it traverses: each edge once, in order
+// of first traversal, with its traversal count. That is all the estimators
+// need (path probability and duration); the block order along the path is
+// not kept. A block's visit count is its entry flag plus the counts of the
+// arcs into it. All arithmetic over a path iterates its arcs in order, so
+// results are bit-for-bit reproducible across runs.
+type Path []Arc
 
-// denseEdges returns the dense index of each arc's edge under ix, the
-// index of the procedure the path runs through: the indices Enumerate
-// recorded, or else looked up.
-func (p *Path) denseEdges(ix *EdgeIndex) []int32 {
-	if len(p.edges) == len(p.Arcs) {
-		return p.edges
+// Accumulate adds gamma·count to w[edge] for each arc, in arc order — the
+// estimators' M-step accumulation.
+func (p Path) Accumulate(gamma float64, w []float64) {
+	for _, a := range p {
+		w[a.Edge] += gamma * float64(a.Count)
 	}
-	edges := make([]int32, len(p.Arcs))
-	for k, a := range p.Arcs {
-		edges[k] = ix.arcIndex(a.Edge)
-	}
-	return edges
 }
 
-// Prob returns the path's probability under the given edge probabilities:
-// the product of edge probabilities over traversals.
-func (p *Path) Prob(probs EdgeProbs) float64 {
-	logp := 0.0
-	for _, a := range p.Arcs {
-		q := probs[a.Edge]
-		if q <= 0 {
-			return 0
+// LogProbs fills logq[i] = log(q[i]) for every indexed edge, with
+// non-positive probabilities mapped to -Inf (so a path using such an edge
+// gets probability exp(-Inf) = 0). This is the shared per-iteration table:
+// one log per edge instead of one per arc per path. logq may be q.
+func LogProbs(q, logq []float64) {
+	for i, p := range q {
+		if p <= 0 {
+			logq[i] = math.Inf(-1)
+		} else {
+			logq[i] = math.Log(p)
 		}
-		logp += float64(a.Count) * math.Log(q)
 	}
-	return math.Exp(logp)
+}
+
+// PathProbs computes every path's probability from the shared log table:
+// out[j] = exp(Σ count·logq[edge]) over path j's arcs in order.
+func PathProbs(paths []Path, logq, out []float64) {
+	for j, p := range paths {
+		logp := 0.0
+		for _, a := range p {
+			logp += float64(a.Count) * logq[a.Edge]
+		}
+		out[j] = math.Exp(logp)
+	}
 }
 
 // EnumerateOptions bounds the path enumeration.
@@ -65,36 +62,27 @@ type EnumerateOptions struct {
 	// MaxVisits caps how many times any single block may appear on a path
 	// (the loop unrolling bound). Minimum 1.
 	MaxVisits int
-	// MaxPaths caps the number of paths returned.
+	// MaxPaths caps the number of paths returned; with MaxPaths <= 0
+	// none are.
 	MaxPaths int
 }
 
-// DefaultEnumerateOptions bounds enumeration to 6 visits per block and
-// 4096 paths — enough for the sensor kernels' CFGs while keeping the EM
-// e-step cheap.
-func DefaultEnumerateOptions() EnumerateOptions {
-	return EnumerateOptions{MaxVisits: 6, MaxPaths: 4096}
-}
-
 // Enumerate lists execution paths of the procedure by depth-first search
-// with a per-block visit cap. truncated reports whether any path was cut
-// off by the caps (its probability mass is missing from the returned set;
-// estimators renormalize over the enumerated paths).
+// with a per-block visit cap; ix must be p's EdgeIndex. truncated reports
+// whether any path was cut off by the caps (its probability mass is
+// missing from the returned set; estimators renormalize over the
+// enumerated paths).
 //
 // The search keeps, per dense edge, how often the current prefix traverses
 // it, and a stack of the prefix's edges in first-traversal order: an edge
 // is pushed when its count goes 0→1 and popped when it returns 1→0, which
 // is last-in first-out because the search unwinds in reverse. A leaf copies
 // that stack and its counts out as the path's arcs, into chunks shared by
-// the whole path set, so no path costs a map or an allocation of its own.
-func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated bool) {
+// the whole path set, so no path costs an allocation of its own.
+func Enumerate(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []Path, truncated bool) {
 	if opts.MaxVisits < 1 {
 		opts.MaxVisits = 1
 	}
-	if opts.MaxPaths <= 0 {
-		opts.MaxPaths = 4096
-	}
-	ix := NewEdgeIndex(p)
 	// succ[succStart[b]:succStart[b+1]] holds block b's out-edges as dense
 	// indices in successor order; a repeated successor repeats its edge and
 	// is followed twice.
@@ -107,20 +95,20 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 		succStart[b.ID+1] = int32(len(succ))
 	}
 	visits := make([]int, len(p.Blocks))
-	count := make([]int, ix.Len())
+	count := make([]int32, ix.Len())
 	stack := make([]int32, 0, ix.Len())
 	arena := pathArena{left: opts.MaxPaths}
 
 	var walk func(id ir.BlockID)
 	walk = func(id ir.BlockID) {
-		if arena.left == 0 || visits[id] >= opts.MaxVisits {
+		if arena.left <= 0 || visits[id] >= opts.MaxVisits {
 			truncated = true
 			return
 		}
 		visits[id]++
 		out := succ[succStart[id]:succStart[id+1]]
 		if len(out) == 0 {
-			arena.path(p.Entry, ix, stack, count)
+			arena.path(stack, count)
 		}
 		for _, e := range out {
 			count[e]++
@@ -139,17 +127,15 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 	return arena.out, truncated
 }
 
-// pathArena collects the enumerated paths, handing out the Paths and their
-// arcs from shared chunks. A new chunk doubles the last one but holds no
-// more than the paths the cap still allows need (at the mean path length
-// so far), so the number of allocations grows with the logarithm of the
-// path set, and a set that reaches the cap wastes little of its last
-// chunk. The result slice grows by the same rule.
+// pathArena collects the enumerated paths, carving their arcs from shared
+// chunks. A new chunk doubles the last one but holds no more than the
+// paths the cap still allows need (at the mean path length so far), so the
+// number of allocations grows with the logarithm of the path set, and a
+// set that reaches the cap wastes little of its last chunk. The result
+// slice grows by the same rule.
 type pathArena struct {
-	out   []*Path
-	paths []Path
-	arcs  []Arc
-	edges []int32
+	out  []Path
+	arcs []Arc
 	// left is how many more paths the cap allows; nArcs counts the arcs
 	// handed out so far.
 	left, nArcs int
@@ -157,12 +143,11 @@ type pathArena struct {
 
 // path appends a path whose arcs are the search's first-traversal stack
 // and its edge counts.
-func (a *pathArena) path(entry ir.BlockID, ix *EdgeIndex, stack []int32, count []int) {
-	if len(a.out) == cap(a.out) {
-		a.out = slices.Grow(a.out, min(max(1, len(a.out)), a.left))
-	}
-	if len(a.paths) == cap(a.paths) {
-		a.paths = make([]Path, 0, min(max(1, 2*cap(a.paths)), a.left))
+func (a *pathArena) path(stack []int32, count []int32) {
+	if n := len(a.out); n == cap(a.out) {
+		out := make([]Path, n, n+min(max(1, n), a.left))
+		copy(out, a.out)
+		a.out = out
 	}
 	if k := len(stack); cap(a.arcs)-len(a.arcs) < k {
 		size := 4 * k
@@ -171,58 +156,55 @@ func (a *pathArena) path(entry ir.BlockID, ix *EdgeIndex, stack []int32, count [
 			size = min(2*cap(a.arcs), a.left*mean)
 		}
 		a.arcs = make([]Arc, 0, max(k, size))
-		a.edges = make([]int32, 0, cap(a.arcs))
 	}
 	lo := len(a.arcs)
 	for _, e := range stack {
-		a.arcs = append(a.arcs, Arc{Edge: ix.edges[e], Count: count[e]})
+		a.arcs = append(a.arcs, Arc{Edge: e, Count: count[e]})
 	}
-	a.edges = append(a.edges, stack...)
 	hi := len(a.arcs)
-	a.paths = append(a.paths, Path{Entry: entry, Arcs: a.arcs[lo:hi:hi], edges: a.edges[lo:hi:hi]})
-	a.out = append(a.out, &a.paths[len(a.paths)-1])
+	a.out = append(a.out, a.arcs[lo:hi:hi])
 	a.left--
 	a.nArcs += len(stack)
 }
 
 // PathTimes computes each path's deterministic duration from the chain
 // costs: EntryOverhead + Block[entry] + Σ count·(Block[to] + Edge[e]) over
-// the path's arcs in order. Every block visit after the entry is reached
-// over exactly one edge traversal, so this charges each visit once, the
-// same total as summing the block sequence. With compile-derived costs
-// (whole cycles) every partial sum is an exact integer, so the result is
-// the same in any summation order.
-func PathTimes(p *cfg.Proc, paths []*Path, costs *Costs) []float64 {
-	ix := NewEdgeIndex(p)
+// the path's arcs in order; ix must be p's EdgeIndex. Every block visit
+// after the entry is reached over exactly one edge traversal, so this
+// charges each visit once, the same total as summing the block sequence.
+// With compile-derived costs (whole cycles) every partial sum is an exact
+// integer, so the result is the same in any summation order.
+func PathTimes(p *cfg.Proc, ix *EdgeIndex, paths []Path, costs *Costs) []float64 {
 	step := make([]float64, ix.Len())
 	for i, e := range ix.edges {
 		step[i] = costs.Block[int(e[1])] + costs.Edge[e]
 	}
+	entry := costs.EntryOverhead + costs.Block[int(p.Entry)]
 	times := make([]float64, len(paths))
 	for j, path := range paths {
-		t := costs.EntryOverhead + costs.Block[int(path.Entry)]
-		for k, e := range path.denseEdges(ix) {
-			t += float64(path.Arcs[k].Count) * step[e]
+		t := entry
+		for _, a := range path {
+			t += float64(a.Count) * step[a.Edge]
 		}
 		times[j] = t
 	}
 	return times
 }
 
-// SamplePath draws a random path through the chain (used by tests and the
-// synthetic-chain experiments). rng is any func returning uniform [0,1).
-// maxSteps guards against non-absorbing chains; a nil path is returned if
-// the walk fails to absorb.
-func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
+// SamplePath draws a random path through the chain (the tests' sampler of
+// ground-truth durations), with arcs indexed by ix, the EdgeIndex of
+// the chain's procedure. rng is any func returning uniform [0,1). maxSteps
+// guards against non-absorbing chains; ok is false if the walk fails to
+// absorb.
+func (c *Chain) SamplePath(ix *EdgeIndex, rng func() float64, maxSteps int) (path Path, ok bool) {
 	if maxSteps <= 0 {
 		maxSteps = 100000
 	}
 	cur := c.proc.Entry
-	path := &Path{Entry: cur}
 	for step := 0; step < maxSteps; step++ {
 		succs := c.proc.Block(cur).Succs()
 		if len(succs) == 0 {
-			return path
+			return path, true
 		}
 		u := rng()
 		acc := 0.0
@@ -234,14 +216,14 @@ func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
 				break
 			}
 		}
-		e := [2]ir.BlockID{cur, next}
-		k := slices.IndexFunc(path.Arcs, func(a Arc) bool { return a.Edge == e })
+		e := ix.arcIndex([2]ir.BlockID{cur, next})
+		k := slices.IndexFunc(path, func(a Arc) bool { return a.Edge == e })
 		if k < 0 {
-			k = len(path.Arcs)
-			path.Arcs = append(path.Arcs, Arc{Edge: e})
+			k = len(path)
+			path = append(path, Arc{Edge: e})
 		}
-		path.Arcs[k].Count++
+		path[k].Count++
 		cur = next
 	}
-	return nil
+	return nil, false
 }

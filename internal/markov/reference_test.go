@@ -2,6 +2,7 @@ package markov
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"codetomo/internal/cfg"
@@ -9,24 +10,23 @@ import (
 )
 
 // refPath is a path in the original enumerator's form: the full block
-// sequence, the arcs in first-traversal order, and a per-path map of edge
-// counts.
+// sequence, the traversed edges in first-traversal order, and a per-path
+// map of edge counts; Arcs is the same path in Path's dense form.
 type refPath struct {
 	Blocks     []ir.BlockID
-	Arcs       []Arc
+	Edges      [][2]ir.BlockID
 	EdgeCounts map[[2]ir.BlockID]int
+	Arcs       Path
 }
 
 // enumerateReference is the original map-based enumerator, kept as the
 // oracle Enumerate is pinned to: same depth-first search and caps, but
 // every leaf copies the block sequence and rebuilds its arcs through a
-// fresh map, and every visit allocates the successor list.
-func enumerateReference(p *cfg.Proc, opts EnumerateOptions) (paths []*refPath, truncated bool) {
+// fresh map, and every visit allocates the successor list. Each arc's
+// dense edge comes from ix.Index.
+func enumerateReference(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []*refPath, truncated bool) {
 	if opts.MaxVisits < 1 {
 		opts.MaxVisits = 1
-	}
-	if opts.MaxPaths <= 0 {
-		opts.MaxPaths = 4096
 	}
 	visits := make([]int, len(p.Blocks))
 	var seq []ir.BlockID
@@ -53,12 +53,13 @@ func enumerateReference(p *cfg.Proc, opts EnumerateOptions) (paths []*refPath, t
 			for i := 0; i+1 < len(path.Blocks); i++ {
 				e := [2]ir.BlockID{path.Blocks[i], path.Blocks[i+1]}
 				if path.EdgeCounts[e] == 0 {
-					path.Arcs = append(path.Arcs, Arc{Edge: e})
+					path.Edges = append(path.Edges, e)
 				}
 				path.EdgeCounts[e]++
 			}
-			for i := range path.Arcs {
-				path.Arcs[i].Count = path.EdgeCounts[path.Arcs[i].Edge]
+			for _, e := range path.Edges {
+				i, _ := ix.Index(e)
+				path.Arcs = append(path.Arcs, Arc{Edge: i, Count: int32(path.EdgeCounts[e])})
 			}
 			paths = append(paths, path)
 		} else {
@@ -75,17 +76,44 @@ func enumerateReference(p *cfg.Proc, opts EnumerateOptions) (paths []*refPath, t
 }
 
 // pathTimeReference is the original duration sum over a reference path:
-// the entry overhead, every block of the sequence, then every arc's edge
-// cost times its count.
+// the entry overhead, every block of the sequence, then every edge's cost
+// times its count.
 func pathTimeReference(path *refPath, costs *Costs) float64 {
 	t := costs.EntryOverhead
 	for _, b := range path.Blocks {
 		t += costs.Block[int(b)]
 	}
-	for _, a := range path.Arcs {
-		t += float64(a.Count) * costs.Edge[a.Edge]
+	for _, e := range path.Edges {
+		t += float64(path.EdgeCounts[e]) * costs.Edge[e]
 	}
 	return t
+}
+
+// denseProbs keys probs by dense edge, each edge identified through
+// ix.Index: the lookup table of pathProbReference.
+func denseProbs(ix *EdgeIndex, probs EdgeProbs) map[int32]float64 {
+	q := make(map[int32]float64, len(probs))
+	for e, v := range probs {
+		if i, ok := ix.Index(e); ok {
+			q[i] = v
+		}
+	}
+	return q
+}
+
+// pathProbReference is the map-based product PathProbs is pinned to: the
+// path's probability under q (denseProbs), one log per arc in arc order,
+// and 0 as soon as an arc's edge has no positive probability.
+func pathProbReference(path Path, q map[int32]float64) float64 {
+	logp := 0.0
+	for _, a := range path {
+		p := q[a.Edge]
+		if p <= 0 {
+			return 0
+		}
+		logp += float64(a.Count) * math.Log(p)
+	}
+	return math.Exp(logp)
 }
 
 // sortedTimesReference is the original comparator sort, kept as the oracle

@@ -7,17 +7,13 @@ import (
 	"net"
 )
 
-// The wire ingest: CTP2 frames over stream and datagram transports.
+// The wire ingest: CTP2 frames over TCP.
 //
 // TCP carries length-prefixed frames (uint16 LE length, then the frame
 // bytes) and answers each with one status byte — ACK for a frame that
 // decoded, passed CRC, and was enqueued, NAK otherwise. The per-frame ack
 // is what makes a stop-and-wait ARQ client (Push) work: a frame the
 // channel or a proxy mangled is retransmitted instead of silently lost.
-//
-// UDP is fire-and-forget: one frame per datagram, no reply. It models the
-// real deployment's uplink — the CRC and the reassembler's loss tolerance
-// do the work acks would.
 
 const (
 	// AckByte and NakByte are the TCP per-frame replies.
@@ -74,22 +70,5 @@ func (s *Server) serveConn(conn net.Conn) {
 		if _, err := conn.Write([]byte{status}); err != nil {
 			return
 		}
-	}
-}
-
-// ServeUDP ingests one frame per datagram until the connection closes.
-// Rejected frames are counted (FramesRejected) but draw no reply.
-func (s *Server) ServeUDP(pc net.PacketConn) error {
-	buf := make([]byte, maxWireFrame)
-	for {
-		n, _, err := pc.ReadFrom(buf)
-		if err != nil {
-			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.m.udpFrames.Add(1)
-		s.IngestFrame(buf[:n]) //nolint:errcheck // fire-and-forget transport; rejects are counted
 	}
 }

@@ -171,7 +171,7 @@ type counters struct {
 	dups, lost, recovered, discarded      atomic.Uint64
 	lostPartials                          atomic.Uint64
 	samples                               atomic.Uint64
-	tcpConns, tcpAcks, tcpNaks, udpFrames atomic.Uint64
+	tcpConns, tcpAcks, tcpNaks            atomic.Uint64
 	snapshotsWritten, walRecordsRecovered atomic.Uint64
 }
 
@@ -621,7 +621,6 @@ type Metrics struct {
 	TCPConns             uint64 `json:"tcp_conns"`
 	TCPAcks              uint64 `json:"tcp_acks"`
 	TCPNaks              uint64 `json:"tcp_naks"`
-	UDPFrames            uint64 `json:"udp_frames"`
 	SnapshotsWritten     uint64 `json:"snapshots_written"`
 	WALRecordsRecovered  uint64 `json:"wal_records_recovered"`
 	ShardQueueDepth      []int  `json:"shard_queue_depth"`
@@ -644,7 +643,6 @@ func (s *Server) Metrics() Metrics {
 		TCPConns:             s.m.tcpConns.Load(),
 		TCPAcks:              s.m.tcpAcks.Load(),
 		TCPNaks:              s.m.tcpNaks.Load(),
-		UDPFrames:            s.m.udpFrames.Load(),
 		SnapshotsWritten:     s.m.snapshotsWritten.Load(),
 		WALRecordsRecovered:  s.m.walRecordsRecovered.Load(),
 	}

@@ -319,41 +319,6 @@ func TestServeTCPAckNak(t *testing.T) {
 	}
 }
 
-// The UDP ingest is fire-and-forget: frames land without acks and count
-// in the metrics.
-func TestServeUDP(t *testing.T) {
-	uploads := simulateFleet(t, 2)
-	s := newStation(t, station.Config{Shards: 2})
-	defer s.Close()
-
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go s.ServeUDP(pc)
-
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sent := 0
-	for _, f := range uploads[0].Frames {
-		if _, err := conn.Write(f); err != nil {
-			t.Fatal(err)
-		}
-		sent++
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().FramesAccepted < uint64(sent) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d UDP frames accepted", s.Metrics().FramesAccepted, sent)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // The HTTP surface: health, models, per-procedure lookup, metrics, and
 // the explicit epoch cut.
 func TestHTTPAPI(t *testing.T) {
@@ -538,12 +503,12 @@ func TestPushAckTimeout(t *testing.T) {
 	}
 }
 
-// UDP delivery drops and duplicates frames. The epoch snapshot must be a
-// pure function of the accepted frame multiset: a station fed a lossy,
-// duplicated stream over UDP publishes the same models as one fed the
-// surviving distinct frames exactly once, and the duplicates surface in
-// the metrics instead of double-feeding the reassemblers.
-func TestServeUDPDropDuplicate(t *testing.T) {
+// A lossy uplink drops and duplicates frames. The epoch snapshot must be
+// a pure function of the accepted frame multiset: a station fed a lossy,
+// duplicated stream publishes the same models as one fed the surviving
+// distinct frames exactly once, and the duplicates surface in the metrics
+// instead of double-feeding the reassemblers.
+func TestIngestDropDuplicate(t *testing.T) {
 	uploads := simulateFleet(t, 2)
 	var frames [][]byte
 	for _, up := range uploads {
@@ -570,30 +535,10 @@ func TestServeUDPDropDuplicate(t *testing.T) {
 
 	lossy := newStation(t, station.Config{Shards: 2})
 	defer lossy.Close()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go lossy.ServeUDP(pc)
-
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	for _, f := range delivered {
-		if _, err := conn.Write(f); err != nil {
+		if err := lossy.IngestFrame(f); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for lossy.Metrics().FramesAccepted < uint64(len(delivered)) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d UDP frames accepted",
-				lossy.Metrics().FramesAccepted, len(delivered))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	lossySnap, err := lossy.CutEpoch()
 	if err != nil {
@@ -615,7 +560,7 @@ func TestServeUDPDropDuplicate(t *testing.T) {
 	if !reflect.DeepEqual(lossySnap, refSnap) {
 		a, _ := json.Marshal(lossySnap)
 		b, _ := json.Marshal(refSnap)
-		t.Fatalf("lossy UDP snapshot diverged from distinct-once reference:\n%s\n%s", a, b)
+		t.Fatalf("lossy snapshot diverged from distinct-once reference:\n%s\n%s", a, b)
 	}
 	m := lossy.Metrics()
 	if m.PacketsDuplicate == 0 {

@@ -1,26 +1,12 @@
 package tomography
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 )
-
-// compiledModel caches the dense kernel inputs derived from a Model's path
-// set: the CSR-compiled paths (edge-indexed arcs) and the dense edge groups
-// of its unknowns. Built lazily, once, on first estimation and shared by
-// every estimation round over the model — including concurrent fleet
-// streams. The coverage gate needs only the sorted path times
-// (Model.sortedTimes), so a procedure it rejects never compiles its paths.
-type compiledModel struct {
-	paths *markov.CompiledPaths
-	// unknown holds, per Unknown, the dense edge indices of its outgoing
-	// edges in successor order (the M-step normalization groups).
-	unknown [][]int32
-}
 
 // sortedTimes returns the binary-search index over the model's path
 // durations, building it on first use.
@@ -29,52 +15,26 @@ func (m *Model) sortedTimes() *markov.SortedTimes {
 	return m.times
 }
 
-// compiled returns the model's dense representation, building it on first
-// use.
-func (m *Model) compiled() *compiledModel {
-	m.compileOnce.Do(func() {
-		c := &compiledModel{paths: markov.Compile(m.Proc, m.Paths)}
-		c.unknown = make([][]int32, len(m.Unknowns))
-		for ui, u := range m.Unknowns {
-			idx := make([]int32, len(u.Edges))
-			for k, e := range u.Edges {
-				i, ok := c.paths.Index.Index(e)
-				if !ok {
-					panic(fmt.Sprintf("tomography: unknown %v edge %v missing from CFG edge index", u.Block, e))
-				}
-				idx[k] = i
-			}
-			c.unknown[ui] = idx
-		}
-		m.comp = c
-	})
-	return m.comp
-}
-
-// pathProbs returns every path's probability under probs, bit-identical to
-// markov.Path.Prob (see markov.CompiledPaths.PathProbs).
-func (c *compiledModel) pathProbs(probs markov.EdgeProbs) []float64 {
-	q := c.paths.Index.Dense(probs)
-	logq := make([]float64, len(q))
-	c.paths.LogProbs(q, logq)
-	out := make([]float64, c.paths.NumPaths())
-	c.paths.PathProbs(logq, out)
+// pathProbs returns every path's probability under probs.
+func (m *Model) pathProbs(probs markov.EdgeProbs) []float64 {
+	logq := m.index.Dense(probs)
+	markov.LogProbs(logq, logq)
+	out := make([]float64, len(m.Paths))
+	markov.PathProbs(m.Paths, logq, out)
 	return out
 }
 
 // edgeWeights sums weight[j]·count over the arcs of every path j whose
-// weight is not <= 0, per edge, in path then arc order (the order the
-// map-based accumulation used, so each edge's sum is bit-identical), and
-// returns the sums keyed by edge.
-func (c *compiledModel) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 {
-	w := make([]float64, c.paths.Index.Len())
+// weight is not <= 0, per edge, in path then arc order (so each edge's sum
+// is reproducible), and returns the sums keyed by edge.
+func (m *Model) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 {
+	w := make([]float64, m.index.Len())
 	for j, g := range weight {
-		if g <= 0 {
-			continue
+		if g > 0 {
+			m.Paths[j].Accumulate(g, w)
 		}
-		c.paths.AccumulateArcs(j, g, w)
 	}
-	return c.paths.Index.Probs(w)
+	return m.index.Probs(w)
 }
 
 // estimateEMDense is the EM hot path over pre-deduplicated observations:
@@ -93,9 +53,8 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 	if len(obs) == 0 {
 		return nil, st, ErrNoSamples
 	}
-	c := m.compiled()
-	cp, ix := c.paths, c.paths.Index
-	nE, nP := ix.Len(), cp.NumPaths()
+	ix := m.index
+	nE, nP := ix.Len(), len(m.Paths)
 
 	// Starting point: uniform, overlaid with warm-start values when given.
 	probs := ix.Dense(m.InitialProbs())
@@ -121,8 +80,8 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 		st.Iterations = iter + 1
 		// Path priors under current θ: one log per edge, then a fused
 		// multiply-sum per path.
-		cp.LogProbs(probs, logq)
-		cp.PathProbs(logq, prior)
+		markov.LogProbs(probs, logq)
+		markov.PathProbs(m.Paths, logq, prior)
 
 		// E-step + M-step accumulation.
 		for k := range edgeW {
@@ -142,14 +101,14 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 				// responsibility over the support.
 				gamma := cnt / float64(len(sup))
 				for _, j := range sup {
-					cp.AccumulateArcs(int(j), gamma, edgeW)
+					m.Paths[j].Accumulate(gamma, edgeW)
 				}
 				continue
 			}
 			ll += cnt * math.Log(den)
 			for _, j := range sup {
 				gamma := prior[j] / den * cnt
-				cp.AccumulateArcs(int(j), gamma, edgeW)
+				m.Paths[j].Accumulate(gamma, edgeW)
 			}
 		}
 		st.LogLikelihood = ll
@@ -158,7 +117,7 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 		// dense vector in place (each edge's old value is read before it is
 		// written, matching the reference's clone-then-update).
 		maxDelta := 0.0
-		for _, edges := range c.unknown {
+		for _, edges := range m.unknown {
 			total := 0.0
 			for _, ei := range edges {
 				total += edgeW[ei] + smoothingAlpha

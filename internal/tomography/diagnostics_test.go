@@ -29,17 +29,7 @@ func twoArmModel(t testing.TB, armDelta float64) *Model {
 	for _, e := range p.Edges() {
 		costs.Edge[[2]ir.BlockID{e.From, e.To}] = 0
 	}
-	m := &Model{Proc: p, Costs: costs}
-	m.Paths, _ = markov.Enumerate(p, markov.DefaultEnumerateOptions())
-	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
-	for _, bb := range p.BranchBlocks() {
-		u := Unknown{Block: bb}
-		for _, s := range p.Block(bb).Succs() {
-			u.Edges = append(u.Edges, [2]ir.BlockID{bb, s})
-		}
-		m.Unknowns = append(m.Unknowns, u)
-	}
-	return m
+	return newModel(p, costs, markov.EnumerateOptions{MaxVisits: 6, MaxPaths: 4096}, nil)
 }
 
 func TestBranchAmbiguityDetectsCollision(t *testing.T) {

@@ -72,9 +72,10 @@ type EMStats struct {
 // path's deterministic duration, m_j(e) its traversal count of edge e, and
 // K a box kernel absorbing timer quantization.
 //
-// The hot loop runs on the dense indexed-path kernel (see
-// markov.CompiledPaths); its results are bit-identical to the map-based
-// reference implementation the tests keep, EstimateEMReference. Samples
+// The hot loop runs on the model's dense arcs and edge-indexed vectors
+// (markov.PathProbs, Path.Accumulate); its results are bit-identical to
+// the map-keyed reference implementation the tests keep,
+// EstimateEMReference. Samples
 // must be finite — NaN or ±Inf durations are rejected with an error
 // rather than silently skewing the dedup histogram.
 func EstimateEM(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {

@@ -3,16 +3,16 @@ package tomography
 import (
 	"math"
 
-	"codetomo/internal/ir"
 	"codetomo/internal/markov"
 )
 
-// EstimateEMReference is the original map-based EM kernel, kept verbatim
-// in the tests as the numerical oracle: the dense kernel behind EstimateEM is
+// EstimateEMReference is the original map-based EM kernel, kept in the
+// tests as the numerical oracle: the dense kernel behind EstimateEM is
 // pinned bit-for-bit against it by the equivalence and property tests, and
 // BenchmarkEstimateEMReferencePaths measures the dense kernel's speedup
 // over it. It scans every path per observation and allocates fresh maps
-// per iteration.
+// per iteration, keyed by dense edge with each edge identified through the
+// model's EdgeIndex.Index.
 //
 // Unlike EstimateEM it does not validate samples; callers own finiteness.
 func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
@@ -72,12 +72,13 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		st.Iterations = iter + 1
 		// Path priors under current θ.
+		q := denseKeyed(m, probs)
 		for j, p := range m.Paths {
-			prior[j] = p.Prob(probs)
+			prior[j] = pathProb(p, q)
 		}
 
 		// E-step + M-step accumulation.
-		edgeW := make(map[[2]ir.BlockID]float64) // edge → expected traversals
+		edgeW := make(map[int32]float64) // dense edge → expected traversals
 		ll := 0.0
 		for i := range obs {
 			s := supports[i]
@@ -109,13 +110,15 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 		for _, u := range m.Unknowns {
 			total := 0.0
 			for _, e := range u.Edges {
-				total += edgeW[e] + smoothingAlpha
+				i, _ := m.index.Index(e)
+				total += edgeW[i] + smoothingAlpha
 			}
 			if total <= 0 {
 				continue
 			}
 			for _, e := range u.Edges {
-				p := (edgeW[e] + smoothingAlpha) / total
+				i, _ := m.index.Index(e)
+				p := (edgeW[i] + smoothingAlpha) / total
 				if d := math.Abs(p - next[e]); d > maxDelta {
 					maxDelta = d
 				}
@@ -131,10 +134,37 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 	return probs, st, nil
 }
 
-func accumulate(edgeW map[[2]ir.BlockID]float64, p *markov.Path, gamma float64) {
+func accumulate(edgeW map[int32]float64, p markov.Path, gamma float64) {
 	// Iterate the ordered arc list, not the map: floating-point sums must
 	// be reproducible run to run.
-	for _, a := range p.Arcs {
+	for _, a := range p {
 		edgeW[a.Edge] += gamma * float64(a.Count)
 	}
+}
+
+// denseKeyed keys probs by the dense edge index of m's paths, each edge
+// identified through EdgeIndex.Index.
+func denseKeyed(m *Model, probs markov.EdgeProbs) map[int32]float64 {
+	q := make(map[int32]float64, len(probs))
+	for e, v := range probs {
+		if i, ok := m.index.Index(e); ok {
+			q[i] = v
+		}
+	}
+	return q
+}
+
+// pathProb is the map-based product of a path's probability under q
+// (denseKeyed): one log per arc in arc order, and 0 as soon as an arc's
+// edge has no positive probability.
+func pathProb(p markov.Path, q map[int32]float64) float64 {
+	logp := 0.0
+	for _, a := range p {
+		qa := q[a.Edge]
+		if qa <= 0 {
+			return 0
+		}
+		logp += float64(a.Count) * math.Log(qa)
+	}
+	return math.Exp(logp)
 }

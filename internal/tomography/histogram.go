@@ -112,5 +112,5 @@ func estimateHistogram(m *Model, samples SampleCounts) (markov.EdgeProbs, error)
 	}
 
 	// Convert path weights to expected edge traversals.
-	return m.probsFromEdgeWeights(m.compiled().edgeWeights(w), smoothingAlpha), nil
+	return m.probsFromEdgeWeights(m.edgeWeights(w), smoothingAlpha), nil
 }

@@ -63,7 +63,7 @@ type Model struct {
 	PM    *compile.ProcMeta
 	Costs *markov.Costs
 
-	Paths     []*markov.Path
+	Paths     []markov.Path
 	PathTimes []float64
 	Truncated bool
 
@@ -81,13 +81,17 @@ type Model struct {
 
 	tickDiv int // ModelOptions.TickDiv; Tick resolves zero
 
-	// Dense kernel inputs, built lazily and shared by concurrent streams:
-	// the sorted path times on first use (the coverage gate needs only
-	// these), the compiled paths on first estimation.
-	timesOnce   sync.Once
-	times       *markov.SortedTimes
-	compileOnce sync.Once
-	comp        *compiledModel
+	// index numbers the procedure's edges densely: Paths' arcs and the
+	// estimators' probability vectors are laid out by it. unknown holds,
+	// per Unknown, the dense indices of its edges (the M-step
+	// normalization groups).
+	index   *markov.EdgeIndex
+	unknown [][]int32
+
+	// The sorted path times, built on first use and shared by concurrent
+	// streams.
+	timesOnce sync.Once
+	times     *markov.SortedTimes
 }
 
 // NewModelOpts builds the estimation model for one procedure of a
@@ -107,22 +111,31 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Proc: proc, Meta: out.Meta, PM: pm, Costs: costs, tickDiv: mo.TickDiv}
-	m.Paths, m.Truncated = markov.Enumerate(proc, enum)
+	var resolved map[ir.BlockID]ir.BlockID
+	var env *compile.StaticEnvelope
+	if mo.StaticResolve {
+		resolved = analysis.InferRanges(proc).ResolvedBranches()
+		if e, err := out.ProcStaticEnvelope(procName); err == nil {
+			env = &e
+		}
+	}
+	m := newModel(proc, costs, enum, resolved)
 	if len(m.Paths) == 0 {
 		return nil, fmt.Errorf("tomography: %q has no terminating path within bounds", procName)
 	}
-	m.PathTimes = markov.PathTimes(proc, m.Paths, costs)
+	m.Meta, m.PM, m.Envelope, m.tickDiv = out.Meta, pm, env, mo.TickDiv
+	return m, nil
+}
 
-	var resolved map[ir.BlockID]ir.BlockID
-	if mo.StaticResolve {
-		resolved = analysis.InferRanges(proc).ResolvedBranches()
-		if len(resolved) > 0 {
-			m.Pinned = make(markov.EdgeProbs, 2*len(resolved))
-		}
-		if env, err := out.ProcStaticEnvelope(procName); err == nil {
-			m.Envelope = &env
-		}
+// newModel builds proc's edge index, enumerates and times its paths, and
+// makes every branch block an unknown except those resolved proves
+// one-way, which it pins.
+func newModel(proc *cfg.Proc, costs *markov.Costs, enum markov.EnumerateOptions, resolved map[ir.BlockID]ir.BlockID) *Model {
+	m := &Model{Proc: proc, Costs: costs, index: markov.NewEdgeIndex(proc)}
+	m.Paths, m.Truncated = markov.Enumerate(proc, m.index, enum)
+	m.PathTimes = markov.PathTimes(proc, m.index, m.Paths, costs)
+	if len(resolved) > 0 {
+		m.Pinned = make(markov.EdgeProbs, 2*len(resolved))
 	}
 	for _, bb := range proc.BranchBlocks() {
 		if live, ok := resolved[bb]; ok {
@@ -137,12 +150,15 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 			continue
 		}
 		u := Unknown{Block: bb}
+		var group []int32
 		for _, s := range proc.Block(bb).Succs() {
-			u.Edges = append(u.Edges, [2]ir.BlockID{bb, s})
+			e := [2]ir.BlockID{bb, s}
+			i, _ := m.index.Index(e) // every CFG edge is indexed
+			u.Edges, group = append(u.Edges, e), append(group, i)
 		}
-		m.Unknowns = append(m.Unknowns, u)
+		m.Unknowns, m.unknown = append(m.Unknowns, u), append(m.unknown, group)
 	}
-	return m, nil
+	return m
 }
 
 // BuildCosts converts compile metadata into the Markov chain's cost
@@ -190,7 +206,7 @@ func (m *Model) EnvelopeCheck(probs markov.EdgeProbs, slack float64) bool {
 		return true
 	}
 	num, den := 0.0, 0.0
-	for j, pr := range m.compiled().pathProbs(probs) {
+	for j, pr := range m.pathProbs(probs) {
 		num += pr * m.PathTimes[j]
 		den += pr
 	}
@@ -277,8 +293,7 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	if n == 0 {
 		return out
 	}
-	c := m.compiled()
-	prior := c.pathProbs(m.InitialProbs())
+	prior := m.pathProbs(m.InitialProbs())
 	total := 0.0
 	for _, pr := range prior {
 		total += pr
@@ -297,21 +312,20 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	for ui := range sigs {
 		sigs[ui] = make([]uint64, n)
 	}
-	cnt := make([]float64, c.paths.Index.Len())
-	for j := 0; j < n; j++ {
-		edges, counts := c.paths.Arcs(j)
-		for k, e := range edges {
-			cnt[e] = counts[k]
+	cnt := make([]int32, m.index.Len())
+	for j, path := range m.Paths {
+		for _, a := range path {
+			cnt[a.Edge] = a.Count
 		}
-		for ui, idx := range c.unknown {
+		for ui, group := range m.unknown {
 			s := uint64(0)
-			for _, e := range idx {
+			for _, e := range group {
 				s = s*1000003 + uint64(cnt[e])
 			}
 			sigs[ui][j] = s
 		}
-		for _, e := range edges {
-			cnt[e] = 0
+		for _, a := range path {
+			cnt[a.Edge] = 0
 		}
 	}
 	for ui, u := range m.Unknowns {

@@ -44,18 +44,9 @@ func randomModel(t testing.TB, rng *stats.RNG, diamonds int) *Model {
 		costs.Edge[[2]ir.BlockID{e.From, e.To}] = float64(rng.Intn(8))
 	}
 
-	m := &Model{Proc: p, Costs: costs}
-	m.Paths, m.Truncated = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 4, MaxPaths: 1 << 12})
+	m := newModel(p, costs, markov.EnumerateOptions{MaxVisits: 4, MaxPaths: 1 << 12}, nil)
 	if len(m.Paths) == 0 {
 		t.Fatal("random model has no paths")
-	}
-	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
-	for _, bb := range p.BranchBlocks() {
-		u := Unknown{Block: bb}
-		for _, s := range p.Block(bb).Succs() {
-			u.Edges = append(u.Edges, [2]ir.BlockID{bb, s})
-		}
-		m.Unknowns = append(m.Unknowns, u)
 	}
 	return m
 }

@@ -43,17 +43,7 @@ func syntheticModel(t *testing.T) *Model {
 	}
 	costs.Edge[[2]ir.BlockID{3, 4}] = 3 // taken-branch penalty flavor
 
-	m := &Model{Proc: p, Costs: costs}
-	m.Paths, m.Truncated = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 25, MaxPaths: 100000})
-	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
-	for _, bb := range p.BranchBlocks() {
-		u := Unknown{Block: bb}
-		for _, s := range p.Block(bb).Succs() {
-			u.Edges = append(u.Edges, [2]ir.BlockID{bb, s})
-		}
-		m.Unknowns = append(m.Unknowns, u)
-	}
-	return m
+	return newModel(p, costs, markov.EnumerateOptions{MaxVisits: 25, MaxPaths: 100000}, nil)
 }
 
 func trueProbs(m *Model, p01, p34 float64) markov.EdgeProbs {
@@ -76,11 +66,11 @@ func sampleDurations(t testing.TB, m *Model, truth markov.EdgeProbs, n int, tick
 	rng := stats.NewRNG(seed)
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		path := chain.SamplePath(rng.Float64, 1_000_000)
-		if path == nil {
+		path, ok := chain.SamplePath(m.index, rng.Float64, 1_000_000)
+		if !ok {
 			t.Fatal("non-absorbing sample")
 		}
-		d := markov.PathTimes(m.Proc, []*markov.Path{path}, m.Costs)[0]
+		d := markov.PathTimes(m.Proc, m.index, []markov.Path{path}, m.Costs)[0]
 		if tickDiv > 1 {
 			// Start phase is uniform over the tick; measured duration is
 			// the tick difference scaled back to cycles.
@@ -459,24 +449,5 @@ func main() {
 	// Coverage must also hold with the widened kernel.
 	if cov := model.Coverage(samples, 3*tickDiv); cov < 0.95 {
 		t.Fatalf("coverage = %v with calls, want >= 0.95", cov)
-	}
-}
-
-// The coverage gate reads only the sorted path times, so a procedure it
-// rejects never compiles its paths; the first estimation does.
-func TestCoverageLeavesPathsUncompiled(t *testing.T) {
-	m := twoArmModel(t, 40)
-	samples := []float64{m.PathTimes[0], m.PathTimes[1]}
-	if cov := m.Coverage(samples, 1); cov != 1 {
-		t.Fatalf("coverage = %v, want 1", cov)
-	}
-	if m.comp != nil {
-		t.Fatal("Coverage compiled the path set")
-	}
-	if _, _, err := EstimateEM(m, samples, EMConfig{KernelHalfWidth: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if m.comp == nil {
-		t.Fatal("EstimateEM did not compile the path set")
 	}
 }

@@ -102,14 +102,14 @@ func (m *Model) DebiasTruncation(probs markov.EdgeProbs, lost, completed int) ma
 		}
 		p[i] = qi * math.Exp(e)
 	}
-	return m.probsFromEdgeWeights(m.compiled().edgeWeights(p), 1e-9)
+	return m.probsFromEdgeWeights(m.edgeWeights(p), 1e-9)
 }
 
 // pathDist returns the normalized path distribution under probs and the
 // minimum positive path time, or (nil, 0) when probs puts no mass on any
 // enumerated path.
 func (m *Model) pathDist(probs markov.EdgeProbs) ([]float64, float64) {
-	q := m.compiled().pathProbs(probs)
+	q := m.pathProbs(probs)
 	den := 0.0
 	tmin := math.Inf(1)
 	for i := range q {

@@ -13,17 +13,15 @@ import (
 // q_i ∝ p_i·e^{−λT_i} (as edge probabilities) and the implied completion
 // rate f = Σ p_i·e^{−λT_i}.
 func tiltedProbs(m *Model, truth markov.EdgeProbs, lambda float64) (markov.EdgeProbs, float64) {
-	w := make(map[[2]ir.BlockID]float64)
+	w := make([]float64, m.index.Len())
+	q := denseKeyed(m, truth)
 	f := 0.0
 	for i, p := range m.Paths {
-		pi := p.Prob(truth)
-		surv := pi * math.Exp(-lambda*m.PathTimes[i])
+		surv := pathProb(p, q) * math.Exp(-lambda*m.PathTimes[i])
 		f += surv
-		for _, a := range p.Arcs {
-			w[a.Edge] += surv * float64(a.Count)
-		}
+		p.Accumulate(surv, w)
 	}
-	return m.probsFromEdgeWeights(w, 0), f
+	return m.probsFromEdgeWeights(m.index.Probs(w), 0), f
 }
 
 // TestTruncationHazardRecovered: with a bias constructed from a known λ
