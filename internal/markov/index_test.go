@@ -40,33 +40,48 @@ func diamondChain(k int) (*cfg.Proc, *Costs) {
 	return p, costs
 }
 
-// PathProbs equals the map-based product bit for bit: under skewed
-// branches, and with one arm of every branch closed, where each path
-// through a closed arm must come out exactly 0.
-func TestPathProbsMatchReference(t *testing.T) {
+// PathProbs over a procedure's compiled (dense-arc) paths equals the
+// map-based product bit for bit under skewed branches.
+func TestCompiledPathProbsMatchReference(t *testing.T) {
 	for _, p := range []*cfg.Proc{diamond(), loopProc()} {
-		ix := NewEdgeIndex(p)
-		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
-		skewed, closed := Uniform(p), Uniform(p)
+		ep := Uniform(p)
 		for _, b := range p.Blocks {
 			if succs := b.Succs(); len(succs) == 2 {
-				skewed[[2]ir.BlockID{b.ID, succs[0]}] = 0.3
-				skewed[[2]ir.BlockID{b.ID, succs[1]}] = 0.7
-				closed[[2]ir.BlockID{b.ID, succs[0]}] = 0
-				closed[[2]ir.BlockID{b.ID, succs[1]}] = 1
+				ep[[2]ir.BlockID{b.ID, succs[0]}] = 0.3
+				ep[[2]ir.BlockID{b.ID, succs[1]}] = 0.7
 			}
 		}
-		for _, ep := range []EdgeProbs{skewed, closed} {
-			logq := ix.Dense(ep)
-			LogProbs(logq, logq)
-			got := make([]float64, len(paths))
-			PathProbs(paths, logq, got)
-			q := denseProbs(ix, ep)
-			for j, path := range paths {
-				if want := pathProbReference(path, q); math.Float64bits(got[j]) != math.Float64bits(want) {
-					t.Fatalf("%s path %d under %v: PathProbs %v, reference %v", p.Name, j, ep, got[j], want)
-				}
+		checkPathProbs(t, p, ep)
+	}
+}
+
+// With one arm of every branch closed, each path through a closed arm must
+// come out exactly 0 and the rest must still match the reference.
+func TestCompiledPathProbsZeroEdge(t *testing.T) {
+	for _, p := range []*cfg.Proc{diamond(), loopProc()} {
+		ep := Uniform(p)
+		for _, b := range p.Blocks {
+			if succs := b.Succs(); len(succs) == 2 {
+				ep[[2]ir.BlockID{b.ID, succs[0]}] = 0
+				ep[[2]ir.BlockID{b.ID, succs[1]}] = 1
 			}
+		}
+		checkPathProbs(t, p, ep)
+	}
+}
+
+func checkPathProbs(t *testing.T, p *cfg.Proc, ep EdgeProbs) {
+	t.Helper()
+	ix := NewEdgeIndex(p)
+	paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
+	logq := ix.Dense(ep)
+	LogProbs(logq, logq)
+	got := make([]float64, len(paths))
+	PathProbs(paths, logq, got)
+	q := denseProbs(ix, ep)
+	for j, path := range paths {
+		if want := pathProbReference(path, q); math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Fatalf("%s path %d under %v: PathProbs %v, reference %v", p.Name, j, ep, got[j], want)
 		}
 	}
 }
