@@ -2,23 +2,35 @@ package mote
 
 import "codetomo/internal/isa"
 
-// Dispatch kinds the block core adds after the ISA's opcodes: the fused
-// frame idioms of the MiniC backend, the end-of-program sentinel and one
-// kind for every undefined opcode. They follow the last opcode directly so
-// the dispatch switch stays dense enough for a jump table.
+// Dispatch kinds the block core adds after the ISA's opcodes, dense so the
+// dispatch switch stays a jump table: the MiniC backend's fused frame
+// idioms, the threaded jump, the end-of-program sentinel and one kind for
+// every undefined opcode. A load marked ← is forwarded (see forwards).
 const (
-	opCopy  = isa.Op(len(isa.CostModel{}.Cycles)) + iota // ld x,[a+i]; st [c+j],x
-	opConst                                              // ldi x,imm; st [c+j],x
-	opBinop                                              // ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [c+l],x
-	opEnd                                                // pc == len(prog): ran off the end
-	opBad                                                // an opcode the ISA does not define
+	opCopy       = isa.Op(len(isa.CostModel{}.Cycles)) + iota // ld x,[a+i]; st [c+j],x
+	opConst                                                   // ldi x,imm; st [c+j],x
+	opBinop                                                   // ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [d+l],x
+	opExpr                                                    // ldi t,K; st [c+j],t; binop with ld y←[c+j]
+	opCopyExpr                                                // copy to [a+i]; expr with ld x←[a+i]
+	opBinopBr                                                 // binop storing [d+l]; ld z←[d+l]; bz/bnz z
+	opExprBr                                                  // expr, then the same branch tail
+	opCopyExprBr                                              // copy-expr, then the same branch tail
+	opBinopCp                                                 // binop storing [d+l]; ld z←[d+l]; st [e+m],z
+	opExprCp                                                  // expr, then the same copy tail
+	opCopyExprCp                                              // copy-expr, then the same copy tail
+	opLdBr                                                    // ld x,[a+i]; bz/bnz x
+	opJmp                                                     // a JMP threaded into the block before it
+	opJmpX                                                    // the same, crossing a flash page
+	opEnd                                                     // pc == len(prog): ran off the end
+	opBad                                                     // an opcode the ISA does not define
 )
 
 // blockHead describes the block entered at one pc. A block runs from its
-// entry pc to the first terminator at or after it (JMP, a conditional
-// branch, CALL, RET, HALT or an undefined opcode) or to the end-of-program
-// sentinel; every pc is a possible entry, so every pc has a head. The
-// sentinel's head is zero.
+// entry pc to the first terminator at or after it (a conditional branch,
+// CALL, RET, HALT, an undefined opcode or an unthreaded JMP) or to the
+// end-of-program sentinel; every pc is a possible entry, so every pc has a
+// head. A threaded JMP does not end a block, which continues at its
+// target's block. The sentinel's head is zero.
 type blockHead struct {
 	// span is the base cycles from this pc up to the terminator, which
 	// therefore starts span cycles after this pc does: the in-block time
@@ -58,7 +70,7 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		head:   make([]blockHead, n+1),
 		pageOf: cost.PageTable(prog),
 	}
-	bc.dec[n] = isa.Instr{Op: opEnd}
+	// Plain heads, every JMP a terminator.
 	var h blockHead
 	for k := n - 1; k >= 0; k-- {
 		op := prog[k].Op
@@ -74,23 +86,62 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		bc.head[k] = h
 	}
 	for k, in := range prog {
+		p := prog[k:]
 		switch {
 		case in.Op >= opCopy:
 			in.Op = opBad
-		case fusesBinop(prog[k:]):
-			in.Op = opBinop
-		case fusesStore(prog[k:], isa.LD):
+		case fusesCopyExpr(p):
+			in.Op = opCopyExpr + tail(p[7:])
+		case fusesExpr(p):
+			in.Op = opExpr + tail(p[5:])
+		case fusesBinop(p):
+			in.Op = opBinop + tail(p[3:])
+		case fusesLdBr(p):
+			in.Op = opLdBr
+		case fusesStore(p, isa.LD):
 			in.Op = opCopy
-		case fusesStore(prog[k:], isa.LDI):
+		case fusesStore(p, isa.LDI):
 			in.Op = opConst
 		}
 		bc.dec[k] = in
 	}
+	// Thread every JMP whose chain of JMP-ended target blocks reaches a
+	// real terminator within maxThread jumps (never a cycle or an
+	// out-of-range target): fold the jump, its page-cross penalty and its
+	// target's head into its block's heads, shortest chains first.
+	const maxThread = 8
+	depth := func(j int) (d int) {
+		for ; j < n && prog[j].Op == isa.JMP && uint(prog[j].Imm) < uint(n) && d <= maxThread; d++ {
+			for j = int(prog[j].Imm); j < n && !terminates(prog[j].Op); j++ {
+			}
+		}
+		return d
+	}
+	for d := 1; d <= maxThread; d++ {
+		for j := range prog {
+			if depth(j) != d {
+				continue
+			}
+			next := prog[j].Imm
+			ext := bc.head[next]
+			ext.span += uint64(cost.Cycles[isa.JMP])
+			bc.dec[j].Op = opJmp
+			if bc.pageOf != nil && bc.pageOf[next] != bc.pageOf[j] {
+				ext.span += uint64(cost.PageCrossPenalty)
+				bc.dec[j].Op = opJmpX
+			}
+			for k := j; k == j || k >= 0 && !terminates(prog[k].Op); k-- {
+				h := &bc.head[k]
+				h.span, h.rest, h.nls = h.span+ext.span, h.rest+ext.rest, h.nls+ext.nls
+			}
+		}
+	}
+	bc.dec[n] = isa.Instr{Op: opEnd}
 	return bc
 }
 
-// terminates reports whether op ends a block: it redirects control, stops
-// the machine, or is undefined.
+// terminates reports whether op ends a plain block: it redirects control,
+// stops the machine, or is undefined.
 func terminates(op isa.Op) bool {
 	switch op {
 	case isa.JMP, isa.BZ, isa.BNZ, isa.BEQ, isa.BNE, isa.BLT, isa.BGE,
@@ -101,8 +152,7 @@ func terminates(op isa.Op) bool {
 }
 
 // fusesStore reports whether p starts with `first x, …; st [c+j], x` with
-// c ≠ x: the store's address does not depend on the value just loaded, so
-// the pair runs as one superinstruction that reads c up front.
+// c ≠ x, so the store's address does not depend on the value just loaded.
 func fusesStore(p []isa.Instr, first isa.Op) bool {
 	return len(p) >= 2 && p[0].Op == first && p[1].Op == isa.ST &&
 		p[1].Rb == p[0].Rd && p[1].Ra != p[0].Rd
@@ -110,9 +160,8 @@ func fusesStore(p []isa.Instr, first isa.Op) bool {
 
 // fusesBinop reports whether p starts with the backend's binary-operator
 // idiom `ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [c+l],x` with x ≠ y, b ≠ x
-// and c ∉ {x, y}: neither later address depends on a loaded value and the
-// operands are the two loaded values, so the idiom runs on locals with
-// every address base read up front.
+// and c ∉ {x, y}: no later address depends on a loaded value, and the
+// operands are the two loaded values, so the operator runs on locals.
 func fusesBinop(p []isa.Instr) bool {
 	if len(p) < 4 || p[0].Op != isa.LD || p[1].Op != isa.LD || p[3].Op != isa.ST {
 		return false
@@ -127,4 +176,47 @@ func fusesBinop(p []isa.Instr) bool {
 	return x != y && p[1].Ra != x &&
 		p[2].Rd == x && p[2].Ra == x && p[2].Rb == y &&
 		p[3].Rb == x && p[3].Ra != x && p[3].Ra != y
+}
+
+// forwards reports whether the load ld reads back the slot st stored: same
+// base register and offset, the base unwritten in between (the caller's
+// check). The load then takes the stored value and cannot fault, since
+// the store passed the same address check.
+func forwards(st, ld isa.Instr) bool {
+	return ld.Op == isa.LD && st.Ra == ld.Ra && st.Imm == ld.Imm
+}
+
+// fusesExpr reports whether p starts with a const `ldi t,K; st [c+j],t`
+// and a binop whose ld y reads [c+j] back (c ≠ x, as b ≠ x in a binop).
+func fusesExpr(p []isa.Instr) bool {
+	return fusesStore(p, isa.LDI) && fusesBinop(p[2:]) && forwards(p[1], p[3])
+}
+
+// fusesCopyExpr reports whether p starts with a copy to [a+i] and then an
+// expr whose ld x reads [a+i] back; the constant's store in between must
+// use base a (which its ldi therefore leaves alone) at another offset.
+func fusesCopyExpr(p []isa.Instr) bool {
+	return fusesStore(p, isa.LD) && fusesExpr(p[2:]) && forwards(p[1], p[4]) &&
+		p[3].Ra == p[1].Ra && p[3].Imm != p[1].Imm
+}
+
+// fusesLdBr reports whether p starts with `ld x,[a+i]; bz/bnz x`.
+func fusesLdBr(p []isa.Instr) bool {
+	return len(p) >= 2 && p[0].Op == isa.LD && (p[1].Op == isa.BZ || p[1].Op == isa.BNZ) &&
+		p[1].Ra == p[0].Rd
+}
+
+// tail is the offset from a binop-ended kind to its Br variant when its
+// final store p[0] is followed by a load-and-branch that reads the slot
+// back, to its Cp variant when by such a copy, and 0 otherwise.
+func tail(p []isa.Instr) isa.Op {
+	switch {
+	case len(p) < 3 || !forwards(p[0], p[1]):
+		return 0
+	case fusesLdBr(p[1:]):
+		return opBinopBr - opBinop
+	case fusesStore(p[1:], isa.LD):
+		return opBinopCp - opBinop
+	}
+	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"codetomo/internal/apps"
@@ -19,9 +20,11 @@ import (
 // every app and every program of the examples/minic corpus, each as a
 // plain, a timestamp-instrumented and a full-PGO paged build, under a
 // fault-reset schedule with the budget fed in installments. Random
-// programs almost never form the frame idioms the block core fuses;
-// compiled ones are full of them, so here stops land inside fused idioms,
-// and the test requires some budget stop to.
+// programs almost never form the frame idioms the block core fuses or the
+// jump chains it threads; compiled ones are full of them, so the test
+// requires every dispatch kind to be decoded somewhere and some budget
+// stop to land inside a fused idiom, and inside one of the second wave's
+// (expr, copy-expr, their branch and copy tails, load-and-branch).
 func TestCompiledCoresAgree(t *testing.T) {
 	var srcs []struct{ name, src string }
 	for _, a := range append(apps.All(), apps.CallChain) {
@@ -45,11 +48,11 @@ func TestCompiledCoresAgree(t *testing.T) {
 
 	r := rand.New(rand.NewSource(0xB10C))
 	fused := map[isa.Op]int{}
-	midIdiom := 0
+	midIdiom, midNew := 0, 0
 	for _, s := range srcs {
 		for _, b := range compiledBuilds(t, s.name, s.src) {
 			tag := s.name + "/" + b.name
-			for op, n := range fusedKinds(b.code) {
+			for op, n := range fusedKinds(b.code, b.cost) {
 				fused[op] += n
 			}
 			var resets []ResetEvent
@@ -70,8 +73,11 @@ func TestCompiledCoresAgree(t *testing.T) {
 				budget += 1 + uint64(r.Intn(3000))
 				errF, errR := f.Run(budget), ref.RunReference(budget)
 				compareState(t, fmt.Sprintf("%s installment %d budget %d", tag, k, budget), f, ref, errF, errR)
-				if insideFused(f.code, f.pc) {
+				if op := insideFused(f.code, f.pc); op != 0 {
 					midIdiom++
+					if op >= opExpr {
+						midNew++
+					}
 				}
 				if f.halted || errF != nil && !errors.Is(errF, ErrCycleBudget) {
 					break // halted or faulted: the final run compares the rest
@@ -81,16 +87,23 @@ func TestCompiledCoresAgree(t *testing.T) {
 			compareState(t, tag+" final", f, ref, errF, errR)
 		}
 	}
-	for _, op := range []isa.Op{opCopy, opConst, opBinop} {
+	for op := opCopy; op <= opJmpX; op++ {
 		if fused[op] == 0 {
-			t.Errorf("no build fused any kind-%d idiom", op)
+			t.Errorf("no build decoded any %s", kindName(op))
 		}
 	}
 	if midIdiom == 0 {
 		t.Error("no budget stop landed inside a fused idiom")
 	}
-	t.Logf("fused idioms decoded: %d copy, %d const, %d binop; %d budget stops inside one",
-		fused[opCopy], fused[opConst], fused[opBinop], midIdiom)
+	if midNew == 0 {
+		t.Error("no budget stop landed inside an expr, copy-expr or load-and-branch idiom")
+	}
+	var decoded []string
+	for op := opCopy; op <= opJmpX; op++ {
+		decoded = append(decoded, fmt.Sprintf("%d %s", fused[op], kindName(op)))
+	}
+	t.Logf("decoded: %s; %d budget stops inside a fused idiom, %d inside a second-wave one",
+		strings.Join(decoded, ", "), midIdiom, midNew)
 }
 
 // compiledBuild is one build of a program and the cost model it was built
@@ -143,31 +156,56 @@ func compiledBuilds(t *testing.T, name, src string) []compiledBuild {
 // fusedLen is the number of instructions a dispatch kind covers.
 func fusedLen(op isa.Op) int {
 	switch op {
-	case opCopy, opConst:
+	case opCopy, opConst, opLdBr:
 		return 2
 	case opBinop:
 		return 4
+	case opExpr:
+		return 6
+	case opCopyExpr:
+		return 8
+	case opBinopBr, opExprBr, opCopyExprBr:
+		return fusedLen(op-(opBinopBr-opBinop)) + 2
+	case opBinopCp, opExprCp, opCopyExprCp:
+		return fusedLen(op-(opBinopCp-opBinop)) + 2
 	}
 	return 1
 }
 
-// fusedKinds counts the fused idioms the block core decodes in prog.
-func fusedKinds(prog []isa.Instr) map[isa.Op]int {
+// fusedKinds counts the fused idioms and threaded jumps the block core
+// decodes in prog under cost.
+func fusedKinds(prog []isa.Instr, cost *isa.CostModel) map[isa.Op]int {
 	n := map[isa.Op]int{}
-	for _, in := range decodeBlocks(prog, isa.DefaultCostModel()).dec {
-		if fusedLen(in.Op) > 1 {
+	for _, in := range decodeBlocks(prog, cost).dec {
+		if fusedLen(in.Op) > 1 || in.Op == opJmp || in.Op == opJmpX {
 			n[in.Op]++
 		}
 	}
 	return n
 }
 
-// insideFused reports whether pc is a later instruction of a fused idiom.
-func insideFused(code *blockCode, pc int32) bool {
-	for j := 1; j < 4; j++ {
+// insideFused returns the kind of the fused idiom that pc is a later
+// instruction of, or 0 when there is none.
+func insideFused(code *blockCode, pc int32) isa.Op {
+	for j := 1; j < fusedLen(opCopyExprBr); j++ {
 		if k := int(pc) - j; k >= 0 && k < len(code.dec) && fusedLen(code.dec[k].Op) > j {
-			return true
+			return code.dec[k].Op
 		}
 	}
-	return false
+	return 0
+}
+
+// kindName names a dispatch kind: an opcode's mnemonic or a fused kind.
+func kindName(op isa.Op) string {
+	names := map[isa.Op]string{opCopy: "COPY", opConst: "CONST", opBinop: "BINOP",
+		opExpr: "EXPR", opCopyExpr: "COPYEXPR", opBinopBr: "BINOP-BR", opExprBr: "EXPR-BR",
+		opCopyExprBr: "COPYEXPR-BR", opBinopCp: "BINOP-CP", opExprCp: "EXPR-CP",
+		opCopyExprCp: "COPYEXPR-CP", opLdBr: "LD-BR", opJmp: "JMP", opJmpX: "JMP-X", opEnd: "END", opBad: "BAD"}
+	if n, ok := names[op]; ok {
+		return n
+	}
+	if op < opCopy {
+		return op.String()
+	}
+	return fmt.Sprintf("kind%d", op)
 }

@@ -2,6 +2,7 @@ package mote
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"codetomo/internal/isa"
@@ -213,6 +214,73 @@ func FuzzFastCore(f *testing.F) {
 		prog = append(prog, isa.Instr{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: 1}, isa.Instr{Op: isa.HALT})
 		f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, prog))
 	}
+	// The second wave's kinds, mid-block, each faulting in turn at every
+	// sub-instruction that can fault, on the same prologue and RAM. A
+	// forwarded load cannot fault: its slot moves out of range together
+	// with the store it reads back, which faults first. A DIV faults on a
+	// zero constant operand, or on the untouched word at [r15+5]. Every
+	// variant must still decode as its kind, so each seed runs the fused
+	// form rather than the instructions one by one.
+	for _, w := range secondWaveSeeds(f) {
+		f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, w.hdr4, 0, 0, 0}, w.prog))
+	}
+	// Every operator through the fused ALU switch, with x and the constant
+	// operand each positive or negative and once equal, so signed and
+	// unsigned, arithmetic and logical, strict and non-strict variants
+	// all differ.
+	for op := isa.ADD; op <= isa.SEQ; op++ {
+		for _, xk := range [][2]int32{{5, 5}, {5, -3}, {-7, 3}, {-7, -3}} {
+			x, konst := xk[0], xk[1]
+			expr := []isa.Instr{
+				{Op: isa.LDI, Rd: 3, Imm: x}, {Op: isa.ST, Ra: 15, Rb: 3, Imm: 3},
+				{Op: isa.LDI, Rd: 1, Imm: konst}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 4},
+				{Op: isa.LD, Rd: 1, Ra: 15, Imm: 3}, {Op: isa.LD, Rd: 2, Ra: 15, Imm: 4},
+				{Op: op, Rd: 1, Ra: 1, Rb: 2}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 7},
+				{Op: isa.HALT},
+			}
+			if seedKind([8]byte{}, expr, 2) == opExpr {
+				f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, expr))
+			}
+		}
+	}
+	// A near miss: the constant overwrites the copied slot before the
+	// binop reads it back, so the copy must not fuse into the expr (the
+	// forwarded x would be stale).
+	overwrite := []isa.Instr{
+		{Op: isa.LDI, Rd: 3, Imm: 5}, {Op: isa.ST, Ra: 15, Rb: 3, Imm: 3},
+		{Op: isa.LD, Rd: 1, Ra: 15, Imm: 3}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 6},
+		{Op: isa.LDI, Rd: 1, Imm: 9}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 6},
+		{Op: isa.LD, Rd: 1, Ra: 15, Imm: 6}, {Op: isa.LD, Rd: 2, Ra: 15, Imm: 6},
+		{Op: isa.SUB, Rd: 1, Ra: 1, Rb: 2}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 7},
+		{Op: isa.HALT},
+	}
+	requireKind(f, [8]byte{}, overwrite, 4, opExpr)
+	f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, overwrite))
+	// A threaded JMP whose target faults, with and without a page-cross
+	// penalty (hdr[4]=5: penalty 1 at 16-byte pages, which the nine NOPs
+	// jumped over cross): the fault exit must leave the jump's cycles and
+	// crossing counted and nothing after the fault.
+	jumpFault := []isa.Instr{{Op: isa.LDI, Rd: 3, Imm: 5}, {Op: isa.JMP, Imm: fuzzTarget(11)}}
+	for range 9 {
+		jumpFault = append(jumpFault, isa.Instr{Op: isa.NOP})
+	}
+	jumpFault = append(jumpFault, isa.Instr{Op: isa.ST, Ra: 15, Rb: 3, Imm: 90}, isa.Instr{Op: isa.HALT})
+	for _, hk := range []struct {
+		hdr4 byte
+		kind isa.Op
+	}{{0, opJmp}, {5, opJmpX}} {
+		hdr := [8]byte{200, 0, 0, 1, hk.hdr4, 0, 0, 0}
+		requireKind(f, hdr, jumpFault, 1, hk.kind)
+		f.Add(encodeFuzzSeed(hdr, jumpFault))
+	}
+	// A budget stop just after a threaded JMP: the first installment ends
+	// on the cycle the jump completes, so the block core steps through the
+	// chain and must stop at the jump's target, with and without a page
+	// crossing.
+	for _, hdr4 := range []byte{0, 5} {
+		hdr, prog := budgetAfterJump(f, hdr4)
+		f.Add(encodeFuzzSeed(hdr, prog))
+	}
 	// A timer read and a TRACE mid-block in a loop, under a first
 	// installment that stops inside it.
 	f.Add(encodeFuzzSeed([8]byte{3, 2, 8, 1, 0, 0, 7, 0}, []isa.Instr{
@@ -248,4 +316,147 @@ func FuzzFastCore(f *testing.F) {
 			compareState(t, "installment "+string(rune('0'+k)), fused, ref, errF, errR)
 		}
 	})
+}
+
+// A waveSeed is one second-wave idiom program and the predictor byte
+// (hdr[4]) it runs under.
+type waveSeed struct {
+	prog []isa.Instr
+	hdr4 byte
+}
+
+// secondWaveSeeds builds every second-wave kind on r15's frame, plain and
+// faulting at each sub-instruction that can, between the frame-idiom
+// seeds' prologue and epilogue. The copy tail also runs a threaded JMP.
+func secondWaveSeeds(f *testing.F) []waveSeed {
+	ld := func(rd isa.Reg, off int32) isa.Instr { return isa.Instr{Op: isa.LD, Rd: rd, Ra: 15, Imm: off} }
+	st := func(rb isa.Reg, off int32) isa.Instr { return isa.Instr{Op: isa.ST, Ra: 15, Rb: rb, Imm: off} }
+	add := isa.Instr{Op: isa.ADD, Rd: 1, Ra: 1, Rb: 2}
+	cat := func(parts ...[]isa.Instr) []isa.Instr {
+		var out []isa.Instr
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	binop := []isa.Instr{ld(1, 3), ld(2, 5), add, st(1, 7)}
+	konst := []isa.Instr{{Op: isa.LDI, Rd: 1, Imm: 9}, st(1, 4)}
+	expr := cat(konst, []isa.Instr{ld(1, 3), ld(2, 4), add, st(1, 7)})
+	copyExpr := cat([]isa.Instr{ld(1, 3), st(1, 6)}, konst, []isa.Instr{ld(1, 6), ld(2, 4), add, st(1, 7)})
+	brTail := []isa.Instr{ld(3, 7), {Op: isa.BNZ, Ra: 3}}
+	cpTail := []isa.Instr{ld(3, 7), st(3, 8), {Op: isa.JMP}, {Op: isa.NOP}}
+	kinds := []struct {
+		seq  []isa.Instr
+		kind isa.Op
+	}{
+		{expr, opExpr},
+		{copyExpr, opCopyExpr},
+		{cat(binop, brTail), opBinopBr},
+		{cat(expr, brTail), opExprBr},
+		{cat(copyExpr, brTail), opCopyExprBr},
+		{cat(binop, cpTail), opBinopCp},
+		{cat(expr, cpTail), opExprCp},
+		{cat(copyExpr, cpTail), opCopyExprCp},
+		{[]isa.Instr{ld(1, 3), {Op: isa.BZ, Ra: 1}}, opLdBr},
+	}
+	prologue := []isa.Instr{
+		{Op: isa.LDI, Rd: 3, Imm: 5},
+		{Op: isa.ST, Ra: 15, Rb: 3, Imm: 3},
+		{Op: isa.LDI, Rd: 2, Imm: 6},
+	}
+	var out []waveSeed
+	for _, k := range kinds {
+		// Branches and the tail's jump land on the epilogue.
+		end := int32(len(prologue) + len(k.seq))
+		for i := range k.seq {
+			if op := k.seq[i].Op; op == isa.BZ || op == isa.BNZ || op == isa.JMP {
+				k.seq[i].Imm = fuzzTarget(end)
+			}
+		}
+		variants := [][]isa.Instr{k.seq}
+		for i, in := range k.seq {
+			v := append([]isa.Instr(nil), k.seq...)
+			switch in.Op {
+			case isa.LD, isa.ST:
+				for j := i; j < len(v); j++ {
+					if (v[j].Op == isa.LD || v[j].Op == isa.ST) && v[j].Imm == in.Imm {
+						v[j].Imm = 90
+					}
+				}
+			case isa.ADD:
+				v[i].Op = isa.DIV
+				for j := range v {
+					if v[j].Op == isa.LDI {
+						v[j].Imm = 0
+					}
+				}
+			default:
+				continue
+			}
+			variants = append(variants, v)
+		}
+		for _, v := range variants {
+			prog := cat(prologue, v, []isa.Instr{{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: 1}, {Op: isa.HALT}})
+			if seedKind([8]byte{}, prog, len(prologue)) != k.kind {
+				continue // a forwarded load moved off its slot: no longer this kind
+			}
+			out = append(out, waveSeed{prog, 0}, waveSeed{prog, 5})
+		}
+	}
+	return out
+}
+
+// fuzzTarget is the encoded immediate that decodeFuzzMachine turns into
+// branch target pc (for targets inside a program of at least pc
+// instructions).
+func fuzzTarget(pc int32) int32 { return pc + 1 }
+
+// seedKind is the dispatch kind at pc of prog once encoded as a seed
+// under header hdr and decoded back, under the seed's cost model.
+func seedKind(hdr [8]byte, prog []isa.Instr, pc int) isa.Op {
+	p, cfg, _, _, _ := decodeFuzzMachine(encodeFuzzSeed(hdr, prog))
+	return decodeBlocks(p, cfg.Cost).dec[pc].Op
+}
+
+// requireKind fails the fuzz setup unless prog decodes kind at pc under
+// header hdr.
+func requireKind(f *testing.F, hdr [8]byte, prog []isa.Instr, pc int, kind isa.Op) {
+	f.Helper()
+	if got := seedKind(hdr, prog, pc); got != kind {
+		f.Fatalf("seed decodes %s at pc %d, want %s", kindName(got), pc, kindName(kind))
+	}
+}
+
+// budgetAfterJump returns a counted loop whose body runs a threaded JMP
+// over nine NOPs, after pad NOPs chosen so that a first installment (a
+// multiple of 16 cycles, in the returned seed header under predictor
+// byte hdr4) stops the reference core at the jump's target, which only
+// the jump reaches.
+func budgetAfterJump(f *testing.F, hdr4 byte) ([8]byte, []isa.Instr) {
+	f.Helper()
+	for pad := int32(0); pad < 16; pad++ {
+		var prog []isa.Instr
+		for range pad {
+			prog = append(prog, isa.Instr{Op: isa.NOP})
+		}
+		loop, target := pad+1, pad+12
+		prog = append(prog, isa.Instr{Op: isa.LDI, Rd: 1, Imm: 40},
+			isa.Instr{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: -1},
+			isa.Instr{Op: isa.JMP, Imm: fuzzTarget(target)})
+		for range 9 {
+			prog = append(prog, isa.Instr{Op: isa.NOP})
+		}
+		prog = append(prog, isa.Instr{Op: isa.BNZ, Ra: 1, Imm: fuzzTarget(loop)}, isa.Instr{Op: isa.HALT})
+		requireKind(f, [8]byte{}, prog, int(pad)+2, opJmp)
+		for b := 1; b < 256; b++ {
+			hdr := [8]byte{byte(b), 0, 16, 1, hdr4, 0, 0, 0}
+			p, _, cfg, budget, _ := decodeFuzzMachine(encodeFuzzSeed(hdr, prog))
+			m := New(p, cfg)
+			if err := m.RunReference(budget); errors.Is(err, ErrCycleBudget) && m.PC() == target {
+				return hdr, prog
+			}
+		}
+	}
+	f.Fatal("no budget stops right after the jump")
+	return [8]byte{}, nil
 }

@@ -474,39 +474,9 @@ func (m *Machine) stepInstr() error {
 		nextPC = int32(m.mem[m.sp])
 		m.sp++
 	case isa.IN:
-		switch in.Imm {
-		case isa.PortTimer:
-			m.regs[in.Rd] = uint16(m.Tick())
-		case isa.PortADC:
-			// The ADC saturates at its rails: readings are architecturally
-			// confined to [0, isa.ADCMaxReading], which the static
-			// value-range analysis relies on.
-			m.regs[in.Rd] = isa.ClampADC(m.cfg.Sensor.Next())
-			m.stats.SensorReads++
-		case isa.PortRNG:
-			m.regs[in.Rd] = m.cfg.Entropy.Next()
-		case isa.PortRadioCtl:
-			m.regs[in.Rd] = 1 // last TX always succeeded in this model
-		default:
-			m.regs[in.Rd] = 0
-		}
+		m.regs[in.Rd] = m.portIn(in.Imm, m.stats.Cycles)
 	case isa.OUT:
-		v := m.regs[in.Ra]
-		switch in.Imm {
-		case isa.PortLED:
-			m.ledState = v
-			m.stats.LEDWrites++
-		case isa.PortRadioData:
-			m.radioBuf = append(m.radioBuf, v)
-		case isa.PortRadioCtl:
-			if v != 0 {
-				m.stats.RadioPackets++
-				m.stats.RadioWords += uint64(len(m.radioBuf))
-				m.radioBuf = m.radioBuf[:0]
-			}
-		case isa.PortDebug:
-			m.debugOut = append(m.debugOut, v)
-		}
+		m.portOut(in.Imm, m.regs[in.Ra])
 	case isa.TRACE:
 		if len(m.trace) >= m.cfg.MaxTraceEvents {
 			return fmt.Errorf("%w: %d events", ErrTraceOverflow, len(m.trace))
@@ -521,6 +491,44 @@ func (m *Machine) stepInstr() error {
 	m.stats.Cycles += cost
 	m.pc = nextPC
 	return nil
+}
+
+// portIn reads input port p for an IN that starts at cycle at; both cores
+// share it.
+func (m *Machine) portIn(p int32, at uint64) uint16 {
+	switch p {
+	case isa.PortTimer:
+		return uint16(at/uint64(m.cfg.TickDiv) + m.cfg.ClockOffsetTicks)
+	case isa.PortADC:
+		// The ADC saturates at its rails, [0, isa.ADCMaxReading], which
+		// the static value-range analysis relies on.
+		m.stats.SensorReads++
+		return isa.ClampADC(m.cfg.Sensor.Next())
+	case isa.PortRNG:
+		return m.cfg.Entropy.Next()
+	case isa.PortRadioCtl:
+		return 1 // last TX always succeeded in this model
+	}
+	return 0
+}
+
+// portOut writes v to output port p; both cores share it.
+func (m *Machine) portOut(p int32, v uint16) {
+	switch p {
+	case isa.PortLED:
+		m.ledState = v
+		m.stats.LEDWrites++
+	case isa.PortRadioData:
+		m.radioBuf = append(m.radioBuf, v)
+	case isa.PortRadioCtl:
+		if v != 0 {
+			m.stats.RadioPackets++
+			m.stats.RadioWords += uint64(len(m.radioBuf))
+			m.radioBuf = m.radioBuf[:0]
+		}
+	case isa.PortDebug:
+		m.debugOut = append(m.debugOut, v)
+	}
 }
 
 // reboot models a watchdog reset or brownout recovery: the CPU and RAM

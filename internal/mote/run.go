@@ -21,11 +21,11 @@ const (
 // exhausted. A HALT stop returns nil; budget exhaustion returns
 // ErrCycleBudget wrapped with position info.
 //
-// Run is the block core: it executes the program one basic block at a
-// time from the predecoded table in blocks.go, checking the stop and
-// charging cycles, instructions and loads/stores once per block rather
-// than once per instruction, and running the MiniC backend's frame idioms
-// as fused superinstructions. Execution is split into cycle-bounded
+// Run is the block core: it executes the program one basic block (jump
+// chains threaded) at a time from the predecoded table in blocks.go,
+// checking the stop and charging cycles, instructions and loads/stores
+// once per block, and running the MiniC backend's frame idioms as fused,
+// store-forwarding superinstructions. Execution is split into cycle-bounded
 // segments (the sooner of the budget and the next scheduled fault reset),
 // the predictor is devirtualized, branch ground truth lands in a dense
 // pc-indexed table, and nothing is allocated per instruction. The
@@ -86,7 +86,7 @@ func (m *Machine) Run(maxCycles uint64) error {
 // as in the reference core; they share one cold exit that takes back the
 // counts of what the block did not run.
 func (m *Machine) runSegment(stop uint64) error {
-	dec, head, pageOf := m.code.dec, m.code.head, m.code.pageOf
+	dec, head, pageOf, mem := m.code.dec, m.code.head, m.code.pageOf, m.mem
 	pc := m.pc
 	cycles := m.stats.Cycles
 	var (
@@ -120,7 +120,11 @@ blocks:
 
 		for k = int(pc); ; k++ {
 			in := &dec[k]
-			var taken bool
+			var (
+				taken, ok bool
+				x, y      uint16 // a fused idiom's operands, then its result
+				kind      isa.Op // a binop-ended idiom's kind, for its tail
+			)
 			switch in.Op {
 			case isa.NOP:
 			case isa.LDI:
@@ -133,18 +137,13 @@ blocks:
 				m.regs[in.Rd] = m.regs[in.Ra] - m.regs[in.Rb]
 			case isa.MUL:
 				m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) * int16(m.regs[in.Rb]))
-			case isa.DIV:
-				if m.regs[in.Rb] == 0 {
+			case isa.DIV, isa.MOD:
+				rd := in.Rd
+				if x, ok = divide(in.Op, m.regs[in.Ra], m.regs[in.Rb]); !ok {
 					err = divFault(k)
 					goto fault
 				}
-				m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) / int16(m.regs[in.Rb]))
-			case isa.MOD:
-				if m.regs[in.Rb] == 0 {
-					err = divFault(k)
-					goto fault
-				}
-				m.regs[in.Rd] = uint16(int16(m.regs[in.Ra]) % int16(m.regs[in.Rb]))
+				m.regs[rd] = x
 			case isa.AND:
 				m.regs[in.Rd] = m.regs[in.Ra] & m.regs[in.Rb]
 			case isa.OR:
@@ -168,36 +167,30 @@ blocks:
 			case isa.SEQ:
 				m.regs[in.Rd] = boolWord(m.regs[in.Ra] == m.regs[in.Rb])
 			case isa.LD:
-				addr := int32(int16(m.regs[in.Ra])) + in.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("load", addr, k)
-					goto fault
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
 				}
-				m.regs[in.Rd] = m.mem[int(addr)]
 			case isa.ST:
-				addr := int32(int16(m.regs[in.Ra])) + in.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("store", addr, k)
-					goto fault
+				if !m.store(mem, in, m.regs[in.Rb]) {
+					goto memFault
 				}
-				m.mem[int(addr)] = m.regs[in.Rb]
 			case isa.PUSH:
 				if m.sp <= 0 {
 					err = stackFault("push", m.sp, k)
 					goto fault
 				}
 				m.sp--
-				m.mem[m.sp] = m.regs[in.Ra]
+				mem[m.sp] = m.regs[in.Ra]
 			case isa.POP:
-				if int(m.sp) >= len(m.mem) {
+				if int(m.sp) >= len(mem) {
 					err = stackFault("pop", m.sp, k)
 					goto fault
 				}
-				m.regs[in.Rd] = m.mem[m.sp]
+				m.regs[in.Rd] = mem[m.sp]
 				m.sp++
 			case isa.SPADJ:
 				ns := m.sp + in.Imm
-				if ns < 0 || int(ns) > len(m.mem) {
+				if ns < 0 || int(ns) > len(mem) {
 					err = fmt.Errorf("%w: spadj to %d at pc=%d", ErrStackFault, ns, k)
 					goto fault
 				}
@@ -205,37 +198,9 @@ blocks:
 			case isa.GETSP:
 				m.regs[in.Rd] = uint16(m.sp)
 			case isa.IN:
-				switch in.Imm {
-				case isa.PortTimer:
-					m.regs[in.Rd] = uint16((tstart-head[k].span)/uint64(m.cfg.TickDiv) + m.cfg.ClockOffsetTicks)
-				case isa.PortADC:
-					// Saturate at the converter rails, exactly as Step does.
-					m.regs[in.Rd] = isa.ClampADC(m.cfg.Sensor.Next())
-					m.stats.SensorReads++
-				case isa.PortRNG:
-					m.regs[in.Rd] = m.cfg.Entropy.Next()
-				case isa.PortRadioCtl:
-					m.regs[in.Rd] = 1 // last TX always succeeded in this model
-				default:
-					m.regs[in.Rd] = 0
-				}
+				m.regs[in.Rd] = m.portIn(in.Imm, tstart-head[k].span)
 			case isa.OUT:
-				v := m.regs[in.Ra]
-				switch in.Imm {
-				case isa.PortLED:
-					m.ledState = v
-					m.stats.LEDWrites++
-				case isa.PortRadioData:
-					m.radioBuf = append(m.radioBuf, v)
-				case isa.PortRadioCtl:
-					if v != 0 {
-						m.stats.RadioPackets++
-						m.stats.RadioWords += uint64(len(m.radioBuf))
-						m.radioBuf = m.radioBuf[:0]
-					}
-				case isa.PortDebug:
-					m.debugOut = append(m.debugOut, v)
-				}
+				m.portOut(in.Imm, m.regs[in.Ra])
 			case isa.TRACE:
 				if len(m.trace) >= m.cfg.MaxTraceEvents {
 					err = fmt.Errorf("%w: %d events", ErrTraceOverflow, len(m.trace))
@@ -246,105 +211,79 @@ blocks:
 			case isa.PROFCNT:
 				m.profCnt[k]++
 
-			// The fused frame idioms (see fusesStore and fusesBinop for
-			// the register constraints that keep each one exactly
-			// sequential). Every register and memory write lands before
+			// The fused frame idioms, exactly sequential by the fuses
+			// predicates' register constraints: every write lands before
 			// the next sub-instruction can fault, so a fault at
-			// sub-instruction j leaves the state the reference core leaves
-			// at pc k+j.
+			// sub-instruction j leaves the reference core's state at k+j.
 			case opCopy: // ld x,[a+i]; st [c+j],x
-				st := &dec[k+1]
-				base := m.regs[st.Ra]
-				addr := int32(int16(m.regs[in.Ra])) + in.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("load", addr, k)
-					goto fault
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
 				}
-				v := m.mem[int(addr)]
-				m.regs[in.Rd] = v
 				k++
-				addr = int32(int16(base)) + st.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("store", addr, k)
-					goto fault
+				if !m.store(mem, &dec[k], x) {
+					goto memFault
 				}
-				m.mem[int(addr)] = v
 			case opConst: // ldi x,imm; st [c+j],x
-				st := &dec[k+1]
-				v := uint16(in.Imm)
-				m.regs[in.Rd] = v
-				k++
-				addr := int32(int16(m.regs[st.Ra])) + st.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("store", addr, k)
-					goto fault
-				}
-				m.mem[int(addr)] = v
-			case opBinop: // ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [c+l],x
-				q := dec[k : k+4 : k+4]
-				b2, b3 := m.regs[q[1].Ra], m.regs[q[3].Ra]
-				addr := int32(int16(m.regs[in.Ra])) + in.Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("load", addr, k)
-					goto fault
-				}
-				x := m.mem[int(addr)]
+				x = uint16(in.Imm)
 				m.regs[in.Rd] = x
 				k++
-				addr = int32(int16(b2)) + q[1].Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("load", addr, k)
-					goto fault
+				if !m.store(mem, &dec[k], x) {
+					goto memFault
 				}
-				y := m.mem[int(addr)]
-				m.regs[q[1].Rd] = y
+			case opExpr, opExprBr, opExprCp: // ldi t,K; st [c+j],t; ld x,[a+i]; ld y←[c+j]; then alu
+				kind = in.Op
+				y = uint16(in.Imm)
+				m.regs[in.Rd] = y
 				k++
-				switch q[2].Op {
-				case isa.ADD:
-					x += y
-				case isa.SUB:
-					x -= y
-				case isa.MUL:
-					x = uint16(int16(x) * int16(y))
-				case isa.DIV:
-					if y == 0 {
-						err = divFault(k)
-						goto fault
-					}
-					x = uint16(int16(x) / int16(y))
-				case isa.MOD:
-					if y == 0 {
-						err = divFault(k)
-						goto fault
-					}
-					x = uint16(int16(x) % int16(y))
-				case isa.AND:
-					x &= y
-				case isa.OR:
-					x |= y
-				case isa.XOR:
-					x ^= y
-				case isa.SHL:
-					x <<= y & 15
-				case isa.SHR:
-					x >>= y & 15
-				case isa.SAR:
-					x = uint16(int16(x) >> (y & 15))
-				case isa.SLT:
-					x = boolWord(int16(x) < int16(y))
-				case isa.SLTU:
-					x = boolWord(x < y)
-				case isa.SEQ:
-					x = boolWord(x == y)
+				if !m.store(mem, &dec[k], y) {
+					goto memFault
 				}
-				m.regs[in.Rd] = x
 				k++
-				addr = int32(int16(b3)) + q[3].Imm
-				if uint(int(addr)) >= uint(len(m.mem)) {
-					err = memFault("store", addr, k)
-					goto fault
+				if x, ok = m.load(mem, &dec[k]); !ok {
+					goto memFault
 				}
-				m.mem[int(addr)] = x
+				m.regs[dec[k+1].Rd] = y
+				k += 2
+				goto alu
+			case opCopyExpr, opCopyExprBr, opCopyExprCp: // copy u to [a+i]; ldi t,K; st [c+j],t; ld x←[a+i]; ld y←[c+j]; then alu
+				kind = in.Op
+				q := dec[k : k+6 : k+6]
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
+				}
+				k++
+				if !m.store(mem, &q[1], x) {
+					goto memFault
+				}
+				y = uint16(q[2].Imm)
+				m.regs[q[2].Rd] = y
+				k += 2
+				if !m.store(mem, &q[3], y) {
+					goto memFault
+				}
+				m.regs[q[4].Rd] = x
+				m.regs[q[5].Rd] = y
+				k += 3
+				goto alu
+			case opBinop, opBinopBr, opBinopCp: // ld x,[a+i]; ld y,[b+j]; then alu
+				kind = in.Op
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
+				}
+				k++
+				if y, ok = m.load(mem, &dec[k]); !ok {
+					goto memFault
+				}
+				k++
+				goto alu
+			case opLdBr: // ld x,[a+i]; bz/bnz x
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
+				}
+				k++
+				goto bzx
+			case opJmp, opJmpX: // its block's head already counts it
+				k = m.thread(in) - 1
 
 			// Terminators: each ends the block, charging the cycles up to
 			// it plus its own cost and penalties.
@@ -386,16 +325,16 @@ blocks:
 					goto fault
 				}
 				m.sp--
-				m.mem[m.sp] = uint16(k + 1)
+				mem[m.sp] = uint16(k + 1)
 				m.stats.Calls++
 				cycles, pc = tstart+uint64(m.costs[isa.CALL]), in.Imm
 				continue blocks
 			case isa.RET:
-				if int(m.sp) >= len(m.mem) {
+				if int(m.sp) >= len(mem) {
 					err = stackFault("ret", m.sp, k)
 					goto fault
 				}
-				next := int32(m.mem[m.sp])
+				next := int32(mem[m.sp])
 				m.sp++
 				cycles, pc = tstart+uint64(m.costs[isa.RET]), next
 				continue blocks
@@ -410,11 +349,71 @@ blocks:
 			}
 			continue
 
+		alu:
+			// k is the OP x,x,y of a binop-ended idiom of the given kind,
+			// x and y its operands. A call spills every live register on
+			// this path, so only division, which can fault, makes one.
+			switch dec[k].Op {
+			case isa.ADD:
+				x += y
+			case isa.SUB:
+				x -= y
+			case isa.MUL:
+				x = uint16(int16(x) * int16(y))
+			case isa.DIV, isa.MOD:
+				if x, ok = divide(dec[k].Op, x, y); !ok {
+					err = divFault(k)
+					goto fault
+				}
+			case isa.AND:
+				x &= y
+			case isa.OR:
+				x |= y
+			case isa.XOR:
+				x ^= y
+			case isa.SHL:
+				x <<= y & 15
+			case isa.SHR:
+				x >>= y & 15
+			case isa.SAR:
+				x = uint16(int16(x) >> (y & 15))
+			case isa.SLT:
+				x = boolWord(int16(x) < int16(y))
+			case isa.SLTU:
+				x = boolWord(x < y)
+			case isa.SEQ:
+				x = boolWord(x == y)
+			}
+			m.regs[dec[k].Rd] = x
+			k++
+			if !m.store(mem, &dec[k], x) {
+				goto memFault
+			}
+			if kind < opBinopBr {
+				continue
+			}
+			// The tail: ld z←[d+l], then bz/bnz z or st [e+m],z.
+			k++
+			m.regs[dec[k].Rd] = x
+			k++
+			if kind >= opBinopCp {
+				if !m.store(mem, &dec[k], x) {
+					goto memFault
+				}
+				if j := &dec[k+1]; j.Op == opJmp || j.Op == opJmpX {
+					k = m.thread(j) - 1 // the threaded jump, without its dispatch
+				}
+				continue
+			}
+		bzx: // the bz x or bnz x at k, x loaded or forwarded
+			taken = (x == 0) == (dec[k].Op == isa.BZ)
+
 		branch:
 			// A conditional branch at k, its outcome decided per opcode
 			// above: one dispatch per branch, not two.
+			br := &dec[k]
 			bpc := int32(k)
-			cost := uint64(m.costs[in.Op])
+			cost := uint64(m.costs[br.Op])
 			next := bpc + 1
 			m.stats.CondBranches++
 			bs := &m.branchStat[k]
@@ -423,16 +422,16 @@ blocks:
 			case predNotTaken:
 				// predicted stays false
 			case predBTFN:
-				predicted = in.Imm <= bpc
+				predicted = br.Imm <= bpc
 			case predBimodal:
 				predicted = m.bimodal.table[bpc&m.bimodal.mask] >= 2
 			default:
-				predicted = m.cfg.Predictor.PredictTaken(bpc, *in)
+				predicted = m.cfg.Predictor.PredictTaken(bpc, *br)
 			}
 			if taken {
 				m.stats.TakenBranches++
 				bs.Taken++
-				next = in.Imm
+				next = br.Imm
 				if pageOf != nil && uint(next) < uint(len(pageOf)) && pageOf[next] != pageOf[k] {
 					cost += m.pagePen
 					m.stats.PageCrossings++
@@ -470,6 +469,14 @@ blocks:
 	m.stats.Cycles = cycles
 	return nil
 
+memFault:
+	// The load or store at k was out of range; its base is unchanged.
+	if in := m.prog[k]; in.Op == isa.LD {
+		err = memFault("load", int32(int16(m.regs[in.Ra]))+in.Imm, k)
+	} else {
+		err = memFault("store", int32(int16(m.regs[in.Ra]))+in.Imm, k)
+	}
+
 fault:
 	// The instruction at k faulted: it stays counted but charges no
 	// cycles, and the rest of the block, counted on entry, never ran.
@@ -479,6 +486,47 @@ fault:
 	m.stats.Instructions -= uint64(h.rest - 1)
 	m.stats.LoadsStores -= uint64(h.nls)
 	return err
+}
+
+// divide applies DIV or MOD; ok is false for a zero divisor.
+func divide(op isa.Op, x, y uint16) (v uint16, ok bool) {
+	switch {
+	case y == 0:
+		return 0, false
+	case op == isa.DIV:
+		return uint16(int16(x) / int16(y)), true
+	}
+	return uint16(int16(x) % int16(y)), true
+}
+
+// thread runs the threaded JMP jmp, whose cycles its block's head already
+// counts, and returns its target; a page crossing is counted here.
+func (m *Machine) thread(jmp *isa.Instr) int {
+	if jmp.Op == opJmpX {
+		m.stats.PageCrossings++
+	}
+	return int(jmp.Imm)
+}
+
+// load and store access the word of mem at in's address [Ra+Imm], false
+// and changing nothing when it is out of range; load also sets Rd.
+func (m *Machine) load(mem []uint16, in *isa.Instr) (uint16, bool) {
+	addr := int32(int16(m.regs[in.Ra])) + in.Imm
+	if uint(int(addr)) >= uint(len(mem)) {
+		return 0, false
+	}
+	v := mem[int(addr)]
+	m.regs[in.Rd] = v
+	return v, true
+}
+
+func (m *Machine) store(mem []uint16, in *isa.Instr, v uint16) bool {
+	addr := int32(int16(m.regs[in.Ra])) + in.Imm
+	if uint(int(addr)) >= uint(len(mem)) {
+		return false
+	}
+	mem[int(addr)] = v
+	return true
 }
 
 // The fault errors both cores report, formatted identically. They stay

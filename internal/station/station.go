@@ -469,10 +469,7 @@ func (s *Server) Close() error {
 	if s.framesSinceCut.Load() > 0 {
 		_, err = s.CutEpoch()
 	}
-	s.stopped.Store(true)
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
+	s.stopShards()
 	s.wg.Wait()
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
@@ -491,13 +488,22 @@ func (s *Server) abort() {
 	s.ingestMu.Lock()
 	close(s.cutCh)
 	s.ingestMu.Unlock()
-	s.stopped.Store(true)
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
+	s.stopShards()
 	s.wg.Wait()
 	if s.store != nil {
 		s.store.Close() //nolint:errcheck
+	}
+}
+
+// stopShards closes the shard queues under the cut lock, so an auto-cut
+// already past the closed cutCh either finishes its sends first or sees
+// stopped and returns ErrClosed, never sending on a closed queue.
+func (s *Server) stopShards() {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	s.stopped.Store(true)
+	for _, sh := range s.shards {
+		close(sh.ch)
 	}
 }
 

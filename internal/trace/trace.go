@@ -57,11 +57,15 @@ func (iv Interval) ExclusiveTicks() uint64 {
 // properly with time running forwards, so any event the salvager counts
 // as malformed, or a frame still open at the end, returns ErrMalformed.
 func Extract(events []mote.TraceEvent) ([]Interval, error) {
-	var sv salvager
+	// Every interval takes an enter and an exit event.
+	sv := salvager{out: make([]Interval, 0, len(events)/2)}
 	sv.feed(events)
 	if sv.malformed > 0 || len(sv.stack) > 0 {
 		return nil, fmt.Errorf("%w: %d unbalanced, negative-id or backwards-clock event(s), %d frame(s) still open at end of log",
 			ErrMalformed, sv.malformed, len(sv.stack))
+	}
+	if len(sv.out) == 0 {
+		return nil, nil // no intervals stays a nil slice, presized or not
 	}
 	return sv.out, nil
 }

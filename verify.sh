@@ -96,8 +96,12 @@ echo "== fuzz smoke (RNG source)"
 go test ./internal/stats -run=NONE -fuzz=FuzzSource -fuzztime=5s
 
 echo "== fuzz smoke (interpreter cores)"
-# Differential fuzzing of the fused dispatch core against the reference
-# Step core: any state divergence on a random program is a crash.
+# Differential fuzzing of the block core against the reference Step core:
+# any state divergence on a random program is a crash. The seeds run every
+# fused kind (copy, const, binop, expr, copy-expr, their load-and-branch
+# and copy tails, load-and-branch) faulting at each sub-instruction, every
+# operator of the fused ALU switch, and a fault and a budget stop right
+# after a threaded jump.
 go test ./internal/mote -run=NONE -fuzz=FuzzFastCore -fuzztime=5s
 
 echo "== fuzz smoke (static bounds)"
@@ -133,7 +137,7 @@ go test ./internal/tomography ./internal/markov ./internal/mote ./internal/stats
 # Run end to end on crc at the benchmark's pipeline_apps configuration.
 go test . -run '^$' -bench '^BenchmarkRunCRC$' -benchtime=1x -benchmem
 
-echo "== golden tables, fleet scale, fleet and model allocations and export uses (non-race)"
+echo "== golden tables, fleet scale, fleet and model allocations, export uses and dispatch census (non-race)"
 # These gates skip or are not built under -race, so they run here.
 # TestCtbenchGolden reruns every ctbench experiment at 400 samples and
 # requires the paper tables, host-time columns masked, to match
@@ -147,8 +151,11 @@ echo "== golden tables, fleet scale, fleet and model allocations and export uses
 # crc's path-capped handler model, so a path is never stored twice again.
 # TestExportsHaveCallers type-checks the module and perfbench with their
 # tests and fails on an exported name that nothing but its own package's
-# tests uses, outside its allowlist.
-go test . ./internal/bench ./internal/fleet ./internal/tomography -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote|TestModelBytesPerArc|TestExportsHaveCallers)$' -count=1
+# tests uses, outside its allowlist. TestDispatchCensus steps compiled crc
+# and sense and fails when the block core's instructions per dispatch fall
+# below their floors, so a lost fusion or jump thread shows before the
+# benchmark does.
+go test . ./internal/bench ./internal/fleet ./internal/tomography ./internal/mote -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote|TestModelBytesPerArc|TestExportsHaveCallers|TestDispatchCensus)$' -count=1
 
 echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown)"
 # Boots ctstationd in-process on ephemeral loopback ports, pushes one
