@@ -1,7 +1,7 @@
 // Command ctstationd runs the Code Tomography base station as a
 // long-running service: it ingests CTP2 trace frames from deployed motes
 // over TCP (length-prefixed, per-frame ACK/NAK), reassembles the per-mote
-// streams on a set of shards, seals estimation epochs as traffic
+// streams in one receive window, seals estimation epochs as traffic
 // accumulates, and serves the resulting branch-probability models and
 // layout suggestions over HTTP. With a data directory it journals every
 // frame, so a restart resumes estimation exactly where the previous
@@ -9,10 +9,10 @@
 //
 // Usage:
 //
-//	ctstationd [-listen 127.0.0.1:7100] [-http 127.0.0.1:7180] [-data dir] [-shards 2] [-epoch 64] file.mc
+//	ctstationd [-listen 127.0.0.1:7100] [-http 127.0.0.1:7180] [-data dir] [-epoch 64] file.mc
 //
-// SIGINT or SIGTERM drains the shards, flushes a final snapshot, and
-// exits 0.
+// SIGINT or SIGTERM stops the listeners, seals and flushes a final
+// snapshot, and exits 0.
 package main
 
 import (
@@ -47,7 +47,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:7100", "TCP ingest address")
 	httpAddr := fs.String("http", "127.0.0.1:7180", "HTTP API address")
 	fs.StringVar(&cfg.DataDir, "data", "", "data directory for the frame log and model snapshots (empty = in-memory only)")
-	cli.Int(fs, &cfg.Shards, "shards", 2, 1, math.MaxInt, "reassembly shards (one worker each)")
 	cli.Int(fs, &cfg.EpochFrames, "epoch", 64, 0, math.MaxInt, "cut an estimation epoch every N accepted frames (0 = only via POST /v1/epoch)")
 	cli.Tick(fs, &cfg.TickDiv)
 	cli.Estimator(fs, &cfg.Estimator)

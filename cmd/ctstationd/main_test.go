@@ -73,7 +73,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		wantFlag string
 	}{
 		{"no file", []string{}, "one source file"},
-		{"zero shards", []string{"-shards", "0", prog}, "-shards"},
 		{"negative epoch", []string{"-epoch", "-1", prog}, "-epoch"},
 		{"zero tick", []string{"-tick", "0", prog}, "-tick"},
 		{"zero minsamples", []string{"-minsamples", "0", prog}, "-minsamples"},

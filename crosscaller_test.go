@@ -65,8 +65,8 @@ func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool, est tomo
 		t.Fatal(err)
 	}
 
-	// Decode every mote's delivery in two halves as the station's shards
-	// and epoch cuts do: the second half on a window rebased at the
+	// Decode every mote's delivery in two halves as the station's epoch
+	// cuts do: the second half on the same window, rebased in place at the
 	// first's next sequence number.
 	halves := func(up fleet.MoteResult) [2][][]byte {
 		h := len(up.Frames) / 2
@@ -83,8 +83,8 @@ func callersAgree(t *testing.T, a apps.App, maxVisits int, static bool, est tomo
 				}
 			}
 			ivs, _ := r.Recover()
-			r = trace.NewReassemblerAt(up.Spec.ID, r.NextSeq())
 			epoch := trace.ExclusiveByProc(ivs)
+			r.Reset(up.Spec.ID, r.NextSeq())
 			for p, tk := range epoch {
 				ticks[p] = append(ticks[p], tk...)
 			}

@@ -144,7 +144,7 @@ func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (de
 	// The channel RNG derives from the link seed and the mote identity so
 	// each mote sees an independent but reproducible channel.
 	w.link.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
-	w.rx.Reset(spec.ID)
+	w.rx.Reset(spec.ID, 0)
 	w.delivered, ls, ast, err = cfg.Link.TransmitARQ(w.delivered[:0], w.frames, w.link, w.rx)
 	return w.delivered, ls, ast, len(events), err
 }

@@ -18,8 +18,8 @@ func benchUploads(b *testing.B) []fleet.MoteResult {
 	return benchFleet
 }
 
-// BenchmarkIngest measures the raw frame path: decode, WAL-less route,
-// shard enqueue.
+// BenchmarkIngest measures the raw frame path: decode, then the locked
+// apply to the receive window, with no WAL.
 func BenchmarkIngest(b *testing.B) {
 	uploads := benchUploads(b)
 	var frames [][]byte
@@ -34,7 +34,7 @@ func BenchmarkIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := newStation(b, station.Config{Shards: 2})
+		s := newStation(b, station.Config{})
 		b.StartTimer()
 		for _, f := range frames {
 			if err := s.IngestFrame(f); err != nil {
@@ -47,14 +47,14 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochCut measures a full seal: barrier, harvest, estimation,
-// snapshot build.
+// BenchmarkEpochCut measures a full seal: harvest under the window lock,
+// estimation, snapshot build.
 func BenchmarkEpochCut(b *testing.B) {
 	uploads := benchUploads(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := newStation(b, station.Config{Shards: 2})
+		s := newStation(b, station.Config{})
 		ingestUploads(b, s, uploads)
 		b.StartTimer()
 		if _, err := s.CutEpoch(); err != nil {

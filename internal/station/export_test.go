@@ -6,8 +6,8 @@ import (
 )
 
 // Abort exposes the crash-simulation hook to the external test package:
-// stop the workers and drop the WAL handle without the final epoch cut or
-// a clean sync, exactly as if the process had died.
+// refuse ingest and cuts and release the WAL without the final epoch cut,
+// as if the process had died.
 func (s *Server) Abort() { s.abort() }
 
 // ProcStream exposes one procedure's standing estimation state: its path

@@ -11,9 +11,10 @@ import (
 //
 // TCP carries length-prefixed frames (uint16 LE length, then the frame
 // bytes) and answers each with one status byte — ACK for a frame that
-// decoded, passed CRC, and was enqueued, NAK otherwise. The per-frame ack
-// is what makes a stop-and-wait ARQ client (Push) work: a frame the
-// channel or a proxy mangled is retransmitted instead of silently lost.
+// decoded, passed CRC, and was logged and applied, NAK otherwise. The
+// per-frame ack is what makes a stop-and-wait ARQ client (Push) work: a
+// frame the channel or a proxy mangled is retransmitted instead of
+// silently lost.
 
 const (
 	// AckByte and NakByte are the TCP per-frame replies.
@@ -26,8 +27,8 @@ const (
 )
 
 // ServeTCP accepts framed-uplink connections until the listener closes.
-// Each connection is served on its own goroutine; the per-shard queues
-// bound memory, not the connection count.
+// Each connection is served on its own goroutine with one frame buffer;
+// their frames meet only at the receive window's lock.
 func (s *Server) ServeTCP(l net.Listener) error {
 	for {
 		conn, err := l.Accept()

@@ -2,30 +2,33 @@
 // Tomography pipeline: where package fleet simulates one bounded
 // measurement campaign and estimates at the end, station ingests CTP2
 // trace frames continuously — over real sockets or an in-process bridge —
-// reassembles per-mote streams on a set of shards, and rolls the fleet's
-// samples into estimation epochs. Every epoch seals the receive window,
-// folds the recovered durations into per-procedure warm-started streaming
-// estimators, and publishes an immutable model snapshot (branch
+// reassembles per-mote streams in one receive window, and rolls the
+// fleet's samples into estimation epochs. Every epoch seals the receive
+// window, folds the recovered durations into per-procedure warm-started
+// streaming estimators, and publishes an immutable model snapshot (branch
 // probabilities plus the suggested block layout) that a deployment tool
 // can fetch over HTTP.
 //
 // Determinism contract: a snapshot is a pure function of the multiset of
-// frames each mote delivered between epoch cuts. Reassembly is
-// order-insensitive within a window (packets key by sequence number),
-// harvests merge as sample counts, which commute, and each procedure's
-// estimator runs single-threaded — so the shard count, the frame
-// interleaving, and the worker schedule never change a snapshot.
+// frames each mote delivered between epoch cuts. There is one receive
+// window, and every frame and cut enters it under one lock, so each frame
+// lands on one side of each cut. Reassembly is order-insensitive within a
+// window (packets key by sequence number), a harvest merges sample counts,
+// which commute, and each procedure's estimator runs single-threaded — so
+// neither the frame interleaving nor the worker schedule changes a
+// snapshot.
 //
 // Durability: with a data directory configured, every accepted frame and
 // every epoch cut is appended to a write-ahead log before it is applied.
-// A restarted station replays the log through the identical ingest and
-// cut code paths, reproducing the estimator state exactly — including a
-// partially-filled epoch in flight when the process died.
+// A restarted station replays the log through the same apply and harvest
+// code as live ingest and cuts, reproducing the estimator state exactly —
+// including a partially-filled epoch in flight when the process died.
 package station
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,9 +49,6 @@ type Config struct {
 	// estimates from durations alone, but the mapping from durations to
 	// branch probabilities is a property of the program.
 	Program string
-	// Shards is the number of per-mote reassembly shards; motes hash to a
-	// shard by ID, and each shard is drained by one worker (default 2).
-	Shards int
 	// Settings is the estimation configuration, shared with Run and
 	// RunFleet: the motes' timer prescaler and branch predictor, the
 	// estimator, the path-enumeration bound, StaticResolve, the snapshot
@@ -64,17 +64,10 @@ type Config struct {
 	DataDir string
 }
 
-// shardQueueDepth bounds each shard's ingest queue; a full queue applies
-// backpressure to the ingest path.
-const shardQueueDepth = 256
-
 // Validate rejects configurations New cannot honor.
 func (c Config) Validate() error {
 	if c.Program == "" {
 		return errors.New("station: Config.Program is required")
-	}
-	if c.Shards < 0 || c.Shards > 256 {
-		return fmt.Errorf("station: Shards = %d; must be in [1, 256] (zero selects the default of 2)", c.Shards)
 	}
 	if err := c.Settings.Validate(); err != nil {
 		return fmt.Errorf("station: %w", err)
@@ -85,15 +78,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	c.Settings = c.Settings.WithDefaults()
-	return c
-}
-
-// ErrClosed is returned by ingest entry points after Close has begun.
+// ErrClosed is returned by IngestFrame once Close has begun, and by
+// CutEpoch once Close has sealed the final epoch.
 var ErrClosed = errors.New("station: server closed")
 
 // ErrRejected wraps frames the station refused at the ingest boundary: a
@@ -108,32 +94,6 @@ type procState struct {
 	stream *pipeline.Stream // nil when the path model could not be built
 }
 
-// harvested is what one epoch's seal recovered from one shard's motes: the
-// exclusive durations of each streamed procedure, in cycles, indexed like
-// Server.procs, and the summed reassembly accounting.
-type harvested struct {
-	samples []tomography.SampleCounts
-	stats   trace.UplinkStats
-}
-
-type cutReq struct {
-	wg  *sync.WaitGroup
-	out *harvested // written only by the owning shard worker
-}
-
-type shardMsg struct {
-	pkt *trace.Packet
-	cut *cutReq
-}
-
-// shard owns the reassembly state for the motes that hash to it. Only its
-// worker goroutine touches motes after Start, which is what makes the
-// epoch-cut token a sufficient barrier.
-type shard struct {
-	ch    chan shardMsg
-	motes map[uint16]*trace.Reassembler
-}
-
 // Server is a running base station.
 type Server struct {
 	cfg   Config
@@ -142,27 +102,26 @@ type Server struct {
 	slot  []int        // procedure index → position in procs; -1 unless streamed
 	pool  *fleet.Pool
 
-	// ingestMu is the epoch barrier: ingest holds it shared across
-	// WAL-append plus shard enqueue, the cut path holds it exclusively
-	// while logging the cut record and enqueueing the seal token on every
-	// shard. FIFO queues then guarantee every frame lands on the correct
-	// side of the cut on disk and in memory alike.
-	ingestMu sync.RWMutex
-	cutMu    sync.Mutex // serializes whole epoch cuts
-	closed   atomic.Bool
-	stopped  atomic.Bool // shard workers gone; cuts impossible
+	// mu guards the receive window. Ingest holds it across the WAL append
+	// and the apply, a cut across the cut record and the harvest, so every
+	// frame lands on the same side of a cut in the log and in memory.
+	mu             sync.Mutex
+	motes          map[uint16]*trace.Reassembler
+	framesSinceCut int
+	closed         atomic.Bool // set under mu; ingest refused from then on
 
-	shards []*shard
-	wg     sync.WaitGroup
-	cutCh  chan struct{}
-	store  *store // nil when DataDir is empty
+	cutMu sync.Mutex // serializes whole epoch cuts
+	done  bool       // under cutMu: the station is closed and cuts fail
+
+	wg    sync.WaitGroup
+	cutCh chan struct{} // auto-cut triggers; closed under mu with closed
+	store *store        // nil when DataDir is empty
 
 	snapMu sync.RWMutex
 	epoch  uint64
 	snap   *Snapshot
 
-	framesSinceCut atomic.Int64
-	m              counters
+	m counters
 }
 
 // counters is the server's atomic metrics block.
@@ -176,12 +135,12 @@ type counters struct {
 }
 
 // New builds a station, replays its write-ahead log if a data directory
-// holds one, and starts the shard workers. The caller owns Close.
+// holds one, and starts the auto-cut loop. The caller owns Close.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg.Settings = cfg.Settings.WithDefaults()
 
 	prof, err := compile.Build(cfg.Program, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
@@ -190,7 +149,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		prof:  prof,
-		pool:  fleet.NewPool(cfg.Shards + 2),
+		pool:  fleet.NewPool(runtime.GOMAXPROCS(0)),
+		motes: make(map[uint16]*trace.Reassembler),
 		cutCh: make(chan struct{}, 1),
 	}
 	s.slot = make([]int, len(prof.CFG.Procs))
@@ -211,13 +171,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.procs = append(s.procs, ps)
 	}
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			ch:    make(chan shardMsg, shardQueueDepth),
-			motes: make(map[uint16]*trace.Reassembler),
-		}
-	}
 	s.snap = s.buildSnapshot() // epoch 0: every procedure untrusted, no data yet
 
 	if cfg.DataDir != "" {
@@ -232,14 +185,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	for _, sh := range s.shards {
-		sh := sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.shardWorker(sh)
-		}()
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -260,72 +205,67 @@ func (s *Server) Epoch() uint64 {
 	return s.epoch
 }
 
-// shardWorker drains one shard: packets feed the per-mote reassemblers,
-// cut tokens seal the window and hand the harvest back to the cut path.
-func (s *Server) shardWorker(sh *shard) {
-	for msg := range sh.ch {
-		if msg.cut != nil {
-			s.harvest(sh, msg.cut.out)
-			msg.cut.wg.Done()
-			continue
-		}
-		s.applyPacket(sh, msg.pkt)
-	}
-}
-
-func (s *Server) applyPacket(sh *shard, p *trace.Packet) {
-	r := sh.motes[p.MoteID]
+// apply feeds one decoded frame of size bytes to its mote's reassembler
+// and returns the frames accepted since the last cut. Callers hold mu, or
+// are replaying the WAL before the station starts.
+func (s *Server) apply(p *trace.Packet, size int) int {
+	r := s.motes[p.MoteID]
 	if r == nil {
 		r = trace.NewReassembler(p.MoteID)
-		sh.motes[p.MoteID] = r
+		s.motes[p.MoteID] = r
 	}
-	// Add only fails on a mote-ID mismatch, impossible after routing by ID.
+	// Add only fails on a mote-ID mismatch, impossible after keying by ID.
 	r.Add(*p) //nolint:errcheck
+	s.m.frames.Add(1)
+	s.m.events.Add(uint64(len(p.Events)))
+	s.m.bytes.Add(uint64(size))
+	s.framesSinceCut++
+	return s.framesSinceCut
 }
 
-// harvest seals one shard's receive window: recover every mote's
-// intervals, count the streamed procedures' exclusive durations, and
-// rebase each stream at its next expected sequence so the next epoch
-// counts neither the consumed packets nor their redeliveries.
-func (s *Server) harvest(sh *shard, out *harvested) {
-	out.samples = make([]tomography.SampleCounts, len(s.procs))
-	for id, r := range sh.motes {
-		ivs, st := r.Recover()
-		out.stats.Add(st)
+// harvest seals the receive window: recover every mote's intervals, count
+// the streamed procedures' exclusive durations (in cycles, indexed like
+// s.procs) and sum the reassembly accounting, and rebase each stream in
+// place at its next expected sequence so the next epoch counts neither the
+// consumed packets nor their redeliveries. Callers hold mu, or are
+// replaying the WAL.
+func (s *Server) harvest() ([]tomography.SampleCounts, trace.UplinkStats) {
+	samples := make([]tomography.SampleCounts, len(s.procs))
+	var st trace.UplinkStats
+	for id, r := range s.motes {
+		ivs, rst := r.Recover()
+		st.Add(rst)
 		for _, iv := range ivs {
 			if p := iv.ProcIndex; uint(p) < uint(len(s.slot)) && s.slot[p] >= 0 {
-				out.samples[s.slot[p]].Add(float64(iv.ExclusiveTicks())*float64(s.cfg.Settings.TickDiv), 1)
+				samples[s.slot[p]].Add(float64(iv.ExclusiveTicks())*float64(s.cfg.Settings.TickDiv), 1)
 			}
 		}
-		sh.motes[id] = trace.NewReassemblerAt(id, r.NextSeq())
+		r.Reset(id, r.NextSeq())
 	}
+	s.framesSinceCut = 0
+	return samples, st
 }
 
 // IngestFrame accepts one raw CTP2 frame off the wire. Frames that fail
-// to decode or fail CRC are counted and rejected with ErrRejected. The
-// call blocks when the target shard's queue is full (backpressure), and
-// fails with ErrClosed during shutdown.
+// to decode or fail CRC are counted and rejected with ErrRejected; a
+// decodable frame fails with ErrClosed once Close has begun.
 func (s *Server) IngestFrame(frame []byte) error {
-	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	var p trace.Packet
 	if err := p.UnmarshalBinary(frame); err != nil {
 		s.m.corrupt.Add(1)
 		return fmt.Errorf("%w: %v", ErrRejected, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
 	}
 	if s.store != nil {
 		if err := s.store.appendFrame(frame); err != nil {
 			return fmt.Errorf("station: wal: %w", err)
 		}
 	}
-	s.shards[int(p.MoteID)%len(s.shards)].ch <- shardMsg{pkt: &p}
-	s.m.frames.Add(1)
-	s.m.events.Add(uint64(len(p.Events)))
-	s.m.bytes.Add(uint64(len(frame)))
-	if n := s.framesSinceCut.Add(1); s.cfg.EpochFrames > 0 && n == int64(s.cfg.EpochFrames) {
+	if s.apply(&p, len(frame)) == s.cfg.EpochFrames {
 		select {
 		case s.cutCh <- struct{}{}:
 		default:
@@ -334,51 +274,39 @@ func (s *Server) IngestFrame(frame []byte) error {
 	return nil
 }
 
-// CutEpoch seals the current receive window across every shard, folds the
-// harvested durations into the streaming estimators, and publishes (and,
-// when durable, persists) a new model snapshot.
+// CutEpoch seals the current receive window, folds the harvested
+// durations into the streaming estimators, and publishes (and, when
+// durable, persists) a new model snapshot. It fails with ErrClosed once
+// Close has sealed the final epoch.
 func (s *Server) CutEpoch() (*Snapshot, error) {
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
-	if s.stopped.Load() {
+	if s.done {
 		return nil, ErrClosed
 	}
+	return s.cut()
+}
 
-	// Barrier: no ingest may be mid-flight while the cut record and the
-	// seal tokens are placed, so the frame/cut order in the WAL matches
-	// the order the shards observe.
-	s.ingestMu.Lock()
+// cut is CutEpoch under cutMu: log the cut record and harvest the window
+// under mu, then estimate and publish outside it, so ingest only waits
+// for the harvest.
+func (s *Server) cut() (*Snapshot, error) {
+	s.mu.Lock()
 	if s.store != nil {
 		if err := s.store.appendCut(); err != nil {
-			s.ingestMu.Unlock()
+			s.mu.Unlock()
 			return nil, fmt.Errorf("station: wal: %w", err)
 		}
 	}
-	s.framesSinceCut.Store(0)
-	var wg sync.WaitGroup
-	results := make([]harvested, len(s.shards))
-	for i, sh := range s.shards {
-		wg.Add(1)
-		sh.ch <- shardMsg{cut: &cutReq{wg: &wg, out: &results[i]}}
-	}
-	s.ingestMu.Unlock()
-	wg.Wait()
-	return s.finishCut(results)
+	samples, st := s.harvest()
+	s.mu.Unlock()
+	return s.finishCut(samples, st)
 }
 
-// finishCut is the sharding-independent half of an epoch cut, shared by
-// the live path and WAL replay: merge the shards' harvests (integer sums,
-// so shard order cannot show), observe one histogram per procedure, and
-// publish the snapshot.
-func (s *Server) finishCut(results []harvested) (*Snapshot, error) {
-	var st trace.UplinkStats
-	merged := make([]tomography.SampleCounts, len(s.procs))
-	for _, res := range results {
-		st.Add(res.stats)
-		for k := range merged {
-			merged[k].Merge(res.samples[k])
-		}
-	}
+// finishCut is the half of an epoch cut that runs outside the window lock,
+// shared by the live path and WAL replay: account the harvest, observe one
+// histogram per procedure, and publish the snapshot.
+func (s *Server) finishCut(samples []tomography.SampleCounts, st trace.UplinkStats) (*Snapshot, error) {
 	s.m.dups.Add(uint64(st.PacketsDuplicate))
 	s.m.lost.Add(uint64(st.PacketsLost))
 	s.m.recovered.Add(uint64(st.InvocationsRecovered))
@@ -392,10 +320,10 @@ func (s *Server) finishCut(results []harvested) (*Snapshot, error) {
 			continue // no model to feed
 		}
 		ps.stream.Lost += st.LostPartialsByProc[ps.index]
-		if n := merged[k].N(); n > 0 {
+		if n := samples[k].N(); n > 0 {
 			s.m.samples.Add(uint64(n))
 			streams = append(streams, ps.stream)
-			batches = append(batches, merged[k:k+1])
+			batches = append(batches, samples[k:k+1])
 		}
 	}
 	if err := pipeline.ObserveOn(s.pool, streams, batches); err != nil {
@@ -416,10 +344,10 @@ func (s *Server) finishCut(results []harvested) (*Snapshot, error) {
 	return snap, nil
 }
 
-// replay drives recovered WAL records through the identical ingest and cut
-// code paths, before the shard workers exist — frames apply inline, cuts
-// harvest inline — so the resumed estimator state is exactly what the
-// crashed process held, including the partially-filled epoch in flight.
+// replay drives recovered WAL records through the live path's apply and
+// harvest before the station starts, so the resumed estimator state is
+// exactly what the crashed process held, including the partially-filled
+// epoch in flight.
 func (s *Server) replay(recs []walRecord) error {
 	for _, rec := range recs {
 		switch rec.kind {
@@ -431,18 +359,9 @@ func (s *Server) replay(recs []walRecord) error {
 				// format drifted. Either way the remainder is untrustworthy.
 				return fmt.Errorf("station: wal replay: %w", err)
 			}
-			s.applyPacket(s.shards[int(p.MoteID)%len(s.shards)], &p)
-			s.m.frames.Add(1)
-			s.m.events.Add(uint64(len(p.Events)))
-			s.m.bytes.Add(uint64(len(rec.payload)))
-			s.framesSinceCut.Add(1)
+			s.apply(&p, len(rec.payload))
 		case walCut:
-			s.framesSinceCut.Store(0)
-			results := make([]harvested, len(s.shards))
-			for i, sh := range s.shards {
-				s.harvest(sh, &results[i])
-			}
-			if _, err := s.finishCut(results); err != nil {
+			if _, err := s.finishCut(s.harvest()); err != nil {
 				return err
 			}
 		}
@@ -452,24 +371,36 @@ func (s *Server) replay(recs []walRecord) error {
 }
 
 // Close drains the station: reject new ingest, seal a final epoch if the
-// window holds any frames, stop the shard workers, and sync the log. It
-// is idempotent.
-func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+// window holds any frames, and sync the log. It is idempotent.
+func (s *Server) Close() error { return s.stop(true) }
+
+// abort is the test hook simulating a crash: stop without the final cut,
+// leaving recovery to the next New. A crashed process reports nothing, so
+// the log's close error is dropped.
+func (s *Server) abort() { _ = s.stop(false) }
+
+// stop shuts the station down. Closing the window and cutCh under mu
+// means no auto-cut trigger can race the close; marking the station done
+// under cutMu, after the final cut when seal is set, means no cut is in
+// flight once stop returns.
+func (s *Server) stop(seal bool) error {
+	s.mu.Lock()
+	if s.closed.Swap(true) {
+		s.mu.Unlock()
 		return nil
 	}
-	// New IngestFrame calls now fail; in-flight ones finish under the
-	// shared lock, so a final barrier acquisition proves the queues hold
-	// everything that was accepted.
-	s.ingestMu.Lock()
 	close(s.cutCh)
-	s.ingestMu.Unlock()
+	s.mu.Unlock()
 
+	// With ingest refused, only cuts, which cutMu serializes, change the
+	// window: an auto-cut that drained it first leaves nothing to seal.
 	var err error
-	if s.framesSinceCut.Load() > 0 {
-		_, err = s.CutEpoch()
+	s.cutMu.Lock()
+	if seal && s.framesSinceCut > 0 {
+		_, err = s.cut()
 	}
-	s.stopShards()
+	s.done = true
+	s.cutMu.Unlock()
 	s.wg.Wait()
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
@@ -477,34 +408,6 @@ func (s *Server) Close() error {
 		}
 	}
 	return err
-}
-
-// abort is the test hook simulating a crash: stop everything without the
-// final cut or a clean WAL sync, leaving recovery to the next New.
-func (s *Server) abort() {
-	if !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	s.ingestMu.Lock()
-	close(s.cutCh)
-	s.ingestMu.Unlock()
-	s.stopShards()
-	s.wg.Wait()
-	if s.store != nil {
-		s.store.Close() //nolint:errcheck
-	}
-}
-
-// stopShards closes the shard queues under the cut lock, so an auto-cut
-// already past the closed cutCh either finishes its sends first or sees
-// stopped and returns ErrClosed, never sending on a closed queue.
-func (s *Server) stopShards() {
-	s.cutMu.Lock()
-	defer s.cutMu.Unlock()
-	s.stopped.Store(true)
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
 }
 
 // Snapshot is one epoch's immutable model publication.
@@ -629,12 +532,11 @@ type Metrics struct {
 	TCPNaks              uint64 `json:"tcp_naks"`
 	SnapshotsWritten     uint64 `json:"snapshots_written"`
 	WALRecordsRecovered  uint64 `json:"wal_records_recovered"`
-	ShardQueueDepth      []int  `json:"shard_queue_depth"`
 }
 
 // Metrics returns a point-in-time copy of the counters.
 func (s *Server) Metrics() Metrics {
-	m := Metrics{
+	return Metrics{
 		Epoch:                s.Epoch(),
 		FramesAccepted:       s.m.frames.Load(),
 		FramesRejected:       s.m.corrupt.Load(),
@@ -652,8 +554,4 @@ func (s *Server) Metrics() Metrics {
 		SnapshotsWritten:     s.m.snapshotsWritten.Load(),
 		WALRecordsRecovered:  s.m.walRecordsRecovered.Load(),
 	}
-	for _, sh := range s.shards {
-		m.ShardQueueDepth = append(m.ShardQueueDepth, len(sh.ch))
-	}
-	return m
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 	"codetomo/internal/station"
 )
 
-const testProgram = `
+// workProc is the one branchy procedure both test programs stream.
+const workProc = `
 func work(v int) int {
 	var r int;
 	r = 0;
@@ -28,7 +30,9 @@ func work(v int) int {
 	}
 	return r;
 }
+`
 
+const testProgram = workProc + `
 func main() {
 	var i int;
 	var acc int;
@@ -39,12 +43,26 @@ func main() {
 	debug(acc);
 }`
 
-// simulateFleet runs a small deployment and returns the per-mote results
-// with their uploads kept (frames as the channel delivered them). Pure
-// function of motes, so every test sees the identical traffic.
+// shortProgram calls work three times and returns: each of its motes
+// delivers one frame holding every invocation whole, so no epoch cut can
+// split one.
+const shortProgram = workProc + `
+func main() {
+	debug(work(sense()) + work(sense()) + work(sense()));
+}`
+
+// simulateFleet runs a small deployment of testProgram and returns the
+// per-mote results with their uploads kept (frames as the channel
+// delivered them). Pure function of motes, so every test sees the
+// identical traffic.
 func simulateFleet(t testing.TB, motes int) []fleet.MoteResult {
 	t.Helper()
-	prof, err := compile.Build(testProgram, compile.Options{Instrument: compile.ModeTimestamps})
+	return simulateProgram(t, testProgram, motes)
+}
+
+func simulateProgram(t testing.TB, src string, motes int) []fleet.MoteResult {
+	t.Helper()
+	prof, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +93,9 @@ func simulateFleet(t testing.TB, motes int) []fleet.MoteResult {
 
 func newStation(t testing.TB, cfg station.Config) *station.Server {
 	t.Helper()
-	cfg.Program = testProgram
+	if cfg.Program == "" {
+		cfg.Program = testProgram
+	}
 	s, err := station.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,14 +160,14 @@ func ingestAll(t *testing.T, s *station.Server, perMote [][][]byte, interleave b
 }
 
 // Epoch snapshots must be a pure function of the frame multiset per
-// window: one shard fed serially and four shards fed interleaved (and
-// reversed) must publish identical models, epoch for epoch.
-func TestShardedIngestMatchesSerial(t *testing.T) {
+// window: serial ingest and interleaved, reversed ingest must publish
+// identical models, epoch for epoch.
+func TestIngestOrderInvariant(t *testing.T) {
 	uploads := simulateFleet(t, 4)
 	first, second := splitFrames(uploads)
 
-	run := func(shards int, interleave bool) []*station.Snapshot {
-		s := newStation(t, station.Config{Shards: shards})
+	run := func(interleave bool) []*station.Snapshot {
+		s := newStation(t, station.Config{})
 		defer s.Close()
 		var snaps []*station.Snapshot
 		for _, window := range [][][][]byte{first, second} {
@@ -161,13 +181,13 @@ func TestShardedIngestMatchesSerial(t *testing.T) {
 		return snaps
 	}
 
-	serial := run(1, false)
-	sharded := run(4, true)
+	serial := run(false)
+	interleaved := run(true)
 	for i := range serial {
-		if !reflect.DeepEqual(serial[i], sharded[i]) {
+		if !reflect.DeepEqual(serial[i], interleaved[i]) {
 			a, _ := json.Marshal(serial[i])
-			b, _ := json.Marshal(sharded[i])
-			t.Fatalf("epoch %d diverged between 1-shard serial and 4-shard interleaved ingest:\n%s\n%s", i+1, a, b)
+			b, _ := json.Marshal(interleaved[i])
+			t.Fatalf("epoch %d diverged between serial and interleaved ingest:\n%s\n%s", i+1, a, b)
 		}
 	}
 	// The data must actually carry signal: work has 800 fleet samples and
@@ -190,7 +210,7 @@ func TestCrashMidEpochResumesWarm(t *testing.T) {
 	uploads := simulateFleet(t, 4)
 	first, second := splitFrames(uploads)
 	cfg := func(dir string) station.Config {
-		return station.Config{Shards: 2, DataDir: dir}
+		return station.Config{DataDir: dir}
 	}
 
 	// Uninterrupted reference run.
@@ -243,7 +263,7 @@ func TestCrashMidEpochResumesWarm(t *testing.T) {
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	uploads := simulateFleet(t, 2)
-	s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
+	s1 := newStation(t, station.Config{DataDir: dir})
 	for _, up := range uploads {
 		for _, f := range up.Frames {
 			if err := s1.IngestFrame(f); err != nil {
@@ -266,7 +286,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	s2 := newStation(t, station.Config{Shards: 1, DataDir: dir})
+	s2 := newStation(t, station.Config{DataDir: dir})
 	defer s2.Close()
 	if got := s2.Epoch(); got != 1 {
 		t.Fatalf("epoch after torn-tail recovery = %d, want 1", got)
@@ -277,7 +297,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 // client that retransmits on NAK.
 func TestServeTCPAckNak(t *testing.T) {
 	uploads := simulateFleet(t, 2)
-	s := newStation(t, station.Config{Shards: 2})
+	s := newStation(t, station.Config{})
 	defer s.Close()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -323,7 +343,7 @@ func TestServeTCPAckNak(t *testing.T) {
 // the explicit epoch cut.
 func TestHTTPAPI(t *testing.T) {
 	uploads := simulateFleet(t, 4)
-	s := newStation(t, station.Config{Shards: 2})
+	s := newStation(t, station.Config{})
 	defer s.Close()
 	ingestUploads(t, s, uploads)
 
@@ -393,7 +413,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m.FramesAccepted == 0 || m.Epoch != 1 || len(m.ShardQueueDepth) != 2 {
+	if m.FramesAccepted == 0 || m.Epoch != 1 {
 		t.Fatalf("/v1/metrics = %+v", m)
 	}
 }
@@ -401,7 +421,7 @@ func TestHTTPAPI(t *testing.T) {
 // EpochFrames cuts epochs automatically as traffic accumulates.
 func TestAutoEpochCut(t *testing.T) {
 	uploads := simulateFleet(t, 2)
-	s := newStation(t, station.Config{Shards: 2, EpochFrames: 8})
+	s := newStation(t, station.Config{EpochFrames: 8})
 	defer s.Close()
 	ingestUploads(t, s, uploads)
 	deadline := time.Now().Add(5 * time.Second)
@@ -413,12 +433,94 @@ func TestAutoEpochCut(t *testing.T) {
 	}
 }
 
+// Ingest from several goroutines, automatic and explicit cuts, and Close
+// share one window: no frame may be lost or applied twice, and once Close
+// returns no cut is in flight and both ingest and cuts fail. Each mote
+// delivers one self-contained frame, so wherever the cuts fall, the
+// samples absorbed across epochs must equal a serial run's.
+func TestConcurrentIngestAndClose(t *testing.T) {
+	uploads := simulateProgram(t, shortProgram, 64)
+	var frames [][]byte
+	for _, up := range uploads {
+		frames = append(frames, up.Frames...)
+	}
+	if len(frames) != len(uploads) {
+		t.Fatalf("%d frames from %d motes, want one each", len(frames), len(uploads))
+	}
+
+	serial := newStation(t, station.Config{Program: shortProgram})
+	ingestUploads(t, serial, uploads)
+	if err := serial.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Metrics().SamplesAbsorbed
+	if want == 0 {
+		t.Fatal("serial run absorbed no samples")
+	}
+
+	s := newStation(t, station.Config{Program: shortProgram, EpochFrames: 8})
+	const workers = 4
+	errs := make(chan error, workers+1)
+	var ingest sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ingest.Add(1)
+		go func() {
+			defer ingest.Done()
+			for i := w; i < len(frames); i += workers {
+				if err := s.IngestFrame(frames[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	cutter := make(chan struct{})
+	go func() { // explicit cuts until Close ends them
+		defer close(cutter)
+		for {
+			if _, err := s.CutEpoch(); err != nil {
+				if !errors.Is(err, station.ErrClosed) {
+					errs <- err
+				}
+				return
+			}
+		}
+	}()
+	ingest.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cutter:
+	case <-time.After(10 * time.Second):
+		t.Fatal("CutEpoch still succeeds after Close returned")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	m := s.Metrics()
+	if m.FramesAccepted != uint64(len(frames)) {
+		t.Fatalf("FramesAccepted = %d, want %d", m.FramesAccepted, len(frames))
+	}
+	if m.SamplesAbsorbed != want {
+		t.Fatalf("SamplesAbsorbed = %d over %d epochs, want the serial run's %d", m.SamplesAbsorbed, m.Epoch, want)
+	}
+	if err := s.IngestFrame(frames[0]); !errors.Is(err, station.ErrClosed) {
+		t.Fatalf("ingest after Close = %v, want ErrClosed", err)
+	}
+	if _, err := s.CutEpoch(); !errors.Is(err, station.ErrClosed) {
+		t.Fatalf("cut after Close = %v, want ErrClosed", err)
+	}
+}
+
 // Close seals the open window (flushing a final snapshot when durable)
 // and rejects further ingest.
 func TestCloseFlushesFinalEpoch(t *testing.T) {
 	dir := t.TempDir()
 	uploads := simulateFleet(t, 2)
-	s := newStation(t, station.Config{Shards: 2, DataDir: dir})
+	s := newStation(t, station.Config{DataDir: dir})
 	ingestUploads(t, s, uploads)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -446,7 +548,7 @@ func TestCloseFlushesFinalEpoch(t *testing.T) {
 // frame in the retired checksum-less CTP1 format.
 func TestIngestRejects(t *testing.T) {
 	uploads := simulateFleet(t, 1)
-	s := newStation(t, station.Config{Shards: 1})
+	s := newStation(t, station.Config{})
 	defer s.Close()
 
 	// CTP1: magic | mote 0 | seq 0 | 0 records, no CRC trailer.
@@ -533,7 +635,7 @@ func TestIngestDropDuplicate(t *testing.T) {
 			len(frames), len(distinct), len(delivered))
 	}
 
-	lossy := newStation(t, station.Config{Shards: 2})
+	lossy := newStation(t, station.Config{})
 	defer lossy.Close()
 	for _, f := range delivered {
 		if err := lossy.IngestFrame(f); err != nil {
@@ -545,7 +647,7 @@ func TestIngestDropDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := newStation(t, station.Config{Shards: 2})
+	ref := newStation(t, station.Config{})
 	defer ref.Close()
 	for _, f := range distinct {
 		if err := ref.IngestFrame(f); err != nil {

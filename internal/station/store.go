@@ -45,8 +45,9 @@ type walRecord struct {
 type store struct {
 	dir string
 
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	f   *os.File
+	rec []byte // the record being appended, reused across appends
 }
 
 // openStore opens (creating if needed) the data directory, recovers the
@@ -101,13 +102,12 @@ func recoverWAL(path string) ([]walRecord, int64, error) {
 }
 
 func (st *store) append(kind byte, payload []byte) error {
-	rec := make([]byte, 5+len(payload))
-	rec[0] = kind
-	binary.LittleEndian.PutUint32(rec[1:], uint32(len(payload)))
-	copy(rec[5:], payload)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, err := st.f.Write(rec)
+	st.rec = append(st.rec[:0], kind)
+	st.rec = binary.LittleEndian.AppendUint32(st.rec, uint32(len(payload)))
+	st.rec = append(st.rec, payload...)
+	_, err := st.f.Write(st.rec)
 	return err
 }
 

@@ -123,7 +123,7 @@ func FuzzReassembler(f *testing.F) {
 			}
 		}
 		reused.Recover()
-		reused.Reset(5)
+		reused.Reset(5, 0)
 		for _, b := range perm {
 			if len(pkts) == 0 {
 				break

@@ -251,24 +251,19 @@ type Reassembler struct {
 
 // NewReassembler returns a reassembler for the given mote's stream.
 func NewReassembler(moteID uint16) *Reassembler {
-	return NewReassemblerAt(moteID, 0)
+	return &Reassembler{moteID: moteID, payloads: make(map[uint32][]mote.TraceEvent)}
 }
 
-// NewReassemblerAt returns a reassembler whose stream starts at firstSeq
-// instead of 0. A long-running base station seals its receive window at
-// every estimation epoch and resumes reassembly from the next expected
-// sequence number: without the base, everything the previous epochs already
-// consumed would be counted as lost. Packets below firstSeq are stale
-// redeliveries of sealed data and are discarded like duplicates.
-func NewReassemblerAt(moteID uint16, firstSeq uint32) *Reassembler {
-	return &Reassembler{moteID: moteID, base: firstSeq, payloads: make(map[uint32][]mote.TraceEvent)}
-}
-
-// Reset empties the reassembler and restarts it on moteID's stream at
-// sequence 0, as NewReassembler(moteID) would, keeping its buffers.
-func (r *Reassembler) Reset(moteID uint16) {
+// Reset empties the reassembler, keeping its buffers, and restarts it on
+// moteID's stream at sequence firstSeq; Reset(id, 0) is NewReassembler(id).
+// A long-running base station seals its receive window at every estimation
+// epoch and resumes each stream at r.NextSeq(): without the base,
+// everything the previous epochs already consumed would be counted as
+// lost. Packets below firstSeq are stale redeliveries of sealed data and
+// are discarded like duplicates.
+func (r *Reassembler) Reset(moteID uint16, firstSeq uint32) {
 	clear(r.payloads)
-	r.moteID, r.base, r.dups, r.corrupt = moteID, 0, 0, 0
+	r.moteID, r.base, r.dups, r.corrupt = moteID, firstSeq, 0, 0
 	r.events = r.events[:0]
 }
 

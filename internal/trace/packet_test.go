@@ -398,7 +398,7 @@ func TestReassemblerAddFrameCountsCorrupt(t *testing.T) {
 		t.Fatalf("unchecked foreign frame not counted corrupt: %d, want 1", ust.PacketsCorrupted)
 	}
 	// Reset keeps the receiver unchecked.
-	unchecked.Reset(5)
+	unchecked.Reset(5, 0)
 	if err := unchecked.AddFrame(foreign); err != nil {
 		t.Fatalf("Reset dropped SkipCRC: %v", err)
 	}

@@ -18,7 +18,8 @@ func invocation(proc int, enter, exit uint64) []mote.TraceEvent {
 // sequence zero: a stream resumed at seq 100 that receives 100 and 101 has
 // lost nothing.
 func TestReassemblerRebaseLossAccounting(t *testing.T) {
-	r := NewReassemblerAt(7, 100)
+	r := NewReassembler(7)
+	r.Reset(7, 100)
 	for i, seq := range []uint32{100, 101} {
 		if err := r.Add(Packet{MoteID: 7, Seq: seq, Events: invocation(1, uint64(10*i), uint64(10*i+4))}); err != nil {
 			t.Fatal(err)
@@ -38,7 +39,8 @@ func TestReassemblerRebaseLossAccounting(t *testing.T) {
 
 // A gap between the base and the first received packet is observed loss.
 func TestReassemblerRebaseFrontGap(t *testing.T) {
-	r := NewReassemblerAt(3, 10)
+	r := NewReassembler(3)
+	r.Reset(3, 10)
 	if err := r.Add(Packet{MoteID: 3, Seq: 12, Events: invocation(0, 5, 9)}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,8 @@ func TestReassemblerRebaseFrontGap(t *testing.T) {
 // previous epoch already consumed — are discarded and counted like
 // duplicates, never reassembled twice.
 func TestReassemblerRebaseStalePackets(t *testing.T) {
-	r := NewReassemblerAt(5, 4)
+	r := NewReassembler(5)
+	r.Reset(5, 4)
 	if err := r.Add(Packet{MoteID: 5, Seq: 2, Events: invocation(0, 1, 3)}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,8 @@ func TestReassemblerRebaseStalePackets(t *testing.T) {
 // An empty rebased stream reports its own base as the next sequence, so
 // epoch hand-off is stable across idle epochs.
 func TestReassemblerNextSeqIdle(t *testing.T) {
-	r := NewReassemblerAt(1, 37)
+	r := NewReassembler(1)
+	r.Reset(1, 37)
 	if got := r.NextSeq(); got != 37 {
 		t.Fatalf("NextSeq = %d, want 37", got)
 	}
@@ -84,10 +88,10 @@ func TestReassemblerNextSeqIdle(t *testing.T) {
 	}
 }
 
-// Splitting one mote's upload across two rebased reassemblers — the
-// epoch-seal discipline — recovers every invocation that does not straddle
-// the cut, and the straddlers are counted as discarded, not silently
-// dropped.
+// Splitting one mote's upload at an epoch seal — Recover, then Reset in
+// place at NextSeq, the station's discipline — recovers every invocation
+// that does not straddle the cut, and the straddlers are counted as
+// discarded, not silently dropped.
 func TestReassemblerEpochSealSplit(t *testing.T) {
 	// Three packets: P0 holds a complete invocation, P1 opens one that P2
 	// closes. Cutting between P1 and P2 truncates that invocation.
@@ -95,26 +99,28 @@ func TestReassemblerEpochSealSplit(t *testing.T) {
 	p1 := Packet{MoteID: 9, Seq: 1, Events: []mote.TraceEvent{{ID: EnterID(1), Tick: 10}}}
 	p2 := Packet{MoteID: 9, Seq: 2, Events: []mote.TraceEvent{{ID: ExitID(1), Tick: 15}}}
 
-	epoch1 := NewReassemblerAt(9, 0)
+	r := NewReassembler(9)
 	for _, p := range []Packet{p0, p1} {
-		if err := epoch1.Add(p); err != nil {
+		if err := r.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ivs1, st1 := epoch1.Recover()
+	ivs1, st1 := r.Recover()
 	if len(ivs1) != 1 || st1.InvocationsDiscarded != 1 {
 		t.Fatalf("epoch 1: recovered %d, discarded %d; want 1 and 1", len(ivs1), st1.InvocationsDiscarded)
 	}
 
-	epoch2 := NewReassemblerAt(9, epoch1.NextSeq())
-	if err := epoch2.Add(p2); err != nil {
-		t.Fatal(err)
+	r.Reset(9, r.NextSeq())
+	for _, p := range []Packet{p1, p2} { // p1 is a stale redelivery now
+		if err := r.Add(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ivs2, st2 := epoch2.Recover()
+	ivs2, st2 := r.Recover()
 	if len(ivs2) != 0 || st2.InvocationsDiscarded != 1 {
 		t.Fatalf("epoch 2: recovered %d, discarded %d; want 0 and 1 (exit without enter)", len(ivs2), st2.InvocationsDiscarded)
 	}
-	if st2.PacketsLost != 0 {
-		t.Fatalf("epoch 2: PacketsLost = %d, want 0", st2.PacketsLost)
+	if st2.PacketsLost != 0 || st2.PacketsDuplicate != 1 {
+		t.Fatalf("epoch 2: PacketsLost = %d, PacketsDuplicate = %d; want 0 and 1", st2.PacketsLost, st2.PacketsDuplicate)
 	}
 }

@@ -157,11 +157,16 @@ echo "== golden tables, fleet scale, fleet and model allocations, export uses an
 # benchmark does.
 go test . ./internal/bench ./internal/fleet ./internal/tomography ./internal/mote -run '^(TestCtbenchGolden|TestSimulateStreamScale|TestRunFleetAllocsPerMote|TestModelBytesPerArc|TestExportsHaveCallers|TestDispatchCensus)$' -count=1
 
-echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown)"
+echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown, ingest/cut/close race)"
 # Boots ctstationd in-process on ephemeral loopback ports, pushes one
 # simulated fleet round over the ARQ'd TCP ingest, asserts /healthz and a
-# non-empty /v1/models, and verifies the SIGTERM drain path exits 0.
+# non-empty /v1/models, and verifies the SIGTERM drain path exits 0. Then
+# races four ingest goroutines, automatic and explicit epoch cuts, and
+# Close on the receive window twenty times under the race detector, so a
+# lost frame, a cut after Close or a lock-order regression fails here
+# every time rather than once in a while.
 go test ./cmd/ctstationd -run='^TestStationSmoke$' -count=1
+go test -race -run '^TestConcurrentIngestAndClose$' -count=20 ./internal/station
 
 echo "== ctlint examples"
 go run ./cmd/ctlint examples/minic/*.mc
