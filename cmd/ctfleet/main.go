@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cli.Int(fs, &cfg.EventsPerPacket, "packet", 0, 0, trace.MaxPacketEvents, "trace events per radio packet (0 = default 32)")
 	cli.Int(fs, &cfg.Batches, "batches", 0, 0, unbounded, "uplink rounds for incremental estimation (0 = default 8)")
 	cli.Int(fs, &cfg.Workers, "workers", 0, 0, unbounded, "concurrent mote simulations (0 = default 4; affects wall time only)")
-	cli.Int(fs, &cfg.Cohort, "cohort", 0, 0, unbounded, "motes per worker task in the streaming scheduler (0 = default 64; affects wall time and memory only)")
 	var push station.PushConfig
 	pushAddr := fs.String("push", "", "push the fleet's frames to a ctstationd TCP ingest at this address instead of estimating locally")
 	cli.Int(fs, &push.Retries, "pushretries", 3, 0, unbounded, "stop-and-wait retransmissions per NAKed frame in -push mode")

@@ -9,12 +9,11 @@ import (
 // benchSim is the micro-benchmark deployment: the raw-ISA streaming
 // workload on a modestly lossy channel, sized so one iteration simulates
 // a full multi-cohort fleet.
-func benchSim(workers, cohort int) SimConfig {
+func benchSim(workers int) SimConfig {
 	cfg := SimConfig{
 		Prog:      streamProg(),
 		MaxCycles: 1_000_000,
 		Workers:   workers,
-		Cohort:    cohort,
 		Link:      LinkConfig{Seed: 42, DropProb: 0.1},
 	}
 	cfg.Mote = mote.DefaultConfig()
@@ -28,7 +27,7 @@ func benchSim(workers, cohort int) SimConfig {
 // MoteResult, not the simulation).
 func BenchmarkSimulateStream(b *testing.B) {
 	specs := fleetSpecs(512)
-	cfg := benchSim(4, 64)
+	cfg := benchSim(4)
 	pool := NewPool(cfg.Workers)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,7 +48,7 @@ func BenchmarkSimulateStream(b *testing.B) {
 }
 
 // maxAllocsPerMote bounds the streaming engine's heap allocations per
-// simulated mote at benchSim's configuration. A mote measures 2.3: its
+// simulated mote at benchSim's configuration. A mote measures 1.3: its
 // sensor and the channel's delivery list, and a share of the cohort's
 // sample histograms growing when a round sees a new duration. Everything
 // else (machine, RNGs, packet list, encode buffer, frame list, receive
@@ -62,7 +61,7 @@ const maxAllocsPerMote = 3
 // streaming engine, measured over a warmed multi-cohort fleet.
 func TestSimulateStreamAllocsPerMote(t *testing.T) {
 	specs := fleetSpecs(256)
-	cfg := benchSim(2, 64)
+	cfg := benchSim(2)
 	pool := NewPool(cfg.Workers)
 	run := func() {
 		if _, err := SimulateStreamOn(pool, cfg, specs, func(int, []MoteResult) error { return nil }); err != nil {

@@ -1,10 +1,10 @@
 // Cohort-batched streaming simulation: the density-oriented fleet
-// pipeline. Motes are partitioned into fixed-size cohorts, each cohort
-// runs as one pooled task on a reused mote.Machine, and each mote's frames
-// are reassembled, duration-extracted, and reduced to a compact MoteResult
-// plus counts in the cohort's Samples inside the cohort — raw frames and
-// trace events die before the next cohort starts, so peak memory is
-// O(workers × cohort), not O(fleet).
+// pipeline. Motes are partitioned into fixed-size cohorts, each pool
+// goroutine runs its cohorts on one reused mote.Machine, and each mote's
+// frames are reassembled, duration-extracted, and reduced to a compact
+// MoteResult plus counts in the cohort's Samples inside the cohort — raw
+// frames and trace events die before the next cohort starts, so peak
+// memory is O(workers) cohorts, not O(fleet).
 package fleet
 
 import (
@@ -17,11 +17,10 @@ import (
 	"codetomo/internal/workload"
 )
 
-// DefaultCohortSize is the streaming scheduler's batch size when
-// SimConfig.Cohort is zero: big enough to amortize worker-local machine
-// reuse and sink locking, small enough that a cohort's retained results
-// stay a rounding error next to one machine's RAM.
-const DefaultCohortSize = 64
+// cohortSize is the motes per sink call. Workers reuse their machine
+// across cohorts, so it sets only how often the sink lock is taken and how
+// many results a worker holds before handing them over.
+const cohortSize = 64
 
 // MoteResult is the streaming pipeline's per-mote output: everything the
 // base station keeps after a mote's upload has been reassembled and
@@ -51,14 +50,15 @@ type MoteResult struct {
 	BranchStats map[int32]*mote.BranchStat
 }
 
-// streamWorker is the per-task scratch the engine recycles across cohorts:
-// the reused machine (reset per mote), the mote's sensor, entropy and link
-// RNGs (reseeded per mote, which is cheaper than building them), the
-// uplink's packet list, encode buffer and frame list, the base station's
-// receive window for the current mote and its recovered intervals, a
-// cohort-local dense oracle folded into the shared one once per cohort,
-// the cohort's samples with their per-procedure round split, and the result
-// slots handed to the sink. At most pool.Workers() of these are ever live.
+// streamWorker is one pool goroutine's scratch for a whole
+// SimulateSamplesOn call: the reused machine (reset per mote), the mote's
+// sensor, entropy and link RNGs (reseeded per mote, which is cheaper than
+// building them), the uplink's packet list, encode buffer and frame list,
+// the base station's receive window for the current mote and its
+// recovered intervals, the worker's dense oracle folded into the fleet's
+// once the call's cohorts are done, the current cohort's samples with
+// their per-procedure round split, and the result slots handed to the
+// sink.
 type streamWorker struct {
 	m                     *mote.Machine
 	sensor, link, entropy *stats.RNG
@@ -186,24 +186,25 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 
 // SimulateStreamOn runs the deployment through the cohort-batched
 // streaming pipeline on the shared pool. Motes are partitioned into
-// cohorts of cfg.Cohort specs; each cohort is one pooled task running its
-// motes sequentially on one reused machine, then handing the cohort's
-// MoteResults to sink. The returned dense table is the fleet's merged
-// ground-truth branch oracle, indexed by pc (DenseBranchStats gives the
-// map view).
+// cohorts of cohortSize specs; the pool's goroutines claim cohorts in
+// order, each running its cohorts' motes sequentially on the one machine
+// it reuses for the whole call, and hand each cohort's MoteResults to
+// sink. The returned dense table is the fleet's merged ground-truth branch
+// oracle, indexed by pc (DenseBranchStats gives the map view).
 //
 // sink is called once per cohort, never concurrently, with the index of
 // the cohort's first spec and the cohort's results in spec order. Cohorts
 // arrive in completion order, so sinks must write into index-addressed
 // slots or fold commutatively (integer sums). The slice passed to sink is
 // engine-owned and recycled after sink returns; the MoteResult values and
-// everything they reference are the sink's to keep. A sink error aborts
-// the run.
+// everything they reference are the sink's to keep. A mote or sink error
+// aborts the run: cohorts not yet started are skipped and sink is not
+// called again.
 //
-// Results are bit-identical across Workers, Cohort, and GOMAXPROCS: each
-// mote is a pure function of (cfg, spec), machine reuse is pinned
-// equivalent to construction, and every cross-cohort fold is either
-// index-addressed or a commutative integer sum.
+// Results are bit-identical across Workers and GOMAXPROCS: each mote is a
+// pure function of (cfg, spec), machine reuse is pinned equivalent to
+// construction, and every cross-cohort fold is either index-addressed or a
+// commutative integer sum.
 func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(first int, cohort []MoteResult) error) ([]mote.BranchStat, error) {
 	return SimulateSamplesOn(pool, cfg, specs, func(first int, cohort []MoteResult, _ Samples) error { return sink(first, cohort) })
 }
@@ -220,90 +221,59 @@ func SimulateSamplesOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(fi
 	if _, ok := cfg.Mote.Predictor.(mote.TrainablePredictor); ok {
 		return nil, fmt.Errorf("fleet: predictor %q is stateful (TrainablePredictor); fleet motes run concurrently and cannot share trained state", cfg.Mote.Predictor.Name())
 	}
-	cohort := cfg.Cohort
-	if cohort <= 0 {
-		cohort = DefaultCohortSize
-	}
 
-	oracle := make([]mote.BranchStat, len(cfg.Prog))
-	free := make(chan *streamWorker, pool.Workers())
-	nCohorts := (len(specs) + cohort - 1) / cohort
-	errs := make([]error, nCohorts)
-	var (
-		sinkMu  sync.Mutex
-		stopped bool // set under sinkMu on first error; later cohorts bail out
-		wg      sync.WaitGroup
-	)
-	for c := 0; c < nCohorts; c++ {
-		c := c
-		first := c * cohort
-		end := first + cohort
-		if end > len(specs) {
-			end = len(specs)
-		}
-		batch := specs[first:end]
-		pool.Go(&wg, func() {
-			sinkMu.Lock()
-			bail := stopped
-			sinkMu.Unlock()
-			if bail {
-				return
-			}
-			var w *streamWorker
-			select {
-			case w = <-free:
-			default:
-				w = newStreamWorker(cfg)
-			}
-			if cap(w.out) < len(batch) {
-				w.out = make([]MoteResult, len(batch))
-			}
-			out := w.out[:len(batch)]
-			for j, spec := range batch {
-				res, err := w.runMote(cfg, spec)
-				if err != nil {
-					sinkMu.Lock()
-					errs[c] = err
-					stopped = true
-					sinkMu.Unlock()
-					return
-				}
-				out[j] = res
-			}
-			sinkMu.Lock()
-			if !stopped {
-				for pc := range w.oracle {
-					st := &w.oracle[pc]
-					if st.Taken == 0 && st.NotTaken == 0 {
-						continue
-					}
-					d := &oracle[pc]
-					d.Taken += st.Taken
-					d.NotTaken += st.NotTaken
-					d.Mispred += st.Mispred
-					*st = mote.BranchStat{}
-				}
-				if err := sink(first, out, w.samples); err != nil {
-					errs[c] = fmt.Errorf("fleet: sink: %w", err)
-					stopped = true
-				}
-			}
-			sinkMu.Unlock()
-			w.samples.reset()
-			// Recycle the worker: the machine is Reset per mote, the result
-			// slots are overwritten and the samples reset per cohort, so
-			// nothing can leak between cohorts. Dropped (collected) when
-			// the buffer is full.
-			select {
-			case free <- w:
-			default:
-			}
-		})
+	nCohorts := (len(specs) + cohortSize - 1) / cohortSize
+	workers := make([]*streamWorker, min(nCohorts, pool.Workers()))
+	for w := range workers {
+		workers[w] = newStreamWorker(cfg)
+		workers[w].out = make([]MoteResult, min(cohortSize, len(specs)))
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var (
+		mu  sync.Mutex // serializes sink calls and guards err
+		err error      // the first failure; later cohorts are skipped
+	)
+	pool.Each(nCohorts, func(wi, c int) {
+		mu.Lock()
+		failed := err != nil
+		mu.Unlock()
+		if failed {
+			return
+		}
+		w := workers[wi]
+		first := c * cohortSize
+		batch := specs[first:min(first+cohortSize, len(specs))]
+		out := w.out[:len(batch)]
+		var moteErr error
+		for j, spec := range batch {
+			if out[j], moteErr = w.runMote(cfg, spec); moteErr != nil {
+				break
+			}
+		}
+		mu.Lock()
+		switch {
+		case err != nil:
+		case moteErr != nil:
+			err = moteErr
+		default:
+			if sinkErr := sink(first, out, w.samples); sinkErr != nil {
+				err = fmt.Errorf("fleet: sink: %w", sinkErr)
+			}
+		}
+		mu.Unlock()
+		w.samples.reset()
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Every worker's oracle, folded once: integer sums, so the split of
+	// motes among workers cannot show.
+	oracle := make([]mote.BranchStat, len(cfg.Prog))
+	for _, w := range workers {
+		for pc, st := range w.oracle {
+			d := &oracle[pc]
+			d.Taken += st.Taken
+			d.NotTaken += st.NotTaken
+			d.Mispred += st.Mispred
 		}
 	}
 	return oracle, nil

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,9 +111,10 @@ func simulateSamples(cfg SimConfig, specs []MoteSpec) ([]MoteResult, Samples, []
 // machine stats, ground truth — must be bit-identical to the
 // fresh-machine reference, the fleet's samples must equal the reference's
 // round by round, and the dense fleet oracle must match the map-merged
-// one. Cohorts of two put consecutive motes on one reused
-// machine and receive window, so a mote's kept ground truth must survive
-// the next mote's Reset, and so must the window's SkipCRC.
+// one. One worker runs all three cohorts, the last one short, on one
+// reused machine and receive window, so a mote's kept ground truth must
+// survive the next mote's Reset, and so must the window's SkipCRC, across
+// cohort boundaries too.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -126,9 +128,9 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
 			tc.link(&cfg.Link)
 			cfg.KeepUpload = true
-			cfg.Cohort = 2 // force multiple cohorts and machine reuse
+			cfg.Workers = 1
 			cfg.Rounds = 3
-			checkStreamMatchesReference(t, cfg, fleetSpecs(7))
+			checkStreamMatchesReference(t, cfg, fleetSpecs(2*cohortSize+3))
 		})
 	}
 }
@@ -209,11 +211,10 @@ func streamProg() []isa.Instr {
 	}
 }
 
-// TestStreamDeterminismAtScale pins the tentpole contract at fleet scale:
+// TestStreamDeterminismAtScale pins the streaming contract at fleet scale:
 // ten thousand motes (a thousand under -short) produce bit-identical
-// results and oracle across every combination of worker count and cohort
-// size, including cohort 1 (maximal interleaving) and cohorts larger than
-// the fleet share of a worker.
+// results and oracle whatever the worker count and GOMAXPROCS, including
+// more workers than cores.
 func TestStreamDeterminismAtScale(t *testing.T) {
 	n := 10_000
 	if testing.Short() {
@@ -229,14 +230,16 @@ func TestStreamDeterminismAtScale(t *testing.T) {
 	cfg.Rounds = 4
 	specs := fleetSpecs(n)
 
-	type variant struct{ workers, cohort int }
-	variants := []variant{{1, 1}, {3, 64}, {8, 1000}, {5, 0}}
+	type variant struct{ workers, maxprocs int }
+	variants := []variant{{1, 1}, {3, 2}, {8, 4}, {5, 1}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var base []MoteResult
 	var baseSamples Samples
 	var baseOracle []mote.BranchStat
 	for _, v := range variants {
 		c := cfg
-		c.Workers, c.Cohort = v.workers, v.cohort
+		c.Workers = v.workers
+		runtime.GOMAXPROCS(v.maxprocs)
 		out, samples, oracle, err := simulateSamples(c, specs)
 		if err != nil {
 			t.Fatal(err)
@@ -251,20 +254,21 @@ func TestStreamDeterminismAtScale(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(out, base) {
-			t.Fatalf("workers=%d cohort=%d: per-mote results diverged from workers=1 cohort=1", v.workers, v.cohort)
+			t.Fatalf("workers=%d GOMAXPROCS=%d: per-mote results diverged from workers=1 GOMAXPROCS=1", v.workers, v.maxprocs)
 		}
 		if !reflect.DeepEqual(samples, baseSamples) {
-			t.Fatalf("workers=%d cohort=%d: fleet samples diverged", v.workers, v.cohort)
+			t.Fatalf("workers=%d GOMAXPROCS=%d: fleet samples diverged", v.workers, v.maxprocs)
 		}
 		if !reflect.DeepEqual(oracle, baseOracle) {
-			t.Fatalf("workers=%d cohort=%d: fleet oracle diverged", v.workers, v.cohort)
+			t.Fatalf("workers=%d GOMAXPROCS=%d: fleet oracle diverged", v.workers, v.maxprocs)
 		}
 	}
 }
 
 // TestStreamErrors pins the failure contract: no motes, stateful
 // predictors, bad workloads, and sink errors all abort with a useful
-// error instead of a partial result.
+// error instead of a partial result, and a mote that fails stops the
+// cohorts after its own from reaching the sink.
 func TestStreamErrors(t *testing.T) {
 	cfg := buildFleet(t)
 	if _, _, err := SimulateStream(cfg, nil); err == nil {
@@ -287,35 +291,56 @@ func TestStreamErrors(t *testing.T) {
 	if err == nil || !reflect.DeepEqual(err.Error(), "fleet: sink: sink exploded") {
 		t.Fatalf("sink error not surfaced: %v", err)
 	}
+	bad = fleetSpecs(2*cohortSize + 1) // three cohorts
+	bad[0].Workload = "no-such-regime"
+	sank := false
+	_, err = SimulateStreamOn(NewPool(1), cfg, bad, func(int, []MoteResult) error {
+		sank = true
+		return nil
+	})
+	if err == nil || sank {
+		t.Fatalf("mote failure in cohort 0: err %v, sink called %v; want an error and no sink call", err, sank)
+	}
 }
 
-// TestPoolBoundedGoroutines pins the PR-9 Pool fix: submitting far more
-// tasks than workers must not spawn a goroutine per task. Ten thousand
-// queued tasks behind a gate may add at most the drain workers plus
-// scheduler slack — not ten thousand goroutines.
-func TestPoolBoundedGoroutines(t *testing.T) {
-	pool := NewPool(4)
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10_000; i++ {
-		pool.Go(&wg, func() { <-gate })
+// TestPoolEach pins Pool.Each's contract on one pool shared by two
+// concurrent calls: every index runs exactly once per call, at most
+// Workers() calls run at once across both, and w stays below
+// min(n, Workers()).
+func TestPoolEach(t *testing.T) {
+	const workers = 3
+	pool := NewPool(workers)
+	var (
+		mu            sync.Mutex
+		running, peak int
+		wg            sync.WaitGroup
+	)
+	for _, n := range []int{2, 50} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ran := make([]atomic.Int32, n)
+			pool.Each(n, func(w, i int) {
+				mu.Lock()
+				running++
+				peak = max(peak, running)
+				mu.Unlock()
+				defer func() { mu.Lock(); running--; mu.Unlock() }()
+				if w < 0 || w >= min(n, workers) {
+					t.Errorf("n=%d: call %d on goroutine %d, want below %d", n, i, w, min(n, workers))
+				}
+				ran[i].Add(1)
+				time.Sleep(time.Millisecond)
+			})
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Errorf("n=%d: index %d ran %d times, want 1", n, i, got)
+				}
+			}
+		}()
 	}
-	// Give the drain workers a moment to start and park on the gate.
-	time.Sleep(20 * time.Millisecond)
-	if grew := runtime.NumGoroutine() - before; grew > 64 {
-		t.Errorf("10k queued tasks grew goroutines by %d; the pool must stay bounded", grew)
-	}
-	close(gate)
 	wg.Wait()
-	// The queue must fully drain and execute every task.
-	var mu sync.Mutex
-	ran := 0
-	for i := 0; i < 100; i++ {
-		pool.Go(&wg, func() { mu.Lock(); ran++; mu.Unlock() })
-	}
-	wg.Wait()
-	if ran != 100 {
-		t.Fatalf("ran %d of 100 post-drain tasks", ran)
+	if peak > workers {
+		t.Fatalf("%d calls ran at once on a %d-worker pool", peak, workers)
 	}
 }

@@ -63,10 +63,6 @@ type SimConfig struct {
 	// Checkpoint is the checkpoint/restore policy motes run under Energy
 	// (ignored otherwise). The zero value cold-boots on every outage.
 	Checkpoint mote.CheckpointPolicy
-	// Cohort is the streaming scheduler's batch size: motes per pooled
-	// task in SimulateStreamOn (0 = DefaultCohortSize). Like Workers it
-	// moves wall time and peak memory only, never results.
-	Cohort int
 	// Rounds is the number of uplink rounds each mote's samples are split
 	// into (0 = one round; see Samples).
 	Rounds int

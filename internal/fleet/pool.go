@@ -1,29 +1,21 @@
 package fleet
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pool is the campaign's bounded worker pool: one semaphore shared by every
 // parallel stage — mote simulation, uplink reassembly, model construction,
-// streaming estimation — so the whole pipeline runs at most `workers` tasks
-// at once no matter how stages overlap. Tasks must be pure functions of
+// streaming estimation — so the whole pipeline runs at most `workers` calls
+// at once no matter how stages overlap. Calls must be pure functions of
 // their inputs writing to caller-owned slots; the pool bounds concurrency
 // only and never influences results.
-//
-// Submission is cheap at any fan-out: Go enqueues the task and at most
-// `workers` long-lived drain goroutines pull from the queue, so submitting
-// a million tasks costs a million queue slots, not a million goroutines
-// (the pre-PR-9 behaviour). Queue slots are released as tasks are picked
-// up and the backing array is recycled whenever the queue drains.
 type Pool struct {
 	sem chan struct{}
-
-	mu      sync.Mutex
-	queue   []func()
-	head    int // queue[:head] already dispatched
-	running int // drain goroutines alive
 }
 
-// NewPool builds a pool running at most workers tasks concurrently
+// NewPool builds a pool running at most workers calls concurrently
 // (minimum 1).
 func NewPool(workers int) *Pool {
 	if workers < 1 {
@@ -35,61 +27,25 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// Do runs f under the pool's concurrency bound, blocking until a slot
-// frees up. Callers fan out with their own goroutines and WaitGroups; Do
-// is the choke point they all share.
-func (p *Pool) Do(f func()) {
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
-	f()
-}
-
-// Go runs f under the pool's concurrency bound, registered on wg.
-// Submission never blocks: the task is queued, and a bounded set of drain
-// goroutines (at most the pool's worker count, spawned lazily and exiting
-// when the queue empties) executes queued tasks in submission order. The
-// drain workers acquire the same semaphore as Do, so mixed Do/Go callers
-// still share one global bound.
-func (p *Pool) Go(wg *sync.WaitGroup, f func()) {
-	wg.Add(1)
-	p.mu.Lock()
-	p.queue = append(p.queue, func() {
-		defer wg.Done()
-		p.Do(f)
-	})
-	spawn := p.running < cap(p.sem)
-	if spawn {
-		p.running++
+// Each calls f(w, i) once for each i in [0, n) and returns when every call
+// has returned. It starts min(n, Workers()) goroutines, which claim
+// indices in ascending order; w in [0, min(n, Workers())) names the
+// goroutine making the call, so f may keep per-goroutine scratch in a
+// slice indexed by w. Each call holds one of the pool's slots, which
+// concurrent Each calls share. f must not call Each on the same pool.
+func (p *Pool) Each(n int, f func(w, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range min(n, p.Workers()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				p.sem <- struct{}{}
+				f(w, i)
+				<-p.sem
+			}
+		}()
 	}
-	p.mu.Unlock()
-	if spawn {
-		go p.drain()
-	}
-}
-
-// drain pulls queued tasks until the queue is empty, then exits. The
-// running counter and the emptiness check share p.mu, so a Go racing a
-// dying drain worker either hands it the task or observes the decremented
-// count and spawns a replacement — tasks are never stranded.
-func (p *Pool) drain() {
-	for {
-		p.mu.Lock()
-		if p.head == len(p.queue) {
-			p.queue = p.queue[:0]
-			p.head = 0
-			p.running--
-			p.mu.Unlock()
-			return
-		}
-		task := p.queue[p.head]
-		p.queue[p.head] = nil // release the closure as soon as it is claimed
-		p.head++
-		if p.head >= 1024 && p.head*2 >= len(p.queue) {
-			n := copy(p.queue, p.queue[p.head:])
-			p.queue = p.queue[:n]
-			p.head = 0
-		}
-		p.mu.Unlock()
-		task()
-	}
+	wg.Wait()
 }

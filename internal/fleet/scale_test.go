@@ -12,7 +12,7 @@ import (
 )
 
 // maxScalePeakHeapMB bounds the sampled peak live heap of the 10⁵-mote
-// run. The streaming engine keeps O(workers × cohort) motes alive: the
+// run. The streaming engine keeps one cohort of motes per worker alive: the
 // run measures 11 MB at 2 workers and up to 25 MB at 16, where the GC's
 // pacing rather than the live heap sets the peak. Retaining every mote's
 // result instead would hold the whole fleet live and blow well past it.

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
@@ -212,19 +211,15 @@ func (s Settings) Stream(name string, m *tomography.Model) *Stream {
 // not an error: there is nothing to estimate yet.
 func ObserveOn(pool *fleet.Pool, streams []*Stream, batches [][]tomography.SampleCounts) error {
 	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i, st := range streams {
-		i, st := i, st
-		pool.Go(&wg, func() {
-			for _, b := range batches[i] {
-				if _, err := st.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
-					errs[i] = fmt.Errorf("estimate %s: %w", st.Name, err)
-					return
-				}
+	pool.Each(len(streams), func(_, i int) {
+		st := streams[i]
+		for _, b := range batches[i] {
+			if _, err := st.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
+				errs[i] = fmt.Errorf("estimate %s: %w", st.Name, err)
+				return
 			}
-		})
-	}
-	wg.Wait()
+		}
+	})
 	return errors.Join(errs...)
 }
 
@@ -265,13 +260,7 @@ func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome
 			procs = append(procs, Outcome{Proc: p})
 		}
 	}
-	pool := fleet.NewPool(runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range procs {
-		o := &procs[i]
-		pool.Go(&wg, func() { s.batchProc(o, prof, ticks) })
-	}
-	wg.Wait()
+	fleet.NewPool(runtime.GOMAXPROCS(0)).Each(len(procs), func(_, i int) { s.batchProc(&procs[i], prof, ticks) })
 	for _, o := range procs {
 		if o.Decision == Trusted {
 			probs[o.Proc.Name] = o.Probs

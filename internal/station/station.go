@@ -243,6 +243,12 @@ func (s *Server) harvest() ([]tomography.SampleCounts, trace.UplinkStats) {
 		r.Reset(id, r.NextSeq())
 	}
 	s.framesSinceCut = 0
+	// A trigger still pending counted the frames just harvested; cutting
+	// on it would seal a short epoch of whatever arrives next.
+	select {
+	case <-s.cutCh:
+	default:
+	}
 	return samples, st
 }
 
@@ -265,7 +271,9 @@ func (s *Server) IngestFrame(frame []byte) error {
 			return fmt.Errorf("station: wal: %w", err)
 		}
 	}
-	if s.apply(&p, len(frame)) == s.cfg.EpochFrames {
+	// At or past the threshold, not only at it: WAL replay can leave the
+	// window past it. The buffered send merges repeated triggers.
+	if n := s.apply(&p, len(frame)); s.cfg.EpochFrames > 0 && n >= s.cfg.EpochFrames {
 		select {
 		case s.cutCh <- struct{}{}:
 		default:

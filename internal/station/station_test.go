@@ -433,6 +433,33 @@ func TestAutoEpochCut(t *testing.T) {
 	}
 }
 
+// A restart whose WAL replay leaves the open window at or past
+// EpochFrames must still cut automatically on the next frames.
+func TestAutoCutAfterReplay(t *testing.T) {
+	var frames [][]byte
+	for _, up := range simulateFleet(t, 2) {
+		frames = append(frames, up.Frames...)
+	}
+	if len(frames) < 16 {
+		t.Fatalf("%d frames, want at least 16", len(frames))
+	}
+	dir := t.TempDir()
+	s1 := newStation(t, station.Config{DataDir: dir})
+	ingestAll(t, s1, [][][]byte{frames[:8]}, false)
+	s1.Abort()
+
+	s2 := newStation(t, station.Config{DataDir: dir, EpochFrames: 8})
+	defer s2.Close()
+	ingestAll(t, s2, [][][]byte{frames[8:]}, false)
+	deadline := time.Now().Add(5 * time.Second)
+	for s2.Epoch() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no automatic epoch cut after replaying a full window")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // Ingest from several goroutines, automatic and explicit cuts, and Close
 // share one window: no frame may be lost or applied twice, and once Close
 // returns no cut is in flight and both ingest and cuts fail. Each mote

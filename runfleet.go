@@ -3,7 +3,6 @@ package codetomo
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"codetomo/internal/compile"
@@ -41,10 +40,6 @@ type FleetConfig struct {
 	// Workers bounds concurrent mote simulations (default 4). It affects
 	// wall time only, never results.
 	Workers int
-	// Cohort is the streaming scheduler's batch size — motes per pooled
-	// worker task (default fleet.DefaultCohortSize). Like Workers it moves
-	// wall time and peak memory only, never results.
-	Cohort int
 	// EventsPerPacket is the radio batching granularity (default 32, max
 	// trace.MaxPacketEvents).
 	EventsPerPacket int
@@ -95,9 +90,6 @@ func (c FleetConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("codetomo: Workers = %d; must be positive (zero selects the default of 4)", c.Workers)
-	}
-	if c.Cohort < 0 {
-		return fmt.Errorf("codetomo: Cohort = %d; must be positive (zero selects the default of %d)", c.Cohort, fleet.DefaultCohortSize)
 	}
 	if c.EventsPerPacket < 0 || c.EventsPerPacket > trace.MaxPacketEvents {
 		return fmt.Errorf("codetomo: EventsPerPacket = %d; must be in [1, %d] (zero selects the default of %d)",
@@ -238,7 +230,6 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 		Mote:       pipeline.Mote{TickDiv: cfg.TickDiv, Predictor: cfg.Predictor}.Config(),
 		MaxCycles:  cfg.MaxCycles,
 		Workers:    cfg.Workers,
-		Cohort:     cfg.Cohort,
 		Rounds:     cfg.Batches,
 		Link:       cfg.link(),
 		Faults:     cfg.Faults,
@@ -294,7 +285,7 @@ func wireDeployment(source string, cfg FleetConfig) (FleetConfig, *compile.Outpu
 // feed for a long-running base station (cmd/ctstationd) ingesting over the
 // wire instead of estimating in-process, and follows RunFleet's
 // determinism contract: a fixed config yields bit-identical results
-// regardless of Workers, Cohort and GOMAXPROCS.
+// regardless of Workers and GOMAXPROCS.
 func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteResult, error) {
 	cfg, prof, err := wireDeployment(source, cfg)
 	if err != nil {
@@ -309,9 +300,9 @@ func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteResult, error) {
 // FleetFrames streams the deployment's delivered uplink frames to emit,
 // one call per mote, without ever materializing the fleet: motes run in
 // cohorts on a bounded pool, and each cohort's frames are handed off and
-// dropped before the next cohort's results are retained. It is the feed
-// for pushing a large fleet to a base station over the wire
-// (cmd/ctfleet -push); peak memory is O(Workers × Cohort) motes.
+// dropped before the worker runs its next cohort. It is the feed for
+// pushing a large fleet to a base station over the wire
+// (cmd/ctfleet -push); peak memory is one cohort of motes per worker.
 //
 // Cohorts complete in scheduling order, not mote order, so emit sees
 // motes in a nondeterministic order — safe for a base station, whose
@@ -367,9 +358,10 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	// 2. Simulate the deployment through the streaming cohort pipeline on
 	// a bounded worker pool. The sink folds each cohort's results into the
 	// fleet accumulators the moment they exist, so raw frames, trace
-	// events, and intervals are gone before the next cohort runs: peak
-	// memory is O(Workers × Cohort) motes of transient state plus the
-	// per-procedure, per-round duration histograms the estimator reads.
+	// events, and intervals are gone before the worker's next cohort runs:
+	// peak memory is one cohort of motes per worker of transient state
+	// plus the per-procedure, per-round duration histograms the estimator
+	// reads.
 	sim := simConfig(cfg, prof.Code)
 	specs := fleetSpecs(cfg)
 	fst := fleet.Stats{Motes: cfg.Motes, SamplesPerProc: make(map[string]int)}
@@ -392,13 +384,13 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	// One bounded pool serves the whole campaign: mote simulation (with
-	// per-mote uplink reassembly fused into each cohort task), per-procedure
+	// per-mote uplink reassembly fused into each cohort), per-procedure
 	// model construction, and streaming estimation all share cfg.Workers
 	// slots. Simulation runs in the background while the base station
 	// builds estimation models — path enumeration is a pure function of
 	// the binary, so the estimation tier overlaps the fleet instead of
-	// serializing after it. Every task writes only its own slot, so
-	// results stay bit-identical across Workers, Cohort, and GOMAXPROCS.
+	// serializing after it. Every call writes only its own slot, so
+	// results stay bit-identical across Workers and GOMAXPROCS.
 	pool := fleet.NewPool(cfg.Workers)
 	t0 := time.Now()
 	var (
@@ -522,14 +514,11 @@ type builtModel struct {
 // it.
 func buildModels(pool *fleet.Pool, prof *compile.Output, s pipeline.Settings) []builtModel {
 	models := make([]builtModel, len(prof.CFG.Procs))
-	var wg sync.WaitGroup
-	for i, p := range prof.CFG.Procs {
-		if len(p.BranchBlocks()) > 0 {
-			i, name := i, p.Name
-			pool.Go(&wg, func() { models[i].model, models[i].err = s.Model(prof, name) })
+	pool.Each(len(models), func(_, i int) {
+		if p := prof.CFG.Procs[i]; len(p.BranchBlocks()) > 0 {
+			models[i].model, models[i].err = s.Model(prof, p.Name)
 		}
-	}
-	wg.Wait()
+	})
 	return models
 }
 

@@ -102,12 +102,11 @@ func TestRunFleetDeterministic(t *testing.T) {
 		before    RunStats
 		output    []uint16
 	}
-	take := func(workers, cohort, maxprocs int) snapshot {
+	take := func(workers, maxprocs int) snapshot {
 		prev := runtime.GOMAXPROCS(maxprocs)
 		defer runtime.GOMAXPROCS(prev)
 		cfg := fleetConfig()
 		cfg.Workers = workers
-		cfg.Cohort = cohort
 		res, err := RunFleet(src, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -121,18 +120,18 @@ func TestRunFleetDeterministic(t *testing.T) {
 		}
 	}
 
-	ref := take(1, 1, 1)
-	for _, tc := range []struct{ workers, cohort, maxprocs int }{{1, 1, 1}, {4, 1, 1}, {4, 0, 4}, {3, 2, 4}} {
-		got := take(tc.workers, tc.cohort, tc.maxprocs)
+	ref := take(1, 1)
+	for _, tc := range []struct{ workers, maxprocs int }{{1, 1}, {4, 1}, {4, 4}, {3, 2}} {
+		got := take(tc.workers, tc.maxprocs)
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d cohort=%d GOMAXPROCS=%d diverged from reference:\n%+v\nvs\n%+v",
-				tc.workers, tc.cohort, tc.maxprocs, got, ref)
+			t.Fatalf("workers=%d GOMAXPROCS=%d diverged from reference:\n%+v\nvs\n%+v",
+				tc.workers, tc.maxprocs, got, ref)
 		}
 	}
 }
 
 // TestFleetUploadsContract pins FleetUploads, the in-process feed for a
-// base station: its results do not depend on Workers or Cohort, its kept
+// base station: its results do not depend on Workers, its kept
 // frames are the multiset FleetFrames streams, merging its ground truth
 // sums every mote's counts field by field, and it refuses fleets whose
 // mote IDs would wrap on the wire.
@@ -143,22 +142,22 @@ func TestFleetUploadsContract(t *testing.T) {
 	cfg.CorruptProb = 0.05
 	cfg.ARQRetries = 2
 
-	uploads := func(workers, cohort int) []fleet.MoteResult {
+	uploads := func(workers int) []fleet.MoteResult {
 		c := cfg
-		c.Workers, c.Cohort = workers, cohort
+		c.Workers = workers
 		ups, err := FleetUploads(src, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ups
 	}
-	ref := uploads(1, 1)
+	ref := uploads(1)
 	if len(ref) != cfg.Motes {
 		t.Fatalf("%d uploads for %d motes", len(ref), cfg.Motes)
 	}
-	for _, tc := range []struct{ workers, cohort int }{{4, 1}, {1, 0}, {4, 0}} {
-		if got := uploads(tc.workers, tc.cohort); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d cohort=%d: uploads diverged from workers=1 cohort=1", tc.workers, tc.cohort)
+	for _, workers := range []int{2, 4} {
+		if got := uploads(workers); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d: uploads diverged from workers=1", workers)
 		}
 	}
 
@@ -394,7 +393,6 @@ func TestFleetConfigValidate(t *testing.T) {
 		{Motes: -1},
 		{Motes: MaxFleetMotes + 1},
 		{Workers: -2},
-		{Cohort: -1},
 		{EventsPerPacket: -1},
 		{EventsPerPacket: 1000},
 		{DropProb: 1.5},

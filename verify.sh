@@ -168,6 +168,15 @@ echo "== station smoke (daemon boot, loopback push, HTTP, clean shutdown, ingest
 go test ./cmd/ctstationd -run='^TestStationSmoke$' -count=1
 go test -race -run '^TestConcurrentIngestAndClose$' -count=20 ./internal/station
 
+echo "== fleet scheduler race (Pool.Each, cohort engine)"
+# Runs the pool and the cohort engine five times under the race detector:
+# two Each calls sharing one pool, workers and GOMAXPROCS swept over a
+# thousand motes, a mote failure that must stop later cohorts, and one
+# worker reusing its machine across cohort boundaries, so a race in the
+# scheduler or in per-worker scratch fails here rather than once in a
+# while. It takes about ten seconds.
+go test -race -short -count=5 -run '^(TestPoolEach|TestStreamDeterminismAtScale|TestStreamErrors|TestStreamMatchesMaterialized)$' ./internal/fleet
+
 echo "== ctlint examples"
 go run ./cmd/ctlint examples/minic/*.mc
 
