@@ -301,12 +301,12 @@ func (c Config) measure(source string, baseline pipeline.Baseline, prog *cfg.Pro
 
 // procEstimate reports one procedure's outcome, scored against the
 // simulator's oracle; every flag derives from the trust decision.
-func procEstimate(o pipeline.Outcome, lost int, oracle markov.EdgeProbs) ProcEstimate {
+func procEstimate(o pipeline.Outcome, oracle markov.EdgeProbs) ProcEstimate {
 	pe := ProcEstimate{
 		Proc:              o.Proc.Name,
 		SampleCount:       o.Samples,
 		TrimmedSamples:    o.Trimmed,
-		LostPartials:      lost,
+		LostPartials:      o.Lost,
 		Fallback:          o.Decision != pipeline.Trusted && o.Decision != pipeline.LowConfidence,
 		LowConfidence:     o.Decision == pipeline.LowConfidence,
 		EnvelopeViolation: o.Decision == pipeline.EnvelopeViolation,
@@ -389,7 +389,7 @@ func Run(source string, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("codetomo: %w", o.Err)
 		}
 		oracle := profile.OracleProbs(prof.Meta.ProcByName[o.Proc.Name], o.Proc, branchStats)
-		res.Estimates = append(res.Estimates, procEstimate(o, 0, oracle))
+		res.Estimates = append(res.Estimates, procEstimate(o, oracle))
 	}
 
 	// 4–5. Optimize placement, rebuild uninstrumented, verify, report.

@@ -48,6 +48,7 @@ func EstimateBatch(cfg Config, prof *compile.Output, ticks map[int][]uint64) []p
 func EstimateStreams(cfg FleetConfig, prof *compile.Output, samples fleet.Samples) ([]pipeline.Outcome, error) {
 	cfg = cfg.withDefaults()
 	pool := fleet.NewPool(cfg.Workers)
-	procs, _, _, err := cfg.estimateStreams(pool, prof, buildModels(pool, prof, cfg.settings()), samples, nil)
+	procs := buildModels(pool, prof, cfg.settings())
+	_, err := cfg.estimateStreams(pool, prof, procs, samples, nil)
 	return procs, err
 }

@@ -79,18 +79,17 @@ func (c EnergyConfig) Validate() error {
 	if c.RestartChargeUJ < 0 {
 		return fmt.Errorf("fault: RestartChargeUJ = %v, must be >= 0", c.RestartChargeUJ)
 	}
-	capUJ := c.CapacityUJ
-	if capUJ == 0 {
-		capUJ = 1000
+	// The capacity and floor the mote runs with, defaults filled in: it
+	// would replace a restart charge at or below that floor.
+	pw := mote.PowerConfig{CapacityUJ: c.CapacityUJ, BrownoutFloorUJ: c.BrownoutFloorUJ}.WithDefaults()
+	if c.BrownoutFloorUJ >= pw.CapacityUJ {
+		return fmt.Errorf("fault: BrownoutFloorUJ = %v must be below CapacityUJ = %v", c.BrownoutFloorUJ, pw.CapacityUJ)
 	}
-	if c.BrownoutFloorUJ >= capUJ {
-		return fmt.Errorf("fault: BrownoutFloorUJ = %v must be below CapacityUJ = %v", c.BrownoutFloorUJ, capUJ)
+	if c.RestartChargeUJ > pw.CapacityUJ {
+		return fmt.Errorf("fault: RestartChargeUJ = %v must not exceed CapacityUJ = %v", c.RestartChargeUJ, pw.CapacityUJ)
 	}
-	if c.RestartChargeUJ > capUJ {
-		return fmt.Errorf("fault: RestartChargeUJ = %v must not exceed CapacityUJ = %v", c.RestartChargeUJ, capUJ)
-	}
-	if c.RestartChargeUJ > 0 && c.RestartChargeUJ <= c.BrownoutFloorUJ {
-		return fmt.Errorf("fault: RestartChargeUJ = %v must exceed BrownoutFloorUJ = %v", c.RestartChargeUJ, c.BrownoutFloorUJ)
+	if c.RestartChargeUJ > 0 && c.RestartChargeUJ <= pw.BrownoutFloorUJ {
+		return fmt.Errorf("fault: RestartChargeUJ = %v must exceed the brownout floor of %v µJ", c.RestartChargeUJ, pw.BrownoutFloorUJ)
 	}
 	return nil
 }

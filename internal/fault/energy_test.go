@@ -28,6 +28,8 @@ func TestEnergyConfigValidate(t *testing.T) {
 		{HarvestUJPerKCycle: 1, CapacityUJ: 50, BrownoutFloorUJ: 60},
 		{HarvestUJPerKCycle: 1, CapacityUJ: 50, RestartChargeUJ: 60},
 		{HarvestUJPerKCycle: 1, CapacityUJ: 50, BrownoutFloorUJ: 10, RestartChargeUJ: 5},
+		// The default floor is 2% of the default 1000 µJ: 20 µJ.
+		{HarvestUJPerKCycle: 1, RestartChargeUJ: 10},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -82,7 +82,8 @@ type PowerConfig struct {
 	// (0 = 2% of capacity).
 	BrownoutFloorUJ float64
 	// RestartChargeUJ is the charge the capacitor must reach before the
-	// mote boots again after a power failure (0 = 60% of capacity).
+	// mote boots again after a power failure (0 = floor + 60% of
+	// capacity).
 	// Must exceed the brownout floor or the mote oscillates.
 	RestartChargeUJ float64
 	// Harvest is the ambient energy input; nil means no harvesting (the
@@ -92,7 +93,8 @@ type PowerConfig struct {
 	Checkpoint CheckpointPolicy
 }
 
-func (p PowerConfig) withDefaults() PowerConfig {
+// WithDefaults returns p as the mote runs it, every default filled in.
+func (p PowerConfig) WithDefaults() PowerConfig {
 	if p.CapacityUJ <= 0 {
 		p.CapacityUJ = 1000
 	}

@@ -94,7 +94,7 @@ func (m *Machine) Reset(cfg Config) {
 
 	m.power = nil
 	if cfg.Power != nil {
-		pw := cfg.Power.withDefaults()
+		pw := cfg.Power.WithDefaults()
 		m.cfg.Power = &pw
 		m.power = &powerState{cfg: pw, charge: pw.StartChargeUJ}
 	}

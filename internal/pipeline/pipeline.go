@@ -6,12 +6,13 @@
 //  2. model: Settings.Model, with the shared bounds, the timer tick and
 //     StaticResolve;
 //  3. gate: TrustPolicy.Admit (sample count, a model, coverage);
-//  4. estimate: Settings.Batch, or a Stream fed batch by batch;
-//  5. correct: Correct, whenever a procedure lost partials to power cuts;
-//  6. check: TrustPolicy.Accept (static envelope, estimator confidence);
-//  7. place and measure: Plan, then Mote.Measure against a Mote.Baseline
-//     started at the outset.
+//  4. estimate: Settings.Stream, fed by ObserveOn or Settings.Batch;
+//  5. decide: TrustPolicy.Decide (truncation correction, the gate again,
+//     static envelope, estimator confidence);
+//  6. place and measure: Placement, Plan, then Mote.Measure against a
+//     Mote.Baseline started at the outset.
 //
+// Outcome, one per Branchy procedure, is the record through the stages.
 // Callers keep only their schedule: when models are built, how samples
 // are batched, and what a failure costs.
 package pipeline
@@ -69,7 +70,7 @@ type Settings struct {
 	// MaxVisits bounds loop unrolling during path enumeration.
 	MaxVisits int
 	// StaticResolve pins statically proven branches in every model and
-	// gives it the static envelope Accept checks fits against.
+	// gives it the static envelope Decide checks fits against.
 	StaticResolve bool
 }
 
@@ -143,79 +144,61 @@ func (d Decision) String() string { return decisionNames[d] }
 // and runs only once the sample gate passes. A build error comes back with
 // NoModel; the caller decides whether it is fatal.
 func (p TrustPolicy) Admit(samples tomography.SampleCounts, build func() (*tomography.Model, error)) (*tomography.Model, Decision, error) {
-	return p.admit(samples.N(), build, func(m *tomography.Model) float64 { return m.CoverageCounts(samples, m.Tick()) })
-}
-
-// AdmitStream is Admit over every sample st has absorbed, with the
-// coverage taken from the stream's histogram.
-func (p TrustPolicy) AdmitStream(st *Stream) Decision {
-	_, d, _ := p.admit(st.SampleCount(), func() (*tomography.Model, error) { return st.Model, nil },
-		func(m *tomography.Model) float64 { return st.Coverage(m.Tick()) })
-	return d
-}
-
-// admit is the gate over n samples whose coverage of a model is coverage.
-func (p TrustPolicy) admit(n int, build func() (*tomography.Model, error), coverage func(*tomography.Model) float64) (*tomography.Model, Decision, error) {
-	if n < p.MinSamples {
+	if samples.N() < p.MinSamples {
 		return nil, TooFewSamples, nil
 	}
 	m, err := build()
 	if err != nil || m == nil {
 		return nil, NoModel, err
 	}
-	if coverage(m) < p.MinCoverage {
+	if m.CoverageCounts(samples, m.Tick()) < p.MinCoverage {
 		return m, LowCoverage, nil
 	}
 	return m, Trusted, nil
 }
 
-// Accept is the post-estimation check on a corrected fit.
-func (p TrustPolicy) Accept(m *tomography.Model, probs markov.EdgeProbs, confident bool) Decision {
-	if !m.EnvelopeCheck(probs, m.Tick()) {
-		return EnvelopeViolation
+// Decide closes the chain on everything o's stream has absorbed so far,
+// setting Samples, Probs, Trimmed and Decision. Long paths die more often
+// under harvested power, so when o lost partials the estimate is first
+// tilted back; then come the sample gate (Admit) over the stream's
+// histogram, NoModel for a gated-in stream without an estimate, the
+// static envelope check and the estimator's confidence.
+func (p TrustPolicy) Decide(o *Outcome) {
+	h := o.Stream.Counts()
+	o.Samples, o.Probs, o.Trimmed = h.N(), o.Stream.Probs(), o.Stream.Trimmed()
+	if o.Lost > 0 && o.Samples > 0 && o.Probs != nil {
+		o.Probs = o.Model.DebiasTruncation(o.Probs, o.Lost, o.Samples)
 	}
-	if !confident {
-		return LowConfidence
+	if _, o.Decision, _ = p.Admit(h, func() (*tomography.Model, error) { return o.Model, nil }); o.Decision != Trusted {
+		return
 	}
-	return Trusted
-}
-
-// Correct is the truncation correction: long paths die more often under
-// harvested power, so whenever a procedure lost partials its completed-
-// sample estimate is tilted back before it is scored or placed.
-func Correct(m *tomography.Model, probs markov.EdgeProbs, lost, completed int) markov.EdgeProbs {
-	if lost <= 0 || completed <= 0 || probs == nil {
-		return probs
+	switch {
+	case o.Probs == nil:
+		o.Decision = NoModel
+	case !o.Model.EnvelopeCheck(o.Probs, o.Model.Tick()):
+		o.Decision = EnvelopeViolation
+	case !o.Stream.Confident():
+		o.Decision = LowConfidence
 	}
-	return m.DebiasTruncation(probs, lost, completed)
 }
 
-// Stream is one procedure's streaming estimate: warm-started incremental
-// re-estimation as batches arrive (uplink rounds, station epochs), plus
-// the lost partials its truncation correction needs.
-type Stream struct {
-	Name string
-	*tomography.Incremental
-	Lost int
+// Stream sets o's model to m and starts its warm-started stream under the
+// settings' estimator, with tomography.NewIncremental's default early stop.
+func (s Settings) Stream(o *Outcome, m *tomography.Model) {
+	o.Model, o.Stream = m, tomography.NewIncremental(m, s.Estimator, 0, 0)
 }
 
-// Stream starts a procedure's stream under the settings' estimator, with
-// tomography.NewIncremental's default early stop.
-func (s Settings) Stream(name string, m *tomography.Model) *Stream {
-	return &Stream{Name: name, Incremental: tomography.NewIncremental(m, s.Estimator, 0, 0)}
-}
-
-// ObserveOn feeds streams[i] its batches[i] in order, the streams in
-// parallel on the pool. Each stream runs single-threaded, so the result is
-// independent of the schedule. A batch that leaves a stream still empty is
-// not an error: there is nothing to estimate yet.
-func ObserveOn(pool *fleet.Pool, streams []*Stream, batches [][]tomography.SampleCounts) error {
-	errs := make([]error, len(streams))
-	pool.Each(len(streams), func(_, i int) {
-		st := streams[i]
+// ObserveOn feeds procs[i]'s stream its batches[i] in order, the streams
+// in parallel on the pool. Each stream runs single-threaded, so the result
+// is independent of the schedule. A batch that leaves a stream still empty
+// is not an error: there is nothing to estimate yet.
+func ObserveOn(pool *fleet.Pool, procs []*Outcome, batches [][]tomography.SampleCounts) error {
+	errs := make([]error, len(procs))
+	pool.Each(len(procs), func(_, i int) {
+		o := procs[i]
 		for _, b := range batches[i] {
-			if _, err := st.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
-				errs[i] = fmt.Errorf("estimate %s: %w", st.Name, err)
+			if _, err := o.Stream.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
+				errs[i] = fmt.Errorf("estimate %s: %w", o.Proc.Name, err)
 				return
 			}
 		}
@@ -223,12 +206,19 @@ func ObserveOn(pool *fleet.Pool, streams []*Stream, batches [][]tomography.Sampl
 	return errors.Join(errs...)
 }
 
-// Outcome is one branchy procedure's pass through the stages.
+// Outcome is one branchy procedure's record, from model build to
+// placement input.
 type Outcome struct {
-	Proc    *cfg.Proc
+	Proc *cfg.Proc
+	// Index is the procedure's trace and metadata index.
+	Index   int
 	Samples int
 	// Model is nil when the sample gate failed or the build did.
 	Model *tomography.Model
+	// Stream is nil unless the procedure's estimate was started.
+	Stream *tomography.Incremental
+	// Lost counts the partials power cuts truncated, for Decide.
+	Lost int
 	// Probs is the corrected estimate; nil unless one was made.
 	Probs markov.EdgeProbs
 	// Trimmed counts the samples the robust estimator discarded as
@@ -239,41 +229,55 @@ type Outcome struct {
 	Err error
 }
 
-// Batch runs every procedure of one profile through the stages, from the
-// exclusive tick counts by procedure index. Each branchy procedure is its
-// own task on a pool of GOMAXPROCS workers: it depends on its own samples
-// only and writes only its own outcome, so the result does not depend on
-// the schedule. It returns each branchy procedure's outcome in CFG order,
-// and the placement input: the trusted estimates plus a uniform
-// placeholder per branchless procedure. Each admitted procedure's samples
-// go to a Stream as one batch, in the order they were measured, so the
-// estimator's confidence verdict is checked exactly as on the streaming
-// paths. A single mains-powered run loses no partials, so nothing is
-// corrected.
-func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
-	probs := make(map[string]markov.EdgeProbs)
+// Branchy returns an outcome for each branchy procedure of prof, in CFG
+// order, with Proc and Index filled in.
+func Branchy(prof *compile.Output) []Outcome {
 	var procs []Outcome
 	for _, p := range prof.CFG.Procs {
-		if len(p.BranchBlocks()) == 0 {
-			probs[p.Name] = markov.Uniform(p)
-		} else {
-			procs = append(procs, Outcome{Proc: p})
+		if len(p.BranchBlocks()) > 0 {
+			procs = append(procs, Outcome{Proc: p, Index: prof.Meta.ProcByName[p.Name].Index})
 		}
 	}
-	fleet.NewPool(runtime.GOMAXPROCS(0)).Each(len(procs), func(_, i int) { s.batchProc(&procs[i], prof, ticks) })
+	return procs
+}
+
+// Placement is the placement input: the trusted estimates of procs plus
+// a uniform placeholder for each branchless procedure of prog.
+func Placement(prog *cfg.Program, procs []Outcome) map[string]markov.EdgeProbs {
+	probs := make(map[string]markov.EdgeProbs)
+	for _, p := range prog.Procs {
+		if len(p.BranchBlocks()) == 0 {
+			probs[p.Name] = markov.Uniform(p)
+		}
+	}
 	for _, o := range procs {
 		if o.Decision == Trusted {
 			probs[o.Proc.Name] = o.Probs
 		}
 	}
-	return procs, probs
+	return probs
 }
 
-// batchProc is one procedure's Batch task: gate, model, estimate, check.
+// Batch runs every procedure of one profile through the stages, from the
+// exclusive tick counts by procedure index. Each branchy procedure is its
+// own task on a pool of GOMAXPROCS workers: it depends on its own samples
+// only and writes only its own outcome, so the result does not depend on
+// the schedule. It returns each branchy procedure's outcome in CFG order,
+// and the placement input. Each admitted procedure's samples go to its
+// stream as one batch, in the order they were measured, so Decide checks
+// the estimator's confidence exactly as on the streaming paths. A single
+// mains-powered run loses no partials, so nothing is corrected.
+func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
+	procs := Branchy(prof)
+	fleet.NewPool(runtime.GOMAXPROCS(0)).Each(len(procs), func(_, i int) { s.batchProc(&procs[i], prof, ticks[procs[i].Index]) })
+	return procs, Placement(prof.CFG, procs)
+}
+
+// batchProc is one procedure's Batch task: gate, model, estimate, decide.
 // The model is built only once the sample gate passes.
-func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks map[int][]uint64) {
-	p := o.Proc
-	samples := trace.DurationsCycles(ticks[prof.Meta.ProcByName[p.Name].Index], s.TickDiv)
+func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks []uint64) {
+	name := o.Proc.Name
+	samples := trace.DurationsCycles(ticks, s.TickDiv)
 	o.Samples = len(samples)
 	// The gate's histogram, added up sample by sample: tick-quantized
 	// durations take few distinct values, so it stays small.
@@ -282,19 +286,18 @@ func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks map[int][]ui
 		h.Add(v, 1)
 	}
 	var err error
-	if o.Model, o.Decision, err = s.Admit(h, func() (*tomography.Model, error) { return s.Model(prof, p.Name) }); err != nil {
-		o.Err = fmt.Errorf("model %s: %w", p.Name, err)
+	if o.Model, o.Decision, err = s.Admit(h, func() (*tomography.Model, error) { return s.Model(prof, name) }); err != nil {
+		o.Err = fmt.Errorf("model %s: %w", name, err)
 	}
 	if o.Decision != Trusted {
 		return
 	}
-	st := s.Stream(p.Name, o.Model)
-	if o.Probs, err = st.Observe(samples); err != nil {
-		o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", p.Name, err)
+	s.Stream(o, o.Model)
+	if _, err := o.Stream.Observe(samples); err != nil {
+		o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", name, err)
 		return
 	}
-	o.Trimmed = st.Trimmed()
-	o.Decision = s.Accept(o.Model, o.Probs, st.Confident())
+	s.Decide(o)
 }
 
 // Plan is the placement stage: Pettis–Hansen layouts for every procedure

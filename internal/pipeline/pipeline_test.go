@@ -73,12 +73,16 @@ func TestEstimateStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(workers int) *Stream {
-		st := s.Stream("work", model)
-		if err := ObserveOn(fleet.NewPool(workers), []*Stream{st}, [][]tomography.SampleCounts{rounds}); err != nil {
+	run := func(workers int) *tomography.Incremental {
+		o := Outcome{Proc: model.Proc, Index: out.Meta.ProcByName["work"].Index}
+		s.Stream(&o, model)
+		if o.Model != model || o.Stream == nil {
+			t.Fatal("Stream did not set the outcome's model and stream")
+		}
+		if err := ObserveOn(fleet.NewPool(workers), []*Outcome{&o}, [][]tomography.SampleCounts{rounds}); err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return o.Stream
 	}
 	st := run(4)
 	if st.Probs() == nil {
@@ -88,8 +92,8 @@ func TestEstimateStreams(t *testing.T) {
 	for _, b := range rounds {
 		total += b.N()
 	}
-	if st.SampleCount() != total {
-		t.Fatalf("SampleCount = %d, want %d", st.SampleCount(), total)
+	if st.Counts().N() != total {
+		t.Fatalf("Counts().N() = %d, want %d", st.Counts().N(), total)
 	}
 	if st.Rounds() < 1 || st.Iterations() < 1 {
 		t.Fatalf("no estimation effort recorded: %d rounds, %d iterations", st.Rounds(), st.Iterations())
@@ -100,8 +104,8 @@ func TestEstimateStreams(t *testing.T) {
 		Rounds, Iterations, SampleCount, Trimmed int
 		Converged, Confident                     bool
 	}
-	snap := func(st *Stream) outcome {
-		return outcome{st.Probs(), st.Rounds(), st.Iterations(), st.SampleCount(), st.Trimmed(), st.Converged(), st.Confident()}
+	snap := func(st *tomography.Incremental) outcome {
+		return outcome{st.Probs(), st.Rounds(), st.Iterations(), st.Counts().N(), st.Trimmed(), st.Converged(), st.Confident()}
 	}
 	if got, want := snap(run(1)), snap(st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming estimation is not reproducible across pool sizes:\n1 worker:  %+v\n4 workers: %+v", got, want)
@@ -109,8 +113,9 @@ func TestEstimateStreams(t *testing.T) {
 }
 
 // TestBatchOutcomesInCFGOrder runs Batch with its procedures on parallel
-// workers and checks that the outcomes come back in CFG order, identical
-// to a one-worker run. crc's first branchy procedure has by far the
+// workers and checks that the outcomes come back in CFG order, each with
+// its metadata index and a stream exactly when the sample gate admitted
+// it, identical to a one-worker run. crc's first branchy procedure has by far the
 // largest path model, so it finishes last when run side by side; chain's
 // procedures are trusted, so their estimates reach the placement input.
 func TestBatchOutcomesInCFGOrder(t *testing.T) {
@@ -150,6 +155,13 @@ func TestBatchOutcomesInCFGOrder(t *testing.T) {
 				got = append(got, o.Proc.Name)
 				if o.Err != nil {
 					t.Fatalf("%s: %v", o.Proc.Name, o.Err)
+				}
+				if want := prof.Meta.ProcByName[o.Proc.Name].Index; o.Index != want {
+					t.Errorf("%s: Index = %d, want %d", o.Proc.Name, o.Index, want)
+				}
+				admitted := o.Decision != TooFewSamples && o.Decision != LowCoverage && o.Decision != NoModel
+				if (o.Stream != nil) != admitted {
+					t.Errorf("%s: %v, but has a stream = %v", o.Proc.Name, o.Decision, o.Stream != nil)
 				}
 				if _, placed := probs[o.Proc.Name]; placed != (o.Decision == Trusted) {
 					t.Errorf("%s: %v, but placed = %v", o.Proc.Name, o.Decision, placed)

@@ -14,9 +14,9 @@ func (s *Server) Abort() { s.abort() }
 // model, its streaming estimator, and the power-truncated invocations
 // counted against it across epochs.
 func (s *Server) ProcStream(name string) (*tomography.Model, *tomography.Incremental, int) {
-	for _, ps := range s.procs {
-		if ps.name == name && ps.stream != nil {
-			return ps.stream.Model, ps.stream.Incremental, ps.stream.Lost
+	for _, o := range s.procs {
+		if o.Proc.Name == name && o.Stream != nil {
+			return o.Model, o.Stream, o.Lost
 		}
 	}
 	return nil, nil, 0
@@ -28,10 +28,9 @@ func (s *Server) ProcStream(name string) (*tomography.Model, *tomography.Increme
 func (s *Server) ProcDecision(name string) pipeline.Decision {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	for _, ps := range s.procs {
-		if ps.name == name {
-			_, _, d := s.procModel(ps)
-			return d
+	for _, o := range s.decided() {
+		if o.Proc.Name == name {
+			return o.Decision
 		}
 	}
 	return pipeline.NoModel

@@ -29,13 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"codetomo/internal/compile"
 	"codetomo/internal/fleet"
 	"codetomo/internal/layout"
-	"codetomo/internal/markov"
 	"codetomo/internal/pipeline"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
@@ -87,19 +87,14 @@ var ErrClosed = errors.New("station: server closed")
 // unchecked bytes off a radio).
 var ErrRejected = errors.New("station: frame rejected")
 
-// procState is one procedure's standing estimation state.
-type procState struct {
-	name   string
-	index  int              // trace/meta procedure index
-	stream *pipeline.Stream // nil when the path model could not be built
-}
-
 // Server is a running base station.
 type Server struct {
-	cfg   Config
-	prof  *compile.Output
-	procs []*procState // branchy procedures, CFG order
-	slot  []int        // procedure index → position in procs; -1 unless streamed
+	cfg  Config
+	prof *compile.Output
+	// procs is each branchy procedure's standing state, in CFG order; a
+	// snapshot decides a copy.
+	procs []pipeline.Outcome
+	slot  []int // procedure index → position in procs; -1 unless streamed
 	pool  *fleet.Pool
 
 	// mu guards the receive window. Ingest holds it across the WAL append
@@ -154,22 +149,23 @@ func New(cfg Config) (*Server, error) {
 		cutCh: make(chan struct{}, 1),
 	}
 	s.slot = make([]int, len(prof.CFG.Procs))
-	for _, p := range prof.CFG.Procs {
-		s.slot[prof.Meta.ProcByName[p.Name].Index] = -1
-		if len(p.BranchBlocks()) == 0 {
-			continue
-		}
+	for i := range s.slot {
+		s.slot[i] = -1
+	}
+	s.procs = pipeline.Branchy(prof)
+	for k := range s.procs {
 		// A procedure whose path space cannot be enumerated within bounds
 		// (a long-running driver loop, typically) is served permanently
 		// untrusted rather than failing the whole station: the batch
 		// pipeline defers the same error until the sample gate, which such
 		// procedures rarely pass anyway.
-		ps := &procState{name: p.Name, index: prof.Meta.ProcByName[p.Name].Index}
-		if m, err := s.cfg.Settings.Model(prof, p.Name); err == nil {
-			ps.stream = s.cfg.Settings.Stream(p.Name, m)
-			s.slot[ps.index] = len(s.procs)
+		o := &s.procs[k]
+		if m, err := s.cfg.Settings.Model(prof, o.Proc.Name); err != nil {
+			o.Decision, o.Err = pipeline.NoModel, err
+		} else {
+			s.cfg.Settings.Stream(o, m)
+			s.slot[o.Index] = k
 		}
-		s.procs = append(s.procs, ps)
 	}
 	s.snap = s.buildSnapshot() // epoch 0: every procedure untrusted, no data yet
 
@@ -321,20 +317,21 @@ func (s *Server) finishCut(samples []tomography.SampleCounts, st trace.UplinkSta
 	s.m.discarded.Add(uint64(st.InvocationsDiscarded))
 	s.m.lostPartials.Add(uint64(st.LostPartials))
 
-	var streams []*pipeline.Stream
+	var streamed []*pipeline.Outcome
 	var batches [][]tomography.SampleCounts
-	for k, ps := range s.procs {
-		if ps.stream == nil {
+	for k := range s.procs {
+		o := &s.procs[k]
+		if o.Stream == nil {
 			continue // no model to feed
 		}
-		ps.stream.Lost += st.LostPartialsByProc[ps.index]
+		o.Lost += st.LostPartialsByProc[o.Index]
 		if n := samples[k].N(); n > 0 {
 			s.m.samples.Add(uint64(n))
-			streams = append(streams, ps.stream)
+			streamed = append(streamed, o)
 			batches = append(batches, samples[k:k+1])
 		}
 	}
-	if err := pipeline.ObserveOn(s.pool, streams, batches); err != nil {
+	if err := pipeline.ObserveOn(s.pool, streamed, batches); err != nil {
 		return nil, fmt.Errorf("station: %w", err)
 	}
 
@@ -455,62 +452,52 @@ type Branch struct {
 // buildSnapshot assembles the current publication. Callers must hold
 // snapMu (or be the only goroutine, as during New and replay).
 func (s *Server) buildSnapshot() *Snapshot {
-	probs := make(map[string]markov.EdgeProbs)
+	decided := s.decided()
+	plan := layout.PlanAll(s.prof.CFG, pipeline.Placement(s.prof.CFG, decided))
 	snap := &Snapshot{Epoch: s.epoch}
-	branchy := s.procs // CFG order, like the loop below
 	for _, p := range s.prof.CFG.Procs {
-		if len(p.BranchBlocks()) == 0 {
-			probs[p.Name] = markov.Uniform(p)
-			snap.Procs = append(snap.Procs, ProcModel{Proc: p.Name, Trusted: true})
-			continue
+		pm := ProcModel{Proc: p.Name, Trusted: true} // branchless
+		if len(decided) > 0 && decided[0].Proc == p {
+			pm = procModel(&decided[0])
+			decided = decided[1:]
 		}
-		pm, est, _ := s.procModel(branchy[0])
-		branchy = branchy[1:]
-		if pm.Trusted {
-			probs[p.Name] = est
-		}
-		snap.Procs = append(snap.Procs, pm)
-	}
-	plan := layout.PlanAll(s.prof.CFG, probs)
-	for i := range snap.Procs {
-		pm := &snap.Procs[i]
-		if order, ok := plan.Layouts[pm.Proc]; ok && pm.Trusted {
+		if order, ok := plan.Layouts[p.Name]; ok && pm.Trusted {
 			pm.Layout = make([]int, len(order))
 			for j, b := range order {
 				pm.Layout[j] = int(b)
 			}
 		}
+		snap.Procs = append(snap.Procs, pm)
 	}
 	return snap
 }
 
-// procModel runs one procedure's standing estimate through the shared
-// stages — the truncation correction, the gate over every sample absorbed
-// so far, and the fit checks — and returns its publication with the
-// corrected estimate and the trust decision behind its Trusted flag.
-func (s *Server) procModel(ps *procState) (ProcModel, markov.EdgeProbs, pipeline.Decision) {
-	pm := ProcModel{Proc: ps.name}
-	st := ps.stream
-	if st == nil {
-		return pm, nil, pipeline.NoModel
-	}
-	pm.Samples, pm.Converged, pm.Rounds = st.SampleCount(), st.Converged(), st.Rounds()
-	est := pipeline.Correct(st.Model, st.Probs(), st.Lost, st.SampleCount())
-	d := s.cfg.Settings.AdmitStream(st)
-	if est == nil {
-		if d == pipeline.Trusted {
-			d = pipeline.NoModel
+// decided returns a copy of the standing procedures, each streamed one
+// decided on everything it has absorbed so far (pipeline.Decide), so a
+// snapshot never writes s.procs.
+func (s *Server) decided() []pipeline.Outcome {
+	decided := slices.Clone(s.procs)
+	for k := range decided {
+		if decided[k].Stream != nil {
+			s.cfg.Settings.Decide(&decided[k])
 		}
-		return pm, nil, d
 	}
-	if d == pipeline.Trusted {
-		d = s.cfg.Settings.Accept(st.Model, est, st.Confident())
+	return decided
+}
+
+// procModel is one decided procedure's publication. The corrected
+// estimate is published whenever there is one, trusted or not.
+func procModel(o *pipeline.Outcome) ProcModel {
+	pm := ProcModel{Proc: o.Proc.Name, Samples: o.Samples, Trusted: o.Decision == pipeline.Trusted}
+	if o.Stream != nil {
+		pm.Converged, pm.Rounds = o.Stream.Converged(), o.Stream.Rounds()
 	}
-	pm.Trusted = d == pipeline.Trusted
-	for _, e := range st.Model.BranchEdgeList() {
-		pm.Branches = append(pm.Branches, Branch{From: int(e[0]), To: int(e[1]), Prob: est[e]})
+	if o.Probs != nil {
+		for _, e := range o.Model.BranchEdgeList() {
+			pm.Branches = append(pm.Branches, Branch{From: int(e[0]), To: int(e[1]), Prob: o.Probs[e]})
+		}
 	}
-	return pm, est, d
+	return pm
 }
 
 // Latest returns the most recent snapshot (epoch 0: the empty model).

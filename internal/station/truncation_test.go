@@ -42,7 +42,7 @@ func TestSnapshotCorrectsTruncation(t *testing.T) {
 	if inc == nil || lost == 0 {
 		t.Fatalf("no power-truncated invocations of work reached the station (lost %d)", lost)
 	}
-	want := model.DebiasTruncation(inc.Probs(), lost, inc.SampleCount())
+	want := model.DebiasTruncation(inc.Probs(), lost, inc.Counts().N())
 	if reflect.DeepEqual(want, inc.Probs()) {
 		t.Fatal("the correction is a no-op on this traffic; the test cannot tell the difference")
 	}

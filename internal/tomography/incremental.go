@@ -163,14 +163,10 @@ func (inc *Incremental) Rounds() int { return inc.rounds }
 // (zero for non-EM estimators).
 func (inc *Incremental) Iterations() int { return inc.iterations }
 
-// SampleCount returns how many samples have been absorbed.
-func (inc *Incremental) SampleCount() int { return inc.hist.N() }
-
-// Coverage is Model.Coverage over every sample absorbed so far, taken
-// from the histogram.
-func (inc *Incremental) Coverage(halfWidth float64) float64 {
-	return inc.Model.CoverageCounts(inc.hist, halfWidth)
-}
+// Counts returns the histogram of every sample absorbed so far. It shares
+// the stream's storage: read it before the next batch, and do not modify
+// it.
+func (inc *Incremental) Counts() SampleCounts { return inc.hist }
 
 // Trimmed returns how many absorbed samples the robust estimator
 // discarded as outliers in its latest estimation round (always 0 for

@@ -34,8 +34,8 @@ func TestIncrementalConvergesOnStream(t *testing.T) {
 	if inc.Rounds() >= len(samples)/batch {
 		t.Fatalf("rounds = %d, expected early stop before %d", inc.Rounds(), len(samples)/batch)
 	}
-	if inc.SampleCount() != len(samples) {
-		t.Fatalf("SampleCount = %d, want %d", inc.SampleCount(), len(samples))
+	if inc.Counts().N() != len(samples) {
+		t.Fatalf("Counts().N() = %d, want %d", inc.Counts().N(), len(samples))
 	}
 	if inc.Iterations() <= 0 {
 		t.Fatal("EM iteration count not tracked")
@@ -64,15 +64,15 @@ func TestIncrementalStopsReestimatingAfterConvergence(t *testing.T) {
 	if !inc.Converged() {
 		t.Skip("stream did not converge on this seed")
 	}
-	rounds, seen := inc.Rounds(), inc.SampleCount()
+	rounds, seen := inc.Rounds(), inc.Counts().N()
 	if _, err := inc.Observe(samples[:100]); err != nil {
 		t.Fatal(err)
 	}
 	if inc.Rounds() != rounds {
 		t.Fatalf("re-estimated after convergence: rounds %d -> %d", rounds, inc.Rounds())
 	}
-	if inc.SampleCount() != seen+100 {
-		t.Fatalf("post-convergence batch not absorbed: %d samples, want %d", inc.SampleCount(), seen+100)
+	if inc.Counts().N() != seen+100 {
+		t.Fatalf("post-convergence batch not absorbed: %d samples, want %d", inc.Counts().N(), seen+100)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestIncrementalRejectsNonFinite(t *testing.T) {
 	if _, err := inc.Observe([]float64{100, math.NaN()}); err == nil {
 		t.Fatal("NaN sample accepted")
 	}
-	if inc.SampleCount() != 0 {
-		t.Fatalf("rejected batch was absorbed: %d samples", inc.SampleCount())
+	if inc.Counts().N() != 0 {
+		t.Fatalf("rejected batch was absorbed: %d samples", inc.Counts().N())
 	}
 	if _, err := inc.Observe([]float64{math.Inf(1)}); err == nil {
 		t.Fatal("+Inf sample accepted")
@@ -216,12 +216,12 @@ func TestIncrementalCoverageMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := samples[:i+250]
-			if inc.SampleCount() != len(seen) {
-				t.Fatalf("%s: SampleCount = %d, want %d", est.Name(), inc.SampleCount(), len(seen))
+			if inc.Counts().N() != len(seen) {
+				t.Fatalf("%s: Counts().N() = %d, want %d", est.Name(), inc.Counts().N(), len(seen))
 			}
 			for _, hw := range []float64{0.5, 4} {
-				if got, want := inc.Coverage(hw), m.Coverage(seen, hw); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s after %d samples: Coverage(%v) = %v, Model.Coverage = %v", est.Name(), len(seen), hw, got, want)
+				if got, want := m.CoverageCounts(inc.Counts(), hw), m.Coverage(seen, hw); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s after %d samples: CoverageCounts(Counts(), %v) = %v, Coverage = %v", est.Name(), len(seen), hw, got, want)
 				}
 			}
 		}

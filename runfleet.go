@@ -439,7 +439,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	// Models for every branchy procedure, built concurrently with the
 	// simulation. Construction errors are deferred: they only matter for
 	// procedures that pass the sample-count gate.
-	models := buildModels(pool, prof, cfg.settings())
+	procs := buildModels(pool, prof, cfg.settings())
 	<-simDone
 	if simErr != nil {
 		return nil, simErr
@@ -460,10 +460,10 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	sumGrossTicks := float64(sumGross)
 	fst.UplinkWall = time.Since(t1)
 
-	// 4. Gate, stream-estimate, correct, and check every procedure on the
-	// same pool (deterministic merge order).
+	// 4. Gate, stream-estimate and decide every procedure on the same
+	// pool (deterministic merge order).
 	t2 := time.Now()
-	procs, streams, probs, err := cfg.estimateStreams(pool, prof, models, samples, fst.Uplink.LostPartialsByProc)
+	probs, err := cfg.estimateStreams(pool, prof, procs, samples, fst.Uplink.LostPartialsByProc)
 	if err != nil {
 		return nil, err
 	}
@@ -471,11 +471,10 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 
 	res := &FleetResult{}
 	oracleStats := fleet.DenseBranchStats(oracleDense)
-	for i, o := range procs {
-		pm := prof.Meta.ProcByName[o.Proc.Name]
+	for _, o := range procs {
 		fst.SamplesPerProc[o.Proc.Name] = o.Samples
-		pe := procEstimate(o, fst.Uplink.LostPartialsByProc[pm.Index], profile.OracleProbs(pm, o.Proc, oracleStats))
-		if st := streams[i]; st != nil {
+		pe := procEstimate(o, profile.OracleProbs(prof.Meta.ProcByName[o.Proc.Name], o.Proc, oracleStats))
+		if st := o.Stream; st != nil {
 			fst.EstimatedProcs++
 			fst.Rounds += st.Rounds()
 			fst.Iterations += st.Iterations()
@@ -502,80 +501,55 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 	return res, nil
 }
 
-// builtModel is one prebuilt path model, or the error building it.
-type builtModel struct {
-	model *tomography.Model
-	err   error
-}
-
 // buildModels enumerates every branchy procedure's path model on the
-// pool, indexed like prof.CFG.Procs. Path enumeration is a pure function
-// of the binary, so it overlaps the fleet simulation instead of following
-// it.
-func buildModels(pool *fleet.Pool, prof *compile.Output, s pipeline.Settings) []builtModel {
-	models := make([]builtModel, len(prof.CFG.Procs))
-	pool.Each(len(models), func(_, i int) {
-		if p := prof.CFG.Procs[i]; len(p.BranchBlocks()) > 0 {
-			models[i].model, models[i].err = s.Model(prof, p.Name)
-		}
+// pool and returns the procedures in CFG order, each with its model or
+// build error. Path enumeration is a pure function of the binary, so it
+// overlaps the fleet simulation instead of following it.
+func buildModels(pool *fleet.Pool, prof *compile.Output, s pipeline.Settings) []pipeline.Outcome {
+	procs := pipeline.Branchy(prof)
+	pool.Each(len(procs), func(_, i int) {
+		o := &procs[i]
+		o.Model, o.Err = s.Model(prof, o.Proc.Name)
 	})
-	return models
+	return procs
 }
 
-// estimateStreams is RunFleet's gate-and-estimate path: admit each branchy
-// procedure on all its samples, stream the admitted ones round by round
-// through warm-started incremental estimation on the pool, then correct
-// for truncation and check each fit. It returns the procedures in CFG
-// order, each one's stream (nil unless admitted), and the placement input.
-func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, models []builtModel, samples fleet.Samples, lost map[int]int) ([]pipeline.Outcome, []*pipeline.Stream, map[string]markov.EdgeProbs, error) {
+// estimateStreams is RunFleet's gate-and-estimate path: admit each
+// prebuilt procedure on all its samples, stream the admitted ones round by
+// round through warm-started incremental estimation on the pool, then
+// decide each. A build error is fatal only for a procedure the sample gate
+// admits. It returns the placement input.
+func (c FleetConfig) estimateStreams(pool *fleet.Pool, prof *compile.Output, procs []pipeline.Outcome, samples fleet.Samples, lost map[int]int) (map[string]markov.EdgeProbs, error) {
 	s := c.settings()
-	probs := make(map[string]markov.EdgeProbs)
-	var procs []pipeline.Outcome
-	var streams, admitted []*pipeline.Stream
+	var admitted []*pipeline.Outcome
 	var batches [][]tomography.SampleCounts
-	for i, p := range prof.CFG.Procs {
-		pm := prof.Meta.ProcByName[p.Name]
-		if len(p.BranchBlocks()) == 0 {
-			probs[p.Name] = markov.Uniform(p)
-			continue
-		}
+	for i := range procs {
+		o := &procs[i]
 		var rounds []tomography.SampleCounts
-		if pm.Index < len(samples) {
-			rounds = samples[pm.Index]
+		if o.Index < len(samples) {
+			rounds = samples[o.Index]
 		}
 		var all tomography.SampleCounts
 		for _, r := range rounds {
 			all.Merge(r)
 		}
-		o := pipeline.Outcome{Proc: p, Samples: all.N()}
-		var err error
-		if o.Model, o.Decision, err = s.Admit(all, func() (*tomography.Model, error) { return models[i].model, models[i].err }); err != nil {
-			return nil, nil, nil, fmt.Errorf("codetomo: model %s: %w", p.Name, err)
+		o.Samples, o.Lost = all.N(), lost[o.Index]
+		if o.Model, o.Decision, o.Err = s.Admit(all, func() (*tomography.Model, error) { return o.Model, o.Err }); o.Err != nil {
+			return nil, fmt.Errorf("codetomo: model %s: %w", o.Proc.Name, o.Err)
 		}
-		var st *pipeline.Stream
 		if o.Decision == pipeline.Trusted {
-			st = s.Stream(p.Name, o.Model)
-			st.Lost = lost[pm.Index]
-			admitted = append(admitted, st)
+			s.Stream(o, o.Model)
+			admitted = append(admitted, o)
 			batches = append(batches, rounds)
 		}
-		procs, streams = append(procs, o), append(streams, st)
 	}
 	if err := pipeline.ObserveOn(pool, admitted, batches); err != nil {
-		return nil, nil, nil, fmt.Errorf("codetomo: %w", err)
+		return nil, fmt.Errorf("codetomo: %w", err)
 	}
-	for i, st := range streams {
-		if st == nil {
-			continue
-		}
-		o := &procs[i]
-		o.Probs = pipeline.Correct(o.Model, st.Probs(), st.Lost, o.Samples)
-		o.Trimmed = st.Trimmed()
-		if o.Decision = s.Accept(o.Model, o.Probs, st.Confident()); o.Decision == pipeline.Trusted {
-			probs[o.Proc.Name] = o.Probs
-		}
+	for _, o := range admitted {
+		s.Decide(o)
 	}
-	return procs, streams, probs, nil
+	return pipeline.Placement(prof.CFG, procs), nil
 }
 
 // intermittence derives the fleet-level intermittent-execution summary

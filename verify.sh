@@ -177,6 +177,17 @@ echo "== fleet scheduler race (Pool.Each, cohort engine)"
 # while. It takes about ten seconds.
 go test -race -short -count=5 -run '^(TestPoolEach|TestStreamDeterminismAtScale|TestStreamErrors|TestStreamMatchesMaterialized)$' ./internal/fleet
 
+echo "== cross-caller agreement on one P (Run, RunFleet, bench, station)"
+# Reruns the tests that feed one deployment to every caller of the
+# estimation core with GOMAXPROCS=1, so the pool's fan-out runs one
+# procedure at a time: Run, the bench, RunFleet and the station must still
+# reach the same trust decision for the same reason, outcomes must come
+# back in CFG order with their index and stream, and streaming estimates
+# must not depend on the pool size. A caller that closes the chain its own
+# way, or an outcome that depends on the schedule, fails here. It takes
+# about two seconds.
+GOMAXPROCS=1 go test . ./internal/station ./internal/pipeline -run '^(TestCallersAgree|TestStationDecisionMatchesBench|TestBatchOutcomesInCFGOrder|TestEstimateStreams)$' -count=1
+
 echo "== ctlint examples"
 go run ./cmd/ctlint examples/minic/*.mc
 
