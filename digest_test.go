@@ -26,7 +26,7 @@ import (
 	"codetomo/internal/station"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/output_digests.golden")
+var update = flag.Bool("update", false, "rewrite the golden file of each test run: testdata/output_digests.golden, BENCH_BASELINE.json")
 
 // digestInvocations is the handler invocations per app in every digest
 // case: enough for every estimator to clear the sample gate, few enough
@@ -289,7 +289,7 @@ func checkDigests(t *testing.T, golden string, got map[string]string) {
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %s\n", n, got[n])
 	}
-	if *updateDigests {
+	if *update {
 		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

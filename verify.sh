@@ -50,6 +50,23 @@ echo "== perfbench self-test"
 # here rather than in the benchmark run. It takes about a second.
 (cd perfbench && go vet ./... && go test -count=1 ./...)
 
+echo "== perf baseline (counters, line counts, allocations per op)"
+# Runs every perfbench workload for about a second at seed 1, untraced and
+# traced, and compares the timing-free fields with BENCH_BASELINE.json:
+# the work counters, loc.* and speedup_geomean, accuracy_mean and
+# trusted_procs must match exactly, alloc_kb_per_op may move by a tenth of
+# its value, and the timings are printed, not gated. A change that moves
+# one of them on purpose reruns these commands and adds -update to the
+# go test line. It takes about fifteen seconds once perfbench is built.
+benchdir=$(mktemp -d)
+trap 'rm -rf "$bindir" "$benchdir"' EXIT
+for w in pipeline_apps fleet_10k station_push; do
+	for tr in 0 1; do
+		sh perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace "$tr" >"$benchdir/$w-trace$tr.out"
+	done
+done
+CODETOMO_BENCH_DIR="$benchdir" go test . -run '^TestBenchBaseline$' -count=1 -v
+
 echo "== fuzz smoke (MiniC front end)"
 # Random MiniC source: the parser and checker must reject cleanly, never
 # panic, and every program the checker accepts must survive the IR
