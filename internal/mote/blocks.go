@@ -4,8 +4,9 @@ import "codetomo/internal/isa"
 
 // Dispatch kinds the block core adds after the ISA's opcodes, dense so the
 // dispatch switch stays a jump table: the MiniC backend's fused frame
-// idioms, the threaded jump, the end-of-program sentinel and one kind for
-// every undefined opcode. A load marked ← is forwarded (see forwards).
+// idioms, the threaded jump and call, the end-of-program sentinel and one
+// kind for every undefined opcode. A load marked ← is forwarded (see
+// forwards).
 const (
 	opCopy       = isa.Op(len(isa.CostModel{}.Cycles)) + iota // ld x,[a+i]; st [c+j],x
 	opConst                                                   // ldi x,imm; st [c+j],x
@@ -19,18 +20,26 @@ const (
 	opExprCp                                                  // expr, then the same copy tail
 	opCopyExprCp                                              // copy-expr, then the same copy tail
 	opLdBr                                                    // ld x,[a+i]; bz/bnz x
+	opLdOut                                                   // ld x,[a+i]; out p,x
+	opConstOut                                                // ldi x,K; out p,x
+	opTrEnter                                                 // trace K; then an entry
+	opEnter                                                   // push f; getsp f; spadj -N
+	opLdTrLeave                                               // ld x,[a+i]; then a traced return
+	opTrLeave                                                 // trace K; then a return
+	opLeave                                                   // spadj N; pop f; ret (a terminator)
 	opJmp                                                     // a JMP threaded into the block before it
 	opJmpX                                                    // the same, crossing a flash page
+	opCall                                                    // a CALL threaded into the callee's entry block
 	opEnd                                                     // pc == len(prog): ran off the end
 	opBad                                                     // an opcode the ISA does not define
 )
 
 // blockHead describes the block entered at one pc. A block runs from its
 // entry pc to the first terminator at or after it (a conditional branch,
-// CALL, RET, HALT, an undefined opcode or an unthreaded JMP) or to the
+// RET, HALT, an undefined opcode or an unthreaded JMP or CALL) or to the
 // end-of-program sentinel; every pc is a possible entry, so every pc has a
-// head. A threaded JMP does not end a block, which continues at its
-// target's block. The sentinel's head is zero.
+// head. A threaded JMP or CALL does not end a block, which continues at
+// its target's block. The sentinel's head is zero.
 type blockHead struct {
 	// span is the base cycles from this pc up to the terminator, which
 	// therefore starts span cycles after this pc does: the in-block time
@@ -59,6 +68,9 @@ type blockCode struct {
 	// the model has no page-cross penalty, so the check costs one nil test
 	// per redirect.
 	pageOf []uint32
+	// branches lists the conditional branches' pcs, the only entries of
+	// the ground-truth branch table either core writes.
+	branches []int32
 }
 
 // decodeBlocks builds prog's block table under cost.
@@ -86,6 +98,10 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		bc.head[k] = h
 	}
 	for k, in := range prog {
+		switch in.Op {
+		case isa.BZ, isa.BNZ, isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+			bc.branches = append(bc.branches, int32(k))
+		}
 		p := prog[k:]
 		switch {
 		case in.Op >= opCopy:
@@ -98,6 +114,20 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 			in.Op = opBinop + tail(p[3:])
 		case fusesLdBr(p):
 			in.Op = opLdBr
+		case fusesOut(p, isa.LD):
+			in.Op = opLdOut
+		case fusesOut(p, isa.LDI):
+			in.Op = opConstOut
+		case starts(p, isa.TRACE, isa.PUSH, isa.GETSP, isa.SPADJ):
+			in.Op = opTrEnter
+		case starts(p, isa.PUSH, isa.GETSP, isa.SPADJ):
+			in.Op = opEnter
+		case starts(p, isa.LD, isa.TRACE, isa.SPADJ, isa.POP, isa.RET):
+			in.Op = opLdTrLeave
+		case starts(p, isa.TRACE, isa.SPADJ, isa.POP, isa.RET):
+			in.Op = opTrLeave
+		case starts(p, isa.SPADJ, isa.POP, isa.RET):
+			in.Op = opLeave
 		case fusesStore(p, isa.LD):
 			in.Op = opCopy
 		case fusesStore(p, isa.LDI):
@@ -105,13 +135,16 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		}
 		bc.dec[k] = in
 	}
-	// Thread every JMP whose chain of JMP-ended target blocks reaches a
-	// real terminator within maxThread jumps (never a cycle or an
-	// out-of-range target): fold the jump, its page-cross penalty and its
-	// target's head into its block's heads, shortest chains first.
+	// Thread every JMP and CALL whose chain of JMP- or CALL-ended target
+	// blocks reaches a real terminator within maxThread jumps (never a
+	// cycle, such as recursion, or an out-of-range target): fold the jump
+	// or call, a jump's page-cross penalty and its target's head into its
+	// block's heads, shortest chains first. A CALL pays no page-cross
+	// penalty.
 	const maxThread = 8
+	threads := func(op isa.Op) bool { return op == isa.JMP || op == isa.CALL }
 	depth := func(j int) (d int) {
-		for ; j < n && prog[j].Op == isa.JMP && uint(prog[j].Imm) < uint(n) && d <= maxThread; d++ {
+		for ; j < n && threads(prog[j].Op) && uint(prog[j].Imm) < uint(n) && d <= maxThread; d++ {
 			for j = int(prog[j].Imm); j < n && !terminates(prog[j].Op); j++ {
 			}
 		}
@@ -122,11 +155,14 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 			if depth(j) != d {
 				continue
 			}
-			next := prog[j].Imm
+			op, next := prog[j].Op, prog[j].Imm
 			ext := bc.head[next]
-			ext.span += uint64(cost.Cycles[isa.JMP])
+			ext.span += uint64(cost.Cycles[op])
 			bc.dec[j].Op = opJmp
-			if bc.pageOf != nil && bc.pageOf[next] != bc.pageOf[j] {
+			switch {
+			case op == isa.CALL:
+				bc.dec[j].Op = opCall
+			case bc.pageOf != nil && bc.pageOf[next] != bc.pageOf[j]:
 				ext.span += uint64(cost.PageCrossPenalty)
 				bc.dec[j].Op = opJmpX
 			}
@@ -204,6 +240,25 @@ func fusesCopyExpr(p []isa.Instr) bool {
 func fusesLdBr(p []isa.Instr) bool {
 	return len(p) >= 2 && p[0].Op == isa.LD && (p[1].Op == isa.BZ || p[1].Op == isa.BNZ) &&
 		p[1].Ra == p[0].Rd
+}
+
+// fusesOut reports whether p starts with `first x, …; out p,x`.
+func fusesOut(p []isa.Instr, first isa.Op) bool {
+	return len(p) >= 2 && p[0].Op == first && p[1].Op == isa.OUT && p[1].Ra == p[0].Rd
+}
+
+// starts reports whether p starts with the opcodes ops: the call entry and
+// return idioms, which run sequentially whatever their registers.
+func starts(p []isa.Instr, ops ...isa.Op) bool {
+	if len(p) < len(ops) {
+		return false
+	}
+	for i, op := range ops {
+		if p[i].Op != op {
+			return false
+		}
+	}
+	return true
 }
 
 // tail is the offset from a binop-ended kind to its Br variant when its

@@ -224,6 +224,11 @@ func FuzzFastCore(f *testing.F) {
 	for _, w := range secondWaveSeeds(f) {
 		f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, w.hdr4, 0, 0, 0}, w.prog))
 	}
+	// The call and return kinds, the port kinds and the threaded call,
+	// each plain and faulting at every sub-instruction that can.
+	for _, c := range callSeeds(f) {
+		f.Add(encodeFuzzSeed(c.hdr, c.prog))
+	}
 	// Every operator through the fused ALU switch, with x and the constant
 	// operand each positive or negative and once equal, so signed and
 	// unsigned, arithmetic and logical, strict and non-strict variants
@@ -459,4 +464,107 @@ func budgetAfterJump(f *testing.F, hdr4 byte) ([8]byte, []isa.Instr) {
 	}
 	f.Fatal("no budget stops right after the jump")
 	return [8]byte{}, nil
+}
+
+// A callSeed is one call-or-return kind program and its seed header.
+type callSeed struct {
+	hdr  [8]byte
+	prog []isa.Instr
+}
+
+// callSeeds builds every entry, return and port kind and a threaded call,
+// mid-block, plain and faulting in turn at each sub-instruction that can,
+// on 16 words of RAM (sp starts at 16) and a timer divided by 3, so a
+// trace logged at the wrong cycle shows. A prologue moves sp (SPADJ
+// immediates decode to at most 7 words) to where the sub-instruction
+// under test faults: a push at sp 0, an entry's frame below 0, a return's
+// SPADJ past the top, and a pop or ret at the top. A trace faults under a
+// one-event buffer that the prologue's own TRACE fills. The return lands
+// on the epilogue, whose pc the prologue pushes; a threaded call enters a
+// timestamped callee after the epilogue.
+func callSeeds(f *testing.F) []callSeed {
+	f.Helper()
+	in := func(op isa.Op, rd, ra isa.Reg, imm int32) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Ra: ra, Imm: imm}
+	}
+	spadj := func(n int32) (out []isa.Instr) {
+		for ; n != 0; n -= max(min(n, 7), -7) {
+			out = append(out, in(isa.SPADJ, 0, 0, max(min(n, 7), -7)))
+		}
+		return out
+	}
+	cat := func(parts ...[]isa.Instr) []isa.Instr {
+		var out []isa.Instr
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	trace := []isa.Instr{in(isa.TRACE, 0, 0, 2)}
+	enter := []isa.Instr{in(isa.PUSH, 0, 15, 0), in(isa.GETSP, 15, 0, 0), in(isa.SPADJ, 0, 0, -3)}
+	leave := func(n int32) []isa.Instr {
+		return []isa.Instr{in(isa.SPADJ, 0, 0, n), in(isa.POP, 15, 0, 0), in(isa.RET, 0, 0, 0)}
+	}
+	ld := []isa.Instr{in(isa.LD, 0, 15, 3)}
+	ldFault := []isa.Instr{in(isa.LD, 0, 15, 90)}
+	full := []isa.Instr{in(isa.TRACE, 0, 0, 1)} // fills a one-event buffer
+	// retTo pushes a return address (patched to the epilogue) and a frame
+	// pointer, so a leave's pop and ret find them.
+	retTo := []isa.Instr{in(isa.LDI, 3, 0, -1), in(isa.PUSH, 0, 3, 0), in(isa.LDI, 4, 0, 9), in(isa.PUSH, 0, 4, 0)}
+	cases := []struct {
+		pro, seq []isa.Instr
+		kind     isa.Op
+		cap1     bool // a one-event trace buffer
+	}{
+		{nil, enter, opEnter, false},
+		{spadj(-16), enter, opEnter, false},                       // push at sp 0
+		{spadj(-13), enter, opEnter, false},                       // frame below 0
+		{nil, cat(trace, enter), opTrEnter, false},                //
+		{full, cat(trace, enter), opTrEnter, true},                // trace overflow
+		{spadj(-16), cat(trace, enter), opTrEnter, false},         // push at sp 0
+		{spadj(-13), cat(trace, enter), opTrEnter, false},         // frame below 0
+		{retTo, leave(0), opLeave, false},                         //
+		{nil, leave(1), opLeave, false},                           // SPADJ past the top
+		{nil, leave(0), opLeave, false},                           // pop at the top
+		{spadj(-1), leave(0), opLeave, false},                     // ret at the top
+		{retTo, cat(trace, leave(0)), opTrLeave, false},           //
+		{cat(full, retTo), cat(trace, leave(0)), opTrLeave, true}, // trace overflow
+		{nil, cat(trace, leave(1)), opTrLeave, false},
+		{nil, cat(trace, leave(0)), opTrLeave, false},
+		{spadj(-1), cat(trace, leave(0)), opTrLeave, false},
+		{retTo, cat(ld, trace, leave(0)), opLdTrLeave, false},
+		{retTo, cat(ldFault, trace, leave(0)), opLdTrLeave, false}, // load out of range
+		{cat(full, retTo), cat(ld, trace, leave(0)), opLdTrLeave, true},
+		{nil, cat(ld, trace, leave(1)), opLdTrLeave, false},
+		{nil, cat(ld, trace, leave(0)), opLdTrLeave, false},
+		{spadj(-1), cat(ld, trace, leave(0)), opLdTrLeave, false},
+		{nil, []isa.Instr{in(isa.LD, 1, 15, 3), in(isa.OUT, 0, 1, isa.PortDebug)}, opLdOut, false},
+		{nil, []isa.Instr{in(isa.LD, 1, 15, 90), in(isa.OUT, 0, 1, isa.PortDebug)}, opLdOut, false},
+		{nil, []isa.Instr{in(isa.LDI, 1, 0, 7), in(isa.OUT, 0, 1, isa.PortDebug)}, opConstOut, false},
+		{nil, []isa.Instr{in(isa.CALL, 0, 0, -1)}, opCall, false},        // enters the callee
+		{spadj(-16), []isa.Instr{in(isa.CALL, 0, 0, -1)}, opCall, false}, // push at sp 0
+	}
+	var out []callSeed
+	for _, c := range cases {
+		// The prologue stores 5 at [r15+3] (r15 = 0) for the loads.
+		pro := cat([]isa.Instr{in(isa.LDI, 3, 0, 5), {Op: isa.ST, Ra: 15, Rb: 3, Imm: 3}}, c.pro)
+		epi := int32(len(pro) + len(c.seq))
+		prog := cat(pro, c.seq, []isa.Instr{in(isa.ADDI, 3, 3, 1), {Op: isa.HALT}},
+			trace, enter, []isa.Instr{in(isa.ADDI, 5, 5, 1), {Op: isa.HALT}})
+		for i := range prog {
+			switch {
+			case prog[i].Op == isa.LDI && prog[i].Imm == -1:
+				prog[i].Imm = epi
+			case prog[i].Op == isa.CALL:
+				prog[i].Imm = fuzzTarget(epi + 2)
+			}
+		}
+		hdr := [8]byte{200, 2, 0, 1, 0, 0, 0, 0}
+		if c.cap1 {
+			hdr[3] = 0
+		}
+		requireKind(f, hdr, prog, len(pro), c.kind)
+		out = append(out, callSeed{hdr, prog})
+	}
+	return out
 }

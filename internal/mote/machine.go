@@ -410,7 +410,7 @@ func (m *Machine) stepInstr() error {
 	case isa.SPADJ:
 		ns := m.sp + in.Imm
 		if ns < 0 || int(ns) > len(m.mem) {
-			return fmt.Errorf("%w: spadj to %d at pc=%d", ErrStackFault, ns, m.pc)
+			return spadjFault(ns, int(m.pc))
 		}
 		m.sp = ns
 	case isa.GETSP:
@@ -478,10 +478,9 @@ func (m *Machine) stepInstr() error {
 	case isa.OUT:
 		m.portOut(in.Imm, m.regs[in.Ra])
 	case isa.TRACE:
-		if len(m.trace) >= m.cfg.MaxTraceEvents {
-			return fmt.Errorf("%w: %d events", ErrTraceOverflow, len(m.trace))
+		if !m.traceAt(in.Imm, m.stats.Cycles) {
+			return traceFault(len(m.trace))
 		}
-		m.trace = append(m.trace, TraceEvent{ID: in.Imm, Tick: m.Tick()})
 	case isa.PROFCNT:
 		m.profCnt[m.pc]++
 	default:

@@ -108,13 +108,11 @@ func (m *Machine) Reset(cfg Config) {
 // AddBranchStatsTo accumulates this machine's dense ground-truth branch
 // table into dst, which must span the program (len(dst) >= program
 // length). The fleet's streaming pipeline folds per-mote tables into one
-// oracle this way, without materializing a map per mote.
+// oracle this way, without materializing a map per mote; only the
+// conditional branches' entries can be nonzero, so only they are folded.
 func (m *Machine) AddBranchStatsTo(dst []BranchStat) {
-	for pc := range m.branchStat {
+	for _, pc := range m.code.branches {
 		st := &m.branchStat[pc]
-		if st.Taken == 0 && st.NotTaken == 0 {
-			continue
-		}
 		d := &dst[pc]
 		d.Taken += st.Taken
 		d.NotTaken += st.NotTaken

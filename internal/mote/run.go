@@ -188,13 +188,6 @@ blocks:
 				}
 				m.regs[in.Rd] = mem[m.sp]
 				m.sp++
-			case isa.SPADJ:
-				ns := m.sp + in.Imm
-				if ns < 0 || int(ns) > len(mem) {
-					err = fmt.Errorf("%w: spadj to %d at pc=%d", ErrStackFault, ns, k)
-					goto fault
-				}
-				m.sp = ns
 			case isa.GETSP:
 				m.regs[in.Rd] = uint16(m.sp)
 			case isa.IN:
@@ -202,12 +195,9 @@ blocks:
 			case isa.OUT:
 				m.portOut(in.Imm, m.regs[in.Ra])
 			case isa.TRACE:
-				if len(m.trace) >= m.cfg.MaxTraceEvents {
-					err = fmt.Errorf("%w: %d events", ErrTraceOverflow, len(m.trace))
-					goto fault
+				if !m.traceAt(in.Imm, tstart-head[k].span) {
+					goto traceFault
 				}
-				tick := (tstart-head[k].span)/uint64(m.cfg.TickDiv) + m.cfg.ClockOffsetTicks
-				m.trace = append(m.trace, TraceEvent{ID: in.Imm, Tick: tick})
 			case isa.PROFCNT:
 				m.profCnt[k]++
 
@@ -282,8 +272,44 @@ blocks:
 				}
 				k++
 				goto bzx
+			case opLdOut: // ld x,[a+i]; out p,x
+				if x, ok = m.load(mem, in); !ok {
+					goto memFault
+				}
+				k++
+				m.portOut(dec[k].Imm, x)
+			case opConstOut: // ldi x,K; out p,x
+				x = uint16(in.Imm)
+				m.regs[in.Rd] = x
+				k++
+				m.portOut(dec[k].Imm, x)
 			case opJmp, opJmpX: // its block's head already counts it
 				k = m.thread(in) - 1
+
+			// A call's entry: the frame pointer saved and set, the frame
+			// allocated, each step falling through to the next.
+			case opTrEnter: // trace K
+				if !m.traceAt(in.Imm, tstart-head[k].span) {
+					goto traceFault
+				}
+				k++
+				fallthrough
+			case opEnter: // push f; getsp f
+				if m.sp <= 0 {
+					err = stackFault("push", m.sp, k)
+					goto fault
+				}
+				m.sp--
+				mem[m.sp] = m.regs[dec[k].Ra]
+				m.regs[dec[k+1].Rd] = uint16(m.sp)
+				k += 2
+				fallthrough
+			case isa.SPADJ:
+				if ns := m.sp + dec[k].Imm; ns >= 0 && int(ns) <= len(mem) {
+					m.sp = ns
+					continue
+				}
+				goto spadjFault
 
 			// Terminators: each ends the block, charging the cycles up to
 			// it plus its own cost and penalties.
@@ -319,7 +345,8 @@ blocks:
 			case isa.BGE:
 				taken = int16(m.regs[in.Ra]) >= int16(m.regs[in.Rb])
 				goto branch
-			case isa.CALL:
+			case isa.CALL, opCall:
+				next, threaded := in.Imm, in.Op == opCall
 				if m.sp <= 0 {
 					err = stackFault("call", m.sp, k)
 					goto fault
@@ -327,8 +354,42 @@ blocks:
 				m.sp--
 				mem[m.sp] = uint16(k + 1)
 				m.stats.Calls++
-				cycles, pc = tstart+uint64(m.costs[isa.CALL]), in.Imm
+				if threaded { // its block's head already counts it
+					k = int(next) - 1
+					continue
+				}
+				cycles, pc = tstart+uint64(m.costs[isa.CALL]), next
 				continue blocks
+
+			// A return, each step falling through to the next; the RET
+			// ends the block.
+			case opLdTrLeave: // ld x,[a+i]
+				if _, ok = m.load(mem, in); !ok {
+					goto memFault
+				}
+				k++
+				fallthrough
+			case opTrLeave: // trace K
+				if !m.traceAt(dec[k].Imm, tstart-head[k].span) {
+					goto traceFault
+				}
+				k++
+				fallthrough
+			case opLeave: // spadj N; pop f
+				if ns := m.sp + dec[k].Imm; ns >= 0 && int(ns) <= len(mem) {
+					m.sp = ns
+				} else {
+					goto spadjFault
+				}
+				k++
+				if int(m.sp) >= len(mem) {
+					err = stackFault("pop", m.sp, k)
+					goto fault
+				}
+				m.regs[dec[k].Rd] = mem[m.sp]
+				m.sp++
+				k++
+				fallthrough
 			case isa.RET:
 				if int(m.sp) >= len(mem) {
 					err = stackFault("ret", m.sp, k)
@@ -476,6 +537,16 @@ memFault:
 	} else {
 		err = memFault("store", int32(int16(m.regs[in.Ra]))+in.Imm, k)
 	}
+	goto fault
+
+spadjFault:
+	// The SPADJ at k would leave the stack; sp is unchanged.
+	err = spadjFault(m.sp+m.prog[k].Imm, k)
+	goto fault
+
+traceFault:
+	// The TRACE at k found the buffer full.
+	err = traceFault(len(m.trace))
 
 fault:
 	// The instruction at k faulted: it stays counted but charges no
@@ -497,6 +568,17 @@ func divide(op isa.Op, x, y uint16) (v uint16, ok bool) {
 		return uint16(int16(x) / int16(y)), true
 	}
 	return uint16(int16(x) % int16(y)), true
+}
+
+// traceAt logs TRACE id for an instruction that starts at cycle at, and
+// reports false, logging nothing, when the trace buffer is full; both
+// cores share it.
+func (m *Machine) traceAt(id int32, at uint64) bool {
+	if len(m.trace) >= m.cfg.MaxTraceEvents {
+		return false
+	}
+	m.trace = append(m.trace, TraceEvent{ID: id, Tick: at/uint64(m.cfg.TickDiv) + m.cfg.ClockOffsetTicks})
+	return true
 }
 
 // thread runs the threaded JMP jmp, whose cycles its block's head already
@@ -539,6 +621,14 @@ func divFault(pc int) error { return fmt.Errorf("%w at pc=%d", ErrDivByZero, pc)
 func memFault(kind string, addr int32, pc int) error {
 	return fmt.Errorf("%w: %s addr %d at pc=%d", ErrMemFault, kind, addr, pc)
 }
+
+//go:noinline
+func spadjFault(sp int32, pc int) error {
+	return fmt.Errorf("%w: spadj to %d at pc=%d", ErrStackFault, sp, pc)
+}
+
+//go:noinline
+func traceFault(events int) error { return fmt.Errorf("%w: %d events", ErrTraceOverflow, events) }
 
 //go:noinline
 func stackFault(kind string, sp int32, pc int) error {
