@@ -12,12 +12,12 @@ import (
 
 // maxFleetKiBPerMote bounds the bytes RunFleet allocates per mote at the
 // benchmark's fleet_10k configuration on two workers. A run measures
-// 0.18 KiB per mote (2-vCPU x86-64, Go 1.24), most of it the mote specs,
-// the radio channel's copies of corrupted frames and each mote's sensor.
-// When every sample was copied into a per-mote map, into uplink rounds and
-// into one slice per procedure before estimation, the same run allocated
-// 2.32 KiB per mote.
-const maxFleetKiBPerMote = 0.6
+// 0.098 KiB per mote (2-vCPU x86-64, Go 1.24), two fifths of it the mote
+// specs. It measured 0.17 KiB while each mote built its own sensor, NACK
+// list and corrupted-frame copies and each rejected frame a formatted
+// error, and 2.32 KiB when every sample was copied into a per-mote map,
+// into uplink rounds and into one slice per procedure before estimation.
+const maxFleetKiBPerMote = 0.3
 
 // TestRunFleetAllocsPerMote runs the fleet_10k deployment (10⁴ sense
 // motes, 64 invocations each, on a lossy ARQ link) once to warm up and

@@ -52,66 +52,76 @@ func (a *ARQStats) Add(o ARQStats) {
 	a.BackoffTicks += o.BackoffTicks
 }
 
-// TransmitARQ pushes one mote's packetized upload through the channel
-// with selective-repeat recovery and appends the deliveries to dst.
-// frames must be the mote's packet frames in sequence order (frame i
-// carries sequence number i, as Packetize produces), and rx the base
-// station's fresh receive window for that mote: every delivery is decoded
-// once, into rx, and each round NACKs the sequences rx still lacks. The delivered frames — including corrupt ones
-// the base station rejected, and late duplicates — are appended in
-// arrival order. A CRC-valid frame rx refuses (another mote's) is an
-// error. With ARQ disabled this is TransmitFrames feeding rx.
-func (lc LinkConfig) TransmitARQ(dst, frames [][]byte, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
+// arq pushes one mote's packetized upload through the channel with
+// selective-repeat recovery, leaving the deliveries in l.delivered. frames
+// must be the mote's packet frames in sequence order (frame i carries
+// sequence number i, as Packetize produces), and rx the base station's
+// fresh receive window for that mote: every delivery goes once into rx,
+// and each round NACKs the sequences rx still lacks. The deliveries —
+// including corrupt ones the base station rejected, and late duplicates —
+// are kept in arrival order. A CRC-valid frame rx refuses (another mote's)
+// is an error. With ARQ disabled this is one transmit feeding rx.
+//
+// pkts, when not nil, are the packets frames encode (pkts[i] is frame i
+// before AppendBinary). A delivery the link passed unchanged then enters
+// rx as its sender's packet through Reassembler.Add, with no CRC check or
+// decode: its bytes are the sender's, whose CRC the sender computed over
+// those very records. Every flipped delivery, and every delivery when pkts
+// is nil, goes through AddFrame's full framing and CRC check.
+func (l *link) arq(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) (LinkStats, ARQStats, error) {
 	var ast ARQStats
-	delivered, st := lc.TransmitFrames(dst, frames, rng)
-	if err := receive(rx, delivered[len(dst):]); err != nil {
-		return nil, st, ast, err
+	st := l.transmit(lc, frames, nil, rng)
+	if err := l.receive(rx, 0, pkts); err != nil {
+		return st, ast, err
 	}
 	if !lc.ARQ.Enabled() || len(frames) == 0 {
-		return delivered, st, ast, nil
+		return st, ast, nil
 	}
 
-	var resend [][]byte
-	nack := func() [][]byte {
-		resend = resend[:0]
-		for s, f := range frames {
+	nack := func() int {
+		l.nack = l.nack[:0]
+		for s := range frames {
 			if !rx.Has(uint32(s)) {
-				resend = append(resend, f)
+				l.nack = append(l.nack, int32(s))
 			}
 		}
-		return resend
+		return len(l.nack)
 	}
-	initialMissing := len(nack())
+	initialMissing := nack()
 
 	base := lc.ARQ.BackoffBaseTicks
 	if base == 0 {
 		base = 64
 	}
-	for round := 1; round <= lc.ARQ.MaxRetries && len(resend) > 0; round++ {
+	for round := 1; round <= lc.ARQ.MaxRetries && len(l.nack) > 0; round++ {
 		ast.Rounds++
-		ast.Nacked += len(resend)
+		ast.Nacked += len(l.nack)
 		ast.BackoffTicks += base << uint(round-1)
-		ast.Retransmissions += len(resend)
+		ast.Retransmissions += len(l.nack)
 		// LinkStats.Sent ends up counting every transmission, resends
 		// included — goodput is measured against radio airtime.
-		n := len(delivered)
-		var rst LinkStats
-		delivered, rst = lc.TransmitFrames(delivered, resend, rng)
-		st.Add(rst)
-		if err := receive(rx, delivered[n:]); err != nil {
-			return nil, st, ast, err
+		n := len(l.delivered)
+		st.Add(l.transmit(lc, frames, l.nack, rng))
+		if err := l.receive(rx, n, pkts); err != nil {
+			return st, ast, err
 		}
 		nack()
 	}
-	ast.Recovered = initialMissing - len(resend)
-	ast.Unrecovered = len(resend)
-	return delivered, st, ast, nil
+	ast.Recovered = initialMissing - len(l.nack)
+	ast.Unrecovered = len(l.nack)
+	return st, ast, nil
 }
 
-// receive feeds a batch of deliveries to the receive window.
-func receive(rx *trace.Reassembler, batch [][]byte) error {
-	for _, f := range batch {
-		if err := rx.AddFrame(f); err != nil {
+// receive feeds the deliveries from first on to the receive window.
+func (l *link) receive(rx *trace.Reassembler, first int, pkts []trace.Packet) error {
+	for i := first; i < len(l.delivered); i++ {
+		var err error
+		if s := l.clean[i]; s >= 0 && pkts != nil {
+			err = rx.Add(pkts[s])
+		} else {
+			err = rx.AddFrame(l.delivered[i])
+		}
+		if err != nil {
 			return fmt.Errorf("fleet: receive window: %w", err)
 		}
 	}

@@ -53,25 +53,28 @@ type MoteResult struct {
 // streamWorker is one pool goroutine's scratch for a whole
 // SimulateSamplesOn call: the reused machine (reset per mote), the mote's
 // sensor, entropy and link RNGs (reseeded per mote, which is cheaper than
-// building them), the uplink's packet list, encode buffer and frame list,
-// the base station's receive window for the current mote and its
+// building them), a sensor per workload regime on the sensor RNG (reset
+// per mote), the uplink's packet list, encode buffer, frame list and
+// link, the base station's receive window for the current mote and its
 // recovered intervals, the worker's dense oracle folded into the fleet's
 // once the call's cohorts are done, the current cohort's samples with
 // their per-procedure round split, and the result slots handed to the
 // sink.
 type streamWorker struct {
-	m                     *mote.Machine
-	sensor, link, entropy *stats.RNG
-	entropyPort           *workload.Entropy // the RNG port, on entropy
-	pkts                  []trace.Packet
-	enc                   []byte
-	frames, delivered     [][]byte
-	rx                    *trace.Reassembler
-	ivs                   []trace.Interval
-	oracle                []mote.BranchStat
-	samples               Samples
-	split                 []roundSplit // per procedure, for the current mote
-	out                   []MoteResult
+	m                        *mote.Machine
+	sensor, linkRNG, entropy *stats.RNG
+	entropyPort              *workload.Entropy // the RNG port, on entropy
+	sensors                  map[string]workload.Source
+	pkts                     []trace.Packet
+	enc                      []byte
+	frames                   [][]byte
+	link                     link
+	rx                       *trace.Reassembler
+	ivs                      []trace.Interval
+	oracle                   []mote.BranchStat
+	samples                  Samples
+	split                    []roundSplit // per procedure, for the current mote
+	out                      []MoteResult
 }
 
 // roundSplit cuts one mote's samples of a procedure into rounds: chunk
@@ -85,9 +88,10 @@ func newStreamWorker(cfg SimConfig) *streamWorker {
 	procs := tracedProcs(cfg.Prog)
 	return &streamWorker{
 		sensor:      stats.NewRNG(0),
-		link:        stats.NewRNG(0),
+		linkRNG:     stats.NewRNG(0),
 		entropy:     entropy,
 		entropyPort: workload.NewEntropy(entropy),
+		sensors:     make(map[string]workload.Source),
 		rx:          rx,
 		oracle:      make([]mote.BranchStat, len(cfg.Prog)),
 		samples:     newSamples(procs, max(cfg.Rounds, 1)),
@@ -142,7 +146,7 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	if err := runMachine(w.m, cfg); err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
-	frames, ls, ast, events, err := w.uplink(w.m, cfg, spec)
+	ls, ast, events, err := w.uplink(w.m, cfg, spec)
 	if err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
@@ -169,10 +173,10 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		GrossTicks:   gross,
 	}
 	if cfg.KeepUpload {
-		// The frames alias the encode buffer: hand it over with them,
-		// and the delivery list that holds them.
-		res.Frames = frames
-		w.enc, w.delivered = nil, nil
+		// The frames alias the encode buffer and the link's arena: hand
+		// both over with them, and the delivery list that holds them.
+		res.Frames = w.link.delivered
+		w.enc, w.link.delivered, w.link.flips = nil, nil, nil
 		// BranchStats aliases the machine's dense table, which the next
 		// mote's Reset clears: keep copies.
 		res.BranchStats = w.m.BranchStats()

@@ -50,10 +50,11 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, Samples, 
 		if err := runMachine(m, cfg); err != nil {
 			return nil, nil, err
 		}
-		frames, ls, ast, events, err := w.uplink(m, cfg, spec)
+		ls, ast, events, err := w.uplink(m, cfg, spec)
 		if err != nil {
 			return nil, nil, err
 		}
+		frames := w.link.delivered
 		r := trace.NewReassembler(spec.ID)
 		r.SkipCRC = cfg.Link.SkipCRC
 		for _, f := range frames {

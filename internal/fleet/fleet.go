@@ -75,14 +75,18 @@ type SimConfig struct {
 
 // moteConfig derives one mote's machine configuration from its spec: the
 // base machine shape plus the spec's sensor/entropy streams (the worker's,
-// reseeded for this mote), clock skew, and the fault/energy environment
-// keyed by the mote identity.
+// reseeded for this mote, and its regime's sensor, reset), clock skew, and
+// the fault/energy environment keyed by the mote identity.
 func (w *streamWorker) moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, error) {
 	w.sensor.Reseed(spec.Seed)
-	sensor, ok := workload.Named(spec.Workload, w.sensor)
+	sensor, ok := w.sensors[spec.Workload]
 	if !ok {
-		return mote.Config{}, fmt.Errorf("unknown workload %q", spec.Workload)
+		if sensor, ok = workload.Named(spec.Workload, w.sensor); !ok {
+			return mote.Config{}, fmt.Errorf("unknown workload %q", spec.Workload)
+		}
+		w.sensors[spec.Workload] = sensor
 	}
+	sensor.Reset()
 	mc := cfg.Mote
 	mc.Sensor = sensor
 	w.entropy.Reseed(spec.Seed + 7919)
@@ -121,10 +125,10 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 
 // uplink packetizes a finished machine's trace into the worker's packet
 // list, encode buffer and frame list and pushes the frames through the
-// radio channel into the worker's delivery list and receive window, which
-// it leaves holding the mote's reassembly. It returns the delivery list,
-// whose frames alias the encode buffer.
-func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
+// radio channel into the worker's link and receive window, which it leaves
+// holding the mote's deliveries and reassembly. The deliveries alias the
+// encode buffer and the link's arena.
+func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
 	w.pkts = trace.AppendPackets(w.pkts[:0], spec.ID, events, cfg.Link.EventsPerPacket)
 	w.enc, w.frames = w.enc[:0], w.frames[:0]
@@ -133,16 +137,17 @@ func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (de
 		// once the buffer fits the largest upload it stops regrowing.
 		start := len(w.enc)
 		if w.enc, err = w.pkts[i].AppendBinary(w.enc); err != nil {
-			return nil, LinkStats{}, ARQStats{}, 0, err
+			return LinkStats{}, ARQStats{}, 0, err
 		}
 		w.frames = append(w.frames, w.enc[start:len(w.enc):len(w.enc)])
 	}
 	// The channel RNG derives from the link seed and the mote identity so
 	// each mote sees an independent but reproducible channel.
-	w.link.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
+	w.linkRNG.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
 	w.rx.Reset(spec.ID, 0)
-	w.delivered, ls, ast, err = cfg.Link.TransmitARQ(w.delivered[:0], w.frames, w.link, w.rx)
-	return w.delivered, ls, ast, len(events), err
+	w.link.reset()
+	ls, ast, err = w.link.arq(cfg.Link, w.frames, w.pkts, w.linkRNG, w.rx)
+	return ls, ast, len(events), err
 }
 
 // MoteEnergyUJ prices one mote's run in microjoules: the capacitor drain

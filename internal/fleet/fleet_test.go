@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
 	"codetomo/internal/trace"
+	"codetomo/internal/workload"
 )
 
 const testProgram = `
@@ -152,8 +154,8 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	frames := syntheticFrames(t, 50)
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
 
-	out1, st1 := lc.TransmitFrames(nil, frames, stats.NewRNG(5))
-	out2, st2 := lc.TransmitFrames(nil, frames, stats.NewRNG(5))
+	out1, st1 := transmitFrames(lc, nil, frames, stats.NewRNG(5))
+	out2, st2 := transmitFrames(lc, nil, frames, stats.NewRNG(5))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -169,13 +171,13 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	// Deliveries append to dst, and the reorder pass leaves what dst
 	// already held in place.
 	prefix := frames[:2:2]
-	out4, st4 := lc.TransmitFrames(prefix, frames, stats.NewRNG(5))
+	out4, st4 := transmitFrames(lc, prefix, frames, stats.NewRNG(5))
 	if st4 != st1 || !reflect.DeepEqual(out4, append(frames[:2:2], out1...)) {
 		t.Fatal("appending to a non-empty list changed the deliveries")
 	}
 
 	// A perfect channel is the identity.
-	out3, st3 := LinkConfig{}.TransmitFrames(nil, frames, stats.NewRNG(5))
+	out3, st3 := transmitFrames(LinkConfig{}, nil, frames, stats.NewRNG(5))
 	if !reflect.DeepEqual(out3, frames) || st3.Dropped+st3.Duplicated+st3.Reordered+st3.Corrupted != 0 {
 		t.Fatal("perfect channel altered the stream")
 	}
@@ -183,12 +185,13 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 
 // With ReorderProb = 1 every draw fires, and the skip-after-swap rule
 // must yield pairwise swaps — not a cascade carrying element 0 to the end.
+// The frames' clean sequences must move with them.
 func TestReorderPassNoCascade(t *testing.T) {
-	out := []int{0, 1, 2, 3}
-	swaps := reorderPass(out, 1, stats.NewRNG(1))
-	want := []int{1, 0, 3, 2}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("reorderPass cascaded: got %v, want %v", out, want)
+	l := link{delivered: [][]byte{{9}, {0}, {1}, {2}, {3}}, clean: []int32{9, 0, 1, -1, 3}}
+	swaps := l.reorder(1, 1, stats.NewRNG(1))
+	want := link{delivered: [][]byte{{9}, {1}, {0}, {3}, {2}}, clean: []int32{9, 1, 0, 3, -1}}
+	if !reflect.DeepEqual(l, want) {
+		t.Fatalf("reorder cascaded or split a delivery from its sequence: got %v, want %v", l, want)
 	}
 	if swaps != 2 {
 		t.Fatalf("swaps = %d, want 2", swaps)
@@ -196,6 +199,13 @@ func TestReorderPassNoCascade(t *testing.T) {
 }
 
 func syntheticFrames(t *testing.T, n int) [][]byte {
+	frames, _ := syntheticUpload(t, n)
+	return frames
+}
+
+// syntheticUpload is n invocations packetized four events a packet, as
+// frames and as the packets they encode.
+func syntheticUpload(t *testing.T, n int) ([][]byte, []trace.Packet) {
 	t.Helper()
 	events, _ := syntheticEvents(n)
 	pkts := trace.Packetize(1, events, 4)
@@ -207,15 +217,30 @@ func syntheticFrames(t *testing.T, n int) [][]byte {
 		}
 		frames[i] = f
 	}
-	return frames
+	return frames, pkts
+}
+
+// transmitFrames runs one transmit on a link that already delivered dst.
+func transmitFrames(lc LinkConfig, dst, frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
+	l := link{delivered: dst, clean: make([]int32, len(dst))}
+	st := l.transmit(lc, frames, nil, rng)
+	return l.delivered, st
+}
+
+// transmitARQ runs one upload through arq on a fresh link and returns its
+// deliveries.
+func transmitARQ(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
+	var l link
+	st, ast, err := l.arq(lc, frames, pkts, rng, rx)
+	return l.delivered, st, ast, err
 }
 
 func TestTransmitFramesCorruption(t *testing.T) {
 	frames := syntheticFrames(t, 60)
 	lc := LinkConfig{CorruptProb: 0.5}
 
-	out1, st1 := lc.TransmitFrames(nil, frames, stats.NewRNG(7))
-	out2, st2 := lc.TransmitFrames(nil, frames, stats.NewRNG(7))
+	out1, st1 := transmitFrames(lc, nil, frames, stats.NewRNG(7))
+	out2, st2 := transmitFrames(lc, nil, frames, stats.NewRNG(7))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -246,20 +271,20 @@ func TestTransmitFramesCorruption(t *testing.T) {
 	clean := syntheticFrames(t, 60)
 	for i := range frames {
 		if !reflect.DeepEqual(frames[i], clean[i]) {
-			t.Fatalf("TransmitFrames mutated source frame %d", i)
+			t.Fatalf("transmit mutated source frame %d", i)
 		}
 	}
 }
 
 func TestTransmitARQRecovers(t *testing.T) {
-	frames := syntheticFrames(t, 80)
+	frames, pkts := syntheticUpload(t, 80)
 	lc := LinkConfig{
 		DropProb:    0.3,
 		CorruptProb: 0.1,
 		ARQ:         ARQConfig{MaxRetries: 8, BackoffBaseTicks: 64},
 	}
 	rx := trace.NewReassembler(1)
-	delivered, st, ast, err := lc.TransmitARQ(nil, frames, stats.NewRNG(11), rx)
+	delivered, st, ast, err := transmitARQ(lc, frames, pkts, stats.NewRNG(11), rx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,24 +331,115 @@ func TestTransmitARQRecovers(t *testing.T) {
 	}
 
 	// Determinism: same seed, same everything.
-	d2, st2, ast2, err := lc.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(1))
+	d2, st2, ast2, err := transmitARQ(lc, frames, pkts, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || st != st2 || ast != ast2 || !reflect.DeepEqual(delivered, d2) {
 		t.Fatal("ARQ is not deterministic under a fixed seed")
 	}
 
-	// ARQ disabled: identical to TransmitFrames.
+	// ARQ disabled: identical to one transmit.
 	plain := LinkConfig{DropProb: 0.3, CorruptProb: 0.1}
-	dP, stP := plain.TransmitFrames(nil, frames, stats.NewRNG(11))
-	dA, stA, astA, err := plain.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(1))
+	dP, stP := transmitFrames(plain, nil, frames, stats.NewRNG(11))
+	dA, stA, astA, err := transmitARQ(plain, frames, pkts, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || stP != stA || astA != (ARQStats{}) || !reflect.DeepEqual(dP, dA) {
-		t.Fatal("disabled ARQ does not reduce to TransmitFrames")
+		t.Fatal("disabled ARQ does not reduce to one transmit")
 	}
 
 	// A receive window for another mote refuses the first intact frame:
 	// the upload must fail, not vanish into the wrong stream.
 	for _, c := range []LinkConfig{lc, plain} {
-		if _, _, _, err := c.TransmitARQ(nil, frames, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
-			t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
+		for _, p := range [][]trace.Packet{pkts, nil} {
+			if _, _, _, err := transmitARQ(c, frames, p, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
+				t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
+			}
+		}
+	}
+}
+
+// TestReceivePathsAgree is the clean-delivery path's differential test:
+// over seeded mixes of drop, duplication, reordering and corruption, with
+// ARQ on and off and with and without SkipCRC, an upload received with the
+// sender's packets standing in for unchanged deliveries must leave every
+// figure exactly as receiving every delivery through AddFrame does: the
+// deliveries, LinkStats, ARQStats, UplinkStats and the recovered
+// intervals. A window for another mote must fail, or under SkipCRC count
+// corruption, the same way on both paths.
+func TestReceivePathsAgree(t *testing.T) {
+	frames, pkts := syntheticUpload(t, 120)
+	cleanSeen, flippedSeen := 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, mix := range []LinkConfig{
+			{DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.3, CorruptProb: 0.2},
+			{DropProb: 0.05, CorruptProb: 0.02},
+			{DupProb: 0.5, ReorderProb: 0.5, CorruptProb: 0.5},
+			{CorruptProb: 1},
+			{},
+		} {
+			for _, retries := range []int{0, 3} {
+				for _, skip := range []bool{false, true} {
+					for _, rxID := range []uint16{1, 2} {
+						lc := mix
+						lc.ARQ.MaxRetries, lc.SkipCRC = retries, skip
+						run := func(pkts []trace.Packet) (link, LinkStats, ARQStats, []trace.Interval, trace.UplinkStats, error) {
+							rx := trace.NewReassembler(rxID)
+							rx.SkipCRC = skip
+							var l link
+							st, ast, err := l.arq(lc, frames, pkts, stats.NewRNG(seed), rx)
+							ivs, ust := rx.Recover()
+							return l, st, ast, ivs, ust, err
+						}
+						l, st, ast, ivs, ust, err := run(pkts)
+						lR, stR, astR, ivsR, ustR, errR := run(nil)
+						tag := func() string { return fmt.Sprintf("seed %d link %+v rx %d", seed, lc, rxID) }
+						if (err == nil) != (errR == nil) || st != stR || ast != astR {
+							t.Fatalf("%s: clean path %v %+v %+v, AddFrame path %v %+v %+v", tag(), err, st, ast, errR, stR, astR)
+						}
+						if !reflect.DeepEqual(l.delivered, lR.delivered) || !reflect.DeepEqual(l.clean, lR.clean) {
+							t.Fatalf("%s: deliveries differ", tag())
+						}
+						if err == nil && (!reflect.DeepEqual(ivs, ivsR) || !reflect.DeepEqual(ust, ustR)) {
+							t.Fatalf("%s: recovery differs:\n%+v\n%+v", tag(), ust, ustR)
+						}
+						for _, s := range l.clean {
+							if s >= 0 {
+								cleanSeen++
+							} else {
+								flippedSeen++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if cleanSeen == 0 || flippedSeen == 0 {
+		t.Fatalf("%d clean and %d flipped deliveries: both paths must run", cleanSeen, flippedSeen)
+	}
+}
+
+// TestSensorReuseMatchesFresh runs every workload regime's sensor on a
+// worker that reuses it across motes and requires each mote to draw what a
+// fresh worker's new sensor draws, so the stateful regimes (bursty,
+// regime, diurnal) start every mote from their initial state.
+func TestSensorReuseMatchesFresh(t *testing.T) {
+	draw := func(w *streamWorker, spec MoteSpec) []uint16 {
+		mc, err := w.moteConfig(SimConfig{Mote: mote.DefaultConfig()}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]uint16, 2000)
+		for i := range out {
+			out[i] = mc.Sensor.Next()
+		}
+		return out
+	}
+	for _, name := range workload.RegimeNames() {
+		reused := newStreamWorker(SimConfig{})
+		for seed := int64(1); seed <= 4; seed++ {
+			spec := MoteSpec{ID: uint16(seed), Workload: name, Seed: seed}
+			got := draw(reused, spec)
+			if want := draw(newStreamWorker(SimConfig{}), spec); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: mote %d on a reused sensor draws differently from a fresh one", name, seed)
+			}
 		}
 	}
 }

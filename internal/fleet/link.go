@@ -86,48 +86,78 @@ func (st *LinkStats) Add(o LinkStats) {
 	st.Reordered += o.Reordered
 }
 
-// TransmitFrames pushes raw frames through the channel and appends the
-// deliveries to dst. Per frame: a drop draw, then (only when CorruptProb >
-// 0) a corruption draw flipping one random bit, then a duplication draw —
-// the duplicate gets its own corruption draw, since it is a separate radio
+// link is one sender's reusable view of the radio channel, which a stream
+// worker keeps for all its motes: the deliveries of the current upload in
+// arrival order; for each, the sequence of the sender frame it carries
+// unchanged, or -1 for a flipped copy; the arena flipped copies are cut
+// from; and the sequences an ARQ round resends.
+type link struct {
+	delivered [][]byte
+	clean     []int32
+	flips     []byte
+	nack      []int32
+}
+
+// reset starts a new upload on the link's buffers.
+func (l *link) reset() {
+	l.delivered, l.clean, l.flips = l.delivered[:0], l.clean[:0], l.flips[:0]
+}
+
+// transmit pushes frames through the channel — frames[s] for each s in
+// seqs, or every frame in order when seqs is nil — and appends the
+// deliveries. Per frame: a drop draw, then (only when CorruptProb > 0) a
+// corruption draw flipping one random bit, then a duplication draw — the
+// duplicate gets its own corruption draw, since it is a separate radio
 // transmission — and finally adjacent swaps among the survivors. The draws
 // happen in a fixed order per frame, so the outcome is a deterministic
 // function of the RNG seed and the stream.
-func (lc LinkConfig) TransmitFrames(dst, frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
-	st := LinkStats{Sent: len(frames)}
-	n := len(dst)
-	deliver := func(f []byte) {
+func (l *link) transmit(lc LinkConfig, frames [][]byte, seqs []int32, rng *stats.RNG) LinkStats {
+	n := len(frames)
+	if seqs != nil {
+		n = len(seqs)
+	}
+	st := LinkStats{Sent: n}
+	first := len(l.delivered)
+	deliver := func(s int32) {
+		f := frames[s]
 		if lc.CorruptProb > 0 && rng.Bernoulli(lc.CorruptProb) {
-			f = flipBit(f, rng)
+			f, s = l.flip(f, rng), -1
 			st.Corrupted++
 		}
-		dst = append(dst, f)
+		l.delivered = append(l.delivered, f)
+		l.clean = append(l.clean, s)
 	}
-	for _, f := range frames {
+	for i := range n {
+		s := int32(i)
+		if seqs != nil {
+			s = seqs[i]
+		}
 		if rng.Bernoulli(lc.DropProb) {
 			st.Dropped++
 			continue
 		}
-		deliver(f)
+		deliver(s)
 		if rng.Bernoulli(lc.DupProb) {
 			st.Duplicated++
-			deliver(f)
+			deliver(s)
 		}
 	}
-	st.Reordered = reorderPass(dst[n:], lc.ReorderProb, rng)
-	return dst, st
+	st.Reordered = l.reorder(first, lc.ReorderProb, rng)
+	return st
 }
 
-// reorderPass swaps each surviving packet with its successor on a
+// reorder swaps each delivery from first on with its successor on a
 // Bernoulli draw. After a swap the cursor skips the swapped-in element so
 // one draw displaces a packet by at most one slot — without the skip a
 // single unlucky packet would cascade toward the end of the stream,
 // violating the documented "swapped with its successor" semantics.
-func reorderPass[T any](out []T, prob float64, rng *stats.RNG) int {
+func (l *link) reorder(first int, prob float64, rng *stats.RNG) int {
+	out, clean := l.delivered, l.clean
 	swaps := 0
-	for i := 0; i+1 < len(out); i++ {
+	for i := first; i+1 < len(out); i++ {
 		if rng.Bernoulli(prob) {
 			out[i], out[i+1] = out[i+1], out[i]
+			clean[i], clean[i+1] = clean[i+1], clean[i]
 			swaps++
 			i++
 		}
@@ -135,14 +165,16 @@ func reorderPass[T any](out []T, prob float64, rng *stats.RNG) int {
 	return swaps
 }
 
-// flipBit returns a copy of the frame with one uniformly-chosen bit
-// flipped. The copy matters: duplicated frames share backing storage, and
-// corruption must damage one transmission, not both.
-func flipBit(frame []byte, rng *stats.RNG) []byte {
+// flip returns a copy of the frame with one uniformly-chosen bit flipped,
+// cut from the link's arena. The copy matters: duplicated frames share the
+// sender's storage, and corruption must damage one transmission, not both.
+func (l *link) flip(frame []byte, rng *stats.RNG) []byte {
 	if len(frame) == 0 {
 		return frame
 	}
-	out := append([]byte(nil), frame...)
+	start := len(l.flips)
+	l.flips = append(l.flips, frame...)
+	out := l.flips[start:len(l.flips):len(l.flips)]
 	bit := rng.Intn(len(out) * 8)
 	out[bit/8] ^= 1 << (bit % 8)
 	return out

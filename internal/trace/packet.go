@@ -91,32 +91,62 @@ type frameHeader struct {
 	count  int
 }
 
+// A frameFault is why parseFrame rejected a frame. Only UnmarshalBinary
+// formats it into an error, so AddFrame's reject path builds none.
+type frameFault uint8
+
+const (
+	frameOK frameFault = iota
+	frameShort
+	frameMagic
+	frameCount
+	frameLength
+	frameCRC
+)
+
 // parseFrame validates one raw frame's framing and, unless skipCRC, its
-// CRC, and returns its header; the records are left in place for
-// appendEvents.
-func parseFrame(data []byte, skipCRC bool) (frameHeader, error) {
+// CRC, and returns its header or the first fault; the records are left in
+// place for appendEvents.
+func parseFrame(data []byte, skipCRC bool) (frameHeader, frameFault) {
 	if len(data) < packetHeaderSize {
-		return frameHeader{}, fmt.Errorf("%w: %d bytes", ErrBadPacket, len(data))
+		return frameHeader{}, frameShort
 	}
 	if [4]byte(data[:4]) != packetMagic {
-		return frameHeader{}, fmt.Errorf("%w: magic %q", ErrBadPacket, data[:4])
+		return frameHeader{}, frameMagic
 	}
 	count := int(binary.LittleEndian.Uint16(data[10:]))
 	if count > MaxPacketEvents {
-		return frameHeader{}, fmt.Errorf("%w: implausible event count %d", ErrBadPacket, count)
+		return frameHeader{}, frameCount
 	}
-	want := packetHeaderSize + count*packetRecordSize + packetCRCSize
-	if len(data) != want {
-		return frameHeader{}, fmt.Errorf("%w: %d bytes for %d records (want %d)", ErrBadPacket, len(data), count, want)
+	if len(data) != packetHeaderSize+count*packetRecordSize+packetCRCSize {
+		return frameHeader{}, frameLength
 	}
-	seq := binary.LittleEndian.Uint32(data[6:])
 	if !skipCRC {
 		body := data[:len(data)-packetCRCSize]
 		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); mote.CRC16(body) != got {
-			return frameHeader{}, fmt.Errorf("%w: seq %d", ErrCorruptPacket, seq)
+			return frameHeader{}, frameCRC
 		}
 	}
-	return frameHeader{moteID: binary.LittleEndian.Uint16(data[4:]), seq: seq, count: count}, nil
+	return frameHeader{moteID: binary.LittleEndian.Uint16(data[4:]), seq: binary.LittleEndian.Uint32(data[6:]), count: count}, frameOK
+}
+
+// err describes the fault f that parseFrame found in data.
+func (f frameFault) err(data []byte) error {
+	switch f {
+	case frameShort:
+		return fmt.Errorf("%w: %d bytes", ErrBadPacket, len(data))
+	case frameMagic:
+		return fmt.Errorf("%w: magic %q", ErrBadPacket, data[:4])
+	case frameCount:
+		return fmt.Errorf("%w: implausible event count %d", ErrBadPacket, binary.LittleEndian.Uint16(data[10:]))
+	case frameLength:
+		count := int(binary.LittleEndian.Uint16(data[10:]))
+		want := packetHeaderSize + count*packetRecordSize + packetCRCSize
+		return fmt.Errorf("%w: %d bytes for %d records (want %d)", ErrBadPacket, len(data), count, want)
+	case frameCRC:
+		return fmt.Errorf("%w: seq %d", ErrCorruptPacket, binary.LittleEndian.Uint32(data[6:]))
+	}
+	return nil
 }
 
 // appendEvents decodes a parsed frame's records onto dst.
@@ -137,9 +167,9 @@ func appendEvents(dst []mote.TraceEvent, data []byte, h frameHeader) []mote.Trac
 // frames are length-delimited by the radio, so excess data means
 // corruption. A frame whose CRC does not match returns ErrCorruptPacket.
 func (p *Packet) UnmarshalBinary(data []byte) error {
-	h, err := parseFrame(data, false)
-	if err != nil {
-		return err
+	h, fault := parseFrame(data, false)
+	if fault != frameOK {
+		return fault.err(data)
 	}
 	p.MoteID = h.moteID
 	p.Seq = h.seq
@@ -267,9 +297,13 @@ func (r *Reassembler) Reset(moteID uint16, firstSeq uint32) {
 	r.events = r.events[:0]
 }
 
-// Add accepts one received packet. Duplicates (same sequence number) and
-// stale packets (below the stream's first sequence) are counted and
-// discarded; a packet from a different mote is an error.
+// Add accepts one received packet: it is AddFrame on the packet's frame
+// without the framing check, the CRC and the decode, so a sender that
+// still holds the packet behind a frame the link delivered unchanged can
+// hand it over directly. Duplicates (same sequence number) and stale
+// packets (below the stream's first sequence) are counted and discarded; a
+// packet from a different mote is an error, or under SkipCRC counted as
+// corruption, as in AddFrame. The window keeps p.Events until Reset.
 func (r *Reassembler) Add(p Packet) error {
 	if p.MoteID != r.moteID {
 		return r.foreign(p.MoteID)
@@ -282,7 +316,13 @@ func (r *Reassembler) Add(p Packet) error {
 	return nil
 }
 
+// foreign handles a packet from another mote: a routing error, but under
+// SkipCRC only what a flipped mote ID looks like.
 func (r *Reassembler) foreign(moteID uint16) error {
+	if r.SkipCRC {
+		r.corrupt++
+		return nil
+	}
 	return fmt.Errorf("trace: packet from mote %d on mote %d's stream", moteID, r.moteID)
 }
 
@@ -322,16 +362,12 @@ func (r *Reassembler) NextSeq() uint32 {
 // rejected as channel damage like any other corruption. Only a new
 // sequence's records are decoded, into the reassembler's own arena.
 func (r *Reassembler) AddFrame(frame []byte) error {
-	h, err := parseFrame(frame, r.SkipCRC)
-	if err != nil {
+	h, fault := parseFrame(frame, r.SkipCRC)
+	if fault != frameOK {
 		r.corrupt++
 		return nil
 	}
 	if h.moteID != r.moteID {
-		if r.SkipCRC {
-			r.corrupt++
-			return nil
-		}
 		return r.foreign(h.moteID)
 	}
 	if r.Has(h.seq) {

@@ -40,6 +40,9 @@ func NewGaussian(rng *stats.RNG, mean, sigma float64) *Gaussian {
 // Next implements mote.SampleSource.
 func (g *Gaussian) Next() uint16 { return clamp10(g.rng.Normal(g.Mean, g.Sigma)) }
 
+// Reset implements Source; a Gaussian keeps no state of its own.
+func (g *Gaussian) Reset() {}
+
 // Uniform produces uniform readings in [Lo, Hi].
 type Uniform struct {
 	Lo, Hi uint16
@@ -58,6 +61,9 @@ func NewUniform(rng *stats.RNG, lo, hi uint16) *Uniform {
 func (u *Uniform) Next() uint16 {
 	return u.Lo + uint16(u.rng.Intn(int(u.Hi-u.Lo)+1))
 }
+
+// Reset implements Source; a Uniform keeps no state of its own.
+func (u *Uniform) Reset() {}
 
 // PoissonEvents models a quiet baseline punctuated by event spikes: each
 // reading is baseline noise, but with probability EventProb an event of
@@ -101,6 +107,9 @@ func (p *PoissonEvents) Next() uint16 {
 	return clamp10(p.rng.Normal(p.BaseMean, p.BaseSigma))
 }
 
+// Reset implements Source: no event is under way.
+func (p *PoissonEvents) Reset() { p.remaining = 0 }
+
 // MarkovModulated switches between regimes according to a Markov chain;
 // each regime has its own Gaussian emission. It models environments whose
 // statistics change on timescales longer than one reading (wind gusts,
@@ -133,6 +142,9 @@ func (m *MarkovModulated) Next() uint16 {
 	return clamp10(m.rng.Normal(m.Mean[m.state], m.Sigma[m.state]))
 }
 
+// Reset implements Source: back in the first regime.
+func (m *MarkovModulated) Reset() { m.state = 0 }
+
 // Diurnal models a slow sinusoidal drift (temperature over a day) plus
 // noise. Period is in readings.
 type Diurnal struct {
@@ -157,6 +169,9 @@ func (d *Diurnal) Next() uint16 {
 	return clamp10(d.Base + d.Amplitude*math.Sin(phase) + d.rng.Normal(0, d.Sigma))
 }
 
+// Reset implements Source: back at phase 0.
+func (d *Diurnal) Reset() { d.t = 0 }
+
 // Entropy is a full-range uniform word source for the RNG port.
 type Entropy struct {
 	rng *stats.RNG
@@ -168,9 +183,17 @@ func NewEntropy(rng *stats.RNG) *Entropy { return &Entropy{rng: rng} }
 // Next implements mote.SampleSource.
 func (e *Entropy) Next() uint16 { return uint16(e.rng.Intn(1 << 16)) }
 
+// Source is a named regime's reading source. Reset returns it to its
+// initial state, so a caller that reseeds the RNG it was built on can run
+// it again as if new, without building another.
+type Source interface {
+	Next() uint16
+	Reset()
+}
+
 // Named builds a workload regime by name — the harness sweeps these in the
 // input-sensitivity experiment (F7).
-func Named(name string, rng *stats.RNG) (interface{ Next() uint16 }, bool) {
+func Named(name string, rng *stats.RNG) (Source, bool) {
 	switch name {
 	case "gaussian":
 		return NewGaussian(rng, 300, 120), true
