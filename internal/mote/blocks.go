@@ -30,6 +30,7 @@ const (
 	opJmp                                                     // a JMP threaded into the block before it
 	opJmpX                                                    // the same, crossing a flash page
 	opCall                                                    // a CALL threaded into the callee's entry block
+	opSgt                                                     // slt x,y,x inside a fused binop: x = y < x
 	opEnd                                                     // pc == len(prog): ran off the end
 	opBad                                                     // an opcode the ISA does not define
 )
@@ -135,6 +136,14 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		}
 		bc.dec[k] = in
 	}
+	// A swapped compare `slt x,y,x` (MiniC's `a > b`) inside a fused
+	// binop gets its own operator kind, so the shared operator switch
+	// needs no operand swap.
+	for k := range prog {
+		if fusesBinop(prog[k:]) && prog[k+2].Ra != prog[k+2].Rd {
+			bc.dec[k+2].Op = opSgt
+		}
+	}
 	// Thread every JMP and CALL whose chain of JMP- or CALL-ended target
 	// blocks reaches a real terminator within maxThread jumps (never a
 	// cycle, such as recursion, or an out-of-range target): fold the jump
@@ -195,9 +204,10 @@ func fusesStore(p []isa.Instr, first isa.Op) bool {
 }
 
 // fusesBinop reports whether p starts with the backend's binary-operator
-// idiom `ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [c+l],x` with x ≠ y, b ≠ x
-// and c ∉ {x, y}: no later address depends on a loaded value, and the
-// operands are the two loaded values, so the operator runs on locals.
+// idiom `ld x,[a+i]; ld y,[b+j]; OP x,x,y; st [c+l],x` (or, for `a > b`,
+// `slt x,y,x`) with x ≠ y, b ≠ x and c ∉ {x, y}: no later address depends
+// on a loaded value, and the operands are the two loaded values, so the
+// operator runs on locals.
 func fusesBinop(p []isa.Instr) bool {
 	if len(p) < 4 || p[0].Op != isa.LD || p[1].Op != isa.LD || p[3].Op != isa.ST {
 		return false
@@ -209,8 +219,9 @@ func fusesBinop(p []isa.Instr) bool {
 	default:
 		return false
 	}
-	return x != y && p[1].Ra != x &&
-		p[2].Rd == x && p[2].Ra == x && p[2].Rb == y &&
+	ops := p[2].Ra == x && p[2].Rb == y ||
+		p[2].Op == isa.SLT && p[2].Ra == y && p[2].Rb == x // the swapped compare x = y < x
+	return x != y && p[1].Ra != x && p[2].Rd == x && ops &&
 		p[3].Rb == x && p[3].Ra != x && p[3].Ra != y
 }
 

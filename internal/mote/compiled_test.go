@@ -87,7 +87,7 @@ func TestCompiledCoresAgree(t *testing.T) {
 			compareState(t, tag+" final", f, ref, errF, errR)
 		}
 	}
-	for op := opCopy; op <= opCall; op++ {
+	for op := opCopy; op <= opSgt; op++ {
 		if fused[op] == 0 {
 			t.Errorf("no build decoded any %s", kindName(op))
 		}
@@ -99,7 +99,7 @@ func TestCompiledCoresAgree(t *testing.T) {
 		t.Error("no budget stop landed inside an expr, copy-expr or load-and-branch idiom")
 	}
 	var decoded []string
-	for op := opCopy; op <= opCall; op++ {
+	for op := opCopy; op <= opSgt; op++ {
 		decoded = append(decoded, fmt.Sprintf("%d %s", fused[op], kindName(op)))
 	}
 	t.Logf("decoded: %s; %d budget stops inside a fused idiom, %d inside a second-wave one",
@@ -181,7 +181,7 @@ func fusedLen(op isa.Op) int {
 func fusedKinds(prog []isa.Instr, cost *isa.CostModel) map[isa.Op]int {
 	n := map[isa.Op]int{}
 	for _, in := range decodeBlocks(prog, cost).dec {
-		if fusedLen(in.Op) > 1 || in.Op == opJmp || in.Op == opJmpX || in.Op == opCall {
+		if fusedLen(in.Op) > 1 || in.Op >= opJmp && in.Op <= opSgt {
 			n[in.Op]++
 		}
 	}
@@ -206,7 +206,8 @@ func kindName(op isa.Op) string {
 		opCopyExprBr: "COPYEXPR-BR", opBinopCp: "BINOP-CP", opExprCp: "EXPR-CP",
 		opCopyExprCp: "COPYEXPR-CP", opLdBr: "LD-BR", opLdOut: "LD-OUT", opConstOut: "CONST-OUT",
 		opTrEnter: "TR-ENTER", opEnter: "ENTER", opLdTrLeave: "LD-TR-LEAVE", opTrLeave: "TR-LEAVE",
-		opLeave: "LEAVE", opJmp: "JMP", opJmpX: "JMP-X", opCall: "CALL", opEnd: "END", opBad: "BAD"}
+		opLeave: "LEAVE", opJmp: "JMP", opJmpX: "JMP-X", opCall: "CALL", opSgt: "SGT",
+		opEnd: "END", opBad: "BAD"}
 	if n, ok := names[op]; ok {
 		return n
 	}

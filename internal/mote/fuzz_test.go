@@ -246,8 +246,21 @@ func FuzzFastCore(f *testing.F) {
 			if seedKind([8]byte{}, expr, 2) == opExpr {
 				f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, expr))
 			}
+			if op == isa.SLT { // the swapped compare, slt x,y,x
+				expr[6].Ra, expr[6].Rb = 2, 1
+				requireKind(f, [8]byte{}, expr, 6, opSgt)
+				f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, expr))
+			}
 		}
 	}
+	// A jump into a fused binop's swapped compare runs it as a plain SLT.
+	intoSgt := []isa.Instr{
+		{Op: isa.LDI, Rd: 1, Imm: -4}, {Op: isa.LDI, Rd: 2, Imm: 6}, {Op: isa.JMP, Imm: fuzzTarget(5)},
+		{Op: isa.LD, Rd: 1, Ra: 15, Imm: 3}, {Op: isa.LD, Rd: 2, Ra: 15, Imm: 4},
+		{Op: isa.SLT, Rd: 1, Ra: 2, Rb: 1}, {Op: isa.ST, Ra: 15, Rb: 1, Imm: 7}, {Op: isa.HALT},
+	}
+	requireKind(f, [8]byte{}, intoSgt, 5, opSgt)
+	f.Add(encodeFuzzSeed([8]byte{200, 0, 0, 1, 0, 0, 0, 0}, intoSgt))
 	// A near miss: the constant overwrites the copied slot before the
 	// binop reads it back, so the copy must not fuse into the expr (the
 	// forwarded x would be stale).

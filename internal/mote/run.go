@@ -160,7 +160,7 @@ blocks:
 				m.regs[in.Rd] = m.regs[in.Ra] + uint16(in.Imm)
 			case isa.XORI:
 				m.regs[in.Rd] = m.regs[in.Ra] ^ uint16(in.Imm)
-			case isa.SLT:
+			case isa.SLT, opSgt: // entered directly, a swapped compare is a plain one
 				m.regs[in.Rd] = boolWord(int16(m.regs[in.Ra]) < int16(m.regs[in.Rb]))
 			case isa.SLTU:
 				m.regs[in.Rd] = boolWord(m.regs[in.Ra] < m.regs[in.Rb])
@@ -442,6 +442,8 @@ blocks:
 				x = boolWord(int16(x) < int16(y))
 			case isa.SLTU:
 				x = boolWord(x < y)
+			case opSgt:
+				x = boolWord(int16(y) < int16(x))
 			case isa.SEQ:
 				x = boolWord(x == y)
 			}
