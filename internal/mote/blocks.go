@@ -99,8 +99,7 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		bc.head[k] = h
 	}
 	for k, in := range prog {
-		switch in.Op {
-		case isa.BZ, isa.BNZ, isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+		if in.IsCondBranch() {
 			bc.branches = append(bc.branches, int32(k))
 		}
 		p := prog[k:]
@@ -136,9 +135,8 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 		}
 		bc.dec[k] = in
 	}
-	// A swapped compare `slt x,y,x` (MiniC's `a > b`) inside a fused
-	// binop gets its own operator kind, so the shared operator switch
-	// needs no operand swap.
+	// A fused binop's swapped compare `slt x,y,x` (MiniC's `a > b`) gets
+	// its own operator kind, so the operator switch needs no swap check.
 	for k := range prog {
 		if fusesBinop(prog[k:]) && prog[k+2].Ra != prog[k+2].Rd {
 			bc.dec[k+2].Op = opSgt
@@ -147,9 +145,8 @@ func decodeBlocks(prog []isa.Instr, cost *isa.CostModel) *blockCode {
 	// Thread every JMP and CALL whose chain of JMP- or CALL-ended target
 	// blocks reaches a real terminator within maxThread jumps (never a
 	// cycle, such as recursion, or an out-of-range target): fold the jump
-	// or call, a jump's page-cross penalty and its target's head into its
-	// block's heads, shortest chains first. A CALL pays no page-cross
-	// penalty.
+	// or call, a jump's page-cross penalty (a CALL pays none) and its
+	// target's head into its block's heads, shortest chains first.
 	const maxThread = 8
 	threads := func(op isa.Op) bool { return op == isa.JMP || op == isa.CALL }
 	depth := func(j int) (d int) {
@@ -261,11 +258,8 @@ func fusesOut(p []isa.Instr, first isa.Op) bool {
 // starts reports whether p starts with the opcodes ops: the call entry and
 // return idioms, which run sequentially whatever their registers.
 func starts(p []isa.Instr, ops ...isa.Op) bool {
-	if len(p) < len(ops) {
-		return false
-	}
 	for i, op := range ops {
-		if p[i].Op != op {
+		if i >= len(p) || p[i].Op != op {
 			return false
 		}
 	}

@@ -305,11 +305,10 @@ blocks:
 				k += 2
 				fallthrough
 			case isa.SPADJ:
-				if ns := m.sp + dec[k].Imm; ns >= 0 && int(ns) <= len(mem) {
-					m.sp = ns
-					continue
+				if ns := m.sp + dec[k].Imm; ns < 0 || int(ns) > len(mem) {
+					goto spadjFault
 				}
-				goto spadjFault
+				m.sp += dec[k].Imm
 
 			// Terminators: each ends the block, charging the cycles up to
 			// it plus its own cost and penalties.
@@ -376,11 +375,10 @@ blocks:
 				k++
 				fallthrough
 			case opLeave: // spadj N; pop f
-				if ns := m.sp + dec[k].Imm; ns >= 0 && int(ns) <= len(mem) {
-					m.sp = ns
-				} else {
+				if ns := m.sp + dec[k].Imm; ns < 0 || int(ns) > len(mem) {
 					goto spadjFault
 				}
+				m.sp += dec[k].Imm
 				k++
 				if int(m.sp) >= len(mem) {
 					err = stackFault("pop", m.sp, k)
