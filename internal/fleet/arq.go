@@ -53,7 +53,7 @@ func (a *ARQStats) Add(o ARQStats) {
 }
 
 // arq pushes one mote's packetized upload through the channel with
-// selective-repeat recovery, leaving the deliveries in l.delivered. frames
+// selective-repeat recovery, appending the deliveries to l.delivered. frames
 // must be the mote's packet frames in sequence order (frame i carries
 // sequence number i, as Packetize produces), and rx the base station's
 // fresh receive window for that mote: every delivery goes once into rx,
@@ -70,8 +70,9 @@ func (a *ARQStats) Add(o ARQStats) {
 // is nil, goes through AddFrame's full framing and CRC check.
 func (l *link) arq(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) (LinkStats, ARQStats, error) {
 	var ast ARQStats
+	first := len(l.delivered)
 	st := l.transmit(lc, frames, nil, rng)
-	if err := l.receive(rx, 0, pkts); err != nil {
+	if err := l.receive(rx, first, pkts); err != nil {
 		return st, ast, err
 	}
 	if !lc.ARQ.Enabled() || len(frames) == 0 {

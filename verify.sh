@@ -116,9 +116,11 @@ echo "== fuzz smoke (interpreter cores)"
 # Differential fuzzing of the block core against the reference Step core:
 # any state divergence on a random program is a crash. The seeds run every
 # fused kind (copy, const, binop, expr, copy-expr, their load-and-branch
-# and copy tails, load-and-branch) faulting at each sub-instruction, every
-# operator of the fused ALU switch, and a fault and a budget stop right
-# after a threaded jump.
+# and copy tails, load-and-branch, load-and-out, const-and-out, the call
+# entry and its traced form, the return and its traced and load-then-traced
+# forms, and a threaded call) faulting at each sub-instruction, every
+# operator of the fused ALU switch (the swapped compare too), and a fault
+# and a budget stop right after a threaded jump.
 go test ./internal/mote -run=NONE -fuzz=FuzzFastCore -fuzztime=5s
 
 echo "== fuzz smoke (static bounds)"
