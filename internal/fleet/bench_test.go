@@ -48,14 +48,14 @@ func BenchmarkSimulateStream(b *testing.B) {
 }
 
 // maxAllocsPerMote bounds the streaming engine's heap allocations per
-// simulated mote at benchSim's configuration. A mote measures 1.3: its
-// sensor and the channel's delivery list, and a share of the cohort's
-// sample histograms growing when a round sees a new duration. Everything
-// else (machine, RNGs, packet list, encode buffer, frame list, receive
-// window, intervals, per-procedure round counters) is per-worker scratch
-// reused across motes; the bound is tight enough that any one of them
-// going back to per-mote allocation fails it.
-const maxAllocsPerMote = 3
+// simulated mote at benchSim's configuration. A mote measures 0.31: a
+// share of the cohort's sample histograms growing when a round sees a new
+// duration. Everything else (machine, RNGs, sensors, packet list, encode
+// buffer, frame list, link, receive window, intervals, per-procedure
+// round counters) is per-worker scratch reused across motes; the bound is
+// tight enough that any one of them going back to per-mote allocation
+// fails it.
+const maxAllocsPerMote = 1
 
 // TestSimulateStreamAllocsPerMote is the per-mote allocation gate on the
 // streaming engine, measured over a warmed multi-cohort fleet.
