@@ -29,22 +29,23 @@ import (
 // the same non-default unroll bound, which keeps crc's path enumeration
 // cheap and its coverage low, once as configured by default and once with
 // static branch resolution, the setting ctomo, ctfleet and ctstationd all
-// take as -static, and each of those under EM and under the robust
-// estimator, whose trims run on the sample histograms.
+// take as -static, and each of those under EM, under the robust
+// estimator, whose trims run on the sample histograms, and under Moments,
+// whose sample moments are a function of the histogram alone.
 func TestCallersAgree(t *testing.T) {
 	const maxVisits = 4
 	crc, _ := apps.ByName("crc")
-	for _, est := range []tomography.Estimator{tomography.EM{}, tomography.Robust{}} {
+	for _, e := range []struct {
+		suffix string
+		est    tomography.Estimator
+	}{{"", tomography.EM{}}, {"_robust", tomography.Robust{}}, {"_moments", tomography.Moments{}}} {
 		for _, static := range []bool{false, true} {
 			for _, a := range []apps.App{apps.CallChain, crc} {
 				name := a.Name
 				if static {
 					name += "_static"
 				}
-				if _, robust := est.(tomography.Robust); robust {
-					name += "_robust"
-				}
-				t.Run(name, func(t *testing.T) { callersAgree(t, a, maxVisits, static, est) })
+				t.Run(name+e.suffix, func(t *testing.T) { callersAgree(t, a, maxVisits, static, e.est) })
 			}
 		}
 	}

@@ -141,13 +141,13 @@ func (c Config) estimateRun(r *Run, est tomography.Estimator) (*estimateResult, 
 	if err != nil {
 		return nil, err
 	}
-	probs, err := est.Estimate(model, durations)
+	fit, err := est.Fit(model, tomography.CountSamples(durations), nil)
 	if err != nil {
 		return nil, err
 	}
 	pm := r.Out.Meta.ProcByName[r.App.Handler]
 	truth := profile.OracleProbs(pm, model.Proc, r.Machine.BranchStats())
-	return score(model, probs, truth)
+	return score(model, fit.Probs, truth)
 }
 
 func score(model *tomography.Model, est, truth markov.EdgeProbs) (*estimateResult, error) {

@@ -144,37 +144,34 @@ var predictors = []struct {
 	{"btfn", func() Predictor { return BTFN{} }},
 }
 
-// benchCfg keeps per-machine allocations small so pre-building one machine
-// per benchmark iteration stays cheap.
+// benchCfg is the default mote with a small RAM.
 func benchCfg() Config {
 	cfg := DefaultConfig()
 	cfg.RAMWords = 64
 	return cfg
 }
 
-// runCore benchmarks one interpreter core on each kernel. Machines are
-// pre-built outside the timed region, so allocs/op reports the dispatch
-// loop alone, which must be zero on the hand-assembled kernels (the
-// compiled ones grow their trace buffers).
+// runCore benchmarks one interpreter core on each kernel. Each kernel
+// keeps one machine and resets it with the timer stopped before every run,
+// as the fleet's workers reuse theirs, so allocs/op reports the dispatch
+// loop alone and a compiled kernel's trace buffer grows only on the first
+// run. The loop must allocate nothing on the hand-assembled kernels.
 func runCore(b *testing.B, run func(*Machine) error) {
 	for _, k := range kernels() {
 		b.Run(k.name, func(b *testing.B) {
-			machines := make([]*Machine, b.N)
-			for i := range machines {
-				machines[i] = New(k.prog, k.cfg())
-			}
+			m := New(k.prog, k.cfg())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := run(machines[i]); err != nil {
+				b.StopTimer()
+				m.Reset(k.cfg())
+				b.StartTimer()
+				if err := run(m); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			if b.N > 0 {
-				instrs := machines[0].Stats().Instructions
-				b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-			}
+			b.ReportMetric(float64(m.Stats().Instructions)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 		})
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"codetomo/internal/mote"
 	"codetomo/internal/stats"
 	"codetomo/internal/tomography"
-	"codetomo/internal/trace"
 	"codetomo/internal/workload"
 )
 
@@ -183,9 +182,9 @@ func (p TrustPolicy) Decide(o *Outcome) {
 }
 
 // Stream sets o's model to m and starts its warm-started stream under the
-// settings' estimator, with tomography.NewIncremental's default early stop.
+// settings' estimator.
 func (s Settings) Stream(o *Outcome, m *tomography.Model) {
-	o.Model, o.Stream = m, tomography.NewIncremental(m, s.Estimator, 0, 0)
+	o.Model, o.Stream = m, tomography.NewIncremental(m, s.Estimator)
 }
 
 // ObserveOn feeds procs[i]'s stream its batches[i] in order, the streams
@@ -197,7 +196,7 @@ func ObserveOn(pool *fleet.Pool, procs []*Outcome, batches [][]tomography.Sample
 	pool.Each(len(procs), func(_, i int) {
 		o := procs[i]
 		for _, b := range batches[i] {
-			if _, err := o.Stream.ObserveCounts(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
+			if _, err := o.Stream.Observe(b); err != nil && !errors.Is(err, tomography.ErrNoSamples) {
 				errs[i] = fmt.Errorf("estimate %s: %w", o.Proc.Name, err)
 				return
 			}
@@ -263,10 +262,10 @@ func Placement(prog *cfg.Program, procs []Outcome) map[string]markov.EdgeProbs {
 // own task on a pool of GOMAXPROCS workers: it depends on its own samples
 // only and writes only its own outcome, so the result does not depend on
 // the schedule. It returns each branchy procedure's outcome in CFG order,
-// and the placement input. Each admitted procedure's samples go to its
-// stream as one batch, in the order they were measured, so Decide checks
-// the estimator's confidence exactly as on the streaming paths. A single
-// mains-powered run loses no partials, so nothing is corrected.
+// and the placement input. Each admitted procedure's histogram goes to
+// its stream as one batch, so Decide checks the estimator's confidence
+// exactly as on the streaming paths. A single mains-powered run loses no
+// partials, so nothing is corrected.
 func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome, map[string]markov.EdgeProbs) {
 	procs := Branchy(prof)
 	fleet.NewPool(runtime.GOMAXPROCS(0)).Each(len(procs), func(_, i int) { s.batchProc(&procs[i], prof, ticks[procs[i].Index]) })
@@ -277,13 +276,12 @@ func (s Settings) Batch(prof *compile.Output, ticks map[int][]uint64) ([]Outcome
 // The model is built only once the sample gate passes.
 func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks []uint64) {
 	name := o.Proc.Name
-	samples := trace.DurationsCycles(ticks, s.TickDiv)
-	o.Samples = len(samples)
-	// The gate's histogram, added up sample by sample: tick-quantized
-	// durations take few distinct values, so it stays small.
+	o.Samples = len(ticks)
+	// The histogram of the durations in cycles, added up tick by tick:
+	// tick-quantized durations take few distinct values, so it stays small.
 	var h tomography.SampleCounts
-	for _, v := range samples {
-		h.Add(v, 1)
+	for _, t := range ticks {
+		h.Add(float64(t)*float64(s.TickDiv), 1)
 	}
 	var err error
 	if o.Model, o.Decision, err = s.Admit(h, func() (*tomography.Model, error) { return s.Model(prof, name) }); err != nil {
@@ -293,7 +291,7 @@ func (s Settings) batchProc(o *Outcome, prof *compile.Output, ticks []uint64) {
 		return
 	}
 	s.Stream(o, o.Model)
-	if _, err := o.Stream.Observe(samples); err != nil {
+	if _, err := o.Stream.Observe(h); err != nil {
 		o.Decision, o.Err = NoModel, fmt.Errorf("estimate %s: %w", name, err)
 		return
 	}

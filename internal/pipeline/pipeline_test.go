@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -122,20 +123,7 @@ func TestBatchOutcomesInCFGOrder(t *testing.T) {
 	crc, _ := apps.ByName("crc")
 	for _, a := range []apps.App{crc, apps.CallChain} {
 		t.Run(a.Name, func(t *testing.T) {
-			src, err := a.Source(300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := Mote{TickDiv: DefaultTickDiv, MaxCycles: 2_000_000_000, Inputs: Workload(a.Workload, 1)}
-			prof, mach, err := m.Execute(src, compile.Options{Instrument: compile.ModeTimestamps})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ivs, err := trace.Extract(mach.Trace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ticks := trace.ExclusiveByProc(ivs)
+			prof, ticks := profileApp(t, a)
 			s := Settings{}.WithDefaults()
 			batch := func(procs int) ([]Outcome, map[string]markov.EdgeProbs) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -188,6 +176,56 @@ func TestBatchOutcomesInCFGOrder(t *testing.T) {
 				t.Fatal("Batch differs between GOMAXPROCS 1 and 4")
 			}
 		})
+	}
+}
+
+// profileApp profiles 300 invocations of a on a timestamping build and
+// returns the build and its exclusive tick counts by procedure index.
+func profileApp(t *testing.T, a apps.App) (*compile.Output, map[int][]uint64) {
+	t.Helper()
+	src, err := a.Source(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Mote{TickDiv: DefaultTickDiv, MaxCycles: DefaultMaxCycles, Inputs: Workload(a.Workload, 1)}
+	prof, mach, err := m.Execute(src, compile.Options{Instrument: compile.ModeTimestamps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs, err := trace.Extract(mach.Trace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof, trace.ExclusiveByProc(ivs)
+}
+
+// TestBatchOrderInvariant requires Batch to depend on each procedure's
+// sample multiset alone: the ticks in reverse of the order they were
+// measured must give identical outcomes and placement input under every
+// estimator, Moments included.
+func TestBatchOrderInvariant(t *testing.T) {
+	prof, ticks := profileApp(t, apps.CallChain)
+	reversed := make(map[int][]uint64, len(ticks))
+	for p, tk := range ticks {
+		reversed[p] = slices.Clone(tk)
+		slices.Reverse(reversed[p])
+	}
+	for _, est := range []tomography.Estimator{tomography.EM{}, tomography.Robust{}, tomography.Moments{}, tomography.Histogram{}} {
+		s := Settings{Estimator: est}.WithDefaults()
+		procs, probs := s.Batch(prof, ticks)
+		rprocs, rprobs := s.Batch(prof, reversed)
+		if !reflect.DeepEqual(rprocs, procs) || !reflect.DeepEqual(rprobs, probs) {
+			t.Errorf("%s: Batch on the reversed ticks differs from Batch in measured order", est.Name())
+		}
+		trusted := 0
+		for _, o := range procs {
+			if o.Decision == Trusted {
+				trusted++
+			}
+		}
+		if trusted == 0 {
+			t.Errorf("%s: no procedure trusted; the comparison covers no estimate", est.Name())
+		}
 	}
 }
 

@@ -115,25 +115,62 @@ func (st *store) appendFrame(frame []byte) error { return st.append(walFrame, fr
 func (st *store) appendCut() error               { return st.append(walCut, nil) }
 
 // writeSnapshot persists one epoch's model publication: an immutable
-// per-epoch file plus an atomically-replaced latest.json.
+// per-epoch file plus an atomically-replaced latest.json. Each file is
+// fsynced before anything names it, and each directory after its new
+// entry, so a power cut leaves latest.json either the old snapshot or the
+// new one, whole.
 func (st *store) writeSnapshot(snap *Snapshot) error {
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
 	data = append(data, '\n')
-	name := filepath.Join(st.dir, snapshotDir, fmt.Sprintf("epoch-%06d.json", snap.Epoch))
-	if err := os.WriteFile(name, data, 0o644); err != nil {
+	snaps := filepath.Join(st.dir, snapshotDir)
+	if err := writeSynced(filepath.Join(snaps, fmt.Sprintf("epoch-%06d.json", snap.Epoch)), data); err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
 	tmp := filepath.Join(st.dir, latestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(st.dir, latestName)); err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
+	for _, dir := range []string{snaps, st.dir} {
+		if err := syncDir(dir); err != nil {
+			return fmt.Errorf("station: %w", err)
+		}
+	}
 	return nil
+}
+
+// writeSynced writes data to the file name, creating or truncating it,
+// and fsyncs it before closing.
+func writeSynced(name string, data []byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs the directory dir, making its entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close syncs and releases the log.

@@ -110,8 +110,8 @@ func BenchmarkObserveWarmVsCold(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			inc := NewIncremental(m, est, 1e-3, 2)
-			if _, err := inc.Observe(samples); err != nil {
+			inc := NewIncremental(m, est)
+			if _, err := inc.Observe(CountSamples(samples)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -120,12 +120,13 @@ func BenchmarkObserveWarmVsCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			inc := NewIncremental(m, est, 1e-3, 1<<30)
-			if _, err := inc.Observe(samples[:1900]); err != nil {
+			inc := NewIncremental(m, est)
+			inc.patience = 1 << 30
+			if _, err := inc.Observe(CountSamples(samples[:1900])); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, err := inc.Observe(samples[1900:]); err != nil {
+			if _, err := inc.Observe(CountSamples(samples[1900:])); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -140,9 +141,9 @@ func BenchmarkIncrementalObserve(b *testing.B) {
 	samples := sampleDurations(b, m, truth, 2000, 4, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 4}}, 1e-3, 2)
+		inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 4}})
 		for j := 0; j < len(samples); j += 250 {
-			if _, err := inc.Observe(samples[j : j+250]); err != nil {
+			if _, err := inc.Observe(CountSamples(samples[j : j+250])); err != nil {
 				b.Fatal(err)
 			}
 		}

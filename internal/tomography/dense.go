@@ -37,15 +37,20 @@ func (m *Model) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 {
 	return m.index.Probs(w)
 }
 
-// estimateEMDense is the EM hot path over pre-deduplicated observations:
-// obs ascending with positive counts. It performs the exact floating-point
-// operation sequence of EstimateEMReference — same observation order, same
-// per-support path order (ascending path index), same arc order — so the
-// two implementations agree bit for bit; only the data layout differs
-// (dense indexed arrays and reusable scratch buffers instead of maps and
+// estimateEMDense is the EM hot path over a histogram of finite samples,
+// starting from init where it has a value and from the uniform prior
+// elsewhere. Warm starting changes the trajectory (typically slashing the
+// iteration count on streaming re-estimation) but not the stopping rule:
+// EM still iterates until no probability moves more than Tol. From the
+// uniform start it performs the exact floating-point operation sequence
+// of EstimateEMReference — same observation order, same per-support path
+// order (ascending path index), same arc order — so the two
+// implementations agree bit for bit; only the data layout differs (dense
+// indexed arrays and reusable scratch buffers instead of maps and
 // per-iteration clones).
-func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
+func estimateEMDense(m *Model, h SampleCounts, init markov.EdgeProbs, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
 	cfg = cfg.withDefaults(m)
+	obs, counts := h.Values, h.Counts
 	var st EMStats
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), st, nil
@@ -56,13 +61,11 @@ func estimateEMDense(m *Model, obs []float64, counts []int, cfg EMConfig) (marko
 	ix := m.index
 	nE, nP := ix.Len(), len(m.Paths)
 
-	// Starting point: uniform, overlaid with warm-start values when given.
+	// Starting point: uniform, overlaid with the warm-start values.
 	probs := ix.Dense(m.InitialProbs())
-	if cfg.Init != nil {
-		for e, v := range cfg.Init {
-			if i, ok := ix.Index(e); ok {
-				probs[i] = v
-			}
+	for e, v := range init {
+		if i, ok := ix.Index(e); ok {
+			probs[i] = v
 		}
 	}
 

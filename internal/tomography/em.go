@@ -29,12 +29,6 @@ type EMConfig struct {
 	// covering timer quantization and callee-subtraction noise. Values
 	// <= 0 select the model's timer tick.
 	KernelHalfWidth float64
-	// Init optionally warm-starts EM from a previous estimate instead of
-	// the uniform prior; edges missing from Init keep their uniform value.
-	// Warm starting changes the trajectory (typically slashing the
-	// iteration count on streaming re-estimation) but not the stopping
-	// rule: EM still iterates until no probability moves more than Tol.
-	Init markov.EdgeProbs
 }
 
 // withDefaults fills unset fields for estimation on m.
@@ -92,8 +86,7 @@ func EstimateEM(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EM
 	// Deduplicate observations into (value, count) — durations are
 	// quantized so collapsing repeats makes EM cost independent of the
 	// sample count.
-	h := CountSamples(samples)
-	return estimateEMDense(m, h.Values, h.Counts, cfg)
+	return estimateEMDense(m, CountSamples(samples), nil, cfg)
 }
 
 // validateSamples rejects non-finite durations at the estimation API

@@ -29,13 +29,6 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 	obs, counts := h.Values, h.Counts
 
 	probs := m.InitialProbs()
-	if cfg.Init != nil {
-		for e, v := range cfg.Init {
-			if _, ok := probs[e]; ok {
-				probs[e] = v
-			}
-		}
-	}
 	nPaths := len(m.Paths)
 
 	// Precompute kernel support per observation.

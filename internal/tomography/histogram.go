@@ -20,23 +20,13 @@ const (
 	histMaxBins = 2048
 )
 
-// EstimateHistogram recovers branch probabilities by binning the duration
-// samples and solving a nonnegative least-squares system for the path
-// weights: each path contributes its kernel mass to the bins its duration
-// overlaps, so  A·w ≈ ĥ  with w ≥ 0, where ĥ is the empirical bin
-// frequency vector. Edge probabilities follow from the weighted edge
-// traversal counts. The kernel half width and the bin width are the
-// model's timer tick. The bins count the sample multiset, so it runs on
-// the samples' histogram.
-func EstimateHistogram(m *Model, samples []float64) (markov.EdgeProbs, error) {
-	if err := validateSamples(samples); err != nil {
-		return nil, err
-	}
-	return estimateHistogram(m, CountSamples(samples))
-}
-
-// estimateHistogram is EstimateHistogram over a histogram of finite
-// samples.
+// estimateHistogram recovers branch probabilities by binning a histogram
+// of finite duration samples and solving a nonnegative least-squares
+// system for the path weights: each path contributes its kernel mass to
+// the bins its duration overlaps, so  A·w ≈ ĥ  with w ≥ 0, where ĥ is the
+// empirical bin frequency vector. Edge probabilities follow from the
+// weighted edge traversal counts. The kernel half width and the bin width
+// are the model's timer tick.
 func estimateHistogram(m *Model, samples SampleCounts) (markov.EdgeProbs, error) {
 	kw := m.Tick()
 	if len(m.Unknowns) == 0 {

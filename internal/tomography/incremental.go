@@ -15,55 +15,39 @@ import (
 //
 // Two properties keep the per-round cost flat as the stream grows: the
 // accumulated observations are kept as one running SampleCounts that each
-// batch is merged into (never re-deduplicated from scratch), and every EM
-// round warm-starts from the previous round's probabilities, so a round
-// that merely confirms the estimate costs a couple of iterations instead
-// of a full cold solve. EM, Robust and Histogram read only the histogram.
-// Moments, whose sample moments depend on the order samples are pushed in,
-// reads a raw stream kept only for it: batches given to Observe in their
-// order, batches given to ObserveCounts in ascending order.
+// batch is merged into (never re-deduplicated from scratch), and every
+// round warm-starts from the previous round's probabilities, so an EM
+// round that merely confirms the estimate costs a couple of iterations
+// instead of a full cold solve.
 type Incremental struct {
-	// Model is the path-enumeration model for one procedure.
-	Model *Model
-	// Est produces the estimate from the accumulated samples.
-	Est Estimator
-	// Tol is the convergence threshold on the largest per-edge probability
-	// change between successive rounds (default 1e-3).
-	Tol float64
-	// Patience is how many consecutive rounds must stay under Tol before
-	// the stream is declared converged (default 2).
-	Patience int
+	model *Model
+	est   Estimator
+	// tol is the convergence threshold on the largest per-edge probability
+	// change between successive rounds.
+	tol float64
+	// patience is how many consecutive rounds must stay under tol before
+	// the stream is declared converged.
+	patience int
 
-	hist    SampleCounts // every sample absorbed
-	samples []float64    // raw stream up to convergence, for Moments and unknown estimators
-
-	probs      markov.EdgeProbs
+	hist       SampleCounts // every sample absorbed
+	fit        Fit          // the latest round's
 	rounds     int
 	calm       int
 	converged  bool
 	iterations int
-	trimmed    int
-	confident  bool
 }
 
-// NewIncremental builds a streaming estimator for one procedure. tol <= 0
-// and patience <= 0 select the defaults.
-func NewIncremental(m *Model, est Estimator, tol float64, patience int) *Incremental {
-	if tol <= 0 {
-		tol = 1e-3
-	}
-	if patience <= 0 {
-		patience = 2
-	}
-	// Estimators without a confidence notion are trusted as before; only
-	// the robust estimator can revoke confidence.
-	return &Incremental{Model: m, Est: est, Tol: tol, Patience: patience, confident: true}
+// NewIncremental builds a streaming estimator for one procedure that
+// declares convergence once two consecutive rounds move no probability by
+// 1e-3 or more.
+func NewIncremental(m *Model, est Estimator) *Incremental {
+	return &Incremental{model: m, est: est, tol: 1e-3, patience: 2}
 }
 
 // Observe folds one batch of duration samples into the stream and
 // re-estimates over everything accumulated so far. Once the stream has
 // converged further batches are absorbed without re-estimating, so callers
-// may keep feeding data cheaply.
+// may keep feeding data cheaply. The batch is not retained.
 //
 // Contract: samples must be finite (NaN/±Inf are rejected with an error
 // and the batch is not absorbed), and calling Observe while nothing has
@@ -71,87 +55,37 @@ func NewIncremental(m *Model, est Estimator, tol float64, patience int) *Increme
 // no estimate; the stream remains usable and a later non-empty batch
 // estimates normally. Callers draining unevenly-filled uplink rounds
 // should treat ErrNoSamples as "nothing to do yet", not a failure.
-func (inc *Incremental) Observe(batch []float64) (markov.EdgeProbs, error) {
-	if err := validateSamples(batch); err != nil {
-		return nil, err
-	}
-	return inc.observe(CountSamples(batch), batch)
-}
-
-// ObserveCounts is Observe for a batch held as a histogram, under the same
-// contract. The histogram is not retained.
-func (inc *Incremental) ObserveCounts(batch SampleCounts) (markov.EdgeProbs, error) {
+func (inc *Incremental) Observe(batch SampleCounts) (markov.EdgeProbs, error) {
 	if err := validateSamples(batch.Values); err != nil {
 		return nil, err
 	}
-	return inc.observe(batch, nil)
-}
-
-// observe absorbs a validated batch, given as its histogram and, when the
-// caller has it, in arrival order, and re-estimates.
-func (inc *Incremental) observe(batch SampleCounts, raw []float64) (markov.EdgeProbs, error) {
 	inc.hist.Merge(batch)
 	if inc.converged {
-		return inc.probs, nil
+		return inc.fit.Probs, nil
 	}
 	if len(inc.hist.Values) == 0 {
 		return nil, ErrNoSamples
 	}
 	inc.rounds++
-
-	var (
-		probs markov.EdgeProbs
-		err   error
-	)
-	// Go through the stats-reporting entry points directly when the
-	// estimator supports them, so per-round iteration counts, trims, and
-	// confidence surface in fleet observability — and so EM rounds can
-	// warm-start from the previous estimate.
-	switch est := inc.Est.(type) {
-	case EM:
-		cfg := est.Config
-		cfg.Init = inc.probs // nil on round one: uniform start
-		var st EMStats
-		probs, st, err = estimateEMDense(inc.Model, inc.hist.Values, inc.hist.Counts, cfg)
-		inc.iterations += st.Iterations
-	case Robust:
-		cfg := est.Config
-		cfg.EM.Init = inc.probs
-		var st RobustStats
-		probs, st, err = estimateRobust(inc.Model, inc.hist, cfg)
-		inc.iterations += st.EM.Iterations
-		inc.trimmed = st.Trimmed
-		inc.confident = st.Confident
-	case Histogram:
-		probs, err = estimateHistogram(inc.Model, inc.hist)
-	default:
-		if raw != nil {
-			inc.samples = append(inc.samples, raw...)
-		} else {
-			inc.samples = batch.AppendSamples(inc.samples)
-		}
-		probs, err = inc.Est.Estimate(inc.Model, inc.samples)
-	}
+	fit, err := inc.est.Fit(inc.model, inc.hist, inc.fit.Probs)
 	if err != nil {
 		return nil, err
 	}
-
-	if inc.probs != nil {
-		if MaxDelta(inc.probs, probs) < inc.Tol {
+	inc.iterations += fit.Iterations
+	if inc.fit.Probs != nil {
+		if MaxDelta(inc.fit.Probs, fit.Probs) < inc.tol {
 			inc.calm++
-			if inc.calm >= inc.Patience {
-				inc.converged = true
-			}
+			inc.converged = inc.calm >= inc.patience
 		} else {
 			inc.calm = 0
 		}
 	}
-	inc.probs = probs
-	return probs, nil
+	inc.fit = fit
+	return fit.Probs, nil
 }
 
 // Probs returns the latest estimate (nil before the first Observe).
-func (inc *Incremental) Probs() markov.EdgeProbs { return inc.probs }
+func (inc *Incremental) Probs() markov.EdgeProbs { return inc.fit.Probs }
 
 // Converged reports whether the estimate has stopped moving.
 func (inc *Incremental) Converged() bool { return inc.converged }
@@ -171,12 +105,12 @@ func (inc *Incremental) Counts() SampleCounts { return inc.hist }
 // Trimmed returns how many absorbed samples the robust estimator
 // discarded as outliers in its latest estimation round (always 0 for
 // non-robust estimators).
-func (inc *Incremental) Trimmed() int { return inc.trimmed }
+func (inc *Incremental) Trimmed() int { return inc.fit.Trimmed }
 
 // Confident reports whether the latest estimate should be acted on:
 // always true for estimators without a confidence notion, and the robust
-// estimator's verdict otherwise.
-func (inc *Incremental) Confident() bool { return inc.confident }
+// estimator's verdict otherwise (false before the first estimate).
+func (inc *Incremental) Confident() bool { return inc.fit.Confident }
 
 // MaxDelta returns the largest absolute per-edge difference between two
 // probability maps, treating missing edges as zero.

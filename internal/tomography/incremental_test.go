@@ -17,12 +17,13 @@ func TestIncrementalConvergesOnStream(t *testing.T) {
 	truth[[2]ir.BlockID{0, 2}] = 0.3
 	samples := sampleDurations(t, m, truth, 4000, 1, 11)
 
-	inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 0.5}}, 5e-3, 2)
+	inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 0.5}})
+	inc.tol = 5e-3
 	const batch = 200
 	var est markov.EdgeProbs
 	for i := 0; i < len(samples); i += batch {
 		var err error
-		est, err = inc.Observe(samples[i : i+batch])
+		est, err = inc.Observe(CountSamples(samples[i : i+batch]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,9 +53,10 @@ func TestIncrementalStopsReestimatingAfterConvergence(t *testing.T) {
 	truth[[2]ir.BlockID{0, 2}] = 0.5
 	samples := sampleDurations(t, m, truth, 1000, 1, 3)
 
-	inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 0.5}}, 1e-2, 1)
+	inc := NewIncremental(m, EM{Config: EMConfig{KernelHalfWidth: 0.5}})
+	inc.tol, inc.patience = 1e-2, 1
 	for i := 0; i < len(samples); i += 100 {
-		if _, err := inc.Observe(samples[i : i+100]); err != nil {
+		if _, err := inc.Observe(CountSamples(samples[i : i+100])); err != nil {
 			t.Fatal(err)
 		}
 		if inc.Converged() {
@@ -65,7 +67,7 @@ func TestIncrementalStopsReestimatingAfterConvergence(t *testing.T) {
 		t.Skip("stream did not converge on this seed")
 	}
 	rounds, seen := inc.Rounds(), inc.Counts().N()
-	if _, err := inc.Observe(samples[:100]); err != nil {
+	if _, err := inc.Observe(CountSamples(samples[:100])); err != nil {
 		t.Fatal(err)
 	}
 	if inc.Rounds() != rounds {
@@ -81,8 +83,8 @@ func TestIncrementalEmptyStream(t *testing.T) {
 	// callers read as a (vacuous) estimate. The contract is now a typed
 	// sentinel the caller can errors.Is on and treat as "nothing yet".
 	m := twoArmModel(t, 40)
-	inc := NewIncremental(m, EM{}, 0, 0)
-	probs, err := inc.Observe(nil)
+	inc := NewIncremental(m, EM{})
+	probs, err := inc.Observe(SampleCounts{})
 	if !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("empty stream: err=%v, want ErrNoSamples", err)
 	}
@@ -96,7 +98,7 @@ func TestIncrementalEmptyStream(t *testing.T) {
 	// The stream stays usable: a later non-empty batch estimates normally.
 	truth := markov.Uniform(m.Proc)
 	samples := sampleDurations(t, m, truth, 400, 1, 5)
-	if _, err := inc.Observe(samples); err != nil {
+	if _, err := inc.Observe(CountSamples(samples)); err != nil {
 		t.Fatalf("batch after empty round: %v", err)
 	}
 	if inc.Rounds() != 1 || inc.Probs() == nil {
@@ -106,14 +108,14 @@ func TestIncrementalEmptyStream(t *testing.T) {
 
 func TestIncrementalRejectsNonFinite(t *testing.T) {
 	m := twoArmModel(t, 40)
-	inc := NewIncremental(m, EM{}, 0, 0)
-	if _, err := inc.Observe([]float64{100, math.NaN()}); err == nil {
+	inc := NewIncremental(m, EM{})
+	if _, err := inc.Observe(SampleCounts{Values: []float64{100, math.NaN()}, Counts: []int{1, 1}}); err == nil {
 		t.Fatal("NaN sample accepted")
 	}
 	if inc.Counts().N() != 0 {
 		t.Fatalf("rejected batch was absorbed: %d samples", inc.Counts().N())
 	}
-	if _, err := inc.Observe([]float64{math.Inf(1)}); err == nil {
+	if _, err := inc.Observe(SampleCounts{Values: []float64{math.Inf(1)}, Counts: []int{1}}); err == nil {
 		t.Fatal("+Inf sample accepted")
 	}
 }
@@ -130,10 +132,10 @@ func TestIncrementalWarmStartMatchesBatch(t *testing.T) {
 	samples := sampleDurations(t, m, truth, 3000, 1, 19)
 
 	cfg := EMConfig{KernelHalfWidth: 0.5}
-	inc := NewIncremental(m, EM{Config: cfg}, 0, 1000) // never declare converged
-	inc.Patience = 1 << 30
+	inc := NewIncremental(m, EM{Config: cfg})
+	inc.patience = 1 << 30 // never declare converged
 	for i := 0; i < len(samples); i += 300 {
-		if _, err := inc.Observe(samples[i : i+300]); err != nil {
+		if _, err := inc.Observe(CountSamples(samples[i : i+300])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,13 +164,13 @@ func TestIncrementalWarmRoundCheaper(t *testing.T) {
 	truth := trueProbs(m, 0.7, 0.3)
 	samples := sampleDurations(t, m, truth, 4000, 1, 23)
 	cfg := EMConfig{KernelHalfWidth: 120, Tol: 1e-10, MaxIter: 500}
-	inc := NewIncremental(m, EM{Config: cfg}, 0, 1000)
-	inc.Patience = 1 << 30
-	if _, err := inc.Observe(samples[:3800]); err != nil {
+	inc := NewIncremental(m, EM{Config: cfg})
+	inc.patience = 1 << 30
+	if _, err := inc.Observe(CountSamples(samples[:3800])); err != nil {
 		t.Fatal(err)
 	}
 	cold := inc.Iterations()
-	if _, err := inc.Observe(samples[3800:]); err != nil {
+	if _, err := inc.Observe(CountSamples(samples[3800:])); err != nil {
 		t.Fatal(err)
 	}
 	warm := inc.Iterations() - cold
@@ -181,8 +183,8 @@ func TestIncrementalNonEMEstimator(t *testing.T) {
 	m := twoArmModel(t, 40)
 	truth := markov.Uniform(m.Proc)
 	samples := sampleDurations(t, m, truth, 500, 1, 7)
-	inc := NewIncremental(m, Moments{}, 1e-3, 2)
-	if _, err := inc.Observe(samples); err != nil {
+	inc := NewIncremental(m, Moments{})
+	if _, err := inc.Observe(CountSamples(samples)); err != nil {
 		t.Fatal(err)
 	}
 	if inc.Rounds() != 1 {
@@ -195,8 +197,7 @@ func TestIncrementalNonEMEstimator(t *testing.T) {
 
 // TestIncrementalCoverageMatchesModel pins the stream's histogram
 // coverage to Model.Coverage over the whole raw stream, bit for bit, after
-// every batch and past convergence, under each kind of estimator. EM reads
-// only the histogram, so under EM the raw stream is not kept.
+// every batch and past convergence, under each kind of estimator.
 func TestIncrementalCoverageMatchesModel(t *testing.T) {
 	m := twoArmModel(t, 40)
 	truth := markov.Uniform(m.Proc)
@@ -206,13 +207,14 @@ func TestIncrementalCoverageMatchesModel(t *testing.T) {
 		samples[i] += 1000 + float64(i%5)
 	}
 	for _, est := range []Estimator{EM{}, Robust{}, Moments{}} {
-		inc := NewIncremental(m, est, 0.05, 1)
+		inc := NewIncremental(m, est)
+		inc.tol, inc.patience = 0.05, 1
 		past := 0 // batches that arrived past convergence
 		for i := 0; i < len(samples); i += 250 {
 			if inc.Converged() {
 				past++
 			}
-			if _, err := inc.Observe(samples[i : i+250]); err != nil {
+			if _, err := inc.Observe(CountSamples(samples[i : i+250])); err != nil {
 				t.Fatal(err)
 			}
 			seen := samples[:i+250]
@@ -227,9 +229,6 @@ func TestIncrementalCoverageMatchesModel(t *testing.T) {
 		}
 		if past == 0 {
 			t.Fatalf("%s: no batch arrived past convergence", est.Name())
-		}
-		if _, em := est.(EM); em && inc.samples != nil {
-			t.Fatalf("EM stream kept %d raw samples", len(inc.samples))
 		}
 	}
 }

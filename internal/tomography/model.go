@@ -8,11 +8,13 @@
 // is a finite mixture over execution paths, and the branch probabilities
 // can be estimated by inverting that mixture.
 //
-// Three estimators are provided:
+// Four estimators fit a histogram of the samples (SampleCounts) through
+// the Estimator interface:
 //
-//   - EM over the path mixture (Estimate/EstimateEM) — the primary method.
-//   - Moment matching on the analytic mean/variance (EstimateMoments).
-//   - Histogram nonnegative least squares (EstimateHistogram).
+//   - EM over the path mixture (also EstimateEM) — the primary method.
+//   - Robust, EM behind an outlier trim and a confidence verdict.
+//   - Moments, matching the analytic mean/variance.
+//   - Histogram, binned nonnegative least squares.
 package tomography
 
 import (

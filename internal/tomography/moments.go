@@ -18,37 +18,46 @@ const (
 	momentEps = 1e-3
 )
 
-// EstimateMoments fits branch probabilities by matching the chain's
+// estimateMoments fits branch probabilities by matching the chain's
 // analytic duration mean and variance (from the absorbing-chain fundamental
-// matrix) to the sample moments, using coordinate descent with
-// golden-section line search on each branch's probability.
+// matrix) to the moments of a histogram of finite samples, using
+// coordinate descent with golden-section line search on each branch's
+// probability. The sample moments are Welford's update over the samples in
+// ascending order, each value as often as it was counted, so they depend
+// on the multiset alone.
 //
 // With only two moments the problem is underdetermined when the procedure
 // has more than two effective unknowns — that is the method's documented
 // limitation and exactly why the EM estimator is the primary one; the
 // ablation experiment (T3) quantifies the gap.
-func EstimateMoments(m *Model, samples []float64) (markov.EdgeProbs, error) {
+func estimateMoments(m *Model, h SampleCounts) (markov.EdgeProbs, error) {
 	if len(m.Unknowns) == 0 {
 		return m.InitialProbs(), nil
 	}
-	if len(samples) == 0 {
+	n := h.N()
+	if n == 0 {
 		return nil, ErrNoSamples
 	}
-	if len(samples) < 2 {
-		return nil, fmt.Errorf("tomography: moment matching needs at least 2 samples, got %d", len(samples))
+	if n < 2 {
+		return nil, fmt.Errorf("tomography: moment matching needs at least 2 samples, got %d", n)
 	}
 	for _, u := range m.Unknowns {
 		if len(u.Edges) != 2 {
 			return nil, fmt.Errorf("tomography: moment matching supports binary branches only; block %v has %d successors", u.Block, len(u.Edges))
 		}
 	}
-
 	var acc stats.Moments
-	for _, s := range samples {
-		acc.Push(s)
+	for i, v := range h.Values {
+		for range h.Counts[i] {
+			acc.Push(v)
+		}
 	}
-	wantMean, wantVar := acc.Mean(), acc.Variance()
+	return matchMoments(m, acc.Mean(), acc.Variance()), nil
+}
 
+// matchMoments is the coordinate descent of estimateMoments towards the
+// sample mean and variance, on a model whose branches are all binary.
+func matchMoments(m *Model, wantMean, wantVar float64) markov.EdgeProbs {
 	probs := m.InitialProbs()
 	objective := func() float64 {
 		chain, err := markov.New(m.Proc, probs)
@@ -82,7 +91,7 @@ func EstimateMoments(m *Model, samples []float64) (markov.EdgeProbs, error) {
 			break
 		}
 	}
-	return probs, nil
+	return probs
 }
 
 // golden minimizes f on [lo, hi] by golden-section search.

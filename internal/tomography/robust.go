@@ -2,7 +2,7 @@ package tomography
 
 import "codetomo/internal/markov"
 
-// RobustConfig tunes the outlier-robust wrapper around EstimateEM. Plain
+// RobustConfig tunes the outlier-robust wrapper around EM. Plain
 // EM soft-assigns every observation to its nearest enumerated path, so a
 // handful of wildly implausible durations — reboot-truncated invocations
 // that slipped past the epoch markers, or corrupted ticks that a receiver
@@ -57,23 +57,15 @@ type RobustStats struct {
 	Confident bool
 }
 
-// EstimateRobust recovers branch probabilities like EstimateEM but
-// degrades gracefully under contaminated samples: model-implausible
-// observations are trimmed, the kept tails winsorized, and the result
-// carries a confidence verdict instead of silently fitting garbage. When
-// every sample is implausible it returns the uniform prior, unconfident —
-// never an error, because a fault-ridden uplink is an operating condition,
-// not a caller bug. Each step is a function of the sample multiset, so it
-// runs on the samples' histogram.
-func EstimateRobust(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
-	if err := validateSamples(samples); err != nil {
-		return nil, RobustStats{}, err
-	}
-	return estimateRobust(m, CountSamples(samples), cfg)
-}
-
-// estimateRobust is EstimateRobust over a histogram of finite samples.
-func estimateRobust(m *Model, h SampleCounts, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
+// estimateRobust recovers branch probabilities like EM, starting from
+// init, but degrades gracefully under contaminated samples:
+// model-implausible observations are trimmed, the kept tails winsorized,
+// and the result carries a confidence verdict instead of silently fitting
+// garbage. When every sample is implausible it returns the uniform prior,
+// unconfident — never an error, because a fault-ridden uplink is an
+// operating condition, not a caller bug. Each step is a function of the
+// sample multiset, so it runs on a histogram of finite samples.
+func estimateRobust(m *Model, h SampleCounts, init markov.EdgeProbs, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
 	cfg = cfg.withDefaults(m)
 	var st RobustStats
 	if len(m.Unknowns) == 0 {
@@ -94,7 +86,7 @@ func estimateRobust(m *Model, h SampleCounts, cfg RobustConfig) (markov.EdgeProb
 		return m.InitialProbs(), st, nil
 	}
 	kept, st.Winsorized = winsorize(kept, winsorFraction)
-	probs, emSt, err := estimateEMDense(m, kept.Values, kept.Counts, cfg.EM)
+	probs, emSt, err := estimateEMDense(m, kept, init, cfg.EM)
 	if err != nil {
 		return nil, st, err
 	}
@@ -152,8 +144,7 @@ func winsorize(h SampleCounts, frac float64) (SampleCounts, int) {
 	return out, clamped
 }
 
-// Robust is the Estimator adapter for EstimateRobust, usable anywhere the
-// plain estimators are.
+// Robust is the outlier-robust EM estimator.
 type Robust struct {
 	Config RobustConfig
 }
@@ -161,8 +152,8 @@ type Robust struct {
 // Name implements Estimator.
 func (Robust) Name() string { return "robust-em" }
 
-// Estimate implements Estimator.
-func (r Robust) Estimate(m *Model, samples []float64) (markov.EdgeProbs, error) {
-	probs, _, err := EstimateRobust(m, samples, r.Config)
-	return probs, err
+// Fit implements Estimator.
+func (r Robust) Fit(m *Model, h SampleCounts, init markov.EdgeProbs) (Fit, error) {
+	probs, st, err := estimateRobust(m, h, init, r.Config)
+	return Fit{Probs: probs, Iterations: st.EM.Iterations, Trimmed: st.Trimmed, Confident: st.Confident}, err
 }

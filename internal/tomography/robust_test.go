@@ -22,7 +22,7 @@ func TestRobustMatchesEMOnCleanSamples(t *testing.T) {
 	truth := trueProbs(m, 0.3, 0.7)
 	samples := sampleDurations(t, m, truth, 3000, 1, 7)
 	cfg := RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}}
-	probs, st, err := EstimateRobust(m, samples, cfg)
+	probs, st, err := estimateRobust(m, CountSamples(samples), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRobustResistsContamination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, st, err := EstimateRobust(m, dirty, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
+	robust, st, err := estimateRobust(m, CountSamples(dirty), nil, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRobustConfidenceGate(t *testing.T) {
 	// 50% contamination: past MaxTrimFraction, so the estimate must be
 	// flagged rather than trusted.
 	dirty := contaminate(clean, 500, 80_000)
-	_, st, err := EstimateRobust(m, dirty, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
+	_, st, err := estimateRobust(m, CountSamples(dirty), nil, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRobustConfidenceGate(t *testing.T) {
 func TestRobustAllTrimmed(t *testing.T) {
 	m := syntheticModel(t)
 	samples := []float64{1e6, 2e6, 3e6}
-	probs, st, err := EstimateRobust(m, samples, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
+	probs, st, err := estimateRobust(m, CountSamples(samples), nil, RobustConfig{EM: EMConfig{KernelHalfWidth: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRobustAllTrimmed(t *testing.T) {
 
 func TestRobustNoSamples(t *testing.T) {
 	m := syntheticModel(t)
-	if _, _, err := EstimateRobust(m, nil, RobustConfig{}); err == nil {
+	if _, _, err := estimateRobust(m, CountSamples(nil), nil, RobustConfig{}); err == nil {
 		t.Fatal("robust estimator accepted empty sample set")
 	}
 }
@@ -122,12 +122,12 @@ func TestRobustDeterministic(t *testing.T) {
 	truth := trueProbs(m, 0.35, 0.65)
 	dirty := contaminate(sampleDurations(t, m, truth, 1000, 8, 19), 100, 40_000)
 	cfg := RobustConfig{EM: EMConfig{KernelHalfWidth: 8}}
-	first, st1, err := EstimateRobust(m, dirty, cfg)
+	first, st1, err := estimateRobust(m, CountSamples(dirty), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, st2, err := EstimateRobust(m, dirty, cfg)
+		again, st2, err := estimateRobust(m, CountSamples(dirty), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,14 +163,14 @@ func TestRobustEstimatorInterface(t *testing.T) {
 	if est.Name() != "robust-em" {
 		t.Fatalf("Name = %q", est.Name())
 	}
-	probs, err := est.Estimate(m, samples)
+	fit, err := est.Fit(m, CountSamples(samples), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range m.Unknowns {
 		sum := 0.0
 		for _, e := range u.Edges {
-			sum += probs[e]
+			sum += fit.Probs[e]
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("branch %v probabilities sum to %v", u.Block, sum)

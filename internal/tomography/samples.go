@@ -6,9 +6,9 @@ import "slices"
 // distinct values in ascending order, each with the number of samples
 // that took it (always positive). A timer tick quantizes every measured
 // duration, so however long a stream grows it has few distinct values.
-// EM, Robust and Histogram are functions of this multiset alone, so it is
-// the form fleet and station samples travel in from the mote to the
-// estimator; only Moments reads samples in order (see Incremental).
+// Every estimator is a function of this multiset alone, so it is the form
+// samples travel in from the mote, the fleet or the station to the
+// estimator.
 type SampleCounts struct {
 	Values []float64
 	Counts []int
@@ -99,17 +99,6 @@ func (h *SampleCounts) Merge(o SampleCounts) {
 			j--
 		}
 	}
-}
-
-// AppendSamples appends the samples to dst in ascending order, each value
-// as many times as it was counted.
-func (h SampleCounts) AppendSamples(dst []float64) []float64 {
-	for i, v := range h.Values {
-		for range h.Counts[i] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // valueAt returns the sample of ascending rank r (0-based, r < N()).

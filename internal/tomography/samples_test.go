@@ -1,6 +1,7 @@
 package tomography
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,8 +10,8 @@ import (
 	"codetomo/internal/stats"
 )
 
-// robustReference is EstimateRobust as it ran on raw samples before it
-// took histograms: trim and winsorize in input order, then EM over what is
+// robustReference is the robust estimator as it ran on raw samples before
+// it took histograms: trim and winsorize in input order, then EM over what is
 // left. FuzzSampleCounts pins the histogram path to it.
 func robustReference(m *Model, samples []float64, cfg RobustConfig) (markov.EdgeProbs, RobustStats, error) {
 	cfg = cfg.withDefaults(m)
@@ -58,11 +59,12 @@ func robustReference(m *Model, samples []float64, cfg RobustConfig) (markov.Edge
 // FuzzSampleCounts checks that a histogram is the sample multiset and
 // nothing more. Arbitrary batches of timer ticks (a byte of 0xf0 or more
 // starts a new batch) are folded into one SampleCounts by Merge and by
-// Add, which must both equal CountSamples of the concatenation. EM, Robust
-// and Histogram over that histogram must equal the raw-sample calls on a
-// shuffled order bit for bit, Robust also the raw-order reference it
-// replaced, and a stream fed the batches as histograms must match one fed
-// them raw.
+// Add, which must both equal CountSamples of the concatenation. EM over
+// that histogram must equal the raw-sample EstimateEM on a shuffled order
+// bit for bit, Robust the raw-order reference it replaced, and Moments
+// Welford's update over the ascending raw samples. A stream fed the
+// batches must equal, every round and under every estimator, Fit over the
+// running merge warm-started from the previous round's estimate.
 func FuzzSampleCounts(f *testing.F) {
 	f.Add([]byte{7, 7, 12, 0xf0, 12, 7, 30, 0xff, 7}, int64(1))
 	f.Add([]byte{12, 12, 12, 12}, int64(2))
@@ -97,11 +99,6 @@ func FuzzSampleCounts(f *testing.F) {
 		if !slices.Equal(added.Values, want.Values) || !slices.Equal(added.Counts, want.Counts) {
 			t.Fatalf("Add = %v, CountSamples = %v", added, want)
 		}
-		ascending := slices.Clone(all)
-		slices.Sort(ascending)
-		if got := merged.AppendSamples(nil); !slices.Equal(got, ascending) {
-			t.Fatalf("AppendSamples = %v", got)
-		}
 		if len(all) == 0 {
 			return
 		}
@@ -119,29 +116,50 @@ func FuzzSampleCounts(f *testing.F) {
 			}
 		}
 		cfg := EMConfig{MaxIter: 50}
-		p1, s1, e1 := estimateEMDense(m, merged.Values, merged.Counts, cfg)
+		p1, s1, e1 := estimateEMDense(m, merged, nil, cfg)
 		p2, s2, e2 := EstimateEM(m, shuffled, cfg)
 		same("EM", []any{p1, s1}, []any{p2, s2}, e1, e2)
 		rcfg := RobustConfig{EM: cfg}
-		r1, rs1, re1 := estimateRobust(m, merged, rcfg)
-		r2, rs2, re2 := EstimateRobust(m, shuffled, rcfg)
+		r1, rs1, re1 := estimateRobust(m, merged, nil, rcfg)
+		r2, rs2, re2 := robustReference(m, shuffled, rcfg)
 		same("Robust", []any{r1, rs1}, []any{r2, rs2}, re1, re2)
-		r3, rs3, re3 := robustReference(m, shuffled, rcfg)
-		same("Robust reference", []any{r1, rs1}, []any{r3, rs3}, re1, re3)
-		h1, he1 := estimateHistogram(m, merged)
-		h2, he2 := EstimateHistogram(m, shuffled)
-		same("Histogram", h1, h2, he1, he2)
-
-		for _, est := range []Estimator{EM{Config: cfg}, Robust{Config: rcfg}, Histogram{}} {
-			byCounts := NewIncremental(m, est, 0, 0)
-			byRaw := NewIncremental(m, est, 0, 0)
-			for _, b := range batches {
-				pc, ec := byCounts.ObserveCounts(CountSamples(b))
-				pr, er := byRaw.Observe(b)
-				same(est.Name()+" stream", pc, pr, ec, er)
+		if mo, err := (Moments{}).Fit(m, merged, nil); len(all) < 2 {
+			if err == nil {
+				t.Fatalf("Moments fitted %d sample", len(all))
 			}
-			if byCounts.Iterations() != byRaw.Iterations() || byCounts.Trimmed() != byRaw.Trimmed() {
-				t.Fatalf("%s stream: counts and raw streams report different effort", est.Name())
+		} else {
+			ascending := slices.Clone(all)
+			slices.Sort(ascending)
+			var acc stats.Moments
+			for _, v := range ascending {
+				acc.Push(v)
+			}
+			same("Moments", mo.Probs, matchMoments(m, acc.Mean(), acc.Variance()), err, nil)
+		}
+
+		for _, est := range []Estimator{EM{Config: cfg}, Robust{Config: rcfg}, Histogram{}, Moments{}} {
+			inc := NewIncremental(m, est)
+			inc.patience = 1 << 30 // re-estimate every round
+			var running SampleCounts
+			var last Fit
+			iterations := 0
+			for _, b := range batches {
+				got, err := inc.Observe(CountSamples(b))
+				if running.Merge(CountSamples(b)); running.N() == 0 {
+					if !errors.Is(err, ErrNoSamples) {
+						t.Fatalf("%s stream: empty round err = %v, want ErrNoSamples", est.Name(), err)
+					}
+					continue
+				}
+				fit, ferr := est.Fit(m, running, last.Probs)
+				same(est.Name()+" stream", got, fit.Probs, err, ferr)
+				if ferr == nil {
+					last, iterations = fit, iterations+fit.Iterations
+				}
+			}
+			if inc.Iterations() != iterations || inc.Trimmed() != last.Trimmed || inc.Confident() != last.Confident {
+				t.Fatalf("%s stream: %d iterations, %d trimmed, confident %v; fits over the running merge: %d, %d, %v",
+					est.Name(), inc.Iterations(), inc.Trimmed(), inc.Confident(), iterations, last.Trimmed, last.Confident)
 			}
 		}
 	})

@@ -22,24 +22,25 @@ func TestRobustFitsAtModelTick(t *testing.T) {
 	// inside the trim width at a kernel of 8 (32), outside it at 4 (16).
 	samples = append(samples, 1e6, -5e5, 87+24)
 
-	got, gotSt, err := EstimateRobust(m, samples, RobustConfig{})
+	h := CountSamples(samples)
+	got, gotSt, err := estimateRobust(m, h, nil, RobustConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := EstimateRobust(m, samples, RobustConfig{EM: EMConfig{KernelHalfWidth: 4}})
+	want, wantSt, err := estimateRobust(m, h, nil, RobustConfig{EM: EMConfig{KernelHalfWidth: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) || gotSt != wantSt {
 		t.Fatalf("Robust{} on a tick-4 model: %v %+v; explicit kernel 4: %v %+v", got, gotSt, want, wantSt)
 	}
-	if est, _ := (Robust{}).Estimate(m, samples); !reflect.DeepEqual(est, got) {
-		t.Fatalf("the Robust{} estimator: %v, want %v", est, got)
+	if fit, _ := (Robust{}).Fit(m, h, nil); !reflect.DeepEqual(fit.Probs, got) {
+		t.Fatalf("the Robust{} estimator: %v, want %v", fit.Probs, got)
 	}
 	if gotSt.Trimmed != 3 {
 		t.Fatalf("trimmed %d samples at tick 4, want the 3 outliers", gotSt.Trimmed)
 	}
-	if _, at8, _ := EstimateRobust(m, samples, RobustConfig{EM: EMConfig{KernelHalfWidth: 8}}); at8.Trimmed != 2 {
+	if _, at8, _ := estimateRobust(m, h, nil, RobustConfig{EM: EMConfig{KernelHalfWidth: 8}}); at8.Trimmed != 2 {
 		t.Fatalf("trimmed %d samples at a kernel of 8, want 2: the case cannot tell the tick from the fallback", at8.Trimmed)
 	}
 }

@@ -158,10 +158,11 @@ func TestMomentsSynthetic(t *testing.T) {
 	m := syntheticModel(t)
 	truth := trueProbs(m, 0.3, 0.7)
 	samples := sampleDurations(t, m, truth, 8000, 1, 13)
-	est, err := EstimateMoments(m, samples)
+	fit, err := Moments{}.Fit(m, CountSamples(samples), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := fit.Probs
 	// Two unknowns, two moments: identifiable here, but coordinate descent
 	// is approximate — accept a looser band than EM.
 	if mae := branchMAE(t, m, est, truth); mae > 0.12 {
@@ -173,10 +174,11 @@ func TestHistogramSynthetic(t *testing.T) {
 	m := syntheticModel(t)
 	truth := trueProbs(m, 0.4, 0.55)
 	samples := sampleDurations(t, m, truth, 8000, 8, 17)
-	est, err := EstimateHistogram(m, samples)
+	fit, err := Histogram{}.Fit(m, CountSamples(samples), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := fit.Probs
 	if mae := branchMAE(t, m, est, truth); mae > 0.08 {
 		t.Fatalf("histogram MAE = %v, want < 0.08\nest=%v", mae, m.ProbVector(est))
 	}
@@ -187,11 +189,11 @@ func TestEstimatorInterface(t *testing.T) {
 	truth := trueProbs(m, 0.3, 0.6)
 	samples := sampleDurations(t, m, truth, 2000, 8, 19)
 	for _, est := range []Estimator{EM{}, Moments{}, Histogram{}} {
-		probs, err := est.Estimate(m, samples)
+		fit, err := est.Fit(m, CountSamples(samples), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", est.Name(), err)
 		}
-		if _, err := markov.New(m.Proc, probs); err != nil {
+		if _, err := markov.New(m.Proc, fit.Probs); err != nil {
 			t.Fatalf("%s returned invalid probabilities: %v", est.Name(), err)
 		}
 	}

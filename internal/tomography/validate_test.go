@@ -10,7 +10,9 @@ import (
 // Regression: dedup used to run-length-encode via a float-keyed map, where
 // NaN keys never compare equal — every NaN sample became its own bucket
 // and ±Inf flowed straight into the kernel windows. Non-finite durations
-// are now rejected at every estimation entry point before dedup runs.
+// are now rejected at both entry points that take outside samples,
+// EstimateEM and Incremental.Observe (TestIncrementalRejectsNonFinite),
+// before dedup runs.
 func TestEstimatorsRejectNonFinite(t *testing.T) {
 	m := syntheticModel(t)
 	bad := [][]float64{
@@ -24,9 +26,6 @@ func TestEstimatorsRejectNonFinite(t *testing.T) {
 			t.Fatalf("EstimateEM accepted %v", samples)
 		} else if !strings.Contains(err.Error(), "not finite") {
 			t.Fatalf("EstimateEM(%v): unhelpful error %q", samples, err)
-		}
-		if _, _, err := EstimateRobust(m, samples, RobustConfig{}); err == nil {
-			t.Fatalf("EstimateRobust accepted %v", samples)
 		}
 	}
 	// The error names the offending index so fleet operators can find the
@@ -44,13 +43,9 @@ func TestNoSamplesTyped(t *testing.T) {
 	if _, _, err := EstimateEM(m, nil, EMConfig{}); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("EstimateEM(nil) err = %v, want ErrNoSamples", err)
 	}
-	if _, _, err := EstimateRobust(m, nil, RobustConfig{}); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("EstimateRobust(nil) err = %v, want ErrNoSamples", err)
-	}
-	if _, err := EstimateHistogram(m, nil); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("EstimateHistogram(nil) err = %v, want ErrNoSamples", err)
-	}
-	if _, err := EstimateMoments(m, nil); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("EstimateMoments(nil) err = %v, want ErrNoSamples", err)
+	for _, est := range []Estimator{EM{}, Robust{}, Histogram{}, Moments{}} {
+		if _, err := est.Fit(m, SampleCounts{}, nil); !errors.Is(err, ErrNoSamples) {
+			t.Errorf("%s over no samples: err = %v, want ErrNoSamples", est.Name(), err)
+		}
 	}
 }

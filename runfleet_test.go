@@ -558,12 +558,12 @@ type infeasibleEstimator struct{}
 
 func (infeasibleEstimator) Name() string { return "infeasible" }
 
-func (infeasibleEstimator) Estimate(m *tomography.Model, _ []float64) (markov.EdgeProbs, error) {
+func (infeasibleEstimator) Fit(m *tomography.Model, _ tomography.SampleCounts, _ markov.EdgeProbs) (tomography.Fit, error) {
 	probs := m.InitialProbs()
 	for _, e := range m.BranchEdgeList() {
 		probs[e] = math.NaN()
 	}
-	return probs, nil
+	return tomography.Fit{Probs: probs, Confident: true}, nil
 }
 
 // RunFleet honours StaticResolve exactly as Run does: the same branches

@@ -103,8 +103,11 @@ go test ./internal/markov -run=NONE -fuzz=FuzzSortedTimes -fuzztime=5s
 
 echo "== fuzz smoke (sample histograms)"
 # Random tick batches: merging their histograms must equal counting the
-# concatenation, and EM, Robust and Histogram over the counts must equal
-# the raw-sample calls on a shuffled order, bit for bit.
+# concatenation; EM, Robust and Moments over the counts must equal their
+# raw-sample references (a shuffled order, the raw-order robust pass,
+# Welford over the ascending samples) bit for bit; and a stream fed the
+# batches must equal every estimator's Fit over the running merge,
+# warm-started each round.
 go test ./internal/tomography -run=NONE -fuzz=FuzzSampleCounts -fuzztime=5s
 
 echo "== fuzz smoke (RNG source)"
@@ -201,11 +204,12 @@ echo "== cross-caller agreement on one P (Run, RunFleet, bench, station)"
 # estimation core with GOMAXPROCS=1, so the pool's fan-out runs one
 # procedure at a time: Run, the bench, RunFleet and the station must still
 # reach the same trust decision for the same reason, outcomes must come
-# back in CFG order with their index and stream, and streaming estimates
-# must not depend on the pool size. A caller that closes the chain its own
+# back in CFG order with their index and stream and must not depend on the
+# order the samples were measured in, and streaming estimates must not
+# depend on the pool size. A caller that closes the chain its own
 # way, or an outcome that depends on the schedule, fails here. It takes
 # about two seconds.
-GOMAXPROCS=1 go test . ./internal/station ./internal/pipeline -run '^(TestCallersAgree|TestStationDecisionMatchesBench|TestBatchOutcomesInCFGOrder|TestEstimateStreams)$' -count=1
+GOMAXPROCS=1 go test . ./internal/station ./internal/pipeline -run '^(TestCallersAgree|TestStationDecisionMatchesBench|TestBatchOutcomesInCFGOrder|TestBatchOrderInvariant|TestEstimateStreams)$' -count=1
 
 echo "== ctlint examples"
 go run ./cmd/ctlint examples/minic/*.mc
