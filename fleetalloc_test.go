@@ -12,7 +12,7 @@ import (
 
 // maxFleetKiBPerMote bounds the bytes RunFleet allocates per mote at the
 // benchmark's fleet_10k configuration on two workers. A run measures
-// 0.098 KiB per mote (2-vCPU x86-64, Go 1.24), two fifths of it the mote
+// 0.097 KiB per mote (2-vCPU x86-64, Go 1.24), two fifths of it the mote
 // specs. It measured 0.17 KiB while each mote built its own sensor, NACK
 // list and corrupted-frame copies and each rejected frame a formatted
 // error, and 2.32 KiB when every sample was copied into a per-mote map,

@@ -52,36 +52,32 @@ func (a *ARQStats) Add(o ARQStats) {
 	a.BackoffTicks += o.BackoffTicks
 }
 
-// arq pushes one mote's packetized upload through the channel with
-// selective-repeat recovery, appending the deliveries to l.delivered. frames
-// must be the mote's packet frames in sequence order (frame i carries
-// sequence number i, as Packetize produces), and rx the base station's
-// fresh receive window for that mote: every delivery goes once into rx,
-// and each round NACKs the sequences rx still lacks. The deliveries —
+// arq starts the link on one mote's packets (packet i carries sequence
+// number i, as Packetize produces) and pushes them through the channel
+// with selective-repeat recovery. rx must be the base station's fresh
+// receive window for that mote: every delivery goes once into rx, and
+// each round NACKs the sequences rx still lacks. The deliveries —
 // including corrupt ones the base station rejected, and late duplicates —
 // are kept in arrival order. A CRC-valid frame rx refuses (another mote's)
 // is an error. With ARQ disabled this is one transmit feeding rx.
 //
-// pkts, when not nil, are the packets frames encode (pkts[i] is frame i
-// before AppendBinary). A delivery the link passed unchanged then enters
-// rx as its sender's packet through Reassembler.Add, with no CRC check or
-// decode: its bytes are the sender's, whose CRC the sender computed over
-// those very records. Every flipped delivery, and every delivery when pkts
-// is nil, goes through AddFrame's full framing and CRC check.
-func (l *link) arq(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) (LinkStats, ARQStats, error) {
+// An unchanged delivery enters rx as its packet through Reassembler.Add,
+// with no encode, CRC or decode (the sender's CRC covers those very
+// records); a flipped one goes through AddFrame's framing and CRC check.
+func (l *link) arq(lc LinkConfig, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) (LinkStats, ARQStats, error) {
 	var ast ARQStats
-	first := len(l.delivered)
-	st := l.transmit(lc, frames, nil, rng)
-	if err := l.receive(rx, first, pkts); err != nil {
+	l.reset(pkts)
+	st := l.transmit(lc, nil, rng)
+	if err := l.receive(rx, 0); err != nil {
 		return st, ast, err
 	}
-	if !lc.ARQ.Enabled() || len(frames) == 0 {
+	if !lc.ARQ.Enabled() || len(pkts) == 0 {
 		return st, ast, nil
 	}
 
 	nack := func() int {
 		l.nack = l.nack[:0]
-		for s := range frames {
+		for s := range pkts {
 			if !rx.Has(uint32(s)) {
 				l.nack = append(l.nack, int32(s))
 			}
@@ -102,8 +98,8 @@ func (l *link) arq(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *sta
 		// LinkStats.Sent ends up counting every transmission, resends
 		// included — goodput is measured against radio airtime.
 		n := len(l.delivered)
-		st.Add(l.transmit(lc, frames, l.nack, rng))
-		if err := l.receive(rx, n, pkts); err != nil {
+		st.Add(l.transmit(lc, l.nack, rng))
+		if err := l.receive(rx, n); err != nil {
 			return st, ast, err
 		}
 		nack()
@@ -114,11 +110,11 @@ func (l *link) arq(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *sta
 }
 
 // receive feeds the deliveries from first on to the receive window.
-func (l *link) receive(rx *trace.Reassembler, first int, pkts []trace.Packet) error {
+func (l *link) receive(rx *trace.Reassembler, first int) error {
 	for i := first; i < len(l.delivered); i++ {
 		var err error
-		if s := l.clean[i]; s >= 0 && pkts != nil {
-			err = rx.Add(pkts[s])
+		if s := l.clean[i]; s >= 0 {
+			err = rx.Add(l.pkts[s])
 		} else {
 			err = rx.AddFrame(l.delivered[i])
 		}

@@ -48,13 +48,13 @@ func BenchmarkSimulateStream(b *testing.B) {
 }
 
 // maxAllocsPerMote bounds the streaming engine's heap allocations per
-// simulated mote at benchSim's configuration. A mote measures 0.31: a
+// simulated mote at benchSim's configuration. A mote measures 0.32: a
 // share of the cohort's sample histograms growing when a round sees a new
-// duration. Everything else (machine, RNGs, sensors, packet list, encode
-// buffer, frame list, link, receive window, intervals, per-procedure
-// round counters) is per-worker scratch reused across motes; the bound is
-// tight enough that any one of them going back to per-mote allocation
-// fails it.
+// duration, and of each worker's tick buffers growing to their first
+// mote. Everything else (machine, RNGs, sensors, link with its packet
+// list, frame cache and arenas, receive window, tick buffers) is
+// per-worker scratch reused across motes; the bound is tight enough that
+// any one of them going back to per-mote allocation fails it.
 const maxAllocsPerMote = 1
 
 // TestSimulateStreamAllocsPerMote is the per-mote allocation gate on the

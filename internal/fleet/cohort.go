@@ -54,32 +54,23 @@ type MoteResult struct {
 // SimulateSamplesOn call: the reused machine (reset per mote), the mote's
 // sensor, entropy and link RNGs (reseeded per mote, which is cheaper than
 // building them), a sensor per workload regime on the sensor RNG (reset
-// per mote), the uplink's packet list, encode buffer, frame list and
-// link, the base station's receive window for the current mote and its
-// recovered intervals, the worker's dense oracle folded into the fleet's
-// once the call's cohorts are done, the current cohort's samples with
-// their per-procedure round split, and the result slots handed to the
-// sink.
+// per mote), the radio link, the base station's receive window for the
+// current mote and its recovered exclusive ticks per procedure, the
+// worker's dense oracle folded into the fleet's once the call's cohorts
+// are done, the current cohort's samples, and the result slots handed to
+// the sink.
 type streamWorker struct {
 	m                        *mote.Machine
 	sensor, linkRNG, entropy *stats.RNG
 	entropyPort              *workload.Entropy // the RNG port, on entropy
 	sensors                  map[string]workload.Source
-	pkts                     []trace.Packet
-	enc                      []byte
-	frames                   [][]byte
 	link                     link
 	rx                       *trace.Reassembler
-	ivs                      []trace.Interval
+	ticks                    [][]uint64
 	oracle                   []mote.BranchStat
 	samples                  Samples
-	split                    []roundSplit // per procedure, for the current mote
 	out                      []MoteResult
 }
-
-// roundSplit cuts one mote's samples of a procedure into rounds: chunk
-// samples per round, left of them still to place in the current round.
-type roundSplit struct{ chunk, left, round int }
 
 func newStreamWorker(cfg SimConfig) *streamWorker {
 	entropy := stats.NewRNG(0)
@@ -93,39 +84,27 @@ func newStreamWorker(cfg SimConfig) *streamWorker {
 		entropyPort: workload.NewEntropy(entropy),
 		sensors:     make(map[string]workload.Source),
 		rx:          rx,
+		ticks:       make([][]uint64, procs),
 		oracle:      make([]mote.BranchStat, len(cfg.Prog)),
 		samples:     newSamples(procs, max(cfg.Rounds, 1)),
-		split:       make([]roundSplit, procs),
 	}
 }
 
-// fold adds one mote's recovered exclusive durations to the cohort's
-// samples: interval k of procedure p, in completion order, goes to round
-// k / ceil(n_p / rounds), as float64(ticks)·tickDiv cycles.
-func (w *streamWorker) fold(ivs []trace.Interval, rounds, tickDiv int) {
-	split := w.split
-	clear(split)
-	for _, iv := range ivs {
-		if p := iv.ProcIndex; uint(p) < uint(len(split)) {
-			split[p].chunk++
+// fold adds one mote's recovered exclusive ticks to the cohort's samples
+// and empties the tick buffers: procedure p's n ticks, in completion
+// order, are cut into runs of ceil(n/rounds), run r going to round r as
+// float64(ticks)·tickDiv cycles.
+func (w *streamWorker) fold(rounds, tickDiv int) {
+	for p, ticks := range w.ticks {
+		chunk := (len(ticks) + rounds - 1) / rounds
+		for r := 0; len(ticks) > 0; r++ {
+			h := &w.samples[p][r]
+			for _, t := range ticks[:min(chunk, len(ticks))] {
+				h.Add(float64(t)*float64(tickDiv), 1)
+			}
+			ticks = ticks[min(chunk, len(ticks)):]
 		}
-	}
-	for p := range split {
-		sp := &split[p]
-		sp.chunk = (sp.chunk + rounds - 1) / rounds
-		sp.left = sp.chunk
-	}
-	for _, iv := range ivs {
-		p := iv.ProcIndex
-		if uint(p) >= uint(len(split)) {
-			continue
-		}
-		sp := &split[p]
-		if sp.left == 0 {
-			sp.round, sp.left = sp.round+1, sp.chunk
-		}
-		sp.left--
-		w.samples[p][sp.round].Add(float64(iv.ExclusiveTicks())*float64(tickDiv), 1)
+		w.ticks[p] = w.ticks[p][:0]
 	}
 }
 
@@ -152,15 +131,9 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	}
 
 	// The base station's per-mote half, fused in: the receive window
-	// already holds the decoded upload; extract durations and let the
-	// frames go.
-	ivs, ust := w.rx.AppendRecovered(w.ivs[:0])
-	w.ivs = ivs
-	var gross uint64
-	for _, iv := range ivs {
-		gross += iv.GrossTicks()
-	}
-	w.fold(ivs, max(cfg.Rounds, 1), cfg.Mote.TickDiv)
+	// already holds the upload; salvage its ticks and let the frames go.
+	gross, ust := w.rx.RecoverTicks(w.ticks)
+	w.fold(max(cfg.Rounds, 1), cfg.Mote.TickDiv)
 	w.m.AddBranchStatsTo(w.oracle)
 
 	res := MoteResult{
@@ -173,10 +146,10 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 		GrossTicks:   gross,
 	}
 	if cfg.KeepUpload {
-		// The frames alias the encode buffer and the link's arena: hand
-		// both over with them, and the delivery list that holds them.
+		// The frames alias the link's encode and flip arenas: hand both
+		// over with them, and the delivery list that holds them.
 		res.Frames = w.link.delivered
-		w.enc, w.link.delivered, w.link.flips = nil, nil, nil
+		w.link.enc, w.link.delivered, w.link.flips = nil, nil, nil
 		// BranchStats aliases the machine's dense table, which the next
 		// mote's Reset clears: keep copies.
 		res.BranchStats = w.m.BranchStats()

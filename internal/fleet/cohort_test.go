@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,7 +53,9 @@ func simulateReference(cfg SimConfig, specs []MoteSpec) ([]MoteResult, Samples, 
 		if err := runMachine(m, cfg); err != nil {
 			return nil, nil, err
 		}
-		ls, ast, events, err := w.uplink(m, cfg, spec)
+		keep := cfg
+		keep.KeepUpload = true
+		ls, ast, events, err := w.uplink(m, keep, spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -190,6 +195,96 @@ func checkStreamMatchesReference(t *testing.T, cfg SimConfig, specs []MoteSpec) 
 			t.Fatalf("oracle pc %d: %+v, want %+v", pc, g, w)
 		}
 	}
+}
+
+// TestKeepUploadMatchesLazy pins encode-on-read: over seeded mixes of
+// drop, duplication, reordering and corruption, with ARQ, without it and
+// with an unchecked receiver, a fleet run with KeepUpload, which hands
+// every delivery's bytes over, must give each mote the same LinkStats,
+// ARQStats, UplinkStats, GrossTicks and Stats, and the fleet the same
+// Samples, as a run without it, which encodes only the frames the channel
+// flips. Replayed mote by mote on one worker under KeepUpload, every
+// unchanged delivery must be its packet's MarshalBinary, and every flipped
+// one a copy one bit away from some frame of the upload.
+func TestKeepUploadMatchesLazy(t *testing.T) {
+	base := buildFleet(t)
+	base.Rounds = 2
+	specs := fleetSpecs(cohortSize + 3)
+	flipped := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, mix := range []LinkConfig{
+			{DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.3, CorruptProb: 0.2},
+			{DupProb: 0.5, CorruptProb: 0.5},
+			{DropProb: 0.05, CorruptProb: 0.02},
+		} {
+			for _, rx := range []struct {
+				retries int
+				skip    bool
+			}{{0, false}, {3, false}, {0, true}} {
+				cfg := base
+				cfg.Link = mix
+				cfg.Link.Seed, cfg.Link.ARQ.MaxRetries, cfg.Link.SkipCRC = seed, rx.retries, rx.skip
+				tag := fmt.Sprintf("link %+v", cfg.Link)
+				lazy, lazySamples, _, err := simulateSamples(cfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.KeepUpload = true
+				kept, keptSamples, _, err := simulateSamples(cfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(lazySamples, keptSamples) {
+					t.Fatalf("%s: samples differ", tag)
+				}
+				for i := range lazy {
+					l, k := lazy[i], kept[i]
+					if l.Link != k.Link || l.ARQ != k.ARQ || !reflect.DeepEqual(l.Uplink, k.Uplink) || l.GrossTicks != k.GrossTicks || l.Stats != k.Stats {
+						t.Fatalf("%s: mote %d differs:\nlazy %+v %+v %+v %d\nkept %+v %+v %+v %d", tag, i, l.Link, l.ARQ, l.Uplink, l.GrossTicks, k.Link, k.ARQ, k.Uplink, k.GrossTicks)
+					}
+				}
+				w := newStreamWorker(cfg)
+				for _, spec := range specs[:8] {
+					res, err := w.runMote(cfg, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames := make([][]byte, len(w.link.pkts))
+					for s := range frames {
+						frames[s], _ = w.link.pkts[s].MarshalBinary()
+					}
+					for i, s := range w.link.clean {
+						f := res.Frames[i]
+						if s >= 0 && !bytes.Equal(f, frames[s]) {
+							t.Fatalf("%s: mote %d delivery %d is not sequence %d's frame", tag, spec.ID, i, s)
+						}
+						if s < 0 {
+							flipped++
+							if !slices.ContainsFunc(frames, func(g []byte) bool { return bitsApart(f, g) == 1 }) {
+								t.Fatalf("%s: mote %d flipped delivery %d is not one bit from a frame", tag, spec.ID, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("no delivery was flipped")
+	}
+}
+
+// bitsApart is the Hamming distance between two frames of equal length,
+// or -1 when their lengths differ.
+func bitsApart(a, b []byte) int {
+	if len(a) != len(b) {
+		return -1
+	}
+	n := 0
+	for i := range a {
+		n += bits.OnesCount8(a[i] ^ b[i])
+	}
+	return n
 }
 
 // streamProg is a minimal raw-ISA instrumented workload for the large

@@ -123,30 +123,22 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 	return nil
 }
 
-// uplink packetizes a finished machine's trace into the worker's packet
-// list, encode buffer and frame list and pushes the frames through the
-// radio channel into the worker's link and receive window, which it leaves
-// holding the mote's deliveries and reassembly. The deliveries alias the
-// encode buffer and the link's arena.
+// uplink packetizes a finished machine's trace into the link's packet list
+// and pushes it through the radio channel into the link and the worker's
+// receive window, which it leaves holding the mote's deliveries and
+// reassembly. Under KeepUpload every delivery then carries its bytes,
+// which alias the link's arenas.
 func (w *streamWorker) uplink(m *mote.Machine, cfg SimConfig, spec MoteSpec) (ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
-	w.pkts = trace.AppendPackets(w.pkts[:0], spec.ID, events, cfg.Link.EventsPerPacket)
-	w.enc, w.frames = w.enc[:0], w.frames[:0]
-	for i := range w.pkts {
-		// A frame keeps its bytes if a later append regrows the buffer;
-		// once the buffer fits the largest upload it stops regrowing.
-		start := len(w.enc)
-		if w.enc, err = w.pkts[i].AppendBinary(w.enc); err != nil {
-			return LinkStats{}, ARQStats{}, 0, err
-		}
-		w.frames = append(w.frames, w.enc[start:len(w.enc):len(w.enc)])
-	}
+	pkts := trace.AppendPackets(w.link.pkts[:0], spec.ID, events, cfg.Link.EventsPerPacket)
 	// The channel RNG derives from the link seed and the mote identity so
 	// each mote sees an independent but reproducible channel.
 	w.linkRNG.Reseed(cfg.Link.Seed + int64(spec.ID)*6151 + 1)
 	w.rx.Reset(spec.ID, 0)
-	w.link.reset()
-	ls, ast, err = w.link.arq(cfg.Link, w.frames, w.pkts, w.linkRNG, w.rx)
+	ls, ast, err = w.link.arq(cfg.Link, pkts, w.linkRNG, w.rx)
+	if cfg.KeepUpload {
+		w.link.encodeClean()
+	}
 	return ls, ast, len(events), err
 }
 

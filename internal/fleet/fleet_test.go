@@ -151,11 +151,11 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestTransmitLossyDeterministic(t *testing.T) {
-	frames := syntheticFrames(t, 50)
+	frames, pkts := syntheticUpload(t, 50)
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
 
-	out1, st1 := transmitFrames(lc, nil, frames, stats.NewRNG(5))
-	out2, st2 := transmitFrames(lc, nil, frames, stats.NewRNG(5))
+	out1, st1 := transmitFrames(lc, nil, pkts, stats.NewRNG(5))
+	out2, st2 := transmitFrames(lc, nil, pkts, stats.NewRNG(5))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -171,13 +171,13 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	// Deliveries append to dst, and the reorder pass leaves what dst
 	// already held in place.
 	prefix := frames[:2:2]
-	out4, st4 := transmitFrames(lc, prefix, frames, stats.NewRNG(5))
+	out4, st4 := transmitFrames(lc, prefix, pkts, stats.NewRNG(5))
 	if st4 != st1 || !reflect.DeepEqual(out4, append(frames[:2:2], out1...)) {
 		t.Fatal("appending to a non-empty list changed the deliveries")
 	}
 
 	// A perfect channel is the identity.
-	out3, st3 := transmitFrames(LinkConfig{}, nil, frames, stats.NewRNG(5))
+	out3, st3 := transmitFrames(LinkConfig{}, nil, pkts, stats.NewRNG(5))
 	if !reflect.DeepEqual(out3, frames) || st3.Dropped+st3.Duplicated+st3.Reordered+st3.Corrupted != 0 {
 		t.Fatal("perfect channel altered the stream")
 	}
@@ -198,11 +198,6 @@ func TestReorderPassNoCascade(t *testing.T) {
 	}
 }
 
-func syntheticFrames(t *testing.T, n int) [][]byte {
-	frames, _ := syntheticUpload(t, n)
-	return frames
-}
-
 // syntheticUpload is n invocations packetized four events a packet, as
 // frames and as the packets they encode.
 func syntheticUpload(t *testing.T, n int) ([][]byte, []trace.Packet) {
@@ -220,27 +215,35 @@ func syntheticUpload(t *testing.T, n int) ([][]byte, []trace.Packet) {
 	return frames, pkts
 }
 
-// transmitFrames runs one transmit on a link that already delivered dst.
-func transmitFrames(lc LinkConfig, dst, frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
-	l := link{delivered: dst, clean: make([]int32, len(dst))}
-	st := l.transmit(lc, frames, nil, rng)
+// transmitFrames runs one transmit of pkts on a link that already
+// delivered dst, and returns every delivery's bytes.
+func transmitFrames(lc LinkConfig, dst [][]byte, pkts []trace.Packet, rng *stats.RNG) ([][]byte, LinkStats) {
+	var l link
+	l.reset(pkts)
+	l.delivered = dst
+	for range dst {
+		l.clean = append(l.clean, -1)
+	}
+	st := l.transmit(lc, nil, rng)
+	l.encodeClean()
 	return l.delivered, st
 }
 
 // transmitARQ runs one upload through arq on a fresh link and returns its
-// deliveries.
-func transmitARQ(lc LinkConfig, frames [][]byte, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
+// deliveries' bytes.
+func transmitARQ(lc LinkConfig, pkts []trace.Packet, rng *stats.RNG, rx *trace.Reassembler) ([][]byte, LinkStats, ARQStats, error) {
 	var l link
-	st, ast, err := l.arq(lc, frames, pkts, rng, rx)
+	st, ast, err := l.arq(lc, pkts, rng, rx)
+	l.encodeClean()
 	return l.delivered, st, ast, err
 }
 
 func TestTransmitFramesCorruption(t *testing.T) {
-	frames := syntheticFrames(t, 60)
+	frames, pkts := syntheticUpload(t, 60)
 	lc := LinkConfig{CorruptProb: 0.5}
 
-	out1, st1 := transmitFrames(lc, nil, frames, stats.NewRNG(7))
-	out2, st2 := transmitFrames(lc, nil, frames, stats.NewRNG(7))
+	out1, st1 := transmitFrames(lc, nil, pkts, stats.NewRNG(7))
+	out2, st2 := transmitFrames(lc, nil, pkts, stats.NewRNG(7))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -267,11 +270,11 @@ func TestTransmitFramesCorruption(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", ust.PacketsDelivered, len(frames)-st1.Corrupted)
 	}
 
-	// Corruption must not mutate the sender's copy of the frame.
-	clean := syntheticFrames(t, 60)
-	for i := range frames {
-		if !reflect.DeepEqual(frames[i], clean[i]) {
-			t.Fatalf("transmit mutated source frame %d", i)
+	// Delivery i carries sequence i: either the sender's frame or a copy
+	// one bit away from it, so corruption never damages the sender's copy.
+	for i, f := range out1 {
+		if d := bitsApart(f, frames[i]); d != 0 && d != 1 {
+			t.Fatalf("delivery %d is %d bits from its frame", i, d)
 		}
 	}
 }
@@ -284,7 +287,7 @@ func TestTransmitARQRecovers(t *testing.T) {
 		ARQ:         ARQConfig{MaxRetries: 8, BackoffBaseTicks: 64},
 	}
 	rx := trace.NewReassembler(1)
-	delivered, st, ast, err := transmitARQ(lc, frames, pkts, stats.NewRNG(11), rx)
+	delivered, st, ast, err := transmitARQ(lc, pkts, stats.NewRNG(11), rx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +334,15 @@ func TestTransmitARQRecovers(t *testing.T) {
 	}
 
 	// Determinism: same seed, same everything.
-	d2, st2, ast2, err := transmitARQ(lc, frames, pkts, stats.NewRNG(11), trace.NewReassembler(1))
+	d2, st2, ast2, err := transmitARQ(lc, pkts, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || st != st2 || ast != ast2 || !reflect.DeepEqual(delivered, d2) {
 		t.Fatal("ARQ is not deterministic under a fixed seed")
 	}
 
 	// ARQ disabled: identical to one transmit.
 	plain := LinkConfig{DropProb: 0.3, CorruptProb: 0.1}
-	dP, stP := transmitFrames(plain, nil, frames, stats.NewRNG(11))
-	dA, stA, astA, err := transmitARQ(plain, frames, pkts, stats.NewRNG(11), trace.NewReassembler(1))
+	dP, stP := transmitFrames(plain, nil, pkts, stats.NewRNG(11))
+	dA, stA, astA, err := transmitARQ(plain, pkts, stats.NewRNG(11), trace.NewReassembler(1))
 	if err != nil || stP != stA || astA != (ARQStats{}) || !reflect.DeepEqual(dP, dA) {
 		t.Fatal("disabled ARQ does not reduce to one transmit")
 	}
@@ -347,10 +350,8 @@ func TestTransmitARQRecovers(t *testing.T) {
 	// A receive window for another mote refuses the first intact frame:
 	// the upload must fail, not vanish into the wrong stream.
 	for _, c := range []LinkConfig{lc, plain} {
-		for _, p := range [][]trace.Packet{pkts, nil} {
-			if _, _, _, err := transmitARQ(c, frames, p, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
-				t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
-			}
+		if _, _, _, err := transmitARQ(c, pkts, stats.NewRNG(11), trace.NewReassembler(2)); err == nil {
+			t.Fatalf("ARQ %d: frames from mote 1 accepted by mote 2's receive window", c.ARQ.MaxRetries)
 		}
 	}
 }
@@ -358,13 +359,14 @@ func TestTransmitARQRecovers(t *testing.T) {
 // TestReceivePathsAgree is the clean-delivery path's differential test:
 // over seeded mixes of drop, duplication, reordering and corruption, with
 // ARQ on and off and with and without SkipCRC, an upload received with the
-// sender's packets standing in for unchanged deliveries must leave every
-// figure exactly as receiving every delivery through AddFrame does: the
-// deliveries, LinkStats, ARQStats, UplinkStats and the recovered
-// intervals. A window for another mote must fail, or under SkipCRC count
-// corruption, the same way on both paths.
+// sender's packets standing in for unchanged deliveries must leave the
+// window exactly as a fresh window given every delivery's bytes through
+// AddFrame: the same UplinkStats and recovered intervals, and a window for
+// another mote must fail, or under SkipCRC count corruption, the same way
+// on both. No unchanged delivery's bytes are encoded until encodeClean
+// reads them.
 func TestReceivePathsAgree(t *testing.T) {
-	frames, pkts := syntheticUpload(t, 120)
+	_, pkts := syntheticUpload(t, 120)
 	cleanSeen, flippedSeen := 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, mix := range []LinkConfig{
@@ -379,25 +381,30 @@ func TestReceivePathsAgree(t *testing.T) {
 					for _, rxID := range []uint16{1, 2} {
 						lc := mix
 						lc.ARQ.MaxRetries, lc.SkipCRC = retries, skip
-						run := func(pkts []trace.Packet) (link, LinkStats, ARQStats, []trace.Interval, trace.UplinkStats, error) {
-							rx := trace.NewReassembler(rxID)
-							rx.SkipCRC = skip
-							var l link
-							st, ast, err := l.arq(lc, frames, pkts, stats.NewRNG(seed), rx)
-							ivs, ust := rx.Recover()
-							return l, st, ast, ivs, ust, err
+						tag := fmt.Sprintf("seed %d link %+v rx %d", seed, lc, rxID)
+						rx, ref := trace.NewReassembler(rxID), trace.NewReassembler(rxID)
+						rx.SkipCRC, ref.SkipCRC = skip, skip
+						var l link
+						_, _, err := l.arq(lc, pkts, stats.NewRNG(seed), rx)
+						for i, s := range l.clean {
+							if s >= 0 && l.delivered[i] != nil {
+								t.Fatalf("%s: unchanged delivery %d encoded before anything read it", tag, i)
+							}
 						}
-						l, st, ast, ivs, ust, err := run(pkts)
-						lR, stR, astR, ivsR, ustR, errR := run(nil)
-						tag := func() string { return fmt.Sprintf("seed %d link %+v rx %d", seed, lc, rxID) }
-						if (err == nil) != (errR == nil) || st != stR || ast != astR {
-							t.Fatalf("%s: clean path %v %+v %+v, AddFrame path %v %+v %+v", tag(), err, st, ast, errR, stR, astR)
+						l.encodeClean()
+						var errR error
+						for _, f := range l.delivered {
+							if errR = ref.AddFrame(f); errR != nil {
+								break
+							}
 						}
-						if !reflect.DeepEqual(l.delivered, lR.delivered) || !reflect.DeepEqual(l.clean, lR.clean) {
-							t.Fatalf("%s: deliveries differ", tag())
+						if (err == nil) != (errR == nil) {
+							t.Fatalf("%s: clean path %v, AddFrame path %v", tag, err, errR)
 						}
+						ivs, ust := rx.Recover()
+						ivsR, ustR := ref.Recover()
 						if err == nil && (!reflect.DeepEqual(ivs, ivsR) || !reflect.DeepEqual(ust, ustR)) {
-							t.Fatalf("%s: recovery differs:\n%+v\n%+v", tag(), ust, ustR)
+							t.Fatalf("%s: recovery differs:\n%+v\n%+v", tag, ust, ustR)
 						}
 						for _, s := range l.clean {
 							if s >= 0 {
@@ -522,16 +529,20 @@ func TestMergeBranchStats(t *testing.T) {
 
 // TestSamplesRounds pins the round split: each mote's durations of a
 // procedure are cut into runs of ceil(n/rounds), in completion order, and
-// run r of every mote lands in round r.
+// run r of every mote lands in round r. Folding empties the tick buffers
+// for the next mote.
 func TestSamplesRounds(t *testing.T) {
 	cfg := SimConfig{Prog: []isa.Instr{{Op: isa.TRACE, Imm: 3}}, Rounds: 2}
 	w := newStreamWorker(cfg)
-	iv := func(p int, ticks uint64) trace.Interval { return trace.Interval{ProcIndex: p, ExitTick: ticks} }
 	// Proc 0: mote 0 contributes {1,2,3},{4,5}; mote 1 contributes {6,7},{8}.
-	// Proc 1 has one sample: all of it lands in round 0. Proc 2 is not in
-	// the program, so its interval is dropped.
-	w.fold([]trace.Interval{iv(0, 1), iv(1, 10), iv(0, 2), iv(0, 3), iv(2, 9), iv(0, 4), iv(0, 5)}, 2, 1)
-	w.fold([]trace.Interval{iv(0, 6), iv(0, 7), iv(0, 8)}, 2, 1)
+	// Proc 1 has one sample: all of it lands in round 0.
+	w.ticks[0], w.ticks[1] = []uint64{1, 2, 3, 4, 5}, []uint64{10}
+	w.fold(2, 1)
+	if len(w.ticks[0])+len(w.ticks[1]) != 0 {
+		t.Fatalf("fold left ticks %v", w.ticks)
+	}
+	w.ticks[0] = append(w.ticks[0], 6, 7, 8)
+	w.fold(2, 1)
 	want := Samples{
 		{tomography.CountSamples([]float64{1, 2, 3, 6, 7}), tomography.CountSamples([]float64{4, 5, 8})},
 		{tomography.CountSamples([]float64{10}), {}},

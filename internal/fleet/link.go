@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"codetomo/internal/stats"
+	"codetomo/internal/trace"
 )
 
 // LinkConfig models the radio channel between a mote and the base
@@ -87,41 +89,69 @@ func (st *LinkStats) Add(o LinkStats) {
 }
 
 // link is one sender's reusable view of the radio channel, which a stream
-// worker keeps for all its motes: the deliveries of the current upload in
-// arrival order; for each, the sequence of the sender frame it carries
-// unchanged, or -1 for a flipped copy; the arena flipped copies are cut
-// from; and the sequences an ARQ round resends.
+// worker keeps for all its motes: the upload's packets and their frames,
+// each encoded into enc on first read; the deliveries in arrival order
+// (an unchanged one's bytes nil until read) and, for each, the sequence it
+// carries unchanged, or -1 for a flipped copy; the arena flipped copies
+// are cut from; and the sequences an ARQ round resends.
 type link struct {
+	pkts      []trace.Packet
+	frames    [][]byte
+	enc       []byte
 	delivered [][]byte
 	clean     []int32
 	flips     []byte
 	nack      []int32
 }
 
-// reset starts a new upload on the link's buffers.
-func (l *link) reset() {
-	l.delivered, l.clean, l.flips = l.delivered[:0], l.clean[:0], l.flips[:0]
+// reset starts an upload of pkts on the link's buffers.
+func (l *link) reset(pkts []trace.Packet) {
+	l.pkts, l.frames = pkts, slices.Grow(l.frames[:0], len(pkts))[:len(pkts)]
+	clear(l.frames)
+	l.enc, l.delivered, l.clean, l.flips = l.enc[:0], l.delivered[:0], l.clean[:0], l.flips[:0]
 }
 
-// transmit pushes frames through the channel — frames[s] for each s in
-// seqs, or every frame in order when seqs is nil — and appends the
+// frame returns sequence s's frame, encoding it on first read. A frame
+// keeps its bytes if a later encode regrows the arena. AppendPackets caps
+// a packet at MaxPacketEvents, the one thing AppendBinary rejects.
+func (l *link) frame(s int32) []byte {
+	if l.frames[s] == nil {
+		start := len(l.enc)
+		l.enc, _ = l.pkts[s].AppendBinary(l.enc)
+		l.frames[s] = l.enc[start:len(l.enc):len(l.enc)]
+	}
+	return l.frames[s]
+}
+
+// encodeClean gives every unchanged delivery its bytes, for keeping.
+func (l *link) encodeClean() {
+	for i, s := range l.clean {
+		if s >= 0 {
+			l.delivered[i] = l.frame(s)
+		}
+	}
+}
+
+// transmit pushes frames through the channel — sequence s for each s in
+// seqs, or every sequence in order when seqs is nil — and appends the
 // deliveries. Per frame: a drop draw, then (only when CorruptProb > 0) a
 // corruption draw flipping one random bit, then a duplication draw — the
 // duplicate gets its own corruption draw, since it is a separate radio
 // transmission — and finally adjacent swaps among the survivors. The draws
 // happen in a fixed order per frame, so the outcome is a deterministic
-// function of the RNG seed and the stream.
-func (l *link) transmit(lc LinkConfig, frames [][]byte, seqs []int32, rng *stats.RNG) LinkStats {
-	n := len(frames)
+// function of the RNG seed and the stream. Only a flip reads a frame's
+// bytes; its draw spans the frame's length, which the event count fixes.
+func (l *link) transmit(lc LinkConfig, seqs []int32, rng *stats.RNG) LinkStats {
+	n := len(l.pkts)
 	if seqs != nil {
 		n = len(seqs)
 	}
 	st := LinkStats{Sent: n}
 	first := len(l.delivered)
 	deliver := func(s int32) {
-		f := frames[s]
+		var f []byte
 		if lc.CorruptProb > 0 && rng.Bernoulli(lc.CorruptProb) {
-			f, s = l.flip(f, rng), -1
+			f, s = l.flip(l.frame(s), rng), -1
 			st.Corrupted++
 		}
 		l.delivered = append(l.delivered, f)
@@ -168,10 +198,8 @@ func (l *link) reorder(first int, prob float64, rng *stats.RNG) int {
 // flip returns a copy of the frame with one uniformly-chosen bit flipped,
 // cut from the link's arena. The copy matters: duplicated frames share the
 // sender's storage, and corruption must damage one transmission, not both.
+// A frame is never empty: it holds at least its header and CRC.
 func (l *link) flip(frame []byte, rng *stats.RNG) []byte {
-	if len(frame) == 0 {
-		return frame
-	}
 	start := len(l.flips)
 	l.flips = append(l.flips, frame...)
 	out := l.flips[start:len(l.flips):len(l.flips)]

@@ -161,15 +161,21 @@ func (p TrustPolicy) Admit(samples tomography.SampleCounts, build func() (*tomog
 // under harvested power, so when o lost partials the estimate is first
 // tilted back; then come the sample gate (Admit) over the stream's
 // histogram, NoModel for a gated-in stream without an estimate, the
-// static envelope check and the estimator's confidence.
+// static envelope check and the estimator's confidence. An outcome
+// admitted on exactly the samples its stream holds (Decision Trusted,
+// Samples the stream's count) keeps its admission: the histogram Admit
+// would see is the one it already passed.
 func (p TrustPolicy) Decide(o *Outcome) {
 	h := o.Stream.Counts()
+	admitted := o.Decision == Trusted && o.Samples == h.N()
 	o.Samples, o.Probs, o.Trimmed = h.N(), o.Stream.Probs(), o.Stream.Trimmed()
 	if o.Lost > 0 && o.Samples > 0 && o.Probs != nil {
 		o.Probs = o.Model.DebiasTruncation(o.Probs, o.Lost, o.Samples)
 	}
-	if _, o.Decision, _ = p.Admit(h, func() (*tomography.Model, error) { return o.Model, nil }); o.Decision != Trusted {
-		return
+	if !admitted {
+		if _, o.Decision, _ = p.Admit(h, func() (*tomography.Model, error) { return o.Model, nil }); o.Decision != Trusted {
+			return
+		}
 	}
 	switch {
 	case o.Probs == nil:

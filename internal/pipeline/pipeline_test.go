@@ -295,3 +295,50 @@ func TestMeasureReusesUnchangedImage(t *testing.T) {
 		}
 	})
 }
+
+// TestDecideAdmitsOnlyGrownStreams pins Decide's admission rule. An
+// outcome admitted on exactly the samples its stream holds keeps its
+// admission, so even a policy whose sample gate its histogram fails leaves
+// it trusted. A stream grown past its admitted count, or one never
+// admitted, goes through the gate afresh.
+func TestDecideAdmitsOnlyGrownStreams(t *testing.T) {
+	prof, ticks := profileApp(t, apps.CallChain)
+	s := Settings{}.WithDefaults()
+	procs, _ := s.Batch(prof, ticks)
+	i := slices.IndexFunc(procs, func(o Outcome) bool { return o.Decision == Trusted })
+	if i < 0 {
+		t.Fatal("no procedure trusted")
+	}
+	admitted := procs[i]
+	h := admitted.Stream.Counts()
+	strict := TrustPolicy{MinSamples: 3 * h.N(), MinCoverage: s.MinCoverage}
+
+	kept := admitted
+	strict.Decide(&kept)
+	if kept.Decision != Trusted || kept.Samples != h.N() {
+		t.Fatalf("unchanged stream re-admitted: %v on %d samples", kept.Decision, kept.Samples)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		batches int
+		from    Decision
+	}{{"grown", 2, Trusted}, {"never admitted", 1, TooFewSamples}} {
+		o := Outcome{Proc: admitted.Proc, Index: admitted.Index, Samples: h.N(), Decision: tc.from}
+		s.Stream(&o, admitted.Model)
+		for range tc.batches {
+			if _, err := o.Stream.Observe(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		strict.Decide(&o)
+		if o.Decision != TooFewSamples {
+			t.Fatalf("%s: strict gate gave %v on %d samples, want %v", tc.name, o.Decision, o.Samples, TooFewSamples)
+		}
+		o.Decision, o.Samples = tc.from, h.N()
+		s.Decide(&o)
+		if o.Decision != Trusted {
+			t.Fatalf("%s: default gate gave %v, want %v", tc.name, o.Decision, Trusted)
+		}
+	}
+}

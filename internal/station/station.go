@@ -102,6 +102,7 @@ type Server struct {
 	// frame lands on the same side of a cut in the log and in memory.
 	mu             sync.Mutex
 	motes          map[uint16]*trace.Reassembler
+	ticks          [][]uint64 // harvest's per-procedure tick buffers
 	framesSinceCut int
 	closed         atomic.Bool // set under mu; ingest refused from then on
 
@@ -149,6 +150,7 @@ func New(cfg Config) (*Server, error) {
 		cutCh: make(chan struct{}, 1),
 	}
 	s.slot = make([]int, len(prof.CFG.Procs))
+	s.ticks = make([][]uint64, len(prof.CFG.Procs))
 	for i := range s.slot {
 		s.slot[i] = -1
 	}
@@ -163,7 +165,10 @@ func New(cfg Config) (*Server, error) {
 		if m, err := s.cfg.Settings.Model(prof, o.Proc.Name); err != nil {
 			o.Decision, o.Err = pipeline.NoModel, err
 		} else {
+			// Nothing is admitted yet, so every snapshot's Decide admits
+			// the stream's samples afresh.
 			s.cfg.Settings.Stream(o, m)
+			o.Decision = pipeline.TooFewSamples
 			s.slot[o.Index] = k
 		}
 	}
@@ -219,24 +224,27 @@ func (s *Server) apply(p *trace.Packet, size int) int {
 	return s.framesSinceCut
 }
 
-// harvest seals the receive window: recover every mote's intervals, count
-// the streamed procedures' exclusive durations (in cycles, indexed like
-// s.procs) and sum the reassembly accounting, and rebase each stream in
-// place at its next expected sequence so the next epoch counts neither the
-// consumed packets nor their redeliveries. Callers hold mu, or are
-// replaying the WAL.
+// harvest seals the receive window: salvage every mote's exclusive ticks
+// into the per-procedure tick buffers and sum the reassembly accounting,
+// rebase each stream in place at its next expected sequence so the next
+// epoch counts neither the consumed packets nor their redeliveries, and
+// count the streamed procedures' ticks (in cycles, indexed like s.procs).
+// Callers hold mu, or are replaying the WAL.
 func (s *Server) harvest() ([]tomography.SampleCounts, trace.UplinkStats) {
-	samples := make([]tomography.SampleCounts, len(s.procs))
 	var st trace.UplinkStats
 	for id, r := range s.motes {
-		ivs, rst := r.Recover()
+		_, rst := r.RecoverTicks(s.ticks)
 		st.Add(rst)
-		for _, iv := range ivs {
-			if p := iv.ProcIndex; uint(p) < uint(len(s.slot)) && s.slot[p] >= 0 {
-				samples[s.slot[p]].Add(float64(iv.ExclusiveTicks())*float64(s.cfg.Settings.TickDiv), 1)
+		r.Reset(id, r.NextSeq())
+	}
+	samples := make([]tomography.SampleCounts, len(s.procs))
+	for p, ticks := range s.ticks {
+		if k := s.slot[p]; k >= 0 {
+			for _, t := range ticks {
+				samples[k].Add(float64(t)*float64(s.cfg.Settings.TickDiv), 1)
 			}
 		}
-		r.Reset(id, r.NextSeq())
+		s.ticks[p] = ticks[:0]
 	}
 	s.framesSinceCut = 0
 	// A trigger still pending counted the frames just harvested; cutting

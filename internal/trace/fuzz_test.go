@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"codetomo/internal/mote"
@@ -93,8 +94,40 @@ func FuzzPacketDecode(f *testing.F) {
 					t.Fatalf("malformed interval %+v", iv)
 				}
 			}
+			checkTickSink(t, r, make([][]uint64, 4))
 		}
 	})
+}
+
+// checkTickSink requires r's tick sink to equal Recover reduced by
+// ExclusiveByProc, whatever buffers it is given: the same UplinkStats, the
+// gross ticks of every interval summed, and in each buffer its
+// procedure's exclusive ticks in completion order. It passes bufs at full
+// length and cut to one buffer and to none, so procedures beyond the
+// buffers are counted and summed but not kept; each buffer is truncated,
+// keeping its storage, before each pass.
+func checkTickSink(t *testing.T, r *Reassembler, bufs [][]uint64) {
+	t.Helper()
+	ivs, st := r.Recover()
+	byProc := ExclusiveByProc(ivs)
+	var gross uint64
+	for _, iv := range ivs {
+		gross += iv.GrossTicks()
+	}
+	for _, n := range []int{len(bufs), 1, 0} {
+		for p := range bufs {
+			bufs[p] = bufs[p][:0]
+		}
+		got, gst := r.RecoverTicks(bufs[:n])
+		if got != gross || !reflect.DeepEqual(gst, st) {
+			t.Fatalf("%d buffers: sink gross %d, stats %+v; Recover gives %d, %+v", n, got, gst, gross, st)
+		}
+		for p, ticks := range bufs[:n] {
+			if !slices.Equal(ticks, byProc[p]) {
+				t.Fatalf("%d buffers: proc %d ticks %v, Recover gives %v", n, p, ticks, byProc[p])
+			}
+		}
+	}
 }
 
 // FuzzReassembler feeds arbitrary packet subsets (drops, duplicates,
@@ -102,7 +135,8 @@ func FuzzPacketDecode(f *testing.F) {
 // reassembler: it must never panic, never invent invocations, and keep
 // every recovered interval well-formed. The same subset, fed as frames to
 // a reassembler reused from another mote's stream, must recover exactly
-// the same.
+// the same. On both, the tick sink must agree with Recover (checkTickSink),
+// through one set of buffers reused across the two and across lengths.
 func FuzzReassembler(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(3))
 	f.Add([]byte{3, 1, 1, 0}, uint8(2))
@@ -144,6 +178,9 @@ func FuzzReassembler(f *testing.F) {
 		if fivs, fst := reused.Recover(); !reflect.DeepEqual(fivs, ivs) || !reflect.DeepEqual(fst, st) {
 			t.Fatalf("frames through a reused reassembler diverge:\n%+v %+v\n%+v %+v", fivs, fst, ivs, st)
 		}
+		bufs := make([][]uint64, 3)
+		checkTickSink(t, r, bufs)
+		checkTickSink(t, reused, bufs)
 		if len(ivs) > len(lossless) {
 			t.Fatalf("recovered %d intervals from %d lossless", len(ivs), len(lossless))
 		}

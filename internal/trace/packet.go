@@ -272,7 +272,7 @@ type Reassembler struct {
 	corrupt  int
 
 	// events is the arena AddFrame decodes payloads into; seqs and stack
-	// are Recover's scratch. All three survive Reset, so a reassembler
+	// are the salvage's scratch. All three survive Reset, so a reassembler
 	// reused across motes stops allocating once it has seen the largest.
 	events []mote.TraceEvent
 	seqs   []uint32
@@ -387,15 +387,28 @@ func (r *Reassembler) AddFrame(frame []byte) error {
 // estimation degrades with the loss rate instead of collapsing. Intervals
 // are returned in completion order; under loss their Depth is relative to
 // the enclosing segment (a lower bound on the true nesting depth).
-func (r *Reassembler) Recover() ([]Interval, UplinkStats) { return r.AppendRecovered(nil) }
+func (r *Reassembler) Recover() ([]Interval, UplinkStats) {
+	var sv salvager
+	r.salvage(&sv)
+	return sv.out, sv.st
+}
 
-// AppendRecovered is Recover appending the intervals to dst, so a caller
-// that reduces them on the spot can reuse one buffer across streams.
-func (r *Reassembler) AppendRecovered(dst []Interval) ([]Interval, UplinkStats) {
-	sv := salvager{st: UplinkStats{PacketsDelivered: len(r.payloads), PacketsDuplicate: r.dups, PacketsCorrupted: r.corrupt}}
+// RecoverTicks is Recover reduced to what estimation reads: each recovered
+// invocation of procedure p appends its exclusive ticks, in completion
+// order, to the caller's buffer byProc[p] (kept only when p is in range),
+// and gross sums every recovered invocation's gross ticks.
+func (r *Reassembler) RecoverTicks(byProc [][]uint64) (gross uint64, st UplinkStats) {
+	sv := salvager{ticks: byProc, sink: true}
+	r.salvage(&sv)
+	return sv.gross, sv.st
+}
+
+// salvage runs the salvager over every gap-free segment received so far.
+func (r *Reassembler) salvage(sv *salvager) {
+	sv.st = UplinkStats{PacketsDelivered: len(r.payloads), PacketsDuplicate: r.dups, PacketsCorrupted: r.corrupt}
 	st := &sv.st
 	if len(r.payloads) == 0 {
-		return dst, *st
+		return
 	}
 	seqs := r.seqs[:0]
 	for s, evs := range r.payloads {
@@ -405,8 +418,7 @@ func (r *Reassembler) AppendRecovered(dst []Interval) ([]Interval, UplinkStats) 
 	slices.Sort(seqs)
 	st.PacketsLost = int(seqs[len(seqs)-1]-r.base) + 1 - len(seqs)
 
-	// Every interval consumes an enter and an exit event.
-	sv.stack, sv.out = r.stack[:0], slices.Grow(dst, st.EventsDelivered/2)
+	sv.stack = r.stack[:0]
 	for i, s := range seqs {
 		if i > 0 && s != seqs[i-1]+1 {
 			sv.cut()
@@ -415,8 +427,6 @@ func (r *Reassembler) AppendRecovered(dst []Interval) ([]Interval, UplinkStats) 
 	}
 	sv.cut()
 	r.seqs, r.stack = seqs, sv.stack
-	st.InvocationsRecovered = len(sv.out) - len(dst)
-	return sv.out, *st
 }
 
 // openFrame is an invocation whose enter salvage has seen and whose exit
@@ -452,7 +462,10 @@ type openFrame struct {
 type salvager struct {
 	st        UplinkStats
 	stack     []openFrame
-	out       []Interval
+	out       []Interval // each completed interval, unless sink is set
+	sink      bool       // instead: exclusive ticks to ticks[proc], gross ticks to gross
+	ticks     [][]uint64
+	gross     uint64
 	malformed int
 }
 
@@ -536,16 +549,18 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 			sv.malformed++
 			continue
 		}
-		iv := Interval{
-			ProcIndex:  top.proc,
-			EnterTick:  top.enter,
-			ExitTick:   ev.Tick,
-			ChildTicks: top.childTicks,
-			Depth:      len(stack),
-		}
-		sv.out = append(sv.out, iv)
+		gross := ev.Tick - top.enter
 		if len(stack) > 0 {
-			stack[len(stack)-1].childTicks += iv.GrossTicks()
+			stack[len(stack)-1].childTicks += gross
+		}
+		st.InvocationsRecovered++
+		if !sv.sink {
+			sv.out = append(sv.out, Interval{top.proc, top.enter, ev.Tick, top.childTicks, len(stack)})
+			continue
+		}
+		sv.gross += gross
+		if uint(top.proc) < uint(len(sv.ticks)) {
+			sv.ticks[top.proc] = append(sv.ticks[top.proc], gross-min(top.childTicks, gross))
 		}
 	}
 }

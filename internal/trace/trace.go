@@ -41,14 +41,10 @@ func (iv Interval) GrossTicks() uint64 { return iv.ExitTick - iv.EnterTick }
 
 // ExclusiveTicks is the duration with direct callees' gross time removed —
 // the quantity whose distribution the tomography estimator inverts.
+// Quantization can make the sum of child ticks exceed the parent reading
+// by a tick, so it clamps at zero rather than underflow.
 func (iv Interval) ExclusiveTicks() uint64 {
-	g := iv.GrossTicks()
-	if iv.ChildTicks > g {
-		// Quantization can make the sum of child ticks exceed the parent
-		// reading by a tick; clamp rather than underflow.
-		return 0
-	}
-	return g - iv.ChildTicks
+	return iv.GrossTicks() - min(iv.ChildTicks, iv.GrossTicks())
 }
 
 // Extract reconstructs invocation intervals, in completion order, from a

@@ -73,8 +73,13 @@ echo "== fuzz smoke (MiniC front end)"
 # verifier after each pass of the most aggressive build.
 go test ./internal/minic -run=NONE -fuzz=FuzzParse -fuzztime=5s
 
-echo "== fuzz smoke (packet decoder)"
+echo "== fuzz smoke (packet decoder, reassembler)"
+# Random frames at the decoder and an unchecked receive window, and random
+# drop, duplicate and reorder patterns at the reassembler: both must never
+# panic, and the tick sink (RecoverTicks) must equal Recover reduced by
+# ExclusiveByProc, through reused buffers shorter than the procedure ids.
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
+go test ./internal/trace -run=NONE -fuzz=FuzzReassembler -fuzztime=5s
 
 echo "== fuzz smoke (trace readers)"
 # Random bytes at the trace-file decoder: it must reject cleanly without
