@@ -81,10 +81,14 @@ func TableT1(c Config) (*report.Table, error) {
 			branches += len(p.BranchBlocks())
 		}
 		h := out.CFG.Proc(a.Handler)
-		paths, _ := markov.Enumerate(h, markov.NewEdgeIndex(h), markov.EnumerateOptions{MaxVisits: c.MaxVisits, MaxPaths: pipeline.MaxPaths})
+		_, mult, _ := markov.Enumerate(h, markov.NewEdgeIndex(h), markov.EnumerateOptions{MaxVisits: c.MaxVisits, MaxPaths: pipeline.MaxPaths})
+		paths := 0
+		for _, k := range mult {
+			paths += k
+		}
 		t.AddRow(a.Name, report.I(loc), report.I(len(out.CFG.Procs)), report.I(blocks),
 			report.I(branches), report.I(out.Meta.CodeBytes), report.I(out.Meta.GlobalWords),
-			a.Handler, report.I(len(paths)))
+			a.Handler, report.I(paths))
 	}
 	return t, nil
 }

@@ -93,14 +93,21 @@ func newStreamWorker(cfg SimConfig) *streamWorker {
 // fold adds one mote's recovered exclusive ticks to the cohort's samples
 // and empties the tick buffers: procedure p's n ticks, in completion
 // order, are cut into runs of ceil(n/rounds), run r going to round r as
-// float64(ticks)·tickDiv cycles.
+// float64(ticks)·tickDiv cycles. Equal consecutive ticks are added as one
+// count.
 func (w *streamWorker) fold(rounds, tickDiv int) {
 	for p, ticks := range w.ticks {
 		chunk := (len(ticks) + rounds - 1) / rounds
 		for r := 0; len(ticks) > 0; r++ {
 			h := &w.samples[p][r]
-			for _, t := range ticks[:min(chunk, len(ticks))] {
-				h.Add(float64(t)*float64(tickDiv), 1)
+			run := ticks[:min(chunk, len(ticks))]
+			for len(run) > 0 {
+				n := 1
+				for n < len(run) && run[n] == run[0] {
+					n++
+				}
+				h.Add(float64(run[0])*float64(tickDiv), n)
+				run = run[n:]
 			}
 			ticks = ticks[min(chunk, len(ticks)):]
 		}

@@ -67,47 +67,86 @@ func findProc(t testing.TB, procs []appProc, name string) appProc {
 	return appProc{}
 }
 
+// refClass is one arc-count class of the reference enumeration: its first
+// path and how many reference paths share its counts.
+type refClass struct {
+	first *markov.RefPath
+	n     int
+}
+
+// referenceClasses runs the original map-based enumerator and groups its
+// paths by arc-count vector, classes in the order their first path
+// completes.
+func referenceClasses(p *cfg.Proc, ix *markov.EdgeIndex, opts markov.EnumerateOptions) (classes []refClass, paths int, truncated bool) {
+	ref, truncated := markov.EnumerateReference(p, ix, opts)
+	byKey := make(map[string]int)
+	for _, rp := range ref {
+		arcs := slices.Clone(rp.Arcs)
+		slices.SortFunc(arcs, func(a, b markov.Arc) int { return int(a.Edge - b.Edge) })
+		key := fmt.Sprint(arcs)
+		c, ok := byKey[key]
+		if !ok {
+			c = len(classes)
+			byKey[key] = c
+			classes = append(classes, refClass{first: rp})
+		}
+		classes[c].n++
+	}
+	return classes, len(ref), truncated
+}
+
 // requireReferenceEnumeration pins Enumerate to the original map-based
-// enumerator: the same truncation flag, the same paths in the same order,
-// each with the same (edge, count) arcs in the same order, and PathTimes
-// bit-identical to the original block-sequence sum.
+// enumerator grouped by arc-count class: the same truncation flag, the
+// same classes in first-completion order, each represented by the
+// reference's first path of the class with the same (edge, count) arcs in
+// the same order, each with as many paths as the reference's class, and
+// PathTimes bit-identical to the original block-sequence sum.
 func requireReferenceEnumeration(t *testing.T, name string, p *cfg.Proc, opts markov.EnumerateOptions, costs *markov.Costs) {
 	t.Helper()
 	ix := markov.NewEdgeIndex(p)
-	got, gotTrunc := markov.Enumerate(p, ix, opts)
-	want, wantTrunc := markov.EnumerateReference(p, ix, opts)
+	got, mult, gotTrunc := markov.Enumerate(p, ix, opts)
+	want, wantPaths, wantTrunc := referenceClasses(p, ix, opts)
 	if gotTrunc != wantTrunc {
 		t.Fatalf("%s %+v: truncated = %v, reference %v", name, opts, gotTrunc, wantTrunc)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%s %+v: %d paths, reference %d", name, opts, len(got), len(want))
+	if len(got) != len(want) || len(mult) != len(want) {
+		t.Fatalf("%s %+v: %d classes (%d multiplicities), reference %d", name, opts, len(got), len(mult), len(want))
 	}
 	times := markov.PathTimes(p, ix, got, costs)
-	for j, w := range want {
-		if !slices.Equal(got[j], w.Arcs) {
-			t.Fatalf("%s %+v path %d: arcs %v, reference %v", name, opts, j, got[j], w.Arcs)
+	paths := 0
+	for c, w := range want {
+		if !slices.Equal(got[c], w.first.Arcs) {
+			t.Fatalf("%s %+v class %d: arcs %v, reference %v", name, opts, c, got[c], w.first.Arcs)
 		}
-		if wt := markov.PathTimeReference(w, costs); math.Float64bits(times[j]) != math.Float64bits(wt) {
-			t.Fatalf("%s %+v path %d: time %v, reference %v", name, opts, j, times[j], wt)
+		if mult[c] != w.n {
+			t.Fatalf("%s %+v class %d: multiplicity %d, reference %d paths", name, opts, c, mult[c], w.n)
 		}
+		if wt := markov.PathTimeReference(w.first, costs); math.Float64bits(times[c]) != math.Float64bits(wt) {
+			t.Fatalf("%s %+v class %d: time %v, reference %v", name, opts, c, times[c], wt)
+		}
+		paths += mult[c]
+	}
+	if paths != wantPaths {
+		t.Fatalf("%s %+v: multiplicities sum to %d, reference %d paths", name, opts, paths, wantPaths)
 	}
 }
 
-// randomProc builds a random CFG of n blocks with integer-cycle costs.
-// Targets lean forward so most walks reach a return, but any block may
-// jump back (loops) and many blocks share successors (multi-way joins);
-// some branches name the same block on both arms.
-func randomProc(rng *stats.RNG, n int) (*cfg.Proc, *markov.Costs) {
+// randomProc builds a random CFG of n blocks with integer-cycle costs,
+// drawing every choice from intn (uniform in [0, k)). Targets lean forward
+// so most walks reach a return, but any block may jump back (loops) and
+// many blocks share successors (multi-way joins); some branches name the
+// same block on both arms, so distinct paths share arc counts.
+func randomProc(intn func(k int) int, n int) (*cfg.Proc, *markov.Costs) {
 	target := func(i int) ir.BlockID {
-		if i+1 < n && rng.Intn(4) > 0 {
-			return ir.BlockID(i + 1 + rng.Intn(n-i-1))
+		if i+1 < n && intn(4) > 0 {
+			return ir.BlockID(i + 1 + intn(n-i-1))
 		}
-		return ir.BlockID(rng.Intn(n))
+		return ir.BlockID(intn(n))
 	}
 	blocks := make([]*cfg.Block, n)
 	for i := range blocks {
 		var term ir.Terminator
-		switch r := rng.Intn(10); {
+		switch r := intn(10); {
 		case i == n-1 || r == 0:
 			term = ir.Ret{Val: -1}
 		case r < 4:
@@ -124,13 +163,13 @@ func randomProc(rng *stats.RNG, n int) (*cfg.Proc, *markov.Costs) {
 	costs := &markov.Costs{
 		Block:         make([]float64, n),
 		Edge:          make(map[[2]ir.BlockID]float64),
-		EntryOverhead: float64(rng.Intn(20)),
+		EntryOverhead: float64(intn(20)),
 	}
 	for i := range costs.Block {
-		costs.Block[i] = float64(rng.Intn(120))
+		costs.Block[i] = float64(intn(120))
 	}
 	for _, e := range p.Edges() {
-		costs.Edge[[2]ir.BlockID{e.From, e.To}] = float64(rng.Intn(8))
+		costs.Edge[[2]ir.BlockID{e.From, e.To}] = float64(intn(8))
 	}
 	return p, costs
 }
@@ -138,10 +177,33 @@ func randomProc(rng *stats.RNG, n int) (*cfg.Proc, *markov.Costs) {
 func TestEnumerateMatchesReferenceRandom(t *testing.T) {
 	rng := stats.NewRNG(5)
 	for trial := 0; trial < 1000; trial++ {
-		p, costs := randomProc(rng, 2+rng.Intn(14))
+		p, costs := randomProc(rng.Intn, 2+rng.Intn(14))
 		opts := markov.EnumerateOptions{MaxVisits: 1 + rng.Intn(4), MaxPaths: 1 + rng.Intn(500)}
 		requireReferenceEnumeration(t, fmt.Sprintf("trial %d", trial), p, opts, costs)
 	}
+}
+
+// FuzzEnumerateClasses draws a random CFG and caps from the input bytes
+// and requires Enumerate's class fold to equal the grouped reference.
+func FuzzEnumerateClasses(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 2, 60, 9, 4, 1, 4, 4, 3, 8, 0, 5, 5, 2, 7, 1})
+	f.Add([]byte{13, 3, 200, 4, 4, 0, 4, 1, 4, 2, 9, 9, 9, 1, 4, 3, 6, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// intn consumes one byte per draw and reads zeros once data runs
+		// out, so every input names one procedure.
+		intn := func(k int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b % k
+		}
+		n, visits, maxPaths := 2+intn(14), 1+intn(4), 1+intn(256)
+		p, costs := randomProc(intn, n)
+		requireReferenceEnumeration(t, "fuzz", p, markov.EnumerateOptions{MaxVisits: visits, MaxPaths: maxPaths}, costs)
+	})
 }
 
 func TestEnumerateMatchesReferenceApps(t *testing.T) {
@@ -167,18 +229,26 @@ func TestEnumerateMatchesReferenceSmallCaps(t *testing.T) {
 	}
 }
 
-// Enumerate's allocations do not grow with the path count: crc8 yields
-// MaxPaths paths at the pipeline bound, yet the arena takes only a
-// logarithmic number of chunks.
+// crc8Classes is the number of arc-count classes among crc8's MaxPaths
+// paths at the pipeline bound.
+const crc8Classes = 220
+
+// Enumerate's allocations do not grow with the path count: crc8 folds the
+// MaxPaths paths the cap allows into crc8Classes classes, and its buffers
+// grow by doubling.
 func TestEnumerateAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	crc := findProc(t, appProcs(t), "crc.crc8")
 	ix := markov.NewEdgeIndex(crc.proc)
-	paths, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
-	if len(paths) != pipeline.MaxPaths {
-		t.Fatalf("crc8: %d paths, want the %d cap", len(paths), pipeline.MaxPaths)
+	paths, mult, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
+	n := 0
+	for _, k := range mult {
+		n += k
+	}
+	if n != pipeline.MaxPaths || len(paths) != crc8Classes {
+		t.Fatalf("crc8: %d paths in %d classes, want the %d cap in %d", n, len(paths), pipeline.MaxPaths, crc8Classes)
 	}
 	const bound = 128
 	if avg := testing.AllocsPerRun(3, func() { markov.Enumerate(crc.proc, ix, pipelineEnum) }); avg > bound {
@@ -199,8 +269,8 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// The arena is sized to the path set, so a small procedure costs no more
-// than it did under the per-path map enumerator.
+// A procedure with few classes builds no hash table, so a small procedure
+// costs no more than it did under the per-path map enumerator.
 func TestEnumerateSmallProcBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
@@ -228,12 +298,12 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 }
 
-// BenchmarkNewSortedTimes indexes crc8's path times at the pipeline bound:
-// MaxPaths paths, the largest time index any app builds.
+// BenchmarkNewSortedTimes indexes crc8's class times at the pipeline
+// bound.
 func BenchmarkNewSortedTimes(b *testing.B) {
 	crc := findProc(b, appProcs(b), "crc.crc8")
 	ix := markov.NewEdgeIndex(crc.proc)
-	paths, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
+	paths, _, _ := markov.Enumerate(crc.proc, ix, pipelineEnum)
 	times := markov.PathTimes(crc.proc, ix, paths, crc.costs)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -55,8 +55,7 @@ func (ix *EdgeIndex) Index(e [2]ir.BlockID) (int32, bool) {
 	return 0, false
 }
 
-// arcIndex returns the dense index of an edge Enumerate or SamplePath
-// follows. They follow CFG edges only, so a miss is a bug in the caller:
+// arcIndex returns the dense index of an edge Enumerate follows. They follow CFG edges only, so a miss is a bug in the caller:
 // an index built for another procedure.
 func (ix *EdgeIndex) arcIndex(e [2]ir.BlockID) int32 {
 	i, ok := ix.Index(e)

@@ -73,7 +73,7 @@ func TestCompiledPathProbsZeroEdge(t *testing.T) {
 func checkPathProbs(t *testing.T, p *cfg.Proc, ep EdgeProbs) {
 	t.Helper()
 	ix := NewEdgeIndex(p)
-	paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
+	paths, _, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1000})
 	logq := ix.Dense(ep)
 	LogProbs(logq, logq)
 	got := make([]float64, len(paths))
@@ -113,7 +113,7 @@ func TestEdgeIndexRoundTrip(t *testing.T) {
 func TestSortedTimesWindowMatchesScan(t *testing.T) {
 	p, costs := diamondChain(6)
 	ix := NewEdgeIndex(p)
-	paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
+	paths, _, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
 	times := PathTimes(p, ix, paths, costs)
 	st := NewSortedTimes(times)
 	if !sort.Float64sAreSorted(st.Times) {
@@ -231,7 +231,7 @@ func BenchmarkPathProbs(b *testing.B) {
 	for _, k := range []int{8, 10, 12} {
 		p, _ := diamondChain(k)
 		ix := NewEdgeIndex(p)
-		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
+		paths, _, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
 		q := ix.Dense(Uniform(p))
 		logq := make([]float64, ix.Len())
 		out := make([]float64, len(paths))
@@ -249,7 +249,7 @@ func BenchmarkPathProbsReference(b *testing.B) {
 	for _, k := range []int{8, 10, 12} {
 		p, _ := diamondChain(k)
 		ix := NewEdgeIndex(p)
-		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
+		paths, _, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 1 << 13})
 		q := denseProbs(ix, Uniform(p))
 		out := make([]float64, len(paths))
 		b.Run(fmt.Sprintf("paths=%d", len(paths)), func(b *testing.B) {

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,6 +234,34 @@ func TestMeanVarGeometricLoop(t *testing.T) {
 	}
 }
 
+// samplePath draws a random path through the chain, with arcs indexed by
+// ix, the EdgeIndex of the chain's procedure; rng returns uniform [0,1).
+// ok is false if the walk does not absorb within maxSteps.
+func (c *Chain) samplePath(ix *EdgeIndex, rng func() float64, maxSteps int) (path Path, ok bool) {
+	cur := c.proc.Entry
+	for step := 0; step < maxSteps; step++ {
+		succs := c.proc.Block(cur).Succs()
+		if len(succs) == 0 {
+			return path, true
+		}
+		u, acc, next := rng(), 0.0, succs[len(succs)-1]
+		for _, s := range succs {
+			if acc += c.probs[[2]ir.BlockID{cur, s}]; u < acc {
+				next = s
+				break
+			}
+		}
+		e := ix.arcIndex([2]ir.BlockID{cur, next})
+		k := slices.IndexFunc(path, func(a Arc) bool { return a.Edge == e })
+		if k < 0 {
+			k, path = len(path), append(path, Arc{Edge: e})
+		}
+		path[k].Count++
+		cur = next
+	}
+	return nil, false
+}
+
 func TestMeanVarMatchesSimulation(t *testing.T) {
 	p := loopProc()
 	ep := Uniform(p)
@@ -252,7 +281,7 @@ func TestMeanVarMatchesSimulation(t *testing.T) {
 	paths := make([]Path, 200000)
 	for i := range paths {
 		var ok bool
-		if paths[i], ok = c.SamplePath(ix, rng.Float64, 100000); !ok {
+		if paths[i], ok = c.samplePath(ix, rng.Float64, 100000); !ok {
 			t.Fatal("sample failed to absorb")
 		}
 	}
@@ -271,12 +300,12 @@ func TestMeanVarMatchesSimulation(t *testing.T) {
 func TestEnumerateDiamond(t *testing.T) {
 	p := diamond()
 	ix := NewEdgeIndex(p)
-	paths, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
+	paths, mult, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
 	if truncated {
 		t.Fatal("diamond enumeration truncated")
 	}
-	if len(paths) != 2 {
-		t.Fatalf("paths = %d, want 2", len(paths))
+	if len(paths) != 2 || !slices.Equal(mult, []int{1, 1}) {
+		t.Fatalf("paths = %d with multiplicities %v, want 2 of 1", len(paths), mult)
 	}
 	q := denseProbs(ix, Uniform(p))
 	total := 0.0
@@ -291,7 +320,7 @@ func TestEnumerateDiamond(t *testing.T) {
 func TestEnumerateLoopTruncation(t *testing.T) {
 	p := loopProc()
 	ix := NewEdgeIndex(p)
-	paths, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 4, MaxPaths: 100})
+	paths, _, truncated := Enumerate(p, ix, EnumerateOptions{MaxVisits: 4, MaxPaths: 100})
 	if !truncated {
 		t.Fatal("loop enumeration must truncate")
 	}
@@ -312,9 +341,13 @@ func TestEnumerateLoopTruncation(t *testing.T) {
 
 func TestEnumerateMaxPaths(t *testing.T) {
 	p := loopProc()
-	paths, truncated := Enumerate(p, NewEdgeIndex(p), EnumerateOptions{MaxVisits: 50, MaxPaths: 5})
-	if !truncated || len(paths) > 5 {
-		t.Fatalf("cap not honored: %d paths, truncated=%v", len(paths), truncated)
+	_, mult, truncated := Enumerate(p, NewEdgeIndex(p), EnumerateOptions{MaxVisits: 50, MaxPaths: 5})
+	n := 0
+	for _, k := range mult {
+		n += k
+	}
+	if !truncated || n > 5 {
+		t.Fatalf("cap not honored: %d paths, truncated=%v", n, truncated)
 	}
 }
 
@@ -338,11 +371,11 @@ func TestVisitsMatchPathsProperty(t *testing.T) {
 		}
 		// Enumerate deep enough that the truncated tail is negligible.
 		ix := NewEdgeIndex(p)
-		paths, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 60, MaxPaths: 100000})
+		paths, mult, _ := Enumerate(p, ix, EnumerateOptions{MaxVisits: 60, MaxPaths: 100000})
 		dense := denseProbs(ix, ep)
 		est := make([]float64, len(p.Blocks))
-		for _, path := range paths {
-			pr := pathProbReference(path, dense)
+		for j, path := range paths {
+			pr := float64(mult[j]) * pathProbReference(path, dense)
 			for b := range est {
 				est[b] += pr * float64(blockVisits(p, ix, path, ir.BlockID(b)))
 			}

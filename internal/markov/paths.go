@@ -2,7 +2,6 @@ package markov
 
 import (
 	"math"
-	"slices"
 
 	"codetomo/internal/cfg"
 	"codetomo/internal/ir"
@@ -62,24 +61,29 @@ type EnumerateOptions struct {
 	// MaxVisits caps how many times any single block may appear on a path
 	// (the loop unrolling bound). Minimum 1.
 	MaxVisits int
-	// MaxPaths caps the number of paths returned; with MaxPaths <= 0
-	// none are.
+	// MaxPaths caps the number of paths enumerated, the sum of the
+	// returned multiplicities; with MaxPaths <= 0 none are.
 	MaxPaths int
 }
 
-// Enumerate lists execution paths of the procedure by depth-first search
-// with a per-block visit cap; ix must be p's EdgeIndex. truncated reports
-// whether any path was cut off by the caps (its probability mass is
-// missing from the returned set; estimators renormalize over the
-// enumerated paths).
+// Enumerate lists the procedure's execution paths by depth-first search
+// with a per-block visit cap, folded into arc-count classes; ix must be
+// p's EdgeIndex. Paths taking every edge equally often have the same
+// probability and duration, one mixture component: paths[c] is class c's
+// first path and mult[c] its number of paths. Classes come in the order
+// the search first completes them, so where every multiplicity is 1 they
+// are the paths in search order. truncated reports whether the caps cut
+// any path off (its probability mass is missing; estimators renormalize
+// over the enumerated paths).
 //
 // The search keeps, per dense edge, how often the current prefix traverses
-// it, and a stack of the prefix's edges in first-traversal order: an edge
-// is pushed when its count goes 0→1 and popped when it returns 1→0, which
-// is last-in first-out because the search unwinds in reverse. A leaf copies
-// that stack and its counts out as the path's arcs, into chunks shared by
-// the whole path set, so no path costs an allocation of its own.
-func Enumerate(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []Path, truncated bool) {
+// it, a stack of the prefix's edges in first-traversal order (an edge is
+// pushed when its count goes 0→1 and popped when it returns 1→0, which is
+// last-in first-out because the search unwinds in reverse), and the hash
+// Σ count·edgeHash(edge). At a leaf the hash picks the candidate classes
+// (all of them, in a small set), whose arcs are compared with the counts;
+// a new class's arcs are carved from chunks that double in size.
+func Enumerate(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []Path, mult []int, truncated bool) {
 	if opts.MaxVisits < 1 {
 		opts.MaxVisits = 1
 	}
@@ -97,21 +101,75 @@ func Enumerate(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []Path,
 	visits := make([]int, len(p.Blocks))
 	count := make([]int32, ix.Len())
 	stack := make([]int32, 0, ix.Len())
-	arena := pathArena{left: opts.MaxPaths}
+	left, h := opts.MaxPaths, uint64(0)
+	// Past smallClasses classes, first maps a hash to the first class
+	// with it. arcs is the chunk new classes' arcs are carved from.
+	var (
+		arcs  []Arc
+		first map[uint64]int
+	)
+	same := func(c int) bool {
+		if len(paths[c]) != len(stack) {
+			return false
+		}
+		for _, a := range paths[c] {
+			if count[a.Edge] != a.Count {
+				return false
+			}
+		}
+		return true
+	}
+	leaf := func() {
+		left--
+		c, ok := 0, true
+		if first != nil {
+			c, ok = first[h]
+		}
+		for ; ok && c < len(mult); c++ {
+			if same(c) {
+				mult[c]++
+				return
+			}
+		}
+		if first == nil && len(mult) == smallClasses {
+			first = make(map[uint64]int)
+			for c := len(mult) - 1; c >= 0; c-- {
+				ch := uint64(0)
+				for _, a := range paths[c] {
+					ch += uint64(a.Count) * edgeHash(a.Edge)
+				}
+				first[ch] = c
+			}
+		}
+		if _, ok := first[h]; first != nil && !ok {
+			first[h] = len(mult)
+		}
+		if cap(arcs)-len(arcs) < len(stack) {
+			// A full chunk is left to the classes it holds; the next
+			// doubles it, so nothing is copied.
+			arcs = make([]Arc, 0, max(4*len(stack), 2*cap(arcs)))
+		}
+		lo := len(arcs)
+		for _, e := range stack {
+			arcs = append(arcs, Arc{Edge: e, Count: count[e]})
+		}
+		paths, mult = append(paths, arcs[lo:len(arcs):len(arcs)]), append(mult, 1)
+	}
 
 	var walk func(id ir.BlockID)
 	walk = func(id ir.BlockID) {
-		if arena.left <= 0 || visits[id] >= opts.MaxVisits {
+		if left <= 0 || visits[id] >= opts.MaxVisits {
 			truncated = true
 			return
 		}
 		visits[id]++
 		out := succ[succStart[id]:succStart[id+1]]
 		if len(out) == 0 {
-			arena.path(stack, count)
+			leaf()
 		}
 		for _, e := range out {
 			count[e]++
+			h += edgeHash(e)
 			if count[e] == 1 {
 				stack = append(stack, e)
 			}
@@ -119,52 +177,26 @@ func Enumerate(p *cfg.Proc, ix *EdgeIndex, opts EnumerateOptions) (paths []Path,
 			if count[e] == 1 {
 				stack = stack[:len(stack)-1]
 			}
+			h -= edgeHash(e)
 			count[e]--
 		}
 		visits[id]--
 	}
 	walk(p.Entry)
-	return arena.out, truncated
+	return paths, mult, truncated
 }
 
-// pathArena collects the enumerated paths, carving their arcs from shared
-// chunks. A new chunk doubles the last one but holds no more than the
-// paths the cap still allows need (at the mean path length so far), so the
-// number of allocations grows with the logarithm of the path set, and a
-// set that reaches the cap wastes little of its last chunk. The result
-// slice grows by the same rule.
-type pathArena struct {
-	out  []Path
-	arcs []Arc
-	// left is how many more paths the cap allows; nArcs counts the arcs
-	// handed out so far.
-	left, nArcs int
-}
+// smallClasses is the class count up to which Enumerate finds a leaf's
+// class by comparing it with every class, with no hash table.
+const smallClasses = 32
 
-// path appends a path whose arcs are the search's first-traversal stack
-// and its edge counts.
-func (a *pathArena) path(stack []int32, count []int32) {
-	if n := len(a.out); n == cap(a.out) {
-		out := make([]Path, n, n+min(max(1, n), a.left))
-		copy(out, a.out)
-		a.out = out
-	}
-	if k := len(stack); cap(a.arcs)-len(a.arcs) < k {
-		size := 4 * k
-		if n := len(a.out); n > 0 {
-			mean := (a.nArcs + n - 1) / n
-			size = min(2*cap(a.arcs), a.left*mean)
-		}
-		a.arcs = make([]Arc, 0, max(k, size))
-	}
-	lo := len(a.arcs)
-	for _, e := range stack {
-		a.arcs = append(a.arcs, Arc{Edge: e, Count: count[e]})
-	}
-	hi := len(a.arcs)
-	a.out = append(a.out, a.arcs[lo:hi:hi])
-	a.left--
-	a.nArcs += len(stack)
+// edgeHash is the splitmix64 finalizer of an edge index: a count vector's
+// hash is Σ count·edgeHash(edge) over its edges.
+func edgeHash(e int32) uint64 {
+	x := uint64(e) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // PathTimes computes each path's deterministic duration from the chain
@@ -189,41 +221,4 @@ func PathTimes(p *cfg.Proc, ix *EdgeIndex, paths []Path, costs *Costs) []float64
 		times[j] = t
 	}
 	return times
-}
-
-// SamplePath draws a random path through the chain (the tests' sampler of
-// ground-truth durations), with arcs indexed by ix, the EdgeIndex of
-// the chain's procedure. rng is any func returning uniform [0,1). maxSteps
-// guards against non-absorbing chains; ok is false if the walk fails to
-// absorb.
-func (c *Chain) SamplePath(ix *EdgeIndex, rng func() float64, maxSteps int) (path Path, ok bool) {
-	if maxSteps <= 0 {
-		maxSteps = 100000
-	}
-	cur := c.proc.Entry
-	for step := 0; step < maxSteps; step++ {
-		succs := c.proc.Block(cur).Succs()
-		if len(succs) == 0 {
-			return path, true
-		}
-		u := rng()
-		acc := 0.0
-		next := succs[len(succs)-1]
-		for _, s := range succs {
-			acc += c.probs[[2]ir.BlockID{cur, s}]
-			if u < acc {
-				next = s
-				break
-			}
-		}
-		e := ix.arcIndex([2]ir.BlockID{cur, next})
-		k := slices.IndexFunc(path, func(a Arc) bool { return a.Edge == e })
-		if k < 0 {
-			k = len(path)
-			path = append(path, Arc{Edge: e})
-		}
-		path[k].Count++
-		cur = next
-	}
-	return nil, false
 }

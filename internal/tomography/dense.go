@@ -15,13 +15,22 @@ func (m *Model) sortedTimes() *markov.SortedTimes {
 	return m.times
 }
 
-// pathProbs returns every path's probability under probs.
+// pathProbs returns every class's prior mass under probs (priors).
 func (m *Model) pathProbs(probs markov.EdgeProbs) []float64 {
-	logq := m.index.Dense(probs)
-	markov.LogProbs(logq, logq)
+	q := m.index.Dense(probs)
 	out := make([]float64, len(m.Paths))
-	markov.PathProbs(m.Paths, logq, out)
+	m.priors(q, q, out)
 	return out
+}
+
+// priors fills logq with the logs of q (logq may be q) and out[j] with
+// class j's path probability times its multiplicity.
+func (m *Model) priors(q, logq, out []float64) {
+	markov.LogProbs(q, logq)
+	markov.PathProbs(m.Paths, logq, out)
+	for j, k := range m.Mult {
+		out[j] *= float64(k)
+	}
 }
 
 // edgeWeights sums weight[j]·count over the arcs of every path j whose
@@ -43,8 +52,8 @@ func (m *Model) edgeWeights(weight []float64) map[[2]ir.BlockID]float64 {
 // iteration count on streaming re-estimation) but not the stopping rule:
 // EM still iterates until no probability moves more than Tol. From the
 // uniform start it performs the exact floating-point operation sequence
-// of EstimateEMReference — same observation order, same per-support path
-// order (ascending path index), same arc order — so the two
+// of EstimateEMReference — same observation order, same per-support class
+// order (ascending class index), same arc order — so the two
 // implementations agree bit for bit; only the data layout differs (dense
 // indexed arrays and reusable scratch buffers instead of maps and
 // per-iteration clones).
@@ -81,10 +90,8 @@ func estimateEMDense(m *Model, h SampleCounts, init markov.EdgeProbs, cfg EMConf
 
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		st.Iterations = iter + 1
-		// Path priors under current θ: one log per edge, then a fused
-		// multiply-sum per path.
-		markov.LogProbs(probs, logq)
-		markov.PathProbs(m.Paths, logq, prior)
+		// Class priors under current θ: one log per edge, one sum per class.
+		m.priors(probs, logq, prior)
 
 		// E-step + M-step accumulation.
 		for k := range edgeW {
@@ -101,10 +108,13 @@ func estimateEMDense(m *Model, h SampleCounts, init markov.EdgeProbs, cfg EMConf
 			if den <= 0 {
 				// All supported paths currently have zero prior (can
 				// happen before smoothing kicks in); fall back to uniform
-				// responsibility over the support.
-				gamma := cnt / float64(len(sup))
+				// responsibility over the paths the support stands for.
+				n := 0
 				for _, j := range sup {
-					m.Paths[j].Accumulate(gamma, edgeW)
+					n += m.Mult[j]
+				}
+				for _, j := range sup {
+					m.Paths[j].Accumulate(cnt*float64(m.Mult[j])/float64(n), edgeW)
 				}
 				continue
 			}

@@ -62,16 +62,15 @@ type EMStats struct {
 //	E-step: γ(i,j) ∝ π_j(θ)·K(t_i − τ_j)
 //	M-step: p(e) ∝ Σ_{i,j} γ(i,j)·m_j(e)   (normalized per branch block)
 //
-// where π_j is the path prior under the current probabilities, τ_j the
-// path's deterministic duration, m_j(e) its traversal count of edge e, and
-// K a box kernel absorbing timer quantization.
+// where j ranges over the model's arc-count classes, π_j is the class's
+// path probability under the current probabilities times its
+// multiplicity, τ_j its deterministic duration, m_j(e) its traversal count
+// of edge e, and K a box kernel absorbing timer quantization.
 //
-// The hot loop runs on the model's dense arcs and edge-indexed vectors
-// (markov.PathProbs, Path.Accumulate); its results are bit-identical to
-// the map-keyed reference implementation the tests keep,
-// EstimateEMReference. Samples
-// must be finite — NaN or ±Inf durations are rejected with an error
-// rather than silently skewing the dedup histogram.
+// The hot loop runs on the model's dense arcs and edge-indexed vectors;
+// its results are bit-identical to the map-keyed reference the tests keep,
+// EstimateEMReference. Samples must be finite: NaN or ±Inf durations are
+// rejected with an error rather than silently skewing the histogram.
 func EstimateEM(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
 	var st EMStats
 	if err := validateSamples(samples); err != nil {

@@ -10,9 +10,10 @@ import (
 // tests as the numerical oracle: the dense kernel behind EstimateEM is
 // pinned bit-for-bit against it by the equivalence and property tests, and
 // BenchmarkEstimateEMReferencePaths measures the dense kernel's speedup
-// over it. It scans every path per observation and allocates fresh maps
+// over it. It scans every class per observation and allocates fresh maps
 // per iteration, keyed by dense edge with each edge identified through the
-// model's EdgeIndex.Index.
+// model's EdgeIndex.Index. A class's prior is its path probability times
+// its multiplicity.
 //
 // Unlike EstimateEM it does not validate samples; callers own finiteness.
 func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.EdgeProbs, EMStats, error) {
@@ -67,7 +68,7 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 		// Path priors under current θ.
 		q := denseKeyed(m, probs)
 		for j, p := range m.Paths {
-			prior[j] = pathProb(p, q)
+			prior[j] = pathProb(p, q) * float64(m.Mult[j])
 		}
 
 		// E-step + M-step accumulation.
@@ -82,10 +83,13 @@ func EstimateEMReference(m *Model, samples []float64, cfg EMConfig) (markov.Edge
 			if den <= 0 {
 				// All supported paths currently have zero prior (can
 				// happen before smoothing kicks in); fall back to uniform
-				// responsibility over the support.
-				gamma := float64(counts[i]) / float64(len(s.paths))
+				// responsibility over the paths the support stands for.
+				n := 0
 				for _, j := range s.paths {
-					accumulate(edgeW, m.Paths[j], gamma)
+					n += m.Mult[j]
+				}
+				for _, j := range s.paths {
+					accumulate(edgeW, m.Paths[j], float64(counts[i])*float64(m.Mult[j])/float64(n))
 				}
 				continue
 			}

@@ -11,10 +11,10 @@ import (
 const (
 	// histMaxIter bounds the NNLS projected-gradient iterations.
 	histMaxIter = 3000
-	// histMaxPaths bounds the design matrix's column count; models whose
-	// path set is larger are rejected. The EM estimator handles such
-	// procedures; the histogram method's dense system does not scale to
-	// them.
+	// histMaxPaths bounds the paths a model stands for (the sum of its
+	// multiplicities); models with more are rejected. The EM estimator
+	// handles such procedures; the histogram method's dense system does
+	// not scale to them.
 	histMaxPaths = 4096
 	// histMaxBins bounds the design matrix's row count.
 	histMaxBins = 2048
@@ -35,8 +35,12 @@ func estimateHistogram(m *Model, samples SampleCounts) (markov.EdgeProbs, error)
 	if len(samples.Values) == 0 {
 		return nil, ErrNoSamples
 	}
-	if len(m.Paths) > histMaxPaths {
-		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", histMaxPaths, len(m.Paths))
+	paths := 0
+	for _, k := range m.Mult {
+		paths += k
+	}
+	if paths > histMaxPaths {
+		return nil, fmt.Errorf("tomography: histogram estimator limited to %d paths, model has %d", histMaxPaths, paths)
 	}
 
 	lo, hi := samples.Values[0], samples.Values[len(samples.Values)-1]

@@ -65,7 +65,12 @@ type Model struct {
 	PM    *compile.ProcMeta
 	Costs *markov.Costs
 
+	// Paths holds one path per arc-count class (markov.Enumerate), Mult
+	// the number of enumerated paths each stands for, and PathTimes each
+	// class's duration. Every path-weighted sum weights a class by its
+	// multiplicity.
 	Paths     []markov.Path
+	Mult      []int
 	PathTimes []float64
 	Truncated bool
 
@@ -134,7 +139,7 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 // one-way, which it pins.
 func newModel(proc *cfg.Proc, costs *markov.Costs, enum markov.EnumerateOptions, resolved map[ir.BlockID]ir.BlockID) *Model {
 	m := &Model{Proc: proc, Costs: costs, index: markov.NewEdgeIndex(proc)}
-	m.Paths, m.Truncated = markov.Enumerate(proc, m.index, enum)
+	m.Paths, m.Mult, m.Truncated = markov.Enumerate(proc, m.index, enum)
 	m.PathTimes = markov.PathTimes(proc, m.index, m.Paths, costs)
 	if len(resolved) > 0 {
 		m.Pinned = make(markov.EdgeProbs, 2*len(resolved))
@@ -246,33 +251,31 @@ func (m *Model) probsFromEdgeWeights(w map[[2]ir.BlockID]float64, alpha float64)
 // explain the observations (usually a loop whose realized iteration counts
 // exceed the unrolling bound) and the estimate should not be trusted.
 func (m *Model) Coverage(samples []float64, halfWidth float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	// Binary search over the sorted path times; the predicate is exactly
-	// the linear scan's |s − τ| <= halfWidth.
-	times := m.sortedTimes()
-	hit := 0
-	for _, s := range samples {
-		if times.Within(s, halfWidth) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(samples))
+	return m.coverage(samples, nil, len(samples), halfWidth)
 }
 
 // CoverageCounts is Coverage over a histogram of samples: a distinct value
 // within halfWidth of a path counts once per sample of it.
 func (m *Model) CoverageCounts(h SampleCounts, halfWidth float64) float64 {
-	n := h.N()
+	return m.coverage(h.Values, h.Counts, h.N(), halfWidth)
+}
+
+// coverage is the fraction of n samples, counts[i] of values[i] (one each
+// where counts is nil), within halfWidth of a path time: a binary search
+// per value whose predicate is exactly the scan's |v − τ| <= halfWidth.
+func (m *Model) coverage(values []float64, counts []int, n int, halfWidth float64) float64 {
 	if n == 0 {
 		return 0
 	}
 	times := m.sortedTimes()
 	hit := 0
-	for i, v := range h.Values {
-		if times.Within(v, halfWidth) {
-			hit += h.Counts[i]
+	for i, v := range values {
+		switch {
+		case !times.Within(v, halfWidth):
+		case counts == nil:
+			hit++
+		default:
+			hit += counts[i]
 		}
 	}
 	return float64(hit) / float64(n)
@@ -291,10 +294,6 @@ func (m *Model) CoverageCounts(h SampleCounts, halfWidth float64) float64 {
 // property of the program and the clock.
 func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	out := make(map[ir.BlockID]float64, len(m.Unknowns))
-	n := len(m.Paths)
-	if n == 0 {
-		return out
-	}
 	prior := m.pathProbs(m.InitialProbs())
 	total := 0.0
 	for _, pr := range prior {
@@ -306,13 +305,12 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	if window <= 0 {
 		window = 1
 	}
-	bucketOf := func(t float64) int64 { return int64(t / window) }
 
 	// Per-path signature of each unknown: its out-edge traversal counts.
 	// cnt holds one path's dense edge counts at a time.
 	sigs := make([][]uint64, len(m.Unknowns))
 	for ui := range sigs {
-		sigs[ui] = make([]uint64, n)
+		sigs[ui] = make([]uint64, len(m.Paths))
 	}
 	cnt := make([]int32, m.index.Len())
 	for j, path := range m.Paths {
@@ -330,34 +328,29 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 			cnt[a.Edge] = 0
 		}
 	}
+	type bucket struct {
+		sig      uint64
+		multiple bool
+	}
 	for ui, u := range m.Unknowns {
 		sig := sigs[ui]
-		type bs struct {
-			sig      uint64
-			multiple bool
-		}
-		buckets := make(map[int64]*bs)
-		for j := range m.Paths {
-			b := bucketOf(m.PathTimes[j])
-			cur := buckets[b]
-			if cur == nil {
-				buckets[b] = &bs{sig: sig[j]}
-			} else if !cur.multiple && cur.sig != sig[j] {
-				cur.multiple = true
+		buckets := make(map[int64]bucket)
+		for j, t := range m.PathTimes {
+			b := int64(t / window)
+			if cur, ok := buckets[b]; !ok {
+				buckets[b] = bucket{sig: sig[j]}
+			} else if cur.sig != sig[j] {
+				buckets[b] = bucket{cur.sig, true}
 			}
 		}
 		mass := 0.0
-		for j := range m.Paths {
-			b := bucketOf(m.PathTimes[j])
-			conf := false
+		for j, t := range m.PathTimes {
+			b := int64(t / window)
 			for _, nb := range [3]int64{b - 1, b, b + 1} {
-				if cur := buckets[nb]; cur != nil && (cur.multiple || cur.sig != sig[j]) {
-					conf = true
+				if cur, ok := buckets[nb]; ok && (cur.multiple || cur.sig != sig[j]) {
+					mass += prior[j]
 					break
 				}
-			}
-			if conf {
-				mass += prior[j]
 			}
 		}
 		out[u.Block] = mass / total

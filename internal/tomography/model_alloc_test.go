@@ -7,19 +7,20 @@ import (
 	"testing"
 )
 
-// maxModelBytesPerArc bounds the bytes NewModelOpts allocates per arc of
-// crc's handler model. A build measures 13.6 bytes per arc (2-vCPU
-// x86-64, Go 1.24): 8 for the arc itself, about 4 for the path headers as
-// the path slice grows, and the rest the path durations and the static
-// range analysis. When each path
-// was stored as 28-byte arcs plus a 64-byte header, and copied again into
-// a compressed sparse row form on first estimation, building the same
-// model allocated 35.4 bytes per arc.
-const maxModelBytesPerArc = 16
+// maxCRCModelBytes bounds the bytes NewModelOpts allocates for crc's
+// handler model at the pipeline's enumeration bound, whose 30000 paths
+// fold into 220 arc-count classes. A build measures 317.8 KB (2-vCPU
+// x86-64, Go 1.24): the enumeration's class table and arcs are about
+// 85 KB, and the rest the static range analysis, the costs and the class
+// durations. When every path was stored, as 8-byte arcs carved from a
+// shared arena, the same build allocated 4.86 MB, 13.6 bytes per arc of
+// its 357954.
+const maxCRCModelBytes = 384 << 10
 
 // TestModelBytesPerArc builds crc's handler model once to warm up and once
-// measured, and bounds the measured build's allocated bytes per arc of its
-// path set. The race detector's instrumentation allocates on its own, so
+// measured, and bounds the measured build's allocated bytes, so a path is
+// never stored per enumerated path again. It logs the bytes per arc of the
+// class set. The race detector's instrumentation allocates on its own, so
 // the test is built without it only.
 func TestModelBytesPerArc(t *testing.T) {
 	prof, handler := crcProfile(t)
@@ -28,13 +29,13 @@ func TestModelBytesPerArc(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	m := newCRCModel(t, prof, handler)
 	runtime.ReadMemStats(&after)
-	arcs := 0
-	for _, p := range m.Paths {
-		arcs += len(p)
+	arcs, paths := 0, 0
+	for j, p := range m.Paths {
+		arcs, paths = arcs+len(p), paths+m.Mult[j]
 	}
-	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(arcs)
-	t.Logf("%d paths, %d arcs, %.1f bytes allocated per arc", len(m.Paths), arcs, perArc)
-	if perArc > maxModelBytesPerArc {
-		t.Fatalf("%.1f bytes allocated per arc, bound %d", perArc, maxModelBytesPerArc)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d paths in %d classes, %d arcs, %d bytes (%.1f per arc)", paths, len(m.Paths), arcs, bytes, float64(bytes)/float64(arcs))
+	if bytes > maxCRCModelBytes {
+		t.Fatalf("%d bytes allocated, bound %d", bytes, maxCRCModelBytes)
 	}
 }

@@ -2,6 +2,7 @@ package tomography
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"codetomo/internal/cfg"
@@ -55,18 +56,45 @@ func trueProbs(m *Model, p01, p34 float64) markov.EdgeProbs {
 	return ep
 }
 
+// samplePath draws a random path through m's procedure under probs; rng
+// returns uniform [0,1). ok is false if the walk does not absorb within
+// maxSteps.
+func samplePath(m *Model, probs markov.EdgeProbs, rng func() float64, maxSteps int) (path markov.Path, ok bool) {
+	cur := m.Proc.Entry
+	for step := 0; step < maxSteps; step++ {
+		succs := m.Proc.Block(cur).Succs()
+		if len(succs) == 0 {
+			return path, true
+		}
+		u, acc, next := rng(), 0.0, succs[len(succs)-1]
+		for _, s := range succs {
+			if acc += probs[[2]ir.BlockID{cur, s}]; u < acc {
+				next = s
+				break
+			}
+		}
+		e, _ := m.index.Index([2]ir.BlockID{cur, next})
+		k := slices.IndexFunc(path, func(a markov.Arc) bool { return a.Edge == e })
+		if k < 0 {
+			k, path = len(path), append(path, markov.Arc{Edge: e})
+		}
+		path[k].Count++
+		cur = next
+	}
+	return nil, false
+}
+
 // sampleDurations draws n durations from the true chain, quantized to the
 // tick grid like the mote's timer does.
 func sampleDurations(t testing.TB, m *Model, truth markov.EdgeProbs, n int, tickDiv int, seed int64) []float64 {
 	t.Helper()
-	chain, err := markov.New(m.Proc, truth)
-	if err != nil {
+	if _, err := markov.New(m.Proc, truth); err != nil {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(seed)
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		path, ok := chain.SamplePath(m.index, rng.Float64, 1_000_000)
+		path, ok := samplePath(m, truth, rng.Float64, 1_000_000)
 		if !ok {
 			t.Fatal("non-absorbing sample")
 		}

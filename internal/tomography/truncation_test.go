@@ -17,7 +17,7 @@ func tiltedProbs(m *Model, truth markov.EdgeProbs, lambda float64) (markov.EdgeP
 	q := denseKeyed(m, truth)
 	f := 0.0
 	for i, p := range m.Paths {
-		surv := pathProb(p, q) * math.Exp(-lambda*m.PathTimes[i])
+		surv := pathProb(p, q) * float64(m.Mult[i]) * math.Exp(-lambda*m.PathTimes[i])
 		f += surv
 		p.Accumulate(surv, w)
 	}

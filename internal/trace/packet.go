@@ -476,28 +476,30 @@ func (sv *salvager) cut() {
 	sv.stack = sv.stack[:0]
 }
 
-// feed continues the current contiguous run with events.
+// feed continues the current contiguous run with events. The open-frame
+// stack lives in a local for the whole run and is stored back once.
 func (sv *salvager) feed(events []mote.TraceEvent) {
-	st := &sv.st
+	st, stack := &sv.st, sv.stack
 	for _, ev := range events {
 		if ev.ID == mote.EpochMarkID {
 			// Cold boot: every frame open at the outage is truncated. Frames
 			// already doomed by a power marker were counted there.
-			for _, fr := range sv.stack {
+			for _, fr := range stack {
 				if !fr.doomed {
 					st.addLostPartials(fr.proc, 1)
 				}
 			}
-			sv.cut()
+			st.InvocationsDiscarded += len(stack)
+			stack = stack[:0]
 			continue
 		}
 		if ev.ID == mote.PowerMarkID {
 			// Checkpoint restore: straddling frames survive structurally but
 			// their timing spans the outage — doom them.
-			for i := range sv.stack {
-				if !sv.stack[i].doomed {
-					sv.stack[i].doomed = true
-					st.addLostPartials(sv.stack[i].proc, 1)
+			for i := range stack {
+				if !stack[i].doomed {
+					stack[i].doomed = true
+					st.addLostPartials(stack[i].proc, 1)
 				}
 			}
 			continue
@@ -509,10 +511,9 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 		}
 		proc := int(ev.ID / 2)
 		if ev.ID%2 == 0 {
-			sv.stack = append(sv.stack, openFrame{proc: proc, enter: ev.Tick})
+			stack = append(stack, openFrame{proc: proc, enter: ev.Tick})
 			continue
 		}
-		stack := sv.stack
 		if len(stack) == 0 {
 			// Exit whose enter is on the other side of a gap.
 			st.InvocationsDiscarded++
@@ -539,7 +540,6 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 		st.InvocationsDiscarded += len(stack) - 1 - match
 		top := stack[match]
 		stack = stack[:match]
-		sv.stack = stack
 		if top.doomed {
 			st.InvocationsDiscarded++ // straddled a power marker: timing spans the outage
 			continue
@@ -563,4 +563,5 @@ func (sv *salvager) feed(events []mote.TraceEvent) {
 			sv.ticks[top.proc] = append(sv.ticks[top.proc], gross-min(top.childTicks, gross))
 		}
 	}
+	sv.stack = stack
 }

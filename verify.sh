@@ -100,6 +100,13 @@ echo "== fuzz smoke (CRC-16)"
 # agree with the bitwise reference on any input.
 go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
 
+echo "== fuzz smoke (path classes)"
+# A random CFG and caps from the input bytes: Enumerate's arc-count classes
+# must equal the original enumerator's paths grouped by class, in
+# first-completion order, with the same representative arcs, each class's
+# path count as its multiplicity and the same truncation flag.
+go test ./internal/markov -run=NONE -fuzz=FuzzEnumerateClasses -fuzztime=5s
+
 echo "== fuzz smoke (path-time index)"
 # The radix-sorted path-time index must order any times exactly as the
 # comparator sort it replaced: cmp.Compare, then path index, with NaN,
@@ -174,8 +181,9 @@ echo "== golden tables, fleet scale, fleet and model allocations, export uses an
 # heap, so the fleet is never materialized. TestRunFleetAllocsPerMote
 # bounds RunFleet's allocated bytes per mote at the benchmark's fleet
 # configuration, so samples are never copied per mote again.
-# TestModelBytesPerArc bounds the bytes NewModelOpts allocates per arc of
-# crc's path-capped handler model, so a path is never stored twice again.
+# TestModelBytesPerArc bounds the bytes NewModelOpts allocates for crc's
+# path-capped handler model, so a path is never stored per enumerated path
+# again.
 # TestExportsHaveCallers type-checks the module and perfbench with their
 # tests and fails on an exported name that nothing but its own package's
 # tests uses, outside its allowlist. TestDispatchCensus steps compiled crc
